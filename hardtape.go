@@ -271,7 +271,7 @@ type TestbedOptions struct {
 	// in-order commit (DESIGN.md §16); 0 or 1 executes sequentially.
 	Lanes int
 	// Shards partitions the ORAM across N independent trees with
-	// shard-aware batched fan-out (DESIGN.md §17); 0 or 1 keeps the
+	// shard-aware batched fan-out (DESIGN.md §11); 0 or 1 keeps the
 	// paper's single tree.
 	Shards int
 	// Telemetry, when non-nil, instruments the testbed's device(s) —

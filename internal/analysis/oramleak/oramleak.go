@@ -10,7 +10,7 @@
 // The analyzer flags, outside the oram package itself, any call to a
 // raw-store method on the ORAM server types: the oram.Server interface
 // or any concrete store behind it — *oram.MemServer, the disk-backed
-// *oram.FileServer (the sharded/persistent deployment, DESIGN.md §17),
+// *oram.FileServer (the sharded/persistent deployment, DESIGN.md §11),
 // and the *oram.RemoteServer TCP transport.
 //
 // Escape hatch (reason required): //hardtape:oram-direct reason

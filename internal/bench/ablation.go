@@ -224,7 +224,7 @@ func RunGroupingAblation() (*GroupingAblation, error) {
 		if err != nil {
 			return nil, err
 		}
-		cli, err := oram.NewClient(srv, make([]byte, oram.KeySize))
+		cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +301,7 @@ func RunDepthAblation() (*DepthAblation, error) {
 		if err != nil {
 			return nil, err
 		}
-		cli, err := oram.NewClient(srv, make([]byte, oram.KeySize))
+		cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
 		if err != nil {
 			return nil, err
 		}

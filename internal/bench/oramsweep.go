@@ -104,8 +104,8 @@ func oramSweepCell(shards, batch, rounds int) (ORAMSweepCell, error) {
 		servers[i] = srv
 	}
 	clock := simclock.NewClock()
-	cli, err := oram.NewShardedClient(servers, make([]byte, oram.KeySize),
-		oram.WithShardClock(clock, simclock.DefaultCalibration()))
+	cli, err := oram.NewClient(servers, make([]byte, oram.KeySize),
+		oram.WithClock(clock, simclock.DefaultCalibration()))
 	if err != nil {
 		return ORAMSweepCell{}, err
 	}

@@ -79,7 +79,7 @@ func measureServerQuery() time.Duration {
 	if err != nil {
 		return 0
 	}
-	cli, err := oram.NewClient(srv, make([]byte, oram.KeySize))
+	cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
 	if err != nil {
 		return 0
 	}

@@ -80,17 +80,17 @@ type Config struct {
 	// ORAMCapacity is the ORAM tree capacity in 1 KB blocks (split
 	// evenly across shards when ORAMShards > 1).
 	ORAMCapacity uint64
-	// ORAMShards partitions the world state across K independent Path
-	// ORAM trees by a stable block-id hash; batched accesses fan out
-	// across shards in one overlapped round (DESIGN.md §17). 0 or 1
-	// keeps the paper's single tree.
+	// ORAMShards is K, the number of independent Path ORAM trees the
+	// one ORAM client partitions the world state across by a stable
+	// block-id hash; a round touching several trees fans out across them
+	// in one overlapped round (DESIGN.md §11). 0 or 1 is the paper's
+	// single tree — the same client at K = 1.
 	ORAMShards int
 	// ORAMDir, when non-empty, makes the ORAM durable: disk-backed
 	// bucket files plus crash-consistent stash/position-map
 	// checkpointing under this directory, one subdirectory per shard.
 	// A device restarted over the same directory (and ORAMKey) resumes
-	// from the last checkpoint. Mutually exclusive with RemoteORAMAddr
-	// and RecursivePositionMap.
+	// from the last checkpoint. Mutually exclusive with RemoteORAMAddr.
 	ORAMDir string
 	// NoiseSeed seeds the swap-noise RNG (reproducibility).
 	NoiseSeed int64
@@ -101,20 +101,15 @@ type Config struct {
 	// of §IV-D problem 3 — it leaks the query type via burst patterns
 	// and is for experiments only.
 	DisablePrefetch bool
-	// RecursivePositionMap stores the ORAM position map in a smaller
-	// parent ORAM instead of flat on-chip memory — the paper's
-	// "higher-level ORAMs recursively" extension (§II-C). Costs extra
-	// ORAM accesses per query; the default keeps the highest-level map
-	// on-chip as the prototype does.
-	RecursivePositionMap bool
 	// ORAMKey, when set, is the shared bucket-encryption key obtained
 	// from a sibling device via RequestORAMKey (paper §IV-D). Empty
 	// means "first device deployed": generate a fresh random key.
 	ORAMKey []byte
-	// RemoteORAMAddr, when non-empty, connects to a TCP ORAM server at
-	// this address instead of creating an in-process one — the paper's
-	// deployment shape (the SP runs one ORAM server over Ethernet for
-	// multiple HarDTAPE instances, §IV-D).
+	// RemoteORAMAddr, when non-empty, connects to TCP ORAM servers
+	// instead of creating in-process ones — the paper's deployment shape
+	// (the SP runs the ORAM server over Ethernet for multiple HarDTAPE
+	// instances, §IV-D). One address per shard, comma-separated in shard
+	// order.
 	RemoteORAMAddr string
 	// Telemetry, when non-nil, registers the device's metric series on
 	// this registry and records per bundle. Nil (the default) disables

@@ -169,9 +169,8 @@ type Device struct {
 
 	chain *node.Node
 
-	oramServer *oram.MemServer
-	// oramServers holds every in-process shard server when the tree is
-	// sharded (oramServer aliases shard 0 for single-tree callers).
+	// oramServers holds the in-process shard servers in shard order (nil
+	// for remote or disk-backed deployments).
 	oramServers []*oram.MemServer
 	oramStore   *pager.Store
 	mirror      *pager.Store
@@ -181,10 +180,9 @@ type Device struct {
 	slots    chan *slot
 	allSlots []*slot
 
-	// oramClient is the shared Path ORAM access point (nil without
-	// ORAM features): the single-tree Client, or the ShardedClient
-	// fanning batches out across ORAMShards trees.
-	oramClient oram.Accessor
+	// oramClient is the Hypervisor's one Path ORAM client over
+	// ORAMShards trees (nil without ORAM features).
+	oramClient *oram.Client
 
 	// tm is always non-nil; with telemetry disabled its instruments
 	// are nil and every record call is a single branch.
@@ -280,104 +278,52 @@ func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device,
 	return d, nil
 }
 
-// buildORAM wires the device's oblivious store from the config: the
-// paper's single tree (in-memory or remote), or ORAMShards independent
-// trees behind the fan-out client — optionally disk-backed with
-// checkpointing when ORAMDir is set (DESIGN.md §17).
-func (d *Device) buildORAM(cfg Config, key []byte) (oram.Accessor, error) {
+// buildORAM wires the device's oblivious store from the config: pick
+// one server per shard — remote, disk-backed under ORAMDir (with
+// checkpointing), or in-process — and put the one ORAM client on top
+// (DESIGN.md §11).
+func (d *Device) buildORAM(cfg Config, key []byte) (*oram.Client, error) {
 	shards := cfg.ORAMShardCount()
-
-	// Durable path: disk-backed bucket files + checkpoint stores under
-	// ORAMDir, any shard count (a single shard still checkpoints).
-	if cfg.ORAMDir != "" {
-		if cfg.RemoteORAMAddr != "" {
-			return nil, fmt.Errorf("core: ORAMDir and RemoteORAMAddr are mutually exclusive")
-		}
-		if cfg.RecursivePositionMap {
-			return nil, fmt.Errorf("core: checkpointing requires the flat position map")
-		}
-		var sopts []oram.ShardOption
-		if cfg.Telemetry != nil {
-			sopts = append(sopts, oram.WithShardTelemetry(cfg.Telemetry))
-		}
-		sc, err := oram.OpenShardedStore(cfg.ORAMDir, shards, cfg.ORAMCapacity, key, 1, sopts...)
-		if err != nil {
-			return nil, fmt.Errorf("core: durable oram: %w", err)
-		}
-		return sc, nil
-	}
-
-	if shards > 1 {
-		if cfg.RecursivePositionMap {
-			return nil, fmt.Errorf("core: sharding uses per-shard flat position maps (the partitioned map); RecursivePositionMap is single-tree only")
-		}
-		servers := make([]oram.Server, shards)
-		if cfg.RemoteORAMAddr != "" {
-			// One TCP server per shard, comma-separated in config order.
-			addrs := strings.Split(cfg.RemoteORAMAddr, ",")
-			if len(addrs) != shards {
-				return nil, fmt.Errorf("core: %d ORAM shards need %d remote addresses, got %d",
-					shards, shards, len(addrs))
-			}
-			for i, addr := range addrs {
-				remote, err := oram.DialServer(strings.TrimSpace(addr))
-				if err != nil {
-					return nil, fmt.Errorf("core: remote oram shard %d: %w", i, err)
-				}
-				servers[i] = remote
-			}
-		} else {
-			perShard := (cfg.ORAMCapacity + uint64(shards) - 1) / uint64(shards)
-			for i := range servers {
-				mem, err := oram.NewMemServer(perShard)
-				if err != nil {
-					return nil, err
-				}
-				d.oramServers = append(d.oramServers, mem)
-				servers[i] = mem
-			}
-			d.oramServer = d.oramServers[0]
-		}
-		var sopts []oram.ShardOption
-		if cfg.Telemetry != nil {
-			sopts = append(sopts, oram.WithShardTelemetry(cfg.Telemetry))
-		}
-		return oram.NewShardedClient(servers, key, sopts...)
-	}
-
-	// The paper's single tree.
-	var server oram.Server
-	if cfg.RemoteORAMAddr != "" {
-		remote, err := oram.DialServer(cfg.RemoteORAMAddr)
-		if err != nil {
-			return nil, fmt.Errorf("core: remote oram: %w", err)
-		}
-		server = remote
-	} else {
-		mem, err := oram.NewMemServer(cfg.ORAMCapacity)
-		if err != nil {
-			return nil, err
-		}
-		d.oramServer = mem
-		d.oramServers = []*oram.MemServer{mem}
-		server = mem
-	}
 	var opts []oram.ClientOption
 	if cfg.Telemetry != nil {
 		opts = append(opts, oram.WithTelemetry(cfg.Telemetry))
 	}
-	if cfg.RecursivePositionMap {
-		pmKey := make([]byte, oram.KeySize)
-		if _, err := rand.Read(pmKey); err != nil {
-			return nil, fmt.Errorf("core: posmap key: %w", err)
+	if cfg.ORAMDir != "" {
+		if cfg.RemoteORAMAddr != "" {
+			return nil, fmt.Errorf("core: ORAMDir and RemoteORAMAddr are mutually exclusive")
 		}
-		pm, err := oram.NewRecursivePositionMap(cfg.ORAMCapacity, pmKey)
+		client, err := oram.OpenShardedStore(cfg.ORAMDir, shards, cfg.ORAMCapacity, key, 1, opts...)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: durable oram: %w", err)
 		}
-		opts = append(opts, oram.WithPositionMap(pm))
+		return client, nil
 	}
-	return oram.NewClient(server, key, opts...)
+	servers := make([]oram.Server, shards)
+	if cfg.RemoteORAMAddr != "" {
+		addrs := strings.Split(cfg.RemoteORAMAddr, ",")
+		if len(addrs) != shards {
+			return nil, fmt.Errorf("core: %d ORAM shards need %d remote addresses, got %d",
+				shards, shards, len(addrs))
+		}
+		for i, addr := range addrs {
+			remote, err := oram.DialServer(strings.TrimSpace(addr))
+			if err != nil {
+				return nil, fmt.Errorf("core: remote oram shard %d: %w", i, err)
+			}
+			servers[i] = remote
+		}
+	} else {
+		perShard := (cfg.ORAMCapacity + uint64(shards) - 1) / uint64(shards)
+		for i := range servers {
+			mem, err := oram.NewMemServer(perShard)
+			if err != nil {
+				return nil, err
+			}
+			d.oramServers = append(d.oramServers, mem)
+			servers[i] = mem
+		}
+	}
+	return oram.NewClient(servers, key, opts...)
 }
 
 // newLane builds one execution lane's hardware set.
@@ -404,9 +350,14 @@ func newLane(cfg Config, id int, noiseSeed int64) (*laneState, error) {
 // Booted exposes the attestation endpoint (step 2).
 func (d *Device) Booted() *attest.BootedDevice { return d.booted }
 
-// ORAMServer exposes the SP-side server (adversary observation point).
-// With a sharded tree set this is shard 0; ORAMServers lists them all.
-func (d *Device) ORAMServer() *oram.MemServer { return d.oramServer }
+// ORAMServer exposes the SP-side server (adversary observation point):
+// shard 0 of ORAMServers, nil when there is no in-process server.
+func (d *Device) ORAMServer() *oram.MemServer {
+	if len(d.oramServers) == 0 {
+		return nil
+	}
+	return d.oramServers[0]
+}
 
 // ORAMServers exposes every in-process shard server in shard order
 // (nil for remote or disk-backed deployments).
@@ -644,19 +595,14 @@ func (d *Device) runTxs(e *evm.EVM, tr *tracer.Tracer, s *slot, bundle *types.Bu
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			rErr, ok := r.(error)
-			if !ok {
-				panic(r) // genuine bug, re-raise
+			abort, hard, bug := classifyPanic(r)
+			if bug != nil {
+				panic(bug) // genuine bug, re-raise
 			}
-			var moe *hevm.MemoryOverflowError
-			switch {
-			case errors.As(rErr, &moe):
-				result.Aborted = rErr
-			case errors.Is(rErr, hevm.ErrL3Tampered):
-				result.Aborted = rErr
-			default:
-				err = fmt.Errorf("%w: %v", ErrAborted, rErr)
+			if abort != nil {
+				result.Aborted = abort
 			}
+			err = hard
 		}
 	}()
 	for i, tx := range bundle.Txs {
@@ -669,6 +615,22 @@ func (d *Device) runTxs(e *evm.EVM, tr *tracer.Tracer, s *slot, bundle *types.Bu
 		result.GasUsed += res.GasUsed
 	}
 	return nil
+}
+
+// classifyPanic sorts a value recovered from a transaction execution:
+// a hardware abort (Memory Overflow, L3 tamper) ends the bundle with
+// Aborted set, any other error is a hard failure wrapped in ErrAborted,
+// and a non-error panic is a genuine bug for the caller to surface.
+func classifyPanic(r any) (abort, hard error, bug any) {
+	rErr, ok := r.(error)
+	if !ok {
+		return nil, nil, r
+	}
+	var moe *hevm.MemoryOverflowError
+	if errors.As(rErr, &moe) || errors.Is(rErr, hevm.ErrL3Tampered) {
+		return rErr, nil, nil
+	}
+	return nil, fmt.Errorf("%w: %v", ErrAborted, rErr), nil
 }
 
 // bundleSize approximates the wire size of a bundle.

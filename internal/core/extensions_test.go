@@ -11,46 +11,6 @@ import (
 	"hardtape/internal/workload"
 )
 
-// TestRecursivePositionMapDevice exercises the paper's recursive
-// position-map extension end to end: same behaviour, more ORAM work.
-func TestRecursivePositionMapDevice(t *testing.T) {
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 8
-	wcfg.Tokens = 1
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.HEVMs = 1
-	cfg.RecursivePositionMap = true
-	dev, err := NewDevice(cfg, nil, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	token := w.Tokens[0]
-	tx, err := w.SignedTxAt(w.EOAs[0], 0, &token, 0,
-		workload.CalldataTransfer(w.EOAs[1], 11), 200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dev.Execute(&types.Bundle{Txs: []*types.Transaction{tx}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Aborted != nil || res.Trace.Txs[0].Reverted {
-		t.Fatalf("recursive-posmap execution failed: %+v", res)
-	}
-}
-
 // TestRemoteORAMDevice runs the whole device against a TCP ORAM server
 // — the paper's actual deployment topology.
 func TestRemoteORAMDevice(t *testing.T) {

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hardtape/internal/evm"
-	"hardtape/internal/hevm"
 	"hardtape/internal/simclock"
 	"hardtape/internal/state"
 	"hardtape/internal/telemetry"
@@ -274,17 +272,9 @@ func (d *Device) specOnce(l *laneState, laneBase state.Reader, v *state.Versione
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			rErr, ok := r.(error)
-			if !ok {
-				out.bugPanic = r
+			out.abortErr, out.hardErr, out.bugPanic = classifyPanic(r)
+			if out.bugPanic != nil {
 				return
-			}
-			var moe *hevm.MemoryOverflowError
-			switch {
-			case errors.As(rErr, &moe), errors.Is(rErr, hevm.ErrL3Tampered):
-				out.abortErr = rErr
-			default:
-				out.hardErr = fmt.Errorf("%w: %v", ErrAborted, rErr)
 			}
 			// The read set decides whether this failure is authoritative
 			// (the sequential execution would have hit it too) or an

@@ -229,7 +229,7 @@ type lockedReader struct {
 	// under the lock on every query: lanes from different bundles (and
 	// traced next to untraced ones) interleave here, so each holder
 	// must claim — or clear — the attribution for its own accesses.
-	acc oram.Accessor
+	acc *oram.Client
 	tr  *telemetry.Tracer
 	sc  telemetry.SpanContext
 }

@@ -132,8 +132,8 @@ func TestShardedDeviceDurable(t *testing.T) {
 	}
 }
 
-// TestShardedConfigRejections: the combinations the sharded path cannot
-// honor must fail device construction loudly, not degrade silently.
+// TestShardedConfigRejections: real misconfigurations must fail device
+// construction loudly, not degrade silently.
 func TestShardedConfigRejections(t *testing.T) {
 	wcfg := workload.DefaultConfig()
 	wcfg.EOAs = 4
@@ -149,17 +149,9 @@ func TestShardedConfigRejections(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"shards+recursive-posmap", func(c *Config) {
-			c.ORAMShards = 4
-			c.RecursivePositionMap = true
-		}},
 		{"dir+remote", func(c *Config) {
 			c.ORAMDir = t.TempDir()
 			c.RemoteORAMAddr = "127.0.0.1:1"
-		}},
-		{"dir+recursive-posmap", func(c *Config) {
-			c.ORAMDir = t.TempDir()
-			c.RecursivePositionMap = true
 		}},
 		{"shards+short-remote-list", func(c *Config) {
 			c.ORAMShards = 4

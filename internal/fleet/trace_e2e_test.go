@@ -52,7 +52,7 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 		// Burst-fetch code pages so the bundle rides the batched ORAM
 		// fan-out (the prefetcher spreads single accesses instead, which
 		// never batch); multi-page DEX code then produces per-shard
-		// oram.shard_batch spans on the first cold execution.
+		// oram.batch spans on the first cold execution.
 		cfg.DisablePrefetch = true
 		cfg.Telemetry = reg
 		dev, err := core.NewDevice(cfg, mfr, chain)
@@ -160,7 +160,7 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 		"device.bundle",     // executing device
 		"device.exec",       // HEVM stage
 		"lane.reexec",       // conflict-driven re-execution
-		"oram.shard_batch",  // per-shard batched fan-out
+		"oram.batch",        // per-shard batched fan-out
 	} {
 		if names[want] == 0 {
 			t.Errorf("span %q missing from trace (got %v)", want, names)
@@ -171,7 +171,7 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 	if names["service.bundle"] < 2 {
 		t.Errorf("service.bundle count %d, want one per hop (>=2)", names["service.bundle"])
 	}
-	if names["oram.shard_batch"] < 2 {
-		t.Errorf("oram.shard_batch count %d, want one per shard (>=2)", names["oram.shard_batch"])
+	if names["oram.batch"] < 2 {
+		t.Errorf("oram.batch count %d, want one per shard (>=2)", names["oram.batch"])
 	}
 }

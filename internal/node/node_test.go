@@ -193,7 +193,7 @@ func TestSyncIntoORAMAndReadBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := oram.NewClient(srv, make([]byte, oram.KeySize))
+	cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
 	if err != nil {
 		t.Fatal(err)
 	}

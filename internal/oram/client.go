@@ -1,7 +1,12 @@
 package oram
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io"
+	"sync"
 
 	"hardtape/internal/simclock"
 	"hardtape/internal/telemetry"
@@ -16,50 +21,64 @@ const (
 	OpWrite
 )
 
-// stashSafetyFactor bounds the stash at factor*depth blocks; Path ORAM
-// guarantees O(log n)·ω(1) with overwhelming probability, so hitting
-// this bound indicates a protocol bug rather than bad luck.
-const stashSafetyFactor = 16
+// BatchOp is one logical operation inside an AccessBatch.
+type BatchOp struct {
+	Op   Op
+	ID   BlockID
+	Data []byte // OpWrite payload, at most BlockSize
+}
 
-// Client is the trusted Path ORAM client (on-chip in the Hypervisor).
-// It is NOT safe for concurrent use: the paper dedicates one client
-// per Hypervisor and serializes its queries.
+// Client errors.
+var (
+	// ErrShards rejects invalid shard configurations.
+	ErrShards = errors.New("oram: invalid shard configuration")
+	// ErrClientFailed is the fail-closed latch: an access died between
+	// remapping its blocks and storing the evicted paths, so the trusted
+	// state no longer matches the server's. Every later access and
+	// Checkpoint returns it (wrapping the original cause); the client
+	// must be rebuilt.
+	ErrClientFailed = errors.New("oram: client failed closed after an access error")
+)
+
+// failedError is the latched error: ErrClientFailed wrapping the cause
+// (the same error the faulting access would have returned bare).
+type failedError struct{ cause error }
+
+func (e *failedError) Error() string   { return ErrClientFailed.Error() + ": " + e.cause.Error() }
+func (e *failedError) Unwrap() []error { return []error{ErrClientFailed, e.cause} }
+
+// Client is the trusted Path ORAM client (on-chip in the Hypervisor)
+// over K ≥ 1 independent trees, one per Server. Blocks are partitioned
+// across the trees by a public hash of their id; every tree owns its
+// private stash, position map, cryptor and scratch, so a round that
+// touches several trees runs their sub-batches concurrently without
+// locks. The Client itself is NOT safe for concurrent use: the paper
+// dedicates one client per Hypervisor and serializes its queries, and
+// the fan-out parallelism lives entirely inside one call.
 type Client struct {
-	server Server
-	crypt  *cryptor
-	pos    PositionMap
-	stash  map[BlockID]*block
-	depth  int
-	leaves uint64
-	clock  *simclock.Clock
-	cal    simclock.Calibration
-	timed  bool
-	// eviction scratch, reused across accesses (the client is
-	// single-goroutine by contract).
-	pathIdx    []uint64
-	levelLists [][]*block
-	carry      []*block
-	outCts     [][]byte
-	// batch scratch: every per-batch structure is a reused flat slice
-	// (no maps on the hot path — linear scans over ≤ batch-size node
-	// segments beat map hashing at these sizes, and allocate nothing).
-	batchLeaves []uint64
-	batchNew    []uint64
-	batchOps    []BatchOp
-	seenNodes   []uint64
-	batchNodes  []uint64 // unique path nodes, level-major segments
-	batchOffs   []int    // level → segment offset in batchNodes
-	batchBkts   []bucket // aligned with batchNodes
-	batchFill   []int    // slots filled per bucket
-	batchCts    [][]byte // sealed ciphertexts, aligned with batchNodes
-	outPaths    [][][]byte
-	outPathBufs [][]byte // flat backing for outPaths (len leaves·depth)
-	scratchBkt  bucket   // absorbPath's decode target
-	// stats
-	accesses   uint64
-	batches    uint64
-	maxStash   int
-	bytesMoved uint64
+	trees []*tree
+	// clock, when non-nil, is charged cal's virtual time per round.
+	clock *simclock.Clock
+	cal   simclock.Calibration
+	// stores, when non-nil, checkpoints each tree's stash + position map
+	// after every ckptEvery-th round (see persist.go).
+	stores    []*CheckpointStore
+	ckptEvery int
+	rounds    uint64
+	// failed is the fail-closed latch (ErrClientFailed wrapping the
+	// first mid-access error).
+	failed error
+	// obs is what the trees report to; they share it by pointer.
+	obs attribution
+	// Single-access and ReadMany scratch (single-goroutine contract).
+	oneOp   [1]BatchOp
+	oneOut  [1][]byte
+	readOps []BatchOp
+}
+
+// attribution is where a client's trees report: the metric series and
+// the current distributed-trace identity.
+type attribution struct {
 	// tm is the optional telemetry sink (nil when disabled: the hot
 	// path pays one pointer check per access, nothing else).
 	tm *clientTelemetry
@@ -70,10 +89,13 @@ type Client struct {
 	tparent telemetry.SpanContext
 }
 
-// clientTelemetry holds the client's registered series. Exported
-// values are aggregates the untrusted server already observes — path
-// counts, wall latencies, ciphertext bytes, stash occupancy — never
-// block IDs or leaf positions (telemetrysafe discipline).
+// clientTelemetry holds the client's registered series, shared by all
+// trees: counters sum across shards, the stash-peak gauge keeps the
+// maximum (SetMax), and the instantaneous stash gauge reflects the most
+// recently reporting tree. Exported values are aggregates the untrusted
+// server already observes — path counts, wall latencies, ciphertext
+// bytes, stash occupancy — never block IDs or leaf positions
+// (telemetrysafe discipline).
 type clientTelemetry struct {
 	accesses  *telemetry.Counter
 	batches   *telemetry.Counter
@@ -85,14 +107,29 @@ type clientTelemetry struct {
 	stashPeak *telemetry.Gauge
 }
 
+// ClientOption configures a Client.
+type ClientOption func(*Client)
+
+// WithClock makes the client charge virtual time per round: the link
+// RTT once (the sub-batches leave back to back and overlap on the
+// link), the slowest tree's serial per-query server work, and the whole
+// round's serial on-chip per-block client work — one Hypervisor does
+// all the stash/crypto work regardless of the fan-out width
+// (simclock.ORAMBatchCost with max-shard queries).
+func WithClock(clock *simclock.Clock, cal simclock.Calibration) ClientOption {
+	return func(c *Client) {
+		c.clock, c.cal = clock, cal
+	}
+}
+
 // WithTelemetry registers the client's series on reg and records per
-// access. A nil registry leaves telemetry disabled.
+// tree round. A nil registry leaves telemetry disabled.
 func WithTelemetry(reg *telemetry.Registry) ClientOption {
 	return func(c *Client) {
 		if reg == nil {
 			return
 		}
-		c.tm = &clientTelemetry{
+		c.obs.tm = &clientTelemetry{
 			accesses:  reg.Counter("hardtape_oram_accesses_total", "logical ORAM block accesses"),
 			batches:   reg.Counter("hardtape_oram_batches_total", "ORAM server round trips (single or batched)"),
 			bytes:     reg.Counter("hardtape_oram_bytes_moved_total", "ciphertext bytes moved between client and server"),
@@ -105,87 +142,78 @@ func WithTelemetry(reg *telemetry.Registry) ClientOption {
 	}
 }
 
-// SetTrace installs the distributed-trace identity the next accesses
-// attribute themselves to: batched accesses open an "oram.batch" span
-// under parent, and the batch-latency histogram's exemplars carry
-// parent's trace id. A zero parent detaches (accesses from untraced
-// bundles must not land on the previous bundle's trace). Callers MUST
-// hold whatever lock serializes this client's queries — the same
-// single-goroutine contract as every other method.
-func (c *Client) SetTrace(tr *telemetry.Tracer, parent telemetry.SpanContext) {
-	c.ttr, c.tparent = tr, parent
+// shardOf assigns a block to a shard by a stable hash of its id
+// (splitmix64 finalizer). The assignment is a pure function of the id,
+// so it survives restarts, is identical on every device sharing the
+// tree set, and — crucially for obliviousness — is independent of the
+// access sequence: the adversary learns only which shard serves a
+// block, which the partitioning already makes public, never anything
+// about the access pattern within a shard.
+func shardOf(id BlockID, shards int) int {
+	x := uint64(id) + 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return int(x % uint64(shards))
 }
 
-// recordAccess flushes one completed access (or batch) into the
-// telemetry sink; bytes is the bytesMoved delta for the operation.
-func (c *Client) recordAccess(sp *telemetry.Span, ops uint64, bytes uint64, batched bool) {
-	t := c.tm
-	if t == nil {
-		return
-	}
-	t.accesses.Add(ops)
-	t.batches.Inc()
-	t.bytes.Add(bytes)
-	if batched {
-		// Exemplar link: the batch-latency bucket this observation
-		// lands in remembers which trace produced it (zero trace id
-		// records plainly).
-		sp.EndTraced(t.batch, c.tparent.Trace)
-		t.batchSize.Observe(float64(ops))
-	} else {
-		sp.End(t.single)
-	}
-	t.stash.Set(int64(len(c.stash)))
-	t.stashPeak.SetMax(int64(c.maxStash))
+// deriveShardKey derives a per-shard bucket key from the master ORAM
+// key (HMAC-SHA256 with a shard-indexed label). Distinct keys
+// domain-separate the shards: a sealed bucket from shard i cannot be
+// relocated to the same node index of shard j without failing
+// authentication, extending the bucket-index associated data's
+// anti-relocation guarantee across trees.
+func deriveShardKey(master []byte, label string) []byte {
+	mac := hmac.New(sha256.New, master)
+	mac.Write([]byte(label))
+	return mac.Sum(nil)
 }
 
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithClock makes the client charge virtual time per access (link RTT,
-// server processing, per-block client work).
-func WithClock(clock *simclock.Clock, cal simclock.Calibration) ClientOption {
-	return func(c *Client) {
-		c.clock = clock
-		c.cal = cal
-		c.timed = true
+// NewClient builds the client over one server per shard (a single
+// server is the paper's single tree). Each tree's bucket key is derived
+// from the master key and its shard index — K = 1 included, so the key
+// a tree is sealed under never depends on how the client was built —
+// and sibling devices sharing the master key agree on every tree's key.
+func NewClient(servers []Server, key []byte, opts ...ClientOption) (*Client, error) {
+	if len(servers) == 0 {
+		return nil, fmt.Errorf("%w: need at least one server", ErrShards)
 	}
-}
-
-// WithPositionMap substitutes a custom position map (e.g. recursive).
-func WithPositionMap(pm PositionMap) ClientOption {
-	return func(c *Client) { c.pos = pm }
-}
-
-// NewClient creates a client over a server with the shared ORAM key.
-func NewClient(server Server, key []byte, opts ...ClientOption) (*Client, error) {
-	crypt, err := newCryptor(key)
-	if err != nil {
-		return nil, err
+	if len(key) != KeySize {
+		return nil, ErrBadKey
 	}
-	c := &Client{
-		server: server,
-		crypt:  crypt,
-		stash:  make(map[BlockID]*block),
-		depth:  server.Depth(),
-		leaves: server.Leaves(),
+	c := &Client{trees: make([]*tree, len(servers))}
+	for i, srv := range servers {
+		t, err := newTree(&c.obs, i, srv, deriveShardKey(key, fmt.Sprintf("hardtape-oram-shard-%d", i)))
+		if err != nil {
+			return nil, fmt.Errorf("oram: shard %d: %w", i, err)
+		}
+		c.trees[i] = t
 	}
-	c.pathIdx = make([]uint64, c.depth)
-	c.levelLists = make([][]*block, c.depth)
-	c.outCts = make([][]byte, c.depth)
 	for _, opt := range opts {
 		opt(c)
-	}
-	if c.pos == nil {
-		c.pos = NewFlatPositionMap(c.leaves)
 	}
 	return c, nil
 }
 
-// Read fetches a block. Missing blocks return ErrNotFound after a full
-// (oblivious) path access, so lookups are indistinguishable.
+// SetTrace installs the distributed-trace identity the next accesses
+// attribute themselves to: every multi-op sub-batch opens an
+// "oram.batch" span under parent, and the batch-latency histogram's
+// exemplars carry parent's trace id. A zero parent detaches (accesses
+// from untraced bundles must not land on the previous bundle's trace).
+// Callers MUST hold whatever lock serializes this client's queries —
+// the same single-goroutine contract as every other method.
+func (c *Client) SetTrace(tr *telemetry.Tracer, parent telemetry.SpanContext) {
+	c.obs.ttr, c.obs.tparent = tr, parent
+}
+
+// Read fetches a block from its owning tree. Missing blocks return
+// ErrNotFound after a full (oblivious) path access, so lookups are
+// indistinguishable; the other trees see nothing, which leaks only the
+// public id→shard hash.
 func (c *Client) Read(id BlockID) ([]byte, error) {
-	data, err := c.access(OpRead, id, nil)
+	data, err := c.one(BatchOp{Op: OpRead, ID: id})
 	if err != nil {
 		return nil, err
 	}
@@ -197,506 +225,205 @@ func (c *Client) Read(id BlockID) ([]byte, error) {
 
 // Write stores a block (padding data to BlockSize).
 func (c *Client) Write(id BlockID, data []byte) error {
-	if len(data) > BlockSize {
-		return ErrBlockTooBig
-	}
-	_, err := c.access(OpWrite, id, data)
+	_, err := c.one(BatchOp{Op: OpWrite, ID: id, Data: data})
 	return err
 }
 
-// BatchOp is one logical operation inside an AccessBatch.
-type BatchOp struct {
-	Op   Op
-	ID   BlockID
-	Data []byte // OpWrite payload, at most BlockSize
+// one runs a single access as the n = 1 round, through client-owned
+// scratch so it allocates nothing beyond the returned block.
+func (c *Client) one(op BatchOp) ([]byte, error) {
+	c.oneOp[0] = op
+	err := c.run(c.oneOp[:], c.oneOut[:])
+	data := c.oneOut[0]
+	c.oneOp[0].Data, c.oneOut[0] = nil, nil
+	return data, err
 }
 
-// ReadMany fetches many blocks with ONE server round trip for the
-// whole set (ReadPaths + WritePaths) instead of one per block. The
-// result is aligned with ids; missing blocks yield nil entries, each
-// after a full oblivious path access. Every id still gets its own
-// fresh remap and uniform leaf, so the adversary-visible leaf
-// sequence is distributed exactly as for sequential accesses.
+// ReadMany fetches many blocks in ONE overlapped round across the trees
+// holding any of them (one ReadPaths + WritePaths round trip per tree,
+// instead of one per block). The result is aligned with ids; missing
+// blocks yield nil entries, each after a full oblivious path access.
 func (c *Client) ReadMany(ids []BlockID) ([][]byte, error) {
-	ops := c.batchOps[:0]
+	ops := c.readOps[:0]
 	for _, id := range ids {
 		ops = append(ops, BatchOp{Op: OpRead, ID: id})
 	}
-	c.batchOps = ops
+	c.readOps = ops
 	return c.AccessBatch(ops)
 }
 
-// AccessBatch performs a mixed read/write batch in one server round
-// trip. The returned slice is aligned with ops and holds each block's
-// prior contents (nil when absent).
-func (c *Client) AccessBatch(ops []BatchOp) (res [][]byte, err error) {
+// AccessBatch performs a mixed read/write batch in one round. The
+// returned slice is aligned with ops and holds each block's prior
+// contents (nil when absent).
+func (c *Client) AccessBatch(ops []BatchOp) ([][]byte, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	if len(ops) == 1 {
-		out, err := c.access(ops[0].Op, ops[0].ID, ops[0].Data)
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{out}, nil
+	out := make([][]byte, len(ops))
+	if err := c.run(ops, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// run executes one round: the ops split into per-tree sub-batches by
+// the public id→shard hash, each tree runs its sub-batch as one regular
+// Path ORAM access (tree.accessBatch) against its private server, and
+// the results land in out in request order. When every op belongs to
+// one tree — always at K = 1, and for every single access — the round
+// runs inline on the caller's goroutine; goroutines are spent only on a
+// real fan-out. Obliviousness holds per tree: the adversary observing
+// all servers sees K independent uniform leaf sequences whose
+// interleaving depends only on the public hash.
+func (c *Client) run(ops []BatchOp, out [][]byte) error {
+	if c.failed != nil {
+		return c.failed
 	}
 	for _, op := range ops {
 		if op.Op == OpWrite && len(op.Data) > BlockSize {
-			return nil, ErrBlockTooBig
+			return ErrBlockTooBig
 		}
 	}
-	if c.ttr != nil && c.tparent.Valid() {
-		// Attribute values are sizes only — never block ids or leaf
-		// positions (the secretflow sink discipline).
-		tsp := c.ttr.StartSpan("oram.batch", c.tparent)
-		tsp.AddInt("blocks", int64(len(ops)))
-		defer func() {
-			tsp.SetError(err)
-			tsp.End()
-		}()
-	}
-	sp := telemetry.StartSpan(c.tm != nil)
-	bytesBefore := c.bytesMoved
-
-	// Remap every block before touching the server (obliviousness
-	// requirement): each op draws its own uniform leaf, exactly as in
-	// the sequential protocol.
-	leaves := c.batchLeaves[:0]
-	newLeaves := c.batchNew[:0]
-	for _, op := range ops {
-		leaf, known := c.pos.Get(op.ID)
-		if !known {
-			leaf = randomLeaf(c.leaves)
+	k := len(c.trees)
+	first := c.trees[shardOf(ops[0].ID, k)]
+	spread := false
+	for _, op := range ops[1:] {
+		if c.trees[shardOf(op.ID, k)] != first {
+			spread = true
+			break
 		}
-		nl := randomLeaf(c.leaves)
-		leaves = append(leaves, leaf)
-		newLeaves = append(newLeaves, nl)
-		c.pos.Set(op.ID, nl)
 	}
-	c.batchLeaves, c.batchNew = leaves, newLeaves
-
-	paths, err := c.server.ReadPaths(leaves)
+	var err error
+	maxQ, blocks := len(ops), len(ops)*first.depth*BucketSize
+	if spread {
+		maxQ, blocks, err = c.fanOut(ops, out)
+	} else {
+		err = first.accessBatch(ops, out)
+	}
 	if err != nil {
-		return nil, err
+		c.failed = &failedError{cause: err}
+		return c.failed
 	}
-	if len(paths) != len(leaves) {
-		return nil, fmt.Errorf("%w: got %d paths, want %d", ErrBadBucket, len(paths), len(leaves))
+	c.rounds++
+	if c.clock != nil {
+		c.clock.Advance(c.cal.ORAMBatchCost(maxQ, blocks))
 	}
-	// Absorb each path once; buckets shared between paths in the batch
-	// are decrypted only once.
-	c.seenNodes = c.seenNodes[:0]
-	for i, encrypted := range paths {
-		pathIndicesInto(leaves[i], c.depth, c.pathIdx)
-		if err := c.absorbPath(c.pathIdx, encrypted, true); err != nil {
-			return nil, err
-		}
+	if c.stores != nil && c.rounds%uint64(c.ckptEvery) == 0 {
+		return c.Checkpoint()
 	}
+	return nil
+}
 
-	out := make([][]byte, len(ops))
+// fanOut runs a round that spans several trees: every non-empty tree's
+// sub-batch on its own goroutine (a tree is touched by exactly one
+// goroutine, so its single-goroutine contract holds), results
+// reassembled in request order. It reports the largest sub-batch and
+// the total blocks moved for the virtual-time charge.
+func (c *Client) fanOut(ops []BatchOp, out [][]byte) (maxQ, blocks int, err error) {
+	k := len(c.trees)
+	for _, t := range c.trees {
+		t.ops, t.idx = t.ops[:0], t.idx[:0]
+	}
 	for i, op := range ops {
-		blk, ok := c.stash[op.ID]
-		if ok {
-			blk.leaf = newLeaves[i]
-			data := make([]byte, BlockSize)
-			copy(data, blk.data)
-			out[i] = data
+		t := c.trees[shardOf(op.ID, k)]
+		t.ops = append(t.ops, op)
+		t.idx = append(t.idx, i)
+	}
+	var wg sync.WaitGroup
+	for _, t := range c.trees {
+		n := len(t.ops)
+		if n == 0 {
+			continue
 		}
-		if op.Op == OpWrite {
-			if !ok {
-				blk = getBlockStruct()
-				blk.id = op.ID
-				c.stash[op.ID] = blk //hardtape:pool-ok stash takes custody; eviction recycles via putBlockStruct
-			}
-			blk.leaf = newLeaves[i]
-			n := copy(blk.data, op.Data)
-			for j := n; j < BlockSize; j++ {
-				blk.data[j] = 0
-			}
+		maxQ = max(maxQ, n)
+		blocks += n * t.depth * BucketSize
+		if cap(t.out) < n {
+			t.out = make([][]byte, n)
+		}
+		t.out = t.out[:n]
+		wg.Add(1)
+		go func(t *tree) {
+			defer wg.Done()
+			t.err = t.accessBatch(t.ops, t.out)
+		}(t)
+	}
+	wg.Wait()
+	for _, t := range c.trees {
+		if len(t.ops) == 0 {
+			continue
+		}
+		if t.err != nil && err == nil {
+			err = t.err
+		}
+		for j, i := range t.idx {
+			out[i], t.out[j] = t.out[j], nil
 		}
 	}
-
-	if err := c.evictPaths(leaves); err != nil {
-		return nil, err
-	}
-
-	c.accesses += uint64(len(ops))
-	c.batches++
-	if len(c.stash) > c.maxStash {
-		c.maxStash = len(c.stash)
-	}
-	c.recordAccess(&sp, uint64(len(ops)), c.bytesMoved-bytesBefore, true)
-	if len(c.stash) > stashSafetyFactor*c.depth+BucketSize*len(ops) {
-		return nil, fmt.Errorf("%w: %d blocks at depth %d", ErrStashOverrun, len(c.stash), c.depth)
-	}
-	if c.timed {
-		c.chargeBatch(len(ops))
-	}
-	return out, nil
+	return maxQ, blocks, err
 }
 
-// access is the Path ORAM protocol: remap, read path into stash,
-// mutate, evict path.
-func (c *Client) access(op Op, id BlockID, newData []byte) ([]byte, error) {
-	sp := telemetry.StartSpan(c.tm != nil)
-	bytesBefore := c.bytesMoved
-	leaf, known := c.pos.Get(id)
-	if !known {
-		leaf = randomLeaf(c.leaves)
-	}
-	// Remap before touching the server (obliviousness requirement).
-	newLeaf := randomLeaf(c.leaves)
-	c.pos.Set(id, newLeaf)
-
-	if err := c.readPathIntoStash(leaf); err != nil {
-		return nil, err
-	}
-
-	var out []byte
-	blk, ok := c.stash[id]
-	if ok {
-		blk.leaf = newLeaf
-		out = make([]byte, BlockSize)
-		copy(out, blk.data)
-	}
-	if op == OpWrite {
-		if !ok {
-			blk = getBlockStruct()
-			blk.id = id
-			c.stash[id] = blk //hardtape:pool-ok stash takes custody; eviction recycles via putBlockStruct
-		}
-		blk.leaf = newLeaf
-		n := copy(blk.data, newData)
-		for i := n; i < BlockSize; i++ {
-			blk.data[i] = 0
-		}
-	}
-
-	if err := c.evictPath(leaf); err != nil {
-		return nil, err
-	}
-
-	c.accesses++
-	if len(c.stash) > c.maxStash {
-		c.maxStash = len(c.stash)
-	}
-	c.recordAccess(&sp, 1, c.bytesMoved-bytesBefore, false)
-	if len(c.stash) > stashSafetyFactor*c.depth {
-		return nil, fmt.Errorf("%w: %d blocks at depth %d", ErrStashOverrun, len(c.stash), c.depth)
-	}
-	if c.timed {
-		c.chargeAccess()
-	}
-	return out, nil
-}
-
-// readPathIntoStash decrypts one path and absorbs its real blocks.
-func (c *Client) readPathIntoStash(leaf uint64) error {
-	encrypted, err := c.server.ReadPath(leaf)
-	if err != nil {
-		return err
-	}
-	pathIndicesInto(leaf, c.depth, c.pathIdx)
-	return c.absorbPath(c.pathIdx, encrypted, false)
-}
-
-// absorbPath decrypts a path's buckets into the stash. Each real block
-// is copied exactly once, into a pooled buffer; the decrypted bucket
-// plaintext itself lives in a pooled scratch buffer. With dedup set,
-// buckets already seen by an earlier path of the same batch are
-// skipped (c.seenNodes carries the batch's visited node set). The
-// received ciphertexts are owned by the client (both MemServer and the
-// TCP transport hand over fresh copies) and recycle to the cipher pool
-// here once consumed.
-func (c *Client) absorbPath(idx []uint64, encrypted [][]byte, dedup bool) error {
-	if len(encrypted) > len(idx) {
-		return fmt.Errorf("%w: %d buckets on a depth-%d path", ErrBadBucket, len(encrypted), len(idx))
-	}
-	pt := getPlainBuf()
-	defer putPlainBuf(pt)
-	for i, ct := range encrypted {
-		if len(ct) == 0 {
-			continue // never-written bucket
-		}
-		if dedup {
-			if containsU64(c.seenNodes, idx[i]) {
-				putCipherBuf(ct)
-				encrypted[i] = nil
-				continue
+// Sync flushes every durable server to stable storage (no-op for
+// in-memory or remote servers).
+func (c *Client) Sync() error {
+	for _, t := range c.trees {
+		if fs, ok := t.server.(interface{ Sync() error }); ok {
+			if err := fs.Sync(); err != nil {
+				return fmt.Errorf("oram: sync shard %d: %w", t.shard, err)
 			}
-			c.seenNodes = append(c.seenNodes, idx[i])
-		}
-		ptb, err := c.crypt.openInto(idx[i], ct, pt[:0])
-		if err != nil {
-			return err
-		}
-		c.bytesMoved += uint64(len(ct))
-		putCipherBuf(ct)
-		encrypted[i] = nil
-		bkt := &c.scratchBkt
-		if err := parseBucketInto(bkt, ptb); err != nil {
-			return err
-		}
-		for _, s := range bkt.slots {
-			if uint64(s.id) == dummyID {
-				continue
-			}
-			if _, ok := c.stash[s.id]; ok {
-				// The stash copy is authoritative: a block lives in
-				// exactly one place, so a tree copy next to a stash
-				// copy can only be a stale duplicate.
-				continue
-			}
-			blk := getBlockStruct()
-			blk.id, blk.leaf = s.id, s.leaf
-			copy(blk.data, s.data)
-			c.stash[s.id] = blk //hardtape:pool-ok stash takes custody; eviction recycles via putBlockStruct
 		}
 	}
 	return nil
 }
 
-// containsU64 reports whether v is in s (linear scan: batch node sets
-// are tens of entries, where a map would hash and allocate).
-func containsU64(s []uint64, v uint64) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// evictPath greedily pushes stash blocks as deep as possible along the
-// just-read path, then re-encrypts and writes every bucket back.
-//
-// Instead of rescanning the whole stash per level (O(stash·depth)),
-// blocks are bucketed once by the deepest level at which their own
-// path intersects the eviction path; a block with intersection level
-// L can live at any level ≤ L, so unplaced blocks cascade toward the
-// root as the fill proceeds deepest-first.
-func (c *Client) evictPath(leaf uint64) error {
-	pathIndicesInto(leaf, c.depth, c.pathIdx)
-
-	lists := c.levelLists
-	for i := range lists {
-		lists[i] = lists[i][:0]
-	}
-	for _, blk := range c.stash {
-		l := intersectLevel(blk.leaf, leaf, c.depth)
-		lists[l] = append(lists[l], blk)
-	}
-
-	carry := c.carry[:0]
-	pt := getPlainBuf()
-	defer putPlainBuf(pt)
-	out := c.outCts
-	for level := c.depth - 1; level >= 0; level-- {
-		carry = append(carry, lists[level]...)
-		var bkt bucket
-		filled := 0
-		for filled < BucketSize && len(carry) > 0 {
-			blk := carry[len(carry)-1]
-			carry = carry[:len(carry)-1]
-			bkt.slots[filled] = *blk
-			filled++
-			delete(c.stash, blk.id)
-			blk.data = nil // ownership moved into the bucket slot
-			putBlockStruct(blk)
-		}
-		for i := filled; i < BucketSize; i++ {
-			bkt.slots[i].id = BlockID(dummyID)
-			bkt.slots[i].data = nil
-		}
-		bkt.serializeInto(pt)
-		for i := 0; i < filled; i++ {
-			putBlockBuf(bkt.slots[i].data)
-		}
-		ct, err := c.crypt.sealInto(c.pathIdx[level], pt, getCipherBuf())
-		if err != nil {
-			return err
-		}
-		out[level] = ct
-		c.bytesMoved += uint64(len(ct))
-	}
-	//hardtape:pool-ok scratch slice keeps capacity only; leftover blocks remain stash-owned
-	c.carry = carry[:0]
-
-	err := c.server.WritePath(leaf, out)
-	for i, ct := range out {
-		putCipherBuf(ct)
-		out[i] = nil
-	}
-	return err
-}
-
-// evictPaths is the batched eviction: the union of the just-read
-// paths' buckets is refilled deepest-first from the full stash, each
-// unique bucket is sealed once, and all paths are written back in a
-// single server round trip. Buckets shared between paths carry the
-// same ciphertext in every containing path, so the server state is
-// identical to writing the deduplicated set.
-//
-// All working state lives in reused client scratch; node lookups are
-// linear scans over per-level segments of at most len(leaves) entries.
-func (c *Client) evictPaths(leaves []uint64) error {
-	depth := c.depth
-
-	// Unique path nodes, level-major: batchNodes[offs[l]:offs[l+1]]
-	// holds level l's nodes, first-occurrence order.
-	nodes := c.batchNodes[:0]
-	offs := c.batchOffs[:0]
-	for level := 0; level < depth; level++ {
-		offs = append(offs, len(nodes))
-		shift := uint(depth - 1 - level)
-		for _, leaf := range leaves {
-			nd := (leaf + (uint64(1) << (depth - 1))) >> shift
-			if !containsU64(nodes[offs[level]:], nd) {
-				nodes = append(nodes, nd)
+// Close releases every closable server (file handles, TCP connections).
+func (c *Client) Close() error {
+	var firstErr error
+	for _, t := range c.trees {
+		if cl, ok := t.server.(io.Closer); ok {
+			if err := cl.Close(); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 	}
-	offs = append(offs, len(nodes))
-	c.batchNodes, c.batchOffs = nodes, offs
-
-	// Reset the bucket scratch, one (empty) bucket per unique node.
-	if cap(c.batchBkts) < len(nodes) {
-		c.batchBkts = make([]bucket, len(nodes))
-		c.batchFill = make([]int, len(nodes))
-		c.batchCts = make([][]byte, len(nodes))
-	}
-	bkts := c.batchBkts[:len(nodes)]
-	fill := c.batchFill[:len(nodes)]
-	for i := range bkts {
-		fill[i] = 0
-		for si := range bkts[i].slots {
-			bkts[i].slots[si].id = BlockID(dummyID)
-			bkts[i].slots[si].data = nil
-		}
-	}
-
-	// Fill deepest-first: at each level, one stash pass assigns each
-	// block to its (unique) ancestor bucket at that level, if present
-	// in the batch and not yet full.
-	for level := depth - 1; level >= 0; level-- {
-		seg := nodes[offs[level]:offs[level+1]]
-		if len(seg) == 0 {
-			continue
-		}
-		shift := uint(depth - 1 - level)
-		for id, blk := range c.stash {
-			nd := (blk.leaf + (uint64(1) << (depth - 1))) >> shift
-			bi := -1
-			for j, x := range seg {
-				if x == nd {
-					bi = offs[level] + j
-					break
-				}
-			}
-			if bi < 0 || fill[bi] == BucketSize {
-				continue
-			}
-			bkts[bi].slots[fill[bi]] = *blk
-			fill[bi]++
-			delete(c.stash, id)
-			blk.data = nil // ownership moved into the bucket slot
-			putBlockStruct(blk)
-		}
-	}
-
-	pt := getPlainBuf()
-	defer putPlainBuf(pt)
-	cts := c.batchCts[:len(nodes)]
-	for i := range bkts {
-		bkts[i].serializeInto(pt)
-		for si := 0; si < fill[i]; si++ {
-			putBlockBuf(bkts[i].slots[si].data)
-			bkts[i].slots[si].data = nil
-		}
-		ct, err := c.crypt.sealInto(nodes[i], pt, getCipherBuf())
-		if err != nil {
-			return err
-		}
-		cts[i] = ct
-		c.bytesMoved += uint64(len(ct))
-	}
-
-	// Expand the deduplicated set to per-path bucket lists; duplicates
-	// share one ciphertext slice (idempotent rewrites server-side).
-	if cap(c.outPathBufs) < len(leaves)*depth {
-		c.outPathBufs = make([][]byte, len(leaves)*depth)
-		c.outPaths = make([][][]byte, 0, len(leaves))
-	}
-	flat := c.outPathBufs[:len(leaves)*depth]
-	outPaths := c.outPaths[:0]
-	for i, leaf := range leaves {
-		path := flat[i*depth : (i+1)*depth]
-		for level := 0; level < depth; level++ {
-			nd := (leaf + (uint64(1) << (depth - 1))) >> uint(depth-1-level)
-			seg := nodes[offs[level]:offs[level+1]]
-			for j, x := range seg {
-				if x == nd {
-					path[level] = cts[offs[level]+j]
-					break
-				}
-			}
-		}
-		outPaths = append(outPaths, path)
-	}
-	c.outPaths = outPaths
-
-	err := c.server.WritePaths(leaves, outPaths)
-	for i := range cts {
-		putCipherBuf(cts[i])
-		cts[i] = nil
-	}
-	for i := range flat {
-		flat[i] = nil
-	}
-	return err
-}
-
-// pathNode returns the heap index of the given level on leaf's path.
-func (c *Client) pathNode(leaf uint64, level int) uint64 {
-	node := leaf + (uint64(1) << (c.depth - 1))
-	return node >> uint(c.depth-1-level)
-}
-
-// chargeAccess advances the virtual clock for one path access.
-func (c *Client) chargeAccess() {
-	c.clock.Advance(c.cal.ORAMBatchCost(1, c.depth*BucketSize))
-}
-
-// chargeBatch advances the virtual clock for a batched access: the
-// link RTT is paid once for the whole batch (the queries travel in one
-// pipelined message), while server processing and per-block client
-// work remain serial per query.
-func (c *Client) chargeBatch(n int) {
-	c.clock.Advance(c.cal.ORAMBatchCost(n, n*c.depth*BucketSize))
+	return firstErr
 }
 
 // Stats reports client counters.
 type Stats struct {
 	Accesses uint64
-	// Batches counts AccessBatch round trips (each covering one or
-	// more of the Accesses).
+	// Batches counts multi-op tree rounds (each covering two or more of
+	// the Accesses); single accesses are not batches.
 	Batches    uint64
 	MaxStash   int
 	StashSize  int
 	BytesMoved uint64
 	Depth      int
-	// Shards is the shard count behind the accessor (0 or 1 for a
-	// single-tree Client; K for a ShardedClient).
+	// Shards is the tree count K behind the client.
 	Shards int
 }
 
-// Stats returns the client's counters.
+// Stats aggregates the per-tree counters: accesses, batches and bytes
+// sum; MaxStash and StashSize report the worst tree (the stash bound is
+// a per-tree property); Depth reports the deepest tree.
 func (c *Client) Stats() Stats {
-	return Stats{
-		Accesses:   c.accesses,
-		Batches:    c.batches,
-		MaxStash:   c.maxStash,
-		StashSize:  len(c.stash),
-		BytesMoved: c.bytesMoved,
-		Depth:      c.depth,
+	agg := Stats{Shards: len(c.trees)}
+	for _, t := range c.trees {
+		st := t.stats()
+		agg.Accesses += st.Accesses
+		agg.Batches += st.Batches
+		agg.BytesMoved += st.BytesMoved
+		agg.MaxStash = max(agg.MaxStash, st.MaxStash)
+		agg.StashSize = max(agg.StashSize, st.StashSize)
+		agg.Depth = max(agg.Depth, st.Depth)
 	}
+	return agg
+}
+
+// ShardStats returns each tree's own counters (tests, diagnostics).
+func (c *Client) ShardStats() []Stats {
+	out := make([]Stats, len(c.trees))
+	for i, t := range c.trees {
+		out[i] = t.stats()
+	}
+	return out
 }

@@ -2,16 +2,12 @@ package oram
 
 import (
 	"bytes"
-	"crypto/rand"
 	"errors"
-	"fmt"
-	mrand "math/rand"
 	"testing"
-	"testing/quick"
-	"time"
-
-	"hardtape/internal/simclock"
 )
+
+// Tests of the protocol primitives (buckets, cryptor, tree geometry).
+// The client's behaviour is covered in client_test.go.
 
 func testKey() []byte {
 	key := make([]byte, KeySize)
@@ -19,128 +15,6 @@ func testKey() []byte {
 		key[i] = byte(i * 7)
 	}
 	return key
-}
-
-func newTestORAM(t testing.TB, capacity uint64, opts ...ClientOption) (*Client, *MemServer) {
-	t.Helper()
-	srv, err := NewMemServer(capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := NewClient(srv, testKey(), opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cli, srv
-}
-
-func TestReadWriteRoundTrip(t *testing.T) {
-	cli, _ := newTestORAM(t, 64)
-	data := []byte("hello oblivious world")
-	if err := cli.Write(7, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cli.Read(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:len(data)], data) {
-		t.Fatalf("read = %q", got[:len(data)])
-	}
-	if len(got) != BlockSize {
-		t.Fatalf("blocks must be fixed size, got %d", len(got))
-	}
-}
-
-func TestReadMissing(t *testing.T) {
-	cli, _ := newTestORAM(t, 64)
-	if _, err := cli.Read(42); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing block: %v", err)
-	}
-	// A miss still performs a full path access (oblivious lookups).
-	if cli.Stats().Accesses != 1 {
-		t.Fatal("miss should still access a path")
-	}
-}
-
-func TestOversizeBlock(t *testing.T) {
-	cli, _ := newTestORAM(t, 64)
-	if err := cli.Write(1, make([]byte, BlockSize+1)); !errors.Is(err, ErrBlockTooBig) {
-		t.Fatalf("oversize: %v", err)
-	}
-}
-
-func TestManyBlocksSurviveShuffling(t *testing.T) {
-	const n = 200
-	cli, _ := newTestORAM(t, 256)
-	for i := 0; i < n; i++ {
-		if err := cli.Write(BlockID(i), []byte(fmt.Sprintf("block-%d", i))); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	// Random re-reads in scrambled order.
-	rng := mrand.New(mrand.NewSource(1))
-	for _, i := range rng.Perm(n) {
-		got, err := cli.Read(BlockID(i))
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		want := fmt.Sprintf("block-%d", i)
-		if string(got[:len(want)]) != want {
-			t.Fatalf("block %d corrupted: %q", i, got[:len(want)])
-		}
-	}
-}
-
-func TestOverwrite(t *testing.T) {
-	cli, _ := newTestORAM(t, 64)
-	if err := cli.Write(5, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Write(5, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cli.Read(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:2]) != "v2" {
-		t.Fatalf("overwrite lost: %q", got[:2])
-	}
-}
-
-func TestStashStaysBounded(t *testing.T) {
-	cli, _ := newTestORAM(t, 512)
-	rng := mrand.New(mrand.NewSource(42))
-	for i := 0; i < 400; i++ {
-		if err := cli.Write(BlockID(i%300), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if i%3 == 0 {
-			if _, err := cli.Read(BlockID(rng.Intn(i + 1))); err != nil && !errors.Is(err, ErrNotFound) {
-				t.Fatal(err)
-			}
-		}
-	}
-	stats := cli.Stats()
-	// Theory: stash is O(log n) whp. depth for 512 blocks = 8; allow
-	// a generous constant but far below the safety bound.
-	if stats.MaxStash > 8*stats.Depth {
-		t.Fatalf("stash grew to %d (depth %d)", stats.MaxStash, stats.Depth)
-	}
-}
-
-func TestTamperDetection(t *testing.T) {
-	cli, srv := newTestORAM(t, 64)
-	if err := cli.Write(1, []byte("secret")); err != nil {
-		t.Fatal(err)
-	}
-	// Tamper one bucket on leaf 0's path: the first non-empty bucket is
-	// the root, which every subsequent path read must traverse.
-	srv.TamperBucket(0)
-	if _, err := cli.Read(1); !errors.Is(err, ErrTampered) {
-		t.Fatalf("tamper: %v", err)
-	}
 }
 
 func TestBucketRelocationDetected(t *testing.T) {
@@ -180,176 +54,6 @@ func TestRandomizedReEncryption(t *testing.T) {
 	}
 	if bytes.Equal(ct1, ct2) {
 		t.Fatal("re-encryption is deterministic — linkable ciphertexts")
-	}
-}
-
-func TestLeafSequenceLooksUniform(t *testing.T) {
-	// The adversary-observed leaf sequence must not depend on which
-	// block is accessed: hammer a single block and check the observed
-	// leaves cover the leaf space (a fixed block would otherwise show a
-	// fixed path). Chi-square against uniform with generous bounds.
-	var leaves []uint64
-	srv, err := NewMemServer(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetObserver(func(ev AccessEvent) {
-		if !ev.Write {
-			leaves = append(leaves, ev.Leaf)
-		}
-	})
-	cli, err := NewClient(srv, testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Write(99, []byte("hot block")); err != nil {
-		t.Fatal(err)
-	}
-	const reads = 2000
-	for i := 0; i < reads; i++ {
-		if _, err := cli.Read(99); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts := make(map[uint64]int)
-	for _, l := range leaves {
-		counts[l]++
-	}
-	n := srv.Leaves()
-	// Expect ≈ reads/n per leaf; chi-square statistic should be near n.
-	expected := float64(len(leaves)) / float64(n)
-	var chi2 float64
-	for leaf := uint64(0); leaf < n; leaf++ {
-		diff := float64(counts[leaf]) - expected
-		chi2 += diff * diff / expected
-	}
-	// df = n-1; mean df, stdev sqrt(2 df). Allow 6 sigma.
-	df := float64(n - 1)
-	if chi2 > df+6*1.4142*df { // crude but stable bound
-		t.Fatalf("leaf distribution non-uniform: chi2=%.1f df=%.0f", chi2, df)
-	}
-	// And the hot block's own path must not dominate.
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	if float64(maxCount) > 10*expected {
-		t.Fatalf("one leaf appears %dx (expected %.1f) — access pattern leaks", maxCount, expected)
-	}
-}
-
-func TestConcurrentClientsSharedServer(t *testing.T) {
-	// Path ORAM is stateless server-side: two clients with the same key
-	// can share a server, each managing disjoint block id ranges.
-	srv, err := NewMemServer(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := NewClient(srv, testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := NewClient(srv, testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		var firstErr error
-		for i := 0; i < 50; i++ {
-			if err := c1.Write(BlockID(i), []byte{1, byte(i)}); err != nil {
-				firstErr = err
-				break
-			}
-		}
-		done <- firstErr
-	}()
-	// NOTE: clients are not internally synchronized; interleaved path
-	// writes can race on shared buckets. Production (and the paper)
-	// serializes through the Hypervisor; here we run c2 after c1.
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := c2.Write(BlockID(1000+i), []byte{2, byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 50; i++ {
-		got, err := c2.Read(BlockID(1000 + i))
-		if err != nil {
-			t.Fatalf("c2 read %d: %v", i, err)
-		}
-		if got[0] != 2 || got[1] != byte(i) {
-			t.Fatalf("c2 block %d corrupted", i)
-		}
-	}
-}
-
-func TestClockCharging(t *testing.T) {
-	clock := simclock.NewClock()
-	cal := simclock.DefaultCalibration()
-	cli, _ := newTestORAM(t, 64, WithClock(clock, cal))
-	if err := cli.Write(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := clock.Now()
-	if elapsed < cal.ORAMLinkRTT {
-		t.Fatalf("access should cost at least one RTT, got %v", elapsed)
-	}
-	if elapsed > cal.ORAMLinkRTT+10*time.Millisecond {
-		t.Fatalf("access cost implausibly high: %v", elapsed)
-	}
-}
-
-func TestRecursivePositionMap(t *testing.T) {
-	pmKey := make([]byte, KeySize)
-	if _, err := rand.Read(pmKey); err != nil {
-		t.Fatal(err)
-	}
-	pm, err := NewRecursivePositionMap(2048, pmKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewMemServer(2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := NewClient(srv, testKey(), WithPositionMap(pm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := cli.Write(BlockID(i*13), []byte{byte(i)}); err != nil {
-			t.Fatalf("write %d: %v", i, err)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		got, err := cli.Read(BlockID(i * 13))
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got[0] != byte(i) {
-			t.Fatalf("block %d corrupted", i)
-		}
-	}
-	if pm.ParentStats().Accesses == 0 {
-		t.Fatal("recursive map never touched its parent ORAM")
-	}
-}
-
-func TestInvalidConstruction(t *testing.T) {
-	if _, err := NewMemServer(1); !errors.Is(err, ErrCapacity) {
-		t.Errorf("capacity 1: %v", err)
-	}
-	srv, err := NewMemServer(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewClient(srv, []byte("short")); !errors.Is(err, ErrBadKey) {
-		t.Errorf("short key: %v", err)
 	}
 }
 
@@ -399,48 +103,6 @@ func TestBucketSerializationRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: the ORAM behaves exactly like a map under random ops.
-func TestQuickORAMMatchesMap(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := mrand.New(mrand.NewSource(seed))
-		srv, err := NewMemServer(128)
-		if err != nil {
-			return false
-		}
-		cli, err := NewClient(srv, testKey())
-		if err != nil {
-			return false
-		}
-		ref := map[BlockID][]byte{}
-		for op := 0; op < 120; op++ {
-			id := BlockID(rng.Intn(40))
-			if rng.Intn(2) == 0 {
-				v := []byte(fmt.Sprintf("v%d", rng.Intn(1000)))
-				if err := cli.Write(id, v); err != nil {
-					return false
-				}
-				ref[id] = v
-			} else {
-				got, err := cli.Read(id)
-				want, exists := ref[id]
-				if !exists {
-					if !errors.Is(err, ErrNotFound) {
-						return false
-					}
-					continue
-				}
-				if err != nil || !bytes.Equal(got[:len(want)], want) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestTreeDepth(t *testing.T) {
 	tests := []struct {
 		capacity uint64
@@ -451,258 +113,6 @@ func TestTreeDepth(t *testing.T) {
 	for _, tt := range tests {
 		if got := treeDepth(tt.capacity); got != tt.want {
 			t.Errorf("treeDepth(%d) = %d, want %d", tt.capacity, got, tt.want)
-		}
-	}
-}
-
-func TestBatchReadWriteRoundTrip(t *testing.T) {
-	cli, _ := newTestORAM(t, 256)
-	ops := make([]BatchOp, 8)
-	for i := range ops {
-		ops[i] = BatchOp{Op: OpWrite, ID: BlockID(i), Data: []byte(fmt.Sprintf("batch-%d", i))}
-	}
-	if _, err := cli.AccessBatch(ops); err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]BlockID, 8)
-	for i := range ids {
-		ids[i] = BlockID(i)
-	}
-	got, err := cli.ReadMany(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ids) {
-		t.Fatalf("got %d results for %d ids", len(got), len(ids))
-	}
-	for i, data := range got {
-		want := fmt.Sprintf("batch-%d", i)
-		if data == nil || string(data[:len(want)]) != want {
-			t.Fatalf("block %d corrupted in batch read", i)
-		}
-		if len(data) != BlockSize {
-			t.Fatalf("batch blocks must be fixed size, got %d", len(data))
-		}
-	}
-	// Batched and sequential paths interoperate on the same tree.
-	one, err := cli.Read(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(one[:7]) != "batch-3" {
-		t.Fatal("sequential read after batch write failed")
-	}
-	if cli.Stats().Batches == 0 {
-		t.Fatal("batches counter never bumped")
-	}
-}
-
-func TestBatchMissingBlocks(t *testing.T) {
-	cli, _ := newTestORAM(t, 64)
-	if err := cli.Write(1, []byte("present")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cli.ReadMany([]BlockID{1, 42, 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] == nil || got[1] != nil || got[2] != nil {
-		t.Fatalf("missing blocks must be nil entries: %v", []bool{got[0] == nil, got[1] == nil, got[2] == nil})
-	}
-	// Misses still perform full oblivious path accesses.
-	if cli.Stats().Accesses != 4 {
-		t.Fatalf("accesses = %d, want 4", cli.Stats().Accesses)
-	}
-}
-
-func TestBatchDuplicateIDs(t *testing.T) {
-	cli, _ := newTestORAM(t, 64)
-	if err := cli.Write(7, []byte("dup")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cli.ReadMany([]BlockID{7, 7, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, data := range got {
-		if data == nil || string(data[:3]) != "dup" {
-			t.Fatalf("duplicate id read %d failed", i)
-		}
-	}
-	// And the block survives the multi-remap.
-	after, err := cli.Read(7)
-	if err != nil || string(after[:3]) != "dup" {
-		t.Fatalf("block lost after duplicate batch: %v", err)
-	}
-}
-
-// TestBatchLeafSequenceLooksUniform is the batched twin of
-// TestLeafSequenceLooksUniform: hammering ONE block through ReadMany
-// (including duplicate ids inside one batch) must still show a uniform
-// adversary-observed leaf sequence, because every op in a batch draws
-// its own fresh remap.
-func TestBatchLeafSequenceLooksUniform(t *testing.T) {
-	var leaves []uint64
-	srv, err := NewMemServer(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetObserver(func(ev AccessEvent) {
-		if !ev.Write {
-			leaves = append(leaves, ev.Leaf)
-		}
-	})
-	cli, err := NewClient(srv, testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Write(99, []byte("hot block")); err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 500
-	for i := 0; i < rounds; i++ {
-		if _, err := cli.ReadMany([]BlockID{99, 99, 99, 99}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	counts := make(map[uint64]int)
-	for _, l := range leaves {
-		counts[l]++
-	}
-	n := srv.Leaves()
-	expected := float64(len(leaves)) / float64(n)
-	var chi2 float64
-	for leaf := uint64(0); leaf < n; leaf++ {
-		diff := float64(counts[leaf]) - expected
-		chi2 += diff * diff / expected
-	}
-	df := float64(n - 1)
-	if chi2 > df+6*1.4142*df {
-		t.Fatalf("batched leaf distribution non-uniform: chi2=%.1f df=%.0f", chi2, df)
-	}
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	if float64(maxCount) > 10*expected {
-		t.Fatalf("one leaf appears %dx (expected %.1f) — batched access pattern leaks", maxCount, expected)
-	}
-}
-
-// TestBatchStashStaysBounded is the batched twin of
-// TestStashStaysBounded: union eviction must keep the stash O(log n)
-// just like per-access eviction.
-func TestBatchStashStaysBounded(t *testing.T) {
-	cli, _ := newTestORAM(t, 512)
-	rng := mrand.New(mrand.NewSource(43))
-	for round := 0; round < 60; round++ {
-		ops := make([]BatchOp, 8)
-		for i := range ops {
-			if rng.Intn(3) == 0 {
-				ops[i] = BatchOp{Op: OpRead, ID: BlockID(rng.Intn(300))}
-			} else {
-				ops[i] = BatchOp{Op: OpWrite, ID: BlockID(rng.Intn(300)), Data: []byte{byte(round), byte(i)}}
-			}
-		}
-		if _, err := cli.AccessBatch(ops); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := cli.Stats()
-	if stats.MaxStash > 8*stats.Depth {
-		t.Fatalf("batched stash grew to %d (depth %d)", stats.MaxStash, stats.Depth)
-	}
-}
-
-// Property: mixed batched and sequential ops behave exactly like a map.
-func TestQuickBatchMatchesMap(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := mrand.New(mrand.NewSource(seed))
-		srv, err := NewMemServer(128)
-		if err != nil {
-			return false
-		}
-		cli, err := NewClient(srv, testKey())
-		if err != nil {
-			return false
-		}
-		ref := map[BlockID][]byte{}
-		for round := 0; round < 25; round++ {
-			if rng.Intn(3) == 0 {
-				// Interleave a sequential op.
-				id := BlockID(rng.Intn(40))
-				v := []byte(fmt.Sprintf("s%d", rng.Intn(1000)))
-				if err := cli.Write(id, v); err != nil {
-					return false
-				}
-				ref[id] = v
-				continue
-			}
-			ops := make([]BatchOp, 2+rng.Intn(7))
-			want := make([][]byte, len(ops))
-			for i := range ops {
-				id := BlockID(rng.Intn(40))
-				// The batch semantics return the PRIOR content; compute
-				// the expectation against the evolving reference, which
-				// earlier ops in the same batch may have written.
-				want[i] = ref[id]
-				if rng.Intn(2) == 0 {
-					v := []byte(fmt.Sprintf("b%d", rng.Intn(1000)))
-					ops[i] = BatchOp{Op: OpWrite, ID: id, Data: v}
-					ref[id] = v
-				} else {
-					ops[i] = BatchOp{Op: OpRead, ID: id}
-				}
-			}
-			got, err := cli.AccessBatch(ops)
-			if err != nil {
-				return false
-			}
-			for i := range ops {
-				if want[i] == nil {
-					if got[i] != nil {
-						return false
-					}
-					continue
-				}
-				if got[i] == nil || !bytes.Equal(got[i][:len(want[i])], want[i]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkORAMAccess(b *testing.B) {
-	cli, _ := newTestORAM(b, 4096)
-	payload := make([]byte, BlockSize)
-	for i := 0; i < 512; i++ {
-		if err := cli.Write(BlockID(i), payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cli.Read(BlockID(i % 512)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkORAMWrite(b *testing.B) {
-	cli, _ := newTestORAM(b, 4096)
-	payload := make([]byte, BlockSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := cli.Write(BlockID(i%1024), payload); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // Checkpointing makes the ORAM client state durable with a
 // shadow-epoch scheme:
 //
-//   - Each checkpoint serializes the client's private state — stash
-//     blocks and the (flat) position map — and seals it with AES-GCM
+//   - Each checkpoint serializes one tree's private state — stash
+//     blocks and the position map — and seals it with AES-GCM
 //     under a key derived from the master ORAM key, binding the epoch
 //     number as associated data. The sealed snapshot is the only thing
 //     on disk that is trusted-state-derived; like bucket ciphertexts,
@@ -29,7 +29,7 @@ import (
 //     surfaces as ErrTampered.
 //
 // The bucket file is synced BEFORE the manifest is published
-// (ShardedClient.Checkpoint), so a published checkpoint never
+// (Client.Checkpoint), so a published checkpoint never
 // references tree state that might not have hit the disk.
 const (
 	manifestName  = "MANIFEST"
@@ -39,7 +39,7 @@ const (
 // ErrNoCheckpoint reports a store with no published checkpoint.
 var ErrNoCheckpoint = errors.New("oram: no checkpoint")
 
-// CheckpointStore persists one client's stash + position map in a
+// CheckpointStore persists one tree's stash + position map in a
 // directory. It shares its owning client's single-goroutine contract.
 type CheckpointStore struct {
 	dir   string
@@ -119,29 +119,23 @@ func (cs *CheckpointStore) writeAtomic(name string, data []byte) error {
 	return nil
 }
 
-// Checkpoint seals and publishes the client's current stash + position
-// map as the next epoch. The position map must be flat (the recursive
-// map's state lives inside its parent ORAM and is not snapshotable
-// here).
-func (cs *CheckpointStore) Checkpoint(c *Client) error {
-	fp, ok := c.pos.(*FlatPositionMap)
-	if !ok {
-		return fmt.Errorf("%w: checkpointing requires a flat position map", ErrShards)
-	}
-	plain := make([]byte, 0, 16+len(c.stash)*(16+BlockSize)+len(fp.m)*16)
+// checkpoint seals and publishes the tree's current stash + position
+// map as the next epoch.
+func (cs *CheckpointStore) checkpoint(t *tree) error {
+	plain := make([]byte, 0, 16+len(t.stash)*(16+BlockSize)+len(t.pos)*16)
 	var u [8]byte
-	binary.BigEndian.PutUint64(u[:], uint64(len(c.stash)))
+	binary.BigEndian.PutUint64(u[:], uint64(len(t.stash)))
 	plain = append(plain, u[:]...)
-	for id, blk := range c.stash {
+	for id, blk := range t.stash {
 		binary.BigEndian.PutUint64(u[:], uint64(id))
 		plain = append(plain, u[:]...)
 		binary.BigEndian.PutUint64(u[:], blk.leaf)
 		plain = append(plain, u[:]...)
 		plain = append(plain, blk.data...)
 	}
-	binary.BigEndian.PutUint64(u[:], uint64(len(fp.m)))
+	binary.BigEndian.PutUint64(u[:], uint64(len(t.pos)))
 	plain = append(plain, u[:]...)
-	for id, leaf := range fp.m {
+	for id, leaf := range t.pos {
 		binary.BigEndian.PutUint64(u[:], uint64(id))
 		plain = append(plain, u[:]...)
 		binary.BigEndian.PutUint64(u[:], leaf)
@@ -166,11 +160,11 @@ func (cs *CheckpointStore) Checkpoint(c *Client) error {
 	return nil
 }
 
-// Restore loads the latest published checkpoint into the client,
+// restore loads the latest published checkpoint into the tree,
 // replacing its stash and position map contents. It returns false
 // (and no error) when the store has never checkpointed; corruption of
 // the manifest or snapshot returns ErrTampered.
-func (cs *CheckpointStore) Restore(c *Client) (bool, error) {
+func (cs *CheckpointStore) restore(t *tree) (bool, error) {
 	epoch, err := cs.readManifest()
 	if errors.Is(err, ErrNoCheckpoint) {
 		return false, nil
@@ -191,10 +185,6 @@ func (cs *CheckpointStore) Restore(c *Client) (bool, error) {
 	plain, err := cs.crypt.open(epoch, sealed)
 	if err != nil {
 		return false, err
-	}
-	fp, ok := c.pos.(*FlatPositionMap)
-	if !ok {
-		return false, fmt.Errorf("%w: restoring requires a flat position map", ErrShards)
 	}
 	off := 0
 	readU64 := func() (uint64, bool) {
@@ -219,7 +209,7 @@ func (cs *CheckpointStore) Restore(c *Client) (bool, error) {
 		blk.id, blk.leaf = BlockID(id), leaf
 		copy(blk.data, plain[off:off+BlockSize])
 		off += BlockSize
-		c.stash[blk.id] = blk //hardtape:pool-ok stash takes custody; eviction recycles via putBlockStruct
+		t.stash[blk.id] = blk //hardtape:pool-ok stash takes custody; eviction recycles via putBlockStruct
 	}
 	nPos, ok1 := readU64()
 	if !ok1 {
@@ -231,7 +221,7 @@ func (cs *CheckpointStore) Restore(c *Client) (bool, error) {
 		if !ok1 || !ok2 {
 			return false, fmt.Errorf("%w: truncated checkpoint posmap", ErrTampered)
 		}
-		fp.m[BlockID(id)] = leaf
+		t.pos[BlockID(id)] = leaf
 	}
 	if off != len(plain) {
 		return false, fmt.Errorf("%w: checkpoint trailing bytes", ErrTampered)
@@ -240,84 +230,79 @@ func (cs *CheckpointStore) Restore(c *Client) (bool, error) {
 	return true, nil
 }
 
-// Checkpoint syncs every durable shard server and publishes each
-// shard's client state as a new epoch. Requires WithShardPersistence
-// (or OpenShardedStore).
-func (s *ShardedClient) Checkpoint() error {
-	if s.stores == nil {
+// Checkpoint syncs every durable server and publishes each tree's
+// state as a new epoch. Requires checkpoint stores (OpenShardedStore).
+// A failed client never checkpoints: a poisoned stash must not be
+// published as a new epoch.
+func (c *Client) Checkpoint() error {
+	if c.failed != nil {
+		return c.failed
+	}
+	if c.stores == nil {
 		return fmt.Errorf("%w: no checkpoint stores attached", ErrShards)
 	}
 	// Bucket durability first: a published checkpoint must never
 	// reference tree state still sitting in the page cache.
-	if err := s.Sync(); err != nil {
+	if err := c.Sync(); err != nil {
 		return err
 	}
-	for i, cs := range s.stores {
-		if err := cs.Checkpoint(s.shards[i]); err != nil {
-			return fmt.Errorf("oram: checkpoint shard %d: %w", i, err)
+	for i, cs := range c.stores {
+		if err := cs.checkpoint(c.trees[i]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// OpenShardedStore opens (or creates) a persistent sharded ORAM under
-// dir: one disk-backed bucket file and one checkpoint store per shard,
-// with the total block capacity split evenly across shards. When the
-// directory holds published checkpoints, every shard's stash and
-// position map are restored, so the client resumes mid-workload
-// exactly where the last checkpoint left it. Checkpoints publish every
-// ckptEvery batches (≤ 0 means every batch — the cadence that makes
-// recovery exact to the last completed batch; larger cadences trade
-// that precision for throughput and on a crash roll back to the last
-// boundary, re-losing blocks whose tree position moved since).
-func OpenShardedStore(dir string, shards int, capacity uint64, key []byte, ckptEvery int, opts ...ShardOption) (*ShardedClient, error) {
+// OpenShardedStore opens (or creates) a persistent ORAM under dir: one
+// disk-backed bucket file and one checkpoint store per shard, with the
+// total block capacity split evenly across shards. When the directory
+// holds published checkpoints, every tree's stash and position map are
+// restored, so the client resumes mid-workload exactly where the last
+// checkpoint left it. Checkpoints publish every ckptEvery rounds (≤ 0
+// means every round — the cadence that makes recovery exact to the last
+// completed round; larger cadences trade that precision for throughput
+// and on a crash roll back to the last boundary, re-losing blocks whose
+// tree position moved since).
+func OpenShardedStore(dir string, shards int, capacity uint64, key []byte, ckptEvery int, opts ...ClientOption) (*Client, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("%w: %d shards", ErrShards, shards)
 	}
-	perShard := (capacity + uint64(shards) - 1) / uint64(shards)
-	if perShard < 2 {
-		perShard = 2
-	}
-	servers := make([]Server, shards)
-	stores := make([]*CheckpointStore, shards)
-	cleanup := func() {
+	perShard := max((capacity+uint64(shards)-1)/uint64(shards), 2)
+	servers := make([]Server, 0, shards)
+	stores := make([]*CheckpointStore, 0, shards)
+	fail := func(err error) (*Client, error) {
 		for _, srv := range servers {
-			if fsrv, ok := srv.(*FileServer); ok && fsrv != nil {
-				fsrv.Close()
-			}
+			srv.(*FileServer).Close()
 		}
+		return nil, err
 	}
 	for i := 0; i < shards; i++ {
 		shardDir := filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 		if err := os.MkdirAll(shardDir, 0o700); err != nil {
-			cleanup()
-			return nil, fmt.Errorf("oram: shard dir: %w", err)
+			return fail(fmt.Errorf("oram: shard dir: %w", err))
 		}
 		srv, err := OpenFileServer(filepath.Join(shardDir, "buckets.dat"), perShard)
 		if err != nil {
-			cleanup()
-			return nil, err
+			return fail(err)
 		}
-		servers[i] = srv
+		servers = append(servers, srv)
 		cs, err := NewCheckpointStore(shardDir, key, fmt.Sprintf("%d", i))
 		if err != nil {
-			cleanup()
-			return nil, err
+			return fail(err)
 		}
-		stores[i] = cs
+		stores = append(stores, cs)
 	}
-	opts = append(opts, WithShardPersistence(stores, ckptEvery))
-	sc, err := NewShardedClient(servers, key, opts...)
+	c, err := NewClient(servers, key, opts...)
 	if err != nil {
-		cleanup()
-		return nil, err
+		return fail(err)
 	}
+	c.stores, c.ckptEvery = stores, max(ckptEvery, 1)
 	for i, cs := range stores {
-		if _, err := cs.Restore(sc.shards[i]); err != nil {
-			cleanup()
+		if _, err := cs.restore(c.trees[i]); err != nil {
 			//hardtape:secret-ok the wrapped error carries epoch/file context only, never key or snapshot bytes
-			return nil, fmt.Errorf("oram: recover shard %d: %w", i, err)
+			return fail(fmt.Errorf("oram: recover shard %d: %w", i, err))
 		}
 	}
-	return sc, nil
+	return c, nil
 }

@@ -111,7 +111,7 @@ func recoveryRound(r int) []BatchOp {
 
 // runRecoveryRounds executes rounds [from, to) and appends every
 // returned value (reads AND write echoes, nil as a marker) to trace.
-func runRecoveryRounds(t *testing.T, cli *ShardedClient, from, to int, trace *strings.Builder) {
+func runRecoveryRounds(t *testing.T, cli *Client, from, to int, trace *strings.Builder) {
 	t.Helper()
 	for r := from; r < to; r++ {
 		out, err := cli.AccessBatch(recoveryRound(r))
@@ -136,53 +136,53 @@ func runRecoveryRounds(t *testing.T, cli *ShardedClient, from, to int, trace *st
 // obliviousness wants — but the data trace is byte-identical.)
 func TestShardedStoreRecoveryMidWorkload(t *testing.T) {
 	const (
-		shards   = 4
 		capacity = 256
 		rounds   = 24
 		killAt   = 13
 	)
 	key := testKey()
-
-	// Uninterrupted control run.
-	var control strings.Builder
-	ctl, err := OpenShardedStore(filepath.Join(t.TempDir(), "ctl"), shards, capacity, key, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runRecoveryRounds(t, ctl, 0, rounds, &control)
-	if err := ctl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crashed run: same workload, killed after round killAt's checkpoint
-	// (ckptEvery=1 publishes after every batch) by abandoning the client
-	// without Close, then reopened over the same directory.
-	dir := filepath.Join(t.TempDir(), "crash")
-	var crashed strings.Builder
-	first, err := OpenShardedStore(dir, shards, capacity, key, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runRecoveryRounds(t, first, 0, killAt, &crashed)
-	// No Close, no final Sync: the kill. Everything up to the last
-	// published checkpoint is on disk by construction.
-
-	second, err := OpenShardedStore(dir, shards, capacity, key, 1)
-	if err != nil {
-		t.Fatalf("recovery open: %v", err)
-	}
-	defer second.Close()
-	for i, cs := range second.stores {
-		if cs.Epoch() != killAt {
-			t.Fatalf("shard %d recovered at epoch %d, want %d", i, cs.Epoch(), killAt)
+	forShards(t, func(t *testing.T, shards int) {
+		// Uninterrupted control run.
+		var control strings.Builder
+		ctl, err := OpenShardedStore(filepath.Join(t.TempDir(), "ctl"), shards, capacity, key, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	runRecoveryRounds(t, second, killAt, rounds, &crashed)
+		runRecoveryRounds(t, ctl, 0, rounds, &control)
+		if err := ctl.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	if control.String() != crashed.String() {
-		t.Fatalf("recovered trace diverges from uninterrupted run:\ncontrol: %.300s\ncrashed: %.300s",
-			control.String(), crashed.String())
-	}
+		// Crashed run: same workload, killed after round killAt's checkpoint
+		// (ckptEvery=1 publishes after every round) by abandoning the client
+		// without Close, then reopened over the same directory.
+		dir := filepath.Join(t.TempDir(), "crash")
+		var crashed strings.Builder
+		first, err := OpenShardedStore(dir, shards, capacity, key, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runRecoveryRounds(t, first, 0, killAt, &crashed)
+		// No Close, no final Sync: the kill. Everything up to the last
+		// published checkpoint is on disk by construction.
+
+		second, err := OpenShardedStore(dir, shards, capacity, key, 1)
+		if err != nil {
+			t.Fatalf("recovery open: %v", err)
+		}
+		defer second.Close()
+		for i, cs := range second.stores {
+			if cs.Epoch() != killAt {
+				t.Fatalf("shard %d recovered at epoch %d, want %d", i, cs.Epoch(), killAt)
+			}
+		}
+		runRecoveryRounds(t, second, killAt, rounds, &crashed)
+
+		if control.String() != crashed.String() {
+			t.Fatalf("recovered trace diverges from uninterrupted run:\ncontrol: %.300s\ncrashed: %.300s",
+				control.String(), crashed.String())
+		}
+	})
 }
 
 // TestShardedStoreCorruptCheckpoint: a flipped byte in a published

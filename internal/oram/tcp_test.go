@@ -43,7 +43,7 @@ func TestTCPGeometry(t *testing.T) {
 
 func TestTCPClientRoundTrip(t *testing.T) {
 	remote, _ := startTCP(t, 256)
-	cli, err := NewClient(remote, testKey())
+	cli, err := NewClient([]Server{remote}, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTCPMultipleClients(t *testing.T) {
 	// Path ORAM is stateless server-side: a second connection sees the
 	// first one's writes.
 	remote1, _ := startTCP(t, 128)
-	cli1, err := NewClient(remote1, testKey())
+	cli1, err := NewClient([]Server{remote1}, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTCPMultipleClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remote2.Close()
-	cli2, err := NewClient(remote2, testKey())
+	cli2, err := NewClient([]Server{remote2}, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func BenchmarkORAMBatch(b *testing.B) {
 			for i := range servers {
 				servers[i] = startLinkTCP(b, perShard, linkRTT, perPath)
 			}
-			cli, err := NewShardedClient(servers, testKey())
+			cli, err := NewClient(servers, testKey())
 			if err != nil {
 				b.Fatal(err)
 			}

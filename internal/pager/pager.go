@@ -145,16 +145,16 @@ func (p *PlainBackend) Len() int { return len(p.pages) }
 // is trusted client state (like the position map); Ethereum's key
 // space is sparse, so ids are assigned on first write.
 type ORAMBackend struct {
-	client oram.Accessor
+	client *oram.Client
 	ids    map[PageKey]oram.BlockID
 	next   oram.BlockID
 }
 
 var _ Backend = (*ORAMBackend)(nil)
 
-// NewORAMBackend wraps an ORAM accessor — the single-tree Client or
-// the sharded fan-out client; the pager is agnostic to the partition.
-func NewORAMBackend(client oram.Accessor) *ORAMBackend {
+// NewORAMBackend wraps the ORAM client; the pager is agnostic to how
+// many trees the client partitions its blocks across.
+func NewORAMBackend(client *oram.Client) *ORAMBackend {
 	return &ORAMBackend{client: client, ids: make(map[PageKey]oram.BlockID)}
 }
 

@@ -31,7 +31,7 @@ func newORAMStore(t testing.TB) *Store {
 		t.Fatal(err)
 	}
 	key := make([]byte, oram.KeySize)
-	cli, err := oram.NewClient(srv, key)
+	cli, err := oram.NewClient([]oram.Server{srv}, key)
 	if err != nil {
 		t.Fatal(err)
 	}
