@@ -33,14 +33,16 @@ const (
 	MsgAttestRequest MsgType = iota + 1
 	MsgAttestReport
 	MsgKeyExchange
+	// MsgBundle, MsgTrace and MsgStatus are the pre-mux one-at-a-time
+	// exchanges; bundles and occupancy probes now travel as MsgMux
+	// frames and the service rejects these types. The constants stay so
+	// the wire numbering of everything after them is stable.
 	MsgBundle
 	MsgTrace
 	MsgError
 	MsgORAMRead
 	MsgORAMWrite
 	MsgBlockSync
-	// MsgStatus probes live device occupancy (free HEVM slots) inside
-	// an established session — schedulers use it for health checks.
 	MsgStatus
 	// Session-resumption handshake (internal/session). The request,
 	// accept, and reject legs travel in plaintext — they carry only the

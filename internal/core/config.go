@@ -67,11 +67,13 @@ type Config struct {
 	// HEVMs is the number of hardware EVM cores (the XCZU15EV fits 3).
 	HEVMs int
 	// Lanes is the number of speculative execution lanes per HEVM core.
-	// 0 or 1 executes bundles sequentially (the paper's prototype);
-	// N > 1 pre-executes a bundle's transactions optimistically in
-	// parallel on N lanes with in-order commit and conflict-driven
-	// re-execution (DESIGN.md §16). Traces are byte-identical either
-	// way; only the modeled timing and occupancy change.
+	// Every bundle runs through the one in-order committer loop
+	// (DESIGN.md §16): with 0 or 1 every transaction executes on the
+	// core's commit lane (the paper's prototype); N > 1 additionally
+	// pre-executes a multi-tx bundle's transactions optimistically on N
+	// lanes, with conflict-driven re-execution on the commit lane.
+	// Traces are byte-identical either way; only the modeled timing and
+	// occupancy change.
 	Lanes int
 	// Hardware is the per-HEVM memory geometry.
 	Hardware hevm.Config

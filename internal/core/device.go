@@ -17,7 +17,6 @@ import (
 	"hardtape/internal/oram"
 	"hardtape/internal/pager"
 	"hardtape/internal/simclock"
-	"hardtape/internal/state"
 	"hardtape/internal/telemetry"
 	"hardtape/internal/tracer"
 	"hardtape/internal/types"
@@ -38,8 +37,9 @@ var (
 // laneState is one execution lane's dedicated hardware set: machine
 // shadow, L1 world-state cache, prefetcher, virtual clock, and the
 // per-bundle bookkeeping the readers and hooks write into. A slot's
-// embedded laneState serves sequential execution and the parallel
-// committer; the extra lanes (when Config.Lanes > 1) run speculative
+// embedded laneState is its commit lane — the in-order committer, which
+// also executes every transaction that was not (or not validly)
+// speculated; the extra lanes (when Config.Lanes > 1) run speculative
 // transactions.
 type laneState struct {
 	id          int
@@ -58,10 +58,12 @@ type laneState struct {
 	// times, folded to absolute when the bundle result is assembled.
 	queryTimes []time.Duration
 	queryKinds []byte
-	// codeCache holds contract code fetched during this bundle (the
+	// codeCache and acctCache hold the contract code and account meta
+	// (nil = absent account) this lane fetched during the bundle (the
 	// paper's "all data can be found locally after first access",
 	// §VI-C); cleared with the rest of the on-chip state at release.
 	codeCache map[types.Hash][]byte
+	acctCache map[types.Address]*pager.AccountMeta
 }
 
 // reset clears every on-chip structure (step 10).
@@ -75,13 +77,14 @@ func (l *laneState) reset() {
 	l.queryTimes = nil
 	l.queryKinds = nil
 	l.codeCache = make(map[types.Hash][]byte)
+	l.acctCache = make(map[types.Address]*pager.AccountMeta)
 }
 
 // slot is one HEVM core. The embedded laneState is the core's primary
-// hardware set (sequential execution, and the commit lane in parallel
-// mode); lanes holds the speculative lanes when the device is
-// configured with Config.Lanes > 1. A slot serves exactly one bundle
-// at a time (the paper's dedicated-hardware isolation).
+// hardware set, the commit lane; lanes holds the speculative lanes when
+// the device is configured with Config.Lanes > 1 (without them every
+// transaction executes on the commit lane). A slot serves exactly one
+// bundle at a time (the paper's dedicated-hardware isolation).
 type slot struct {
 	laneState
 	lanes []*laneState
@@ -344,6 +347,7 @@ func newLane(cfg Config, id int, noiseSeed int64) (*laneState, error) {
 		wsCache:    hevm.NewWSCache(cfg.Hardware.WSCacheEntries),
 		prefetcher: pager.NewPrefetcher(),
 		codeCache:  make(map[types.Hash][]byte),
+		acctCache:  make(map[types.Address]*pager.AccountMeta),
 	}, nil
 }
 
@@ -425,8 +429,8 @@ type BundleResult struct {
 	// kind per query ('k' K-V, 'c' code) for the prefetch ablation.
 	QueryTimes []time.Duration
 	QueryKinds []byte
-	// Parallel carries the optimistic-scheduler statistics; nil when the
-	// bundle ran sequentially.
+	// Parallel carries the optimistic-scheduler statistics; nil when
+	// nothing was speculated (no lanes, or a one-transaction bundle).
 	Parallel *ParallelStats
 }
 
@@ -502,9 +506,6 @@ func (d *Device) executeOn(s *slot, bundle *types.Bundle, tsp *telemetry.TraceSp
 	var xsp *telemetry.TraceSpan
 	if tsp != nil {
 		xsp = d.cfg.Telemetry.Tracer().StartSpan("device.exec", tsp.Context())
-		if len(s.lanes) > 0 && len(bundle.Txs) > 1 {
-			xsp.AddInt("lanes", int64(len(s.lanes)))
-		}
 	}
 
 	// Step 6: the user's message crosses the border. Charge the
@@ -517,7 +518,7 @@ func (d *Device) executeOn(s *slot, bundle *types.Bundle, tsp *telemetry.TraceSp
 		s.clock.Advance(cal.ECDSAVerify)
 	}
 	// Device time when execution proper starts — the zero point of the
-	// speculative lanes' relative clocks in parallel mode.
+	// speculative lanes' relative clocks.
 	execBase := s.clock.Now()
 
 	head := d.chain.Head()
@@ -525,35 +526,11 @@ func (d *Device) executeOn(s *slot, bundle *types.Bundle, tsp *telemetry.TraceSp
 	blockCtx.BlockHash = d.chain.BlockHash
 
 	result := &BundleResult{}
-	if len(s.lanes) > 0 && len(bundle.Txs) > 1 {
-		// Optimistic intra-bundle parallelism (DESIGN.md §16).
-		if err := d.runTxsParallel(s, blockCtx, bundle, result, xsp); err != nil {
-			d.tm.bundlesErr.Inc()
-			xsp.SetError(err)
-			xsp.End()
-			return nil, err
-		}
-	} else {
-		reader := d.newReader(&s.laneState)
-		overlay := state.NewOverlay(reader)
-		e := evm.New(blockCtx, overlay)
-
-		tr := tracer.New(d.cfg.CaptureSteps)
-		e.Hooks = evm.CombineHooks(tr.Hooks(), s.machine.Hooks())
-		if d.tm.enabled {
-			// Op-class sampling rides the interpreter's hook fast path:
-			// installed only here, so disabled telemetry re-uses the
-			// existing hook-presence flags at zero extra cost.
-			e.Hooks = evm.CombineHooks(e.Hooks, s.opCounts.Hooks())
-		}
-
-		if err := d.runTxs(e, tr, s, bundle, result, xsp.Context()); err != nil {
-			d.tm.bundlesErr.Inc()
-			xsp.SetError(err)
-			xsp.End()
-			return nil, err
-		}
-		result.Trace = tr.Bundle()
+	if err := d.runBundle(s, blockCtx, bundle, result, xsp); err != nil {
+		d.tm.bundlesErr.Inc()
+		xsp.SetError(err)
+		xsp.End()
+		return nil, err
 	}
 	xsp.End()
 
@@ -573,48 +550,6 @@ func (d *Device) executeOn(s *slot, bundle *types.Bundle, tsp *telemetry.TraceSp
 	d.tm.recordBundle(s, result)
 	sp.End(d.tm.execWall)
 	return result, nil
-}
-
-// runTxs executes the bundle's transactions, converting hardware
-// aborts (Memory Overflow, L3 tamper) into result errors.
-//
-//hardtape:locksafe-ok oramMu serializes the shared ORAM client for the whole bundle; ApplyTransaction's storage reads ARE the guarded resource
-func (d *Device) runTxs(e *evm.EVM, tr *tracer.Tracer, s *slot, bundle *types.Bundle, result *BundleResult, sc telemetry.SpanContext) (err error) {
-	// The ORAM client is shared across slots; serialize bundles that
-	// touch it. (Lock ordering: slots never nest bundle executions.)
-	if d.cfg.Features.ORAMStorage || d.cfg.Features.ORAMCode {
-		d.oramMu.Lock()
-		defer d.oramMu.Unlock()
-		// Attribute this bundle's ORAM rounds to its trace. Stamped
-		// unconditionally (sc is zero for untraced bundles) so an
-		// untraced bundle interleaving with a traced one can never ride
-		// the previous holder's span.
-		if dtr := d.cfg.Telemetry.Tracer(); dtr != nil {
-			d.oramClient.SetTrace(dtr, sc)
-		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			abort, hard, bug := classifyPanic(r)
-			if bug != nil {
-				panic(bug) // genuine bug, re-raise
-			}
-			if abort != nil {
-				result.Aborted = abort
-			}
-			err = hard
-		}
-	}()
-	for i, tx := range bundle.Txs {
-		tr.BeginTx(tx.Hash())
-		res, applyErr := e.ApplyTransaction(tx)
-		if applyErr != nil {
-			return fmt.Errorf("core: tx %d: %w", i, applyErr)
-		}
-		tr.EndTx(res)
-		result.GasUsed += res.GasUsed
-	}
-	return nil
 }
 
 // classifyPanic sorts a value recovered from a transaction execution:

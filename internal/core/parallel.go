@@ -58,13 +58,13 @@ type laneOutcome struct {
 	trace *tracer.TxTrace
 	rs    *state.ReadSet
 	ws    *state.WriteSet
-	// applyErr is a transaction validation failure (nonce, funds —
-	// sequential execution fails the whole bundle on it).
+	// applyErr is a transaction validation failure (nonce, funds — it
+	// fails the whole bundle).
 	applyErr error
 	// abortErr is a hardware abort (Memory Overflow, L3 tamper).
 	abortErr error
 	// hardErr is any other error panic out of the execution path,
-	// already wrapped like the sequential path wraps it.
+	// wrapped in ErrAborted.
 	hardErr error
 	// bugPanic carries a non-error panic to re-raise on the committer.
 	bugPanic any
@@ -79,149 +79,164 @@ func (o *laneOutcome) failed() bool {
 	return o.applyErr != nil || o.abortErr != nil || o.hardErr != nil
 }
 
-// runTxsParallel pre-executes the bundle's transactions optimistically
-// in parallel (DESIGN.md §16): transaction i runs speculatively on lane
-// i mod N against a versioned view of the bundle's base snapshot,
-// recording its read and write sets; the committer walks the bundle in
-// order, validates each read set against the committed buffer, commits
-// clean write sets, and re-executes conflicting transactions on the
-// commit lane — so the resulting traces are byte-identical to
-// sequential execution.
-//
-//hardtape:poolsafe-ok laneOutcome buffers are bundle-scoped, never pooled; the slot channel hand-off in ExecuteContext covers the slot itself
-func (d *Device) runTxsParallel(s *slot, blockCtx evm.BlockContext, bundle *types.Bundle, result *BundleResult, xsp *telemetry.TraceSpan) (err error) {
-	lanes := s.lanes
+// speculation is the optimistic half of one bundle: transaction i runs
+// on worker lane i mod N against a versioned view of the bundle's base
+// snapshot and is handed to the in-order committer over done[i].
+type speculation struct {
+	lanes []*laneState
+	// base is the device time the lanes' relative clocks started at.
+	base     time.Duration
+	outcomes []*laneOutcome
+	done     []chan struct{}
+	stop     atomic.Bool
+	wg       sync.WaitGroup
+	stats    *ParallelStats
+}
+
+// startSpeculation launches one worker per speculative lane of s.
+func (d *Device) startSpeculation(s *slot, v *state.Versioned, blockCtx evm.BlockContext, bundle *types.Bundle, sc telemetry.SpanContext) *speculation {
 	n := len(bundle.Txs)
-	v := state.NewVersioned()
-	base := s.clock.Now()
-	laneClocks := make([]*simclock.Clock, len(lanes))
-	for i, l := range lanes {
-		laneClocks[i] = l.clock
+	sp := &speculation{
+		lanes:    s.lanes,
+		base:     s.clock.Now(),
+		outcomes: make([]*laneOutcome, n),
+		done:     make([]chan struct{}, n),
+		stats:    &ParallelStats{Lanes: len(s.lanes)},
 	}
-	ls := simclock.NewLaneSet(base, laneClocks)
-
-	outcomes := make([]*laneOutcome, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
+	for i := range sp.done {
+		sp.done[i] = make(chan struct{})
 	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-
-	// The slot is reset and recycled as soon as executeOn returns, so
-	// every worker must be drained before then; stopping first keeps
-	// the drain short when the committer bails out early.
-	defer wg.Wait()
-	defer stop.Store(true)
-
-	for w, l := range lanes {
-		wg.Add(1)
+	for w, l := range sp.lanes {
+		sp.wg.Add(1)
 		go func(w int, l *laneState) {
-			defer wg.Done()
-			laneBase := d.newLaneReader(l, xsp.Context())
-			for i := w; i < n; i += len(lanes) {
-				if stop.Load() {
-					close(done[i])
-					continue
+			defer sp.wg.Done()
+			laneBase := d.newReader(l, sc)
+			for i := w; i < n; i += len(sp.lanes) {
+				if !sp.stop.Load() {
+					sp.outcomes[i] = d.speculate(l, laneBase, v, blockCtx, bundle.Txs[i])
 				}
-				outcomes[i] = d.speculate(l, laneBase, v, blockCtx, bundle.Txs[i])
-				close(done[i])
+				close(sp.done[i])
 			}
 		}(w, l)
 	}
+	return sp
+}
 
-	// In-order commit. The commit lane (the slot's primary hardware
-	// set) validates, commits, and re-executes conflicts; its reader
-	// serializes against in-flight lanes per query.
-	cal := d.cfg.Calibration
-	commitReader := d.newLaneReader(&s.laneState, xsp.Context())
-	stats := &ParallelStats{Lanes: len(lanes)}
-	result.Parallel = stats
-	traces := make([]*tracer.TxTrace, 0, n)
-	defer func() {
-		result.Trace = &tracer.BundleTrace{Txs: traces}
-		phase := s.clock.Now() - base
-		for _, l := range lanes {
-			busy := l.clock.Now()
-			stats.LaneBusy = append(stats.LaneBusy, busy)
-			if phase > 0 {
-				stats.Occupancy += float64(busy) / (float64(phase) * float64(len(lanes)))
-			}
+// finish drains the workers — the slot is reset and recycled as soon as
+// executeOn returns, and stopping first keeps the drain short when the
+// committer bailed out early — then closes the lane statistics over the
+// parallel phase that ended at device time end.
+func (sp *speculation) finish(end time.Duration) {
+	sp.stop.Store(true)
+	sp.wg.Wait()
+	phase := end - sp.base
+	for _, l := range sp.lanes {
+		busy := l.clock.Now()
+		sp.stats.LaneBusy = append(sp.stats.LaneBusy, busy)
+		if phase > 0 {
+			sp.stats.Occupancy += float64(busy) / (float64(phase) * float64(len(sp.lanes)))
 		}
-	}()
+	}
+}
 
-	for i := 0; i < n; i++ {
-		<-done[i]
-		out := outcomes[i]
+// validated waits for transaction i's speculation and validates its read
+// set against the committed buffer on the commit clock: the committer
+// can act no earlier than the lane finished, and pays a tag compare per
+// read-set entry. It returns nil on a conflict — a transaction committed
+// after the speculation began changed something it read.
+func (sp *speculation) validated(i int, commit *simclock.Clock, v *state.Versioned, cal simclock.Calibration) *laneOutcome {
+	<-sp.done[i]
+	out := sp.outcomes[i]
+	if out.bugPanic != nil {
+		return out
+	}
+	st := sp.stats
+	st.Speculations += out.attempts
+	st.SpecRetries += out.attempts - 1
+	execs := out.attempts
+	commit.AdvanceTo(sp.base + out.specEnd)
+	commit.Advance(time.Duration(out.rs.Len()) * cal.LaneValidatePerRead)
+	if !v.Validate(out.rs) {
+		st.Conflicts++
+		st.ReExecs++
+		execs++
+		out = nil
+	}
+	if execs > st.MaxTxExecs {
+		st.MaxTxExecs = execs
+	}
+	return out
+}
+
+// runBundle is the bundle executor (DESIGN.md §16), the one routine every
+// bundle runs through: the committer walks the bundle in order on the
+// slot's commit lane, and each transaction either arrives as a
+// speculated outcome whose read set still validates against the
+// committed buffer, or executes right here against the committed
+// prefix — so the traces are those of in-order execution by
+// construction. Speculation workers start only when the slot has lanes
+// and the bundle more than one transaction; without them the loop is
+// plain sequential execution, result.Parallel stays nil, and no lane
+// validate/commit time is charged.
+func (d *Device) runBundle(s *slot, blockCtx evm.BlockContext, bundle *types.Bundle, result *BundleResult, xsp *telemetry.TraceSpan) error {
+	cal := d.cfg.Calibration
+	v := state.NewVersioned()
+	commitReader := d.newReader(&s.laneState, xsp.Context())
+	traces := make([]*tracer.TxTrace, 0, len(bundle.Txs))
+	defer func() { result.Trace = &tracer.BundleTrace{Txs: traces} }()
+
+	var spec *speculation
+	if len(s.lanes) > 0 && len(bundle.Txs) > 1 {
+		xsp.AddInt("lanes", int64(len(s.lanes)))
+		spec = d.startSpeculation(s, v, blockCtx, bundle, xsp.Context())
+		result.Parallel = spec.stats
+		defer func() { spec.finish(s.clock.Now()) }()
+	}
+
+	for i, tx := range bundle.Txs {
+		var out *laneOutcome
+		if spec != nil {
+			out = spec.validated(i, s.clock, v, cal)
+		}
+		if out == nil {
+			// Not speculated, or conflicted: execute in order on the
+			// commit lane; against the committed prefix the result is
+			// final. Conflict re-executions are first-class trace spans:
+			// a trace of a contended bundle shows exactly which
+			// transactions paid the serial re-run (the tx index is its
+			// bundle position — public structure, not content).
+			var rsp *telemetry.TraceSpan
+			if spec != nil && xsp != nil {
+				rsp = d.cfg.Telemetry.Tracer().StartSpan("lane.reexec", xsp.Context())
+				rsp.AddInt("tx", int64(i))
+			}
+			start := s.clock.Now()
+			out = d.specOnce(&s.laneState, commitReader, v, blockCtx, tx)
+			if spec != nil {
+				spec.stats.ReExecTime += s.clock.Now() - start
+			}
+			rsp.End()
+		}
 		if out.bugPanic != nil {
 			panic(out.bugPanic) // genuine bug, re-raise
 		}
-		stats.Speculations += out.attempts
-		stats.SpecRetries += out.attempts - 1
-		execs := out.attempts
-
-		// The committer can act no earlier than the lane finished, and
-		// pays a tag compare per read-set entry.
-		s.clock.AdvanceTo(ls.Absolute(out.specEnd))
-		s.clock.Advance(time.Duration(out.rs.Len()) * cal.LaneValidatePerRead)
-
-		if v.Validate(out.rs) {
-			// The speculation saw exactly the committed prefix: its
-			// outcome — success or failure — is what sequential
-			// execution would produce.
-			if out.failed() {
-				return d.finishFailed(result, i, out)
-			}
-			v.Commit(out.ws, commitReader)
+		if out.failed() {
+			return d.finishFailed(result, i, out)
+		}
+		v.Commit(out.ws, commitReader)
+		if spec != nil {
 			s.clock.Advance(time.Duration(out.ws.Len()) * cal.LaneCommitPerWrite)
-			traces = append(traces, out.trace)
-			result.GasUsed += out.res.GasUsed
-			if execs > stats.MaxTxExecs {
-				stats.MaxTxExecs = execs
-			}
-			continue
 		}
-
-		// Conflict: a transaction committed after the speculation began
-		// changed something it read. Re-execute in order on the commit
-		// lane; against the committed prefix the result is final.
-		stats.Conflicts++
-		stats.ReExecs++
-		execs++
-		if execs > stats.MaxTxExecs {
-			stats.MaxTxExecs = execs
-		}
-		// Conflict re-executions are first-class trace spans: a trace of
-		// a contended bundle shows exactly which transactions paid the
-		// serial re-run (the tx index is its bundle position — public
-		// structure, not content).
-		var rsp *telemetry.TraceSpan
-		if xsp != nil {
-			rsp = d.cfg.Telemetry.Tracer().StartSpan("lane.reexec", xsp.Context())
-			rsp.AddInt("tx", int64(i))
-		}
-		span := s.clock.StartSpan()
-		re := d.specOnce(&s.laneState, commitReader, v, blockCtx, bundle.Txs[i])
-		stats.ReExecTime += span.Elapsed()
-		rsp.End()
-		if re.bugPanic != nil {
-			panic(re.bugPanic)
-		}
-		if re.failed() {
-			return d.finishFailed(result, i, re)
-		}
-		v.Commit(re.ws, commitReader)
-		s.clock.Advance(time.Duration(re.ws.Len()) * cal.LaneCommitPerWrite)
-		traces = append(traces, re.trace)
-		result.GasUsed += re.res.GasUsed
+		traces = append(traces, out.trace)
+		result.GasUsed += out.res.GasUsed
 	}
 	return nil
 }
 
-// finishFailed maps a validated failure outcome onto the sequential
-// path's behaviour: validation failures and non-abort panics fail the
-// bundle, hardware aborts end it with Aborted set (earlier transactions
-// keep their traces).
+// finishFailed ends the bundle on an authoritative failure — one seen
+// against exactly the committed prefix: validation failures and
+// non-abort panics fail the bundle, hardware aborts end it with Aborted
+// set (earlier transactions keep their traces).
 func (d *Device) finishFailed(result *BundleResult, i int, out *laneOutcome) error {
 	if out.applyErr != nil {
 		return fmt.Errorf("core: tx %d: %w", i, out.applyErr)
@@ -256,10 +271,11 @@ func (d *Device) speculate(l *laneState, laneBase state.Reader, v *state.Version
 }
 
 // specOnce executes one transaction on the given lane against a fresh
-// versioned overlay and returns its outcome with read/write sets. Both
-// speculative lanes and the committer's re-execution path run through
-// here; they differ only in the reader and in whether the outcome is
-// validated afterwards.
+// versioned overlay and returns its outcome with read/write sets — the
+// one place a transaction meets the interpreter, so the one place hooks
+// are wired and hardware aborts are recovered. Speculative lanes and the
+// commit lane both run through here; they differ only in the reader and
+// in whether the outcome is validated afterwards.
 func (d *Device) specOnce(l *laneState, laneBase state.Reader, v *state.Versioned,
 	blockCtx evm.BlockContext, tx *types.Transaction) (out *laneOutcome) {
 	out = &laneOutcome{}
@@ -268,6 +284,9 @@ func (d *Device) specOnce(l *laneState, laneBase state.Reader, v *state.Versione
 	ttr := tracer.New(d.cfg.CaptureSteps)
 	e.Hooks = evm.CombineHooks(ttr.Hooks(), l.machine.Hooks())
 	if d.tm.enabled {
+		// Op-class sampling rides the interpreter's hook fast path:
+		// installed only here, so disabled telemetry re-uses the
+		// existing hook-presence flags at zero extra cost.
 		e.Hooks = evm.CombineHooks(e.Hooks, l.opCounts.Hooks())
 	}
 	defer func() {
@@ -277,8 +296,8 @@ func (d *Device) specOnce(l *laneState, laneBase state.Reader, v *state.Versione
 				return
 			}
 			// The read set decides whether this failure is authoritative
-			// (the sequential execution would have hit it too) or an
-			// artifact of a stale view.
+			// (in-order execution would have hit it too) or an artifact
+			// of a stale view.
 			out.rs, _ = txo.Finish()
 		}
 	}()

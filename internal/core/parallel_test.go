@@ -1,11 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"hardtape/internal/baseline"
+	"hardtape/internal/hevm"
 	"hardtape/internal/node"
 	"hardtape/internal/state"
 	"hardtape/internal/telemetry"
@@ -14,13 +19,17 @@ import (
 	"hardtape/internal/workload"
 )
 
-// parallelRig wires one world behind two devices: a sequential
-// reference and an optimistic-parallel unit under test.
+// parallelRig wires one world behind two devices — the commit-lane-only
+// schedule (0 lanes) and the speculating unit under test — and the
+// independent baseline.Geth oracle both are checked against.
 type parallelRig struct {
 	world *workload.World
 	chain *node.Node
+	geth  *baseline.Geth
 	seq   *Device
 	par   *Device
+	// newDevice builds one more device over the same world.
+	newDevice func(hevms, lanes int) *Device
 }
 
 func buildParallelRig(t testing.TB, features Features, lanes int, captureSteps bool) *parallelRig {
@@ -37,10 +46,10 @@ func buildParallelRig(t testing.TB, features Features, lanes int, captureSteps b
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(lanes int) *Device {
+	mk := func(hevms, lanes int) *Device {
 		cfg := DefaultConfig()
 		cfg.Features = features
-		cfg.HEVMs = 1
+		cfg.HEVMs = hevms
 		cfg.Lanes = lanes
 		cfg.CaptureSteps = captureSteps
 		dev, err := NewDevice(cfg, nil, chain)
@@ -52,7 +61,53 @@ func buildParallelRig(t testing.TB, features Features, lanes int, captureSteps b
 		}
 		return dev
 	}
-	return &parallelRig{world: w, chain: chain, seq: mk(0), par: mk(lanes)}
+	return &parallelRig{
+		world: w, chain: chain,
+		geth:      baseline.NewGeth(chain.State(), workload.NewBlockContext(&chain.Head().Header)),
+		seq:       mk(1, 0),
+		par:       mk(1, lanes),
+		newDevice: mk,
+	}
+}
+
+// assertOracleParity checks a device result against the Geth oracle's
+// traces for the same bundle: empty tracer.Diff on every transaction.
+func assertOracleParity(t testing.TB, name string, want *baseline.Result, got *BundleResult) {
+	t.Helper()
+	if got.Aborted != nil {
+		t.Fatalf("%s: aborted: %v", name, got.Aborted)
+	}
+	if got.GasUsed != want.GasUsed || len(got.Trace.Txs) != len(want.Trace.Txs) {
+		t.Fatalf("%s: gas %d / %d txs, oracle %d / %d", name,
+			got.GasUsed, len(got.Trace.Txs), want.GasUsed, len(want.Trace.Txs))
+	}
+	for i := range want.Trace.Txs {
+		if diffs := tracer.Diff(want.Trace.Txs[i], got.Trace.Txs[i]); len(diffs) > 0 {
+			t.Errorf("%s: tx %d diverges from the oracle: %v", name, i, diffs)
+		}
+	}
+}
+
+// executeAll runs b on the oracle and on every device, checks each
+// device against the oracle, and the devices against each other
+// byte for byte. It returns the results in device order.
+func (r *parallelRig) executeAll(t *testing.T, name string, b *types.Bundle, devs ...*Device) []*BundleResult {
+	t.Helper()
+	want, err := r.geth.ExecuteBundle(b)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	out := make([]*BundleResult, len(devs))
+	for i, d := range devs {
+		if out[i], err = d.Execute(b); err != nil {
+			t.Fatalf("%s: %d lanes: %v", name, d.cfg.Lanes, err)
+		}
+		assertOracleParity(t, fmt.Sprintf("%s/%d lanes", name, d.cfg.Lanes), want, out[i])
+		if i > 0 {
+			assertTraceParity(t, name, out[0], out[i])
+		}
+	}
+	return out
 }
 
 // nonceChainBundle is n transactions from ONE sender at consecutive
@@ -112,78 +167,71 @@ func assertTraceParity(t *testing.T, name string, seq, par *BundleResult) {
 	}
 }
 
-// TestParallelTraceParity is the tentpole's hard correctness bar:
-// byte-identical traces vs sequential execution across the evaluation
-// workloads, including the high-conflict MEV scenario, write-after-
-// write on one slot, reads racing aborted speculations, and a nonce
-// chain that re-executes every transaction.
+// TestParallelTraceParity is the executor's hard correctness bar: at
+// every lane count in {0, 1, 4}, with and without step capture, traces
+// equal the baseline.Geth oracle and are byte-identical across lane
+// counts — on the high-conflict MEV scenario, write-after-write on one
+// slot, reads racing aborted speculations, and a nonce chain that
+// re-executes every transaction.
 func TestParallelTraceParity(t *testing.T) {
-	r := buildParallelRig(t, ConfigFull, 4, true)
+	for _, steps := range []bool{false, true} {
+		r := buildParallelRig(t, ConfigFull, 4, steps)
+		one := r.newDevice(1, 1)
 
-	bundles := map[string]*types.Bundle{}
-	mev, err := r.world.MEVBundle(12, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundles["mev-hot"] = mev
-	mixed, err := r.world.MEVBundle(12, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundles["mev-mixed"] = mixed
-	free, err := r.world.ConflictFreeBundle(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundles["conflict-free"] = free
-	bundles["nonce-chain"] = nonceChainBundle(t, r.world, 6)
+		bundles := map[string]*types.Bundle{}
+		mev, err := r.world.MEVBundle(12, 1.0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles["mev-hot"] = mev
+		mixed, err := r.world.MEVBundle(12, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles["mev-mixed"] = mixed
+		free, err := r.world.ConflictFreeBundle(12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles["conflict-free"] = free
+		bundles["nonce-chain"] = nonceChainBundle(t, r.world, 6)
 
-	for name, b := range bundles {
-		seq, err := r.seq.Execute(b)
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", name, err)
-		}
-		par, err := r.par.Execute(b)
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", name, err)
-		}
-		assertTraceParity(t, name, seq, par)
-		if par.Parallel == nil {
-			t.Fatalf("%s: parallel run reported no scheduler stats", name)
-		}
-		if seq.Parallel != nil {
-			t.Fatalf("%s: sequential run reported scheduler stats", name)
+		for name, b := range bundles {
+			name = fmt.Sprintf("%s/steps=%v", name, steps)
+			res := r.executeAll(t, name, b, r.seq, one, r.par)
+			if res[0].Parallel != nil || res[1].Parallel != nil {
+				t.Fatalf("%s: scheduler stats without speculation", name)
+			}
+			if res[2].Parallel == nil {
+				t.Fatalf("%s: 4-lane run reported no scheduler stats", name)
+			}
 		}
 	}
 }
 
 // TestParallelEvalSetParity sweeps the generator's archetype mix as
-// single- and multi-tx bundles through both devices.
+// single- and multi-tx bundles through the oracle and lane counts
+// {0, 1, 4}, with and without step capture.
 func TestParallelEvalSetParity(t *testing.T) {
-	r := buildParallelRig(t, ConfigFull, 4, true)
-	r.world.SyncNonces(r.chain.State())
-	for i := 0; i < 6; i++ {
-		var txs []*types.Transaction
-		for j := 0; j < 4; j++ {
-			tx, _, err := r.world.GenerateTx()
-			if err != nil {
-				t.Fatal(err)
-			}
-			txs = append(txs, tx)
-		}
-		b := &types.Bundle{Txs: txs}
-		seq, err := r.seq.Execute(b)
-		if err != nil {
-			t.Fatalf("bundle %d: sequential: %v", i, err)
-		}
-		par, err := r.par.Execute(b)
-		if err != nil {
-			t.Fatalf("bundle %d: parallel: %v", i, err)
-		}
-		assertTraceParity(t, fmt.Sprintf("eval-%d", i), seq, par)
-		// The generator threads nonces across bundles; re-anchor so the
-		// next bundle stays valid against the pinned canonical state.
+	for _, steps := range []bool{false, true} {
+		r := buildParallelRig(t, ConfigFull, 4, steps)
+		one := r.newDevice(1, 1)
 		r.world.SyncNonces(r.chain.State())
+		for i := 0; i < 6; i++ {
+			var txs []*types.Transaction
+			for j := 0; j < 1+i%4; j++ {
+				tx, _, err := r.world.GenerateTx()
+				if err != nil {
+					t.Fatal(err)
+				}
+				txs = append(txs, tx)
+			}
+			r.executeAll(t, fmt.Sprintf("eval-%d/steps=%v", i, steps),
+				&types.Bundle{Txs: txs}, r.seq, one, r.par)
+			// The generator threads nonces across bundles; re-anchor so the
+			// next bundle stays valid against the pinned canonical state.
+			r.world.SyncNonces(r.chain.State())
+		}
 	}
 }
 
@@ -237,7 +285,7 @@ func TestParallelSchedulerStats(t *testing.T) {
 // case end to end: every transaction writes the SAME storage slots
 // (one DEX pool's reserves), so each commit must supersede the
 // previous write, in bundle order, with traces identical to the
-// sequential device. (The state-layer half of this edge case is
+// oracle and the 0-lane device. (The state-layer half of this edge case is
 // TestVersionedWriteAfterWrite.)
 func TestParallelWriteAfterWriteSameSlot(t *testing.T) {
 	r := buildParallelRig(t, ConfigFull, 2, true)
@@ -246,23 +294,15 @@ func TestParallelWriteAfterWriteSameSlot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := r.seq.Execute(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := r.par.Execute(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertTraceParity(t, fmt.Sprintf("waw-%d", n), seq, par)
+		r.executeAll(t, fmt.Sprintf("waw-%d", n), b, r.seq, r.par)
 	}
 }
 
 // TestParallelReadAfterRevertedWrite: transaction 0 starts the same
 // swap but runs out of gas mid-execution, so its speculative storage
 // writes are discarded; transaction 1 swaps the same pool and must
-// read the ORIGINAL reserves, not the aborted transaction's. Byte
-// parity with the sequential device proves no leakage. (The
+// read the ORIGINAL reserves, not the aborted transaction's. Parity
+// with the oracle and the 0-lane device proves no leakage. (The
 // state-layer half is TestVersionedAbortedWritesInvisible.)
 func TestParallelReadAfterRevertedWrite(t *testing.T) {
 	r := buildParallelRig(t, ConfigFull, 2, true)
@@ -278,15 +318,7 @@ func TestParallelReadAfterRevertedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &types.Bundle{Txs: []*types.Transaction{oog, swap}}
-	seq, err := r.seq.Execute(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := r.par.Execute(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertTraceParity(t, "reverted-write", seq, par)
+	r.executeAll(t, "reverted-write", b, r.seq, r.par)
 }
 
 // TestParallelConflictTwiceReexecutesTwice walks one transaction
@@ -318,7 +350,7 @@ func TestParallelConflictTwiceReexecutesTwice(t *testing.T) {
 		return tx
 	}
 	v := state.NewVersioned()
-	reader := d.newLaneReader(&s.laneState, telemetry.SpanContext{})
+	reader := d.newReader(&s.laneState, telemetry.SpanContext{})
 	run := func(i int) *laneOutcome {
 		out := d.specOnce(&s.laneState, reader, v, blockCtx, mkSwap(i))
 		if out.failed() {
@@ -369,9 +401,10 @@ func TestParallelModeledSpeedup(t *testing.T) {
 		speedup, seq.VirtualTime, par.VirtualTime, par.Parallel.Occupancy)
 }
 
-// TestParallelConcurrentBundles drives the parallel scheduler from
-// several goroutines at once (multiple slots, shared ORAM client) —
-// the -race target for the scheduler's hand-offs.
+// TestParallelConcurrentBundles drives the scheduler from several
+// goroutines at once (multiple slots, shared ORAM client) — the -race
+// target for the scheduler's hand-offs. Every result must equal the
+// oracle and the 0-lane device's.
 func TestParallelConcurrentBundles(t *testing.T) {
 	r := buildParallelRig(t, ConfigFull, 3, false)
 	mev, err := r.world.MEVBundle(10, 1.0)
@@ -382,37 +415,156 @@ func TestParallelConcurrentBundles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.seq.Execute(mev)
-	if err != nil {
-		t.Fatal(err)
+	r.hammer(t, r.newDevice(2, 3), 4, mev, free)
+}
+
+// hammer runs bundles[i%len] from `workers` goroutines at once on dev
+// and checks every result against the oracle and, byte for byte,
+// against the 0-lane single-slot device run alone.
+func (r *parallelRig) hammer(t *testing.T, dev *Device, workers int, bundles ...*types.Bundle) {
+	t.Helper()
+	oracle := make([]*baseline.Result, len(bundles))
+	alone := make([]*BundleResult, len(bundles))
+	for i, b := range bundles {
+		var err error
+		if oracle[i], err = r.geth.ExecuteBundle(b); err != nil {
+			t.Fatal(err)
+		}
+		if alone[i], err = r.seq.Execute(b); err != nil {
+			t.Fatal(err)
+		}
+		assertOracleParity(t, fmt.Sprintf("bundle %d alone", i), oracle[i], alone[i])
 	}
-	wantFree, err := r.seq.Execute(free)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := make([]*BundleResult, workers)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 4; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(w int) {
 			defer wg.Done()
-			b, ref := mev, want
-			if i%2 == 1 {
-				b, ref = free, wantFree
-			}
-			res, err := r.par.Execute(b)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if res.GasUsed != ref.GasUsed {
-				errs <- fmt.Errorf("run %d: gas %d != %d", i, res.GasUsed, ref.GasUsed)
-			}
-		}(i)
+			results[w], errs[w] = dev.Execute(bundles[w%len(bundles)])
+		}(w)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for w, res := range results {
+		if errs[w] != nil {
+			t.Fatalf("run %d: %v", w, errs[w])
+		}
+		name := fmt.Sprintf("run %d", w)
+		assertOracleParity(t, name, oracle[w%len(bundles)], res)
+		assertTraceParity(t, name, alone[w%len(bundles)], res)
 	}
 }
+
+// TestExecutorConcurrentSlotsNoLanes is the -race target for the
+// commit-lane-only schedule on an ORAM device: with no lanes, three
+// slots still interleave on the shared ORAM client per query (no bundle
+// holds it whole), so 1-tx and 4-tx bundles running at once must each
+// produce the oracle's traces.
+func TestExecutorConcurrentSlotsNoLanes(t *testing.T) {
+	r := buildParallelRig(t, ConfigFull, 0, false)
+	mev, err := r.world.MEVBundle(4, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := r.world.ConflictFreeBundle(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.hammer(t, r.newDevice(3, 0), 9, single, mev, nonceChainBundle(t, r.world, 4))
+}
+
+// TestExecutorCommitLaneModelUnchanged pins the modeled cost of the
+// commit-lane-only schedule to the dedicated sequential executor it
+// replaced: a multi-tx bundle on a Lanes: 0 ORAM device must issue the
+// same ORAM queries at the same virtual time. The constants were
+// captured by running exactly these bundles through Device.Execute at
+// the parent commit (d62e8fc, whose runTxs held one bundle-wide state.Overlay)
+// — what keeps them is the lane's bundle-scoped account memo: without
+// it the same-sender chain re-fetches its sender once per transaction.
+// Both rows are prefetcher-free (no contract code over ORAM), so they
+// are deterministic.
+func TestExecutorCommitLaneModelUnchanged(t *testing.T) {
+	full := buildParallelRig(t, ConfigFull, 0, false)
+	eso := buildParallelRig(t, ConfigESO, 0, false)
+	mev, err := eso.world.MEVBundle(4, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		dev     *Device
+		bundle  *types.Bundle
+		queries uint64
+		virtual time.Duration
+	}{
+		{"full/same-sender-chain", full.seq, nonceChainBundle(t, full.world, 4), 6, 92172000},
+		{"eso/mev-4", eso.seq, mev, 22, 124996920},
+	} {
+		res, err := c.dev.Execute(c.bundle)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.ORAMQueries != c.queries || len(res.QueryTimes) != int(c.queries) || res.VirtualTime != c.virtual {
+			t.Errorf("%s: %d queries (%d timestamps) in %d ns, parent commit: %d queries in %d ns", c.name,
+				res.ORAMQueries, len(res.QueryTimes), res.VirtualTime, c.queries, c.virtual)
+		}
+		if res.Parallel != nil {
+			t.Errorf("%s: scheduler stats without speculation", c.name)
+		}
+	}
+}
+
+// TestExecutorFailureSurfaces pins how failures leave the executor at
+// lane counts 0 and 4: a validation failure fails the bundle naming the
+// transaction, a hardware abort ends it with Aborted set and earlier
+// traces kept, an error panic out of the query path is wrapped in
+// ErrAborted, and a non-error panic is re-raised.
+func TestExecutorFailureSurfaces(t *testing.T) {
+	r := buildParallelRig(t, ConfigRaw, 4, false)
+	ok := nonceChainBundle(t, r.world, 1).Txs[0]
+	to := types.BytesToAddress([]byte{0xcd})
+	badNonce, err := r.world.SignedTxAt(r.world.EOAs[1], 7, &to, 1, nil, 40_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hog := r.world.MemoryHog
+	overflow, err := r.world.SignedTxAt(r.world.EOAs[2], 0, &hog, 0, workload.CalldataUint(600_000), 25_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []*Device{r.seq, r.par} {
+		_, err := dev.Execute(&types.Bundle{Txs: []*types.Transaction{ok, badNonce}})
+		if err == nil || !strings.Contains(err.Error(), "core: tx 1:") {
+			t.Errorf("%d lanes: bad nonce: %v", dev.cfg.Lanes, err)
+		}
+		res, err := dev.Execute(&types.Bundle{Txs: []*types.Transaction{ok, overflow, ok}})
+		if err != nil {
+			t.Fatalf("%d lanes: overflow: %v", dev.cfg.Lanes, err)
+		}
+		var moe *hevm.MemoryOverflowError
+		if !errors.As(res.Aborted, &moe) || len(res.Trace.Txs) != 1 || res.GasUsed != res.Trace.Txs[0].GasUsed {
+			t.Errorf("%d lanes: overflow: aborted=%v traces=%d gas=%d", dev.cfg.Lanes, res.Aborted, len(res.Trace.Txs), res.GasUsed)
+		}
+	}
+
+	d := r.seq
+	s := <-d.slots
+	defer func() { s.reset(); d.slots <- s }()
+	blockCtx := workload.NewBlockContext(&d.chain.Head().Header)
+	out := d.specOnce(&s.laneState, panicReader{errors.New("backend down")}, state.NewVersioned(), blockCtx, ok)
+	if !errors.Is(out.hardErr, ErrAborted) || out.bugPanic != nil || out.abortErr != nil {
+		t.Errorf("error panic: hard=%v abort=%v bug=%v", out.hardErr, out.abortErr, out.bugPanic)
+	}
+	out = d.specOnce(&s.laneState, panicReader{"index out of range"}, state.NewVersioned(), blockCtx, ok)
+	if out.bugPanic != "index out of range" || out.failed() {
+		t.Errorf("non-error panic: bug=%v hard=%v abort=%v", out.bugPanic, out.hardErr, out.abortErr)
+	}
+}
+
+// panicReader is a world-state backend whose every query panics.
+type panicReader struct{ with any }
+
+func (p panicReader) Account(types.Address) (*types.Account, bool) { panic(p.with) }
+func (p panicReader) Storage(types.Address, types.Hash) types.Hash { panic(p.with) }
+func (p panicReader) Code(types.Hash) []byte                       { panic(p.with) }

@@ -102,17 +102,29 @@ func (r *hvReader) drainPrefetch() {
 	r.recordORAMQuery('c')
 }
 
-// Account implements state.Reader via the account-meta page.
+// Account implements state.Reader via the account-meta page. The
+// bundle-local memo answers every query after the first — found or
+// absent — on-chip: each transaction runs on a fresh overlay, so
+// without it a bundle would re-fetch its sender once per transaction.
 func (r *hvReader) Account(addr types.Address) (*types.Account, bool) {
-	r.chargeQuery(r.kvORAM)
-	meta, err := r.kvStore.ReadAccountMeta(addr)
-	if errors.Is(err, pager.ErrPageNotFound) {
+	meta, seen := r.lane.acctCache[addr]
+	if !seen {
+		r.chargeQuery(r.kvORAM)
+		var err error
+		meta, err = r.kvStore.ReadAccountMeta(addr)
+		switch {
+		case err == nil:
+			r.dev.registerCodeLen(meta.CodeHash, meta.CodeLen)
+		case errors.Is(err, pager.ErrPageNotFound):
+			meta = nil // absent accounts are memoized too
+		default:
+			panic(fmt.Errorf("core: account %s: %w", addr, err))
+		}
+		r.lane.acctCache[addr] = meta
+	}
+	if meta == nil {
 		return nil, false
 	}
-	if err != nil {
-		panic(fmt.Errorf("core: account %s: %w", addr, err))
-	}
-	r.dev.registerCodeLen(meta.CodeHash, meta.CodeLen)
 	return &types.Account{
 		Nonce:    meta.Nonce,
 		Balance:  meta.Balance.Clone(),
@@ -198,9 +210,13 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 	return code
 }
 
-// newReader wires a reader for the device's feature set, charging the
-// given lane's clock and caches.
-func (d *Device) newReader(l *laneState) *hvReader {
+// newReader wires the reader one lane executes against, charging that
+// lane's clock and caches. With ORAM features it is wrapped in a
+// lockedReader; the -raw mirror is a plain map safe for concurrent
+// reads and needs no lock. sc is the bundle's execution span (zero
+// when the bundle is untraced — still stamped, to displace a previous
+// holder's attribution).
+func (d *Device) newReader(l *laneState, sc telemetry.SpanContext) state.Reader {
 	r := &hvReader{dev: d, lane: l}
 	if d.cfg.Features.ORAMStorage {
 		r.kvStore, r.kvORAM = d.oramStore, true
@@ -214,14 +230,21 @@ func (d *Device) newReader(l *laneState) *hvReader {
 		r.codeStore = d.mirror
 		r.codeMirror = d.mirror
 	}
+	if r.kvORAM || r.codeORAM {
+		return &lockedReader{
+			mu: &d.oramMu, inner: r,
+			acc: d.oramClient, tr: d.cfg.Telemetry.Tracer(), sc: sc,
+		}
+	}
 	return r
 }
 
-// lockedReader serializes one lane's world-state queries against the
-// device's shared Path ORAM client. Sequential execution holds oramMu
-// for a whole bundle (runTxs); parallel lanes instead take it per
-// query — the Hypervisor's query serialization point — so lanes
-// interleave at ORAM-access granularity.
+// lockedReader is the Hypervisor's query serialization point: every
+// world-state query of every lane — the commit lane and speculative
+// lanes, of every slot — takes the device-wide oramMu for exactly its
+// own duration, because the shared Path ORAM client is not
+// concurrent-safe. Nothing else of a bundle runs under the lock, so
+// slots and lanes interleave at ORAM-access granularity.
 type lockedReader struct {
 	mu    *sync.Mutex
 	inner state.Reader
@@ -262,21 +285,4 @@ func (r *lockedReader) Code(codeHash types.Hash) []byte {
 	defer r.mu.Unlock()
 	r.stamp()
 	return r.inner.Code(codeHash)
-}
-
-// newLaneReader wires the reader a parallel lane executes against.
-// With ORAM features the shared client is not concurrent-safe, so each
-// query takes oramMu for its duration; the -raw mirror is a plain map
-// safe for concurrent reads and needs no lock. sc is the bundle's
-// execution span (zero when the bundle is untraced — still stamped, to
-// displace a previous holder's attribution).
-func (d *Device) newLaneReader(l *laneState, sc telemetry.SpanContext) state.Reader {
-	r := d.newReader(l)
-	if d.cfg.Features.ORAMStorage || d.cfg.Features.ORAMCode {
-		return &lockedReader{
-			mu: &d.oramMu, inner: r,
-			acc: d.oramClient, tr: d.cfg.Telemetry.Tracer(), sc: sc,
-		}
-	}
-	return r
 }

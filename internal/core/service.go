@@ -96,7 +96,7 @@ var (
 
 // BundleExecutor is what a Service fronts: one Device, or a fleet
 // gateway pooling many of them. ExecuteContext must be safe for
-// concurrent sessions; FreeSlots/SlotCount feed the MsgStatus
+// concurrent sessions; FreeSlots/SlotCount feed the MuxStatus
 // occupancy probe.
 type BundleExecutor interface {
 	ExecuteContext(ctx context.Context, bundle *types.Bundle) (*BundleResult, error)
@@ -206,11 +206,23 @@ func (s *Service) ServeConn(conn io.ReadWriter) error {
 	return s.serveCold(conn, raw)
 }
 
-// serveCold performs the full attest + DHKE handshake (steps 2–10) and
-// mints the session's first resumption ticket.
+// serveCold runs a cold session: the full handshake, then the shared
+// session loop.
 func (s *Service) serveCold(conn io.ReadWriter, raw []byte) error {
+	secure, err := s.coldHandshake(conn, raw)
+	if err != nil {
+		return err
+	}
+	return s.serveSession(conn, secure)
+}
+
+// coldHandshake performs the full attest + DHKE handshake (steps 2–10)
+// and mints the session's first resumption ticket.
+func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.SecureChannel, error) {
 	// Cold handshakes are the expensive path; the admission gate bounds
 	// how many run at once so resumes and live bundles are not starved.
+	// The slot is held for the handshake only — a session that stays
+	// open afterwards must not keep later cold dials out.
 	asp := telemetry.StartSpan(s.tm.enabled)
 	s.admission.Acquire()
 	defer s.admission.Release()
@@ -218,25 +230,24 @@ func (s *Service) serveCold(conn io.ReadWriter, raw []byte) error {
 
 	// --- Step 2: remote attestation + DHKE ---
 	hsp := telemetry.StartSpan(s.tm.enabled)
-	hdr, body, err := parsePlain(raw, channel.MsgAttestRequest)
+	_, body, err := parsePlain(raw, channel.MsgAttestRequest)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_ = hdr
 	var req attestRequestMsg
 	if err := gobDecode(body, &req); err != nil {
-		return err
+		return nil, err
 	}
 
 	report, complete, err := s.booted.Attest(req.Nonce)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sessionID := s.sessionID.Add(1)
 
 	devSigKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
-		return fmt.Errorf("core: session sig key: %w", err)
+		return nil, fmt.Errorf("core: session sig key: %w", err)
 	}
 	attest.RecordAsymOps(1) // per-session device signing key
 	resp := attestReportMsg{
@@ -245,37 +256,37 @@ func (s *Service) serveCold(conn io.ReadWriter, raw []byte) error {
 		DevSigPub: elliptic.Marshal(elliptic.P256(), devSigKey.PublicKey.X, devSigKey.PublicKey.Y),
 	}
 	if err := writePlain(conn, channel.MsgAttestReport, sessionID, &resp); err != nil {
-		return err
+		return nil, err
 	}
 	hsp.Mark(s.tm.attest)
 
 	raw, err = channel.ReadMessage(conn)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	_, body, err = parsePlain(raw, channel.MsgKeyExchange)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var kx keyExchangeMsg
 	if err := gobDecode(body, &kx); err != nil {
-		return err
+		return nil, err
 	}
 	sess, err := complete(kx.UserPub)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := channel.VerifyConfirmTag(sess.Key, sessionID, "user", kx.Confirm); err != nil {
-		return err
+		return nil, err
 	}
 	secure, err := channel.NewSecureChannel(sess.Key, sessionID)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if s.sign {
 		userPub, err := unmarshalPub(kx.UserSigPub)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		secure.EnableSigning(devSigKey, userPub)
 	}
@@ -288,10 +299,9 @@ func (s *Service) serveCold(conn io.ReadWriter, raw []byte) error {
 	psk := session.ResumptionPSK(sess.Key, sessionID)
 	session.ZeroKey(&sess.Key)
 	if err := s.sendTicket(conn, secure, nil, psk, sessionID); err != nil {
-		return err
+		return nil, err
 	}
-
-	return s.serveSession(conn, secure)
+	return secure, nil
 }
 
 // sendTicket seals the rotated resumption ticket into the established
@@ -331,10 +341,9 @@ func (s *Service) sendTicket(conn io.ReadWriter, secure *channel.SecureChannel, 
 
 // serveSession is the shared post-handshake loop for cold and resumed
 // sessions: multiplexed exchanges (MsgMux) execute concurrently and
-// reply out of order by request id, while the legacy one-at-a-time
-// MsgBundle/MsgStatus forms stay supported inline. All Opens happen on
-// this goroutine (the channel's receive sequence demands it); Seals
-// are serialized by wmu.
+// reply out of order by request id; any other message type is a
+// protocol violation. All Opens happen on this goroutine (the channel's
+// receive sequence demands it); Seals are serialized by wmu.
 func (s *Service) serveSession(conn io.ReadWriter, secure *channel.SecureChannel) error {
 	var (
 		wmu sync.Mutex
@@ -366,69 +375,52 @@ func (s *Service) serveSession(conn io.ReadWriter, secure *channel.SecureChannel
 		if err != nil {
 			return err
 		}
-		switch hdr.Type {
-		case channel.MsgMux:
-			reqID, kind, tc, body, err := session.ParseMuxFrameTraced(payload)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrProtocol, err)
-			}
-			switch kind {
-			case session.MuxStatus:
-				out := statusMsg{FreeSlots: s.exec.FreeSlots(), Capacity: s.exec.SlotCount()}
-				if err := writeSealed(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, session.MuxOK, gobEncode(&out))); err != nil {
-					return err
-				}
-			case session.MuxBundle:
-				s.tm.bytesIn.Observe(float64(len(raw)))
-				var bm bundleMsg
-				if err := gobDecode(body, &bm); err != nil {
-					if werr := writeSealed(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, session.MuxErr, []byte(err.Error()))); werr != nil {
-						return werr
-					}
-					continue
-				}
-				// A traced frame parents this process's spans under the
-				// caller's; the finished records travel back in the reply.
-				// An untraced frame roots a NEW trace here, kept by the
-				// local flight recorder — so a -trace server is useful even
-				// when its clients don't propagate contexts. The two cases
-				// compose: a locally rooted trace assembles into the local
-				// ring when its root ends, and TakeSpans then finds nothing
-				// left to ship.
-				var sp *telemetry.TraceSpan
-				if tr := s.reg.Tracer(); tr != nil {
-					sp = tr.StartSpan("service.bundle", spanCtxFromWire(tc))
-				}
-				// Interleaving is the point of the mux: the bundle runs on
-				// its own goroutine while this loop keeps reading, so many
-				// bundles share the connection and the executor's slots.
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					out := s.executeBundle(&bm, sp)
-					//hardtape:faulterr-ok a write race with connection teardown fails the conn, which the read loop reports
-					_ = writeSealed(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, session.MuxOK, gobEncode(&out)))
-				}()
-			default:
-				return fmt.Errorf("%w: mux kind %d", ErrProtocol, kind)
-			}
-		case channel.MsgStatus:
+		if hdr.Type != channel.MsgMux {
+			return fmt.Errorf("%w: expected mux frame, got %d", ErrProtocol, hdr.Type)
+		}
+		reqID, kind, tc, body, err := session.ParseMuxFrameTraced(payload)
+		if err != nil {
+			return fmt.Errorf("%w: %v", ErrProtocol, err)
+		}
+		switch kind {
+		case session.MuxStatus:
 			out := statusMsg{FreeSlots: s.exec.FreeSlots(), Capacity: s.exec.SlotCount()}
-			if err := writeSealed(channel.MsgStatus, gobEncode(&out)); err != nil {
+			if err := writeSealed(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, session.MuxOK, gobEncode(&out))); err != nil {
 				return err
 			}
-		case channel.MsgBundle:
+		case session.MuxBundle:
 			s.tm.bytesIn.Observe(float64(len(raw)))
 			var bm bundleMsg
-			if err := gobDecode(payload, &bm); err != nil {
-				return err
+			if err := gobDecode(body, &bm); err != nil {
+				if werr := writeSealed(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, session.MuxErr, []byte(err.Error()))); werr != nil {
+					return werr
+				}
+				continue
 			}
-			out := s.executeBundle(&bm, nil)
-			if err := writeSealed(channel.MsgTrace, gobEncode(&out)); err != nil {
-				return err
+			// A traced frame parents this process's spans under the
+			// caller's; the finished records travel back in the reply.
+			// An untraced frame roots a NEW trace here, kept by the
+			// local flight recorder — so a -trace server is useful even
+			// when its clients don't propagate contexts. The two cases
+			// compose: a locally rooted trace assembles into the local
+			// ring when its root ends, and TakeSpans then finds nothing
+			// left to ship.
+			var sp *telemetry.TraceSpan
+			if tr := s.reg.Tracer(); tr != nil {
+				sp = tr.StartSpan("service.bundle", spanCtxFromWire(tc))
 			}
+			// Interleaving is the point of the mux: the bundle runs on
+			// its own goroutine while this loop keeps reading, so many
+			// bundles share the connection and the executor's slots.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out := s.executeBundle(&bm, sp)
+				//hardtape:faulterr-ok a write race with connection teardown fails the conn, which the read loop reports
+				_ = writeSealed(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, session.MuxOK, gobEncode(&out)))
+			}()
 		default:
-			return fmt.Errorf("%w: expected bundle, got %d", ErrProtocol, hdr.Type)
+			return fmt.Errorf("%w: mux kind %d", ErrProtocol, kind)
 		}
 	}
 }

@@ -6,11 +6,12 @@ import (
 	"net"
 	"strings"
 	"testing"
-
-	"hardtape/internal/channel"
+	"time"
 
 	"hardtape/internal/attest"
+	"hardtape/internal/channel"
 	"hardtape/internal/node"
+	"hardtape/internal/session"
 	"hardtape/internal/types"
 	"hardtape/internal/uint256"
 	"hardtape/internal/workload"
@@ -215,6 +216,74 @@ func TestServiceRejectsProtocolViolations(t *testing.T) {
 			t.Fatalf("wrong-type open: %v", err)
 		}
 	})
+
+	// The client is mux-only: a correctly sealed bare MsgBundle after the
+	// handshake is as unexpected as any other non-mux type.
+	t.Run("sealed bundle outside the mux", func(t *testing.T) {
+		var key [32]byte
+		key[0] = 7
+		userEnd, err := channel.NewSecureChannel(key, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deviceEnd, err := channel.NewSecureChannel(key, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, server := net.Pipe()
+		defer client.Close()
+		errCh := make(chan error, 1)
+		go func() {
+			defer server.Close()
+			errCh <- sr.svc.serveSession(server, deviceEnd)
+		}()
+		sealed, err := userEnd.Seal(channel.MsgBundle, gobEncode(&bundleMsg{Bundle: *sr.transferBundle(t, 3)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := channel.WriteMessage(client, sealed); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-errCh; !errors.Is(err, ErrProtocol) {
+			t.Fatalf("sealed MsgBundle: %v", err)
+		}
+	})
+}
+
+// TestColdAdmissionCoversHandshakeOnly: the cold-handshake gate bounds
+// concurrent handshakes, not session lifetimes — with limit 1, cold
+// session A staying open must not keep cold session B's Dial out.
+func TestColdAdmissionCoversHandshakeOnly(t *testing.T) {
+	sr := buildServiceRig(t, ConfigRaw)
+	adm := session.NewAdmission(1)
+	sr.svc.SetAdmission(adm)
+
+	a := sr.dialCold(t)
+	defer a.Close()
+	dialed := make(chan error, 1)
+	conn, bundle := sr.serveOnce(t), sr.transferBundle(t, 4)
+	go func() {
+		b, err := Dial(conn, sr.verifier(), false)
+		if err == nil {
+			defer b.Close()
+			_, err = b.PreExecute(bundle)
+		}
+		dialed <- err
+	}()
+	select {
+	case err := <-dialed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("second cold dial blocked behind an open cold session")
+	}
+	if _, err := a.PreExecute(sr.transferBundle(t, 5)); err != nil {
+		t.Fatalf("session A broke: %v", err)
+	}
+	if adm.InFlight() != 0 {
+		t.Fatalf("admission slots still held after both handshakes: %d", adm.InFlight())
+	}
 }
 
 func TestClientSessionEndsCleanly(t *testing.T) {

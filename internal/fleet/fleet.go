@@ -7,7 +7,7 @@
 //     deadline, rejecting excess load with ErrOverloaded instead of
 //     blocking forever;
 //   - weighted least-busy dispatch driven by live free-slot counts
-//     (Device.FreeSlots locally, the MsgStatus probe remotely);
+//     (Device.FreeSlots locally, the MuxStatus probe remotely);
 //   - health-checked failover: failed backends are drained, probed
 //     with exponential backoff, and re-admitted when they recover,
 //     while accepted bundles retry on surviving backends;

@@ -213,54 +213,3 @@ func (c *Clock) Reset() {
 	defer c.mu.Unlock()
 	c.now = 0
 }
-
-// LaneSet models N parallel HEVM lanes inside one device slot. Every
-// lane owns a relative clock started at zero when the bundle's
-// parallel phase begins; Base is the device time at that instant
-// (after input crypto), so a lane's absolute time is Base + lane.Now().
-// The set exists to keep the modeled numbers honest: the committer
-// advances the device clock to each lane's absolute completion time
-// before charging validation/commit work, and the bundle ends no
-// earlier than the slowest lane.
-type LaneSet struct {
-	Base  time.Duration
-	Lanes []*Clock
-}
-
-// NewLaneSet returns a lane set over the given relative lane clocks.
-func NewLaneSet(base time.Duration, lanes []*Clock) *LaneSet {
-	return &LaneSet{Base: base, Lanes: lanes}
-}
-
-// Absolute converts a lane-relative instant to device-absolute time.
-func (ls *LaneSet) Absolute(rel time.Duration) time.Duration {
-	return ls.Base + rel
-}
-
-// Makespan returns the device-absolute completion time of the slowest
-// lane — the lower bound for the bundle's end.
-func (ls *LaneSet) Makespan() time.Duration {
-	end := ls.Base
-	for _, l := range ls.Lanes {
-		if t := ls.Base + l.Now(); t > end {
-			end = t
-		}
-	}
-	return end
-}
-
-// Span measures a virtual interval.
-type Span struct {
-	clock *Clock
-	start time.Duration
-}
-
-// StartSpan begins measuring from the current virtual time.
-func (c *Clock) StartSpan() Span {
-	return Span{clock: c, start: c.Now()}
-}
-
-// Elapsed returns the virtual time since the span started.
-func (s Span) Elapsed() time.Duration {
-	return s.clock.Now() - s.start
-}

@@ -45,16 +45,6 @@ func TestClockConcurrent(t *testing.T) {
 	}
 }
 
-func TestSpan(t *testing.T) {
-	c := NewClock()
-	c.Advance(time.Second)
-	s := c.StartSpan()
-	c.Advance(250 * time.Millisecond)
-	if s.Elapsed() != 250*time.Millisecond {
-		t.Fatalf("span = %v", s.Elapsed())
-	}
-}
-
 func TestDefaultCalibrationSanity(t *testing.T) {
 	cal := DefaultCalibration()
 	// The paper's headline constants must be preserved.

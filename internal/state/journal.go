@@ -10,10 +10,12 @@ import (
 // through this interface instead of touching a concrete overlay. Two
 // implementations exist:
 //
-//   - *Overlay, the sequential journaled write layer (one per bundle);
-//   - *TxOverlay, the per-transaction speculative layer used by the
-//     optimistic parallel scheduler, which additionally records the
-//     transaction's read and write sets for conflict detection.
+//   - *Overlay, the plain journaled write layer (the baseline.Geth
+//     oracle and node block execution run a whole bundle on one);
+//   - *TxOverlay, the per-transaction layer the device's bundle
+//     executor uses: an Overlay over a versioned view of the bundle
+//     state that additionally records the transaction's read and write
+//     sets for conflict detection and in-order commit.
 //
 // The split is what makes intra-bundle parallelism possible without
 // the interpreter knowing: a speculative lane sees a versioned view of

@@ -7,15 +7,15 @@ import (
 	"hardtape/internal/uint256"
 )
 
-// This file implements the versioned state layer behind intra-bundle
-// optimistic parallelism (DESIGN.md §16):
+// This file implements the versioned state layer under the bundle
+// executor and its optimistic lanes (DESIGN.md §16):
 //
 //   - Versioned is the bundle-scope committed buffer. Transactions
 //     commit into it strictly in bundle order, so a single resolved
 //     entry per account/slot (rather than a per-version list) is
 //     enough: a reader either sees the latest committed value or falls
 //     through to the bundle's immutable base snapshot.
-//   - TxOverlay is the speculative per-transaction journal: an Overlay
+//   - TxOverlay is the per-transaction journal: an Overlay
 //     whose backend records the first value observed for every
 //     account field and storage slot actually consumed (the read set)
 //     and whose mutators flag what was written (the write set).
@@ -337,7 +337,7 @@ type TxOverlay struct {
 	*Overlay
 	rec *recordingReader
 	// orig serves GetCommittedStorage: SSTORE gas keys off the
-	// pre-BUNDLE value (the sequential Overlay reads its static
+	// pre-BUNDLE value (a bundle-wide Overlay reads its static
 	// backend), so it must bypass both the committed buffer and the
 	// recorder. Base values are immutable — no validation needed.
 	orig  Reader
