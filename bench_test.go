@@ -39,6 +39,22 @@ func benchEnv(b *testing.B) *bench.Env {
 	return _benchEnv
 }
 
+// benchSweep runs one registry sweep over n transactions per iteration
+// on the shared environment.
+func benchSweep(b *testing.B, name string, n int) {
+	env := benchEnv(b)
+	sw, ok := bench.Find(name)
+	if !ok {
+		b.Fatalf("no sweep %q in the registry", name)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := sw.Run(env, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchBundles pre-builds n single-tx evaluation bundles.
 func benchBundles(b *testing.B, env *bench.Env, n int) []*types.Bundle {
 	b.Helper()
@@ -53,15 +69,7 @@ func benchBundles(b *testing.B, env *bench.Env, n int) []*types.Bundle {
 
 // BenchmarkTableI measures the evaluation-set generation + statistics
 // pipeline that reproduces Table I.
-func BenchmarkTableI(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.TableI(env, 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkTableI(b *testing.B) { benchSweep(b, "table1", 50) }
 
 // --- Fig. 4: one benchmark per bar ---
 
@@ -103,46 +111,20 @@ func BenchmarkFig4Full(b *testing.B) { benchmarkConfig(b, "-full") }
 // --- Fig. 5: warm local execution per platform ---
 
 // BenchmarkFig5 regenerates the whole per-operation comparison.
-func BenchmarkFig5(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Fig5(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig5(b *testing.B) { benchSweep(b, "fig5", 0) }
 
 // --- §VI-B correctness ---
 
-// BenchmarkCorrectness measures the trace-vs-ground-truth pipeline.
-func BenchmarkCorrectness(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := bench.Correctness(env, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Mismatches) != 0 {
-			b.Fatalf("mismatches: %v", rep.Mismatches)
-		}
-	}
-}
+// BenchmarkCorrectness measures the trace-vs-ground-truth pipeline; a
+// trace mismatch fails the sweep and with it the benchmark.
+func BenchmarkCorrectness(b *testing.B) { benchSweep(b, "correctness", 5) }
 
 // --- §VI-D scalability ---
 
 // BenchmarkScalability measures the full scalability estimation run
-// (including the real software-ORAM per-query measurement).
-func BenchmarkScalability(b *testing.B) {
-	env := benchEnv(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Scalability(env, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// (including the real software-ORAM per-query measurement) over 4
+// bundles — the sweep executes n/4+1.
+func BenchmarkScalability(b *testing.B) { benchSweep(b, "scalability", 12) }
 
 // --- bundle throughput through core.Service ---
 

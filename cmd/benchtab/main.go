@@ -1,269 +1,129 @@
 // Command benchtab regenerates every table and figure of the paper's
-// evaluation section (§VI) from the software simulation:
+// evaluation section (§VI) from the software simulation, as named
+// sweeps of the internal/bench registry:
 //
-//	benchtab -all
-//	benchtab -fig4 -n 100
-//	benchtab -table1 -correctness -scalability -resources
-//	benchtab -all -json > results.json
+//	benchtab -run all
+//	benchtab -run fig4 -n 500
+//	benchtab -run table1,correctness,scalability
+//	benchtab -run all -json > results.json
 //
-// Virtual-clock timings use the calibration table in
-// internal/simclock (see DESIGN.md); shapes, not absolute values, are
-// the reproduction target.
+// Each sweep runs against its own freshly built environment, so its
+// modeled fields depend on (-seed, -n) alone. Virtual-clock timings use
+// the calibration table in internal/simclock (see DESIGN.md); shapes,
+// not absolute values, are the reproduction target.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
+	"strings"
 
 	"hardtape"
 	"hardtape/internal/bench"
-	"hardtape/internal/hevm"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
 )
 
-// jsonReport is the machine-readable form of a benchtab run. Sections
-// not selected on the command line are omitted from the output.
-type jsonReport struct {
-	Seed         int64                     `json:"seed"`
-	N            int                       `json:"n"`
-	TableI       string                    `json:"table1,omitempty"`
-	Resources    *bench.ResourceReport     `json:"resources,omitempty"`
-	Correctness  *bench.CorrectnessReport  `json:"correctness,omitempty"`
-	Fig4         []bench.Fig4Row           `json:"fig4,omitempty"`
-	Fig5         []bench.Fig5Row           `json:"fig5,omitempty"`
-	Amortization []bench.AmortizationRow   `json:"amortization,omitempty"`
-	Scalability  *bench.ScalabilityReport  `json:"scalability,omitempty"`
-	Interp       []bench.InterpRow         `json:"interp_fastpath,omitempty"`
-	Ablations    *jsonAblations            `json:"ablations,omitempty"`
-	Sessions     *bench.SessionsReport     `json:"sessions,omitempty"`
-	SessionScale *bench.SessionScaleReport `json:"session_scale,omitempty"`
-	Parallel     *bench.ParallelReport     `json:"parallel,omitempty"`
-	ORAM         *bench.ORAMSweepReport    `json:"oram,omitempty"`
-	Trace        *bench.TraceSweepReport   `json:"trace,omitempty"`
-}
-
-type jsonAblations struct {
-	Noise    *bench.NoiseAblation    `json:"noise,omitempty"`
-	Prefetch *bench.PrefetchAblation `json:"prefetch,omitempty"`
-	Grouping *bench.GroupingAblation `json:"grouping,omitempty"`
-	Depth    *bench.DepthAblation    `json:"depth,omitempty"`
-}
-
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		all         = flag.Bool("all", false, "run every experiment")
-		table1      = flag.Bool("table1", false, "Table I: workload distributions")
-		fig4        = flag.Bool("fig4", false, "Fig. 4: end-to-end per-tx time by configuration")
-		fig5        = flag.Bool("fig5", false, "Fig. 5: per-operation time, warm local data")
-		correctness = flag.Bool("correctness", false, "§VI-B: trace vs ground truth")
-		scalability = flag.Bool("scalability", false, "§VI-D: throughput and ORAM-server capacity")
-		resources   = flag.Bool("resources", false, "§VI-A: resource utility audit")
-		ablations   = flag.Bool("ablations", false, "design-choice ablations (noise, prefetch, grouping, ORAM depth)")
-		interp      = flag.Bool("interp", false, "interpreter fast-path microbenchmarks + raw bundle throughput")
-		sessions    = flag.Bool("sessions", false, "cold-dial vs ticket-resume sweep + gateway resume stampede")
-		parallel    = flag.Bool("parallel", false, "intra-bundle parallel pre-execution: lanes × conflict-rate sweep")
-		oramSweep   = flag.Bool("oram", false, "sharded ORAM fan-out: shards × batch-size sweep, modeled + measured")
-		traceSweep  = flag.Bool("trace", false, "distributed-tracing overhead: disabled vs flight-recorder wall time on the bundle path")
-		shards      = flag.Int("shards", 8, "maximum shard count for the -oram sweep (powers of two up to this)")
-		scaleN      = flag.Int("scale-sessions", 10000, "session count for the -sessions gateway stampede")
-		telem       = flag.Bool("telemetry", false, "drive an instrumented -full pipeline and dump the registry JSON snapshot on stdout")
-		asJSON      = flag.Bool("json", false, "emit results as JSON on stdout (progress goes to stderr)")
-		n           = flag.Int("n", 100, "transactions per experiment")
-		seed        = flag.Int64("seed", 19145194, "workload seed (paper's first block number)")
-		eoas        = flag.Int("eoas", 24, "synthetic EOA count")
-		tokens      = flag.Int("tokens", 4, "ERC-20 token count")
-		dexes       = flag.Int("dexes", 2, "DEX pool count")
-		hevms       = flag.Int("hevms", 3, "HEVM cores per device")
-	)
-	flag.Parse()
+// report is the -json document.
+type report struct {
+	Seed   int64         `json:"seed"`
+	N      int           `json:"n"`
+	Tables []bench.Table `json:"tables"`
+}
 
-	if *all {
-		*table1, *fig4, *fig5, *correctness, *scalability, *resources, *ablations, *interp, *sessions, *parallel, *oramSweep, *traceSweep =
-			true, true, true, true, true, true, true, true, true, true, true, true
+// selectSweeps resolves a -run value: "all" or a comma-separated list
+// of registry names, run in the order given.
+func selectSweeps(spec string) ([]bench.Sweep, error) {
+	if spec == "all" {
+		return bench.Sweeps, nil
 	}
+	var out []bench.Sweep
+	for _, name := range strings.Split(spec, ",") {
+		sw, ok := bench.Find(strings.TrimSpace(name))
+		if !ok {
+			valid := make([]string, len(bench.Sweeps))
+			for i, s := range bench.Sweeps {
+				valid[i] = s.Name
+			}
+			return nil, fmt.Errorf("unknown sweep %q (valid: %s, or all)", name, strings.Join(valid, ", "))
+		}
+		out = append(out, sw)
+	}
+	return out, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		names  = fs.String("run", "", "sweeps to run: name[,name…] or all (names below)")
+		telem  = fs.Bool("telemetry", false, "drive an instrumented -full pipeline and dump the registry JSON snapshot on stdout")
+		asJSON = fs.Bool("json", false, "emit results as JSON on stdout (progress goes to stderr)")
+		n      = fs.Int("n", 100, "transactions per experiment")
+		seed   = fs.Int64("seed", bench.DefaultEnvConfig().Seed, "workload seed (paper's first block number)")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: benchtab -run name[,name…]|all [-n N] [-seed S] [-json] | benchtab -telemetry [-n N]\n")
+		fs.PrintDefaults()
+		fmt.Fprintf(stderr, "\nsweeps:\n")
+		for _, s := range bench.Sweeps {
+			fmt.Fprintf(stderr, "  %-13s %s\n", s.Name, s.Doc)
+		}
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	cfg := bench.DefaultEnvConfig()
+	cfg.Seed = *seed
 	if *telem {
 		// Telemetry mode is its own run: stdout carries exactly the
 		// registry snapshot (the same document /metrics.json serves).
-		return runTelemetry(*n, *seed, *eoas, *tokens, *dexes, *hevms)
+		return runTelemetry(cfg, *n, stdout, stderr)
 	}
-	if !(*table1 || *fig4 || *fig5 || *correctness || *scalability || *resources || *ablations || *interp || *sessions || *parallel || *oramSweep || *traceSweep) {
-		flag.Usage()
-		return fmt.Errorf("no experiment selected (try -all)")
+	if *names == "" {
+		fs.Usage()
+		return fmt.Errorf("no sweep selected (try -run all)")
 	}
-
-	// In -json mode stdout carries exactly one JSON document; progress
-	// and human-readable banners move to stderr.
-	progress := os.Stdout
-	if *asJSON {
-		progress = os.Stderr
-	}
-	fmt.Fprintf(progress, "Building evaluation environment (seed %d: %d EOAs, %d tokens, %d DEX pools)...\n\n",
-		*seed, *eoas, *tokens, *dexes)
-	env, err := bench.NewEnv(bench.EnvConfig{
-		Seed: *seed, EOAs: *eoas, Tokens: *tokens, DEXes: *dexes, HEVMs: *hevms,
-	})
+	sweeps, err := selectSweeps(*names)
 	if err != nil {
 		return err
 	}
 
-	section := func(body string) {
-		if *asJSON {
-			return
-		}
-		fmt.Println(body)
-		fmt.Println("────────────────────────────────────────────────────────────")
-	}
-
-	report := jsonReport{Seed: *seed, N: *n}
-
-	if *table1 {
-		out, err := bench.TableI(env, *n)
+	// Progress goes to stderr: in -json mode stdout carries exactly one
+	// JSON document.
+	out := report{Seed: *seed, N: *n}
+	for _, sw := range sweeps {
+		fmt.Fprintf(stderr, "running %s...\n", sw.Name)
+		tables, err := sw.RunFresh(cfg, *n)
 		if err != nil {
-			return fmt.Errorf("table1: %w", err)
+			return fmt.Errorf("%s: %w", sw.Name, err)
 		}
-		report.TableI = out
-		section(out)
-	}
-	if *resources {
-		rep := bench.Resources(hevm.DefaultConfig(), 30)
-		report.Resources = rep
-		section(rep.Render())
-	}
-	if *correctness {
-		rep, err := bench.Correctness(env, *n)
-		if err != nil {
-			return fmt.Errorf("correctness: %w", err)
-		}
-		report.Correctness = rep
-		section(rep.Render())
-	}
-	if *fig4 {
-		rows, err := bench.Fig4(env, *n)
-		if err != nil {
-			return fmt.Errorf("fig4: %w", err)
-		}
-		report.Fig4 = rows
-		section(bench.RenderFig4(rows))
-	}
-	if *fig5 {
-		rows, err := bench.Fig5(env)
-		if err != nil {
-			return fmt.Errorf("fig5: %w", err)
-		}
-		report.Fig5 = rows
-		section(bench.RenderFig5(rows))
-	}
-	if *fig4 {
-		rows, err := bench.Amortization(env, []int{1, 2, 4, 8, 16})
-		if err != nil {
-			return fmt.Errorf("amortization: %w", err)
-		}
-		report.Amortization = rows
-		section(bench.RenderAmortization(rows))
-	}
-	if *scalability {
-		rep, err := bench.Scalability(env, *n/4+1)
-		if err != nil {
-			return fmt.Errorf("scalability: %w", err)
-		}
-		report.Scalability = rep
-		section(rep.Render())
-	}
-	if *interp {
-		rows, err := bench.InterpFastPath(env)
-		if err != nil {
-			return fmt.Errorf("interp: %w", err)
-		}
-		report.Interp = rows
-		section(bench.RenderInterp(rows))
-	}
-	if *ablations {
-		noise, err := bench.RunNoiseAblation()
-		if err != nil {
-			return fmt.Errorf("ablation noise: %w", err)
-		}
-		section(noise.Render())
-		prefetch, err := bench.RunPrefetchAblation(env)
-		if err != nil {
-			return fmt.Errorf("ablation prefetch: %w", err)
-		}
-		section(prefetch.Render())
-		grouping, err := bench.RunGroupingAblation()
-		if err != nil {
-			return fmt.Errorf("ablation grouping: %w", err)
-		}
-		section(grouping.Render())
-		depth, err := bench.RunDepthAblation()
-		if err != nil {
-			return fmt.Errorf("ablation depth: %w", err)
-		}
-		section(depth.Render())
-		report.Ablations = &jsonAblations{
-			Noise: noise, Prefetch: prefetch, Grouping: grouping, Depth: depth,
+		out.Tables = append(out.Tables, tables...)
+		for _, t := range tables {
+			if !*asJSON {
+				fmt.Fprintf(stdout, "%s\n────────────────────────────────────────────────────────────\n", t.Render())
+			}
 		}
 	}
-
-	if *sessions {
-		rep, err := bench.Sessions(env, *n)
-		if err != nil {
-			return fmt.Errorf("sessions: %w", err)
-		}
-		report.Sessions = rep
-		section(rep.Render())
-		scale, err := bench.SessionScale(env, *scaleN, 64)
-		if err != nil {
-			return fmt.Errorf("session scale: %w", err)
-		}
-		report.SessionScale = scale
-		section(scale.Render())
-	}
-
-	if *parallel {
-		txs := 16
-		if txs > *eoas {
-			txs = *eoas
-		}
-		rep, err := bench.ParallelSweep(env, txs, nil, nil)
-		if err != nil {
-			return fmt.Errorf("parallel: %w", err)
-		}
-		report.Parallel = rep
-		section(rep.Render())
-	}
-
-	if *oramSweep {
-		rep, err := bench.ORAMShardSweep(*shards, []int{8, 32}, 16)
-		if err != nil {
-			return fmt.Errorf("oram sweep: %w", err)
-		}
-		report.ORAM = rep
-		section(rep.Render())
-	}
-
-	if *traceSweep {
-		rep, err := bench.TraceSweep(env, 16, 8)
-		if err != nil {
-			return fmt.Errorf("trace sweep: %w", err)
-		}
-		report.Trace = rep
-		section(rep.Render())
-	}
-
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
+		if err := enc.Encode(out); err != nil {
 			return fmt.Errorf("json: %w", err)
 		}
 	}
@@ -275,18 +135,18 @@ func run() error {
 // world state — and writes the telemetry registry's JSON snapshot to
 // stdout. It is the same document the admin endpoint's /metrics.json
 // serves, so dashboards and CI artifacts share one schema.
-func runTelemetry(n int, seed int64, eoas, tokens, dexes, hevms int) error {
+func runTelemetry(cfg bench.EnvConfig, n int, stdout, stderr io.Writer) error {
 	reg := hardtape.NewTelemetry()
 	opts := hardtape.DefaultTestbedOptions()
-	opts.Seed = seed
-	opts.EOAs = eoas
-	opts.Tokens = tokens
-	opts.DEXes = dexes
-	opts.HEVMs = hevms
+	opts.Seed = cfg.Seed
+	opts.EOAs = cfg.EOAs
+	opts.Tokens = cfg.Tokens
+	opts.DEXes = cfg.DEXes
+	opts.HEVMs = cfg.HEVMs
 	opts.Features = hardtape.ConfigFull
 	opts.Telemetry = reg
 
-	fmt.Fprintf(os.Stderr, "Building instrumented -full testbed (seed %d)...\n", seed)
+	fmt.Fprintf(stderr, "Building instrumented -full testbed (seed %d)...\n", cfg.Seed)
 	tb, err := hardtape.NewTestbed(opts)
 	if err != nil {
 		return err
@@ -333,6 +193,6 @@ func runTelemetry(n int, seed int64, eoas, tokens, dexes, hevms int) error {
 		}
 		ran += txsPerBundle
 	}
-	fmt.Fprintf(os.Stderr, "Pre-executed %d txs; dumping registry snapshot\n", ran)
-	return reg.WriteJSON(os.Stdout)
+	fmt.Fprintf(stderr, "Pre-executed %d txs; dumping registry snapshot\n", ran)
+	return reg.WriteJSON(stdout)
 }

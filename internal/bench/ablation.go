@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 
 	"hardtape/internal/core"
 	"hardtape/internal/evm"
@@ -15,27 +15,25 @@ import (
 	"hardtape/internal/workload"
 )
 
-// This file holds the ablations of DESIGN.md §5: each isolates one of
+// This file holds the ablations of DESIGN.md §7: each isolates one of
 // the paper's design choices and measures what breaks without it.
 
 // --- Ablation 1: swap-size noise (paper §IV-B, attack A5) ---
 
-// NoiseAblation compares the adversary-observable L3 swap sizes with
-// the random pre-evict/pre-load noise on and off.
-type NoiseAblation struct {
-	// WithoutNoise: swap sequences for two runs of the same contract
-	// are identical — the sizes are a stable contract fingerprint.
-	IdenticalWithoutNoise bool
-	// WithNoise: the same two runs differ — sizes are noise-bound.
-	IdenticalWithNoise bool
-	SwapEventsObserved int
-}
-
-// RunNoiseAblation executes a heavy multi-frame workload twice per
-// noise setting (different RNG seeds, same contract) and compares the
-// observed swap-size sequences.
-func RunNoiseAblation() (*NoiseAblation, error) {
-	run := func(noiseMax int, seed int64) ([]hevm.SwapEvent, error) {
+// noiseAblation compares the adversary-observable L3 swap sizes with
+// the random pre-evict/pre-load noise on and off: it executes a heavy
+// multi-frame workload twice per noise setting (different RNG seeds,
+// same contract) and compares the observed swap-size sequences.
+// Without noise the two sequences are identical — the sizes are a
+// stable contract fingerprint; with noise they differ.
+func noiseAblation() (Table, error) {
+	t := Table{
+		Name:  "ablation_noise",
+		Title: "ABLATION — L3 swap-size noise (attack A5)",
+		Note: "identical_runs = 1 when two runs of the same contract show the same swap-size sequence:\n" +
+			"fingerprintable with noise off, unlinkable with it on",
+	}
+	run := func(noiseMax int, seed int64) ([]int, error) {
 		cfg := hevm.DefaultConfig()
 		cfg.L2Bytes = 64 * 1024
 		cfg.FrameLimitBytes = 32 * 1024
@@ -48,96 +46,64 @@ func RunNoiseAblation() (*NoiseAblation, error) {
 		// Deterministic 3-frame workload exceeding L2.
 		h := m.Hooks()
 		for d := 0; d < 3; d++ {
-			h.OnCallEnter(frameInfo(d, 1000))
-			h.OnMemAccess(memInfo(24 * 1024))
+			h.OnCallEnter(evm.CallFrameInfo{Depth: d, CodeSize: 1000})
+			h.OnMemAccess(evm.MemAccess{Size: 24 * 1024, Write: true})
 		}
-		h.OnCallExit(exitInfo(2))
-		h.OnCallExit(exitInfo(1))
-		return m.SwapTrace(), nil
-	}
-	sizes := func(events []hevm.SwapEvent) []int {
-		out := make([]int, len(events))
+		h.OnCallExit(evm.CallResultInfo{Depth: 2})
+		h.OnCallExit(evm.CallResultInfo{Depth: 1})
+		events := m.SwapTrace()
+		sizes := make([]int, len(events))
 		for i, ev := range events {
-			out[i] = ev.Pages
+			sizes[i] = ev.Pages
 		}
-		return out
+		return sizes, nil
 	}
-	equal := func(a, b []int) bool {
-		if len(a) != len(b) {
-			return false
+	for _, c := range []struct {
+		name     string
+		noiseMax int
+	}{{"noise-off", 0}, {"noise-on", 8}} {
+		a, err := run(c.noiseMax, 1)
+		if err != nil {
+			return t, err
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
+		b, err := run(c.noiseMax, 2)
+		if err != nil {
+			return t, err
 		}
-		return true
+		identical := 0
+		if slices.Equal(a, b) {
+			identical = 1
+		}
+		t.Rows = append(t.Rows, Row{Name: c.name, Modeled: []Field{
+			count("identical_runs", identical), count("swap_events", len(a)),
+		}})
 	}
-
-	off1, err := run(0, 1)
-	if err != nil {
-		return nil, err
-	}
-	off2, err := run(0, 2)
-	if err != nil {
-		return nil, err
-	}
-	on1, err := run(8, 1)
-	if err != nil {
-		return nil, err
-	}
-	on2, err := run(8, 2)
-	if err != nil {
-		return nil, err
-	}
-	return &NoiseAblation{
-		IdenticalWithoutNoise: equal(sizes(off1), sizes(off2)),
-		IdenticalWithNoise:    equal(sizes(on1), sizes(on2)),
-		SwapEventsObserved:    len(on1),
-	}, nil
-}
-
-// Render produces the report text.
-func (a *NoiseAblation) Render() string {
-	var sb strings.Builder
-	sb.WriteString("ABLATION — L3 swap-size noise (attack A5)\n\n")
-	fmt.Fprintf(&sb, "noise OFF: identical runs give identical swap sizes: %v (fingerprintable)\n",
-		a.IdenticalWithoutNoise)
-	fmt.Fprintf(&sb, "noise ON:  identical runs give identical swap sizes: %v (unlinkable)\n",
-		a.IdenticalWithNoise)
-	fmt.Fprintf(&sb, "swap events observed: %d\n", a.SwapEventsObserved)
-	return sb.String()
+	return t, nil
 }
 
 // --- Ablation 2: pagewise code prefetching (paper §IV-D problem 3) ---
 
-// PrefetchAblation compares the *position* of code-page queries in the
+// prefetchAblation compares the *position* of code-page queries in the
 // adversary-observable query sequence with and without the randomized
-// prefetch timer. With a burst fetch, an execution frame shows as a
-// contiguous run of code queries — the pattern §IV-D problem 3 says
-// "can possibly be used to identify the running contract". With
+// prefetch timer, executing the same multi-page-code workload on a
+// -full device both ways. With a burst fetch, an execution frame shows
+// as a contiguous run of code queries — the pattern §IV-D problem 3
+// says "can possibly be used to identify the running contract". With
 // prefetching, code queries are interleaved among K-V queries.
-type PrefetchAblation struct {
-	// MaxCodeRun is the longest contiguous run of code-page queries.
-	MaxCodeRunWith    int
-	MaxCodeRunWithout int
-	QueriesWith       int
-	QueriesWithout    int
-}
-
-// RunPrefetchAblation executes the same multi-page-code workload on a
-// -full device with prefetching on and off.
-func RunPrefetchAblation(env *Env) (*PrefetchAblation, error) {
+func prefetchAblation(env *Env) (Table, error) {
+	t := Table{
+		Name:  "ablation_prefetch",
+		Title: "ABLATION — pagewise code prefetching (§IV-D problem 3)",
+		Note: "max_code_run is the longest contiguous run of code-page queries: prefetching spreads code\n" +
+			"between K-V queries; without it frame boundaries are visible as bursts",
+	}
 	run := func(disable bool) ([]byte, error) {
 		cfg := core.DefaultConfig()
 		cfg.Features = core.ConfigFull
 		cfg.HEVMs = 1
 		cfg.DisablePrefetch = disable
-		dev, err := core.NewDevice(cfg, nil, env.Chain)
+		dev, err := env.newDevice(cfg, nil)
 		if err != nil {
-			return nil, err
-		}
-		if err := dev.Sync(); err != nil {
 			return nil, err
 		}
 		// A swap touches two contracts with Table-I-sized (multi-page)
@@ -156,20 +122,19 @@ func RunPrefetchAblation(env *Env) (*PrefetchAblation, error) {
 		}
 		return res.QueryKinds, nil
 	}
-	with, err := run(false)
-	if err != nil {
-		return nil, err
+	for _, c := range []struct {
+		name    string
+		disable bool
+	}{{"prefetch-on", false}, {"prefetch-off", true}} {
+		kinds, err := run(c.disable)
+		if err != nil {
+			return t, err
+		}
+		t.Rows = append(t.Rows, Row{Name: c.name, Modeled: []Field{
+			count("queries", len(kinds)), count("max_code_run", maxCodeRun(kinds)),
+		}})
 	}
-	without, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return &PrefetchAblation{
-		MaxCodeRunWith:    maxCodeRun(with),
-		MaxCodeRunWithout: maxCodeRun(without),
-		QueriesWith:       len(with),
-		QueriesWithout:    len(without),
-	}, nil
+	return t, nil
 }
 
 // maxCodeRun finds the longest contiguous run of code-page queries in
@@ -189,53 +154,34 @@ func maxCodeRun(kinds []byte) int {
 	return best
 }
 
-// Render produces the report text.
-func (a *PrefetchAblation) Render() string {
-	var sb strings.Builder
-	sb.WriteString("ABLATION — pagewise code prefetching (§IV-D problem 3)\n\n")
-	fmt.Fprintf(&sb, "prefetch ON:  %d queries, longest code-query run %d (code spread between K-V queries)\n",
-		a.QueriesWith, a.MaxCodeRunWith)
-	fmt.Fprintf(&sb, "prefetch OFF: %d queries, longest code-query run %d (frame boundaries visible as bursts)\n",
-		a.QueriesWithout, a.MaxCodeRunWithout)
-	return sb.String()
-}
-
 // --- Ablation 3: record grouping (paper §IV-D problems 1–2) ---
 
-// GroupingAblation measures the ORAM cost of reading 32 consecutive
-// storage records (a Solidity array scan) under different group sizes.
-type GroupingAblation struct {
-	Rows []GroupingRow
-}
-
-// GroupingRow is one group-size configuration.
-type GroupingRow struct {
-	GroupSize   int
-	ORAMQueries uint64
-	BytesMoved  uint64
-}
-
-// RunGroupingAblation scans 32 consecutive keys through ORAM-backed
-// stores with group sizes 1, 8 and 32.
-func RunGroupingAblation() (*GroupingAblation, error) {
-	out := &GroupingAblation{}
+// groupingAblation measures the ORAM cost of reading 32 consecutive
+// storage records (a Solidity array scan) through ORAM-backed stores
+// with group sizes 1, 8 and 32.
+func groupingAblation() (Table, error) {
+	t := Table{
+		Name:  "ablation_grouping",
+		Title: "ABLATION — storage record grouping (§IV-D problems 1-2): scan of 32 consecutive records (Solidity array layout)",
+		Note:  "paper's choice (32/page) turns an array scan into a single page fetch",
+	}
 	for _, gs := range []int{1, 8, 32} {
 		srv, err := oram.NewMemServer(4096)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		store, err := pager.NewStoreGrouped(pager.NewORAMBackend(cli), gs)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		addr := types.MustAddress("0x00000000000000000000000000000000000000aa")
 		for i := byte(0); i < 32; i++ {
 			if err := store.WriteStorageRecord(addr, types.Hash{31: i}, types.Hash{31: i + 1}); err != nil {
-				return nil, err
+				return t, err
 			}
 		}
 		// The scan models the Hypervisor's L1 world-state cache: a page
@@ -251,100 +197,60 @@ func RunGroupingAblation() (*GroupingAblation, error) {
 				continue
 			}
 			if _, _, err := store.ReadStorageRecord(addr, key); err != nil {
-				return nil, err
+				return t, err
 			}
 			lastGroup, haveGroup = group, true
 		}
 		after := cli.Stats()
-		out.Rows = append(out.Rows, GroupingRow{
-			GroupSize:   gs,
-			ORAMQueries: after.Accesses - before.Accesses,
-			BytesMoved:  after.BytesMoved - before.BytesMoved,
+		t.Rows = append(t.Rows, Row{
+			Name:   fmt.Sprintf("%d/page", gs),
+			Params: []Field{count("records_per_page", gs)},
+			Modeled: []Field{
+				count("oram_queries", after.Accesses-before.Accesses),
+				num("bytes_moved", "B", after.BytesMoved-before.BytesMoved),
+			},
 		})
 	}
-	return out, nil
-}
-
-// Render produces the report text.
-func (a *GroupingAblation) Render() string {
-	var sb strings.Builder
-	sb.WriteString("ABLATION — storage record grouping (§IV-D problems 1-2)\n")
-	sb.WriteString("scan of 32 consecutive records (Solidity array layout):\n\n")
-	fmt.Fprintf(&sb, "%-12s %14s %14s\n", "records/page", "ORAM queries", "bytes moved")
-	for _, r := range a.Rows {
-		fmt.Fprintf(&sb, "%-12d %14d %14d\n", r.GroupSize, r.ORAMQueries, r.BytesMoved)
-	}
-	sb.WriteString("\npaper's choice (32/page) turns an array scan into a single page fetch\n")
-	return sb.String()
+	return t, nil
 }
 
 // --- Ablation 4: ORAM capacity scaling (O(log n) bandwidth) ---
 
-// DepthAblation measures per-access bandwidth as capacity grows.
-type DepthAblation struct {
-	Rows []DepthRow
-}
-
-// DepthRow is one capacity point.
-type DepthRow struct {
-	Capacity       uint64
-	Depth          int
-	BytesPerAccess uint64
-}
-
-// RunDepthAblation sweeps the ORAM capacity and measures the real
+// depthAblation sweeps the ORAM capacity and measures the real
 // bytes-moved-per-access, which should grow with log(n).
-func RunDepthAblation() (*DepthAblation, error) {
-	out := &DepthAblation{}
+func depthAblation() (Table, error) {
+	t := Table{
+		Name:  "ablation_depth",
+		Title: "ABLATION — ORAM bandwidth vs capacity (O(log n) overhead)",
+		Note:  "bytes_per_access grows ∝ depth = O(log n), the Path ORAM bound the paper cites",
+	}
 	for _, capacity := range []uint64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16} {
 		srv, err := oram.NewMemServer(capacity)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		payload := make([]byte, oram.BlockSize)
 		const accesses = 64
 		for i := 0; i < accesses; i++ {
 			if err := cli.Write(oram.BlockID(i), payload); err != nil {
-				return nil, err
+				return t, err
 			}
 		}
 		st := cli.Stats()
-		out.Rows = append(out.Rows, DepthRow{
-			Capacity:       capacity,
-			Depth:          st.Depth,
-			BytesPerAccess: st.BytesMoved / st.Accesses,
+		perAccess := st.BytesMoved / st.Accesses
+		t.Rows = append(t.Rows, Row{
+			Name:   fmt.Sprintf("%d blocks", capacity),
+			Params: []Field{count("capacity", capacity)},
+			Modeled: []Field{
+				count("depth", st.Depth),
+				num("bytes_per_access", "B", perAccess),
+				num("bytes_per_log2_capacity", "B", float64(perAccess)/math.Log2(float64(capacity))),
+			},
 		})
 	}
-	return out, nil
-}
-
-// Render produces the report text.
-func (a *DepthAblation) Render() string {
-	var sb strings.Builder
-	sb.WriteString("ABLATION — ORAM bandwidth vs capacity (O(log n) overhead)\n\n")
-	fmt.Fprintf(&sb, "%-12s %8s %16s %18s\n", "capacity", "depth", "bytes/access", "bytes / log2(cap)")
-	for _, r := range a.Rows {
-		ratio := float64(r.BytesPerAccess) / math.Log2(float64(r.Capacity))
-		fmt.Fprintf(&sb, "%-12d %8d %16d %18.0f\n", r.Capacity, r.Depth, r.BytesPerAccess, ratio)
-	}
-	sb.WriteString("\nbytes/access grows ∝ depth = O(log n), the Path ORAM bound the paper cites\n")
-	return sb.String()
-}
-
-// frameInfo/memInfo/exitInfo build hook payloads for direct machine
-// driving.
-func frameInfo(depth, codeSize int) evm.CallFrameInfo {
-	return evm.CallFrameInfo{Depth: depth, CodeSize: codeSize}
-}
-
-func memInfo(size uint64) evm.MemAccess {
-	return evm.MemAccess{Size: size, Write: true}
-}
-
-func exitInfo(depth int) evm.CallResultInfo {
-	return evm.CallResultInfo{Depth: depth}
+	return t, nil
 }

@@ -1,98 +1,85 @@
 package bench
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestNoiseAblation(t *testing.T) {
-	rep, err := RunNoiseAblation()
+	tab, err := noiseAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.IdenticalWithoutNoise {
+	if val(t, tab, "noise-off", "identical_runs") != 1 {
 		t.Error("without noise, identical workloads should give identical swap sizes")
 	}
-	if rep.IdenticalWithNoise {
+	if val(t, tab, "noise-on", "identical_runs") != 0 {
 		t.Error("with noise, swap sizes should differ across RNG seeds")
 	}
-	if rep.SwapEventsObserved == 0 {
+	if val(t, tab, "noise-on", "swap_events") == 0 {
 		t.Error("no swap traffic generated")
-	}
-	if !strings.Contains(rep.Render(), "noise ON") {
-		t.Error("render incomplete")
 	}
 }
 
 func TestPrefetchAblation(t *testing.T) {
 	env := smallEnv(t)
-	rep, err := RunPrefetchAblation(env)
+	tab, err := prefetchAblation(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Without prefetching, code pages form long contiguous runs; with
 	// it, they interleave with K-V queries.
-	if rep.MaxCodeRunWithout <= rep.MaxCodeRunWith {
-		t.Errorf("code-run ablation inverted: with=%d without=%d",
-			rep.MaxCodeRunWith, rep.MaxCodeRunWithout)
+	if with, without := val(t, tab, "prefetch-on", "max_code_run"), val(t, tab, "prefetch-off", "max_code_run"); without <= with {
+		t.Errorf("code-run ablation inverted: with=%v without=%v", with, without)
 	}
-	if rep.QueriesWith == 0 || rep.QueriesWithout == 0 {
+	if val(t, tab, "prefetch-on", "queries") == 0 || val(t, tab, "prefetch-off", "queries") == 0 {
 		t.Error("no queries recorded")
-	}
-	if !strings.Contains(rep.Render(), "prefetch OFF") {
-		t.Error("render incomplete")
 	}
 }
 
 func TestGroupingAblation(t *testing.T) {
-	rep, err := RunGroupingAblation()
+	tab, err := groupingAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows = %d", len(rep.Rows))
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// 1/page must cost 32 queries; 32/page must cost 1.
-	if rep.Rows[0].GroupSize != 1 || rep.Rows[0].ORAMQueries != 32 {
-		t.Errorf("ungrouped scan: %+v", rep.Rows[0])
+	if q := val(t, tab, "1/page", "oram_queries"); q != 32 {
+		t.Errorf("ungrouped scan: %v queries", q)
 	}
-	if rep.Rows[2].GroupSize != 32 || rep.Rows[2].ORAMQueries != 1 {
-		t.Errorf("grouped scan: %+v", rep.Rows[2])
+	if q := val(t, tab, "32/page", "oram_queries"); q != 1 {
+		t.Errorf("grouped scan: %v queries", q)
 	}
-	if rep.Rows[0].BytesMoved <= rep.Rows[2].BytesMoved {
+	if val(t, tab, "1/page", "bytes_moved") <= val(t, tab, "32/page", "bytes_moved") {
 		t.Error("grouping should reduce bytes moved")
-	}
-	if !strings.Contains(rep.Render(), "records/page") {
-		t.Error("render incomplete")
 	}
 }
 
 func TestDepthAblation(t *testing.T) {
-	rep, err := RunDepthAblation()
+	tab, err := depthAblation()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) < 3 {
-		t.Fatalf("rows = %d", len(rep.Rows))
+	if len(tab.Rows) < 3 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	perDepth := func(r Row) float64 {
+		return val(t, tab, r.Name, "bytes_per_access") / val(t, tab, r.Name, "depth")
 	}
 	// Bytes per access must grow monotonically with capacity (O(log n)).
-	for i := 1; i < len(rep.Rows); i++ {
-		if rep.Rows[i].BytesPerAccess <= rep.Rows[i-1].BytesPerAccess {
-			t.Errorf("bytes/access not growing: %+v then %+v", rep.Rows[i-1], rep.Rows[i])
+	for i := 1; i < len(tab.Rows); i++ {
+		prev, cur := tab.Rows[i-1].Name, tab.Rows[i].Name
+		if val(t, tab, cur, "bytes_per_access") <= val(t, tab, prev, "bytes_per_access") {
+			t.Errorf("bytes/access not growing: %s then %s", prev, cur)
 		}
-		if rep.Rows[i].Depth <= rep.Rows[i-1].Depth {
+		if val(t, tab, cur, "depth") <= val(t, tab, prev, "depth") {
 			t.Errorf("depth not growing with capacity")
 		}
 	}
 	// And the growth should be roughly linear in depth: ratio of
 	// (bytes/access)/depth stays within 2x across the sweep.
-	first := float64(rep.Rows[0].BytesPerAccess) / float64(rep.Rows[0].Depth)
-	last := float64(rep.Rows[len(rep.Rows)-1].BytesPerAccess) / float64(rep.Rows[len(rep.Rows)-1].Depth)
+	first, last := perDepth(tab.Rows[0]), perDepth(tab.Rows[len(tab.Rows)-1])
 	if last > 2*first || first > 2*last {
 		t.Errorf("bytes/access not ∝ depth: %f vs %f", first, last)
-	}
-	if !strings.Contains(rep.Render(), "O(log n)") {
-		t.Error("render incomplete")
 	}
 }
 

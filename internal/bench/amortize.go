@@ -2,68 +2,51 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
 )
 
-// AmortizationRow is one bundle-size point of the §VI-C observation:
-// "more transactions in a bundle lead to less time-consuming ECDSA
-// verifications and signatures" — the paper's single-tx-per-bundle
-// Fig. 4 numbers are therefore a lower bound on throughput.
-type AmortizationRow struct {
-	BundleSize int
-	Total      time.Duration
-	PerTx      time.Duration
-}
-
-// Amortization measures -full per-transaction time as the bundle size
+// amortization measures -full per-transaction time as the bundle size
 // grows: the per-bundle ECDSA round (~80 ms) spreads over all
-// transactions.
-func Amortization(env *Env, sizes []int) ([]AmortizationRow, error) {
+// transactions. It is the §VI-C observation "more transactions in a
+// bundle lead to less time-consuming ECDSA verifications and
+// signatures" — the single-tx-per-bundle Fig. 4 numbers are therefore a
+// lower bound on throughput.
+func amortization(env *Env) (Table, error) {
+	t := Table{
+		Name:  "amortization",
+		Title: "§VI-C — bundle amortization (per-bundle ECDSA spread over transactions)",
+		Note: "paper: single-tx bundles are the throughput lower bound; the ~80 ms\n" +
+			"signature round is paid once per bundle regardless of size",
+	}
 	dev := env.Devices["-full"]
 	token := env.World.Tokens[0]
 	from := env.World.EOAs[0]
 
-	var rows []AmortizationRow
-	for _, n := range sizes {
+	for _, n := range []int{1, 2, 4, 8, 16} {
 		bundle := &types.Bundle{}
 		for i := 0; i < n; i++ {
 			tx, err := env.World.SignedTxAt(from, uint64(i), &token, 0,
 				workload.CalldataTransfer(env.World.EOAs[1+i%4], uint64(i+1)), 200_000)
 			if err != nil {
-				return nil, err
+				return t, err
 			}
 			bundle.Txs = append(bundle.Txs, tx)
 		}
 		res, err := dev.Execute(bundle)
 		if err != nil {
-			return nil, fmt.Errorf("bench: amortization n=%d: %w", n, err)
+			return t, fmt.Errorf("bench: amortization n=%d: %w", n, err)
 		}
 		if res.Aborted != nil {
-			return nil, fmt.Errorf("bench: amortization n=%d aborted: %v", n, res.Aborted)
+			return t, fmt.Errorf("bench: amortization n=%d aborted: %v", n, res.Aborted)
 		}
-		rows = append(rows, AmortizationRow{
-			BundleSize: n,
-			Total:      res.VirtualTime,
-			PerTx:      res.VirtualTime / time.Duration(n),
+		t.Rows = append(t.Rows, Row{
+			Name:    fmt.Sprintf("%d-tx", n),
+			Params:  []Field{count("bundle_size", n)},
+			Modeled: []Field{ns("total", res.VirtualTime), ns("per_tx", res.VirtualTime/time.Duration(n))},
 		})
 	}
-	return rows, nil
-}
-
-// RenderAmortization produces the report text.
-func RenderAmortization(rows []AmortizationRow) string {
-	var sb strings.Builder
-	sb.WriteString("§VI-C — bundle amortization (per-bundle ECDSA spread over transactions)\n\n")
-	fmt.Fprintf(&sb, "%-12s %14s %14s\n", "bundle size", "total", "per tx")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-12d %14s %14s\n",
-			r.BundleSize, r.Total.Round(10*time.Microsecond), r.PerTx.Round(10*time.Microsecond))
-	}
-	sb.WriteString("\npaper: single-tx bundles are the throughput lower bound; the ~80 ms\n")
-	sb.WriteString("signature round is paid once per bundle regardless of size\n")
-	return sb.String()
+	return t, nil
 }

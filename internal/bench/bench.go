@@ -1,9 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation (§VI): Table I (workload distributions), Fig. 4
-// (end-to-end per-transaction time by configuration), Fig. 5
-// (per-operation time with warm local data), the §VI-A resource
-// audit, the §VI-B correctness check, and the §VI-D scalability
-// estimate. cmd/benchtab and the repo-root benchmarks drive these.
+// evaluation (§VI) plus the design ablations and the sweeps later
+// subsystems added, as a registry of named sweeps (Sweeps) that all
+// produce one report shape (Table). cmd/benchtab and the repo-root
+// benchmarks drive the registry.
 package bench
 
 import (
@@ -12,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"hardtape/internal/attest"
 	"hardtape/internal/baseline"
 	"hardtape/internal/core"
 	"hardtape/internal/evm"
@@ -72,16 +72,26 @@ func NewEnv(cfg EnvConfig) (*Env, error) {
 		dcfg := core.DefaultConfig()
 		dcfg.Features = feat
 		dcfg.HEVMs = cfg.HEVMs
-		dev, err := core.NewDevice(dcfg, nil, chain)
+		dev, err := env.newDevice(dcfg, nil)
 		if err != nil {
-			return nil, err
-		}
-		if err := dev.Sync(); err != nil {
 			return nil, err
 		}
 		env.Devices[feat.Name()] = dev
 	}
 	return env, nil
+}
+
+// newDevice builds one more device over the environment's chain and
+// syncs it; mfr is nil unless the caller attests against it.
+func (e *Env) newDevice(cfg core.Config, mfr *attest.Manufacturer) (*core.Device, error) {
+	dev, err := core.NewDevice(cfg, mfr, e.Chain)
+	if err != nil {
+		return nil, err
+	}
+	if err := dev.Sync(); err != nil {
+		return nil, err
+	}
+	return dev, nil
 }
 
 // EvalBundles generates n single-transaction bundles from the
@@ -119,14 +129,13 @@ func (e *Env) EvalBundles(n int) ([]*types.Bundle, error) {
 
 // --- Table I ---
 
-// TableI executes n evaluation-set transactions on the reference
-// executor with the statistics collector attached and renders the
-// paper's Table I.
-func TableI(env *Env, n int) (string, error) {
+// table1 executes n evaluation-set transactions on the reference
+// executor with the statistics collector attached and reports the
+// paper's Table I distributions.
+func table1(env *Env, n int) ([]Table, error) {
 	sc := workload.NewStatsCollector()
 	// The run executes on a fresh overlay over canonical state, so the
-	// generator's nonce tracking must restart from canonical too (it
-	// drifts when earlier experiments generated unmined transactions).
+	// generator's nonce tracking must restart from canonical too.
 	env.World.SyncNonces(env.Chain.State())
 	overlay := state.NewOverlay(env.Chain.State())
 	e := evm.New(workload.NewBlockContext(&env.Chain.Head().Header), overlay)
@@ -134,49 +143,87 @@ func TableI(env *Env, n int) (string, error) {
 	for i := 0; i < n; i++ {
 		tx, _, err := env.World.GenerateTx()
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		sc.BeginTx()
 		if _, err := e.ApplyTransaction(tx); err != nil {
-			return "", fmt.Errorf("bench: table1 tx %d: %w", i, err)
+			return nil, fmt.Errorf("bench: table1 tx %d: %w", i, err)
 		}
 		sc.EndTx()
 	}
-	header := fmt.Sprintf("TABLE I — distributions over %d transactions / %d frames (synthetic evaluation set)\n\n",
-		len(sc.Txs), len(sc.Frames))
-	return header + sc.TableI(), nil
+
+	// One table per band set: a row per band, a column per measured
+	// dimension holding the share of its values that land in the band.
+	type column struct {
+		name   string
+		values []uint64
+	}
+	perFrame := func(name string, pick func(workload.FrameStats) uint64) column {
+		c := column{name, make([]uint64, len(sc.Frames))}
+		for i, fr := range sc.Frames {
+			c.values[i] = pick(fr)
+		}
+		return c
+	}
+	dist := func(name, title string, bands []workload.SizeBand, over Field, cols ...column) Table {
+		t := Table{Name: name, Title: title}
+		shares := make([]map[string]float64, len(cols))
+		for i, c := range cols {
+			shares[i] = workload.Distribution(c.values, bands)
+		}
+		for _, b := range bands {
+			row := Row{Name: b.Label, Params: []Field{over}}
+			for i, c := range cols {
+				row.Modeled = append(row.Modeled, num(c.name, "%", shares[i][b.Label]))
+			}
+			t.Rows = append(t.Rows, row)
+		}
+		return t
+	}
+	depth := column{"share", make([]uint64, len(sc.Txs))}
+	for i, tx := range sc.Txs {
+		depth.values[i] = uint64(tx.CallDepth)
+	}
+	frames, txs := count("frames", len(sc.Frames)), count("txs", len(sc.Txs))
+	return []Table{
+		dist("table1_sizes", "TABLE I(a) — memory-like size by type, bytes per frame (synthetic evaluation set)",
+			workload.SizeBands, frames,
+			perFrame("code", func(f workload.FrameStats) uint64 { return f.CodeSize }),
+			perFrame("input", func(f workload.FrameStats) uint64 { return f.InputSize }),
+			perFrame("memory", func(f workload.FrameStats) uint64 { return f.MemorySize }),
+			perFrame("return", func(f workload.FrameStats) uint64 { return f.ReturnSize })),
+		dist("table1_keys", "TABLE I(b) — storage records per frame", workload.KeyBands, frames,
+			perFrame("share", func(f workload.FrameStats) uint64 { return uint64(f.StorageKeys) })),
+		dist("table1_depth", "TABLE I(b) — call depth per transaction", workload.DepthBands, txs, depth),
+	}, nil
 }
 
 // --- Fig. 4 ---
 
-// Fig4Row is one bar of Fig. 4.
-type Fig4Row struct {
-	Config string
-	Mean   time.Duration
-	P50    time.Duration
-	P95    time.Duration
-	N      int
-}
-
-// Fig4 measures end-to-end per-transaction time for Geth and each
+// fig4 measures end-to-end per-transaction time for Geth and each
 // HarDTAPE configuration over n single-tx bundles.
-func Fig4(env *Env, n int) ([]Fig4Row, error) {
+func fig4(env *Env, n int) (Table, error) {
+	t := Table{
+		Name:  "fig4",
+		Title: "FIG. 4 — end-to-end per-transaction time (virtual clock)",
+		Note: "paper shape: Geth ≈ -raw ≪ -E ≪ -ES < -ESO < -full;\n" +
+			"signature ≈ +80 ms, ORAM ≈ +80 ms (30 ms K-V + 50 ms code); -full ≈ 164 ms",
+	}
 	bundles, err := env.EvalBundles(n)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-	var rows []Fig4Row
 
 	// Geth baseline.
 	var gethTimes []time.Duration
 	for _, b := range bundles {
 		res, err := env.Geth.ExecuteBundle(b)
 		if err != nil {
-			return nil, fmt.Errorf("bench: geth: %w", err)
+			return t, fmt.Errorf("bench: geth: %w", err)
 		}
 		gethTimes = append(gethTimes, res.VirtualTime)
 	}
-	rows = append(rows, summarize("Geth", gethTimes))
+	t.Rows = append(t.Rows, summarize("Geth", gethTimes))
 
 	for _, name := range []string{"-raw", "-E", "-ES", "-ESO", "-full"} {
 		dev := env.Devices[name]
@@ -184,7 +231,7 @@ func Fig4(env *Env, n int) ([]Fig4Row, error) {
 		for _, b := range bundles {
 			res, err := dev.Execute(b)
 			if err != nil {
-				return nil, fmt.Errorf("bench: %s: %w", name, err)
+				return t, fmt.Errorf("bench: %s: %w", name, err)
 			}
 			if res.Aborted != nil {
 				// Overflow aborts are excluded, as in the paper.
@@ -192,109 +239,82 @@ func Fig4(env *Env, n int) ([]Fig4Row, error) {
 			}
 			times = append(times, res.VirtualTime)
 		}
-		rows = append(rows, summarize(name, times))
+		t.Rows = append(t.Rows, summarize(name, times))
 	}
-	return rows, nil
+	return t, nil
 }
 
-func summarize(name string, times []time.Duration) Fig4Row {
+func summarize(name string, times []time.Duration) Row {
+	mean, p50, p95 := durStats(times)
+	return Row{Name: name, Modeled: []Field{
+		ns("mean", mean), ns("p50", p50), ns("p95", p95), count("n", len(times)),
+	}}
+}
+
+func durStats(times []time.Duration) (mean, p50, p95 time.Duration) {
 	if len(times) == 0 {
-		return Fig4Row{Config: name}
+		return 0, 0, 0
 	}
-	sorted := make([]time.Duration, len(times))
-	copy(sorted, times)
+	sorted := append([]time.Duration(nil), times...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	var total time.Duration
-	for _, t := range times {
-		total += t
+	for _, d := range sorted {
+		total += d
 	}
-	return Fig4Row{
-		Config: name,
-		Mean:   total / time.Duration(len(times)),
-		P50:    sorted[len(sorted)/2],
-		P95:    sorted[len(sorted)*95/100],
-		N:      len(times),
-	}
-}
-
-// RenderFig4 produces the textual figure.
-func RenderFig4(rows []Fig4Row) string {
-	var sb strings.Builder
-	sb.WriteString("FIG. 4 — end-to-end per-transaction time (virtual clock)\n\n")
-	fmt.Fprintf(&sb, "%-8s %12s %12s %12s %6s\n", "config", "mean", "p50", "p95", "n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8s %12s %12s %12s %6d\n",
-			r.Config, round(r.Mean), round(r.P50), round(r.P95), r.N)
-	}
-	sb.WriteString("\npaper shape: Geth ≈ -raw ≪ -E ≪ -ES < -ESO < -full;\n")
-	sb.WriteString("signature ≈ +80 ms, ORAM ≈ +80 ms (30 ms K-V + 50 ms code); -full ≈ 164 ms\n")
-	return sb.String()
-}
-
-func round(d time.Duration) time.Duration {
-	if d < 100*time.Microsecond {
-		return d.Round(100 * time.Nanosecond)
-	}
-	return d.Round(10 * time.Microsecond)
+	return total / time.Duration(len(sorted)), sorted[len(sorted)/2], sorted[len(sorted)*95/100]
 }
 
 // --- correctness (§VI-B) ---
 
-// CorrectnessReport summarizes the trace-diff run.
-type CorrectnessReport struct {
-	Total      int
-	Matched    int
-	Aborted    int
-	Mismatches []string
-}
-
-// Correctness pre-executes n evaluation transactions on the -full
-// device and diffs every trace against the reference executor.
-func Correctness(env *Env, n int) (*CorrectnessReport, error) {
+// correctness pre-executes n evaluation transactions on the -full
+// device and diffs every trace against the reference executor. Any
+// mismatch fails the sweep.
+func correctness(env *Env, n int) (Table, error) {
+	t := Table{
+		Name:  "correctness",
+		Title: "§VI-B — pre-execution correctness vs ground truth",
+		Note:  "overflow aborts are roll-up-style frames; the paper leaves these as future work",
+	}
 	bundles, err := env.EvalBundles(n)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	dev := env.Devices["-full"]
-	rep := &CorrectnessReport{Total: len(bundles)}
+	var (
+		matched, aborted int
+		mismatches       []string
+	)
 	for i, b := range bundles {
 		res, err := dev.Execute(b)
 		if err != nil {
-			return nil, fmt.Errorf("bench: correctness bundle %d: %w", i, err)
+			return t, fmt.Errorf("bench: correctness bundle %d: %w", i, err)
 		}
 		if res.Aborted != nil {
-			rep.Aborted++
+			aborted++
 			continue
 		}
 		ref, err := env.Geth.ExecuteBundle(b)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		ok := true
 		for j := range b.Txs {
 			if diffs := tracer.Diff(res.Trace.Txs[j], ref.Trace.Txs[j]); len(diffs) > 0 {
 				ok = false
-				rep.Mismatches = append(rep.Mismatches,
+				mismatches = append(mismatches,
 					fmt.Sprintf("bundle %d tx %d: %s", i, j, strings.Join(diffs, "; ")))
 			}
 		}
 		if ok {
-			rep.Matched++
+			matched++
 		}
 	}
-	return rep, nil
-}
-
-// Render produces the report text.
-func (r *CorrectnessReport) Render() string {
-	var sb strings.Builder
-	sb.WriteString("§VI-B — pre-execution correctness vs ground truth\n\n")
-	fmt.Fprintf(&sb, "bundles:          %d\n", r.Total)
-	fmt.Fprintf(&sb, "traces identical: %d\n", r.Matched)
-	fmt.Fprintf(&sb, "overflow aborts:  %d (roll-up-style frames, paper leaves these as future work)\n", r.Aborted)
-	fmt.Fprintf(&sb, "mismatches:       %d\n", len(r.Mismatches))
-	for _, m := range r.Mismatches {
-		fmt.Fprintf(&sb, "  %s\n", m)
+	if len(mismatches) > 0 {
+		return t, fmt.Errorf("bench: correctness: %d trace mismatches over %d bundles:\n  %s",
+			len(mismatches), len(bundles), strings.Join(mismatches, "\n  "))
 	}
-	return sb.String()
+	t.Rows = []Row{{Name: "-full", Params: []Field{count("bundles", len(bundles))}, Modeled: []Field{
+		count("identical", matched), count("overflow_aborts", aborted), count("mismatches", len(mismatches)),
+	}}}
+	return t, nil
 }

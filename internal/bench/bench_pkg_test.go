@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"hardtape/internal/hevm"
 )
 
 // smallEnv builds a reduced environment once per test binary.
@@ -23,243 +21,239 @@ func smallEnv(t testing.TB) *Env {
 	return env
 }
 
+// val reads one field of a table, failing the test when it is absent.
+func val(t testing.TB, tab Table, row, field string) float64 {
+	t.Helper()
+	v, ok := tab.Value(row, field)
+	if !ok {
+		t.Fatalf("table %s has no %s.%s:\n%s", tab.Name, row, field, tab.Render())
+	}
+	return v
+}
+
+func dur(t testing.TB, tab Table, row, field string) time.Duration {
+	t.Helper()
+	return time.Duration(val(t, tab, row, field))
+}
+
 func TestTableIRuns(t *testing.T) {
 	env := smallEnv(t)
-	out, err := TableI(env, 120)
+	tabs, err := table1(env, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"code", "input", "memory", "return", "keys", "depth", "<1k", "2-5"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table I output missing %q:\n%s", want, out)
+	if len(tabs) != 3 {
+		t.Fatalf("tables = %d", len(tabs))
+	}
+	sizes, keys, depth := tabs[0], tabs[1], tabs[2]
+	if got := val(t, depth, "2-5", "txs"); got != 120 {
+		t.Errorf("depth table covers %v txs, want 120", got)
+	}
+	// Every distribution sums to 100 %.
+	for _, c := range []struct {
+		tab   Table
+		field string
+	}{{sizes, "code"}, {sizes, "input"}, {sizes, "memory"}, {sizes, "return"}, {keys, "share"}, {depth, "share"}} {
+		sum := 0.0
+		for _, r := range c.tab.Rows {
+			sum += val(t, c.tab, r.Name, c.field)
 		}
+		if sum < 99.9 || sum > 100.1 {
+			t.Errorf("%s.%s sums to %.2f%%", c.tab.Name, c.field, sum)
+		}
+	}
+	if val(t, sizes, "<1k", "input") == 0 {
+		t.Error("no frame has a small input")
 	}
 }
 
 func TestFig4ShapeHolds(t *testing.T) {
 	env := smallEnv(t)
-	rows, err := Fig4(env, 20)
+	tab, err := fig4(env, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(tab.Rows) != 6 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	byName := map[string]Fig4Row{}
-	for _, r := range rows {
-		byName[r.Config] = r
-	}
+	mean := func(config string) time.Duration { return dur(t, tab, config, "mean") }
 	// Paper shape assertions.
-	if byName["-raw"].Mean >= byName["-ES"].Mean {
-		t.Errorf("-raw (%v) should be far below -ES (%v)", byName["-raw"].Mean, byName["-ES"].Mean)
+	if mean("-raw") >= mean("-ES") {
+		t.Errorf("-raw (%v) should be far below -ES (%v)", mean("-raw"), mean("-ES"))
 	}
-	if byName["-ES"].Mean >= byName["-full"].Mean {
-		t.Errorf("-ES (%v) should be below -full (%v)", byName["-ES"].Mean, byName["-full"].Mean)
+	if mean("-ES") >= mean("-full") {
+		t.Errorf("-ES (%v) should be below -full (%v)", mean("-ES"), mean("-full"))
 	}
 	// Signature step ≈80 ms dominates encryption step ≈3 ms.
-	sigStep := byName["-ES"].Mean - byName["-E"].Mean
-	encStep := byName["-E"].Mean - byName["-raw"].Mean
+	sigStep := mean("-ES") - mean("-E")
+	encStep := mean("-E") - mean("-raw")
 	if sigStep < 10*encStep {
 		t.Errorf("signature step %v should dominate encryption step %v", sigStep, encStep)
 	}
 	// -full stays within the paper's 600 ms usability bound.
-	if byName["-full"].Mean > 600*time.Millisecond {
-		t.Errorf("-full mean %v exceeds the 600 ms usability bound", byName["-full"].Mean)
+	if mean("-full") > 600*time.Millisecond {
+		t.Errorf("-full mean %v exceeds the 600 ms usability bound", mean("-full"))
 	}
-	out := RenderFig4(rows)
-	if !strings.Contains(out, "-full") || !strings.Contains(out, "Geth") {
-		t.Fatalf("render incomplete:\n%s", out)
+	if val(t, tab, "Geth", "n") != 20 {
+		t.Errorf("Geth row covers %v bundles, want 20", val(t, tab, "Geth", "n"))
 	}
 }
 
 func TestFig5ShapeHolds(t *testing.T) {
 	env := smallEnv(t)
-	rows, err := Fig5(env)
+	tab, err := fig5(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	for _, r := range rows {
-		if r.Geth <= 0 || r.TSCVEE <= 0 || r.HarDTAPE < 0 {
-			t.Errorf("%s: non-positive per-op times: %+v", r.Benchmark, r)
+	for _, r := range tab.Rows {
+		geth, tscvee, ours := dur(t, tab, r.Name, "geth"), dur(t, tab, r.Name, "tscvee"), dur(t, tab, r.Name, "hardtape")
+		if geth <= 0 || tscvee <= 0 || ours < 0 {
+			t.Errorf("%s: non-positive per-op times: %+v", r.Name, r)
 		}
 		// "No significant difference": within two orders of magnitude
 		// on the log-scale plot.
-		if r.HarDTAPE > 0 && (r.HarDTAPE > 100*r.Geth || r.Geth > 100*r.HarDTAPE) {
-			t.Errorf("%s: HarDTAPE %v vs Geth %v diverge beyond plot expectations",
-				r.Benchmark, r.HarDTAPE, r.Geth)
+		if ours > 0 && (ours > 100*geth || geth > 100*ours) {
+			t.Errorf("%s: HarDTAPE %v vs Geth %v diverge beyond plot expectations", r.Name, ours, geth)
 		}
 	}
-	out := RenderFig5(rows)
-	if !strings.Contains(out, "Transfer") {
-		t.Fatalf("render incomplete:\n%s", out)
+	if val(t, tab, "Transfer", "ops") != 1 {
+		t.Error("Transfer row should be per single call")
 	}
 }
 
 func TestScalabilityReport(t *testing.T) {
 	env := smallEnv(t)
-	rep, err := Scalability(env, 12)
+	tab, err := scalability(env, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ChipThroughput <= 0 {
-		t.Error("throughput must be positive")
-	}
-	if rep.SupportedHEVMs <= 0 {
-		t.Error("supported HEVMs must be positive")
-	}
-	if rep.MeanQueryGap <= 0 {
-		t.Error("query gap must be positive")
-	}
-	out := rep.Render()
-	if !strings.Contains(out, "tx/s") || !strings.Contains(out, "HEVMs per ORAM server") {
-		t.Fatalf("render incomplete:\n%s", out)
+	for _, field := range []string{"chip_throughput", "hevms_per_server", "query_gap", "wall_server_per_query"} {
+		if val(t, tab, "-full", field) <= 0 {
+			t.Errorf("%s must be positive", field)
+		}
 	}
 }
 
 func TestCorrectnessAllMatch(t *testing.T) {
 	env := smallEnv(t)
-	rep, err := Correctness(env, 25)
+	tab, err := correctness(env, 25)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatal(err) // a trace mismatch is an error
 	}
-	if rep.Matched+rep.Aborted != rep.Total {
-		t.Fatalf("accounting: %d + %d != %d (mismatches: %v)",
-			rep.Matched, rep.Aborted, rep.Total, rep.Mismatches)
+	matched, aborted := val(t, tab, "-full", "identical"), val(t, tab, "-full", "overflow_aborts")
+	if total := val(t, tab, "-full", "bundles"); matched+aborted != total {
+		t.Fatalf("accounting: %v + %v != %v", matched, aborted, total)
 	}
-	if len(rep.Mismatches) != 0 {
-		t.Fatalf("trace mismatches: %v", rep.Mismatches)
-	}
-	if !strings.Contains(rep.Render(), "traces identical") {
-		t.Fatal("render incomplete")
+	if val(t, tab, "-full", "mismatches") != 0 {
+		t.Fatal("mismatches reported without an error")
 	}
 }
 
 func TestResourcesReport(t *testing.T) {
-	rep := Resources(hevm.DefaultConfig(), 30)
-	if rep.PerHEVMOnChip < 1<<20 {
-		t.Fatalf("per-HEVM budget %d below the 1 MB L2 alone", rep.PerHEVMOnChip)
+	tab := resources()
+	if got := val(t, tab, "model", "hevm_on_chip"); got < 1<<20 {
+		t.Fatalf("per-HEVM budget %v below the 1 MB L2 alone", got)
 	}
-	out := rep.Render()
-	if !strings.Contains(out, "103388 LUT") {
-		t.Fatal("paper constants missing from render")
+	if !strings.Contains(tab.Note, "103388 LUT") {
+		t.Fatal("paper constants missing from the note")
 	}
 }
 
 func TestAmortizationFallsWithBundleSize(t *testing.T) {
 	env := smallEnv(t)
-	rows, err := Amortization(env, []int{1, 4, 16})
+	tab, err := amortization(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(tab.Rows) != 5 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Per-tx cost must fall monotonically as the per-bundle ECDSA round
 	// amortizes.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].PerTx >= rows[i-1].PerTx {
-			t.Fatalf("per-tx time not falling: %v then %v", rows[i-1], rows[i])
+	for i := 1; i < len(tab.Rows); i++ {
+		prev, cur := dur(t, tab, tab.Rows[i-1].Name, "per_tx"), dur(t, tab, tab.Rows[i].Name, "per_tx")
+		if cur >= prev {
+			t.Fatalf("per-tx time not falling: %v then %v", prev, cur)
 		}
 	}
 	// At 16 txs/bundle the ~80 ms signature is <6 ms/tx of the total.
-	if rows[2].PerTx > rows[0].PerTx/2 {
-		t.Fatalf("amortization too weak: 1-tx %v vs 16-tx %v", rows[0].PerTx, rows[2].PerTx)
-	}
-	if !strings.Contains(RenderAmortization(rows), "bundle size") {
-		t.Fatal("render incomplete")
+	if one, sixteen := dur(t, tab, "1-tx", "per_tx"), dur(t, tab, "16-tx", "per_tx"); sixteen > one/2 {
+		t.Fatalf("amortization too weak: 1-tx %v vs 16-tx %v", one, sixteen)
 	}
 }
 
 func TestParallelSweepShape(t *testing.T) {
 	env := smallEnv(t)
-	rep, err := ParallelSweep(env, 12, []int{1, 4}, []float64{0, 1})
+	tab, err := parallelSweep(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	cell := func(lanes int, rate float64) ParallelRow {
-		for _, r := range rep.Rows {
-			if r.Lanes == lanes && r.ConflictRate == rate {
-				return r
-			}
-		}
-		t.Fatalf("missing cell lanes=%d rate=%v", lanes, rate)
-		return ParallelRow{}
+	if len(tab.Rows) != 16 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Lanes=1 is the sequential path: speedup 1x by construction.
-	if s := cell(1, 0).Speedup; s < 0.99 || s > 1.01 {
+	if s := val(t, tab, "1 lanes @ 0.00", "speedup"); s < 0.99 || s > 1.01 {
 		t.Errorf("1-lane speedup = %.3f, want 1.0", s)
 	}
 	// Conflict-free bundles commit every speculation unchanged and beat
 	// sequential; fully conflicting bundles re-execute at least one tx.
-	free, hot := cell(4, 0), cell(4, 1)
-	if free.Conflicts != 0 {
-		t.Errorf("rate-0 cell reported %d conflicts", free.Conflicts)
+	const free, hot = "4 lanes @ 0.00", "4 lanes @ 1.00"
+	if c := val(t, tab, free, "conflicts"); c != 0 {
+		t.Errorf("rate-0 cell reported %v conflicts", c)
 	}
-	if free.Speedup <= 1.0 {
-		t.Errorf("rate-0 speedup at 4 lanes = %.2f, want > 1", free.Speedup)
+	if s := val(t, tab, free, "speedup"); s <= 1.0 {
+		t.Errorf("rate-0 speedup at 4 lanes = %.2f, want > 1", s)
 	}
-	if hot.Conflicts+hot.SpecRetries == 0 {
+	if val(t, tab, hot, "conflicts")+val(t, tab, hot, "spec_retries") == 0 {
 		t.Error("rate-1 cell saw no staleness at all")
 	}
-	if hot.Speedup > free.Speedup {
-		t.Errorf("hot speedup %.2f exceeds conflict-free speedup %.2f", hot.Speedup, free.Speedup)
+	if h, f := val(t, tab, hot, "speedup"), val(t, tab, free, "speedup"); h > f {
+		t.Errorf("hot speedup %.2f exceeds conflict-free speedup %.2f", h, f)
 	}
-	out := rep.Render()
-	for _, want := range []string{"lanes", "conflicts", "speedup", "occupancy"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
+	if val(t, tab, hot, "lanes") != 4 || val(t, tab, hot, "conflict_rate") != 1 {
+		t.Error("row params do not match the row name")
 	}
 }
 
 func TestSessionsSweepRuns(t *testing.T) {
 	env := smallEnv(t)
-	rep, err := Sessions(env, 10)
+	tab, err := sessions(env, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.WarmAsymOps != 0 {
-		t.Fatalf("warm resume performed %d asymmetric ops, want 0", rep.WarmAsymOps)
+	if ops := val(t, tab, "warm", "asym_ops"); ops != 0 {
+		t.Fatalf("warm resume performed %v asymmetric ops, want 0", ops)
 	}
-	if rep.ColdAsymOps == 0 {
+	if val(t, tab, "cold", "asym_ops") == 0 {
 		t.Fatal("cold dial should perform asymmetric ops")
 	}
-	if rep.WarmMean >= rep.ColdMean {
-		t.Fatalf("warm resume (%v) not faster than cold dial (%v)", rep.WarmMean, rep.ColdMean)
+	if warm, cold := dur(t, tab, "warm", "wall_mean"), dur(t, tab, "cold", "wall_mean"); warm >= cold {
+		t.Fatalf("warm resume (%v) not faster than cold dial (%v)", warm, cold)
 	}
-	if rep.ModelWarm >= rep.ModelCold {
-		t.Fatalf("modeled warm cost (%v) not below cold (%v)", rep.ModelWarm, rep.ModelCold)
+	if warm, cold := dur(t, tab, "warm", "device_cost"), dur(t, tab, "cold", "device_cost"); warm >= cold {
+		t.Fatalf("modeled warm cost (%v) not below cold (%v)", warm, cold)
 	}
-	out := rep.Render()
-	for _, want := range []string{"cold dial", "warm resume", "speedup", "ticket size"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
+	if val(t, tab, "warm", "speedup") <= 1 || val(t, tab, "warm", "ticket") == 0 {
+		t.Fatalf("speedup / ticket size missing:\n%s", tab.Render())
 	}
 }
 
 func TestSessionScaleRuns(t *testing.T) {
 	env := smallEnv(t)
-	rep, err := SessionScale(env, 300, 16)
+	tab, err := sessionScale(env, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.AsymOps != 0 {
-		t.Fatalf("resume stampede performed %d asymmetric ops, want 0", rep.AsymOps)
+	if ops := val(t, tab, "stampede", "asym_ops"); ops != 0 {
+		t.Fatalf("resume stampede performed %v asymmetric ops, want 0", ops)
 	}
-	if rep.AdmissionWait != 0 {
-		t.Fatalf("resumes queued on the cold gate %d times, want 0", rep.AdmissionWait)
+	if w := val(t, tab, "stampede", "admission_waits"); w != 0 {
+		t.Fatalf("resumes queued on the cold gate %v times, want 0", w)
 	}
-	if rep.ResumesPerSec <= 0 {
+	if val(t, tab, "stampede", "throughput") <= 0 {
 		t.Fatal("no resume throughput measured")
-	}
-	if !strings.Contains(rep.Render(), "resume throughput") {
-		t.Fatalf("render missing throughput:\n%s", rep.Render())
 	}
 }

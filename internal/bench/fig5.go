@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"hardtape/internal/baseline"
@@ -10,28 +9,23 @@ import (
 	"hardtape/internal/workload"
 )
 
-// Fig5Row is one bar group of Fig. 5: the per-operation time of one
-// benchmark on the three platforms, with all data found locally after
-// first access (warm caches — "no security overhead" case, §VI-C).
-type Fig5Row struct {
-	Benchmark string
-	Geth      time.Duration
-	TSCVEE    time.Duration
-	HarDTAPE  time.Duration
-	// Ops is the operation count the marginal cost was computed over.
-	Ops uint64
-}
-
-// Fig5 reproduces the local-execution microbenchmarks: Arithmetic
+// fig5 reproduces the local-execution microbenchmarks: Arithmetic
 // (per ALU loop iteration), Storage (per warm SLOAD/SSTORE pair), and
-// Transfer (per warm ERC-20 transfer call).
+// Transfer (per warm ERC-20 transfer call). One row is one bar group of
+// Fig. 5: the per-operation time of one benchmark on the three
+// platforms, with all data found locally after first access (warm
+// caches — "no security overhead" case, §VI-C).
 //
 // Per-operation times are *marginal*: T(2n) − T(n) over n additional
 // operations, cancelling fixed per-bundle costs (attestation crypto,
 // first-touch ORAM fetches), which is exactly the paper's
 // "all used data are found locally" setting.
-func Fig5(env *Env) ([]Fig5Row, error) {
-	var rows []Fig5Row
+func fig5(env *Env) (Table, error) {
+	t := Table{
+		Name:  "fig5",
+		Title: "FIG. 5 — execution time per operation, all data local (warm caches)",
+		Note:  "paper shape: no significant platform difference except Geth slower on Transfer",
+	}
 
 	// Each benchmark compares a bundle of one tx against a bundle of
 	// two identical txs: the second tx finds all code and storage warm
@@ -56,71 +50,58 @@ func Fig5(env *Env) ([]Fig5Row, error) {
 		return one, two, nil
 	}
 
-	// --- Arithmetic: 2000 loop iterations per tx. ---
-	const arithN = 2000
-	one, two, err := mkPair(env.World.ArithLoop, workload.CalldataUint(arithN), 30_000_000)
-	if err != nil {
-		return nil, err
+	for _, m := range []struct {
+		name string
+		ops  uint64 // operations the marginal cost is computed over
+		to   types.Address
+		data []byte
+		gas  uint64
+	}{
+		// 2000 loop iterations per tx.
+		{"Arithmetic", 2000, env.World.ArithLoop, workload.CalldataUint(2000), 30_000_000},
+		// 32 consecutive records, warm on the second pass.
+		{"Storage", 32, env.World.StorageHeavy, workload.CalldataUint(32), 5_000_000},
+		// One warm ERC-20 transfer call.
+		{"Transfer", 1, env.World.Tokens[0], workload.CalldataTransfer(env.World.EOAs[1], 1), 200_000},
+	} {
+		one, two, err := mkPair(m.to, m.data, m.gas)
+		if err != nil {
+			return t, err
+		}
+		row, err := measurePair(env, m.name, m.ops, one, two)
+		if err != nil {
+			return t, err
+		}
+		t.Rows = append(t.Rows, row)
 	}
-	row, err := measurePair(env, "Arithmetic", arithN, one, two)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, row)
-
-	// --- Storage: 32 consecutive records, warm on the second pass. ---
-	const storeN = 32
-	one, two, err = mkPair(env.World.StorageHeavy, workload.CalldataUint(storeN), 5_000_000)
-	if err != nil {
-		return nil, err
-	}
-	row, err = measurePair(env, "Storage", storeN, one, two)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, row)
-
-	// --- Transfer: one warm ERC-20 transfer call. ---
-	one, two, err = mkPair(env.World.Tokens[0],
-		workload.CalldataTransfer(env.World.EOAs[1], 1), 200_000)
-	if err != nil {
-		return nil, err
-	}
-	row, err = measurePair(env, "Transfer", 1, one, two)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, row)
-
-	return rows, nil
+	return t, nil
 }
 
-func measurePair(env *Env, name string, n uint64, small, big *types.Bundle) (Fig5Row, error) {
-	row := Fig5Row{Benchmark: name, Ops: n}
+func measurePair(env *Env, name string, n uint64, small, big *types.Bundle) (Row, error) {
+	row := Row{Name: name, Params: []Field{count("ops", n)}}
 
-	// Geth.
-	gs, err := env.Geth.ExecuteBundle(small)
-	if err != nil {
-		return row, fmt.Errorf("bench: fig5 %s geth: %w", name, err)
-	}
-	gb, err := env.Geth.ExecuteBundle(big)
-	if err != nil {
-		return row, err
-	}
-	row.Geth = perOp(gb.VirtualTime-gs.VirtualTime, n)
-
-	// TSC-VEE (single admitted contract: the benchmark's target).
+	// The software baselines; TSC-VEE admits a single contract, the
+	// benchmark's target.
 	target := *small.Txs[0].To
-	v := baseline.NewTSCVEE(env.Chain.State(), workload.NewBlockContext(&env.Chain.Head().Header), target)
-	vs, err := v.ExecuteBundle(small)
-	if err != nil {
-		return row, fmt.Errorf("bench: fig5 %s tscvee: %w", name, err)
+	for _, p := range []struct {
+		name string
+		exec interface {
+			ExecuteBundle(*types.Bundle) (*baseline.Result, error)
+		}
+	}{
+		{"geth", env.Geth},
+		{"tscvee", baseline.NewTSCVEE(env.Chain.State(), workload.NewBlockContext(&env.Chain.Head().Header), target)},
+	} {
+		s, err := p.exec.ExecuteBundle(small)
+		if err != nil {
+			return row, fmt.Errorf("bench: fig5 %s %s: %w", name, p.name, err)
+		}
+		b, err := p.exec.ExecuteBundle(big)
+		if err != nil {
+			return row, fmt.Errorf("bench: fig5 %s %s: %w", name, p.name, err)
+		}
+		row.Modeled = append(row.Modeled, ns(p.name, perOp(b.VirtualTime-s.VirtualTime, n)))
 	}
-	vb, err := v.ExecuteBundle(big)
-	if err != nil {
-		return row, err
-	}
-	row.TSCVEE = perOp(vb.VirtualTime-vs.VirtualTime, n)
 
 	// HarDTAPE -full (marginal cost cancels the per-bundle ORAM
 	// first-touch and signature overheads).
@@ -136,7 +117,7 @@ func measurePair(env *Env, name string, n uint64, small, big *types.Bundle) (Fig
 	if hs.Aborted != nil || hb.Aborted != nil {
 		return row, fmt.Errorf("bench: fig5 %s hardtape aborted: %v/%v", name, hs.Aborted, hb.Aborted)
 	}
-	row.HarDTAPE = perOp(hb.VirtualTime-hs.VirtualTime, n)
+	row.Modeled = append(row.Modeled, ns("hardtape", perOp(hb.VirtualTime-hs.VirtualTime, n)))
 	return row, nil
 }
 
@@ -145,17 +126,4 @@ func perOp(delta time.Duration, n uint64) time.Duration {
 		delta = 0
 	}
 	return delta / time.Duration(n)
-}
-
-// RenderFig5 produces the textual figure.
-func RenderFig5(rows []Fig5Row) string {
-	var sb strings.Builder
-	sb.WriteString("FIG. 5 — execution time per operation, all data local (warm caches)\n\n")
-	fmt.Fprintf(&sb, "%-12s %12s %12s %12s %8s\n", "benchmark", "Geth", "TSC-VEE", "HarDTAPE", "ops")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-12s %12s %12s %12s %8d\n",
-			r.Benchmark, r.Geth, r.TSCVEE, r.HarDTAPE, r.Ops)
-	}
-	sb.WriteString("\npaper shape: no significant platform difference except Geth slower on Transfer\n")
-	return sb.String()
 }

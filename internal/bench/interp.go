@@ -4,13 +4,12 @@
 // throughput. The same workloads run as go-test benchmarks in
 // internal/evm (BenchmarkInterp*) and at the repo root
 // (BenchmarkBundleThroughput, through core.Service); this file exports
-// the numbers through `benchtab -json` for archiving.
+// the numbers through `benchtab -run interp -json` for archiving.
 package bench
 
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 	"testing"
 
 	"hardtape/internal/evm"
@@ -19,16 +18,6 @@ import (
 	"hardtape/internal/uint256"
 	"hardtape/internal/workload"
 )
-
-// InterpRow is one interpreter fast-path measurement.
-type InterpRow struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// TxsPerSec is set only for the bundle-throughput row.
-	TxsPerSec float64 `json:"txs_per_sec,omitempty"`
-}
 
 var (
 	interpContract = types.MustAddress("0xc0de00000000000000000000000000000000c0de")
@@ -56,11 +45,11 @@ var interpKeccakBody = []byte{
 	byte(evm.PUSH1), 32, byte(evm.PUSH0), byte(evm.KECCAK256), byte(evm.POP),
 }
 
-// interpDupSwapSeed pushes 16 operands; interpDupSwapBody is 64
+// interpDupSwapPrologue pushes 16 operands; interpDupSwapBody is 64
 // stack-neutral DUP/SWAP/POP ops (palindromic swap runs + DUP/POP
 // pairs).
 var (
-	interpDupSwapSeed = func() []byte {
+	interpDupSwapPrologue = func() []byte {
 		var code []byte
 		for i := byte(1); i <= 16; i++ {
 			code = append(code, byte(evm.PUSH1), i)
@@ -123,11 +112,11 @@ func interpEVM(code []byte) *evm.EVM {
 
 // interpMeasure benchmarks repeated calls of code on one EVM (one
 // warm-up call, then snapshot/revert around each measured call).
-func interpMeasure(name string, code, input []byte, gas uint64) (InterpRow, error) {
+func interpMeasure(name string, code, input []byte, gas uint64) (Row, error) {
 	e := interpEVM(code)
 	zero := new(uint256.Int)
 	if _, _, err := e.Call(interpCaller, interpContract, input, gas, zero); err != nil {
-		return InterpRow{}, fmt.Errorf("%s warm-up: %w", name, err)
+		return Row{}, fmt.Errorf("%s warm-up: %w", name, err)
 	}
 	var callErr error
 	res := testing.Benchmark(func(b *testing.B) {
@@ -142,23 +131,27 @@ func interpMeasure(name string, code, input []byte, gas uint64) (InterpRow, erro
 		}
 	})
 	if callErr != nil {
-		return InterpRow{}, fmt.Errorf("%s: %w", name, callErr)
+		return Row{}, fmt.Errorf("%s: %w", name, callErr)
 	}
-	return InterpRow{
-		Name:        name,
-		NsPerOp:     float64(res.NsPerOp()),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
-	}, nil
+	return benchRow(name, res), nil
 }
 
-// InterpFastPath measures the interpreter fast-path workloads plus
-// bundle throughput on the env's -raw device (crypto and ORAM off, so
-// the number tracks the interpreter).
-func InterpFastPath(env *Env) ([]InterpRow, error) {
+// benchRow reports a testing.Benchmark result as one measured row.
+func benchRow(name string, res testing.BenchmarkResult) Row {
+	return Row{Name: name, Measured: []Field{
+		num("wall_per_op", "ns", res.NsPerOp()),
+		num("bytes_per_op", "B", res.AllocedBytesPerOp()),
+		count("allocs_per_op", res.AllocsPerOp()),
+	}}
+}
+
+// interpFastPath measures the interpreter fast-path workloads, and in a
+// second table bundle throughput on the env's -raw device (crypto and
+// ORAM off, so the number tracks the interpreter).
+func interpFastPath(env *Env, _ int) ([]Table, error) {
 	var depth [32]byte
 	binary.BigEndian.PutUint64(depth[24:], 64)
-	rows := make([]InterpRow, 0, 4)
+	micro := Table{Name: "interp", Title: "Interpreter fast path — one contract call per op"}
 	for _, m := range []struct {
 		name  string
 		code  []byte
@@ -166,14 +159,14 @@ func InterpFastPath(env *Env) ([]InterpRow, error) {
 		gas   uint64
 	}{
 		{"keccak-loop", interpLoop(nil, 256, interpKeccakBody), nil, 10_000_000},
-		{"dupswap-loop", interpLoop(interpDupSwapSeed, 256, interpDupSwapBody), nil, 10_000_000},
+		{"dupswap-loop", interpLoop(interpDupSwapPrologue, 256, interpDupSwapBody), nil, 10_000_000},
 		{"deep-call", interpDeepCallCode(), depth[:], 30_000_000},
 	} {
 		row, err := interpMeasure(m.name, m.code, m.input, m.gas)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		micro.Rows = append(micro.Rows, row)
 	}
 
 	// Bundle throughput: 8 transfers per bundle on the -raw device.
@@ -207,32 +200,12 @@ func InterpFastPath(env *Env) ([]InterpRow, error) {
 	if execErr != nil {
 		return nil, fmt.Errorf("bundle-throughput: %w", execErr)
 	}
-	row := InterpRow{
-		Name:        "bundle-throughput-raw",
-		NsPerOp:     float64(res.NsPerOp()),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
-	}
-	if res.T > 0 {
-		row.TxsPerSec = float64(res.N*txsPerBundle) / res.T.Seconds()
-	}
-	rows = append(rows, row)
-	return rows, nil
-}
-
-// RenderInterp renders the fast-path table.
-func RenderInterp(rows []InterpRow) string {
-	var b strings.Builder
-	b.WriteString("Interpreter fast path (ISSUE 4)\n")
-	fmt.Fprintf(&b, "%-24s %14s %12s %12s %12s\n",
-		"workload", "ns/op", "B/op", "allocs/op", "txs/sec")
-	for _, r := range rows {
-		tps := "-"
-		if r.TxsPerSec > 0 {
-			tps = fmt.Sprintf("%.1f", r.TxsPerSec)
-		}
-		fmt.Fprintf(&b, "%-24s %14.0f %12d %12d %12s\n",
-			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, tps)
-	}
-	return strings.TrimRight(b.String(), "\n")
+	row := benchRow("bundle-throughput-raw", res)
+	row.Measured = append(row.Measured,
+		num("throughput", "tx/s", float64(res.N*txsPerBundle)/res.T.Seconds()))
+	return []Table{micro, {
+		Name:  "interp_throughput",
+		Title: fmt.Sprintf("Interpreter fast path — one %d-transfer bundle per op, -raw device", txsPerBundle),
+		Rows:  []Row{row},
+	}}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"hardtape/internal/oram"
@@ -18,88 +17,62 @@ const oramSweepCapacity = 4096
 // oramSweepBlocks is the working set touched by the sweep.
 const oramSweepBlocks = 512
 
-// ORAMSweepCell is one (shards × batch-size) point of the sweep.
-type ORAMSweepCell struct {
-	// Shards is the partition width (1 = the paper's single tree).
-	Shards int
-	// Batch is the number of queries fanned out per round.
-	Batch int
-	// ModeledPerBatch is the virtual-clock cost per round under the
-	// overlapped sharded arithmetic (RTT once, slowest shard's serial
-	// server work, serial on-chip client work).
-	ModeledPerBatch time.Duration
-	// MeasuredPerBatch is the wall-clock cost per round of the software
-	// fan-out (in-process MemServers; dominated by bucket crypto).
-	MeasuredPerBatch time.Duration
-	// ModeledSpeedup / MeasuredSpeedup are relative to the 1-shard cell
-	// of the same batch size.
-	ModeledSpeedup  float64 `json:",omitempty"`
-	MeasuredSpeedup float64 `json:",omitempty"`
-	// MaxStash is the worst per-shard stash high-water mark — evidence
-	// the partition does not degrade any shard's stash behaviour.
-	MaxStash int
-}
+// oramSweepRounds is the number of measured batch rounds per cell.
+const oramSweepRounds = 16
 
-// ORAMSweepReport holds the shard-scaling sweep of DESIGN.md §17: for
-// each batch size, how the per-round cost falls as the tree is
-// partitioned across more shards.
-type ORAMSweepReport struct {
-	// Capacity is the aggregate tree capacity (blocks), constant across
-	// sweep points.
-	Capacity uint64
-	// Rounds is the number of measured batch rounds per cell.
-	Rounds int
-	Cells  []ORAMSweepCell
-}
-
-// ORAMShardSweep measures batched ORAM access cost across shard counts
-// {1, 2, 4, … ≤ maxShards} × the given batch sizes. Each cell builds a
-// fresh sharded client over in-process MemServers (aggregate capacity
-// held constant), loads a deterministic working set, then times batched
-// reads both on the virtual clock (the calibrated overlapped model) and
-// on the wall clock (the real software fan-out).
-func ORAMShardSweep(maxShards int, batches []int, rounds int) (*ORAMSweepReport, error) {
-	if maxShards < 1 {
-		maxShards = 1
+// oramShardSweep measures batched ORAM access cost across shard counts
+// {1, 2, 4, 8} × batch sizes {8, 32} (DESIGN.md §17): how the per-round
+// cost falls as the tree is partitioned across more shards. Each cell
+// builds a fresh sharded client over in-process MemServers (aggregate
+// capacity held constant), loads a deterministic working set, then
+// times batched reads both on the virtual clock (the calibrated
+// overlapped model) and on the wall clock (the real software fan-out).
+// Speedups are relative to the 1-shard cell of the same batch size.
+func oramShardSweep() (Table, error) {
+	t := Table{
+		Name: "oram",
+		Title: fmt.Sprintf("§17 — sharded ORAM batch fan-out (aggregate capacity %d blocks, %d rounds/cell)",
+			oramSweepCapacity, oramSweepRounds),
+		Note: "per_batch models the overlapped round (RTT once + slowest shard's serial server work\n" +
+			"+ serial on-chip client work); wall_per_batch is wall clock over in-process servers,\n" +
+			"dominated by bucket crypto. max_stash is the worst per-shard stash high-water mark\n" +
+			"(paths are drawn from crypto/rand, so it moves run to run)",
 	}
-	if rounds < 1 {
-		rounds = 16
-	}
-	if len(batches) == 0 {
-		batches = []int{8, 32}
-	}
-	var shardCounts []int
-	for k := 1; k <= maxShards; k *= 2 {
-		shardCounts = append(shardCounts, k)
-	}
-
-	rep := &ORAMSweepReport{Capacity: oramSweepCapacity, Rounds: rounds}
-	base := make(map[int]ORAMSweepCell) // batch → 1-shard cell
-	for _, batch := range batches {
-		for _, shards := range shardCounts {
-			cell, err := oramSweepCell(shards, batch, rounds)
+	for _, batch := range []int{8, 32} {
+		var baseModeled, baseWall time.Duration
+		for shards := 1; shards <= 8; shards *= 2 {
+			modeled, wall, maxStash, err := oramSweepCell(shards, batch)
 			if err != nil {
-				return nil, fmt.Errorf("bench: oram sweep %d shards × batch %d: %w", shards, batch, err)
+				return t, fmt.Errorf("bench: oram sweep %d shards × batch %d: %w", shards, batch, err)
 			}
 			if shards == 1 {
-				base[batch] = cell
-			} else if b, ok := base[batch]; ok {
-				cell.ModeledSpeedup = float64(b.ModeledPerBatch) / float64(cell.ModeledPerBatch)
-				cell.MeasuredSpeedup = float64(b.MeasuredPerBatch) / float64(cell.MeasuredPerBatch)
+				baseModeled, baseWall = modeled, wall
 			}
-			rep.Cells = append(rep.Cells, cell)
+			t.Rows = append(t.Rows, Row{
+				Name:   fmt.Sprintf("%d shards × %d", shards, batch),
+				Params: []Field{count("shards", shards), count("batch", batch)},
+				Modeled: []Field{
+					ns("per_batch", modeled), num("speedup", "x", float64(baseModeled)/float64(modeled)),
+				},
+				Measured: []Field{
+					ns("wall_per_batch", wall), num("wall_speedup", "x", float64(baseWall)/float64(wall)),
+					count("max_stash", maxStash),
+				},
+			})
 		}
 	}
-	return rep, nil
+	return t, nil
 }
 
-func oramSweepCell(shards, batch, rounds int) (ORAMSweepCell, error) {
+// oramSweepCell returns one cell's per-round cost on the virtual clock
+// and on the wall clock, and the worst per-shard stash high-water mark.
+func oramSweepCell(shards, batch int) (modeled, wall time.Duration, maxStash int, err error) {
 	perShard := (oramSweepCapacity + uint64(shards) - 1) / uint64(shards)
 	servers := make([]oram.Server, shards)
 	for i := range servers {
 		srv, err := oram.NewMemServer(perShard)
 		if err != nil {
-			return ORAMSweepCell{}, err
+			return 0, 0, 0, err
 		}
 		servers[i] = srv
 	}
@@ -107,7 +80,7 @@ func oramSweepCell(shards, batch, rounds int) (ORAMSweepCell, error) {
 	cli, err := oram.NewClient(servers, make([]byte, oram.KeySize),
 		oram.WithClock(clock, simclock.DefaultCalibration()))
 	if err != nil {
-		return ORAMSweepCell{}, err
+		return 0, 0, 0, err
 	}
 
 	// Deterministic working set, written through the batched path.
@@ -122,7 +95,7 @@ func oramSweepCell(shards, batch, rounds int) (ORAMSweepCell, error) {
 			ops = append(ops, op)
 		}
 		if _, err := cli.AccessBatch(ops); err != nil {
-			return ORAMSweepCell{}, err
+			return 0, 0, 0, err
 		}
 	}
 
@@ -130,48 +103,16 @@ func oramSweepCell(shards, batch, rounds int) (ORAMSweepCell, error) {
 	start := time.Now()
 	next := 0
 	reads := make([]oram.BatchOp, batch)
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < oramSweepRounds; r++ {
 		for j := range reads {
 			reads[j] = oram.BatchOp{Op: oram.OpRead, ID: oram.BlockID(next % oramSweepBlocks)}
 			next++
 		}
 		if _, err := cli.AccessBatch(reads); err != nil {
-			return ORAMSweepCell{}, err
+			return 0, 0, 0, err
 		}
 	}
-	wall := time.Since(start)
-	modeled := clock.Now()
-
-	return ORAMSweepCell{
-		Shards:           shards,
-		Batch:            batch,
-		ModeledPerBatch:  modeled / time.Duration(rounds),
-		MeasuredPerBatch: wall / time.Duration(rounds),
-		MaxStash:         cli.Stats().MaxStash,
-	}, nil
-}
-
-// Render produces the report text.
-func (r *ORAMSweepReport) Render() string {
-	var sb strings.Builder
-	sb.WriteString("§17 — sharded ORAM batch fan-out (aggregate capacity ")
-	fmt.Fprintf(&sb, "%d blocks, %d rounds/cell)\n\n", r.Capacity, r.Rounds)
-	sb.WriteString("shards  batch   modeled/batch  speedup   measured/batch  speedup  max stash\n")
-	for _, c := range r.Cells {
-		mSpeed, wSpeed := "—", "—"
-		if c.ModeledSpeedup > 0 {
-			mSpeed = fmt.Sprintf("%.2fx", c.ModeledSpeedup)
-		}
-		if c.MeasuredSpeedup > 0 {
-			wSpeed = fmt.Sprintf("%.2fx", c.MeasuredSpeedup)
-		}
-		fmt.Fprintf(&sb, "%6d  %5d  %13v  %7s  %14v  %7s  %9d\n",
-			c.Shards, c.Batch,
-			c.ModeledPerBatch.Round(time.Microsecond), mSpeed,
-			c.MeasuredPerBatch.Round(time.Microsecond), wSpeed,
-			c.MaxStash)
-	}
-	sb.WriteString("\nmodeled: overlapped round (RTT once + slowest shard's serial server work\n")
-	sb.WriteString("+ serial on-chip client work); measured: wall clock, in-process servers.\n")
-	return sb.String()
+	wall = time.Since(start) / oramSweepRounds
+	modeled = clock.Now() / oramSweepRounds
+	return modeled, wall, cli.Stats().MaxStash, nil
 }

@@ -2,49 +2,32 @@ package bench
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"hardtape/internal/core"
 	"hardtape/internal/types"
 )
 
-// ParallelRow is one cell of the lanes × conflict-rate sweep: modeled
-// bundle latency and scheduler behaviour for one configuration.
-type ParallelRow struct {
-	Lanes        int           `json:"lanes"`
-	ConflictRate float64       `json:"conflict_rate"`
-	VirtualTime  time.Duration `json:"virtual_time_ns"`
-	// Speedup is sequential virtual time over this row's, at the same
-	// conflict rate.
-	Speedup     float64       `json:"speedup"`
-	Conflicts   int           `json:"conflicts"`
-	ReExecs     int           `json:"reexecs"`
-	SpecRetries int           `json:"spec_retries"`
-	ReExecTime  time.Duration `json:"reexec_time_ns"`
-	Occupancy   float64       `json:"occupancy"`
-}
-
-// ParallelReport is the full sweep plus its shape.
-type ParallelReport struct {
-	Txs  int           `json:"txs_per_bundle"`
-	Rows []ParallelRow `json:"rows"`
-}
-
-// ParallelSweep measures the optimistic intra-bundle scheduler across
+// parallelSweep measures the optimistic intra-bundle scheduler across
 // lane counts and conflict rates on the MEV-searcher workload
 // (workload.MEVBundle): distinct senders, a conflictRate fraction of
 // them hammering one DEX pool's reserve slots. Devices run -raw so the
 // numbers isolate execution scaling from the per-bundle crypto and
 // ORAM constants (Fig. 4's additive terms are unchanged by lanes).
 // Traces stay byte-identical to sequential execution at every point —
-// only the modeled time and the conflict counters move.
-func ParallelSweep(env *Env, txs int, laneCounts []int, rates []float64) (*ParallelReport, error) {
-	if len(laneCounts) == 0 {
-		laneCounts = []int{1, 2, 4, 8}
-	}
-	if len(rates) == 0 {
-		rates = []float64{0, 0.25, 0.5, 1}
+// only the modeled time and the conflict counters move. One row is one
+// cell of the sweep; speedup is sequential virtual time over the row's,
+// at the same conflict rate.
+func parallelSweep(env *Env) (Table, error) {
+	laneCounts := []int{1, 2, 4, 8}
+	rates := []float64{0, 0.25, 0.5, 1}
+	txs := min(16, len(env.World.EOAs))
+	t := Table{
+		Name:  "parallel",
+		Title: fmt.Sprintf("PARALLEL PRE-EXECUTION — lanes × conflict-rate sweep (%d-tx MEV bundles, -raw device)", txs),
+		Note: "expected shape: speedup ≈ lanes at rate 0, decaying toward 1x as the\n" +
+			"conflict rate forces the committer to re-execute serially; traces are\n" +
+			"byte-identical to sequential execution at every cell. Speculation runs on\n" +
+			"real goroutines, so cells that see conflicts can move slightly between runs",
 	}
 	devices := make(map[int]*core.Device, len(laneCounts))
 	mkDevice := func(lanes int) (*core.Device, error) {
@@ -52,64 +35,58 @@ func ParallelSweep(env *Env, txs int, laneCounts []int, rates []float64) (*Paral
 		cfg.Features = core.ConfigRaw
 		cfg.HEVMs = 1
 		cfg.Lanes = lanes
-		dev, err := core.NewDevice(cfg, nil, env.Chain)
-		if err != nil {
-			return nil, err
-		}
-		if err := dev.Sync(); err != nil {
-			return nil, err
-		}
-		return dev, nil
+		return env.newDevice(cfg, nil)
 	}
 	for _, lanes := range laneCounts {
 		dev, err := mkDevice(lanes)
 		if err != nil {
-			return nil, fmt.Errorf("bench: parallel device (%d lanes): %w", lanes, err)
+			return t, fmt.Errorf("bench: parallel device (%d lanes): %w", lanes, err)
 		}
 		devices[lanes] = dev
 	}
 	seqDev, err := mkDevice(0)
 	if err != nil {
-		return nil, fmt.Errorf("bench: parallel baseline device: %w", err)
+		return t, fmt.Errorf("bench: parallel baseline device: %w", err)
 	}
 
-	rep := &ParallelReport{Txs: txs}
 	for _, rate := range rates {
 		bundle, err := env.World.MEVBundle(txs, rate)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		seq, err := seqDev.Execute(bundle)
 		if err != nil {
-			return nil, fmt.Errorf("bench: parallel baseline (rate %.2f): %w", rate, err)
+			return t, fmt.Errorf("bench: parallel baseline (rate %.2f): %w", rate, err)
 		}
 		for _, lanes := range laneCounts {
 			res, err := runParallelBundle(devices[lanes], bundle)
 			if err != nil {
-				return nil, fmt.Errorf("bench: parallel %d lanes rate %.2f: %w", lanes, rate, err)
+				return t, fmt.Errorf("bench: parallel %d lanes rate %.2f: %w", lanes, rate, err)
 			}
-			row := ParallelRow{
-				Lanes:        lanes,
-				ConflictRate: rate,
-				VirtualTime:  res.VirtualTime,
-				Speedup:      float64(seq.VirtualTime) / float64(res.VirtualTime),
+			p := res.Parallel
+			if p == nil {
+				// Nothing was speculated (one lane): all-zero scheduler stats.
+				p = &core.ParallelStats{}
 			}
-			if p := res.Parallel; p != nil {
-				row.Conflicts = p.Conflicts
-				row.ReExecs = p.ReExecs
-				row.SpecRetries = p.SpecRetries
-				row.ReExecTime = p.ReExecTime
-				row.Occupancy = p.Occupancy
-			}
-			rep.Rows = append(rep.Rows, row)
+			t.Rows = append(t.Rows, Row{
+				Name:   fmt.Sprintf("%d lanes @ %.2f", lanes, rate),
+				Params: []Field{count("lanes", lanes), num("conflict_rate", "ratio", rate)},
+				Modeled: []Field{
+					ns("virtual_time", res.VirtualTime),
+					num("speedup", "x", float64(seq.VirtualTime)/float64(res.VirtualTime)),
+					count("conflicts", p.Conflicts), count("reexecs", p.ReExecs),
+					count("spec_retries", p.SpecRetries), ns("reexec_time", p.ReExecTime),
+					num("occupancy", "ratio", p.Occupancy),
+				},
+			})
 		}
 	}
-	return rep, nil
+	return t, nil
 }
 
-// runParallelBundle executes one bundle and cross-checks its gas
-// against nothing — it exists so a scheduler error surfaces with the
-// aborting transaction rather than as a skewed row.
+// runParallelBundle executes one bundle and turns an abort into an
+// error, so a scheduler failure surfaces with the aborting transaction
+// rather than as a skewed row.
 func runParallelBundle(dev *core.Device, bundle *types.Bundle) (*core.BundleResult, error) {
 	res, err := dev.Execute(bundle)
 	if err != nil {
@@ -119,22 +96,4 @@ func runParallelBundle(dev *core.Device, bundle *types.Bundle) (*core.BundleResu
 		return nil, fmt.Errorf("aborted: %w", res.Aborted)
 	}
 	return res, nil
-}
-
-// Render produces the textual sweep table.
-func (r *ParallelReport) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "PARALLEL PRE-EXECUTION — lanes × conflict-rate sweep (%d-tx MEV bundles, -raw device)\n\n", r.Txs)
-	fmt.Fprintf(&sb, "%8s %8s %12s %9s %10s %8s %10s %10s\n",
-		"lanes", "rate", "virtual", "speedup", "conflicts", "reexecs", "reexec-t", "occupancy")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%8d %8.2f %12s %8.2fx %10d %8d %10s %9.2f\n",
-			row.Lanes, row.ConflictRate, row.VirtualTime.Round(time.Microsecond),
-			row.Speedup, row.Conflicts, row.ReExecs,
-			row.ReExecTime.Round(time.Microsecond), row.Occupancy)
-	}
-	sb.WriteString("\nexpected shape: speedup ≈ lanes at rate 0, decaying toward 1x as the\n")
-	sb.WriteString("conflict rate forces the committer to re-execute serially; traces are\n")
-	sb.WriteString("byte-identical to sequential execution at every cell\n")
-	return sb.String()
 }

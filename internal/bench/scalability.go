@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"hardtape/internal/hevm"
@@ -10,145 +9,120 @@ import (
 	"hardtape/internal/pager"
 )
 
-// ScalabilityReport reproduces §VI-D: transactions per second per
-// chip, and how many full-load HEVMs one ORAM server sustains.
-type ScalabilityReport struct {
-	// MeanFullTime is the -full per-transaction time (Fig. 4's bar).
-	MeanFullTime time.Duration
-	// HEVMsPerChip is the configured core count (paper: 3).
-	HEVMsPerChip int
-	// ChipThroughput = HEVMsPerChip / MeanFullTime.
-	ChipThroughput float64
-	// MeanQueryGap is the measured virtual time between ORAM queries
-	// from one busy HEVM (paper measures 630 µs).
-	MeanQueryGap time.Duration
-	// ServerPerQuery is the calibrated server processing time (25 µs).
-	ServerPerQuery time.Duration
-	// MeasuredServerPerQuery is the wall-clock cost of our software
-	// ORAM server per query, reported alongside for transparency.
-	MeasuredServerPerQuery time.Duration
-	// SupportedHEVMs = floor(MeanQueryGap / ServerPerQuery).
-	SupportedHEVMs int
-}
-
-// Scalability measures the report quantities from live -full runs.
-func Scalability(env *Env, nBundles int) (*ScalabilityReport, error) {
+// scalability reproduces §VI-D from live -full runs: transactions per
+// second per chip, and how many full-load HEVMs one ORAM server
+// sustains.
+func scalability(env *Env, nBundles int) (Table, error) {
+	t := Table{
+		Name:  "scalability",
+		Title: "§VI-D — scalability",
+		Note: "chip_throughput = hevms_per_chip / mean_tx_time (paper: ≈18 tx/s; Ethereum needs ≈17);\n" +
+			"query_gap is the virtual time between ORAM queries from one busy HEVM (paper: 630 µs);\n" +
+			"server_per_query is the calibrated server time (paper: 25 µs), wall_server_per_query\n" +
+			"our software server's; hevms_per_server = ⌊query_gap / server_per_query⌋ (paper: ⌊630/25⌋ = 25)",
+	}
 	dev := env.Devices["-full"]
 	bundles, err := env.EvalBundles(nBundles)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 	var (
-		total   time.Duration
-		count   int
-		queries uint64
+		total    time.Duration
+		executed int
+		queries  uint64
 	)
 	for _, b := range bundles {
 		res, err := dev.Execute(b)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		if res.Aborted != nil {
 			continue
 		}
 		total += res.VirtualTime
 		queries += res.ORAMQueries
-		count++
+		executed++
 	}
-	if count == 0 || queries == 0 {
-		return nil, fmt.Errorf("bench: scalability: no successful bundles")
+	if executed == 0 || queries == 0 {
+		return t, fmt.Errorf("bench: scalability: no successful bundles")
 	}
-	rep := &ScalabilityReport{
-		MeanFullTime:   total / time.Duration(count),
-		HEVMsPerChip:   dev.SlotCount(),
-		ServerPerQuery: dev.Config().Calibration.ORAMServerPerQuery,
-		MeanQueryGap:   total / time.Duration(queries),
+	meanFull := total / time.Duration(executed)
+	queryGap := total / time.Duration(queries)
+	serverPerQuery := dev.Config().Calibration.ORAMServerPerQuery
+	supported := 0
+	if serverPerQuery > 0 {
+		supported = int(queryGap / serverPerQuery)
 	}
-	rep.ChipThroughput = float64(rep.HEVMsPerChip) / rep.MeanFullTime.Seconds()
-	if rep.ServerPerQuery > 0 {
-		rep.SupportedHEVMs = int(rep.MeanQueryGap / rep.ServerPerQuery)
+	measured, err := measureServerQuery()
+	if err != nil {
+		return t, fmt.Errorf("bench: scalability: software ORAM server query: %w", err)
 	}
-	rep.MeasuredServerPerQuery = measureServerQuery()
-	return rep, nil
+	t.Rows = []Row{{
+		Name: "-full",
+		Modeled: []Field{
+			ns("mean_tx_time", meanFull),
+			count("hevms_per_chip", dev.SlotCount()),
+			num("chip_throughput", "tx/s", float64(dev.SlotCount())/meanFull.Seconds()),
+			ns("query_gap", queryGap),
+			ns("server_per_query", serverPerQuery),
+			count("hevms_per_server", supported),
+		},
+		Measured: []Field{ns("wall_server_per_query", measured)},
+	}}
+	return t, nil
 }
 
 // measureServerQuery times the software ORAM server's real per-query
 // wall-clock cost (ReadPath + WritePath round trip through a client).
-func measureServerQuery() time.Duration {
+func measureServerQuery() (time.Duration, error) {
 	srv, err := oram.NewMemServer(4096)
 	if err != nil {
-		return 0
+		return 0, err
 	}
 	cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
 	if err != nil {
-		return 0
+		return 0, err
 	}
 	payload := make([]byte, oram.BlockSize)
 	for i := 0; i < 64; i++ {
 		if err := cli.Write(oram.BlockID(i), payload); err != nil {
-			return 0
+			return 0, err
 		}
 	}
 	const n = 200
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		if _, err := cli.Read(oram.BlockID(i % 64)); err != nil {
-			return 0
+			return 0, err
 		}
 	}
-	return time.Since(start) / n
-}
-
-// Render produces the report text.
-func (r *ScalabilityReport) Render() string {
-	var sb strings.Builder
-	sb.WriteString("§VI-D — scalability\n\n")
-	fmt.Fprintf(&sb, "-full mean per-tx time:        %v\n", r.MeanFullTime.Round(10*time.Microsecond))
-	fmt.Fprintf(&sb, "HEVMs per chip:                %d\n", r.HEVMsPerChip)
-	fmt.Fprintf(&sb, "chip throughput:               %.1f tx/s (paper: ≈18; Ethereum needs ≈17)\n", r.ChipThroughput)
-	fmt.Fprintf(&sb, "mean gap between ORAM queries: %v (paper: 630 µs)\n", r.MeanQueryGap.Round(time.Microsecond))
-	fmt.Fprintf(&sb, "server time per query (model): %v (paper: 25 µs)\n", r.ServerPerQuery)
-	fmt.Fprintf(&sb, "server time per query (ours):  %v wall-clock, software server\n", r.MeasuredServerPerQuery.Round(time.Microsecond))
-	fmt.Fprintf(&sb, "HEVMs per ORAM server:         %d (paper: ⌊630/25⌋ = 25)\n", r.SupportedHEVMs)
-	return sb.String()
+	return time.Since(start) / n, nil
 }
 
 // --- §VI-A resources ---
 
-// ResourceReport reproduces the §VI-A utilization audit: the paper's
-// synthesis numbers quoted next to our configured on-chip budgets.
-type ResourceReport struct {
-	// Per-HEVM on-chip memory budget (bytes), from the configured
-	// hardware geometry.
-	PerHEVMOnChip uint64
-	L2Bytes       uint64
-	// ORAM client on-chip state (stash bound + position map estimate).
-	StashBoundBytes uint64
-}
-
-// Resources computes the audit from a hardware config.
-func Resources(hw hevm.Config, oramDepth int) *ResourceReport {
+// resources reproduces the §VI-A utilization audit from the default
+// hardware config: the paper's synthesis numbers (in the note) next to
+// our configured per-HEVM on-chip memory budget and the ORAM client's
+// on-chip stash bound at a depth-30 tree.
+func resources() Table {
+	const oramDepth = 30
+	hw := hevm.DefaultConfig()
 	l1 := uint64(32*1024) + // full runtime stack
 		uint64(hw.CodeCachePages)*hw.PageSize + // code cache
 		3*4*1024 + // memory/input caches + world-state cache (4 KB each)
 		1024 + // ReturnData cache
 		32*32 // frame state registers
-	return &ResourceReport{
-		PerHEVMOnChip:   l1 + hw.L2Bytes,
-		L2Bytes:         hw.L2Bytes,
-		StashBoundBytes: uint64(16*oramDepth) * pager.PageSize,
+	return Table{
+		Name:  "resources",
+		Title: "§VI-A — resource utility",
+		Note: "paper (Vivado synthesis, XCZU15EV): 103388 LUT, 37104 FF, 509 KB BlockRAM per HEVM;\n" +
+			"three HEVMs per chip (LUT-bound); Hypervisor 248 KB used of 256 KB on-chip RAM.\n" +
+			"hevm_on_chip = per-HEVM L1 partitions + the L2 ring; the ORAM client stash_bound fits the paper's ≈1 MB stash budget",
+		Rows: []Row{{Name: "model", Modeled: []Field{
+			num("hevm_on_chip", "B", l1+hw.L2Bytes),
+			num("l2", "B", hw.L2Bytes),
+			num("stash_bound", "B", uint64(16*oramDepth)*pager.PageSize),
+		}}},
 	}
-}
-
-// Render produces the report text.
-func (r *ResourceReport) Render() string {
-	var sb strings.Builder
-	sb.WriteString("§VI-A — resource utility\n\n")
-	sb.WriteString("paper (Vivado synthesis, XCZU15EV): 103388 LUT, 37104 FF, 509 KB BlockRAM per HEVM;\n")
-	sb.WriteString("three HEVMs per chip (LUT-bound); Hypervisor 248 KB used of 256 KB on-chip RAM\n\n")
-	fmt.Fprintf(&sb, "our model, per HEVM on-chip memory: %d KB (L1 partitions + %d KB L2 ring)\n",
-		r.PerHEVMOnChip/1024, r.L2Bytes/1024)
-	fmt.Fprintf(&sb, "ORAM client stash bound:            %d KB (fits the paper's ≈1 MB stash budget)\n",
-		r.StashBoundBytes/1024)
-	return sb.String()
 }

@@ -4,8 +4,6 @@ import (
 	"crypto/rand"
 	"fmt"
 	"net"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -15,26 +13,6 @@ import (
 	"hardtape/internal/session"
 	"hardtape/internal/simclock"
 )
-
-// SessionsReport is the cold-vs-warm handshake sweep: the wall-clock
-// and asymmetric-operation cost of a full attested dial against a
-// ticket resume, plus the simclock-modeled hardware costs (the
-// software ECDSA on the A53 dominates the real device's cold dial; our
-// host CPU hides it, so both views are reported).
-type SessionsReport struct {
-	N           int           `json:"n"`
-	TicketBytes int           `json:"ticket_bytes"`
-	ColdMean    time.Duration `json:"cold_mean_ns"`
-	ColdP95     time.Duration `json:"cold_p95_ns"`
-	WarmMean    time.Duration `json:"warm_mean_ns"`
-	WarmP95     time.Duration `json:"warm_p95_ns"`
-	Speedup     float64       `json:"speedup"`
-	ColdAsymOps uint64        `json:"cold_asym_ops"`
-	WarmAsymOps uint64        `json:"warm_asym_ops"`
-	// Modeled device-clock costs from the simclock calibration.
-	ModelCold time.Duration `json:"model_cold_ns"`
-	ModelWarm time.Duration `json:"model_warm_ns"`
-}
 
 // sessionRig is a service over an unsigned device (resume forbids the
 // per-message ECDSA layer) with its own manufacturer so the verifier
@@ -52,11 +30,8 @@ func newSessionRig(env *Env) (*sessionRig, error) {
 	}
 	dcfg := core.DefaultConfig()
 	dcfg.Features = core.ConfigE
-	dev, err := core.NewDevice(dcfg, mfr, env.Chain)
+	dev, err := env.newDevice(dcfg, mfr)
 	if err != nil {
-		return nil, err
-	}
-	if err := dev.Sync(); err != nil {
 		return nil, err
 	}
 	return &sessionRig{
@@ -66,153 +41,116 @@ func newSessionRig(env *Env) (*sessionRig, error) {
 	}, nil
 }
 
-// serve answers one connection in the background and returns the
-// client end.
-func (sr *sessionRig) serve() net.Conn {
+// servePipe has svc answer one in-process connection in the background
+// and returns the client end; the session ends when that end closes.
+func servePipe(svc *core.Service) net.Conn {
 	client, server := net.Pipe()
 	go func() {
 		defer server.Close()
-		_ = sr.svc.ServeConn(server)
+		_ = svc.ServeConn(server)
 	}()
 	return client
 }
 
-func durStats(times []time.Duration) (mean, p95 time.Duration) {
-	if len(times) == 0 {
-		return 0, 0
+// sessions sweeps n cold dials and n warm resumes against one service:
+// the wall-clock and asymmetric-operation cost of a full attested dial
+// against a ticket resume, plus the simclock-modeled hardware costs
+// (the software ECDSA on the A53 dominates the real device's cold dial;
+// our host CPU hides it, so both views are reported).
+func sessions(env *Env, n int) (Table, error) {
+	t := Table{
+		Name:  "sessions",
+		Title: "sessions — cold dial vs ticket resume",
+		Note: "device_cost is the simclock calibration: cold pays the A53 ECDSA+DHKE, warm only A.E.DMA;\n" +
+			"asym_ops is per handshake; speedup is the cold dial's wall_mean over the row's",
 	}
-	sorted := append([]time.Duration(nil), times...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var total time.Duration
-	for _, d := range sorted {
-		total += d
-	}
-	return total / time.Duration(len(sorted)), sorted[len(sorted)*95/100]
-}
-
-// Sessions sweeps n cold dials and n warm resumes against one service
-// and reports both wall-clock and asymmetric-op costs.
-func Sessions(env *Env, n int) (*SessionsReport, error) {
 	if n < 2 {
 		n = 2
 	}
 	sr, err := newSessionRig(env)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
 
-	// Cold sweep. The last dial's ticket seeds the warm chain.
+	// Each sweep times n handshakes; every handshake harvests the ticket
+	// the next resume presents, so the last cold dial seeds the warm
+	// chain and each resume consumes its predecessor's rotated successor
+	// — the chain the real client lives on.
 	var ticket *session.ClientTicket
-	coldTimes := make([]time.Duration, 0, n)
-	coldBefore := attest.AsymOps()
-	for i := 0; i < n; i++ {
-		conn := sr.serve()
-		start := time.Now()
-		c, err := core.Dial(conn, sr.vrf, false)
-		if err != nil {
-			return nil, fmt.Errorf("bench: cold dial %d: %w", i, err)
+	sweep := func(kind string, handshake func(net.Conn) (*core.Client, error)) ([]time.Duration, uint64, error) {
+		times := make([]time.Duration, 0, n)
+		before := attest.AsymOps()
+		for i := 0; i < n; i++ {
+			conn := servePipe(sr.svc)
+			start := time.Now()
+			c, err := handshake(conn)
+			if err != nil {
+				return nil, 0, fmt.Errorf("bench: %s %d: %w", kind, i, err)
+			}
+			times = append(times, time.Since(start))
+			ticket = c.Ticket()
+			c.Close()
+			conn.Close()
+			if ticket == nil {
+				return nil, 0, fmt.Errorf("bench: %s %d minted no ticket", kind, i)
+			}
 		}
-		coldTimes = append(coldTimes, time.Since(start))
-		ticket = c.Ticket()
-		c.Close()
-		conn.Close()
+		return times, attest.AsymOps() - before, nil
 	}
-	coldOps := attest.AsymOps() - coldBefore
-	if ticket == nil {
-		return nil, fmt.Errorf("bench: cold dial minted no ticket")
+	coldTimes, coldOps, err := sweep("cold dial", func(conn net.Conn) (*core.Client, error) {
+		return core.Dial(conn, sr.vrf, false)
+	})
+	if err != nil {
+		return t, err
 	}
 	ticketBytes := len(ticket.Opaque)
-
-	// Warm sweep: each resume consumes the previous ticket and harvests
-	// the rotated successor — the chain the real client lives on.
-	warmTimes := make([]time.Duration, 0, n)
-	warmBefore := attest.AsymOps()
-	for i := 0; i < n; i++ {
-		conn := sr.serve()
-		start := time.Now()
-		c, err := core.Resume(conn, ticket)
-		if err != nil {
-			return nil, fmt.Errorf("bench: warm resume %d: %w", i, err)
-		}
-		warmTimes = append(warmTimes, time.Since(start))
-		ticket = c.Ticket()
-		c.Close()
-		conn.Close()
-		if ticket == nil {
-			return nil, fmt.Errorf("bench: resume %d minted no successor ticket", i)
-		}
+	warmTimes, warmOps, err := sweep("warm resume", func(conn net.Conn) (*core.Client, error) {
+		return core.Resume(conn, ticket)
+	})
+	if err != nil {
+		return t, err
 	}
-	warmOps := attest.AsymOps() - warmBefore
 
 	cal := simclock.DefaultCalibration()
-	rep := &SessionsReport{
-		N:           n,
-		TicketBytes: ticketBytes,
-		ColdAsymOps: coldOps / uint64(n),
-		WarmAsymOps: warmOps / uint64(n),
-		ModelCold:   cal.ColdHandshakeCost(),
-		ModelWarm:   cal.WarmResumeCost(ticketBytes),
+	coldMean, _, coldP95 := durStats(coldTimes)
+	warmMean, _, warmP95 := durStats(warmTimes)
+	row := func(name string, cost time.Duration, ops uint64, mean, p95 time.Duration) Row {
+		return Row{
+			Name:   name,
+			Params: []Field{count("handshakes", n)},
+			Modeled: []Field{
+				ns("device_cost", cost), count("asym_ops", ops/uint64(n)), num("ticket", "B", ticketBytes),
+			},
+			Measured: []Field{
+				ns("wall_mean", mean), ns("wall_p95", p95), num("speedup", "x", float64(coldMean)/float64(mean)),
+			},
+		}
 	}
-	rep.ColdMean, rep.ColdP95 = durStats(coldTimes)
-	rep.WarmMean, rep.WarmP95 = durStats(warmTimes)
-	if rep.WarmMean > 0 {
-		rep.Speedup = float64(rep.ColdMean) / float64(rep.WarmMean)
+	t.Rows = []Row{
+		row("cold", cal.ColdHandshakeCost(), coldOps, coldMean, coldP95),
+		row("warm", cal.WarmResumeCost(ticketBytes), warmOps, warmMean, warmP95),
 	}
-	return rep, nil
+	return t, nil
 }
 
-// Render produces the report text.
-func (r *SessionsReport) Render() string {
-	var sb strings.Builder
-	sb.WriteString("sessions — cold dial vs ticket resume\n\n")
-	fmt.Fprintf(&sb, "handshakes per sweep:     %d\n", r.N)
-	fmt.Fprintf(&sb, "ticket size:              %d B\n", r.TicketBytes)
-	fmt.Fprintf(&sb, "cold dial:                %v mean, %v p95, %d asym ops\n",
-		r.ColdMean.Round(time.Microsecond), r.ColdP95.Round(time.Microsecond), r.ColdAsymOps)
-	fmt.Fprintf(&sb, "warm resume:              %v mean, %v p95, %d asym ops\n",
-		r.WarmMean.Round(time.Microsecond), r.WarmP95.Round(time.Microsecond), r.WarmAsymOps)
-	fmt.Fprintf(&sb, "speedup:                  %.1f×\n", r.Speedup)
-	fmt.Fprintf(&sb, "modeled device cost:      %v cold (A53 ECDSA+DHKE) vs %v warm (A.E.DMA only)\n",
-		r.ModelCold, r.ModelWarm)
-	return sb.String()
-}
-
-// SessionScaleReport is the gateway resume-stampede benchmark: many
-// clients resuming against one fleet service at once, the worst case a
+// sessionScale is the gateway resume-stampede benchmark: many clients
+// resuming against one fleet service at once, the worst case a
 // restarted gateway faces when its whole user population reconnects.
-type SessionScaleReport struct {
-	Sessions      int           `json:"sessions"`
-	Workers       int           `json:"workers"`
-	ColdLimit     int           `json:"cold_limit"`
-	Total         time.Duration `json:"total_ns"`
-	ResumesPerSec float64       `json:"resumes_per_sec"`
-	AsymOps       uint64        `json:"asym_ops"`
-	AdmissionWait uint64        `json:"admission_waits"`
-}
-
-// SessionScale mints `sessions` resumable tickets directly from the
-// service's issuer (standing in for that many previously attested
-// users) and replays them concurrently against a fleet gateway.
-func SessionScale(env *Env, sessions, workers int) (*SessionScaleReport, error) {
-	if sessions <= 0 {
-		sessions = 10000
+// It mints `sessions` resumable tickets directly from the service's
+// issuer (standing in for that many previously attested users) and
+// replays them concurrently against a fleet gateway.
+func sessionScale(env *Env, sessions int) (Table, error) {
+	const workers = 64
+	t := Table{
+		Name:  "session_scale",
+		Title: "sessions — gateway resume stampede",
+		Note:  "asym_ops must be 0; admission_waits counts cold-gate queue events — resumes bypass the gate",
 	}
-	if workers <= 0 {
-		workers = 64
-	}
-	mfr, err := attest.NewManufacturer()
+	sr, err := newSessionRig(env)
 	if err != nil {
-		return nil, err
+		return t, err
 	}
-	dcfg := core.DefaultConfig()
-	dcfg.Features = core.ConfigE
-	dev, err := core.NewDevice(dcfg, mfr, env.Chain)
-	if err != nil {
-		return nil, err
-	}
-	if err := dev.Sync(); err != nil {
-		return nil, err
-	}
+	dev := sr.dev
 	gcfg := fleet.DefaultConfig()
 	gcfg.ColdHandshakeLimit = 4
 	gw := fleet.NewGateway(gcfg, fleet.NewLocalBackend("bench-0", dev))
@@ -233,11 +171,11 @@ func SessionScale(env *Env, sessions, workers int) (*SessionScaleReport, error) 
 			Measurement: measurement,
 		}
 		if _, err := rand.Read(st.PSK[:]); err != nil {
-			return nil, err
+			return t, err
 		}
 		wire, err := issuer.Issue(st)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
 		tickets[i] = &session.ClientTicket{
 			Opaque: wire, PSK: st.PSK, SessionID: st.SessionID,
@@ -255,11 +193,7 @@ func SessionScale(env *Env, sessions, workers int) (*SessionScaleReport, error) 
 		go func() {
 			defer wg.Done()
 			for ticket := range next {
-				client, server := net.Pipe()
-				go func() {
-					defer server.Close()
-					_ = svc.ServeConn(server)
-				}()
+				client := servePipe(svc)
 				c, err := core.Resume(client, ticket)
 				if err != nil {
 					client.Close()
@@ -274,40 +208,29 @@ func SessionScale(env *Env, sessions, workers int) (*SessionScaleReport, error) 
 			}
 		}()
 	}
-	for _, t := range tickets {
-		next <- t
+	for _, ticket := range tickets {
+		next <- ticket
 	}
 	close(next)
 	wg.Wait()
 	total := time.Since(start)
 	select {
 	case err := <-errs:
-		return nil, fmt.Errorf("bench: session scale: %w", err)
+		return t, fmt.Errorf("bench: session scale: %w", err)
 	default:
 	}
 
-	rep := &SessionScaleReport{
-		Sessions:      sessions,
-		Workers:       workers,
-		ColdLimit:     gcfg.ColdHandshakeLimit,
-		Total:         total,
-		AsymOps:       attest.AsymOps() - before,
-		AdmissionWait: gw.SessionAdmission().Waits(),
-	}
-	if total > 0 {
-		rep.ResumesPerSec = float64(sessions) / total.Seconds()
-	}
-	return rep, nil
-}
-
-// Render produces the report text.
-func (r *SessionScaleReport) Render() string {
-	var sb strings.Builder
-	sb.WriteString("sessions — gateway resume stampede\n\n")
-	fmt.Fprintf(&sb, "sessions resumed:         %d (%d workers, cold-limit %d)\n", r.Sessions, r.Workers, r.ColdLimit)
-	fmt.Fprintf(&sb, "total wall clock:         %v\n", r.Total.Round(time.Millisecond))
-	fmt.Fprintf(&sb, "resume throughput:        %.0f sessions/s\n", r.ResumesPerSec)
-	fmt.Fprintf(&sb, "asymmetric ops:           %d (must be 0)\n", r.AsymOps)
-	fmt.Fprintf(&sb, "cold-gate queue events:   %d (resumes bypass the gate)\n", r.AdmissionWait)
-	return sb.String()
+	t.Rows = []Row{{
+		Name: "stampede",
+		Params: []Field{
+			count("sessions", sessions), count("workers", workers), count("cold_limit", gcfg.ColdHandshakeLimit),
+		},
+		Modeled: []Field{
+			count("asym_ops", attest.AsymOps()-before), count("admission_waits", gw.SessionAdmission().Waits()),
+		},
+		Measured: []Field{
+			ns("wall_total", total), num("throughput", "ops/s", float64(sessions)/total.Seconds()),
+		},
+	}}
+	return t, nil
 }

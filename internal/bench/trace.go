@@ -11,47 +11,23 @@ import (
 	"hardtape/internal/telemetry"
 )
 
-// TraceRow is one timed configuration of the tracing-overhead sweep:
-// the same device and bundle stream with the flight recorder disabled
-// (the production hot path — one nil check per span site) or enabled.
-type TraceRow struct {
-	Mode      string        `json:"mode"` // "disabled" | "traced"
-	Bundles   int           `json:"bundles"`
-	Wall      time.Duration `json:"wall_ns"`
-	PerBundle time.Duration `json:"per_bundle_ns"`
-	// OverheadPct is this row's per-bundle wall time over the disabled
-	// row's, minus one, in percent. The disabled row reads 0.
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// TraceSweepReport is the sweep plus what the recorder kept: its
-// tail-sampling counters and one captured trace as a shape witness.
-type TraceSweepReport struct {
-	Txs          int                     `json:"txs_per_bundle"`
-	Lanes        int                     `json:"lanes"`
-	ConflictRate float64                 `json:"conflict_rate"`
-	Rows         []TraceRow              `json:"rows"`
-	Recorder     telemetry.RecorderStats `json:"recorder"`
-	SampleTrace  string                  `json:"sample_trace,omitempty"`
-	SampleSpans  []string                `json:"sample_spans,omitempty"`
-}
-
-// TraceSweep measures what end-to-end tracing costs on the bundle
+// traceSweep measures what end-to-end tracing costs on the bundle
 // path. Two identical -full devices (parallel lanes, sharded ORAM)
 // pre-execute the same high-conflict MEV bundle stream; one runs with
-// telemetry attached but tracing disabled (the default), the other
-// with the tail-sampling flight recorder on and a root span around
-// every bundle. Wall-clock time is the real host cost — the virtual
-// clock models the hardware and does not move with tracing.
-func TraceSweep(env *Env, txs, bundles int) (*TraceSweepReport, error) {
+// telemetry attached but tracing disabled (the production hot path —
+// one nil check per span site), the other with the tail-sampling flight
+// recorder on and a root span around every bundle. Wall-clock time is
+// the real host cost — the virtual clock models the hardware and does
+// not move with tracing. The note names one captured trace as a shape
+// witness; the second table is what the recorder kept.
+func traceSweep(env *Env, _ int) ([]Table, error) {
 	const (
 		lanes        = 4
 		shards       = 4
 		conflictRate = 0.5
+		bundles      = 8
 	)
-	if txs > len(env.World.EOAs) {
-		txs = len(env.World.EOAs)
-	}
+	txs := min(16, len(env.World.EOAs))
 	bundle, err := env.World.MEVBundle(txs, conflictRate)
 	if err != nil {
 		return nil, err
@@ -64,14 +40,7 @@ func TraceSweep(env *Env, txs, bundles int) (*TraceSweepReport, error) {
 		cfg.Lanes = lanes
 		cfg.ORAMShards = shards
 		cfg.Telemetry = reg
-		dev, err := core.NewDevice(cfg, nil, env.Chain)
-		if err != nil {
-			return nil, err
-		}
-		if err := dev.Sync(); err != nil {
-			return nil, err
-		}
-		return dev, nil
+		return env.newDevice(cfg, nil)
 	}
 
 	run := func(dev *core.Device, tr *telemetry.Tracer, n int) (time.Duration, error) {
@@ -95,8 +64,6 @@ func TraceSweep(env *Env, txs, bundles int) (*TraceSweepReport, error) {
 		}
 		return time.Since(start), nil
 	}
-
-	rep := &TraceSweepReport{Txs: txs, Lanes: lanes, ConflictRate: conflictRate}
 
 	// Disabled row: registry attached (metrics live), tracer nil.
 	offReg := telemetry.NewRegistry()
@@ -128,49 +95,42 @@ func TraceSweep(env *Env, txs, bundles int) (*TraceSweepReport, error) {
 		return nil, err
 	}
 
-	rep.Rows = []TraceRow{
-		{Mode: "disabled", Bundles: bundles, Wall: offWall,
-			PerBundle: offWall / time.Duration(bundles)},
-		{Mode: "traced", Bundles: bundles, Wall: onWall,
-			PerBundle:   onWall / time.Duration(bundles),
-			OverheadPct: (float64(onWall)/float64(offWall) - 1) * 100},
+	row := func(name string, wall time.Duration) Row {
+		return Row{Name: name, Params: []Field{count("bundles", bundles)}, Measured: []Field{
+			ns("wall", wall), ns("wall_per_bundle", wall/bundles),
+			num("overhead", "%", (float64(wall)/float64(offWall)-1)*100),
+		}}
+	}
+	sweep := Table{
+		Name: "trace",
+		Title: fmt.Sprintf("TRACING OVERHEAD — %d-tx MEV bundles (rate %.2f), -full device, %d lanes",
+			txs, conflictRate, lanes),
+		Note: "expected shape: single-digit overhead when traced; the disabled row\n" +
+			"is the production default (one nil check per span site, 0 allocs)",
+		Rows: []Row{row("disabled", offWall), row("traced", onWall)},
 	}
 
 	rec := onReg.FlightRecorder()
-	rep.Recorder = rec.Stats()
+	st := rec.Stats()
+	recorder := Table{
+		Name:  "trace_recorder",
+		Title: "TRACING OVERHEAD — what the flight recorder kept",
+		Rows: []Row{{Name: "recorder", Measured: []Field{
+			count("kept", st.Kept), count("err_kept", st.ErrKept), count("dropped", st.Dropped),
+			count("expired", st.Expired), count("pending", st.Pending),
+		}}},
+	}
 	if kept := rec.Traces(); len(kept) > 0 {
-		t := kept[0]
-		rep.SampleTrace = t.ID.String()
 		names := map[string]bool{}
-		for _, s := range t.Spans {
+		for _, s := range kept[0].Spans {
 			names[s.Name] = true
 		}
+		spans := make([]string, 0, len(names))
 		for n := range names {
-			rep.SampleSpans = append(rep.SampleSpans, n)
+			spans = append(spans, n)
 		}
-		sort.Strings(rep.SampleSpans)
+		sort.Strings(spans)
+		sweep.Note += fmt.Sprintf("\nsample trace %s spans: %s", kept[0].ID, strings.Join(spans, ", "))
 	}
-	return rep, nil
-}
-
-// Render produces the textual overhead table.
-func (r *TraceSweepReport) Render() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "TRACING OVERHEAD — %d-tx MEV bundles (rate %.2f), -full device, %d lanes\n\n",
-		r.Txs, r.ConflictRate, r.Lanes)
-	fmt.Fprintf(&sb, "%10s %9s %12s %14s %10s\n", "mode", "bundles", "wall", "per-bundle", "overhead")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%10s %9d %12s %14s %9.1f%%\n",
-			row.Mode, row.Bundles, row.Wall.Round(time.Microsecond),
-			row.PerBundle.Round(time.Microsecond), row.OverheadPct)
-	}
-	fmt.Fprintf(&sb, "\nrecorder: kept %d (err %d) dropped %d expired %d pending %d\n",
-		r.Recorder.Kept, r.Recorder.ErrKept, r.Recorder.Dropped,
-		r.Recorder.Expired, r.Recorder.Pending)
-	if r.SampleTrace != "" {
-		fmt.Fprintf(&sb, "sample trace %s spans: %s\n", r.SampleTrace, strings.Join(r.SampleSpans, ", "))
-	}
-	sb.WriteString("\nexpected shape: single-digit overhead when traced; the disabled row\n")
-	sb.WriteString("is the production default (one nil check per span site, 0 allocs)\n")
-	return sb.String()
+	return []Table{sweep, recorder}, nil
 }
