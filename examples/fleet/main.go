@@ -36,7 +36,7 @@ func run() error {
 	//    with a deliberately small admission queue.
 	fmt.Println("① Provisioning 3 devices (2 HEVMs each) + gateway...")
 	reg := hardtape.NewTelemetry()
-	tr := reg.EnableTracing("fleet", 0)
+	reg.EnableTracing("fleet", 0)
 	defer reg.FlightRecorder().Close()
 	opts := hardtape.DefaultTestbedOptions()
 	opts.HEVMs = 2
@@ -130,20 +130,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sp := tr.StartSpan("demo.mev_bundle", telemetry.SpanContext{})
-	ctx := telemetry.ContextWithSpan(context.Background(), sp.Context())
+	sp, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), telemetry.SpanContext{}), "demo.mev_bundle")
 	res, err := g.Submit(ctx, mev)
-	sp.SetError(err)
-	sp.End()
+	sp.End(nil, &err)
 	if err != nil {
 		return err
 	}
 	if res.Aborted != nil {
 		return fmt.Errorf("mev bundle aborted: %w", res.Aborted)
 	}
-	trace := reg.FlightRecorder().Lookup(sp.TraceID())
+	id := sp.Context().Trace
+	trace := reg.FlightRecorder().Lookup(id)
 	if trace == nil {
-		return fmt.Errorf("mev trace %s not captured", sp.TraceID())
+		return fmt.Errorf("mev trace %s not captured", id)
 	}
 	fmt.Printf("   trace %s (%d spans, root %v) — /traces/%s on an -admin endpoint\n",
 		trace.ID, len(trace.Spans), trace.Duration.Round(time.Microsecond), trace.ID)

@@ -289,36 +289,48 @@ func DefaultTestbedOptions() TestbedOptions {
 
 // NewTestbed builds and syncs a testbed.
 func NewTestbed(opts TestbedOptions) (*Testbed, error) {
+	tb, _, err := buildTestbed(opts, 1)
+	return tb, err
+}
+
+// buildTestbed is the one builder behind both testbeds: world → node →
+// manufacturer → n configured, synced devices. Device i gets noise seed
+// i+1 (the first one's is the default config's), so serials differ.
+// The returned Testbed holds device 0.
+func buildTestbed(opts TestbedOptions, n int) (*Testbed, []*Device, error) {
 	world, err := workload.BuildWorld(workload.Config{
 		Seed: opts.Seed, EOAs: opts.EOAs, Tokens: opts.Tokens, DEXes: opts.DEXes,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("hardtape: build world: %w", err)
+		return nil, nil, fmt.Errorf("hardtape: build world: %w", err)
 	}
 	chain, err := node.New(world.State)
 	if err != nil {
-		return nil, fmt.Errorf("hardtape: node: %w", err)
+		return nil, nil, fmt.Errorf("hardtape: node: %w", err)
 	}
 	mfr, err := attest.NewManufacturer()
 	if err != nil {
-		return nil, fmt.Errorf("hardtape: manufacturer: %w", err)
+		return nil, nil, fmt.Errorf("hardtape: manufacturer: %w", err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Features = opts.Features
-	if opts.HEVMs > 0 {
-		cfg.HEVMs = opts.HEVMs
+	devs := make([]*Device, n)
+	for i := range devs {
+		cfg := core.DefaultConfig()
+		cfg.Features = opts.Features
+		if opts.HEVMs > 0 {
+			cfg.HEVMs = opts.HEVMs
+		}
+		cfg.Lanes = opts.Lanes
+		cfg.ORAMShards = opts.Shards
+		cfg.Telemetry = opts.Telemetry
+		cfg.NoiseSeed = int64(i + 1)
+		if devs[i], err = core.NewDevice(cfg, mfr, chain); err != nil {
+			return nil, nil, fmt.Errorf("hardtape: device %d: %w", i, err)
+		}
+		if err := devs[i].Sync(); err != nil {
+			return nil, nil, fmt.Errorf("hardtape: sync %d: %w", i, err)
+		}
 	}
-	cfg.Lanes = opts.Lanes
-	cfg.ORAMShards = opts.Shards
-	cfg.Telemetry = opts.Telemetry
-	dev, err := core.NewDevice(cfg, mfr, chain)
-	if err != nil {
-		return nil, fmt.Errorf("hardtape: device: %w", err)
-	}
-	if err := dev.Sync(); err != nil {
-		return nil, fmt.Errorf("hardtape: sync: %w", err)
-	}
-	return &Testbed{World: world, Chain: chain, Manufacturer: mfr, Device: dev}, nil
+	return &Testbed{World: world, Chain: chain, Manufacturer: mfr, Device: devs[0]}, devs, nil
 }
 
 // Verifier returns the attestation verifier for this testbed's
@@ -347,43 +359,16 @@ func NewFleetTestbed(opts TestbedOptions, n int, fcfg FleetConfig) (*FleetTestbe
 	if n <= 0 {
 		return nil, fmt.Errorf("hardtape: fleet needs at least one device, got %d", n)
 	}
-	world, err := workload.BuildWorld(workload.Config{
-		Seed: opts.Seed, EOAs: opts.EOAs, Tokens: opts.Tokens, DEXes: opts.DEXes,
-	})
+	tb, devs, err := buildTestbed(opts, n)
 	if err != nil {
-		return nil, fmt.Errorf("hardtape: build world: %w", err)
+		return nil, err
 	}
-	chain, err := node.New(world.State)
-	if err != nil {
-		return nil, fmt.Errorf("hardtape: node: %w", err)
-	}
-	mfr, err := attest.NewManufacturer()
-	if err != nil {
-		return nil, fmt.Errorf("hardtape: manufacturer: %w", err)
-	}
-	ftb := &FleetTestbed{World: world, Chain: chain, Manufacturer: mfr}
-	backends := make([]Backend, 0, n)
-	for i := 0; i < n; i++ {
-		cfg := core.DefaultConfig()
-		cfg.Features = opts.Features
-		if opts.HEVMs > 0 {
-			cfg.HEVMs = opts.HEVMs
-		}
-		cfg.Lanes = opts.Lanes
-		cfg.ORAMShards = opts.Shards
-		cfg.Telemetry = opts.Telemetry
-		cfg.NoiseSeed = int64(i + 1)
-		dev, err := core.NewDevice(cfg, mfr, chain)
-		if err != nil {
-			return nil, fmt.Errorf("hardtape: device %d: %w", i, err)
-		}
-		if err := dev.Sync(); err != nil {
-			return nil, fmt.Errorf("hardtape: sync %d: %w", i, err)
-		}
-		ftb.Devices = append(ftb.Devices, dev)
+	ftb := &FleetTestbed{World: tb.World, Chain: tb.Chain, Manufacturer: tb.Manufacturer, Devices: devs}
+	backends := make([]Backend, n)
+	for i, dev := range devs {
 		lb := fleet.NewLocalBackend(fmt.Sprintf("dev-%d", i), dev)
 		ftb.Backends = append(ftb.Backends, lb)
-		backends = append(backends, lb)
+		backends[i] = lb
 	}
 	if fcfg.Telemetry == nil {
 		fcfg.Telemetry = opts.Telemetry

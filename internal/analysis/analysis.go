@@ -107,14 +107,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// Preorder walks every file in pass, calling fn for each node. fn
-// returning false prunes the subtree.
-func Preorder(pass *Pass, fn func(ast.Node) bool) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, fn)
-	}
-}
-
 // IsTestFile reports whether the file containing pos is a _test.go
 // file. The invariants gate production code; tests routinely use
 // math/rand, direct server access, and dropped errors on purpose.

@@ -23,7 +23,7 @@
 //   - telemetry registration names and label values
 //     (telemetry.Registry.Counter/Gauge/Histogram);
 //   - distributed-tracing span names and attribute values
-//     (telemetry.Tracer.StartSpan, telemetry.TraceSpan.AddAttr):
+//     (telemetry.Registry.StartSpan, telemetry.Span.AddAttr):
 //     span records leave the device on the trace reply and surface on
 //     the admin endpoints, so they are exactly as public as metric
 //     labels;
@@ -187,7 +187,7 @@ func isTraceAnnotation(path, name string) bool {
 		return false
 	}
 	switch name {
-	case "Tracer.StartSpan", "TraceSpan.AddAttr":
+	case "Registry.StartSpan", "Span.AddAttr":
 		return true
 	}
 	return false

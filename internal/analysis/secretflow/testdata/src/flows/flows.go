@@ -84,18 +84,18 @@ func flags(seedHex string) {
 
 // Positive 10a: secret material as a span attribute value — span
 // records ship to the untrusted side with the trace reply.
-func spanAttr(tr *telemetry.Tracer, stashKey []byte) {
-	sp := tr.StartSpan("oram.batch", telemetry.SpanContext{})
-	sp.AddAttr("key", string(stashKey)) // want `trace span name/attribute \(TraceSpan\.AddAttr\)`
+func spanAttr(reg *telemetry.Registry, stashKey []byte) {
+	sp, _ := reg.StartSpan(nil, "oram.batch")
+	sp.AddAttr("key", string(stashKey)) // want `trace span name/attribute \(Span\.AddAttr\)`
 }
 
 // Positive 10b: a derived key smuggled into a span NAME (dynamic names
 // are also telemetrysafe violations, but the taint must be caught even
 // where the name is built from a secret).
-func spanName(tr *telemetry.Tracer, id uint64) {
+func spanName(reg *telemetry.Registry, id uint64) {
 	var material [32]byte
 	k := session.TrafficKey(material, id)
-	tr.StartSpan(string(k[:]), telemetry.SpanContext{}) // want `trace span name/attribute \(Tracer\.StartSpan\)`
+	reg.StartSpan(nil, string(k[:])) // want `trace span name/attribute \(Registry\.StartSpan\)`
 }
 
 // Positive 10: copy moves the secret bytes themselves.
@@ -144,14 +144,14 @@ func zeroNeg(sessionKey []byte) {
 
 // Negative 7: span attributes carrying counts and public structure are
 // the sanctioned use; AddInt cannot carry byte taint at all.
-func spanNeg(tr *telemetry.Tracer, sessionKey []byte) {
-	sp := tr.StartSpan("device.bundle", telemetry.SpanContext{})
+func spanNeg(reg *telemetry.Registry, sessionKey []byte) {
+	sp, _ := reg.StartSpan(nil, "device.bundle")
 	sp.AddAttr("backend", "device-1")
 	sp.AddInt("key_bytes", int64(len(sessionKey)))
 }
 
 // Negative 8: a waived span attribute stays reviewable.
-func spanWaived(tr *telemetry.Tracer, psk []byte) {
-	sp := tr.StartSpan("session.resume", telemetry.SpanContext{})
+func spanWaived(reg *telemetry.Registry, psk []byte) {
+	sp, _ := reg.StartSpan(nil, "session.resume")
 	sp.AddAttr("psk", string(psk)) //hardtape:secret-ok fixture: documented debug-only build
 }

@@ -12,21 +12,15 @@ func (r *Registry) Counter(name, help string, labels ...string) int { return 0 }
 // Gauge registers a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...string) int { return 0 }
 
-// SpanContext mimics the propagated span identity.
-type SpanContext struct{}
+// StartSpan opens a named span; the name argument is a secretflow
+// sink. ctx stands in for context.Context.
+func (r *Registry) StartSpan(ctx any, name string) (*Span, any) { return &Span{}, ctx }
 
-// Tracer mimics the distributed-tracing span factory; StartSpan's name
-// argument is a secretflow sink.
-type Tracer struct{}
-
-// StartSpan opens a named span.
-func (t *Tracer) StartSpan(name string, parent SpanContext) *TraceSpan { return &TraceSpan{} }
-
-// TraceSpan mimics a live span; AddAttr values are secretflow sinks.
-type TraceSpan struct{}
+// Span mimics a live span; AddAttr values are secretflow sinks.
+type Span struct{}
 
 // AddAttr attaches a string attribute.
-func (s *TraceSpan) AddAttr(key, val string) {}
+func (s *Span) AddAttr(key, val string) {}
 
 // AddInt attaches an integer attribute (not a byte-like sink).
-func (s *TraceSpan) AddInt(key string, val int64) {}
+func (s *Span) AddInt(key string, val int64) {}

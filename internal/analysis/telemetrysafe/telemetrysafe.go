@@ -9,7 +9,7 @@
 //
 // The analyzer flags any call to Registry.Counter / Registry.Gauge /
 // Registry.Histogram whose metric name or label arguments are not
-// compile-time constants, and any Tracer.StartSpan whose span name is
+// compile-time constants, and any Registry.StartSpan whose span name is
 // not — span names export on the admin trace endpoints exactly like
 // metric names, so they obey the same rule. Operator-controlled
 // dynamic labels (backend deployment names, enum-driven class labels)
@@ -73,10 +73,7 @@ func run(pass *analysis.Pass) (any, error) {
 				if !ok || !isTelemetryPackage(pkgPath) {
 					return true
 				}
-				if isSpan && typeName != "Tracer" {
-					return true
-				}
-				if isReg && typeName != "Registry" {
+				if typeName != "Registry" {
 					return true
 				}
 				if ann.Allowed(pass.Fset, call.Pos(), "telemetry-ok") ||
@@ -92,8 +89,9 @@ func run(pass *analysis.Pass) (any, error) {
 						what, typeName, sel.Sel.Name)
 				}
 				if isSpan {
-					if len(call.Args) > 0 {
-						check(call.Args[0], "span name")
+					// StartSpan(ctx, name): the name follows the context.
+					if len(call.Args) > 1 {
+						check(call.Args[1], "span name")
 					}
 					return true
 				}

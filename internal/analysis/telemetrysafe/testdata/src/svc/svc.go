@@ -47,15 +47,18 @@ const stageSpan = "svc." + stage
 // indexes the exported trace records, so a dynamic one leaks whatever
 // it interpolates (attribute VALUES may be dynamic — secretflow
 // checks their provenance).
-func spans(tr *telemetry.Tracer, user string, txHash string) {
+func spans(reg *telemetry.Registry, user string, txHash string) {
 	// Constants, including named-constant concatenations, pass.
-	sp := tr.StartSpan("svc.handle", telemetry.SpanContext{})
+	sp, ctx := reg.StartSpan(nil, "svc.handle")
 	sp.AddAttr("backend", user)
-	tr.StartSpan(stageSpan, telemetry.SpanContext{})
+	reg.StartSpan(ctx, stageSpan)
 
-	tr.StartSpan("svc."+user, telemetry.SpanContext{}) // want `dynamic span name in telemetry registration \(Tracer.StartSpan\)`
-	tr.StartSpan(txHash, telemetry.SpanContext{})      // want `dynamic span name in telemetry registration \(Tracer.StartSpan\)`
+	reg.StartSpan(ctx, "svc."+user) // want `dynamic span name in telemetry registration \(Registry.StartSpan\)`
+	reg.StartSpan(ctx, txHash)      // want `dynamic span name in telemetry registration \(Registry.StartSpan\)`
+
+	// The context argument is not a name: a dynamic one is fine.
+	reg.StartSpan(user, "svc.ctx")
 
 	//hardtape:telemetry-ok fixture: operator-chosen stage name
-	tr.StartSpan(user, telemetry.SpanContext{})
+	reg.StartSpan(ctx, user)
 }

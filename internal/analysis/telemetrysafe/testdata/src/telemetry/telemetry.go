@@ -22,24 +22,19 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return &Histogram{}
 }
 
-// SpanContext mimics the propagated span identity.
-type SpanContext struct{}
-
-// TraceSpan is a live distributed-tracing span.
-type TraceSpan struct{}
+// Span is a live span.
+type Span struct{}
 
 // AddAttr attaches a string attribute (dynamic values allowed;
 // secretflow polices their content).
-func (s *TraceSpan) AddAttr(key, val string) {}
+func (s *Span) AddAttr(key, val string) {}
 
-// Tracer mints spans; StartSpan's name must be a compile-time
-// constant, same rule as metric names.
-type Tracer struct{}
-
-func (t *Tracer) StartSpan(name string, parent SpanContext) *TraceSpan { return &TraceSpan{} }
+// StartSpan opens a span; the name must be a compile-time constant,
+// same rule as metric names. ctx stands in for context.Context.
+func (r *Registry) StartSpan(ctx any, name string) (Span, any) { return Span{}, ctx }
 
 // internalUse shows in-package dynamic names are exempt.
-func internalUse(r *Registry, n string, tr *Tracer) {
+func internalUse(r *Registry, n string) {
 	r.Counter(n, "internal")
-	tr.StartSpan(n, SpanContext{})
+	r.StartSpan(nil, n)
 }

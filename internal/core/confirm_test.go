@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"hardtape/internal/attest"
 	"hardtape/internal/channel"
 )
 
@@ -32,16 +33,8 @@ func TestServeConnRejectsBadConfirmTag(t *testing.T) {
 	if err := writePlain(client, channel.MsgAttestRequest, 0, &attestRequestMsg{Nonce: nonce}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := channel.ReadMessage(client)
+	rep, err := readPlain[attestReportMsg](client, channel.MsgAttestReport)
 	if err != nil {
-		t.Fatal(err)
-	}
-	_, body, err := parsePlain(raw, channel.MsgAttestReport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep attestReportMsg
-	if err := gobDecode(body, &rep); err != nil {
 		t.Fatal(err)
 	}
 	session, userPub, err := verifier.Verify(&rep.Report, nonce)
@@ -63,5 +56,66 @@ func TestServeConnRejectsBadConfirmTag(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("service did not reject the tampered confirmation tag")
+	}
+}
+
+// capturingVerifier records the attest.Session Dial derives its keys
+// from, so a test can look at the DHKE key after Dial returned.
+type capturingVerifier struct {
+	ReportVerifier
+	sess *attest.Session
+}
+
+func (v *capturingVerifier) Verify(report *attest.Report, nonce [32]byte) (*attest.Session, []byte, error) {
+	sess, pub, err := v.ReportVerifier.Verify(report, nonce)
+	v.sess = sess
+	return sess, pub, err
+}
+
+// failingWriter fails every Write after the first `left` calls (a
+// framed message is two writes: length, then body).
+type failingWriter struct {
+	net.Conn
+	left int
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if w.left == 0 {
+		return 0, errors.New("injected write failure")
+	}
+	w.left--
+	return w.Conn.Write(p)
+}
+
+// TestDialZeroesSessionKeyOnEveryPath: the DHKE session key must not
+// outlive the handshake whichever way it ends. Before the deferred
+// ZeroKey it was wiped on the success path only, so a failed
+// key-exchange write (or a bad device signing key) left it in memory.
+func TestDialZeroesSessionKeyOnEveryPath(t *testing.T) {
+	sr := buildServiceRig(t, ConfigFull)
+	for _, tc := range []struct {
+		name   string
+		writes int // client writes allowed before the fault; <0 = none injected
+	}{
+		{"key exchange write fails", 2},
+		{"handshake completes", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := &capturingVerifier{ReportVerifier: sr.verifier()}
+			conn := &failingWriter{Conn: sr.serveOnce(t), left: tc.writes}
+			c, err := Dial(conn, v, true)
+			if (err != nil) != (tc.writes >= 0) {
+				t.Fatalf("Dial: %v", err)
+			}
+			if c != nil {
+				defer c.Close()
+			}
+			if v.sess == nil {
+				t.Fatal("handshake never reached key derivation")
+			}
+			if v.sess.Key != ([32]byte{}) {
+				t.Fatal("DHKE session key still in memory after Dial returned")
+			}
+		})
 	}
 }

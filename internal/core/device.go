@@ -17,7 +17,6 @@ import (
 	"hardtape/internal/oram"
 	"hardtape/internal/pager"
 	"hardtape/internal/simclock"
-	"hardtape/internal/telemetry"
 	"hardtape/internal/tracer"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
@@ -104,16 +103,7 @@ func (s *slot) reset() {
 func (s *slot) hevmStats() hevm.Stats {
 	st := s.machine.Stats()
 	for _, l := range s.lanes {
-		ls := l.machine.Stats()
-		st.Steps += ls.Steps
-		st.SwapEvents += ls.SwapEvents
-		st.PagesEvicted += ls.PagesEvicted
-		st.PagesLoaded += ls.PagesLoaded
-		st.CodeFaults += ls.CodeFaults
-		if ls.L2PagesUsed > st.L2PagesUsed {
-			st.L2PagesUsed = ls.L2PagesUsed
-		}
-		st.Overflowed = st.Overflowed || ls.Overflowed
+		st.Add(l.machine.Stats())
 	}
 	return st
 }
@@ -295,7 +285,7 @@ func (d *Device) buildORAM(cfg Config, key []byte) (*oram.Client, error) {
 		if cfg.RemoteORAMAddr != "" {
 			return nil, fmt.Errorf("core: ORAMDir and RemoteORAMAddr are mutually exclusive")
 		}
-		client, err := oram.OpenShardedStore(cfg.ORAMDir, shards, cfg.ORAMCapacity, key, 1, opts...)
+		client, err := oram.OpenShardedStore(cfg.ORAMDir, shards, cfg.ORAMCapacity, key, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("core: durable oram: %w", err)
 		}
@@ -444,69 +434,59 @@ func (d *Device) Execute(bundle *types.Bundle) (*BundleResult, error) {
 // if ctx expires before a core is idle, the bundle is abandoned with
 // ctx.Err() instead of queuing forever. Once a core is assigned the
 // bundle runs to completion (the paper's HEVMs have no preemption).
-func (d *Device) ExecuteContext(ctx context.Context, bundle *types.Bundle) (*BundleResult, error) {
+func (d *Device) ExecuteContext(ctx context.Context, bundle *types.Bundle) (res *BundleResult, err error) {
 	if d.booted == nil {
 		return nil, ErrNotBooted
 	}
 	if bundle == nil || len(bundle.Txs) == 0 {
 		return nil, ErrBundleEmpty
 	}
-	// Continue the caller's distributed trace when one rides the
-	// context (tracer-nil check first: the disabled path never touches
-	// the context value).
-	var tsp *telemetry.TraceSpan
-	dtr := d.cfg.Telemetry.Tracer()
-	if dtr != nil {
-		if parent := telemetry.SpanFromContext(ctx); parent.Valid() {
-			tsp = dtr.StartSpan("device.bundle", parent)
-			tsp.AddInt("txs", int64(len(bundle.Txs)))
-		}
-	}
-	var s *slot
-	select {
-	case s = <-d.slots: // exclusive assignment
-	default:
-		// All cores busy: the queue wait is a span of its own, so a
-		// trace shows admission stalls apart from execution time.
-		var wsp *telemetry.TraceSpan
-		if tsp != nil {
-			wsp = dtr.StartSpan("device.slot_wait", tsp.Context())
-		}
-		select {
-		case s = <-d.slots:
-			wsp.End()
-		case <-ctx.Done():
-			wsp.SetError(ctx.Err())
-			wsp.End()
-			tsp.SetError(ctx.Err())
-			tsp.End()
-			return nil, ctx.Err()
-		}
+	// Continues the caller's distributed trace when one rides ctx.
+	sp, ctx := d.cfg.Telemetry.StartSpan(ctx, "device.bundle")
+	sp.AddInt("txs", int64(len(bundle.Txs)))
+	defer sp.End(nil, &err)
+
+	s, err := d.acquireSlot(ctx)
+	if err != nil {
+		return nil, err
 	}
 	defer func() {
 		s.reset()
 		d.slots <- s
 	}()
 	s.reset()
-	res, err := d.executeOn(s, bundle, tsp)
-	tsp.SetError(err)
-	tsp.End()
-	return res, err
+	return d.executeOn(ctx, s, bundle)
 }
 
-// executeOn runs the bundle on a specific slot. tsp is the bundle's
-// "device.bundle" trace span (nil when untraced).
-func (d *Device) executeOn(s *slot, bundle *types.Bundle, tsp *telemetry.TraceSpan) (*BundleResult, error) {
-	sp := telemetry.StartSpan(d.tm.enabled)
+// acquireSlot takes an idle HEVM core (exclusive assignment), waiting
+// for one until ctx expires. When all cores are busy the queue wait is
+// a span of its own, so a trace shows admission stalls apart from
+// execution time.
+func (d *Device) acquireSlot(ctx context.Context) (s *slot, err error) {
+	select {
+	case s = <-d.slots:
+		return s, nil
+	default:
+	}
+	sp, _ := d.cfg.Telemetry.StartSpan(ctx, "device.slot_wait")
+	defer sp.End(nil, &err)
+	select {
+	case s = <-d.slots:
+		return s, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// executeOn runs the bundle on a specific slot. Its "device.exec" span
+// covers everything the slot does for the bundle — the border-crossing
+// charges and the HEVM stages between them — parents the lane and ORAM
+// spans, and is the one clock behind the execute-seconds series.
+func (d *Device) executeOn(ctx context.Context, s *slot, bundle *types.Bundle) (result *BundleResult, err error) {
+	sp, ctx := d.cfg.Telemetry.StartSpan(ctx, "device.exec")
+	defer sp.End(d.tm.execWall, &err)
 	cal := d.cfg.Calibration
 	feat := d.cfg.Features
-
-	// "device.exec" covers execution proper — HEVM stages between the
-	// border-crossing charges — and parents the lane and ORAM spans.
-	var xsp *telemetry.TraceSpan
-	if tsp != nil {
-		xsp = d.cfg.Telemetry.Tracer().StartSpan("device.exec", tsp.Context())
-	}
 
 	// Step 6: the user's message crosses the border. Charge the
 	// A.E.DMA decrypt and the per-bundle signature verification.
@@ -525,14 +505,15 @@ func (d *Device) executeOn(s *slot, bundle *types.Bundle, tsp *telemetry.TraceSp
 	blockCtx := workload.NewBlockContext(&head.Header)
 	blockCtx.BlockHash = d.chain.BlockHash
 
-	result := &BundleResult{}
-	if err := d.runBundle(s, blockCtx, bundle, result, xsp); err != nil {
+	result = &BundleResult{}
+	err = d.runBundle(ctx, s, blockCtx, bundle, result)
+	if p := result.Parallel; p != nil {
+		sp.AddInt("lanes", int64(p.Lanes))
+	}
+	if err != nil {
 		d.tm.bundlesErr.Inc()
-		xsp.SetError(err)
-		xsp.End()
 		return nil, err
 	}
-	xsp.End()
 
 	// Step 9: trace leaves through the secure channel.
 	traceBytes := traceSize(result.Trace)
@@ -547,8 +528,9 @@ func (d *Device) executeOn(s *slot, bundle *types.Bundle, tsp *telemetry.TraceSp
 	result.ORAMQueries = s.totalORAMQueries()
 	result.QueryTimes, result.QueryKinds = s.mergedQueries(execBase)
 	d.tm.txs.Add(uint64(len(bundle.Txs)))
-	d.tm.recordBundle(s, result)
-	sp.End(d.tm.execWall)
+	if d.cfg.Telemetry != nil {
+		d.tm.recordBundle(s, result)
+	}
 	return result, nil
 }
 

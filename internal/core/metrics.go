@@ -15,8 +15,6 @@ import (
 // ORAM query counts. Nothing carries addresses, calldata, keys, or
 // leaf positions.
 type devMetrics struct {
-	enabled bool
-
 	bundlesOK      *telemetry.Counter
 	bundlesAborted *telemetry.Counter
 	bundlesErr     *telemetry.Counter
@@ -55,7 +53,6 @@ func newDevMetrics(reg *telemetry.Registry) *devMetrics {
 	if reg == nil {
 		return m
 	}
-	m.enabled = true
 	m.bundlesOK = reg.Counter("hardtape_device_bundles_total", "bundles pre-executed by outcome", "outcome", "ok")
 	m.bundlesAborted = reg.Counter("hardtape_device_bundles_total", "bundles pre-executed by outcome", "outcome", "aborted")
 	m.bundlesErr = reg.Counter("hardtape_device_bundles_total", "bundles pre-executed by outcome", "outcome", "error")
@@ -89,11 +86,9 @@ func newDevMetrics(reg *telemetry.Registry) *devMetrics {
 }
 
 // recordBundle flushes one finished bundle's per-slot state into the
-// shared series. Called with the slot still held, before reset.
+// shared series. Called with the slot still held, before reset, and
+// only with a live registry (the fold itself is pure overhead without).
 func (m *devMetrics) recordBundle(s *slot, res *BundleResult) {
-	if !m.enabled {
-		return
-	}
 	st := res.HEVMStats
 	m.hevmSteps.Add(st.Steps)
 	m.hevmSwaps.Add(uint64(st.SwapEvents))
@@ -143,8 +138,6 @@ func (m *devMetrics) recordBundle(s *slot, res *BundleResult) {
 // handshake counts, per-stage latencies of the bundle loop, and
 // message sizes. Same allocation discipline as devMetrics.
 type svcMetrics struct {
-	enabled bool
-
 	sessions *telemetry.Counter
 	// Handshakes split by mode: cold pays attest+DHKE (~80 ms of
 	// asymmetric crypto), warm is a ticket redemption plus an AES rekey.
@@ -181,7 +174,6 @@ func newSvcMetrics(reg *telemetry.Registry) *svcMetrics {
 	if reg == nil {
 		return m
 	}
-	m.enabled = true
 	m.sessions = reg.Counter("hardtape_service_sessions_total", "user sessions accepted")
 	m.handshakesCold = reg.Counter("hardtape_service_handshakes_total", "handshakes completed by mode", "mode", "cold")
 	m.handshakesWarm = reg.Counter("hardtape_service_handshakes_total", "handshakes completed by mode", "mode", "warm")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -94,7 +95,7 @@ type speculation struct {
 }
 
 // startSpeculation launches one worker per speculative lane of s.
-func (d *Device) startSpeculation(s *slot, v *state.Versioned, blockCtx evm.BlockContext, bundle *types.Bundle, sc telemetry.SpanContext) *speculation {
+func (d *Device) startSpeculation(ctx context.Context, s *slot, v *state.Versioned, blockCtx evm.BlockContext, bundle *types.Bundle) *speculation {
 	n := len(bundle.Txs)
 	sp := &speculation{
 		lanes:    s.lanes,
@@ -110,7 +111,7 @@ func (d *Device) startSpeculation(s *slot, v *state.Versioned, blockCtx evm.Bloc
 		sp.wg.Add(1)
 		go func(w int, l *laneState) {
 			defer sp.wg.Done()
-			laneBase := d.newReader(l, sc)
+			laneBase := d.newReader(ctx, l)
 			for i := w; i < n; i += len(sp.lanes) {
 				if !sp.stop.Load() {
 					sp.outcomes[i] = d.speculate(l, laneBase, v, blockCtx, bundle.Txs[i])
@@ -177,18 +178,18 @@ func (sp *speculation) validated(i int, commit *simclock.Clock, v *state.Version
 // construction. Speculation workers start only when the slot has lanes
 // and the bundle more than one transaction; without them the loop is
 // plain sequential execution, result.Parallel stays nil, and no lane
-// validate/commit time is charged.
-func (d *Device) runBundle(s *slot, blockCtx evm.BlockContext, bundle *types.Bundle, result *BundleResult, xsp *telemetry.TraceSpan) error {
+// validate/commit time is charged. ctx carries the bundle's execution
+// span, which parents the lane and ORAM spans.
+func (d *Device) runBundle(ctx context.Context, s *slot, blockCtx evm.BlockContext, bundle *types.Bundle, result *BundleResult) error {
 	cal := d.cfg.Calibration
 	v := state.NewVersioned()
-	commitReader := d.newReader(&s.laneState, xsp.Context())
+	commitReader := d.newReader(ctx, &s.laneState)
 	traces := make([]*tracer.TxTrace, 0, len(bundle.Txs))
 	defer func() { result.Trace = &tracer.BundleTrace{Txs: traces} }()
 
 	var spec *speculation
 	if len(s.lanes) > 0 && len(bundle.Txs) > 1 {
-		xsp.AddInt("lanes", int64(len(s.lanes)))
-		spec = d.startSpeculation(s, v, blockCtx, bundle, xsp.Context())
+		spec = d.startSpeculation(ctx, s, v, blockCtx, bundle)
 		result.Parallel = spec.stats
 		defer func() { spec.finish(s.clock.Now()) }()
 	}
@@ -205,9 +206,9 @@ func (d *Device) runBundle(s *slot, blockCtx evm.BlockContext, bundle *types.Bun
 			// a trace of a contended bundle shows exactly which
 			// transactions paid the serial re-run (the tx index is its
 			// bundle position — public structure, not content).
-			var rsp *telemetry.TraceSpan
-			if spec != nil && xsp != nil {
-				rsp = d.cfg.Telemetry.Tracer().StartSpan("lane.reexec", xsp.Context())
+			var rsp telemetry.Span
+			if spec != nil {
+				rsp, _ = d.cfg.Telemetry.StartSpan(ctx, "lane.reexec")
 				rsp.AddInt("tx", int64(i))
 			}
 			start := s.clock.Now()
@@ -215,7 +216,7 @@ func (d *Device) runBundle(s *slot, blockCtx evm.BlockContext, bundle *types.Bun
 			if spec != nil {
 				spec.stats.ReExecTime += s.clock.Now() - start
 			}
-			rsp.End()
+			rsp.End(nil, nil)
 		}
 		if out.bugPanic != nil {
 			panic(out.bugPanic) // genuine bug, re-raise
@@ -283,7 +284,7 @@ func (d *Device) specOnce(l *laneState, laneBase state.Reader, v *state.Versione
 	e := evm.New(blockCtx, txo)
 	ttr := tracer.New(d.cfg.CaptureSteps)
 	e.Hooks = evm.CombineHooks(ttr.Hooks(), l.machine.Hooks())
-	if d.tm.enabled {
+	if d.cfg.Telemetry != nil {
 		// Op-class sampling rides the interpreter's hook fast path:
 		// installed only here, so disabled telemetry re-uses the
 		// existing hook-presence flags at zero extra cost.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -13,7 +14,6 @@ import (
 	"hardtape/internal/hevm"
 	"hardtape/internal/node"
 	"hardtape/internal/state"
-	"hardtape/internal/telemetry"
 	"hardtape/internal/tracer"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
@@ -350,7 +350,7 @@ func TestParallelConflictTwiceReexecutesTwice(t *testing.T) {
 		return tx
 	}
 	v := state.NewVersioned()
-	reader := d.newReader(&s.laneState, telemetry.SpanContext{})
+	reader := d.newReader(context.Background(), &s.laneState)
 	run := func(i int) *laneOutcome {
 		out := d.specOnce(&s.laneState, reader, v, blockCtx, mkSwap(i))
 		if out.failed() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,7 +11,6 @@ import (
 	"hardtape/internal/oram"
 	"hardtape/internal/pager"
 	"hardtape/internal/state"
-	"hardtape/internal/telemetry"
 	"hardtape/internal/types"
 )
 
@@ -213,10 +213,10 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 // newReader wires the reader one lane executes against, charging that
 // lane's clock and caches. With ORAM features it is wrapped in a
 // lockedReader; the -raw mirror is a plain map safe for concurrent
-// reads and needs no lock. sc is the bundle's execution span (zero
-// when the bundle is untraced — still stamped, to displace a previous
-// holder's attribution).
-func (d *Device) newReader(l *laneState, sc telemetry.SpanContext) state.Reader {
+// reads and needs no lock. ctx is the bundle's execution context
+// (stamped on the ORAM client even when the bundle is untraced, to
+// displace a previous holder's attribution).
+func (d *Device) newReader(ctx context.Context, l *laneState) state.Reader {
 	r := &hvReader{dev: d, lane: l}
 	if d.cfg.Features.ORAMStorage {
 		r.kvStore, r.kvORAM = d.oramStore, true
@@ -231,10 +231,7 @@ func (d *Device) newReader(l *laneState, sc telemetry.SpanContext) state.Reader 
 		r.codeMirror = d.mirror
 	}
 	if r.kvORAM || r.codeORAM {
-		return &lockedReader{
-			mu: &d.oramMu, inner: r,
-			acc: d.oramClient, tr: d.cfg.Telemetry.Tracer(), sc: sc,
-		}
+		return &lockedReader{mu: &d.oramMu, inner: r, acc: d.oramClient, ctx: ctx}
 	}
 	return r
 }
@@ -248,41 +245,33 @@ func (d *Device) newReader(l *laneState, sc telemetry.SpanContext) state.Reader 
 type lockedReader struct {
 	mu    *sync.Mutex
 	inner state.Reader
-	// acc/tr/sc re-stamp the shared ORAM client's trace attribution
+	// acc/ctx re-stamp the shared ORAM client's trace attribution
 	// under the lock on every query: lanes from different bundles (and
 	// traced next to untraced ones) interleave here, so each holder
 	// must claim — or clear — the attribution for its own accesses.
 	acc *oram.Client
-	tr  *telemetry.Tracer
-	sc  telemetry.SpanContext
+	ctx context.Context
 }
 
 var _ state.Reader = (*lockedReader)(nil)
 
-// stamp installs this lane's trace identity; callers hold r.mu.
-func (r *lockedReader) stamp() {
-	if r.tr != nil {
-		r.acc.SetTrace(r.tr, r.sc)
-	}
-}
-
 func (r *lockedReader) Account(addr types.Address) (*types.Account, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.stamp()
+	r.acc.SetTrace(r.ctx)
 	return r.inner.Account(addr)
 }
 
 func (r *lockedReader) Storage(addr types.Address, key types.Hash) types.Hash {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.stamp()
+	r.acc.SetTrace(r.ctx)
 	return r.inner.Storage(addr, key)
 }
 
 func (r *lockedReader) Code(codeHash types.Hash) []byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.stamp()
+	r.acc.SetTrace(r.ctx)
 	return r.inner.Code(codeHash)
 }

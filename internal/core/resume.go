@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/rand"
 	"crypto/subtle"
 	"errors"
@@ -9,7 +10,6 @@ import (
 
 	"hardtape/internal/channel"
 	"hardtape/internal/session"
-	"hardtape/internal/telemetry"
 )
 
 // Warm handshake: a ticket redemption plus an AES-GCM rekey, no
@@ -74,19 +74,24 @@ type ticketIssueMsg struct {
 	ExpiryEpoch uint64
 }
 
-// serveResume runs the server side of the warm handshake, then enters
-// the shared session loop. Every failure path is fail-closed: a typed
-// reject goes back in plaintext (the client maps it to the same
-// sentinel) and the connection dies.
+// serveResume runs a resumed session: the warm handshake, then the
+// shared session loop.
 func (s *Service) serveResume(conn io.ReadWriter, raw []byte) error {
-	hsp := telemetry.StartSpan(s.tm.enabled)
-	_, body, err := parsePlain(raw, channel.MsgResumeRequest)
+	secure, err := s.warmHandshake(conn, raw)
 	if err != nil {
 		return err
 	}
-	var req resumeRequestMsg
-	if err := gobDecode(body, &req); err != nil {
-		return err
+	return s.serveSession(conn, secure)
+}
+
+// warmHandshake runs the server side of the warm handshake. Every
+// failure path is fail-closed: a typed reject goes back in plaintext
+// (the client maps it to the same sentinel) and the connection dies.
+func (s *Service) warmHandshake(conn io.ReadWriter, raw []byte) (*channel.SecureChannel, error) {
+	hsp, _ := s.reg.StartSpan(context.Background(), "service.resume")
+	req, err := decodePlain[resumeRequestMsg](raw, channel.MsgResumeRequest)
+	if err != nil {
+		return nil, err
 	}
 
 	st, err := s.redeemTicket(req.Ticket)
@@ -94,8 +99,9 @@ func (s *Service) serveResume(conn io.ReadWriter, raw []byte) error {
 		s.recordTicketFailure(err)
 		//hardtape:faulterr-ok the reject write is best-effort; the redeem failure is the error that matters
 		_ = writePlain(conn, channel.MsgResumeReject, 0, &resumeRejectMsg{Code: session.RejectCode(err)})
-		return err
+		return nil, err
 	}
+	defer session.ZeroKey(&st.PSK)
 	s.tm.ticketsRedeemed.Inc()
 
 	// A fresh session id: the ticket's PSK is bound to the old id, the
@@ -103,59 +109,42 @@ func (s *Service) serveResume(conn io.ReadWriter, raw []byte) error {
 	newID := s.sessionID.Add(1)
 	var serverNonce [session.NonceSize]byte
 	if _, err := rand.Read(serverNonce[:]); err != nil {
-		session.ZeroKey(&st.PSK)
-		return fmt.Errorf("core: resume nonce: %w", err)
+		return nil, fmt.Errorf("core: resume nonce: %w", err)
 	}
+	// The traffic key lives exactly as long as this handshake, whichever
+	// way it ends; the channel and the next ticket hold what they derived.
 	traffic := session.TrafficKey(st.PSK, req.ClientNonce, serverNonce, newID)
-	session.ZeroKey(&st.PSK)
+	defer session.ZeroKey(&traffic)
 
 	devTag := channel.ConfirmTag(traffic, newID, "device")
 	accept := resumeAcceptMsg{SessionID: newID, ServerNonce: serverNonce, Confirm: devTag[:]}
 	if err := writePlain(conn, channel.MsgResumeAccept, newID, &accept); err != nil {
-		session.ZeroKey(&traffic)
-		return err
+		return nil, err
 	}
 
 	secure, err := channel.NewSecureChannel(traffic, newID)
 	if err != nil {
-		session.ZeroKey(&traffic)
-		return err
+		return nil, err
 	}
-	raw, err = channel.ReadMessage(conn)
+	cm, err := readSealed[resumeConfirmMsg](conn, secure, channel.MsgResumeConfirm)
 	if err != nil {
-		session.ZeroKey(&traffic)
-		return err
-	}
-	hdr, payload, err := secure.Open(raw)
-	if err != nil {
-		session.ZeroKey(&traffic)
-		return err
-	}
-	if hdr.Type != channel.MsgResumeConfirm {
-		session.ZeroKey(&traffic)
-		return fmt.Errorf("%w: expected resume confirm, got %d", ErrProtocol, hdr.Type)
-	}
-	var cm resumeConfirmMsg
-	if err := gobDecode(payload, &cm); err != nil {
-		session.ZeroKey(&traffic)
-		return err
+		return nil, err
 	}
 	if err := channel.VerifyConfirmTag(traffic, newID, "user", cm.Confirm); err != nil {
-		session.ZeroKey(&traffic)
-		return err
+		return nil, err
 	}
 
 	// Rotate: derive the next PSK from the traffic key and mint the
 	// successor ticket before any bundles flow.
 	nextPSK := session.ResumptionPSK(traffic, newID)
-	session.ZeroKey(&traffic)
+	defer session.ZeroKey(&nextPSK)
 	if err := s.sendTicket(conn, secure, nil, nextPSK, newID); err != nil {
-		return err
+		return nil, err
 	}
 
-	hsp.Mark(s.tm.resume)
+	hsp.End(s.tm.resume, nil)
 	s.tm.handshakesWarm.Inc()
-	return s.serveSession(conn, secure)
+	return secure, nil
 }
 
 // redeemTicket consumes a wire ticket and checks it against the booted
@@ -217,49 +206,41 @@ func Resume(conn io.ReadWriter, ticket *session.ClientTicket) (*Client, error) {
 	}
 	if len(raw) >= channel.HeaderSize {
 		if hdr, err := channel.ParseHeader(raw[:channel.HeaderSize]); err == nil && hdr.Type == channel.MsgResumeReject {
-			var rej resumeRejectMsg
-			if _, body, perr := parsePlain(raw, channel.MsgResumeReject); perr == nil {
-				//hardtape:faulterr-ok an undecodable reject still rejects; the code only refines the sentinel
-				_ = gobDecode(body, &rej)
-			}
+			//hardtape:faulterr-ok an undecodable reject still rejects; the code only refines the sentinel
+			rej, _ := decodePlain[resumeRejectMsg](raw, channel.MsgResumeReject)
 			return nil, session.RejectError(rej.Code)
 		}
 	}
-	_, body, err := parsePlain(raw, channel.MsgResumeAccept)
+	accept, err := decodePlain[resumeAcceptMsg](raw, channel.MsgResumeAccept)
 	if err != nil {
 		return nil, err
 	}
-	var accept resumeAcceptMsg
-	if err := gobDecode(body, &accept); err != nil {
-		return nil, err
-	}
 
+	// The traffic key lives exactly as long as this handshake, whichever
+	// way it ends; the channel and the next ticket hold what they derived.
 	traffic := session.TrafficKey(ticket.PSK, clientNonce, accept.ServerNonce, accept.SessionID)
+	defer session.ZeroKey(&traffic)
 	// The device's tag proves it redeemed the ticket and derived the
 	// same traffic key — without it, anyone could echo our nonce.
 	if err := channel.VerifyConfirmTag(traffic, accept.SessionID, "device", accept.Confirm); err != nil {
-		session.ZeroKey(&traffic)
 		return nil, fmt.Errorf("%w: %w", session.ErrResumeRejected, err)
 	}
 	secure, err := channel.NewSecureChannel(traffic, accept.SessionID)
 	if err != nil {
-		session.ZeroKey(&traffic)
 		return nil, err
 	}
 	userTag := channel.ConfirmTag(traffic, accept.SessionID, "user")
 	sealed, err := secure.Seal(channel.MsgResumeConfirm, gobEncode(&resumeConfirmMsg{Confirm: userTag[:]}))
 	if err != nil {
-		session.ZeroKey(&traffic)
 		return nil, err
 	}
 	if err := channel.WriteMessage(conn, sealed); err != nil {
-		session.ZeroKey(&traffic)
 		return nil, err
 	}
 
 	// Collect the rotated ticket; its PSK ratchets from the traffic key.
 	nextPSK := session.ResumptionPSK(traffic, accept.SessionID)
-	session.ZeroKey(&traffic)
+	defer session.ZeroKey(&nextPSK)
 	next, err := readTicket(conn, secure, nextPSK, accept.SessionID, ticket.Serial, ticket.Measurement)
 	if err != nil {
 		return nil, err

@@ -120,8 +120,8 @@ type Service struct {
 	admission *session.Admission
 	// tm is always non-nil (nil instruments when disabled).
 	tm *svcMetrics
-	// reg is the telemetry registry (nil when disabled); the service
-	// picks up distributed tracing from it via reg.Tracer().
+	// reg is the telemetry registry (nil when disabled); every span the
+	// service starts comes from it.
 	reg *telemetry.Registry
 }
 
@@ -223,19 +223,15 @@ func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	// how many run at once so resumes and live bundles are not starved.
 	// The slot is held for the handshake only — a session that stays
 	// open afterwards must not keep later cold dials out.
-	asp := telemetry.StartSpan(s.tm.enabled)
+	asp, _ := s.reg.StartSpan(context.Background(), "service.admission_wait")
 	s.admission.Acquire()
 	defer s.admission.Release()
-	asp.Mark(s.tm.admissionWait)
+	asp.End(s.tm.admissionWait, nil)
 
 	// --- Step 2: remote attestation + DHKE ---
-	hsp := telemetry.StartSpan(s.tm.enabled)
-	_, body, err := parsePlain(raw, channel.MsgAttestRequest)
+	hsp, _ := s.reg.StartSpan(context.Background(), "service.handshake")
+	req, err := decodePlain[attestRequestMsg](raw, channel.MsgAttestRequest)
 	if err != nil {
-		return nil, err
-	}
-	var req attestRequestMsg
-	if err := gobDecode(body, &req); err != nil {
 		return nil, err
 	}
 
@@ -260,22 +256,17 @@ func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	}
 	hsp.Mark(s.tm.attest)
 
-	raw, err = channel.ReadMessage(conn)
+	kx, err := readPlain[keyExchangeMsg](conn, channel.MsgKeyExchange)
 	if err != nil {
-		return nil, err
-	}
-	_, body, err = parsePlain(raw, channel.MsgKeyExchange)
-	if err != nil {
-		return nil, err
-	}
-	var kx keyExchangeMsg
-	if err := gobDecode(body, &kx); err != nil {
 		return nil, err
 	}
 	sess, err := complete(kx.UserPub)
 	if err != nil {
 		return nil, err
 	}
+	// The DHKE key lives exactly as long as this handshake, whichever
+	// way it ends; the channel and the ticket hold what they derived.
+	defer session.ZeroKey(&sess.Key)
 	if err := channel.VerifyConfirmTag(sess.Key, sessionID, "user", kx.Confirm); err != nil {
 		return nil, err
 	}
@@ -297,7 +288,7 @@ func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	// from the session key (the user derives the same one on its side),
 	// bound to this device's identity and booted measurement.
 	psk := session.ResumptionPSK(sess.Key, sessionID)
-	session.ZeroKey(&sess.Key)
+	defer session.ZeroKey(&psk)
 	if err := s.sendTicket(conn, secure, nil, psk, sessionID); err != nil {
 		return nil, err
 	}
@@ -350,10 +341,10 @@ func (s *Service) serveSession(conn io.ReadWriter, secure *channel.SecureChannel
 		wg  sync.WaitGroup
 	)
 	defer wg.Wait()
-	writeSealed := func(t channel.MsgType, payload []byte) error {
+	reply := func(reqID uint64, status byte, body []byte) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		sealed, err := secure.Seal(t, payload)
+		sealed, err := secure.Seal(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, status, channel.TraceContext{}, body))
 		if err != nil {
 			return err
 		}
@@ -378,36 +369,24 @@ func (s *Service) serveSession(conn io.ReadWriter, secure *channel.SecureChannel
 		if hdr.Type != channel.MsgMux {
 			return fmt.Errorf("%w: expected mux frame, got %d", ErrProtocol, hdr.Type)
 		}
-		reqID, kind, tc, body, err := session.ParseMuxFrameTraced(payload)
+		reqID, kind, tc, body, err := session.ParseMuxFrame(payload)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrProtocol, err)
 		}
 		switch kind {
 		case session.MuxStatus:
 			out := statusMsg{FreeSlots: s.exec.FreeSlots(), Capacity: s.exec.SlotCount()}
-			if err := writeSealed(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, session.MuxOK, gobEncode(&out))); err != nil {
+			if err := reply(reqID, session.MuxOK, gobEncode(&out)); err != nil {
 				return err
 			}
 		case session.MuxBundle:
 			s.tm.bytesIn.Observe(float64(len(raw)))
 			var bm bundleMsg
 			if err := gobDecode(body, &bm); err != nil {
-				if werr := writeSealed(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, session.MuxErr, []byte(err.Error()))); werr != nil {
+				if werr := reply(reqID, session.MuxErr, []byte(err.Error())); werr != nil {
 					return werr
 				}
 				continue
-			}
-			// A traced frame parents this process's spans under the
-			// caller's; the finished records travel back in the reply.
-			// An untraced frame roots a NEW trace here, kept by the
-			// local flight recorder — so a -trace server is useful even
-			// when its clients don't propagate contexts. The two cases
-			// compose: a locally rooted trace assembles into the local
-			// ring when its root ends, and TakeSpans then finds nothing
-			// left to ship.
-			var sp *telemetry.TraceSpan
-			if tr := s.reg.Tracer(); tr != nil {
-				sp = tr.StartSpan("service.bundle", spanCtxFromWire(tc))
 			}
 			// Interleaving is the point of the mux: the bundle runs on
 			// its own goroutine while this loop keeps reading, so many
@@ -415,9 +394,9 @@ func (s *Service) serveSession(conn io.ReadWriter, secure *channel.SecureChannel
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				out := s.executeBundle(&bm, sp)
+				out := s.executeBundle(tc, &bm)
 				//hardtape:faulterr-ok a write race with connection teardown fails the conn, which the read loop reports
-				_ = writeSealed(channel.MsgMuxReply, session.EncodeMuxFrame(reqID, session.MuxOK, gobEncode(&out)))
+				_ = reply(reqID, session.MuxOK, gobEncode(&out))
 			}()
 		default:
 			return fmt.Errorf("%w: mux kind %d", ErrProtocol, kind)
@@ -425,18 +404,19 @@ func (s *Service) serveSession(conn io.ReadWriter, secure *channel.SecureChannel
 	}
 }
 
-// executeBundle runs one decoded bundle and shapes the trace reply.
-// sp, when non-nil, is the request's service span: the executor's
-// context carries its identity so device/ORAM spans parent under it,
-// and the reply collects every finished local span of the trace.
-func (s *Service) executeBundle(bm *bundleMsg, sp *telemetry.TraceSpan) traceMsg {
-	bsp := telemetry.StartSpan(s.tm.enabled)
-	ctx := context.Background()
-	if sp != nil {
-		ctx = telemetry.ContextWithSpan(ctx, sp.Context())
-	}
+// executeBundle runs one decoded bundle under its "service.bundle" span
+// and shapes the trace reply. A traced frame (tc valid) parents this
+// process's spans under the caller's; the finished records travel back
+// in the reply. An untraced frame roots a NEW trace here, kept by the
+// local flight recorder — so a -trace server is useful even when its
+// clients don't propagate contexts. The two cases compose: a locally
+// rooted trace assembles into the local ring when its root ends, and
+// TakeSpans then finds nothing left to ship.
+func (s *Service) executeBundle(tc channel.TraceContext, bm *bundleMsg) traceMsg {
+	ctx := s.reg.ContinueTrace(context.Background(), spanCtxFromWire(tc))
+	sp, ctx := s.reg.StartSpan(ctx, "service.bundle")
 	res, err := s.exec.ExecuteContext(ctx, &bm.Bundle)
-	bsp.Mark(s.tm.execute)
+	sp.End(s.tm.execute, &err)
 	var out traceMsg
 	if err != nil {
 		out.AbortReason = err.Error()
@@ -450,11 +430,7 @@ func (s *Service) executeBundle(bm *bundleMsg, sp *telemetry.TraceSpan) traceMsg
 		}
 		s.tm.bundlesOK.Inc()
 	}
-	if sp != nil {
-		sp.SetError(err)
-		sp.End()
-		out.TraceSpans = s.reg.FlightRecorder().TakeSpans(sp.TraceID())
-	}
+	out.TraceSpans = s.reg.FlightRecorder().TakeSpans(sp.Context().Trace)
 	return out
 }
 
@@ -476,10 +452,10 @@ type Client struct {
 	// warm reports whether this client skipped asymmetric crypto
 	// (ticket resumption) rather than attesting from scratch.
 	warm bool
-	// tracer, when set, roots a distributed trace per PreExecute (or
+	// reg, when set, roots a distributed trace per PreExecute (or
 	// continues the caller's via PreExecuteContext) and adopts the
 	// remote spans the service returns.
-	tracer *telemetry.Tracer
+	reg *telemetry.Registry
 
 	tmu    sync.Mutex
 	ticket *session.ClientTicket
@@ -487,7 +463,7 @@ type Client struct {
 
 // SetTracer turns on distributed tracing for this client's requests
 // (nil disables). Usually reg.Tracer() for the process registry.
-func (c *Client) SetTracer(tr *telemetry.Tracer) { c.tracer = tr }
+func (c *Client) SetTracer(tr *telemetry.Tracer) { c.reg = tr.Registry() }
 
 // readWriteCloser adapts the io.ReadWriter handshake streams (net.Pipe
 // halves in tests, net.Conn in production) to the mux's closer needs.
@@ -511,22 +487,17 @@ func Dial(conn io.ReadWriter, verifier ReportVerifier, sign bool) (*Client, erro
 	if err := writePlain(conn, channel.MsgAttestRequest, 0, &attestRequestMsg{Nonce: nonce}); err != nil {
 		return nil, err
 	}
-	raw, err := channel.ReadMessage(conn)
+	rep, err := readPlain[attestReportMsg](conn, channel.MsgAttestReport)
 	if err != nil {
-		return nil, err
-	}
-	_, body, err := parsePlain(raw, channel.MsgAttestReport)
-	if err != nil {
-		return nil, err
-	}
-	var rep attestReportMsg
-	if err := gobDecode(body, &rep); err != nil {
 		return nil, err
 	}
 	sess, userPub, err := verifier.Verify(&rep.Report, nonce)
 	if err != nil {
 		return nil, fmt.Errorf("core: attestation failed: %w", err)
 	}
+	// The DHKE key lives exactly as long as this handshake, whichever
+	// way it ends; the channel and the ticket hold what they derived.
+	defer session.ZeroKey(&sess.Key)
 
 	userSigKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
@@ -559,7 +530,7 @@ func Dial(conn io.ReadWriter, verifier ReportVerifier, sign bool) (*Client, erro
 	// Derive the resumption PSK from the same session key the service
 	// used, then collect the sealed ticket it minted.
 	psk := session.ResumptionPSK(sess.Key, rep.SessionID)
-	session.ZeroKey(&sess.Key)
+	defer session.ZeroKey(&psk)
 	ticket, err := readTicket(conn, secure, psk, rep.SessionID,
 		rep.Report.Cert.Serial, rep.Report.Measurement)
 	if err != nil {
@@ -576,39 +547,19 @@ func Dial(conn io.ReadWriter, verifier ReportVerifier, sign bool) (*Client, erro
 // derived PSK. A service that could not mint (nil ticket) leaves the
 // client un-resumable but otherwise functional; the PSK is zeroed.
 func readTicket(conn io.ReadWriter, secure *channel.SecureChannel, psk [32]byte, sessionID uint64, serial string, measurement [32]byte) (*session.ClientTicket, error) {
-	raw, err := channel.ReadMessage(conn)
-	if err != nil {
-		session.ZeroKey(&psk)
+	defer session.ZeroKey(&psk)
+	tim, err := readSealed[ticketIssueMsg](conn, secure, channel.MsgTicketIssue)
+	if err != nil || len(tim.Ticket) == 0 {
 		return nil, err
 	}
-	hdr, payload, err := secure.Open(raw)
-	if err != nil {
-		session.ZeroKey(&psk)
-		return nil, err
-	}
-	if hdr.Type != channel.MsgTicketIssue {
-		session.ZeroKey(&psk)
-		return nil, fmt.Errorf("%w: expected ticket, got %d", ErrProtocol, hdr.Type)
-	}
-	var tim ticketIssueMsg
-	if err := gobDecode(payload, &tim); err != nil {
-		session.ZeroKey(&psk)
-		return nil, err
-	}
-	if len(tim.Ticket) == 0 {
-		session.ZeroKey(&psk)
-		return nil, nil
-	}
-	t := &session.ClientTicket{
+	return &session.ClientTicket{
 		Opaque:      tim.Ticket,
 		PSK:         psk,
 		SessionID:   sessionID,
 		Serial:      serial,
 		Measurement: measurement,
 		ExpiryEpoch: tim.ExpiryEpoch,
-	}
-	session.ZeroKey(&psk)
-	return t, nil
+	}, nil
 }
 
 // Ticket detaches the client's current resumption ticket (single-use;
@@ -643,32 +594,19 @@ func (c *Client) PreExecute(bundle *types.Bundle) (*TraceResult, error) {
 // in ctx (a gateway forwarding a traced request) or roots a fresh
 // trace, propagates over the wire, and the remote spans returned in
 // the reply are adopted into the local flight recorder.
-func (c *Client) PreExecuteContext(ctx context.Context, bundle *types.Bundle) (*TraceResult, error) {
-	var (
-		sp *telemetry.TraceSpan
-		tc channel.TraceContext
-	)
-	if c.tracer != nil {
-		sp = c.tracer.StartSpan("client.preexecute", telemetry.SpanFromContext(ctx))
-		sp.AddInt("txs", int64(len(bundle.Txs)))
-		tc = wireTraceContext(sp.Context())
-	}
-	body, err := c.mux.RoundTripTraced(session.MuxBundle, tc, gobEncode(&bundleMsg{Bundle: *bundle}))
+func (c *Client) PreExecuteContext(ctx context.Context, bundle *types.Bundle) (res *TraceResult, err error) {
+	sp, _ := c.reg.StartSpan(c.reg.ContinueTrace(ctx, telemetry.SpanContext{}), "client.preexecute")
+	sp.AddInt("txs", int64(len(bundle.Txs)))
+	defer sp.End(nil, &err)
+	body, err := c.mux.RoundTrip(session.MuxBundle, wireTraceContext(sp.Context()), gobEncode(&bundleMsg{Bundle: *bundle}))
 	if err != nil {
-		sp.SetError(err)
-		sp.End()
 		return nil, err
 	}
 	var tm traceMsg
 	if err := gobDecode(body, &tm); err != nil {
-		sp.SetError(err)
-		sp.End()
 		return nil, err
 	}
-	if sp != nil {
-		c.tracer.Recorder().Adopt(tm.TraceSpans)
-		sp.End()
-	}
+	c.reg.FlightRecorder().Adopt(tm.TraceSpans)
 	return &TraceResult{
 		Trace:       &tm.Trace,
 		VirtualTime: tm.VirtualTime,
@@ -697,7 +635,7 @@ type ServiceStatus struct {
 // session. Schedulers (the fleet gateway) use it both as a health
 // check and to weight dispatch by free capacity.
 func (c *Client) Status() (*ServiceStatus, error) {
-	body, err := c.mux.RoundTrip(session.MuxStatus, gobEncode(&statusMsg{}))
+	body, err := c.mux.RoundTrip(session.MuxStatus, channel.TraceContext{}, gobEncode(&statusMsg{}))
 	if err != nil {
 		return nil, err
 	}
@@ -719,23 +657,53 @@ func writePlain(w io.Writer, t channel.MsgType, session uint64, v any) error {
 	return channel.WriteMessage(w, msg)
 }
 
-// parsePlain validates an unencrypted protocol message.
-func parsePlain(raw []byte, want channel.MsgType) (*channel.Header, []byte, error) {
+// decodePlain validates an unencrypted protocol message of type want
+// and decodes its payload.
+func decodePlain[T any](raw []byte, want channel.MsgType) (v T, err error) {
 	if len(raw) < channel.HeaderSize {
-		return nil, nil, channel.ErrBadHeader
+		return v, channel.ErrBadHeader
 	}
 	hdr, err := channel.ParseHeader(raw[:channel.HeaderSize])
 	if err != nil {
-		return nil, nil, err
+		return v, err
 	}
 	if hdr.Type != want {
-		return nil, nil, fmt.Errorf("%w: expected type %d, got %d", ErrProtocol, want, hdr.Type)
+		return v, fmt.Errorf("%w: expected type %d, got %d", ErrProtocol, want, hdr.Type)
 	}
 	body := raw[channel.HeaderSize:]
 	if uint32(len(body)) != hdr.Length {
-		return nil, nil, channel.ErrBadHeader
+		return v, channel.ErrBadHeader
 	}
-	return hdr, body, nil
+	err = gobDecode(body, &v)
+	return v, err
+}
+
+// readPlain reads the next message off r as an unencrypted message of
+// type want (pre-session).
+func readPlain[T any](r io.Reader, want channel.MsgType) (v T, err error) {
+	raw, err := channel.ReadMessage(r)
+	if err != nil {
+		return v, err
+	}
+	return decodePlain[T](raw, want)
+}
+
+// readSealed reads the next message off r, opens it on the established
+// channel and decodes it as a message of type want.
+func readSealed[T any](r io.Reader, secure *channel.SecureChannel, want channel.MsgType) (v T, err error) {
+	raw, err := channel.ReadMessage(r)
+	if err != nil {
+		return v, err
+	}
+	hdr, payload, err := secure.Open(raw)
+	if err != nil {
+		return v, err
+	}
+	if hdr.Type != want {
+		return v, fmt.Errorf("%w: expected type %d, got %d", ErrProtocol, want, hdr.Type)
+	}
+	err = gobDecode(payload, &v)
+	return v, err
 }
 
 func gobEncode(v any) []byte {

@@ -2,14 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hardtape/internal/attest"
 	"hardtape/internal/node"
 	"hardtape/internal/telemetry"
+	"hardtape/internal/types"
 	"hardtape/internal/workload"
 )
 
@@ -136,5 +140,116 @@ func TestConcurrentTracedMuxTraffic(t *testing.T) {
 					trace.ID, s.Span, s.Name, s.Parent)
 			}
 		}
+	}
+}
+
+// errSpans runs fn under a fresh root span on reg and returns, for the
+// trace it produced, how many spans of each name ended and which names
+// carry an Err.
+func errSpans(t *testing.T, reg *telemetry.Registry, fn func(ctx context.Context)) (count map[string]int, failed map[string]bool) {
+	t.Helper()
+	root, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), telemetry.SpanContext{}), "test.root")
+	fn(ctx)
+	root.End(nil, nil)
+	trace := reg.FlightRecorder().Lookup(root.Context().Trace)
+	if trace == nil {
+		t.Fatalf("trace %s not kept", root.Context().Trace)
+	}
+	count, failed = map[string]int{}, map[string]bool{}
+	for _, s := range trace.Spans {
+		count[s.Name]++
+		if s.Err != "" {
+			failed[s.Name] = true
+		}
+	}
+	return count, failed
+}
+
+// TestSpanErrLandsOnFailingLayer injects a fault into one layer at a
+// time and checks the merged span's deferred End put the error on that
+// layer's span (and on the callers the error propagated through), never
+// on a sibling or a callee: a bad nonce fails device.exec/device.bundle,
+// an expired wait for a core fails device.slot_wait and never opens
+// device.exec, the service span fails while the client's stays clean
+// (the failure travels as an abort reason), and a dead connection fails
+// client.preexecute alone.
+func TestSpanErrLandsOnFailingLayer(t *testing.T) {
+	sr, devReg := buildTracedServiceRig(t)
+	dev := sr.device
+	to := types.BytesToAddress([]byte{0xcd})
+	badNonce, err := sr.world.SignedTxAt(sr.world.EOAs[1], 7, &to, 1, nil, 40_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &types.Bundle{Txs: []*types.Transaction{sr.transferBundleFrom(t, 2, 5).Txs[0], badNonce}}
+	want := func(what string, failed map[string]bool, names ...string) {
+		t.Helper()
+		if len(failed) != len(names) {
+			t.Errorf("%s: spans with Err %v, want exactly %v", what, failed, names)
+		}
+		for _, n := range names {
+			if !failed[n] {
+				t.Errorf("%s: span %s carries no Err (failed: %v)", what, n, failed)
+			}
+		}
+	}
+
+	count, failed := errSpans(t, devReg, func(ctx context.Context) {
+		if _, err := dev.ExecuteContext(ctx, bad); err == nil {
+			t.Error("bad-nonce bundle executed")
+		}
+	})
+	want("device fault", failed, "device.exec", "device.bundle")
+	if count["device.slot_wait"] != 0 {
+		t.Errorf("idle device recorded a slot wait: %v", count)
+	}
+
+	// Hold every core so the bundle can only wait, then let ctx expire.
+	held := make([]*slot, cap(dev.slots))
+	for i := range held {
+		held[i] = <-dev.slots
+	}
+	count, failed = errSpans(t, devReg, func(ctx context.Context) {
+		ctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+		defer cancel()
+		if _, err := dev.ExecuteContext(ctx, bad); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("wait for a held core: %v, want deadline exceeded", err)
+		}
+	})
+	for _, s := range held {
+		dev.slots <- s
+	}
+	want("slot wait", failed, "device.slot_wait", "device.bundle")
+	if count["device.exec"] != 0 {
+		t.Errorf("a bundle that never got a core opened device.exec: %v", count)
+	}
+
+	// Through the wire: the service span fails, the client's does not.
+	clientReg := telemetry.NewRegistry()
+	ctr := clientReg.EnableTracing("client", 0)
+	defer clientReg.FlightRecorder().Close()
+	conn := sr.serveOnce(t)
+	c, err := Dial(conn, sr.verifier(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetTracer(ctr)
+	_, failed = errSpans(t, clientReg, func(ctx context.Context) {
+		res, err := c.PreExecuteContext(ctx, bad)
+		if err != nil || !strings.Contains(res.AbortReason, "core: tx 1:") {
+			t.Errorf("bad bundle over the wire: %v, %+v", err, res)
+		}
+	})
+	want("service fault", failed, "service.bundle", "device.bundle", "device.exec")
+
+	conn.Close()
+	count, failed = errSpans(t, clientReg, func(ctx context.Context) {
+		if _, err := c.PreExecuteContext(ctx, bad); err == nil {
+			t.Error("pre-execute on a closed connection succeeded")
+		}
+	})
+	want("client fault", failed, "client.preexecute")
+	if len(count) != 2 {
+		t.Errorf("dead connection produced spans beyond root and client: %v", count)
 	}
 }

@@ -47,11 +47,6 @@ func (a *CodeAnalysis) ValidJumpdest(pos uint64) bool {
 	return a.jumpdests[pos/8]&(1<<(pos%8)) != 0
 }
 
-// IsPushData reports whether the byte at pos is a PUSH immediate.
-func (a *CodeAnalysis) IsPushData(pos uint64) bool {
-	return a.pushdata[pos/8]&(1<<(pos%8)) != 0
-}
-
 // analysisCacheMaxEntries bounds the shared cache. When full the cache
 // is dropped wholesale: hot contracts re-populate it within one bundle,
 // and the bound keeps a churn-heavy workload (CREATE2 factories) from

@@ -118,11 +118,6 @@ func (a *Assembler) JumpI(name string) *Assembler {
 	return a.PushLabel(name).Op(evm.JUMPI)
 }
 
-// MStore emits code storing a constant at a memory offset.
-func (a *Assembler) MStore(offset uint64, value *uint256.Int) *Assembler {
-	return a.PushInt(value).Push(offset).Op(evm.MSTORE)
-}
-
 // SStore emits code storing a constant at a storage key.
 func (a *Assembler) SStore(key, value uint64) *Assembler {
 	return a.Push(value).Push(key).Op(evm.SSTORE)

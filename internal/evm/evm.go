@@ -147,11 +147,6 @@ func (e *EVM) Call(caller, addr types.Address, input []byte, gas uint64, value *
 	return e.callInternal(CallKindCall, caller, addr, addr, input, gas, value, false)
 }
 
-// StaticCall executes a read-only message call.
-func (e *EVM) StaticCall(caller, addr types.Address, input []byte, gas uint64) ([]byte, uint64, error) {
-	return e.callInternal(CallKindStaticCall, caller, addr, addr, input, gas, new(uint256.Int), true)
-}
-
 // callInternal is the shared message-call path.
 // storageCtx is the address whose storage/balance the code runs
 // against; codeAddr is where the code is loaded from (they differ for

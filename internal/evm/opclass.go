@@ -97,9 +97,6 @@ func buildOpClassTable() [256]OpClass {
 	return t
 }
 
-// ClassOf returns an opcode's class.
-func ClassOf(op OpCode) OpClass { return _opClassTable[op] }
-
 // OpClassCounts accumulates executed-instruction counts per class.
 // It is plain (non-atomic) memory: one instance belongs to one HEVM
 // slot, counts a bundle, and is flushed into shared telemetry

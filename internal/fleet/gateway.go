@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hardtape/internal/core"
+	"hardtape/internal/hevm"
 	"hardtape/internal/session"
 	"hardtape/internal/telemetry"
 	"hardtape/internal/types"
@@ -32,10 +33,6 @@ type Config struct {
 	// DispatchRetries is how many times one accepted bundle may fail
 	// over to another backend after a BackendError.
 	DispatchRetries int
-	// WaitWindow is retained for configuration compatibility. The
-	// sample ring it sized was replaced by a fixed-bucket telemetry
-	// histogram, which needs no window.
-	WaitWindow int
 	// ColdHandshakeLimit bounds concurrent cold (attest+DHKE)
 	// handshakes on services fronting this gateway; warm ticket resumes
 	// bypass the gate, so a reconnect burst never queues behind cold
@@ -71,8 +68,10 @@ type backendState struct {
 	backoff   time.Duration
 	nextProbe time.Time
 	// m holds the backend's telemetry series — also the source of
-	// truth for dispatch/failure counts and HEVM aggregates.
+	// truth for dispatch/failure counts.
 	m *backendMetrics
+	// hevm aggregates per-bundle machine stats over completed bundles.
+	hevm hevm.Stats
 }
 
 // effectiveFree is the slots the gateway may still dispatch to.
@@ -100,6 +99,9 @@ type Gateway struct {
 	wake     chan struct{}
 	closed   bool
 
+	// reg is Config.Telemetry, or a private registry when that is nil:
+	// the same instruments back the Stats() snapshot either way.
+	reg    *telemetry.Registry
 	tm     *gwMetrics
 	adm    *session.Admission
 	stopCh chan struct{}
@@ -135,6 +137,7 @@ func NewGateway(cfg Config, backends ...Backend) *Gateway {
 	g := &Gateway{
 		cfg:    cfg,
 		wake:   make(chan struct{}),
+		reg:    reg,
 		tm:     newGwMetrics(reg),
 		adm:    session.NewAdmission(cfg.ColdHandshakeLimit),
 		stopCh: make(chan struct{}),
@@ -175,48 +178,21 @@ func NewGateway(cfg Config, backends ...Backend) *Gateway {
 // It returns ErrOverloaded without queuing when the admission bound is
 // hit, fails over on backend faults, and respects ctx plus the
 // configured per-bundle deadline while waiting for capacity.
-func (g *Gateway) Submit(ctx context.Context, bundle *types.Bundle) (*core.BundleResult, error) {
+func (g *Gateway) Submit(ctx context.Context, bundle *types.Bundle) (res *core.BundleResult, err error) {
 	if bundle == nil || len(bundle.Txs) == 0 {
 		return nil, core.ErrBundleEmpty
 	}
+	// Continues the submitter's distributed trace (the fronting
+	// core.Service puts its span on ctx); queue wait and dispatch each
+	// become their own span under this one.
+	sp, ctx := g.reg.StartSpan(ctx, "gateway.submit")
+	sp.AddInt("txs", int64(len(bundle.Txs)))
+	defer sp.End(nil, &err)
 
-	// Continue the submitter's distributed trace (the fronting
-	// core.Service puts its span on ctx); admission, queue wait, and
-	// dispatch each become their own span.
-	gtr := g.cfg.Telemetry.Tracer()
-	var ssp *telemetry.TraceSpan
-	if gtr != nil {
-		if parent := telemetry.SpanFromContext(ctx); parent.Valid() {
-			ssp = gtr.StartSpan("gateway.submit", parent)
-			ssp.AddInt("txs", int64(len(bundle.Txs)))
-		}
+	if err := g.admit(); err != nil {
+		return nil, err
 	}
-
-	// Admission: a full queue rejects instead of blocking (the typed
-	// backpressure signal the single-device Execute never had).
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		ssp.SetError(ErrClosed)
-		ssp.End()
-		return nil, ErrClosed
-	}
-	if g.admitted >= g.cfg.QueueDepth {
-		g.tm.rejected.Inc()
-		g.mu.Unlock()
-		ssp.SetError(ErrOverloaded)
-		ssp.End()
-		return nil, ErrOverloaded
-	}
-	g.admitted++
-	g.waiting++
-	g.mu.Unlock()
-	g.tm.admitted.Inc()
-	defer func() {
-		g.mu.Lock()
-		g.admitted--
-		g.mu.Unlock()
-	}()
+	defer g.settle(&err)
 
 	if g.cfg.BundleDeadline > 0 {
 		var cancel context.CancelFunc
@@ -224,96 +200,114 @@ func (g *Gateway) Submit(ctx context.Context, bundle *types.Bundle) (*core.Bundl
 		defer cancel()
 	}
 
-	start := time.Now()
-	waitDone := false
-	retries := 0
-	// The queue wait gets its own span AND stamps the wait histogram's
-	// exemplar, so a p99 queue-wait bucket points at a concrete trace.
-	var qsp *telemetry.TraceSpan
-	if ssp != nil {
-		qsp = gtr.StartSpan("gateway.queue_wait", ssp.Context())
-	}
-	for {
-		bs, wake := g.reserve()
-		if bs == nil {
-			select {
-			case <-wake:
-				continue
-			case <-ctx.Done():
-				g.mu.Lock()
-				g.waiting--
-				g.mu.Unlock()
-				g.tm.failed.Inc()
-				err := fmt.Errorf("%w: %w", ErrNoBackends, ctx.Err())
-				qsp.SetError(err)
-				qsp.End()
-				ssp.SetError(err)
-				ssp.End()
-				return nil, err
-			case <-g.stopCh:
-				g.mu.Lock()
-				g.waiting--
-				g.mu.Unlock()
-				qsp.SetError(ErrClosed)
-				qsp.End()
-				ssp.SetError(ErrClosed)
-				ssp.End()
-				return nil, ErrClosed
-			}
-		}
-		if !waitDone {
-			if ssp != nil {
-				g.tm.queueWait.ObserveDurationTraced(time.Since(start), ssp.TraceID())
-			} else {
-				g.tm.queueWait.ObserveDuration(time.Since(start))
-			}
-			qsp.End()
-			waitDone = true
-		}
-
-		// The dispatch span rides ctx into the backend: an in-process
-		// device (or the remote client's wire context) parents its
-		// "device.bundle" span on it. Backend names are deployment
-		// labels the operator chose — public, never tainted.
-		bctx := ctx
-		var dsp *telemetry.TraceSpan
-		if ssp != nil {
-			dsp = gtr.StartSpan("gateway.dispatch", ssp.Context())
-			dsp.AddAttr("backend", bs.b.Name())
-			bctx = telemetry.ContextWithSpan(ctx, dsp.Context())
-		}
-		res, err := bs.b.Execute(bctx, bundle)
-		dsp.SetError(err)
-		dsp.End()
-		g.release(bs, res, err)
-		if err == nil {
-			g.tm.completed.Inc()
-			ssp.End()
+	bs, err := g.queueWait(ctx)
+	for retries := 0; err == nil; {
+		if res, err = g.dispatch(ctx, bs, bundle); err == nil {
 			return res, nil
 		}
 		var be *BackendError
 		if !errors.As(err, &be) {
 			// The bundle's own fault (invalid tx, context expiry while
 			// holding a slot): no failover, surface it.
-			g.tm.failed.Inc()
-			ssp.SetError(err)
-			ssp.End()
-			return nil, err
+			break
 		}
-		// Infrastructure fault: drain the backend and retry the bundle
-		// on a survivor.
+		// Infrastructure fault: release drained the backend; retry the
+		// bundle on a survivor.
 		retries++
 		if ctx.Err() != nil || retries > g.cfg.DispatchRetries {
-			g.tm.failed.Inc()
-			ssp.SetError(err)
-			ssp.End()
-			return nil, err
+			break
 		}
 		g.mu.Lock()
 		g.waiting++
 		g.mu.Unlock()
 		g.tm.retries.Inc()
+		bs, err = g.acquire(ctx)
 	}
+	return nil, err
+}
+
+// admit takes one place in the bounded queue. A full queue rejects
+// instead of blocking (the typed backpressure signal the single-device
+// Execute never had).
+func (g *Gateway) admit() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return ErrClosed
+	}
+	if g.admitted >= g.cfg.QueueDepth {
+		g.tm.rejected.Inc()
+		return ErrOverloaded
+	}
+	g.admitted++
+	g.waiting++
+	g.tm.admitted.Inc()
+	return nil
+}
+
+// settle gives an admitted bundle's place back and counts its final
+// outcome. Submit defers it right after admit, so every way out —
+// completion, bundle fault, exhausted retries, deadline, shutdown —
+// settles exactly once and admitted = completed + failed holds.
+func (g *Gateway) settle(errp *error) {
+	g.mu.Lock()
+	g.admitted--
+	g.mu.Unlock()
+	if *errp == nil {
+		g.tm.completed.Inc()
+	} else {
+		g.tm.failed.Inc()
+	}
+}
+
+// queueWait is a bundle's first wait for capacity, the admission-to-slot
+// interval: one "gateway.queue_wait" span times it for the wait
+// histogram and stamps the bucket's exemplar, so a p99 queue-wait
+// bucket points at a concrete trace. Waits that end in a deadline or
+// shutdown are observed too. (Failover re-acquisitions are not queue
+// wait; they go through acquire directly.)
+func (g *Gateway) queueWait(ctx context.Context) (bs *backendState, err error) {
+	sp, ctx := g.reg.StartSpan(ctx, "gateway.queue_wait")
+	defer sp.End(g.tm.queueWait, &err)
+	return g.acquire(ctx)
+}
+
+// acquire blocks until a backend slot is reserved, ctx expires, or the
+// gateway closes.
+func (g *Gateway) acquire(ctx context.Context) (*backendState, error) {
+	for {
+		bs, wake := g.reserve()
+		if bs != nil {
+			return bs, nil
+		}
+		var err error
+		select {
+		case <-wake:
+			continue
+		case <-ctx.Done():
+			err = fmt.Errorf("%w: %w", ErrNoBackends, ctx.Err())
+		case <-g.stopCh:
+			err = ErrClosed
+		}
+		g.mu.Lock()
+		g.waiting--
+		g.mu.Unlock()
+		return nil, err
+	}
+}
+
+// dispatch runs the bundle on its reserved backend. The
+// "gateway.dispatch" span rides ctx into the backend: an in-process
+// device (or the remote client's wire context) parents its
+// "device.bundle" span on it. Backend names are deployment labels the
+// operator chose — public, never tainted.
+func (g *Gateway) dispatch(ctx context.Context, bs *backendState, bundle *types.Bundle) (*core.BundleResult, error) {
+	sp, ctx := g.reg.StartSpan(ctx, "gateway.dispatch")
+	sp.AddAttr("backend", bs.b.Name())
+	res, err := bs.b.Execute(ctx, bundle)
+	sp.End(nil, &err)
+	g.release(bs, res, err)
+	return res, err
 }
 
 // reserve picks the healthy backend with the most effective free
@@ -369,7 +363,7 @@ func (g *Gateway) release(bs *backendState, res *core.BundleResult, err error) {
 	if err == nil {
 		bs.m.dispatched.Inc()
 		if res != nil {
-			bs.m.addHEVM(res.HEVMStats)
+			bs.hevm.Add(res.HEVMStats)
 		}
 	} else if errors.As(err, &be) {
 		bs.m.failures.Inc()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -240,29 +242,149 @@ func TestHealthBackoffAndReadmit(t *testing.T) {
 	}
 }
 
+// TestCloseUnblocksWaiters closes a gateway with queued submitters:
+// each fails with ErrClosed, and once the in-flight bundle drains every
+// admitted bundle has settled exactly once — admitted = completed +
+// failed (the shutdown arm used to return without counting).
 func TestCloseUnblocksWaiters(t *testing.T) {
 	a := newFakeBackend("a", 1)
 	a.block = make(chan struct{})
-	defer close(a.block)
 	g := NewGateway(Config{QueueDepth: 4, BundleDeadline: 10 * time.Second}, a)
 
-	go g.Submit(context.Background(), testBundle())
-	waitFor(t, func() bool { return g.Stats().InFlight == 1 })
-	errCh := make(chan error, 1)
+	const waiters = 3
+	inflight := make(chan error, 1)
 	go func() {
 		_, err := g.Submit(context.Background(), testBundle())
-		errCh <- err
+		inflight <- err
 	}()
-	waitFor(t, func() bool { return g.Stats().Waiting == 1 })
+	waitFor(t, func() bool { return g.Stats().InFlight == 1 })
+	errCh := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := g.Submit(context.Background(), testBundle())
+			errCh <- err
+		}()
+	}
+	waitFor(t, func() bool { return g.Stats().Waiting == waiters })
 
 	go g.Close()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("waiter unblocked with %v, want ErrClosed", err)
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-errCh:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("waiter unblocked with %v, want ErrClosed", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("waiter stuck after Close")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("waiter stuck after Close")
+	}
+	close(a.block)
+	if err := <-inflight; err != nil {
+		t.Fatalf("in-flight bundle at shutdown: %v", err)
+	}
+	st := g.Stats()
+	if st.Admitted != waiters+1 || st.Completed != 1 || st.Failed != waiters {
+		t.Fatalf("admitted %d = completed %d + failed %d does not hold (want %d = 1 + %d)",
+			st.Admitted, st.Completed, st.Failed, waiters+1, waiters)
+	}
+}
+
+// TestGatewaySpanErrLandsOnFailingLayer injects a fault into one
+// gateway layer at a time and checks whose span carries the Err: a
+// backend fault fails that dispatch span only (the failover succeeds, so
+// the submit span is clean), and a deadline while queued fails the
+// queue-wait span and the submit it belongs to, with no dispatch span.
+// Both waits feed the queue-wait histogram, traced ones with exemplars.
+func TestGatewaySpanErrLandsOnFailingLayer(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.EnableTracing("gateway", 8)
+	defer reg.FlightRecorder().Close()
+	a, b := newFakeBackend("a", 2), newFakeBackend("b", 1)
+	g := NewGateway(Config{QueueDepth: 8, BundleDeadline: 5 * time.Second, Telemetry: reg}, a, b)
+	defer g.Close()
+
+	// traced runs one Submit under a fresh root and returns the trace.
+	traced := func(ctx context.Context) (*telemetry.Trace, error) {
+		root, ctx := reg.StartSpan(reg.ContinueTrace(ctx, telemetry.SpanContext{}), "test.root")
+		_, err := g.Submit(ctx, testBundle())
+		root.End(nil, nil)
+		trace := reg.FlightRecorder().Lookup(root.Context().Trace)
+		if trace == nil {
+			t.Fatalf("trace %s not kept", root.Context().Trace)
+		}
+		return trace, err
+	}
+	failed := func(trace *telemetry.Trace) (names []string) {
+		for _, s := range trace.Spans {
+			if s.Err == "" {
+				continue
+			}
+			name := s.Name
+			for _, at := range s.Attrs {
+				if at.Key == "backend" {
+					name += ":" + at.Str
+				}
+			}
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return names
+	}
+
+	a.setDown(fmt.Errorf("yanked")) // dispatch prefers a (more free slots)
+	trace, err := traced(context.Background())
+	if err != nil {
+		t.Fatalf("failover submit: %v", err)
+	}
+	if got := failed(trace); !reflect.DeepEqual(got, []string{"gateway.dispatch:a"}) {
+		t.Errorf("backend fault: spans with Err %v, want only gateway.dispatch:a", got)
+	}
+	if len(trace.Spans) != 5 { // root, submit, queue_wait, dispatch a, dispatch b
+		t.Errorf("failover trace has %d spans, want 5", len(trace.Spans))
+	}
+
+	// b is the only healthy backend; hold its one slot and let a second
+	// bundle's deadline expire while it queues.
+	b.block = make(chan struct{})
+	hold := make(chan error, 1)
+	go func() {
+		_, err := g.Submit(context.Background(), testBundle())
+		hold <- err
+	}()
+	waitFor(t, func() bool { return g.Stats().InFlight == 1 })
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	trace, err = traced(ctx)
+	if !errors.Is(err, ErrNoBackends) {
+		t.Fatalf("queued past its deadline: %v, want ErrNoBackends", err)
+	}
+	if got := failed(trace); !reflect.DeepEqual(got, []string{"gateway.queue_wait", "gateway.submit"}) {
+		t.Errorf("queue deadline: spans with Err %v, want queue_wait and submit", got)
+	}
+	if len(trace.Spans) != 3 {
+		t.Errorf("queue-deadline trace has %d spans, want 3 (no dispatch)", len(trace.Spans))
+	}
+	close(b.block)
+	if err := <-hold; err != nil {
+		t.Fatal(err)
+	}
+
+	// Three first waits (one ended by the deadline) → three observations;
+	// the two traced ones left exemplars.
+	if n := g.tm.queueWait.Count(); n != 3 {
+		t.Errorf("queue-wait histogram has %d observations, want 3", n)
+	}
+	exemplars := 0
+	for i := 0; i <= len(telemetry.DurationBuckets); i++ {
+		if g.tm.queueWait.BucketExemplar(i) != nil {
+			exemplars++
+		}
+	}
+	if exemplars == 0 {
+		t.Error("traced queue waits left no exemplar")
+	}
+	if st := g.Stats(); st.Admitted != st.Completed+st.Failed {
+		t.Errorf("admitted %d != completed %d + failed %d", st.Admitted, st.Completed, st.Failed)
 	}
 }
 

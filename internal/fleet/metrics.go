@@ -1,15 +1,10 @@
 package fleet
 
-import (
-	"hardtape/internal/hevm"
-	"hardtape/internal/telemetry"
-)
+import "hardtape/internal/telemetry"
 
 // gwMetrics is the gateway's registered series. The gateway always
 // has a live registry — a private one when Config.Telemetry is nil —
-// because these instruments are also the backing store for Stats():
-// the old private wait-window ring and per-backend aggregate structs
-// are gone, replaced by the shared histogram/counters.
+// because these instruments are also the backing store for Stats().
 type gwMetrics struct {
 	admitted  *telemetry.Counter
 	rejected  *telemetry.Counter
@@ -35,14 +30,6 @@ func newGwMetrics(reg *telemetry.Registry) *gwMetrics {
 type backendMetrics struct {
 	dispatched *telemetry.Counter
 	failures   *telemetry.Counter
-
-	hevmSteps      *telemetry.Counter
-	hevmSwaps      *telemetry.Counter
-	hevmEvicted    *telemetry.Counter
-	hevmLoaded     *telemetry.Counter
-	hevmCodeFaults *telemetry.Counter
-	hevmOverflows  *telemetry.Counter
-	hevmL2Peak     *telemetry.Gauge
 }
 
 // newBackendMetrics registers the per-backend series. The backend
@@ -52,41 +39,7 @@ type backendMetrics struct {
 //hardtape:telemetry-ok backend label is the operator-assigned deployment name, not user data
 func newBackendMetrics(reg *telemetry.Registry, name string) *backendMetrics {
 	return &backendMetrics{
-		dispatched:     reg.Counter("hardtape_fleet_backend_dispatched_total", "bundles run on this backend", "backend", name),
-		failures:       reg.Counter("hardtape_fleet_backend_failures_total", "infrastructure faults on this backend", "backend", name),
-		hevmSteps:      reg.Counter("hardtape_fleet_backend_hevm_steps_total", "EVM instructions retired behind this backend", "backend", name),
-		hevmSwaps:      reg.Counter("hardtape_fleet_backend_hevm_swap_events_total", "L2/L3 swap events behind this backend", "backend", name),
-		hevmEvicted:    reg.Counter("hardtape_fleet_backend_hevm_pages_evicted_total", "pages sealed to L3 behind this backend", "backend", name),
-		hevmLoaded:     reg.Counter("hardtape_fleet_backend_hevm_pages_loaded_total", "pages reloaded from L3 behind this backend", "backend", name),
-		hevmCodeFaults: reg.Counter("hardtape_fleet_backend_hevm_code_faults_total", "L1 code-cache misses behind this backend", "backend", name),
-		hevmOverflows:  reg.Counter("hardtape_fleet_backend_hevm_overflows_total", "Memory Overflow aborts behind this backend", "backend", name),
-		hevmL2Peak:     reg.Gauge("hardtape_fleet_backend_hevm_l2_pages_peak", "high-water L2 occupancy behind this backend", "backend", name),
-	}
-}
-
-// addHEVM folds one bundle's machine stats into the backend's series.
-func (m *backendMetrics) addHEVM(s hevm.Stats) {
-	m.hevmSteps.Add(s.Steps)
-	m.hevmSwaps.Add(uint64(s.SwapEvents))
-	m.hevmEvicted.Add(uint64(s.PagesEvicted))
-	m.hevmLoaded.Add(uint64(s.PagesLoaded))
-	m.hevmCodeFaults.Add(s.CodeFaults)
-	if s.Overflowed {
-		m.hevmOverflows.Inc()
-	}
-	m.hevmL2Peak.SetMax(int64(s.L2PagesUsed))
-}
-
-// hevmStats reconstructs the aggregate hevm.Stats view BackendStats
-// has always exposed (wire compatibility) from the series.
-func (m *backendMetrics) hevmStats() hevm.Stats {
-	return hevm.Stats{
-		Steps:        m.hevmSteps.Value(),
-		SwapEvents:   int(m.hevmSwaps.Value()),
-		PagesEvicted: int(m.hevmEvicted.Value()),
-		PagesLoaded:  int(m.hevmLoaded.Value()),
-		L2PagesUsed:  uint64(m.hevmL2Peak.Value()),
-		Overflowed:   m.hevmOverflows.Value() > 0,
-		CodeFaults:   m.hevmCodeFaults.Value(),
+		dispatched: reg.Counter("hardtape_fleet_backend_dispatched_total", "bundles run on this backend", "backend", name),
+		failures:   reg.Counter("hardtape_fleet_backend_failures_total", "infrastructure faults on this backend", "backend", name),
 	}
 }

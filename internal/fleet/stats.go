@@ -83,7 +83,7 @@ func (g *Gateway) Stats() Stats {
 			InFlight:   bs.inflight,
 			Dispatched: bs.m.dispatched.Value(),
 			Failures:   bs.m.failures.Value(),
-			HEVM:       bs.m.hevmStats(),
+			HEVM:       bs.hevm,
 		}
 		if bs.lastErr != nil {
 			b.LastError = bs.lastErr.Error()

@@ -198,6 +198,19 @@ type Stats struct {
 	CodeFaults uint64
 }
 
+// Add folds another machine's (or another bundle's) counters into s:
+// event counts sum, L2 occupancy keeps the high-water mark, and an
+// overflow anywhere marks the aggregate.
+func (s *Stats) Add(o Stats) {
+	s.Steps += o.Steps
+	s.SwapEvents += o.SwapEvents
+	s.PagesEvicted += o.PagesEvicted
+	s.PagesLoaded += o.PagesLoaded
+	s.CodeFaults += o.CodeFaults
+	s.L2PagesUsed = max(s.L2PagesUsed, o.L2PagesUsed)
+	s.Overflowed = s.Overflowed || o.Overflowed
+}
+
 // Stats returns the counters.
 func (m *Machine) Stats() Stats {
 	s := Stats{

@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
@@ -61,10 +62,8 @@ type Client struct {
 	clock *simclock.Clock
 	cal   simclock.Calibration
 	// stores, when non-nil, checkpoints each tree's stash + position map
-	// after every ckptEvery-th round (see persist.go).
-	stores    []*CheckpointStore
-	ckptEvery int
-	rounds    uint64
+	// after every round (see persist.go).
+	stores []*CheckpointStore
 	// failed is the fail-closed latch (ErrClientFailed wrapping the
 	// first mid-access error).
 	failed error
@@ -76,17 +75,18 @@ type Client struct {
 	readOps []BatchOp
 }
 
-// attribution is where a client's trees report: the metric series and
-// the current distributed-trace identity.
+// attribution is where a client's trees report: the registry their
+// round spans start from, the metric series, and the request the
+// current accesses belong to.
 type attribution struct {
-	// tm is the optional telemetry sink (nil when disabled: the hot
-	// path pays one pointer check per access, nothing else).
-	tm *clientTelemetry
-	// ttr/tparent carry the current bundle's distributed-trace
-	// identity, installed via SetTrace under the same serialization
-	// that guards every access (the Hypervisor's query lock).
-	ttr     *telemetry.Tracer
-	tparent telemetry.SpanContext
+	// reg is nil when telemetry is disabled; tm then holds nil
+	// instruments, so the hot path pays one branch per record call.
+	reg *telemetry.Registry
+	tm  clientTelemetry
+	// ctx is the current bundle's context, installed via SetTrace under
+	// the same serialization that guards every access (the Hypervisor's
+	// query lock); a traced bundle's rounds parent under its span.
+	ctx context.Context
 }
 
 // clientTelemetry holds the client's registered series, shared by all
@@ -126,10 +126,8 @@ func WithClock(clock *simclock.Clock, cal simclock.Calibration) ClientOption {
 // tree round. A nil registry leaves telemetry disabled.
 func WithTelemetry(reg *telemetry.Registry) ClientOption {
 	return func(c *Client) {
-		if reg == nil {
-			return
-		}
-		c.obs.tm = &clientTelemetry{
+		c.obs.reg = reg
+		c.obs.tm = clientTelemetry{
 			accesses:  reg.Counter("hardtape_oram_accesses_total", "logical ORAM block accesses"),
 			batches:   reg.Counter("hardtape_oram_batches_total", "ORAM server round trips (single or batched)"),
 			bytes:     reg.Counter("hardtape_oram_bytes_moved_total", "ciphertext bytes moved between client and server"),
@@ -184,6 +182,7 @@ func NewClient(servers []Server, key []byte, opts ...ClientOption) (*Client, err
 		return nil, ErrBadKey
 	}
 	c := &Client{trees: make([]*tree, len(servers))}
+	c.obs.ctx = context.Background()
 	for i, srv := range servers {
 		t, err := newTree(&c.obs, i, srv, deriveShardKey(key, fmt.Sprintf("hardtape-oram-shard-%d", i)))
 		if err != nil {
@@ -197,16 +196,14 @@ func NewClient(servers []Server, key []byte, opts ...ClientOption) (*Client, err
 	return c, nil
 }
 
-// SetTrace installs the distributed-trace identity the next accesses
-// attribute themselves to: every multi-op sub-batch opens an
-// "oram.batch" span under parent, and the batch-latency histogram's
-// exemplars carry parent's trace id. A zero parent detaches (accesses
+// SetTrace installs the context of the request the next accesses belong
+// to: when it carries a trace, every multi-op sub-batch opens an
+// "oram.batch" span under it and the batch-latency histogram's
+// exemplars carry its trace id. An untraced context detaches (accesses
 // from untraced bundles must not land on the previous bundle's trace).
 // Callers MUST hold whatever lock serializes this client's queries —
 // the same single-goroutine contract as every other method.
-func (c *Client) SetTrace(tr *telemetry.Tracer, parent telemetry.SpanContext) {
-	c.obs.ttr, c.obs.tparent = tr, parent
-}
+func (c *Client) SetTrace(ctx context.Context) { c.obs.ctx = ctx }
 
 // Read fetches a block from its owning tree. Missing blocks return
 // ErrNotFound after a full (oblivious) path access, so lookups are
@@ -304,11 +301,10 @@ func (c *Client) run(ops []BatchOp, out [][]byte) error {
 		c.failed = &failedError{cause: err}
 		return c.failed
 	}
-	c.rounds++
 	if c.clock != nil {
 		c.clock.Advance(c.cal.ORAMBatchCost(maxQ, blocks))
 	}
-	if c.stores != nil && c.rounds%uint64(c.ckptEvery) == 0 {
+	if c.stores != nil {
 		return c.Checkpoint()
 	}
 	return nil

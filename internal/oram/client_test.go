@@ -517,7 +517,7 @@ func TestShardedConfigErrors(t *testing.T) {
 	if _, err := NewClient(nil, testKey()); !errors.Is(err, ErrShards) {
 		t.Fatalf("no servers: %v, want ErrShards", err)
 	}
-	if _, err := OpenShardedStore(t.TempDir(), 0, 64, testKey(), 1); !errors.Is(err, ErrShards) {
+	if _, err := OpenShardedStore(t.TempDir(), 0, 64, testKey()); !errors.Is(err, ErrShards) {
 		t.Fatalf("zero shards: %v, want ErrShards", err)
 	}
 	cli, _ := newTestClient(t, 2, 128)
@@ -962,7 +962,7 @@ func TestFailClosedAfterServerError(t *testing.T) {
 // recovers the last good epoch with every block intact.
 func TestFailClosedNeverCheckpoints(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	cli, err := OpenShardedStore(dir, 1, 128, testKey(), 1)
+	cli, err := OpenShardedStore(dir, 1, 128, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -993,7 +993,7 @@ func TestFailClosedNeverCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenShardedStore(dir, 1, 128, testKey(), 1)
+	re, err := OpenShardedStore(dir, 1, 128, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}

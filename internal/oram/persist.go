@@ -259,12 +259,9 @@ func (c *Client) Checkpoint() error {
 // total block capacity split evenly across shards. When the directory
 // holds published checkpoints, every tree's stash and position map are
 // restored, so the client resumes mid-workload exactly where the last
-// checkpoint left it. Checkpoints publish every ckptEvery rounds (≤ 0
-// means every round — the cadence that makes recovery exact to the last
-// completed round; larger cadences trade that precision for throughput
-// and on a crash roll back to the last boundary, re-losing blocks whose
-// tree position moved since).
-func OpenShardedStore(dir string, shards int, capacity uint64, key []byte, ckptEvery int, opts ...ClientOption) (*Client, error) {
+// checkpoint left it. Checkpoints publish after every round — the
+// cadence that makes recovery exact to the last completed round.
+func OpenShardedStore(dir string, shards int, capacity uint64, key []byte, opts ...ClientOption) (*Client, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("%w: %d shards", ErrShards, shards)
 	}
@@ -297,7 +294,7 @@ func OpenShardedStore(dir string, shards int, capacity uint64, key []byte, ckptE
 	if err != nil {
 		return fail(err)
 	}
-	c.stores, c.ckptEvery = stores, max(ckptEvery, 1)
+	c.stores = stores
 	for i, cs := range stores {
 		if _, err := cs.restore(c.trees[i]); err != nil {
 			//hardtape:secret-ok the wrapped error carries epoch/file context only, never key or snapshot bytes

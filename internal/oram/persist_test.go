@@ -144,7 +144,7 @@ func TestShardedStoreRecoveryMidWorkload(t *testing.T) {
 	forShards(t, func(t *testing.T, shards int) {
 		// Uninterrupted control run.
 		var control strings.Builder
-		ctl, err := OpenShardedStore(filepath.Join(t.TempDir(), "ctl"), shards, capacity, key, 1)
+		ctl, err := OpenShardedStore(filepath.Join(t.TempDir(), "ctl"), shards, capacity, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,11 +154,11 @@ func TestShardedStoreRecoveryMidWorkload(t *testing.T) {
 		}
 
 		// Crashed run: same workload, killed after round killAt's checkpoint
-		// (ckptEvery=1 publishes after every round) by abandoning the client
+		// (a checkpoint publishes after every round) by abandoning the client
 		// without Close, then reopened over the same directory.
 		dir := filepath.Join(t.TempDir(), "crash")
 		var crashed strings.Builder
-		first, err := OpenShardedStore(dir, shards, capacity, key, 1)
+		first, err := OpenShardedStore(dir, shards, capacity, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestShardedStoreRecoveryMidWorkload(t *testing.T) {
 		// No Close, no final Sync: the kill. Everything up to the last
 		// published checkpoint is on disk by construction.
 
-		second, err := OpenShardedStore(dir, shards, capacity, key, 1)
+		second, err := OpenShardedStore(dir, shards, capacity, key)
 		if err != nil {
 			t.Fatalf("recovery open: %v", err)
 		}
@@ -192,7 +192,7 @@ func TestShardedStoreCorruptCheckpoint(t *testing.T) {
 	key := testKey()
 	seed := func(t *testing.T) string {
 		dir := t.TempDir()
-		cli, err := OpenShardedStore(dir, 2, 128, key, 1)
+		cli, err := OpenShardedStore(dir, 2, 128, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestShardedStoreCorruptCheckpoint(t *testing.T) {
 		if err := os.WriteFile(path, raw, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenShardedStore(dir, 2, 128, key, 1); !errors.Is(err, ErrTampered) {
+		if _, err := OpenShardedStore(dir, 2, 128, key); !errors.Is(err, ErrTampered) {
 			t.Fatalf("corrupt snapshot: %v, want ErrTampered", err)
 		}
 	})
@@ -236,7 +236,7 @@ func TestShardedStoreCorruptCheckpoint(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(shard, "state-1.ckpt"), old, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenShardedStore(dir, 2, 128, key, 1); !errors.Is(err, ErrTampered) {
+		if _, err := OpenShardedStore(dir, 2, 128, key); !errors.Is(err, ErrTampered) {
 			t.Fatalf("replayed snapshot: %v, want ErrTampered", err)
 		}
 	})
@@ -246,7 +246,7 @@ func TestShardedStoreCorruptCheckpoint(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "shard-1", manifestName), []byte("garbage"), 0o600); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenShardedStore(dir, 2, 128, key, 1); !errors.Is(err, ErrTampered) {
+		if _, err := OpenShardedStore(dir, 2, 128, key); !errors.Is(err, ErrTampered) {
 			t.Fatalf("mangled manifest: %v, want ErrTampered", err)
 		}
 	})
@@ -256,7 +256,7 @@ func TestShardedStoreCorruptCheckpoint(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, "shard-0", "state-1.ckpt")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenShardedStore(dir, 2, 128, key, 1); !errors.Is(err, ErrTampered) {
+		if _, err := OpenShardedStore(dir, 2, 128, key); !errors.Is(err, ErrTampered) {
 			t.Fatalf("missing snapshot: %v, want ErrTampered", err)
 		}
 	})
@@ -267,7 +267,7 @@ func TestShardedStoreCorruptCheckpoint(t *testing.T) {
 func TestShardedStoreCorruptBucketFile(t *testing.T) {
 	key := testKey()
 	dir := t.TempDir()
-	cli, err := OpenShardedStore(dir, 1, 128, key, 1)
+	cli, err := OpenShardedStore(dir, 1, 128, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestShardedStoreCorruptBucketFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cli2, err := OpenShardedStore(dir, 1, 128, key, 1)
+	cli2, err := OpenShardedStore(dir, 1, 128, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestShardedStoreCorruptBucketFile(t *testing.T) {
 func TestShardedStoreSingleShard(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey()
-	cli, err := OpenShardedStore(dir, 1, 64, key, 1)
+	cli, err := OpenShardedStore(dir, 1, 64, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestShardedStoreSingleShard(t *testing.T) {
 	if err := cli.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cli2, err := OpenShardedStore(dir, 1, 64, key, 1)
+	cli2, err := OpenShardedStore(dir, 1, 64, key)
 	if err != nil {
 		t.Fatal(err)
 	}

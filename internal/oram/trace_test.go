@@ -1,0 +1,97 @@
+package oram
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"testing"
+
+	"hardtape/internal/telemetry"
+)
+
+// TestBatchSpanTimesTracesAndFails pins what the one span in
+// tree.accessBatch does in each state: every round feeds the latency
+// series; under a traced bundle a multi-op round is also an "oram.batch"
+// node whose trace id lands on the histogram exemplar and whose Err
+// carries an injected server fault (and nobody else's does); single
+// accesses and rounds of an untraced bundle are timed but never traced.
+func TestBatchSpanTimesTracesAndFails(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.EnableTracing("device", 8)
+	defer reg.FlightRecorder().Close()
+	mem, err := NewMemServer(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := &flakyServer{Server: mem}
+	cli, err := NewClient([]Server{flaky}, testKey(), WithTelemetry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := reg.Histogram("hardtape_oram_access_seconds", "", nil, "kind", "single")
+	batch := reg.Histogram("hardtape_oram_access_seconds", "", nil, "kind", "batch")
+	ids := []BlockID{1, 2, 3, 4}
+
+	// Untraced bundle: timed only.
+	if err := cli.Write(1, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.ReadMany(ids); err != nil {
+		t.Fatal(err)
+	}
+	if single.Count() != 1 || batch.Count() != 1 {
+		t.Fatalf("untraced rounds timed %d single / %d batch, want 1 / 1", single.Count(), batch.Count())
+	}
+	if st := reg.FlightRecorder().Stats(); st.Pending != 0 || st.Kept != 0 {
+		t.Fatalf("untraced rounds reached the flight recorder: %+v", st)
+	}
+
+	// Traced bundle: one clean batch, one single access, one failing batch.
+	root, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), telemetry.SpanContext{}), "test.bundle")
+	cli.SetTrace(ctx)
+	if _, err := cli.ReadMany(ids); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Read(1); err != nil {
+		t.Fatal(err)
+	}
+	flaky.failWrite = flaky.writes + 1
+	if _, err := cli.ReadMany(ids); !errors.Is(err, errInjected) {
+		t.Fatalf("faulting batch returned %v", err)
+	}
+	root.End(nil, nil)
+
+	trace := reg.FlightRecorder().Lookup(root.Context().Trace)
+	if trace == nil {
+		t.Fatal("error trace not kept")
+	}
+	var clean, failed int
+	for _, s := range trace.Spans {
+		switch {
+		case s.Name == "oram.batch" && s.Err == "":
+			clean++
+		case s.Name == "oram.batch" && strings.Contains(s.Err, errInjected.Error()):
+			failed++
+		case s.Name != "test.bundle" || s.Err != "":
+			t.Errorf("unexpected span %s (err %q)", s.Name, s.Err)
+		}
+	}
+	if clean != 1 || failed != 1 || len(trace.Spans) != 3 {
+		t.Fatalf("got %d clean + %d failed oram.batch of %d spans, want 1 + 1 of 3", clean, failed, len(trace.Spans))
+	}
+	if single.Count() != 2 || batch.Count() != 3 {
+		t.Fatalf("rounds timed %d single / %d batch, want 2 / 3", single.Count(), batch.Count())
+	}
+	stamped := false
+	for i := 0; i <= len(telemetry.DurationBuckets); i++ {
+		if ex := batch.BucketExemplar(i); ex != nil && ex.Trace == root.Context().Trace {
+			stamped = true
+		}
+		if single.BucketExemplar(i) != nil {
+			t.Fatal("a single access stamped an exemplar")
+		}
+	}
+	if !stamped {
+		t.Fatal("traced batch did not stamp the latency exemplar with its trace id")
+	}
+}

@@ -1,9 +1,8 @@
 package oram
 
 import (
+	"context"
 	"fmt"
-
-	"hardtape/internal/telemetry"
 )
 
 // stashSafetyFactor bounds the stash at factor*depth blocks; Path ORAM
@@ -93,20 +92,20 @@ func newTree(obs *attribution, shard int, server Server, key []byte) (*tree, err
 // that were never stored — so the client latches it (Client.run).
 func (t *tree) accessBatch(ops []BatchOp, out [][]byte) (err error) {
 	n := len(ops)
-	obs := t.obs
-	if n > 1 && obs.ttr != nil && obs.tparent.Valid() {
-		// Attribute values are sizes and the public shard index only —
-		// never block ids or leaf positions (the secretflow sink
-		// discipline).
-		tsp := obs.ttr.StartSpan("oram.batch", obs.tparent)
-		tsp.AddInt("shard", int64(t.shard))
-		tsp.AddInt("blocks", int64(n))
-		defer func() {
-			tsp.SetError(err)
-			tsp.End()
-		}()
+	tm := &t.obs.tm
+	// One span times the round for the latency series and, under a traced
+	// bundle, is its "oram.batch" node. Single accesses are timed but
+	// never traced. Attribute values are sizes and the public shard
+	// index only — never block ids or leaf positions (the secretflow
+	// sink discipline).
+	ctx, latency := t.obs.ctx, tm.batch
+	if n == 1 {
+		ctx, latency = context.Background(), tm.single
 	}
-	sp := telemetry.StartSpan(obs.tm != nil)
+	sp, _ := t.obs.reg.StartSpan(ctx, "oram.batch")
+	sp.AddInt("shard", int64(t.shard))
+	sp.AddInt("blocks", int64(n))
+	defer sp.End(latency, &err)
 	bytesBefore := t.bytesMoved
 
 	// Remap every block before touching the server (obliviousness
@@ -195,22 +194,14 @@ func (t *tree) accessBatch(ops []BatchOp, out [][]byte) (err error) {
 	if len(t.stash) > t.maxStash {
 		t.maxStash = len(t.stash)
 	}
-	if tm := obs.tm; tm != nil {
-		tm.accesses.Add(uint64(n))
-		tm.batches.Inc()
-		tm.bytes.Add(t.bytesMoved - bytesBefore)
-		if n > 1 {
-			// Exemplar link: the batch-latency bucket this observation
-			// lands in remembers which trace produced it (zero trace id
-			// records plainly).
-			sp.EndTraced(tm.batch, obs.tparent.Trace)
-			tm.batchSize.Observe(float64(n))
-		} else {
-			sp.End(tm.single)
-		}
-		tm.stash.Set(int64(len(t.stash)))
-		tm.stashPeak.SetMax(int64(t.maxStash))
+	tm.accesses.Add(uint64(n))
+	tm.batches.Inc()
+	tm.bytes.Add(t.bytesMoved - bytesBefore)
+	if n > 1 {
+		tm.batchSize.Observe(float64(n))
 	}
+	tm.stash.Set(int64(len(t.stash)))
+	tm.stashPeak.SetMax(int64(t.maxStash))
 	if len(t.stash) > stashSafetyFactor*t.depth+BucketSize*(n-1) {
 		return fmt.Errorf("%w: %d blocks at depth %d", ErrStashOverrun, len(t.stash), t.depth)
 	}

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"crypto/sha256"
 	"crypto/subtle"
 	"sync"
 
@@ -175,13 +174,4 @@ func (cv *CachingVerifier) Verify(report *attest.Report, nonce [32]byte) (*attes
 	}
 	cv.Cache.Store(report.Cert.Serial, report.Measurement, report.Cert.DevicePub)
 	return sess, userPub, nil
-}
-
-// FingerprintPub hashes a device public key for telemetry labels
-// without exposing the key bytes in metric streams.
-func FingerprintPub(pub []byte) [8]byte {
-	sum := sha256.Sum256(pub)
-	var fp [8]byte
-	copy(fp[:], sum[:8])
-	return fp
 }

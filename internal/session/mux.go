@@ -49,38 +49,24 @@ const (
 const muxHeaderLen = 9
 
 // EncodeMuxFrame builds a frame to seal into a MsgMux or MsgMuxReply.
-func EncodeMuxFrame(reqID uint64, kind byte, body []byte) []byte {
-	frame := make([]byte, muxHeaderLen+len(body))
-	binary.BigEndian.PutUint64(frame[:8], reqID)
-	frame[8] = kind
-	copy(frame[muxHeaderLen:], body)
-	return frame
-}
-
-// EncodeMuxFrameTraced builds a request frame carrying a trace
-// context: the kind byte gains MuxFlagTraced and the 24-byte context
-// precedes the body.
-func EncodeMuxFrameTraced(reqID uint64, kind byte, tc channel.TraceContext, body []byte) []byte {
+// A valid tc makes it a traced request frame: the kind byte gains
+// MuxFlagTraced and the 24-byte context precedes the body. The zero tc
+// (every reply, every untraced request) is the plain encoding.
+func EncodeMuxFrame(reqID uint64, kind byte, tc channel.TraceContext, body []byte) []byte {
 	frame := make([]byte, muxHeaderLen, muxHeaderLen+channel.TraceContextSize+len(body))
 	binary.BigEndian.PutUint64(frame[:8], reqID)
-	frame[8] = kind | MuxFlagTraced
-	frame = channel.AppendTraceContext(frame, tc)
+	frame[8] = kind
+	if tc.Valid() {
+		frame[8] |= MuxFlagTraced
+		frame = channel.AppendTraceContext(frame, tc)
+	}
 	return append(frame, body...)
 }
 
-// ParseMuxFrame splits a decrypted frame into id, kind/status, body.
-// A traced frame's context is stripped and discarded — untraced
-// consumers (legacy paths, tests) keep working; use
-// ParseMuxFrameTraced to recover it.
-func ParseMuxFrame(frame []byte) (reqID uint64, kind byte, body []byte, err error) {
-	reqID, kind, _, body, err = ParseMuxFrameTraced(frame)
-	return reqID, kind, body, err
-}
-
-// ParseMuxFrameTraced splits a decrypted frame into id, kind/status,
-// trace context (zero when the frame is untraced), and body. The
-// returned kind has MuxFlagTraced cleared.
-func ParseMuxFrameTraced(frame []byte) (reqID uint64, kind byte, tc channel.TraceContext, body []byte, err error) {
+// ParseMuxFrame splits a decrypted frame into id, kind/status, trace
+// context (zero when the frame is untraced), and body. The returned
+// kind has MuxFlagTraced cleared.
+func ParseMuxFrame(frame []byte) (reqID uint64, kind byte, tc channel.TraceContext, body []byte, err error) {
 	if len(frame) < muxHeaderLen {
 		return 0, 0, channel.TraceContext{}, nil, fmt.Errorf("session: short mux frame (%d bytes)", len(frame))
 	}
@@ -134,16 +120,11 @@ func (m *Mux) Close() error {
 	return m.conn.Close()
 }
 
-// RoundTrip sends one request frame and blocks for its reply body. It
-// is safe for concurrent use; the send lock covers only seal+write,
-// never the link round trip, so requests pipeline.
-func (m *Mux) RoundTrip(kind byte, body []byte) ([]byte, error) {
-	return m.RoundTripTraced(kind, channel.TraceContext{}, body)
-}
-
-// RoundTripTraced is RoundTrip with a propagated trace context; a
-// zero context sends the untraced frame encoding.
-func (m *Mux) RoundTripTraced(kind byte, tc channel.TraceContext, body []byte) ([]byte, error) {
+// RoundTrip sends one request frame and blocks for its reply body,
+// propagating the caller's trace context tc (zero: the untraced frame
+// encoding). It is safe for concurrent use; the send lock covers only
+// seal+write, never the link round trip, so requests pipeline.
+func (m *Mux) RoundTrip(kind byte, tc channel.TraceContext, body []byte) ([]byte, error) {
 	ch := make(chan muxResult, 1)
 	m.pmu.Lock()
 	if m.broken != nil {
@@ -156,12 +137,7 @@ func (m *Mux) RoundTripTraced(kind byte, tc channel.TraceContext, body []byte) (
 	m.pending[id] = ch
 	m.pmu.Unlock()
 
-	var frame []byte
-	if tc.Valid() {
-		frame = EncodeMuxFrameTraced(id, kind, tc, body)
-	} else {
-		frame = EncodeMuxFrame(id, kind, body)
-	}
+	frame := EncodeMuxFrame(id, kind, tc, body)
 	m.cmu.Lock()
 	sealed, err := m.ch.Seal(channel.MsgMux, frame)
 	if err == nil {
@@ -201,7 +177,7 @@ func (m *Mux) readLoop() {
 			m.fail(fmt.Errorf("session: unexpected message type %d on mux", hdr.Type))
 			return
 		}
-		id, status, body, err := ParseMuxFrame(frame)
+		id, status, _, body, err := ParseMuxFrame(frame)
 		if err != nil {
 			m.fail(err)
 			return

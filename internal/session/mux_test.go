@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -54,7 +55,7 @@ func muxPair(t *testing.T) (*Mux, func()) {
 			if err != nil || hdr.Type != channel.MsgMux {
 				return
 			}
-			id, kind, body, err := ParseMuxFrame(frame)
+			id, kind, _, body, err := ParseMuxFrame(frame)
 			if err != nil {
 				return
 			}
@@ -62,14 +63,14 @@ func muxPair(t *testing.T) (*Mux, func()) {
 			// overtake each other — that's what the id matching is for.
 			go func(id uint64, kind byte, body []byte) {
 				if kind == MuxStatus && string(body) == "boom" {
-					_ = writeReply(EncodeMuxFrame(id, MuxErr, []byte("boom served")))
+					_ = writeReply(EncodeMuxFrame(id, MuxErr, channel.TraceContext{}, []byte("boom served")))
 					return
 				}
 				rev := make([]byte, len(body))
 				for i, b := range body {
 					rev[len(body)-1-i] = b
 				}
-				_ = writeReply(EncodeMuxFrame(id, MuxOK, rev))
+				_ = writeReply(EncodeMuxFrame(id, MuxOK, channel.TraceContext{}, rev))
 			}(id, kind, append([]byte(nil), body...))
 		}
 	}()
@@ -92,7 +93,7 @@ func TestMuxConcurrentRoundTrips(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				msg := "w" + strconv.Itoa(w) + "-req-" + strconv.Itoa(i)
-				got, err := m.RoundTrip(MuxBundle, []byte(msg))
+				got, err := m.RoundTrip(MuxBundle, channel.TraceContext{}, []byte(msg))
 				if err != nil {
 					errs <- err
 					return
@@ -118,11 +119,11 @@ func TestMuxConcurrentRoundTrips(t *testing.T) {
 func TestMuxRemoteErrorIsPerRequest(t *testing.T) {
 	m, done := muxPair(t)
 	defer done()
-	if _, err := m.RoundTrip(MuxStatus, []byte("boom")); err == nil {
+	if _, err := m.RoundTrip(MuxStatus, channel.TraceContext{}, []byte("boom")); err == nil {
 		t.Fatal("remote error must surface to the caller")
 	}
 	// One failed request must not poison the session.
-	if _, err := m.RoundTrip(MuxBundle, []byte("ok")); err != nil {
+	if _, err := m.RoundTrip(MuxBundle, channel.TraceContext{}, []byte("ok")); err != nil {
 		t.Fatalf("round trip after remote error: %v", err)
 	}
 	if m.Broken() != nil {
@@ -134,19 +135,44 @@ func TestMuxCloseFailsInFlight(t *testing.T) {
 	m, done := muxPair(t)
 	defer done()
 	m.Close()
-	if _, err := m.RoundTrip(MuxBundle, []byte("late")); !errors.Is(err, ErrMuxClosed) {
+	if _, err := m.RoundTrip(MuxBundle, channel.TraceContext{}, []byte("late")); !errors.Is(err, ErrMuxClosed) {
 		t.Fatalf("round trip after close: got %v, want ErrMuxClosed", err)
 	}
 }
 
 func TestParseMuxFrameRejectsShort(t *testing.T) {
-	if _, _, _, err := ParseMuxFrame([]byte{1, 2, 3}); err == nil {
+	if _, _, _, _, err := ParseMuxFrame([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short frame must be rejected")
 	}
-	frame := EncodeMuxFrame(9, MuxBundle, []byte("xyz"))
-	id, kind, body, err := ParseMuxFrame(frame)
-	if err != nil || id != 9 || kind != MuxBundle || string(body) != "xyz" {
-		t.Fatalf("frame round trip: id=%d kind=%d body=%q err=%v", id, kind, body, err)
+	// A traced flag without the 24 context bytes behind it is short too.
+	if _, _, _, _, err := ParseMuxFrame([]byte{0, 0, 0, 0, 0, 0, 0, 9, MuxBundle | MuxFlagTraced, 'x'}); err == nil {
+		t.Fatal("traced frame without its context must be rejected")
+	}
+}
+
+// TestMuxFrameTraceContext pins the one frame codec both ways: a zero
+// trace context produces exactly the pre-tracing bytes (so tracing is
+// never a protocol version bump), and a non-zero one round-trips behind
+// MuxFlagTraced with the kind restored.
+func TestMuxFrameTraceContext(t *testing.T) {
+	plain := EncodeMuxFrame(9, MuxBundle, channel.TraceContext{}, []byte("xyz"))
+	want := []byte{0, 0, 0, 0, 0, 0, 0, 9, MuxBundle, 'x', 'y', 'z'}
+	if !bytes.Equal(plain, want) {
+		t.Fatalf("untraced frame % x, want the pre-tracing encoding % x", plain, want)
+	}
+	id, kind, tc, body, err := ParseMuxFrame(plain)
+	if err != nil || id != 9 || kind != MuxBundle || tc.Valid() || string(body) != "xyz" {
+		t.Fatalf("untraced round trip: id=%d kind=%d tc=%v body=%q err=%v", id, kind, tc, body, err)
+	}
+
+	in := channel.TraceContext{Trace: [16]byte{1, 2, 3}, Span: [8]byte{4, 5}}
+	traced := EncodeMuxFrame(9, MuxBundle, in, []byte("xyz"))
+	if len(traced) != len(plain)+channel.TraceContextSize || traced[8] != MuxBundle|MuxFlagTraced {
+		t.Fatalf("traced frame: %d bytes, kind byte %#x", len(traced), traced[8])
+	}
+	id, kind, tc, body, err = ParseMuxFrame(traced)
+	if err != nil || id != 9 || kind != MuxBundle || tc != in || string(body) != "xyz" {
+		t.Fatalf("traced round trip: id=%d kind=%d tc=%v body=%q err=%v", id, kind, tc, body, err)
 	}
 }
 

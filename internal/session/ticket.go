@@ -104,9 +104,6 @@ func NewTicketIssuer(clock Clock, lifetimeEpochs int) (*TicketIssuer, error) {
 // Epoch returns the issuer's current epoch.
 func (ti *TicketIssuer) Epoch() uint64 { return EpochAt(ti.clock.Now()) }
 
-// Lifetime returns the ticket validity in epochs.
-func (ti *TicketIssuer) Lifetime() uint64 { return ti.lifetime }
-
 // Issue seals st into a wire ticket, stamping st.ExpiryEpoch from the
 // issuer's clock. The caller's PSK is copied into the sealed body and
 // remains the caller's to zero.

@@ -35,8 +35,6 @@ type Recorder struct {
 	errKept atomic.Uint64
 	expired atomic.Uint64
 
-	staleAfter time.Duration
-
 	quit      chan struct{}
 	done      chan struct{}
 	closeOnce sync.Once
@@ -90,22 +88,14 @@ func NewRecorder(ringSize int) *Recorder {
 		ringSize = DefaultRingSize
 	}
 	r := &Recorder{
-		pending:    make(map[TraceID]*pendingTrace),
-		recent:     make([]float64, recentWindow),
-		ring:       make([]atomic.Pointer[Trace], ringSize),
-		staleAfter: defaultStale,
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
+		pending: make(map[TraceID]*pendingTrace),
+		recent:  make([]float64, recentWindow),
+		ring:    make([]atomic.Pointer[Trace], ringSize),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	go r.janitor()
 	return r
-}
-
-// SetStaleAfter adjusts the pending-segment expiry (tests shorten it).
-func (r *Recorder) SetStaleAfter(d time.Duration) {
-	r.mu.Lock()
-	r.staleAfter = d
-	r.mu.Unlock()
 }
 
 // Close stops the janitor and waits for it to exit. Idempotent.
@@ -139,7 +129,7 @@ func (r *Recorder) expireStale(now time.Time) {
 	var orphans []*Trace
 	r.mu.Lock()
 	for id, p := range r.pending {
-		if now.Sub(p.born) < r.staleAfter {
+		if now.Sub(p.born) < defaultStale {
 			continue
 		}
 		delete(r.pending, id)

@@ -11,7 +11,7 @@
 //     *Histogram no-ops, and a nil *Registry hands out nil
 //     instruments, so call sites record unconditionally and the
 //     disabled path never allocates, locks, or reads the clock
-//     (Span.Mark on an inactive span returns before time.Now).
+//     (the span a nil registry starts returns before time.Now).
 //
 //   - Exported series aggregate only what the untrusted SP already
 //     observes: counts, latencies, byte volumes. Per-user addresses,
@@ -106,8 +106,8 @@ func NewRegistry() *Registry {
 }
 
 // EnableTracing attaches a tracer and flight recorder to the registry
-// so tracing rides the same opt-in plumbing as metrics: every
-// subsystem holding the registry picks the tracer up via Tracer().
+// so tracing rides the same opt-in plumbing as metrics: the spans every
+// subsystem holding the registry starts become traceable (StartSpan).
 // proc labels this process's spans (e.g. "gateway", "device-1");
 // ringSize is the flight-recorder capacity (<=0 selects
 // DefaultRingSize). Idempotent per registry: a second call replaces
@@ -117,7 +117,7 @@ func (r *Registry) EnableTracing(proc string, ringSize int) *Tracer {
 	if r == nil {
 		return nil
 	}
-	t := newTracer(NewRecorder(ringSize), proc)
+	t := newTracer(r, NewRecorder(ringSize), proc)
 	r.tracer.Store(t)
 	return t
 }
@@ -208,12 +208,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 		h.exemplars = make([]atomic.Pointer[Exemplar], len(bounds)+1)
 		return h
 	}).(*Histogram)
-}
-
-// Span starts a request-scoped span, inactive when the registry is
-// nil (disabled telemetry never reads the clock).
-func (r *Registry) Span() Span {
-	return StartSpan(r != nil)
 }
 
 // DurationBuckets spans 1µs–10s exponentially: wide enough for a DHKE
@@ -336,49 +330,32 @@ func (h *Histogram) bucketIdx(v float64) int {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.observe(v, TraceID{}) }
+
+// ObserveDuration records a duration in seconds.
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Seconds(), TraceID{}) }
+
+// observe records one value and, when trace is non-zero, stamps the
+// containing bucket's exemplar with it. Span.Mark/End pass their trace
+// id unconditionally: an untraced span yields a zero id and the
+// exemplar store is skipped, keeping the untraced path allocation-free.
+func (h *Histogram) observe(v float64, trace TraceID) {
 	if h == nil {
 		return
 	}
-	h.buckets[h.bucketIdx(v)].Add(1)
+	i := h.bucketIdx(v)
+	h.buckets[i].Add(1)
 	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
 		if h.sumBits.CompareAndSwap(old, next) {
-			return
+			break
 		}
 	}
-}
-
-// ObserveTraced records one value and, when trace is non-zero, stamps
-// the containing bucket's exemplar with it. Call sites pass
-// span.TraceID() unconditionally: a nil span yields a zero id and the
-// exemplar store is skipped, keeping the untraced path allocation-free.
-func (h *Histogram) ObserveTraced(v float64, trace TraceID) {
-	if h == nil {
-		return
-	}
-	h.Observe(v)
 	if !trace.IsZero() {
-		h.exemplars[h.bucketIdx(v)].Store(&Exemplar{Trace: trace, Value: v, When: time.Now()})
+		h.exemplars[i].Store(&Exemplar{Trace: trace, Value: v, When: time.Now()})
 	}
-}
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if h == nil {
-		return
-	}
-	h.Observe(d.Seconds())
-}
-
-// ObserveDurationTraced is ObserveTraced for latency histograms.
-func (h *Histogram) ObserveDurationTraced(d time.Duration, trace TraceID) {
-	if h == nil {
-		return
-	}
-	h.ObserveTraced(d.Seconds(), trace)
 }
 
 // BucketExemplar returns bucket i's exemplar (nil when none landed).

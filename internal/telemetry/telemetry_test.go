@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -128,10 +129,9 @@ func TestDisabledZeroAllocs(t *testing.T) {
 		g.SetMax(9)
 		h.Observe(0.5)
 		h.ObserveDuration(time.Millisecond)
-		sp := nilReg.Span()
+		sp, _ := nilReg.StartSpan(nil, "test.off")
 		sp.Mark(h)
-		sp.Skip()
-		sp.End(h)
+		sp.End(h, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled telemetry allocated %v per op, want 0", allocs)
@@ -158,15 +158,19 @@ func TestSpanStages(t *testing.T) {
 	reg := NewRegistry()
 	h1 := reg.Histogram("hardtape_stage1_seconds", "stage 1", nil)
 	h2 := reg.Histogram("hardtape_stage2_seconds", "stage 2", nil)
-	sp := reg.Span()
-	if !sp.Active() {
-		t.Fatal("span inactive with live registry")
-	}
+	total := reg.Histogram("hardtape_stages_seconds", "all stages", nil)
+	sp, _ := reg.StartSpan(context.Background(), "test.stages")
 	time.Sleep(time.Millisecond)
 	sp.Mark(h1)
+	sp.Mark(nil) // an optional stage that records nothing still advances
 	sp.Mark(h2)
-	if h1.Count() != 1 || h2.Count() != 1 {
-		t.Fatalf("marks not recorded: %d %d", h1.Count(), h2.Count())
+	sp.End(total, nil)
+	sp.End(total, nil) // ending twice is a no-op
+	if h1.Count() != 1 || h2.Count() != 1 || total.Count() != 1 {
+		t.Fatalf("stages not recorded once each: %d %d %d", h1.Count(), h2.Count(), total.Count())
+	}
+	if total.Sum() < h1.Sum()+h2.Sum() {
+		t.Fatalf("total (%v) shorter than its stages (%v + %v)", total.Sum(), h1.Sum(), h2.Sum())
 	}
 	if h1.Sum() < 0.0005 {
 		t.Fatalf("stage 1 did not capture the sleep: %v", h1.Sum())
@@ -177,6 +181,7 @@ func TestSpanStages(t *testing.T) {
 
 	var off Span
 	off.Mark(h1) // must not record
+	off.End(h1, nil)
 	if h1.Count() != 1 {
 		t.Fatal("inactive span recorded")
 	}

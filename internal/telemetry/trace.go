@@ -5,9 +5,9 @@
 //
 // The same two disciplines as the metrics layer apply:
 //
-//   - Disabled tracing costs one branch and zero allocations. A nil
-//     *Tracer returns nil spans, and every *TraceSpan method no-ops on
-//     a nil receiver, so call sites record unconditionally.
+//   - Disabled tracing costs one branch and zero allocations. The span
+//     a nil registry starts is the zero Span and an untraced request's
+//     span carries no node, so call sites record unconditionally.
 //
 //   - Span names are compile-time constants (telemetrysafe) and
 //     attribute values carry only what the untrusted SP already
@@ -96,21 +96,31 @@ type SpanRecord struct {
 	Err      string // non-empty when the span failed
 }
 
-// Tracer mints spans for one process. A nil tracer is the disabled
-// state: StartSpan returns nil and the caller's span calls no-op. Get
-// one from Registry.EnableTracing so tracing rides the same opt-in
-// plumbing as metrics.
+// Tracer is one process's tracing identity: the process label, the id
+// stream and the flight recorder finished spans land in. Get one from
+// Registry.EnableTracing so tracing rides the same opt-in plumbing as
+// metrics; a nil tracer is the disabled state.
 type Tracer struct {
+	reg  *Registry
 	rec  *Recorder
 	proc string
 	ids  idStream
 }
 
-// newTracer builds a tracer whose spans land in rec.
-func newTracer(rec *Recorder, proc string) *Tracer {
-	t := &Tracer{rec: rec, proc: proc}
+// newTracer builds reg's tracer; its spans land in rec.
+func newTracer(reg *Registry, rec *Recorder, proc string) *Tracer {
+	t := &Tracer{reg: reg, rec: rec, proc: proc}
 	t.ids.seedFromOS()
 	return t
+}
+
+// Registry returns the registry the tracer was enabled on (nil when the
+// tracer is nil) — what a holder of only the tracer starts spans from.
+func (t *Tracer) Registry() *Registry {
+	if t == nil {
+		return nil
+	}
+	return t.reg
 }
 
 // Recorder returns the flight recorder the tracer records into (nil
@@ -122,113 +132,162 @@ func (t *Tracer) Recorder() *Recorder {
 	return t.rec
 }
 
-// Proc returns the tracer's process label ("" when nil).
-func (t *Tracer) Proc() string {
-	if t == nil {
-		return ""
-	}
-	return t.proc
+// Span is one timed interval of a request: the stopwatch that feeds
+// latency histograms and, when the request is traced, the node it
+// contributes to the trace tree. One clock, three states:
+//
+//   - off: the registry is nil. StartSpan returns the zero Span without
+//     reading the clock or the context and every method is one branch.
+//   - timed: the registry is live but the request is untraced (tracing
+//     is not enabled, or ctx carries no trace). Mark/End feed histograms
+//     from the span's clock; nothing is allocated.
+//   - traced: additionally, End emits a SpanRecord to the flight
+//     recorder, Mark/End stamp the histogram bucket's exemplar with the
+//     trace id, and the context StartSpan returns parents the callee's
+//     spans under this one.
+//
+// A Span is a small value owned by the function that started it; pass
+// the returned context down, not the Span.
+type Span struct {
+	start time.Time // zero when off or ended
+	last  time.Time // previous Mark (stage boundary)
+	node  *spanNode // nil unless traced
 }
 
-// StartSpan opens a named span under parent. An invalid parent makes
-// the span a trace root and mints a fresh TraceID. The name MUST be a
-// compile-time constant (telemetrysafe enforces this) and attributes
-// added later must not carry secret material (secretflow enforces
-// that). A nil tracer returns nil.
-func (t *Tracer) StartSpan(name string, parent SpanContext) *TraceSpan {
-	if t == nil {
-		return nil
-	}
-	s := &TraceSpan{t: t, name: name}
-	s.ctx.Span = t.ids.nextSpanID()
-	if parent.Valid() {
-		s.ctx.Trace = parent.Trace
-		s.parent = parent.Span
-	} else {
-		s.ctx.Trace = t.ids.nextTraceID()
-		s.root = true
-	}
-	s.start = time.Now()
-	t.rec.spanStarted(s.ctx.Trace, s.root)
-	return s
-}
-
-// TraceSpan is one live span. All methods are nil-receiver safe; the
-// zero cost of disabled tracing rests on that.
-type TraceSpan struct {
+// spanNode is the traced state of a live span — what a context carries
+// so callees can parent under it. A node without a tracer is a trace
+// entry point (Registry.ContinueTrace): only its identity is read.
+type spanNode struct {
 	t      *Tracer
-	ctx    SpanContext
+	sc     SpanContext
 	parent SpanID
 	name   string
-	start  time.Time
 	attrs  []Attr
-	err    string
 	root   bool
-	ended  bool
 }
 
-// Context returns the span's propagatable identity (zero when nil).
-func (s *TraceSpan) Context() SpanContext {
-	if s == nil {
+// ctxKey keys the live span node in a context.Context.
+type ctxKey struct{}
+
+// ContinueTrace marks ctx as the point a request enters this process:
+// spans started from the result continue the remote span (what the wire
+// carried), or root a new trace when remote is zero. A ctx that already
+// carries a span is returned as is — an in-process parent wins — and so
+// is any ctx when tracing is disabled.
+func (r *Registry) ContinueTrace(ctx context.Context, remote SpanContext) context.Context {
+	if r.Tracer() == nil {
+		return ctx
+	}
+	if cur, _ := ctx.Value(ctxKey{}).(*spanNode); cur != nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ctxKey{}, &spanNode{sc: remote})
+}
+
+// StartSpan opens the span for one interval of the request ctx belongs
+// to and returns it with the context its callees should run under. It
+// is traced when tracing is enabled and ctx carries a trace (a parent
+// span, or a ContinueTrace entry point), timed when the registry is
+// live, and off otherwise (see Span). The name MUST be a compile-time
+// constant (telemetrysafe enforces this) and attributes added later
+// must not carry secret material (secretflow enforces that).
+func (r *Registry) StartSpan(ctx context.Context, name string) (Span, context.Context) {
+	if r == nil {
+		return Span{}, ctx
+	}
+	now := time.Now()
+	s := Span{start: now, last: now}
+	t := r.tracer.Load()
+	if t == nil {
+		return s, ctx
+	}
+	parent, _ := ctx.Value(ctxKey{}).(*spanNode)
+	if parent == nil {
+		return s, ctx
+	}
+	n := &spanNode{t: t, name: name}
+	n.sc.Span = t.ids.nextSpanID()
+	if parent.sc.Valid() {
+		n.sc.Trace = parent.sc.Trace
+		n.parent = parent.sc.Span
+	} else {
+		n.sc.Trace = t.ids.nextTraceID()
+		n.root = true
+	}
+	t.rec.spanStarted(n.sc.Trace, n.root)
+	s.node = n
+	return s, context.WithValue(ctx, ctxKey{}, n)
+}
+
+// Context returns the span's propagatable identity — what the wire
+// carries to a remote callee; it outlives End. Zero unless the span is
+// traced.
+func (s *Span) Context() SpanContext {
+	if s.node == nil {
 		return SpanContext{}
 	}
-	return s.ctx
+	return s.node.sc
 }
 
-// TraceID returns the span's trace id (zero when nil) — the handle
-// histogram exemplars store.
-func (s *TraceSpan) TraceID() TraceID {
-	if s == nil {
-		return TraceID{}
+// AddAttr attaches a string attribute to a traced span. Values are a
+// secretflow sink: secret material must never reach them.
+func (s *Span) AddAttr(key, val string) {
+	if s.node != nil {
+		s.node.attrs = append(s.node.attrs, Attr{Key: key, Str: val})
 	}
-	return s.ctx.Trace
 }
 
-// AddAttr attaches a string attribute. Values are a secretflow sink:
-// secret material must never reach them.
-func (s *TraceSpan) AddAttr(key, val string) {
-	if s == nil {
+// AddInt attaches an integer attribute to a traced span.
+func (s *Span) AddInt(key string, val int64) {
+	if s.node != nil {
+		s.node.attrs = append(s.node.attrs, Attr{Key: key, Int: val, IsInt: true})
+	}
+}
+
+// Mark records the time since the previous Mark (or the start) into h
+// and advances the stage boundary. A nil h records nothing but still
+// advances, so an optional stage does not skew the next one.
+func (s *Span) Mark(h *Histogram) {
+	if s.start.IsZero() {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Str: val})
+	now := time.Now()
+	h.observe(now.Sub(s.last).Seconds(), s.Context().Trace)
+	s.last = now
 }
 
-// AddInt attaches an integer attribute.
-func (s *TraceSpan) AddInt(key string, val int64) {
-	if s == nil {
+// End closes the span: the time since it started goes into h (nil
+// records nothing), and a traced span hands its record to the flight
+// recorder, failed when *errp is non-nil — error traces are always kept
+// by the tail sampler. errp is the function's error result, so one
+// `defer sp.End(h, &err)` covers every return path; nil means the
+// interval cannot fail. Ending twice is a no-op.
+func (s *Span) End(h *Histogram, errp *error) {
+	n := s.node
+	if s.start.IsZero() || (h == nil && n == nil) {
 		return
 	}
-	s.attrs = append(s.attrs, Attr{Key: key, Int: val, IsInt: true})
-}
-
-// SetError marks the span failed; error traces are always kept by the
-// flight recorder's tail sampler.
-func (s *TraceSpan) SetError(err error) {
-	if s == nil || err == nil {
+	start := s.start
+	d := time.Since(start)
+	h.observe(d.Seconds(), s.Context().Trace)
+	s.start = time.Time{}
+	if n == nil {
 		return
 	}
-	s.err = err.Error()
-}
-
-// End closes the span and hands its record to the flight recorder.
-// Ending twice is a no-op.
-func (s *TraceSpan) End() {
-	if s == nil || s.ended {
-		return
-	}
-	s.ended = true
 	rec := SpanRecord{
-		Trace:    s.ctx.Trace,
-		Span:     s.ctx.Span,
-		Parent:   s.parent,
-		Name:     s.name,
-		Proc:     s.t.proc,
-		Start:    s.start,
-		Duration: time.Since(s.start),
-		Attrs:    s.attrs,
-		Err:      s.err,
+		Trace:    n.sc.Trace,
+		Span:     n.sc.Span,
+		Parent:   n.parent,
+		Name:     n.name,
+		Proc:     n.t.proc,
+		Start:    start,
+		Duration: d,
+		Attrs:    n.attrs,
 	}
-	s.t.rec.spanEnded(rec, s.root)
+	if errp != nil && *errp != nil {
+		rec.Err = (*errp).Error()
+	}
+	n.t.rec.spanEnded(rec, n.root)
 }
 
 // idStream generates trace/span ids: splitmix64 over an atomic
@@ -278,22 +337,4 @@ func (g *idStream) nextTraceID() TraceID {
 		binary.BigEndian.PutUint64(id[8:], g.next())
 	}
 	return id
-}
-
-// ctxKey keys the propagated SpanContext in a context.Context.
-type ctxKey struct{}
-
-// ContextWithSpan returns ctx carrying sc so in-process callees
-// (gateway → device → ORAM) can parent their spans without new
-// plumbing through every signature.
-func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, ctxKey{}, sc)
-}
-
-// SpanFromContext extracts the propagated span context (zero when
-// absent). Callers guard with a tracer-nil check first so the
-// disabled path never performs the context lookup.
-func SpanFromContext(ctx context.Context) SpanContext {
-	sc, _ := ctx.Value(ctxKey{}).(SpanContext)
-	return sc
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -23,24 +24,35 @@ func mkTraceID(n uint64) TraceID {
 
 func TestTraceSpanTree(t *testing.T) {
 	reg := NewRegistry()
-	tr := reg.EnableTracing("test", 8)
+	reg.EnableTracing("test", 8)
 	defer reg.FlightRecorder().Close()
 
-	root := tr.StartSpan("test.root", SpanContext{})
-	if !root.Context().Valid() {
+	// Without an entry point the request is untraced: timed, no node.
+	if sp, _ := reg.StartSpan(context.Background(), "test.untraced"); sp.Context().Valid() || sp.start.IsZero() {
+		t.Fatalf("span from a bare context: traced %v, timed %v; want timed only",
+			sp.Context().Valid(), !sp.start.IsZero())
+	}
+
+	root, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), SpanContext{}), "test.root")
+	rootCtx := root.Context()
+	if !rootCtx.Valid() {
 		t.Fatal("root span context invalid")
 	}
-	child := tr.StartSpan("test.child", root.Context())
-	if child.TraceID() != root.TraceID() {
-		t.Fatalf("child trace %s != root trace %s", child.TraceID(), root.TraceID())
+	if again := reg.ContinueTrace(ctx, SpanContext{}); again != ctx {
+		t.Fatal("ContinueTrace displaced the in-process parent")
+	}
+	child, _ := reg.StartSpan(ctx, "test.child")
+	if child.Context().Trace != rootCtx.Trace {
+		t.Fatalf("child trace %s != root trace %s", child.Context().Trace, rootCtx.Trace)
 	}
 	child.AddAttr("backend", "local-0")
 	child.AddInt("txs", 16)
-	child.SetError(errors.New("boom"))
-	child.End()
-	root.End()
+	boom := errors.New("boom")
+	child.End(nil, &boom)
+	child.End(nil, &boom) // ending twice is a no-op
+	root.End(nil, nil)
 
-	trace := reg.FlightRecorder().Lookup(root.TraceID())
+	trace := reg.FlightRecorder().Lookup(rootCtx.Trace)
 	if trace == nil {
 		t.Fatal("completed trace not in flight recorder")
 	}
@@ -62,8 +74,8 @@ func TestTraceSpanTree(t *testing.T) {
 	if c == nil {
 		t.Fatal("child span missing from assembled trace")
 	}
-	if c.Parent != root.Context().Span {
-		t.Errorf("child parent %s, want %s", c.Parent, root.Context().Span)
+	if c.Parent != rootCtx.Span {
+		t.Errorf("child parent %s, want %s", c.Parent, rootCtx.Span)
 	}
 	if c.Err != "boom" {
 		t.Errorf("child err %q, want boom", c.Err)
@@ -73,46 +85,79 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 }
 
-// TestTraceDisabledZeroAllocs pins the tracing-disabled hot path to
-// the same bar as the metric instruments: a nil tracer (the default —
-// EnableTracing was never called) must cost one nil check and zero
-// allocations at every span site the pipeline runs.
+// spanSites runs the calls every span site in the pipeline makes: start,
+// annotate, a stage mark, read the wire identity, and the deferred end
+// with the function's error.
+func spanSites(reg *Registry, ctx context.Context, h *Histogram, n int64) {
+	var err error
+	sp, ctx := reg.StartSpan(reg.ContinueTrace(ctx, SpanContext{}), "test.sites")
+	defer sp.End(h, &err)
+	sp.AddAttr("k", "v")
+	sp.AddInt("n", n)
+	sp.Mark(h)
+	_ = sp.Context()
+	child, _ := reg.StartSpan(ctx, "test.sites_child")
+	child.End(nil, nil)
+}
+
+// TestTraceDisabledZeroAllocs pins the span's two untraced states to
+// the same bar as the metric instruments. Off (nil registry — the
+// default) costs one nil check per call and never reads the clock or the
+// context; timed (metrics on, tracing never enabled — the case the old
+// value-type stopwatch covered) reads the clock and feeds the histogram.
+// Neither allocates.
 func TestTraceDisabledZeroAllocs(t *testing.T) {
 	var nilReg *Registry
-	tr := nilReg.Tracer()
-	if tr != nil {
+	if nilReg.Tracer() != nil {
 		t.Fatal("nil registry handed out a live tracer")
 	}
-	if on := NewRegistry(); on.Tracer() != nil {
+	timed := NewRegistry()
+	if timed.Tracer() != nil {
 		t.Fatal("registry without EnableTracing handed out a live tracer")
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.StartSpan("test.disabled", SpanContext{})
-		sp.AddAttr("k", "v")
-		sp.AddInt("n", 7)
-		sp.SetError(nil)
-		_ = sp.Context()
-		_ = sp.TraceID()
-		sp.End()
+	h := timed.Histogram("hardtape_sites_seconds", "span sites", nil)
+
+	// A nil context proves the off path never touches it.
+	if allocs := testing.AllocsPerRun(1000, func() {
+		spanSites(nilReg, nil, nil, 7)
 		nilReg.FlightRecorder().TakeSpans(TraceID{})
 		nilReg.FlightRecorder().Adopt(nil)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled tracing allocated %v per op, want 0", allocs)
+	}); allocs != 0 {
+		t.Fatalf("nil registry allocated %v per op, want 0", allocs)
+	}
+	if sp, _ := nilReg.StartSpan(nil, "test.off"); !sp.start.IsZero() {
+		t.Fatal("nil registry read the clock")
+	}
+
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(1000, func() { spanSites(timed, ctx, h, 7) }); allocs != 0 {
+		t.Fatalf("metrics on / tracing off allocated %v per op, want 0", allocs)
+	}
+	if h.Count() == 0 {
+		t.Fatal("timed span did not feed its histogram")
 	}
 }
 
-// BenchmarkTraceDisabledParity is the CI gate for the disabled path:
-// it must report 0 B/op and 0 allocs/op.
+// BenchmarkTraceDisabledParity is the CI gate for the off path: it must
+// report 0 B/op and 0 allocs/op.
 func BenchmarkTraceDisabledParity(b *testing.B) {
 	var nilReg *Registry
-	tr := nilReg.Tracer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sp := tr.StartSpan("bench.disabled", SpanContext{})
-		sp.AddInt("n", int64(i))
-		sp.SetError(nil)
-		sp.End()
+		spanSites(nilReg, nil, nil, int64(i))
+	}
+}
+
+// BenchmarkSpanMetricsOnlyParity is the CI gate for the timed state
+// (metrics on, tracing off): 0 B/op and 0 allocs/op.
+func BenchmarkSpanMetricsOnlyParity(b *testing.B) {
+	reg := NewRegistry()
+	h := reg.Histogram("hardtape_sites_seconds", "span sites", nil)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spanSites(reg, ctx, h, int64(i))
 	}
 }
 
@@ -215,30 +260,31 @@ func TestRecorderCloseGoroutineLeak(t *testing.T) {
 // local root completion assembles one contiguous tree.
 func TestTakeSpansAdopt(t *testing.T) {
 	localReg, remoteReg := NewRegistry(), NewRegistry()
-	local := localReg.EnableTracing("gateway", 8)
-	remote := remoteReg.EnableTracing("device", 8)
+	localReg.EnableTracing("gateway", 8)
+	remoteReg.EnableTracing("device", 8)
 	defer localReg.FlightRecorder().Close()
 	defer remoteReg.FlightRecorder().Close()
 
-	root := local.StartSpan("test.root", SpanContext{})
+	root, _ := localReg.StartSpan(localReg.ContinueTrace(context.Background(), SpanContext{}), "test.root")
+	id := root.Context().Trace
 
 	// Remote side serves under the propagated context.
-	rsp := remote.StartSpan("test.remote", root.Context())
-	rchild := remote.StartSpan("test.remote_child", rsp.Context())
-	rchild.End()
-	rsp.End()
-	shipped := remoteReg.FlightRecorder().TakeSpans(root.TraceID())
+	rsp, rctx := remoteReg.StartSpan(remoteReg.ContinueTrace(context.Background(), root.Context()), "test.remote")
+	rchild, _ := remoteReg.StartSpan(rctx, "test.remote_child")
+	rchild.End(nil, nil)
+	rsp.End(nil, nil)
+	shipped := remoteReg.FlightRecorder().TakeSpans(id)
 	if len(shipped) != 2 {
 		t.Fatalf("TakeSpans returned %d spans, want 2", len(shipped))
 	}
-	if again := remoteReg.FlightRecorder().TakeSpans(root.TraceID()); len(again) != 0 {
+	if again := remoteReg.FlightRecorder().TakeSpans(id); len(again) != 0 {
 		t.Fatalf("second TakeSpans returned %d spans, want 0", len(again))
 	}
 
 	localReg.FlightRecorder().Adopt(shipped)
-	root.End()
+	root.End(nil, nil)
 
-	trace := localReg.FlightRecorder().Lookup(root.TraceID())
+	trace := localReg.FlightRecorder().Lookup(id)
 	if trace == nil {
 		t.Fatal("trace not assembled after adoption")
 	}
@@ -259,7 +305,7 @@ func TestTakeSpansAdopt(t *testing.T) {
 // lock-free publication path.
 func TestConcurrentTraceRecording(t *testing.T) {
 	reg := NewRegistry()
-	tr := reg.EnableTracing("race", 16)
+	reg.EnableTracing("race", 16)
 	rec := reg.FlightRecorder()
 	defer rec.Close()
 	h := reg.Histogram("hardtape_trace_race_seconds", "race", nil)
@@ -270,15 +316,15 @@ func TestConcurrentTraceRecording(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				root := tr.StartSpan("race.root", SpanContext{})
-				child := tr.StartSpan("race.child", root.Context())
+				root, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), SpanContext{}), "race.root")
+				child, _ := reg.StartSpan(ctx, "race.child")
 				child.AddInt("i", int64(i))
-				child.End()
-				h.ObserveTraced(float64(i)*1e-6, root.TraceID())
+				child.End(nil, nil)
+				var err error
 				if g%2 == 0 {
-					root.SetError(errors.New("induced"))
+					err = errors.New("induced")
 				}
-				root.End()
+				root.End(h, &err)
 			}
 		}(g)
 	}
@@ -303,15 +349,15 @@ func TestConcurrentTraceRecording(t *testing.T) {
 	}
 }
 
-// TestHistogramExemplar: a traced observation stamps its bucket's
-// exemplar; an untraced one records plainly without clearing it.
+// TestHistogramExemplar: a traced span's observation stamps its
+// bucket's exemplar; an untraced one records plainly without clearing it.
 func TestHistogramExemplar(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("hardtape_trace_ex_seconds", "exemplar", []float64{0.001, 1})
 	id := mkTraceID(7)
-	h.ObserveTraced(0.5, id)
+	h.observe(0.5, id)
 	h.Observe(0.5)
-	h.ObserveTraced(0.25, TraceID{}) // zero id: plain record
+	h.observe(0.25, TraceID{}) // zero id: plain record
 	ex := h.BucketExemplar(1)
 	if ex == nil || ex.Trace != id || ex.Value != 0.5 {
 		t.Fatalf("bucket exemplar %+v, want trace %s value 0.5", ex, id)
@@ -337,14 +383,14 @@ func TestHistogramExemplar(t *testing.T) {
 // server: index, one trace as JSON, and the chrome trace-event form.
 func TestAdminTraceEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	tr := reg.EnableTracing("admin", 8)
+	reg.EnableTracing("admin", 8)
 	defer reg.FlightRecorder().Close()
 
-	root := tr.StartSpan("admin.root", SpanContext{})
-	child := tr.StartSpan("admin.child", root.Context())
-	child.End()
-	root.End()
-	id := root.TraceID().String()
+	root, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), SpanContext{}), "admin.root")
+	id := root.Context().Trace.String()
+	child, _ := reg.StartSpan(ctx, "admin.child")
+	child.End(nil, nil)
+	root.End(nil, nil)
 
 	a, err := StartAdmin("127.0.0.1:0", reg)
 	if err != nil {

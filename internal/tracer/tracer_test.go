@@ -11,9 +11,9 @@ import (
 	"hardtape/internal/uint256"
 )
 
-// runTraced executes a signed transaction under a fresh EVM with the
+// runWithTracer executes a signed transaction under a fresh EVM with the
 // given tracer attached, returning the trace.
-func runTraced(t *testing.T, tr *Tracer, code []byte) *TxTrace {
+func runWithTracer(t *testing.T, tr *Tracer, code []byte) *TxTrace {
 	t.Helper()
 	priv, err := secp256k1.GenerateKey([]byte("trace sender"))
 	if err != nil {
@@ -57,7 +57,7 @@ func simpleCode() []byte {
 
 func TestTraceCapturesSteps(t *testing.T) {
 	tr := New(true)
-	trace := runTraced(t, tr, simpleCode())
+	trace := runWithTracer(t, tr, simpleCode())
 	if len(trace.Steps) == 0 {
 		t.Fatal("no steps captured")
 	}
@@ -87,7 +87,7 @@ func TestTraceCapturesSteps(t *testing.T) {
 
 func TestTraceWithoutSteps(t *testing.T) {
 	tr := New(false)
-	trace := runTraced(t, tr, simpleCode())
+	trace := runWithTracer(t, tr, simpleCode())
 	if len(trace.Steps) != 0 {
 		t.Fatal("steps captured despite CaptureSteps=false")
 	}
@@ -113,7 +113,7 @@ func TestTraceCallTree(t *testing.T) {
 		Stop().
 		MustAssemble()
 	tr := New(false)
-	trace := runTraced(t, tr, code)
+	trace := runWithTracer(t, tr, code)
 	if len(trace.Calls) != 2 {
 		t.Fatalf("calls = %d, want 2", len(trace.Calls))
 	}
@@ -134,7 +134,7 @@ func TestTraceRevert(t *testing.T) {
 		Push(0).Push(0).Op(evm.REVERT).
 		MustAssemble()
 	tr := New(true)
-	trace := runTraced(t, tr, code)
+	trace := runWithTracer(t, tr, code)
 	if !trace.Reverted || trace.Failed {
 		t.Fatalf("outcome: reverted=%v failed=%v", trace.Reverted, trace.Failed)
 	}
@@ -142,10 +142,10 @@ func TestTraceRevert(t *testing.T) {
 
 func TestBundleAccumulation(t *testing.T) {
 	tr := New(false)
-	runTraced(t, tr, simpleCode())
+	runWithTracer(t, tr, simpleCode())
 	// Second tx in the same bundle (fresh EVM/sender is fine; the
 	// tracer only accumulates).
-	runTraced(t, tr, simpleCode())
+	runWithTracer(t, tr, simpleCode())
 	if got := len(tr.Bundle().Txs); got != 2 {
 		t.Fatalf("bundle txs = %d", got)
 	}
@@ -156,16 +156,16 @@ func TestBundleAccumulation(t *testing.T) {
 }
 
 func TestDiffIdenticalTraces(t *testing.T) {
-	t1 := runTraced(t, New(true), simpleCode())
-	t2 := runTraced(t, New(true), simpleCode())
+	t1 := runWithTracer(t, New(true), simpleCode())
+	t2 := runWithTracer(t, New(true), simpleCode())
 	if diffs := Diff(t1, t2); len(diffs) != 0 {
 		t.Fatalf("identical executions diverged: %v", diffs)
 	}
 }
 
 func TestDiffDetectsDivergence(t *testing.T) {
-	t1 := runTraced(t, New(true), simpleCode())
-	t2 := runTraced(t, New(true), asm.New().
+	t1 := runWithTracer(t, New(true), simpleCode())
+	t2 := runWithTracer(t, New(true), asm.New().
 		SStore(1, 0xbb). // different value, different trace
 		Push(1).Op(evm.SLOAD).Op(evm.POP).
 		Push(0x43).Push(0).Op(evm.MSTORE).

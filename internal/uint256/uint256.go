@@ -391,18 +391,6 @@ func (z *Int) Mod(x, y *Int) *Int {
 	return z
 }
 
-// DivMod sets z = x / y and m = x % y, returning (z, m). It treats
-// division by zero as yielding (0, 0).
-func (z *Int) DivMod(x, y, m *Int) (*Int, *Int) {
-	if y.IsZero() {
-		return z.Clear(), m.Clear()
-	}
-	var quot Int
-	*m = udivrem(quot[:], x[:], y)
-	*z = quot
-	return z, m
-}
-
 // SDiv sets z = x / y for signed (two's complement) values, truncating
 // toward zero, with the EVM convention x / 0 == 0. Returns z.
 func (z *Int) SDiv(n, d *Int) *Int {

@@ -278,11 +278,6 @@ func CalldataBalanceOf(addr types.Address) []byte {
 	return buildCall(SelBalanceOf, addr.Word().Bytes32())
 }
 
-// CalldataMint builds calldata for mint(to, amount).
-func CalldataMint(to types.Address, amount uint64) []byte {
-	return buildCall(SelMint, to.Word().Bytes32(), u64Word(amount))
-}
-
 // CalldataSwap builds calldata for swap(amountIn).
 func CalldataSwap(amountIn uint64) []byte {
 	return buildCall(SelSwap, u64Word(amountIn))
