@@ -11,13 +11,18 @@
 // raw-store method on the ORAM server types: the oram.Server interface
 // or any concrete store behind it — *oram.MemServer, the disk-backed
 // *oram.FileServer (the sharded/persistent deployment, DESIGN.md §11),
-// and the *oram.RemoteServer TCP transport.
+// and the *oram.RemoteServer TCP transport. The two stores get their
+// path methods by embedding one unexported path store; a promoted
+// method is fenced exactly like a declared one, whether the promotion
+// happens inside oram (MemServer.ReadPath) or in a wrapper elsewhere
+// that embeds a server.
 //
 // Escape hatch (reason required): //hardtape:oram-direct reason
 package oramleak
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 
 	"hardtape/internal/analysis"
@@ -44,11 +49,14 @@ var rawMethods = map[string]bool{
 // serverTypes are the receiver types exposing the raw store. Every
 // Server implementation belongs here: a new backend (disk, TCP, …)
 // that is not listed would let raw access drift past the fence.
+// pathStore is the shared store MemServer and FileServer embed: it is
+// unexported, so it is only ever reached through a promoted method.
 var serverTypes = map[string]bool{
 	"Server":       true,
 	"MemServer":    true,
 	"FileServer":   true,
 	"RemoteServer": true,
+	"pathStore":    true,
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -69,8 +77,8 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || !rawMethods[sel.Sel.Name] {
 				return true
 			}
-			pkgPath, typeName, ok := analysis.NamedType(pass.TypesInfo, sel.X)
-			if !ok || !isORAMPackage(pkgPath) || !serverTypes[typeName] {
+			typeName, ok := serverType(pass.TypesInfo, sel)
+			if !ok {
 				return true
 			}
 			if ann.Allowed(pass.Fset, call.Pos(), "oram-direct") {
@@ -83,6 +91,30 @@ func run(pass *analysis.Pass) (any, error) {
 		})
 	}
 	return nil, nil
+}
+
+// serverType names the ORAM server type a method call lands on: the
+// receiver expression's own type or, when that is somebody else's
+// wrapper with a server embedded in it, the oram type the promoted
+// method is declared on.
+func serverType(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
+	if pkgPath, name, ok := analysis.NamedType(info, sel.X); ok && isORAMPackage(pkgPath) && serverTypes[name] {
+		return name, true
+	}
+	selection, ok := info.Selections[sel]
+	if !ok || selection.Kind() != types.MethodVal {
+		return "", false
+	}
+	recv := selection.Obj().Type().(*types.Signature).Recv().Type()
+	if p, isPtr := recv.(*types.Pointer); isPtr {
+		recv = p.Elem()
+	}
+	named, isNamed := recv.(*types.Named)
+	if !isNamed || named.Obj().Pkg() == nil {
+		return "", false
+	}
+	name := named.Obj().Name()
+	return name, isORAMPackage(named.Obj().Pkg().Path()) && serverTypes[name]
 }
 
 // isORAMPackage matches the oram package itself (module or fixture).

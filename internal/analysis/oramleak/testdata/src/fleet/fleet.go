@@ -22,6 +22,22 @@ func probeDurable(f *oram.FileServer, r *oram.RemoteServer) {
 	f.TamperBucket(0)
 }
 
+// tap embeds a store the way the stores embed their path store: the
+// methods it promotes are still the raw store, one hop further out.
+type tap struct {
+	*oram.MemServer
+	hits int
+}
+
+func probeWrapped(w *tap, iface struct{ oram.Server }) {
+	w.ReadPath(1)          // want `direct ORAM server access \(pathStore.ReadPath\) outside internal/oram`
+	w.WritePaths(nil, nil) // want `direct ORAM server access \(pathStore.WritePaths\) outside internal/oram`
+	iface.ReadPath(1)      // want `direct ORAM server access \(Server.ReadPath\) outside internal/oram`
+	//hardtape:oram-direct fixture: the wrapper forwards the oblivious client's own request
+	w.TamperBucket(0)
+	w.hits = w.Leaves() // promoted metadata stays fine
+}
+
 // Reading server metadata (not a raw-store method) is fine.
 func capacity(s *oram.MemServer) int {
 	return s.Leaves()

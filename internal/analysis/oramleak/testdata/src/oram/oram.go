@@ -5,23 +5,31 @@ package oram
 // AccessEvent is what a bucket observer sees.
 type AccessEvent struct{ Leaf uint64 }
 
-// MemServer mimics the raw bucket store.
-type MemServer struct{ obs func(AccessEvent) }
+// Server mimics the interface every store satisfies.
+type Server interface {
+	ReadPath(leaf uint64) [][]byte
+}
 
-func (s *MemServer) ReadPath(leaf uint64) [][]byte        { return nil }
-func (s *MemServer) WritePath(leaf uint64, data [][]byte) {}
-func (s *MemServer) TamperBucket(i int)                   {}
-func (s *MemServer) SetObserver(fn func(AccessEvent))     { s.obs = fn }
-func (s *MemServer) Leaves() int                          { return 0 }
+// pathStore mimics the shared path server both stores embed: every
+// raw-store method of MemServer and FileServer is promoted from here.
+type pathStore struct{ obs func(AccessEvent) }
+
+func (s *pathStore) ReadPath(leaf uint64) [][]byte                { return nil }
+func (s *pathStore) WritePath(leaf uint64, data [][]byte)         {}
+func (s *pathStore) ReadPaths(leaves []uint64) [][][]byte         { return nil }
+func (s *pathStore) WritePaths(leaves []uint64, paths [][][]byte) {}
+func (s *pathStore) TamperBucket(leaf uint64)                     {}
+func (s *pathStore) SetObserver(fn func(AccessEvent))             { s.obs = fn }
+func (s *pathStore) Leaves() int                                  { return 0 }
+
+// MemServer mimics the in-memory bucket store.
+type MemServer struct{ pathStore }
 
 // FileServer mimics the disk-backed bucket store (persist/shard PR).
-type FileServer struct{}
+type FileServer struct{ pathStore }
 
-func (s *FileServer) ReadPaths(leaves []uint64) [][][]byte         { return nil }
-func (s *FileServer) WritePaths(leaves []uint64, paths [][][]byte) {}
-func (s *FileServer) TamperBucket(leaf uint64)                     {}
-func (s *FileServer) Sync() error                                  { return nil }
-func (s *FileServer) Close() error                                 { return nil }
+func (s *FileServer) Sync() error  { return nil }
+func (s *FileServer) Close() error { return nil }
 
 // RemoteServer mimics the TCP transport.
 type RemoteServer struct{}

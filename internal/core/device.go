@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -291,7 +292,16 @@ func (d *Device) buildORAM(cfg Config, key []byte) (*oram.Client, error) {
 		}
 		return client, nil
 	}
-	servers := make([]oram.Server, shards)
+	servers := make([]oram.Server, 0, shards)
+	// closeDialed releases the shard connections opened so far when a
+	// later step fails (in-memory shards hold nothing to close).
+	closeDialed := func() {
+		for _, srv := range servers {
+			if c, ok := srv.(io.Closer); ok {
+				_ = c.Close()
+			}
+		}
+	}
 	if cfg.RemoteORAMAddr != "" {
 		addrs := strings.Split(cfg.RemoteORAMAddr, ",")
 		if len(addrs) != shards {
@@ -301,22 +311,28 @@ func (d *Device) buildORAM(cfg Config, key []byte) (*oram.Client, error) {
 		for i, addr := range addrs {
 			remote, err := oram.DialServer(strings.TrimSpace(addr))
 			if err != nil {
+				closeDialed()
 				return nil, fmt.Errorf("core: remote oram shard %d: %w", i, err)
 			}
-			servers[i] = remote
+			servers = append(servers, remote)
 		}
 	} else {
 		perShard := (cfg.ORAMCapacity + uint64(shards) - 1) / uint64(shards)
-		for i := range servers {
+		for len(servers) < shards {
 			mem, err := oram.NewMemServer(perShard)
 			if err != nil {
 				return nil, err
 			}
 			d.oramServers = append(d.oramServers, mem)
-			servers[i] = mem
+			servers = append(servers, mem)
 		}
 	}
-	return oram.NewClient(servers, key, opts...)
+	client, err := oram.NewClient(servers, key, opts...)
+	if err != nil {
+		closeDialed()
+		return nil, err
+	}
+	return client, nil
 }
 
 // newLane builds one execution lane's hardware set.

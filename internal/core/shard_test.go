@@ -1,9 +1,13 @@
 package core
 
 import (
+	"net"
+	"sync"
 	"testing"
+	"time"
 
 	"hardtape/internal/node"
+	"hardtape/internal/oram"
 	"hardtape/internal/tracer"
 	"hardtape/internal/workload"
 )
@@ -167,5 +171,81 @@ func TestShardedConfigRejections(t *testing.T) {
 				t.Fatal("invalid ORAM configuration accepted")
 			}
 		})
+	}
+}
+
+// hangupListener reports, on hungUp, the first read error of any
+// connection it accepted — i.e. the peer closing it.
+type hangupListener struct {
+	net.Listener
+	once   sync.Once
+	hungUp chan struct{}
+}
+
+func (l *hangupListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &hangupConn{Conn: c, l: l}, nil
+}
+
+type hangupConn struct {
+	net.Conn
+	l *hangupListener
+}
+
+func (c *hangupConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		c.l.once.Do(func() { close(c.l.hungUp) })
+	}
+	return n, err
+}
+
+// TestBuildORAMClosesDialedShardsOnFailure: when shard 1 of 2 refuses
+// the connection, device construction fails AND hangs up on shard 0,
+// which it had already dialed — no connection outlives the error.
+func TestBuildORAMClosesDialedShardsOnFailure(t *testing.T) {
+	wcfg := workload.DefaultConfig()
+	wcfg.EOAs = 4
+	w, err := workload.BuildWorld(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := node.New(w.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := oram.NewMemServer(1 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &hangupListener{Listener: l, hungUp: make(chan struct{})}
+	srv := oram.ServeTCP(inner, live)
+	defer srv.Close()
+	// A port that was just released refuses connections.
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := dead.Addr().String()
+	dead.Close()
+
+	cfg := DefaultConfig()
+	cfg.HEVMs = 1
+	cfg.ORAMShards = 2
+	cfg.RemoteORAMAddr = srv.Addr().String() + "," + refused
+	if _, err := NewDevice(cfg, nil, chain); err == nil {
+		t.Fatal("device built over a refusing shard")
+	}
+	select {
+	case <-live.hungUp:
+	case <-time.After(2 * time.Second):
+		t.Fatal("shard 0's connection was left open after shard 1 refused")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 )
 
 // fileMagic identifies an ORAM bucket file (version 1).
@@ -23,26 +22,19 @@ const fileHeaderSize = 16
 // which the AES-GCM open then rejects as ErrTampered.
 const fileSlotSize = 4 + cipherBufCap
 
-// FileServer is a disk-backed Server: the same untrusted bucket store
-// as MemServer, persisted as fixed-size records in a single file. It
-// shares MemServer's adversary surface (observer tap, TamperBucket)
-// and concurrency contract (safe for concurrent use).
+// FileServer is a disk-backed Server: the same pathStore as MemServer
+// (adversary surface, validation, concurrency contract) over
+// fixed-size records in a single file.
 //
 // Writes go through the OS page cache; Sync flushes to stable storage.
 // The client's checkpointing (persist.go) calls Sync before publishing
 // a checkpoint manifest, so a crash never leaves a checkpoint pointing
 // at bucket state that predates it.
 type FileServer struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	depth  int
-	leaves uint64
-	seq    uint64
-	// idxScratch/recScratch are per-call scratch; guarded by mu.
-	idxScratch []uint64
+	pathStore
+	f *os.File
+	// recScratch assembles one record per write; guarded by mu.
 	recScratch [fileSlotSize]byte
-	observer   func(AccessEvent)
 }
 
 var _ Server = (*FileServer)(nil)
@@ -53,50 +45,48 @@ var _ Server = (*FileServer)(nil)
 // implying a different tree depth is rejected, so a recovered store
 // always serves the exact tree it was built as.
 func OpenFileServer(path string, capacity uint64) (*FileServer, error) {
-	if capacity < 2 {
-		return nil, ErrCapacity
+	s := &FileServer{}
+	if err := s.init(capacity, s); err != nil {
+		return nil, err
 	}
-	depth := treeDepth(capacity)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("oram: open bucket file: %w", err)
 	}
-	s := &FileServer{
-		f:          f,
-		path:       path,
-		depth:      depth,
-		leaves:     uint64(1) << (depth - 1),
-		idxScratch: make([]uint64, depth),
-	}
-	st, err := f.Stat()
-	if err != nil {
+	s.f = f
+	if err := s.checkHeader(); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("oram: stat bucket file: %w", err)
-	}
-	if st.Size() == 0 {
-		var hdr [fileHeaderSize]byte
-		copy(hdr[:8], fileMagic[:])
-		binary.BigEndian.PutUint32(hdr[8:], uint32(depth))
-		if _, err := f.WriteAt(hdr[:], 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("oram: write bucket header: %w", err)
-		}
-		return s, nil
-	}
-	var hdr [fileHeaderSize]byte
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, fileHeaderSize), hdr[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("oram: read bucket header: %w", err)
-	}
-	if [8]byte(hdr[:8]) != fileMagic {
-		f.Close()
-		return nil, fmt.Errorf("%w: bad bucket file magic", ErrTampered)
-	}
-	if got := int(binary.BigEndian.Uint32(hdr[8:])); got != depth {
-		f.Close()
-		return nil, fmt.Errorf("%w: bucket file depth %d, capacity implies %d", ErrCapacity, got, depth)
+		return nil, err
 	}
 	return s, nil
+}
+
+// checkHeader writes the header of a new file or validates an existing
+// one against the store's geometry.
+func (s *FileServer) checkHeader() error {
+	st, err := s.f.Stat()
+	if err != nil {
+		return fmt.Errorf("oram: stat bucket file: %w", err)
+	}
+	var hdr [fileHeaderSize]byte
+	if st.Size() == 0 {
+		copy(hdr[:8], fileMagic[:])
+		binary.BigEndian.PutUint32(hdr[8:], uint32(s.depth))
+		if _, err := s.f.WriteAt(hdr[:], 0); err != nil {
+			return fmt.Errorf("oram: write bucket header: %w", err)
+		}
+		return nil
+	}
+	if _, err := io.ReadFull(io.NewSectionReader(s.f, 0, fileHeaderSize), hdr[:]); err != nil {
+		return fmt.Errorf("oram: read bucket header: %w", err)
+	}
+	if [8]byte(hdr[:8]) != fileMagic {
+		return fmt.Errorf("%w: bad bucket file magic", ErrTampered)
+	}
+	if got := int(binary.BigEndian.Uint32(hdr[8:])); got != s.depth {
+		return fmt.Errorf("%w: bucket file depth %d, capacity implies %d", ErrCapacity, got, s.depth)
+	}
+	return nil
 }
 
 // nodeOffset returns the file offset of a 1-indexed heap node's record.
@@ -104,22 +94,9 @@ func nodeOffset(node uint64) int64 {
 	return fileHeaderSize + int64(node-1)*fileSlotSize
 }
 
-// Depth implements Server.
-func (s *FileServer) Depth() int { return s.depth }
-
-// Leaves implements Server.
-func (s *FileServer) Leaves() uint64 { return s.leaves }
-
-// SetObserver installs the adversary's tap on the access sequence.
-func (s *FileServer) SetObserver(fn func(AccessEvent)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.observer = fn
-}
-
-// readNodeLocked loads one node's ciphertext into a pooled buffer
-// (nil for a never-written node).
-func (s *FileServer) readNodeLocked(node uint64) ([]byte, error) {
+// readNode loads one node's ciphertext into a pooled buffer (nil for a
+// never-written node).
+func (s *FileServer) readNode(node uint64) ([]byte, error) {
 	var lenBuf [4]byte
 	n, err := s.f.ReadAt(lenBuf[:], nodeOffset(node))
 	if err == io.EOF && n == 0 {
@@ -150,12 +127,9 @@ func (s *FileServer) readNodeLocked(node uint64) ([]byte, error) {
 	return buf, nil
 }
 
-// writeNodeLocked stores one node's ciphertext as a single WriteAt of
-// its fixed-size record.
-func (s *FileServer) writeNodeLocked(node uint64, ct []byte) error {
-	if len(ct) > cipherBufCap {
-		return fmt.Errorf("%w: bucket %d ciphertext %d bytes", ErrBadBucket, node, len(ct))
-	}
+// writeNode stores one node's ciphertext as a single WriteAt of its
+// fixed-size record.
+func (s *FileServer) writeNode(node uint64, ct []byte) error {
 	rec := s.recScratch[:4+len(ct)]
 	binary.BigEndian.PutUint32(rec, uint32(len(ct)))
 	copy(rec[4:], ct)
@@ -163,113 +137,6 @@ func (s *FileServer) writeNodeLocked(node uint64, ct []byte) error {
 		return fmt.Errorf("oram: write bucket %d: %w", node, err)
 	}
 	return nil
-}
-
-// readPathLocked fills out (length depth) with the path's buckets.
-func (s *FileServer) readPathLocked(leaf uint64, out [][]byte) error {
-	if leaf >= s.leaves {
-		return fmt.Errorf("oram: leaf %d out of range (%d leaves)", leaf, s.leaves)
-	}
-	s.seq++
-	if s.observer != nil {
-		s.observer(AccessEvent{Seq: s.seq, Leaf: leaf})
-	}
-	pathIndicesInto(leaf, s.depth, s.idxScratch)
-	for i, node := range s.idxScratch {
-		ct, err := s.readNodeLocked(node)
-		if err != nil {
-			return err
-		}
-		out[i] = ct
-	}
-	return nil
-}
-
-func (s *FileServer) writePathLocked(leaf uint64, buckets [][]byte) error {
-	if leaf >= s.leaves {
-		return fmt.Errorf("oram: leaf %d out of range (%d leaves)", leaf, s.leaves)
-	}
-	if len(buckets) != s.depth {
-		return fmt.Errorf("oram: WritePath got %d buckets, want %d", len(buckets), s.depth)
-	}
-	s.seq++
-	if s.observer != nil {
-		s.observer(AccessEvent{Seq: s.seq, Leaf: leaf, Write: true})
-	}
-	pathIndicesInto(leaf, s.depth, s.idxScratch)
-	for i, node := range s.idxScratch {
-		if err := s.writeNodeLocked(node, buckets[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadPath implements Server.
-func (s *FileServer) ReadPath(leaf uint64) ([][]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]byte, s.depth)
-	if err := s.readPathLocked(leaf, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WritePath implements Server.
-func (s *FileServer) WritePath(leaf uint64, buckets [][]byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writePathLocked(leaf, buckets)
-}
-
-// ReadPaths implements Server.
-func (s *FileServer) ReadPaths(leaves []uint64) ([][][]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][][]byte, len(leaves))
-	flat := make([][]byte, len(leaves)*s.depth)
-	for i, leaf := range leaves {
-		path := flat[i*s.depth : (i+1)*s.depth]
-		if err := s.readPathLocked(leaf, path); err != nil {
-			return nil, err
-		}
-		out[i] = path
-	}
-	return out, nil
-}
-
-// WritePaths implements Server.
-func (s *FileServer) WritePaths(leaves []uint64, paths [][][]byte) error {
-	if len(paths) != len(leaves) {
-		return fmt.Errorf("oram: WritePaths got %d paths for %d leaves", len(paths), len(leaves))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, leaf := range leaves {
-		if err := s.writePathLocked(leaf, paths[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// TamperBucket flips a byte in a stored bucket (test hook modelling
-// the paper's A6 adversary against the durable store).
-func (s *FileServer) TamperBucket(leaf uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, node := range pathIndices(leaf, s.depth) {
-		ct, err := s.readNodeLocked(node)
-		if err != nil || len(ct) == 0 {
-			continue
-		}
-		ct[len(ct)-1] ^= 0x01
-		//hardtape:faulterr-ok test-only corruption injector; a failed write just leaves the bucket intact
-		_ = s.writeNodeLocked(node, ct)
-		putCipherBuf(ct)
-		return
-	}
 }
 
 // Sync flushes buffered bucket writes to stable storage.

@@ -193,7 +193,8 @@ func putPlainBuf(b []byte) {
 }
 
 // cipherBufCap covers nonce + bucketPlain + GCM tag with headroom. Wire
-// and server bucket copies share this pool: every sealed bucket fits.
+// and server bucket copies share this pool: every sealed bucket fits,
+// and it is the bucket size limit of every store and wire decoder.
 const cipherBufCap = bucketPlain + 64
 
 var cipherBufPool = sync.Pool{

@@ -16,22 +16,30 @@ import (
 // the ORAM client, so the transport itself needs no confidentiality —
 // exactly the paper's trust split.
 //
-// The protocol is pipelined: every request carries an 8-byte request
-// id, responses are matched by id, and a connection may have many
-// requests in flight at once. Multi-path opcodes (ReadPaths /
-// WritePaths) let a batched client fetch or write N paths for one
-// link round trip; the server coalesces back-to-back responses into
-// one flush while more requests are already buffered.
-//
-// Frames:
+// A connection carries one request at a time: a tree is
+// single-goroutine and every tree dials its own connection, so the
+// client writes a request, flushes, and reads the response on the
+// caller's goroutine. Batching, not pipelining, amortizes the link: one
+// request moves up to maxWirePaths paths for one round trip, and a
+// single-path access is a batch of one.
 //
 //	request:  [reqID u64][op u8][payload]
-//	response: [reqID u64][status u8][payload]
+//	response: [reqID u64][status u8][payload]   (statusErr: [len u8][msg])
+//
+//	opMeta        request —                              response depth u64, leaves u64
+//	opReadPaths   request n u64, n × leaf u64            response n u64, n × path
+//	opWritePaths  request n u64, n × leaf u64, n × path  response —
+//	path          depth u64, depth × (len u64, ciphertext)
+//
+// Both ends face bytes the other side controls. Every count is checked
+// against what the decoder already knows (the paths it asked for, the
+// tree depth, the largest ciphertext a seal can produce) before anything
+// is allocated for it. The echoed request id is a desync check: a
+// response that is not for the request just written means the byte
+// stream can no longer be trusted.
 
-// Wire opcodes.
+// Wire opcodes. 1 and 2 were the single-path forms of 4 and 5.
 const (
-	opReadPath   byte = 1
-	opWritePath  byte = 2
 	opMeta       byte = 3
 	opReadPaths  byte = 4
 	opWritePaths byte = 5
@@ -40,11 +48,11 @@ const (
 	statusErr byte = 1
 )
 
-// maxWireBucket bounds a single bucket ciphertext on the wire.
-const maxWireBucket = 16 * bucketPlain
-
 // maxWirePaths bounds the paths in one batched request.
 const maxWirePaths = 64
+
+// maxWireDepth bounds the tree depth a server may announce.
+const maxWireDepth = 64
 
 // Transport errors.
 var (
@@ -56,14 +64,16 @@ type TCPServer struct {
 	inner Server
 	l     net.Listener
 
-	mu     sync.Mutex
-	closed bool
+	mu    sync.Mutex
+	conns map[net.Conn]struct{} // live connections; nil once closed
+	wg    sync.WaitGroup        // the accept loop and every connection handler
 }
 
 // ServeTCP starts serving inner on the listener. It returns
 // immediately; use Close to stop.
 func ServeTCP(inner Server, l net.Listener) *TCPServer {
-	s := &TCPServer{inner: inner, l: l}
+	s := &TCPServer{inner: inner, l: l, conns: make(map[net.Conn]struct{})}
+	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
 }
@@ -71,41 +81,54 @@ func ServeTCP(inner Server, l net.Listener) *TCPServer {
 // Addr returns the listen address.
 func (s *TCPServer) Addr() net.Addr { return s.l.Addr() }
 
-// Close stops the listener.
+// Close stops the listener, closes every accepted connection and waits
+// for their handlers to return.
 func (s *TCPServer) Close() error {
+	err := s.l.Close()
 	s.mu.Lock()
-	s.closed = true
+	for conn := range s.conns {
+		_ = conn.Close()
+	}
+	s.conns = nil
 	s.mu.Unlock()
-	return s.l.Close()
+	s.wg.Wait()
+	return err
 }
 
 func (s *TCPServer) acceptLoop() {
+	defer s.wg.Done()
 	for {
 		conn, err := s.l.Accept()
 		if err != nil {
 			return
 		}
+		s.mu.Lock()
+		if s.conns == nil { // accepted while Close was running
+			s.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
-			defer conn.Close()
+			defer s.wg.Done()
 			//hardtape:faulterr-ok a client disconnect ends that connection only; the accept loop must survive it
 			_ = s.serveConn(conn)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+			_ = conn.Close()
 		}()
 	}
 }
 
-// serveConn handles one connection. Requests are processed in arrival
-// order (so a pipelined client's read-after-write ordering holds), but
-// the response flush is deferred while further requests are already
-// buffered — pipelined responses leave in one coalesced write.
+// serveConn handles one connection: requests are processed and answered
+// one at a time, in arrival order.
 func (s *TCPServer) serveConn(conn net.Conn) error {
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
 	for {
-		if w.Buffered() > 0 && r.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return err
-			}
-		}
 		reqID, err := readU64(r)
 		if errors.Is(err, io.EOF) {
 			return nil
@@ -120,56 +143,26 @@ func (s *TCPServer) serveConn(conn net.Conn) error {
 		if err := s.handle(r, w, reqID, op); err != nil {
 			return err
 		}
+		if err := w.Flush(); err != nil {
+			return err
+		}
 	}
 }
 
 // handle decodes one request, runs it against the inner server, and
-// writes the response frame. It returns an error only for transport
-// failures; server-level errors travel back as statusErr frames.
+// writes the response frame. It returns an error only for transport and
+// protocol failures, which end the connection; server-level errors
+// travel back as statusErr frames.
 func (s *TCPServer) handle(r *bufio.Reader, w *bufio.Writer, reqID uint64, op byte) error {
 	switch op {
 	case opMeta:
-		if err := writeU64(w, reqID); err != nil {
-			return err
-		}
-		if err := w.WriteByte(statusOK); err != nil {
+		if err := respond(w, reqID, nil); err != nil {
 			return err
 		}
 		if err := writeU64(w, uint64(s.inner.Depth())); err != nil {
 			return err
 		}
 		return writeU64(w, s.inner.Leaves())
-	case opReadPath:
-		leaf, err := readU64(r)
-		if err != nil {
-			return err
-		}
-		buckets, err := s.inner.ReadPath(leaf)
-		if err != nil {
-			return respondErr(w, reqID, err)
-		}
-		if err := respondOK(w, reqID); err != nil {
-			return err
-		}
-		err = writeBuckets(w, buckets)
-		recycleBuckets(buckets)
-		return err
-	case opWritePath:
-		leaf, err := readU64(r)
-		if err != nil {
-			return err
-		}
-		buckets, err := readBuckets(r)
-		if err != nil {
-			return err
-		}
-		// The inner server stores copies; the wire buffers recycle.
-		err = s.inner.WritePath(leaf, buckets)
-		recycleBuckets(buckets)
-		if err != nil {
-			return respondErr(w, reqID, err)
-		}
-		return respondOK(w, reqID)
 	case opReadPaths:
 		leaves, err := readLeaves(r)
 		if err != nil {
@@ -177,94 +170,79 @@ func (s *TCPServer) handle(r *bufio.Reader, w *bufio.Writer, reqID uint64, op by
 		}
 		paths, err := s.inner.ReadPaths(leaves)
 		if err != nil {
-			return respondErr(w, reqID, err)
+			return respond(w, reqID, err)
 		}
-		if err := respondOK(w, reqID); err != nil {
+		if err := respond(w, reqID, nil); err != nil {
 			return err
 		}
 		if err := writeU64(w, uint64(len(paths))); err != nil {
 			return err
 		}
 		for _, buckets := range paths {
-			if err := writeBuckets(w, buckets); err != nil {
+			if err := writePath(w, buckets); err != nil {
 				return err
 			}
 			recycleBuckets(buckets)
 		}
 		return nil
 	case opWritePaths:
-		count, err := readU64(r)
+		leaves, err := readLeaves(r)
 		if err != nil {
 			return err
 		}
-		if count > maxWirePaths {
-			return fmt.Errorf("%w: %d paths", ErrWire, count)
+		paths, err := readPaths(r, len(leaves), s.inner.Depth())
+		if err != nil {
+			return err
 		}
-		leaves := make([]uint64, count)
-		paths := make([][][]byte, count)
-		depth := s.inner.Depth()
-		flat := make([][]byte, int(count)*depth)
-		for i := range leaves {
-			if leaves[i], err = readU64(r); err != nil {
-				return err
-			}
-			if paths[i], err = readBucketsInto(r, flat[i*depth:(i+1)*depth]); err != nil {
-				return err
-			}
-		}
+		// The inner server stores copies; the wire buffers recycle.
 		err = s.inner.WritePaths(leaves, paths)
 		for _, buckets := range paths {
 			recycleBuckets(buckets)
 		}
-		if err != nil {
-			return respondErr(w, reqID, err)
-		}
-		return respondOK(w, reqID)
+		return respond(w, reqID, err)
 	default:
 		return fmt.Errorf("%w: opcode %d", ErrWire, op)
 	}
 }
 
-func respondOK(w *bufio.Writer, reqID uint64) error {
-	if err := writeU64(w, reqID); err != nil {
-		return err
-	}
-	return w.WriteByte(statusOK)
-}
-
-func respondErr(w *bufio.Writer, reqID uint64, err error) error {
+// respond starts a response frame: statusOK, or statusErr carrying
+// err's (truncated) message.
+func respond(w *bufio.Writer, reqID uint64, err error) error {
 	if werr := writeU64(w, reqID); werr != nil {
 		return werr
 	}
-	return writeStatus(w, err)
+	if err == nil {
+		return w.WriteByte(statusOK)
+	}
+	msg := err.Error()
+	if len(msg) > 255 {
+		msg = msg[:255]
+	}
+	if werr := w.WriteByte(statusErr); werr != nil {
+		return werr
+	}
+	if werr := w.WriteByte(byte(len(msg))); werr != nil {
+		return werr
+	}
+	_, werr := w.WriteString(msg)
+	return werr
 }
 
-// pendingCall tracks one in-flight request on a RemoteServer.
-type pendingCall struct {
-	op byte
-	ch chan wireResponse
-}
-
-// wireResponse is a decoded response frame (or a transport failure).
-type wireResponse struct {
-	err   error      // transport or remote error
-	meta  [2]uint64  // opMeta: depth, leaves
-	paths [][][]byte // opReadPath (one entry) / opReadPaths
-}
-
-// RemoteServer is a Server backed by one pipelined TCP connection. It
-// is safe for concurrent use: many goroutines may have requests in
-// flight at once; responses are matched by request id.
+// RemoteServer is a Server backed by one TCP connection with at most
+// one request on the wire. It is safe for concurrent use; concurrent
+// callers take turns.
 type RemoteServer struct {
 	conn net.Conn
 
-	wmu sync.Mutex // serializes request frames on the shared writer
-	w   *bufio.Writer
-
-	pmu     sync.Mutex
-	pending map[uint64]*pendingCall
-	nextID  uint64
-	broken  error // sticky transport error; set once, fails all later calls
+	// mu is held from the first request byte to the last response byte.
+	mu     sync.Mutex
+	r      *bufio.Reader
+	w      *bufio.Writer
+	nextID uint64
+	// broken is the sticky transport error: once a frame fails to send
+	// or decode the stream position is unknown, so every later call
+	// fails fast with the same error instead of reading garbage.
+	broken error
 
 	depth  int
 	leaves uint64
@@ -279,22 +257,18 @@ func DialServer(addr string) (*RemoteServer, error) {
 		return nil, fmt.Errorf("oram: dial: %w", err)
 	}
 	rs := &RemoteServer{
-		conn:    conn,
-		w:       bufio.NewWriterSize(conn, 1<<16),
-		pending: make(map[uint64]*pendingCall),
+		conn: conn,
+		r:    bufio.NewReaderSize(conn, 1<<16),
+		w:    bufio.NewWriterSize(conn, 1<<16),
 	}
-	go rs.readLoop()
-	resp, err := rs.roundTrip(opMeta, nil)
-	if err != nil {
+	if _, err := rs.roundTrip(opMeta, nil, nil); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("oram: meta: %w", err)
 	}
-	rs.depth = int(resp.meta[0])
-	rs.leaves = resp.meta[1]
 	return rs, nil
 }
 
-// Close closes the connection; in-flight requests fail.
+// Close closes the connection; a request in flight fails.
 func (rs *RemoteServer) Close() error { return rs.conn.Close() }
 
 // Depth implements Server.
@@ -303,182 +277,126 @@ func (rs *RemoteServer) Depth() int { return rs.depth }
 // Leaves implements Server.
 func (rs *RemoteServer) Leaves() uint64 { return rs.leaves }
 
-// readLoop decodes response frames and hands each to its waiting
-// caller. Any decode or connection failure poisons the RemoteServer.
-func (rs *RemoteServer) readLoop() {
-	r := bufio.NewReaderSize(rs.conn, 1<<16)
-	for {
-		reqID, err := readU64(r)
-		if err != nil {
-			rs.fail(err)
-			return
-		}
-		call := rs.take(reqID)
-		if call == nil {
-			rs.fail(fmt.Errorf("%w: unsolicited response id %d", ErrWire, reqID))
-			return
-		}
-		resp, err := readResponse(r, call.op, rs.depth)
-		if err != nil {
-			resp = wireResponse{err: err}
-			call.ch <- resp
-			rs.fail(err)
-			return
-		}
-		call.ch <- resp
-	}
-}
-
-// readResponse decodes one response payload for the given opcode.
-// A statusErr frame yields a response whose err wraps ErrWire; any
-// other error is a transport failure. depth (0 when unknown) sizes the
-// flat backing for batched path payloads.
-func readResponse(r *bufio.Reader, op byte, depth int) (wireResponse, error) {
-	status, err := r.ReadByte()
-	if err != nil {
-		return wireResponse{}, err
-	}
-	if status == statusErr {
-		n, err := r.ReadByte()
-		if err != nil {
-			return wireResponse{}, err
-		}
-		msg := make([]byte, n)
-		if _, err := io.ReadFull(r, msg); err != nil {
-			return wireResponse{}, err
-		}
-		return wireResponse{err: fmt.Errorf("%w: remote: %s", ErrWire, msg)}, nil
-	}
-	var resp wireResponse
-	switch op {
-	case opMeta:
-		for i := range resp.meta {
-			if resp.meta[i], err = readU64(r); err != nil {
-				return wireResponse{}, err
-			}
-		}
-	case opReadPath:
-		buckets, err := readBuckets(r)
-		if err != nil {
-			return wireResponse{}, err
-		}
-		resp.paths = [][][]byte{buckets}
-	case opReadPaths:
-		count, err := readU64(r)
-		if err != nil {
-			return wireResponse{}, err
-		}
-		if count > maxWirePaths {
-			return wireResponse{}, fmt.Errorf("%w: %d paths", ErrWire, count)
-		}
-		resp.paths = make([][][]byte, count)
-		var flat [][]byte
-		if depth > 0 {
-			flat = make([][]byte, int(count)*depth)
-		}
-		for i := range resp.paths {
-			var dst [][]byte
-			if flat != nil {
-				dst = flat[i*depth : (i+1)*depth]
-			}
-			if resp.paths[i], err = readBucketsInto(r, dst); err != nil {
-				return wireResponse{}, err
-			}
-		}
-	case opWritePath, opWritePaths:
-		// no payload
-	default:
-		return wireResponse{}, fmt.Errorf("%w: opcode %d", ErrWire, op)
-	}
-	return resp, nil
-}
-
-// take removes and returns the pending call for id, if any.
-func (rs *RemoteServer) take(id uint64) *pendingCall {
-	rs.pmu.Lock()
-	defer rs.pmu.Unlock()
-	call := rs.pending[id]
-	delete(rs.pending, id)
-	return call
-}
-
-// fail poisons the connection and unblocks every in-flight caller.
-func (rs *RemoteServer) fail(err error) {
-	rs.pmu.Lock()
-	if rs.broken == nil {
-		rs.broken = err
-	}
-	calls := rs.pending
-	rs.pending = make(map[uint64]*pendingCall)
-	rs.pmu.Unlock()
-	for _, call := range calls {
-		call.ch <- wireResponse{err: fmt.Errorf("oram: connection failed: %w", err)}
-	}
-}
-
-// roundTrip registers a pending call, writes one request frame, and
-// waits for the matching response. The send lock is held only for the
-// write — not across the link round trip — so concurrent callers keep
-// multiple requests in flight on the one connection.
-func (rs *RemoteServer) roundTrip(op byte, payload func(w *bufio.Writer) error) (wireResponse, error) {
-	call := &pendingCall{op: op, ch: make(chan wireResponse, 1)}
-	rs.pmu.Lock()
+// roundTrip sends one request and decodes its response on the caller's
+// goroutine. A statusErr response is returned as an ErrWire-wrapped
+// error and leaves the connection usable; any other failure latches
+// broken.
+func (rs *RemoteServer) roundTrip(op byte, leaves []uint64, paths [][][]byte) ([][][]byte, error) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	if rs.broken != nil {
-		err := rs.broken
-		rs.pmu.Unlock()
-		return wireResponse{}, err
+		return nil, rs.broken
 	}
 	rs.nextID++
-	id := rs.nextID
-	rs.pending[id] = call
-	rs.pmu.Unlock()
-
-	rs.wmu.Lock()
-	err := writeU64(rs.w, id)
+	err := writeRequest(rs.w, rs.nextID, op, leaves, paths)
+	var resp [][][]byte
+	var remote error
 	if err == nil {
-		err = rs.w.WriteByte(op)
+		resp, remote, err = rs.readResponse(op, len(leaves))
 	}
-	if err == nil && payload != nil {
-		err = payload(rs.w)
-	}
-	if err == nil {
-		err = rs.w.Flush()
-	}
-	rs.wmu.Unlock()
 	if err != nil {
-		if rs.take(id) != nil {
-			return wireResponse{}, err
-		}
-		// The read loop already delivered a failure for this call.
+		rs.broken = fmt.Errorf("oram: connection failed: %w", err)
+		return nil, rs.broken
 	}
-
-	resp := <-call.ch
-	if resp.err != nil {
-		return wireResponse{}, resp.err
-	}
-	return resp, nil
+	return resp, remote
 }
 
-// ReadPath implements Server.
+// writeRequest encodes and flushes one request frame.
+func writeRequest(w *bufio.Writer, id uint64, op byte, leaves []uint64, paths [][][]byte) error {
+	if err := writeU64(w, id); err != nil {
+		return err
+	}
+	if err := w.WriteByte(op); err != nil {
+		return err
+	}
+	if op != opMeta {
+		if err := writeU64(w, uint64(len(leaves))); err != nil {
+			return err
+		}
+		for _, leaf := range leaves {
+			if err := writeU64(w, leaf); err != nil {
+				return err
+			}
+		}
+		for _, buckets := range paths {
+			if err := writePath(w, buckets); err != nil {
+				return err
+			}
+		}
+	}
+	return w.Flush()
+}
+
+// readResponse decodes the response to the request just written: n is
+// the number of paths it asked for. remote is the server's own refusal
+// (a well-formed statusErr frame); err is a transport or protocol
+// failure.
+func (rs *RemoteServer) readResponse(op byte, n int) (paths [][][]byte, remote, err error) {
+	id, err := readU64(rs.r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if id != rs.nextID {
+		return nil, nil, fmt.Errorf("%w: response id %d, want %d", ErrWire, id, rs.nextID)
+	}
+	status, err := rs.r.ReadByte()
+	if err != nil {
+		return nil, nil, err
+	}
+	if status == statusErr {
+		ln, err := rs.r.ReadByte()
+		if err != nil {
+			return nil, nil, err
+		}
+		msg := make([]byte, ln)
+		if _, err := io.ReadFull(rs.r, msg); err != nil {
+			return nil, nil, err
+		}
+		return nil, fmt.Errorf("%w: remote: %s", ErrWire, msg), nil
+	}
+	if status != statusOK {
+		return nil, nil, fmt.Errorf("%w: status %d", ErrWire, status)
+	}
+	switch op {
+	case opMeta:
+		depth, err := readU64(rs.r)
+		if err != nil {
+			return nil, nil, err
+		}
+		if rs.leaves, err = readU64(rs.r); err != nil {
+			return nil, nil, err
+		}
+		if depth < 1 || depth > maxWireDepth || rs.leaves != uint64(1)<<(depth-1) {
+			return nil, nil, fmt.Errorf("%w: geometry depth %d, %d leaves", ErrWire, depth, rs.leaves)
+		}
+		rs.depth = int(depth)
+	case opReadPaths:
+		count, err := readU64(rs.r)
+		if err != nil {
+			return nil, nil, err
+		}
+		if count != uint64(n) {
+			return nil, nil, fmt.Errorf("%w: got %d paths, want %d", ErrWire, count, n)
+		}
+		if paths, err = readPaths(rs.r, n, rs.depth); err != nil {
+			return nil, nil, err
+		}
+	}
+	return paths, nil, nil
+}
+
+// ReadPath implements Server: a one-element ReadPaths.
 func (rs *RemoteServer) ReadPath(leaf uint64) ([][]byte, error) {
-	resp, err := rs.roundTrip(opReadPath, func(w *bufio.Writer) error {
-		return writeU64(w, leaf)
-	})
+	paths, err := rs.ReadPaths([]uint64{leaf})
 	if err != nil {
 		return nil, err
 	}
-	return resp.paths[0], nil
+	return paths[0], nil
 }
 
-// WritePath implements Server.
+// WritePath implements Server: a one-element WritePaths.
 func (rs *RemoteServer) WritePath(leaf uint64, buckets [][]byte) error {
-	_, err := rs.roundTrip(opWritePath, func(w *bufio.Writer) error {
-		if err := writeU64(w, leaf); err != nil {
-			return err
-		}
-		return writeBuckets(w, buckets)
-	})
-	return err
+	return rs.WritePaths([]uint64{leaf}, [][][]byte{buckets})
 }
 
 // ReadPaths implements Server: N paths for one link round trip.
@@ -489,27 +407,12 @@ func (rs *RemoteServer) ReadPaths(leaves []uint64) ([][][]byte, error) {
 	if len(leaves) > maxWirePaths {
 		return nil, fmt.Errorf("%w: %d paths exceeds batch limit %d", ErrWire, len(leaves), maxWirePaths)
 	}
-	resp, err := rs.roundTrip(opReadPaths, func(w *bufio.Writer) error {
-		if err := writeU64(w, uint64(len(leaves))); err != nil {
-			return err
-		}
-		for _, leaf := range leaves {
-			if err := writeU64(w, leaf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.paths) != len(leaves) {
-		return nil, fmt.Errorf("%w: got %d paths, want %d", ErrWire, len(resp.paths), len(leaves))
-	}
-	return resp.paths, nil
+	return rs.roundTrip(opReadPaths, leaves, nil)
 }
 
 // WritePaths implements Server: N path writes for one link round trip.
+// A request the server's decoder would refuse is refused here, before
+// it costs the connection.
 func (rs *RemoteServer) WritePaths(leaves []uint64, paths [][][]byte) error {
 	if len(paths) != len(leaves) {
 		return fmt.Errorf("%w: %d paths for %d leaves", ErrWire, len(paths), len(leaves))
@@ -520,20 +423,17 @@ func (rs *RemoteServer) WritePaths(leaves []uint64, paths [][][]byte) error {
 	if len(leaves) > maxWirePaths {
 		return fmt.Errorf("%w: %d paths exceeds batch limit %d", ErrWire, len(leaves), maxWirePaths)
 	}
-	_, err := rs.roundTrip(opWritePaths, func(w *bufio.Writer) error {
-		if err := writeU64(w, uint64(len(leaves))); err != nil {
-			return err
+	for _, buckets := range paths {
+		if len(buckets) != rs.depth {
+			return fmt.Errorf("%w: %d buckets on a depth-%d path", ErrWire, len(buckets), rs.depth)
 		}
-		for i, leaf := range leaves {
-			if err := writeU64(w, leaf); err != nil {
-				return err
-			}
-			if err := writeBuckets(w, paths[i]); err != nil {
-				return err
+		for _, ct := range buckets {
+			if len(ct) > cipherBufCap {
+				return fmt.Errorf("%w: %d-byte bucket ciphertext", ErrWire, len(ct))
 			}
 		}
-		return nil
-	})
+	}
+	_, err := rs.roundTrip(opWritePaths, leaves, paths)
 	return err
 }
 
@@ -567,6 +467,7 @@ func readU64(r *bufio.Reader) (uint64, error) {
 	return v, nil
 }
 
+// readLeaves decodes a request's leaf list: n u64, n × leaf u64.
 func readLeaves(r *bufio.Reader) ([]uint64, error) {
 	count, err := readU64(r)
 	if err != nil {
@@ -584,22 +485,7 @@ func readLeaves(r *bufio.Reader) ([]uint64, error) {
 	return leaves, nil
 }
 
-func writeStatus(w *bufio.Writer, err error) error {
-	if err := w.WriteByte(statusErr); err != nil {
-		return err
-	}
-	msg := err.Error()
-	if len(msg) > 255 {
-		msg = msg[:255]
-	}
-	if err := w.WriteByte(byte(len(msg))); err != nil {
-		return err
-	}
-	_, werr := w.WriteString(msg)
-	return werr
-}
-
-func writeBuckets(w *bufio.Writer, buckets [][]byte) error {
+func writePath(w *bufio.Writer, buckets [][]byte) error {
 	if err := writeU64(w, uint64(len(buckets))); err != nil {
 		return err
 	}
@@ -614,58 +500,47 @@ func writeBuckets(w *bufio.Writer, buckets [][]byte) error {
 	return nil
 }
 
-func readBuckets(r *bufio.Reader) ([][]byte, error) {
-	return readBucketsInto(r, nil)
-}
-
-// readBucketsInto reads one bucket list, decoding into dst when the
-// wire count matches its length (batch requests carry many depth-sized
-// lists; a flat caller-provided backing replaces one allocation per
-// path). A nil or mismatched dst falls back to a fresh slice.
-func readBucketsInto(r *bufio.Reader, dst [][]byte) ([][]byte, error) {
-	count, err := readU64(r)
-	if err != nil {
-		return nil, err
-	}
-	if count > 64 {
-		return nil, fmt.Errorf("%w: %d buckets", ErrWire, count)
-	}
-	var out [][]byte
-	if dst != nil && int(count) == len(dst) {
-		out = dst
-	} else {
-		out = make([][]byte, count)
-	}
-	for i := range out {
-		out[i] = nil
-		n, err := readU64(r)
+// readPaths decodes n paths of exactly depth buckets each; the per-path
+// bucket lists share one flat backing. The decoder knows n and depth
+// before it reads, so the peer chooses nothing about what is allocated:
+// a path of any other length, or a bucket longer than cipherBufCap, is
+// ErrWire. Buckets land in cipher-pool buffers; consumers recycle them
+// with putCipherBuf once decoded.
+func readPaths(r *bufio.Reader, n, depth int) ([][][]byte, error) {
+	paths := make([][][]byte, n)
+	flat := make([][]byte, n*depth)
+	for i := range paths {
+		count, err := readU64(r)
 		if err != nil {
 			return nil, err
 		}
-		if n > maxWireBucket {
-			return nil, fmt.Errorf("%w: bucket size %d", ErrWire, n)
+		if count != uint64(depth) {
+			return nil, fmt.Errorf("%w: %d buckets on a depth-%d path", ErrWire, count, depth)
 		}
-		if n == 0 {
-			continue
+		paths[i] = flat[i*depth : (i+1)*depth]
+		for l := range paths[i] {
+			size, err := readU64(r)
+			if err != nil {
+				return nil, err
+			}
+			if size > cipherBufCap {
+				return nil, fmt.Errorf("%w: bucket size %d", ErrWire, size)
+			}
+			if size == 0 {
+				continue // never-written bucket
+			}
+			buf := getCipherBuf()[:size]
+			if _, err := io.ReadFull(r, buf); err != nil {
+				return nil, err
+			}
+			paths[i][l] = buf
 		}
-		// Sealed buckets fit the shared cipher pool; consumers recycle
-		// them with putCipherBuf once decoded.
-		var buf []byte
-		if n <= cipherBufCap {
-			buf = getCipherBuf()[:n]
-		} else {
-			buf = make([]byte, n)
-		}
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		out[i] = buf
 	}
-	return out, nil
+	return paths, nil
 }
 
-// recycleBuckets returns pool-sized bucket buffers to the cipher pool
-// once their contents are fully consumed.
+// recycleBuckets returns bucket buffers to the cipher pool once their
+// contents are fully consumed.
 func recycleBuckets(buckets [][]byte) {
 	for i, b := range buckets {
 		if len(b) > 0 {

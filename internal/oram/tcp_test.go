@@ -1,10 +1,14 @@
 package oram
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -207,9 +211,10 @@ func TestTCPBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTCPPipelinedConcurrent exercises the pipelined wire protocol
-// under -race: many goroutines share ONE RemoteServer connection (the
-// in-flight request map and write coalescing must hold up), while
+// TestTCPPipelinedConcurrent (the name predates the one-request
+// transport) holds RemoteServer to "safe for concurrent use" under
+// -race: eight goroutines share ONE connection, where they now take
+// turns — each must get the response to its own request — while
 // additional independent connections hammer the same TCPServer.
 // ORAM *clients* are single-goroutine by contract, so this drives the
 // raw transport ops directly.
@@ -272,6 +277,279 @@ func TestTCPPipelinedConcurrent(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to
+// baseline (same polling style as TestRecorderCloseGoroutineLeak).
+func waitGoroutines(t *testing.T, baseline int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		runtime.GC()
+		if runtime.NumGoroutine() <= baseline {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines: %d before, %d after %s", baseline, runtime.NumGoroutine(), what)
+}
+
+// TestTCPServerCloseEndsConnections: Close hangs up on every accepted
+// connection and waits for the handlers, so a connected client's next
+// call fails and no goroutine outlives the server.
+func TestTCPServerCloseEndsConnections(t *testing.T) {
+	runtime.GC()
+	baseline := runtime.NumGoroutine()
+	inner, err := NewMemServer(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ServeTCP(inner, l)
+	remotes := make([]*RemoteServer, 4)
+	for i := range remotes {
+		if remotes[i], err = DialServer(srv.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer remotes[i].Close()
+		if _, err := remotes[i].ReadPath(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close has waited: the accept loop and all four handlers are gone
+	// while the clients still hold their ends open.
+	waitGoroutines(t, baseline, "TCPServer.Close with 4 live connections")
+	for i, remote := range remotes {
+		if _, err := remote.ReadPath(0); err == nil {
+			t.Fatalf("connection %d still served after TCPServer.Close", i)
+		}
+	}
+	if _, err := DialServer(srv.Addr().String()); err == nil {
+		t.Fatal("dial succeeded after TCPServer.Close")
+	}
+}
+
+// scriptedServer is a hand-rolled peer on the ORAM wire: ONE goroutine
+// accepts connections and runs script on each, inline. It answers the
+// dial-time opMeta itself, announcing depth and 2^(depth-1) leaves.
+func scriptedServer(t *testing.T, depth uint64, script func(r *bufio.Reader, conn net.Conn)) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []net.Conn
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, conn)
+			r := bufio.NewReader(conn)
+			var req [9]byte // reqID + opMeta
+			if _, err := io.ReadFull(r, req[:]); err != nil {
+				continue
+			}
+			resp := binary.BigEndian.AppendUint64(nil, binary.BigEndian.Uint64(req[:8]))
+			resp = append(resp, statusOK)
+			resp = binary.BigEndian.AppendUint64(resp, depth)
+			resp = binary.BigEndian.AppendUint64(resp, uint64(1)<<(depth-1))
+			if _, err := conn.Write(resp); err != nil {
+				continue
+			}
+			if script != nil {
+				script(r, conn)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		_ = l.Close()
+		<-done
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	})
+	return l.Addr().String()
+}
+
+// TestDialServerStartsNoGoroutine: the transport has no reader
+// goroutine — a dialed connection costs the device nothing that runs.
+func TestDialServerStartsNoGoroutine(t *testing.T) {
+	addr := scriptedServer(t, 5, nil)
+	runtime.GC()
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		remote, err := DialServer(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer remote.Close()
+		if remote.Depth() != 5 || remote.Leaves() != 16 {
+			t.Fatalf("geometry %d/%d, want 5/16", remote.Depth(), remote.Leaves())
+		}
+	}
+	waitGoroutines(t, baseline, "8 DialServer calls")
+}
+
+// TestTCPLyingServerBounded: the SP controls every response byte. A
+// response whose counts are not the ones the client's own request
+// implies is refused with ErrWire BEFORE anything is allocated for it,
+// the connection latches, and the next call fails fast.
+func TestTCPLyingServerBounded(t *testing.T) {
+	const depth = 5
+	u64 := binary.BigEndian.AppendUint64
+	okHeader := func(reqID uint64) []byte { return append(u64(nil, reqID), statusOK) }
+	honestPath := func(b []byte) []byte {
+		b = u64(b, depth)
+		for l := 0; l < depth; l++ {
+			b = append(u64(b, 3), 1, 2, 3)
+		}
+		return b
+	}
+	cases := []struct {
+		name string
+		// lie builds the response to a 2-leaf opReadPaths request.
+		lie func(reqID uint64) []byte
+	}{
+		{"oversize path count", func(id uint64) []byte {
+			return u64(okHeader(id), 1<<40)
+		}},
+		{"path count above the request", func(id uint64) []byte {
+			return honestPath(honestPath(honestPath(u64(okHeader(id), 3))))
+		}},
+		{"wrong bucket count", func(id uint64) []byte {
+			return u64(u64(okHeader(id), 2), depth+1)
+		}},
+		{"huge bucket count", func(id uint64) []byte {
+			return u64(u64(okHeader(id), 2), 1<<40)
+		}},
+		{"oversize bucket", func(id uint64) []byte {
+			return u64(u64(u64(okHeader(id), 2), depth), cipherBufCap+1)
+		}},
+		{"huge bucket", func(id uint64) []byte {
+			return u64(u64(u64(okHeader(id), 2), depth), 1<<40)
+		}},
+		{"response for another request", func(id uint64) []byte {
+			return honestPath(honestPath(u64(okHeader(id+1), 2)))
+		}},
+		{"unknown status", func(id uint64) []byte {
+			return append(u64(nil, id), 7)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := scriptedServer(t, depth, func(r *bufio.Reader, conn net.Conn) {
+				var req [8 + 1 + 8 + 2*8]byte // reqID, op, n = 2, two leaves
+				if _, err := io.ReadFull(r, req[:]); err != nil {
+					return
+				}
+				_, _ = conn.Write(tc.lie(binary.BigEndian.Uint64(req[:8])))
+			})
+			remote, err := DialServer(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer remote.Close()
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = remote.ReadPaths([]uint64{0, 1})
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrWire) {
+				t.Fatalf("lying response: %v, want ErrWire", err)
+			}
+			// An honest 2-path response at this depth needs under 64 KiB
+			// (10 pool buffers); the lies above ask for 2^40 of something.
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("decoder allocated %d bytes on a lying response", grew)
+			}
+			// Latched: no further byte is read from the desynced stream.
+			start := time.Now()
+			if _, err2 := remote.ReadPath(0); !errors.Is(err2, ErrWire) || err2.Error() != err.Error() {
+				t.Fatalf("call after latch: %v, want the latched %v", err2, err)
+			}
+			if err := remote.WritePath(0, make([][]byte, depth)); !errors.Is(err, ErrWire) {
+				t.Fatalf("write after latch: %v, want ErrWire", err)
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("latched calls took %v; they must not touch the wire", took)
+			}
+		})
+	}
+
+	// A geometry no tree has is refused at dial time, before it can size
+	// any later allocation.
+	t.Run("absurd depth", func(t *testing.T) {
+		if _, err := DialServer(scriptedServer(t, 63, nil)); err != nil {
+			t.Fatalf("depth 63 is a legal announcement: %v", err)
+		}
+		if _, err := DialServer(scriptedServer(t, 1<<32, nil)); !errors.Is(err, ErrWire) {
+			t.Fatalf("depth 2^32: %v, want ErrWire", err)
+		}
+	})
+}
+
+// TestTCPServerRequestCaps: the server's request decoder holds the same
+// line against a hostile client — a count, path length or bucket size
+// beyond what the tree implies ends that connection (and only that
+// connection) before anything is allocated for it.
+func TestTCPServerRequestCaps(t *testing.T) {
+	remote, inner := startTCP(t, 64)
+	addr := remote.conn.RemoteAddr().String()
+	depth := uint64(inner.Depth())
+	u64 := binary.BigEndian.AppendUint64
+	frame := func(op byte, fields ...uint64) []byte {
+		b := append(u64(nil, 1), op)
+		for _, f := range fields {
+			b = u64(b, f)
+		}
+		return b
+	}
+	cases := []struct {
+		name string
+		req  []byte
+	}{
+		{"retired single-path opcode", frame(1, 0)},
+		{"read count", frame(opReadPaths, maxWirePaths+1)},
+		{"write count", frame(opWritePaths, 1<<40)},
+		{"write bucket count", frame(opWritePaths, 1, 0, depth+1)},
+		{"write bucket size", frame(opWritePaths, 1, 0, depth, cipherBufCap+1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := conn.Write(tc.req); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("server answered a malformed request (n=%d, err=%v), want hang-up", n, err)
+			}
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+				t.Fatalf("request decoder allocated %d bytes", grew)
+			}
+		})
+	}
+	// Other connections never noticed.
+	if _, err := remote.ReadPath(0); err != nil {
+		t.Fatalf("well-behaved connection lost: %v", err)
 	}
 }
 

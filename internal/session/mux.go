@@ -11,8 +11,8 @@ import (
 
 // Multiplexing lets one secure channel carry many interleaved
 // request/response exchanges, matched by an 8-byte request id — the
-// pipelined framing the ORAM transport proved out in PR 3, lifted
-// inside the AEAD boundary. Frames ride as the *plaintext* of sealed
+// ORAM wire's frame shape (oram/tcp.go), here with many requests in
+// flight and lifted inside the AEAD boundary. Frames ride as the *plaintext* of sealed
 // MsgMux / MsgMuxReply messages, so the request ids and kinds are
 // confidential and authenticated like everything else:
 //

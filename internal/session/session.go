@@ -19,9 +19,8 @@
 //     re-dials skip the certificate-chain verification and resumes
 //     skip report verification entirely.
 //   - Connection multiplexing ([Mux]): one secure channel carries many
-//     interleaved request/response exchanges matched by request id —
-//     the PR-3 pipelined framing pattern lifted from the ORAM
-//     transport — so a warm session amortizes connection setup too.
+//     interleaved request/response exchanges matched by request id,
+//     so a warm session amortizes connection setup too.
 //
 // The model is the e-vTPM SEV-SNP attestation flow (attest once,
 // derive many session credentials); the cheap rekey path stays inside
