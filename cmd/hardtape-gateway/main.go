@@ -103,16 +103,8 @@ func run() error {
 		reg.EnableTracing("gateway", 0)
 	}
 
-	fmt.Printf("Provisioning %d devices (%d HEVMs each) and syncing world state (seed %d)...\n",
-		*devices, *hevms, *seed)
-	ftb, err := hardtape.NewFleetTestbed(opts, *devices, fcfg)
-	if err != nil {
-		return err
-	}
-	gw := ftb.Gateway
-	defer gw.Close()
-
 	// Remote devices join the same pool, attested like any user would.
+	var remoteBackends []hardtape.Backend
 	if *remotes != "" {
 		if *remoteCred == "" {
 			return fmt.Errorf("-backend requires -backend-credentials")
@@ -121,25 +113,25 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		// The gateway was already built; pooled remotes need their own
-		// gateway instance including them, so rebuild with all backends.
-		gw.Close()
-		backends := make([]hardtape.Backend, 0, len(ftb.Backends)+4)
-		for _, lb := range ftb.Backends {
-			backends = append(backends, lb)
-		}
 		for i, raddr := range strings.Split(*remotes, ",") {
 			raddr = strings.TrimSpace(raddr)
 			if raddr == "" {
 				continue
 			}
-			backends = append(backends, hardtape.NewRemoteBackend(
+			remoteBackends = append(remoteBackends, hardtape.NewRemoteBackend(
 				fmt.Sprintf("remote-%d", i), raddr, verifier, features.Sign, *remoteSess))
 			fmt.Printf("Pooling remote backend %s (%d sessions)\n", raddr, *remoteSess)
 		}
-		gw = hardtape.NewGateway(fcfg, backends...)
-		defer gw.Close()
 	}
+
+	fmt.Printf("Provisioning %d devices (%d HEVMs each) and syncing world state (seed %d)...\n",
+		*devices, *hevms, *seed)
+	ftb, err := hardtape.NewFleetTestbed(opts, *devices, fcfg, remoteBackends...)
+	if err != nil {
+		return err
+	}
+	gw := ftb.Gateway
+	defer gw.Close()
 
 	// Publish the root of trust for this gateway's own identity.
 	pub := ftb.Manufacturer.PublicKey()

@@ -354,8 +354,9 @@ type FleetTestbed struct {
 }
 
 // NewFleetTestbed builds n devices over one world and wires them
-// behind a gateway (backends are named "dev-0" … "dev-n-1").
-func NewFleetTestbed(opts TestbedOptions, n int, fcfg FleetConfig) (*FleetTestbed, error) {
+// behind a gateway (backends are named "dev-0" … "dev-n-1"), followed
+// by any extra backends — remote services pooled with the local devices.
+func NewFleetTestbed(opts TestbedOptions, n int, fcfg FleetConfig, extra ...Backend) (*FleetTestbed, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("hardtape: fleet needs at least one device, got %d", n)
 	}
@@ -364,12 +365,13 @@ func NewFleetTestbed(opts TestbedOptions, n int, fcfg FleetConfig) (*FleetTestbe
 		return nil, err
 	}
 	ftb := &FleetTestbed{World: tb.World, Chain: tb.Chain, Manufacturer: tb.Manufacturer, Devices: devs}
-	backends := make([]Backend, n)
+	backends := make([]Backend, 0, n+len(extra))
 	for i, dev := range devs {
 		lb := fleet.NewLocalBackend(fmt.Sprintf("dev-%d", i), dev)
 		ftb.Backends = append(ftb.Backends, lb)
-		backends[i] = lb
+		backends = append(backends, lb)
 	}
+	backends = append(backends, extra...)
 	if fcfg.Telemetry == nil {
 		fcfg.Telemetry = opts.Telemetry
 	}

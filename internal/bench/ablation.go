@@ -95,7 +95,8 @@ func prefetchAblation(env *Env) (Table, error) {
 		Name:  "ablation_prefetch",
 		Title: "ABLATION — pagewise code prefetching (§IV-D problem 3)",
 		Note: "max_code_run is the longest contiguous run of code-page queries: prefetching spreads code\n" +
-			"between K-V queries; without it frame boundaries are visible as bursts",
+			"between K-V queries; without it frame boundaries are visible as bursts\n" +
+			notePrefetchDraws,
 	}
 	run := func(disable bool) ([]byte, error) {
 		cfg := core.DefaultConfig()
@@ -163,7 +164,8 @@ func groupingAblation() (Table, error) {
 	t := Table{
 		Name:  "ablation_grouping",
 		Title: "ABLATION — storage record grouping (§IV-D problems 1-2): scan of 32 consecutive records (Solidity array layout)",
-		Note:  "paper's choice (32/page) turns an array scan into a single page fetch",
+		Note: "paper's choice (32/page) turns an array scan into a single page fetch\n" +
+			noteORAMDraws,
 	}
 	for _, gs := range []int{1, 8, 32} {
 		srv, err := oram.NewMemServer(4096)
@@ -222,7 +224,8 @@ func depthAblation() (Table, error) {
 	t := Table{
 		Name:  "ablation_depth",
 		Title: "ABLATION — ORAM bandwidth vs capacity (O(log n) overhead)",
-		Note:  "bytes_per_access grows ∝ depth = O(log n), the Path ORAM bound the paper cites",
+		Note: "bytes_per_access grows ∝ depth = O(log n), the Path ORAM bound the paper cites\n" +
+			noteORAMDraws,
 	}
 	for _, capacity := range []uint64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16} {
 		srv, err := oram.NewMemServer(capacity)

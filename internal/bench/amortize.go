@@ -19,7 +19,8 @@ func amortization(env *Env) (Table, error) {
 		Name:  "amortization",
 		Title: "§VI-C — bundle amortization (per-bundle ECDSA spread over transactions)",
 		Note: "paper: single-tx bundles are the throughput lower bound; the ~80 ms\n" +
-			"signature round is paid once per bundle regardless of size",
+			"signature round is paid once per bundle regardless of size\n" +
+			notePrefetchDraws,
 	}
 	dev := env.Devices["-full"]
 	token := env.World.Tokens[0]

@@ -207,7 +207,8 @@ func fig4(env *Env, n int) (Table, error) {
 		Name:  "fig4",
 		Title: "FIG. 4 — end-to-end per-transaction time (virtual clock)",
 		Note: "paper shape: Geth ≈ -raw ≪ -E ≪ -ES < -ESO < -full;\n" +
-			"signature ≈ +80 ms, ORAM ≈ +80 ms (30 ms K-V + 50 ms code); -full ≈ 164 ms",
+			"signature ≈ +80 ms, ORAM ≈ +80 ms (30 ms K-V + 50 ms code); -full ≈ 164 ms\n" +
+			notePrefetchDraws,
 	}
 	bundles, err := env.EvalBundles(n)
 	if err != nil {

@@ -6,15 +6,21 @@ import (
 	"time"
 )
 
-// smallEnv builds a reduced environment once per test binary.
-func smallEnv(t testing.TB) *Env {
-	t.Helper()
+// smallEnvConfig is a reduced environment that still has every
+// contract archetype and more than one HEVM.
+func smallEnvConfig() EnvConfig {
 	cfg := DefaultEnvConfig()
 	cfg.EOAs = 12
 	cfg.Tokens = 2
 	cfg.DEXes = 1
 	cfg.HEVMs = 2
-	env, err := NewEnv(cfg)
+	return cfg
+}
+
+// smallEnv builds a reduced environment.
+func smallEnv(t testing.TB) *Env {
+	t.Helper()
+	env, err := NewEnv(smallEnvConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +136,7 @@ func TestScalabilityReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"chip_throughput", "hevms_per_server", "query_gap", "wall_server_per_query"} {
+	for _, field := range []string{"chip_throughput", "hevms_per_server", "query_gap"} {
 		if val(t, tab, "-full", field) <= 0 {
 			t.Errorf("%s must be positive", field)
 		}
@@ -230,30 +236,10 @@ func TestSessionsSweepRuns(t *testing.T) {
 	if val(t, tab, "cold", "asym_ops") == 0 {
 		t.Fatal("cold dial should perform asymmetric ops")
 	}
-	if warm, cold := dur(t, tab, "warm", "wall_mean"), dur(t, tab, "cold", "wall_mean"); warm >= cold {
-		t.Fatalf("warm resume (%v) not faster than cold dial (%v)", warm, cold)
-	}
 	if warm, cold := dur(t, tab, "warm", "device_cost"), dur(t, tab, "cold", "device_cost"); warm >= cold {
 		t.Fatalf("modeled warm cost (%v) not below cold (%v)", warm, cold)
 	}
-	if val(t, tab, "warm", "speedup") <= 1 || val(t, tab, "warm", "ticket") == 0 {
-		t.Fatalf("speedup / ticket size missing:\n%s", tab.Render())
-	}
-}
-
-func TestSessionScaleRuns(t *testing.T) {
-	env := smallEnv(t)
-	tab, err := sessionScale(env, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ops := val(t, tab, "stampede", "asym_ops"); ops != 0 {
-		t.Fatalf("resume stampede performed %v asymmetric ops, want 0", ops)
-	}
-	if w := val(t, tab, "stampede", "admission_waits"); w != 0 {
-		t.Fatalf("resumes queued on the cold gate %v times, want 0", w)
-	}
-	if val(t, tab, "stampede", "throughput") <= 0 {
-		t.Fatal("no resume throughput measured")
+	if val(t, tab, "warm", "ticket") == 0 {
+		t.Fatalf("ticket size missing:\n%s", tab.Render())
 	}
 }

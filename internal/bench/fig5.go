@@ -24,7 +24,8 @@ func fig5(env *Env) (Table, error) {
 	t := Table{
 		Name:  "fig5",
 		Title: "FIG. 5 — execution time per operation, all data local (warm caches)",
-		Note:  "paper shape: no significant platform difference except Geth slower on Transfer",
+		Note: "paper shape: no significant platform difference except Geth slower on Transfer\n" +
+			notePrefetchDraws,
 	}
 
 	// Each benchmark compares a bundle of one tx against a bundle of

@@ -25,37 +25,33 @@ const oramSweepRounds = 16
 // cost falls as the tree is partitioned across more shards. Each cell
 // builds a fresh sharded client over in-process MemServers (aggregate
 // capacity held constant), loads a deterministic working set, then
-// times batched reads both on the virtual clock (the calibrated
-// overlapped model) and on the wall clock (the real software fan-out).
-// Speedups are relative to the 1-shard cell of the same batch size.
+// times batched reads on the virtual clock (the calibrated overlapped
+// model). Speedups are relative to the 1-shard cell of the same batch
+// size. Wall time of the software fan-out is BenchmarkORAMBatch's.
 func oramShardSweep() (Table, error) {
 	t := Table{
 		Name: "oram",
 		Title: fmt.Sprintf("§17 — sharded ORAM batch fan-out (aggregate capacity %d blocks, %d rounds/cell)",
 			oramSweepCapacity, oramSweepRounds),
 		Note: "per_batch models the overlapped round (RTT once + slowest shard's serial server work\n" +
-			"+ serial on-chip client work); wall_per_batch is wall clock over in-process servers,\n" +
-			"dominated by bucket crypto. max_stash is the worst per-shard stash high-water mark\n" +
-			"(paths are drawn from crypto/rand, so it moves run to run)",
+			"+ serial on-chip client work). max_stash is the worst per-shard stash high-water mark\n" +
+			noteORAMDraws,
 	}
 	for _, batch := range []int{8, 32} {
-		var baseModeled, baseWall time.Duration
+		var baseModeled time.Duration
 		for shards := 1; shards <= 8; shards *= 2 {
-			modeled, wall, maxStash, err := oramSweepCell(shards, batch)
+			modeled, maxStash, err := oramSweepCell(shards, batch)
 			if err != nil {
 				return t, fmt.Errorf("bench: oram sweep %d shards × batch %d: %w", shards, batch, err)
 			}
 			if shards == 1 {
-				baseModeled, baseWall = modeled, wall
+				baseModeled = modeled
 			}
 			t.Rows = append(t.Rows, Row{
 				Name:   fmt.Sprintf("%d shards × %d", shards, batch),
 				Params: []Field{count("shards", shards), count("batch", batch)},
 				Modeled: []Field{
 					ns("per_batch", modeled), num("speedup", "x", float64(baseModeled)/float64(modeled)),
-				},
-				Measured: []Field{
-					ns("wall_per_batch", wall), num("wall_speedup", "x", float64(baseWall)/float64(wall)),
 					count("max_stash", maxStash),
 				},
 			})
@@ -65,14 +61,14 @@ func oramShardSweep() (Table, error) {
 }
 
 // oramSweepCell returns one cell's per-round cost on the virtual clock
-// and on the wall clock, and the worst per-shard stash high-water mark.
-func oramSweepCell(shards, batch int) (modeled, wall time.Duration, maxStash int, err error) {
+// and the worst per-shard stash high-water mark.
+func oramSweepCell(shards, batch int) (modeled time.Duration, maxStash int, err error) {
 	perShard := (oramSweepCapacity + uint64(shards) - 1) / uint64(shards)
 	servers := make([]oram.Server, shards)
 	for i := range servers {
 		srv, err := oram.NewMemServer(perShard)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 		servers[i] = srv
 	}
@@ -80,7 +76,7 @@ func oramSweepCell(shards, batch int) (modeled, wall time.Duration, maxStash int
 	cli, err := oram.NewClient(servers, make([]byte, oram.KeySize),
 		oram.WithClock(clock, simclock.DefaultCalibration()))
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 
 	// Deterministic working set, written through the batched path.
@@ -95,12 +91,11 @@ func oramSweepCell(shards, batch int) (modeled, wall time.Duration, maxStash int
 			ops = append(ops, op)
 		}
 		if _, err := cli.AccessBatch(ops); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 	}
 
 	clock.Reset()
-	start := time.Now()
 	next := 0
 	reads := make([]oram.BatchOp, batch)
 	for r := 0; r < oramSweepRounds; r++ {
@@ -109,10 +104,8 @@ func oramSweepCell(shards, batch int) (modeled, wall time.Duration, maxStash int
 			next++
 		}
 		if _, err := cli.AccessBatch(reads); err != nil {
-			return 0, 0, 0, err
+			return 0, 0, err
 		}
 	}
-	wall = time.Since(start) / oramSweepRounds
-	modeled = clock.Now() / oramSweepRounds
-	return modeled, wall, cli.Stats().MaxStash, nil
+	return clock.Now() / oramSweepRounds, cli.Stats().MaxStash, nil
 }

@@ -26,8 +26,10 @@ func parallelSweep(env *Env) (Table, error) {
 		Title: fmt.Sprintf("PARALLEL PRE-EXECUTION — lanes × conflict-rate sweep (%d-tx MEV bundles, -raw device)", txs),
 		Note: "expected shape: speedup ≈ lanes at rate 0, decaying toward 1x as the\n" +
 			"conflict rate forces the committer to re-execute serially; traces are\n" +
-			"byte-identical to sequential execution at every cell. Speculation runs on\n" +
-			"real goroutines, so cells that see conflicts can move slightly between runs",
+			"byte-identical to sequential execution at every cell\n" +
+			"draw-dependent: on rows with more than one lane, speculation runs on real goroutines and\n" +
+			"which lane reaches a contended slot first decides who conflicts — virtual_time, speedup,\n" +
+			"conflicts, reexecs, reexec_time, spec_retries and occupancy follow that interleaving",
 	}
 	devices := make(map[int]*core.Device, len(laneCounts))
 	mkDevice := func(lanes int) (*core.Device, error) {

@@ -9,8 +9,7 @@ import (
 )
 
 // Field is one named quantity. Unit is one of ns, count, ratio, x, %,
-// B, tx/s, ops/s; ns values are virtual or wall nanoseconds depending
-// on which Row slice holds the field.
+// B, tx/s; ns values are virtual nanoseconds.
 type Field struct {
 	Name  string  `json:"name"`
 	Unit  string  `json:"unit"`
@@ -19,13 +18,13 @@ type Field struct {
 
 // Row is one line of a table. Params are the sweep point's inputs.
 // Modeled holds virtual-clock times, calibration arithmetic and
-// counters — nothing the host's speed can move. Measured holds host
-// wall clock and allocations. Field names are unique across the three.
+// counters — nothing the host's speed can move. Host wall clock and
+// allocations are not reported here: benchmark/ and the go-test
+// benchmarks measure those. Field names are unique across the two.
 type Row struct {
-	Name     string  `json:"name"`
-	Params   []Field `json:"params,omitempty"`
-	Modeled  []Field `json:"modeled,omitempty"`
-	Measured []Field `json:"measured,omitempty"`
+	Name    string  `json:"name"`
+	Params  []Field `json:"params,omitempty"`
+	Modeled []Field `json:"modeled,omitempty"`
 }
 
 // Table is the one report shape every sweep produces. Note carries the
@@ -37,10 +36,19 @@ type Table struct {
 	Rows  []Row  `json:"rows"`
 }
 
-var fieldKinds = [...]string{"param", "modeled", "measured"}
+// Modeled fields repeat exactly from run to run at one (seed, n) unless
+// they follow one of three sources (DESIGN.md §3); a table with such
+// fields ends its Note with the source's sentence. The third — lane
+// interleaving — touches the parallel table only and is spelled out there.
+const (
+	notePrefetchDraws = "draw-dependent: times and query counts on the -full device follow its code-prefetch cadence, drawn from crypto/rand"
+	noteORAMDraws     = "draw-dependent: ORAM byte and stash counters follow the leaf every access draws from crypto/rand"
+)
+
+var fieldKinds = [...]string{"param", "modeled"}
 
 func (r Row) kind(k int) []Field {
-	return [...][]Field{r.Params, r.Modeled, r.Measured}[k]
+	return [...][]Field{r.Params, r.Modeled}[k]
 }
 
 // Value looks a field up by row and field name.
@@ -61,8 +69,8 @@ func (t Table) Value(row, field string) (float64, bool) {
 }
 
 // Render lays the table out as text: title, one column per field name
-// found in the rows (params, then modeled, then measured, each headed
-// by its kind), then the note. A row without a column's field shows "-".
+// found in the rows (params, then modeled, each headed by its kind),
+// then the note. A row without a column's field shows "-".
 func (t Table) Render() string {
 	type column struct {
 		kind int
@@ -127,7 +135,7 @@ func (f Field) format() string {
 		return fmt.Sprintf("%.1f%%", f.Value)
 	case "ratio":
 		return fmt.Sprintf("%.2f", f.Value)
-	case "tx/s", "ops/s":
+	case "tx/s":
 		return fmt.Sprintf("%.1f", f.Value)
 	}
 	if f.Value == math.Trunc(f.Value) {

@@ -11,11 +11,11 @@ import (
 var goldenTable = Table{
 	Name:  "golden",
 	Title: "GOLDEN — two rows",
-	Note:  "second row has no wall time",
+	Note:  "second row has no re-execution time",
 	Rows: []Row{
 		{Name: "one", Params: []Field{count("lanes", 1)},
-			Modeled:  []Field{ns("time", 1234567*time.Nanosecond), num("occupancy", "ratio", 0.5)},
-			Measured: []Field{ns("wall", 98765*time.Microsecond)}},
+			Modeled: []Field{ns("time", 1234567*time.Nanosecond), num("occupancy", "ratio", 0.5),
+				ns("reexec", 98765*time.Microsecond)}},
 		{Name: "four", Params: []Field{count("lanes", 4)},
 			Modeled: []Field{ns("time", 310*time.Microsecond), num("occupancy", "ratio", 0.987)}},
 	},
@@ -24,12 +24,12 @@ var goldenTable = Table{
 func TestRenderGolden(t *testing.T) {
 	const want = `GOLDEN — two rows
 
-        param  modeled    modeled  measured
-        lanes     time  occupancy      wall
-   one      1  1.235ms       0.50   98.77ms
-  four      4    310µs       0.99         -
+        param  modeled    modeled  modeled
+        lanes     time  occupancy   reexec
+   one      1  1.235ms       0.50  98.77ms
+  four      4    310µs       0.99        -
 
-second row has no wall time
+second row has no re-execution time
 `
 	if got := goldenTable.Render(); got != want {
 		t.Errorf("render:\n%s\nwant:\n%s", got, want)
@@ -37,10 +37,10 @@ second row has no wall time
 }
 
 func TestJSONGolden(t *testing.T) {
-	const want = `{"name":"golden","title":"GOLDEN — two rows","note":"second row has no wall time","rows":[` +
+	const want = `{"name":"golden","title":"GOLDEN — two rows","note":"second row has no re-execution time","rows":[` +
 		`{"name":"one","params":[{"name":"lanes","unit":"count","value":1}],` +
-		`"modeled":[{"name":"time","unit":"ns","value":1234567},{"name":"occupancy","unit":"ratio","value":0.5}],` +
-		`"measured":[{"name":"wall","unit":"ns","value":98765000}]},` +
+		`"modeled":[{"name":"time","unit":"ns","value":1234567},{"name":"occupancy","unit":"ratio","value":0.5},` +
+		`{"name":"reexec","unit":"ns","value":98765000}]},` +
 		`{"name":"four","params":[{"name":"lanes","unit":"count","value":4}],` +
 		`"modeled":[{"name":"time","unit":"ns","value":310000},{"name":"occupancy","unit":"ratio","value":0.987}]}]}`
 	got, err := json.Marshal(goldenTable)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hardtape/internal/hevm"
-	"hardtape/internal/oram"
 	"hardtape/internal/pager"
 )
 
@@ -18,8 +17,9 @@ func scalability(env *Env, nBundles int) (Table, error) {
 		Title: "§VI-D — scalability",
 		Note: "chip_throughput = hevms_per_chip / mean_tx_time (paper: ≈18 tx/s; Ethereum needs ≈17);\n" +
 			"query_gap is the virtual time between ORAM queries from one busy HEVM (paper: 630 µs);\n" +
-			"server_per_query is the calibrated server time (paper: 25 µs), wall_server_per_query\n" +
-			"our software server's; hevms_per_server = ⌊query_gap / server_per_query⌋ (paper: ⌊630/25⌋ = 25)",
+			"server_per_query is the calibrated server time (paper: 25 µs);\n" +
+			"hevms_per_server = ⌊query_gap / server_per_query⌋ (paper: ⌊630/25⌋ = 25)\n" +
+			notePrefetchDraws,
 	}
 	dev := env.Devices["-full"]
 	bundles, err := env.EvalBundles(nBundles)
@@ -53,10 +53,6 @@ func scalability(env *Env, nBundles int) (Table, error) {
 	if serverPerQuery > 0 {
 		supported = int(queryGap / serverPerQuery)
 	}
-	measured, err := measureServerQuery()
-	if err != nil {
-		return t, fmt.Errorf("bench: scalability: software ORAM server query: %w", err)
-	}
 	t.Rows = []Row{{
 		Name: "-full",
 		Modeled: []Field{
@@ -67,36 +63,8 @@ func scalability(env *Env, nBundles int) (Table, error) {
 			ns("server_per_query", serverPerQuery),
 			count("hevms_per_server", supported),
 		},
-		Measured: []Field{ns("wall_server_per_query", measured)},
 	}}
 	return t, nil
-}
-
-// measureServerQuery times the software ORAM server's real per-query
-// wall-clock cost (ReadPath + WritePath round trip through a client).
-func measureServerQuery() (time.Duration, error) {
-	srv, err := oram.NewMemServer(4096)
-	if err != nil {
-		return 0, err
-	}
-	cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
-	if err != nil {
-		return 0, err
-	}
-	payload := make([]byte, oram.BlockSize)
-	for i := 0; i < 64; i++ {
-		if err := cli.Write(oram.BlockID(i), payload); err != nil {
-			return 0, err
-		}
-	}
-	const n = 200
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := cli.Read(oram.BlockID(i % 64)); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start) / n, nil
 }
 
 // --- §VI-A resources ---

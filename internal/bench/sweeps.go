@@ -51,27 +51,13 @@ var Sweeps = []Sweep{
 		Run: func(env *Env, _ int) ([]Table, error) { return tables(amortization(env)) }},
 	{Name: "scalability", Doc: "§VI-D: throughput and ORAM-server capacity",
 		Run: func(env *Env, n int) ([]Table, error) { return tables(scalability(env, n/4+1)) }},
-	{Name: "interp", Doc: "interpreter fast-path microbenchmarks + raw bundle throughput",
-		Run: interpFastPath},
 	{Name: "ablations", Doc: "design-choice ablations (noise, prefetch, grouping, ORAM depth)", Run: ablations},
-	{Name: "sessions", Doc: "cold-dial vs ticket-resume sweep + gateway resume stampede of 100·n sessions",
-		Run: func(env *Env, n int) ([]Table, error) {
-			sweep, err := sessions(env, n)
-			if err != nil {
-				return nil, err
-			}
-			scale, err := sessionScale(env, 100*n)
-			if err != nil {
-				return nil, err
-			}
-			return []Table{sweep, scale}, nil
-		}},
+	{Name: "sessions", Doc: "cold dial vs ticket resume: device cost and asymmetric ops per handshake",
+		Run: func(env *Env, n int) ([]Table, error) { return tables(sessions(env, n)) }},
 	{Name: "parallel", Doc: "intra-bundle parallel pre-execution: lanes × conflict-rate sweep",
 		Run: func(env *Env, _ int) ([]Table, error) { return tables(parallelSweep(env)) }},
-	{Name: "oram", Doc: "sharded ORAM fan-out: shards × batch-size sweep, modeled + measured", NoEnv: true,
+	{Name: "oram", Doc: "sharded ORAM fan-out: shards × batch-size sweep", NoEnv: true,
 		Run: func(*Env, int) ([]Table, error) { return tables(oramShardSweep()) }},
-	{Name: "trace", Doc: "distributed-tracing overhead: disabled vs flight-recorder wall time on the bundle path",
-		Run: traceSweep},
 }
 
 // tables adapts a single-table sweep to Sweep.Run's result.

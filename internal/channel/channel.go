@@ -33,17 +33,6 @@ const (
 	MsgAttestRequest MsgType = iota + 1
 	MsgAttestReport
 	MsgKeyExchange
-	// MsgBundle, MsgTrace and MsgStatus are the pre-mux one-at-a-time
-	// exchanges; bundles and occupancy probes now travel as MsgMux
-	// frames and the service rejects these types. The constants stay so
-	// the wire numbering of everything after them is stable.
-	MsgBundle
-	MsgTrace
-	MsgError
-	MsgORAMRead
-	MsgORAMWrite
-	MsgBlockSync
-	MsgStatus
 	// Session-resumption handshake (internal/session). The request,
 	// accept, and reject legs travel in plaintext — they carry only the
 	// opaque ticket, rekey nonces, and key-confirmation tags, none of

@@ -35,19 +35,19 @@ func pair(t testing.TB) (*SecureChannel, *SecureChannel) {
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	h := Header{Type: MsgBundle, Flags: FlagEncrypted, Session: 9, Seq: 42, Length: 100}
+	h := Header{Type: MsgMux, Flags: FlagEncrypted, Session: 9, Seq: 42, Length: 100}
 	raw := h.Marshal()
 	back, err := ParseHeader(raw[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Type != MsgBundle || back.Session != 9 || back.Seq != 42 || back.Length != 100 {
+	if back.Type != MsgMux || back.Session != 9 || back.Seq != 42 || back.Length != 100 {
 		t.Fatalf("round trip: %+v", back)
 	}
 }
 
 func TestHeaderValidation(t *testing.T) {
-	good := (&Header{Type: MsgTrace, Length: 1}).Marshal()
+	good := (&Header{Type: MsgTicketIssue, Length: 1}).Marshal()
 
 	short := make([]byte, 16)
 	if _, err := ParseHeader(short); !errors.Is(err, ErrBadHeader) {
@@ -68,7 +68,7 @@ func TestHeaderValidation(t *testing.T) {
 	if _, err := ParseHeader(badType[:]); !errors.Is(err, ErrBadHeader) {
 		t.Errorf("type: %v", err)
 	}
-	tooBig := (&Header{Type: MsgTrace, Length: MaxPayload + 1}).Marshal()
+	tooBig := (&Header{Type: MsgTicketIssue, Length: MaxPayload + 1}).Marshal()
 	if _, err := ParseHeader(tooBig[:]); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("too large: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestHeaderValidation(t *testing.T) {
 func TestSealOpenRoundTrip(t *testing.T) {
 	a, b := pair(t)
 	payload := []byte("pre-execution bundle payload")
-	msg, err := a.Seal(MsgBundle, payload)
+	msg, err := a.Seal(MsgMux, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +85,14 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Type != MsgBundle || !bytes.Equal(pt, payload) {
+	if h.Type != MsgMux || !bytes.Equal(pt, payload) {
 		t.Fatalf("open: %+v %q", h, pt)
 	}
 }
 
 func TestOpenRejectsTampering(t *testing.T) {
 	a, b := pair(t)
-	msg, err := a.Seal(MsgBundle, []byte("payload"))
+	msg, err := a.Seal(MsgMux, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestOpenRejectsTampering(t *testing.T) {
 
 func TestOpenRejectsReplay(t *testing.T) {
 	a, b := pair(t)
-	msg, err := a.Seal(MsgBundle, []byte("payload"))
+	msg, err := a.Seal(MsgMux, []byte("payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestOpenRejectsWrongSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := a.Seal(MsgBundle, []byte("x"))
+	msg, err := a.Seal(MsgMux, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := a.Seal(MsgBundle, []byte("x"))
+	msg, err := a.Seal(MsgMux, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSignedMessages(t *testing.T) {
 	a.EnableSigning(aKey, &bKey.PublicKey)
 	b.EnableSigning(bKey, &aKey.PublicKey)
 
-	msg, err := a.Seal(MsgTrace, []byte("signed trace"))
+	msg, err := a.Seal(MsgTicketIssue, []byte("signed trace"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSignedMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	evil.EnableSigning(evilKey, &bKey.PublicKey)
-	msg2, err := evil.Seal(MsgTrace, []byte("forged"))
+	msg2, err := evil.Seal(MsgTicketIssue, []byte("forged"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestStreamFraming(t *testing.T) {
 
 	a, b := pair(t)
 	go func() {
-		msg, err := a.Seal(MsgBundle, []byte("over the wire"))
+		msg, err := a.Seal(MsgMux, []byte("over the wire"))
 		if err == nil {
 			_ = WriteMessage(client, msg)
 		}
@@ -228,7 +228,7 @@ func TestStreamFraming(t *testing.T) {
 
 func TestPayloadSizeLimit(t *testing.T) {
 	a, _ := pair(t)
-	if _, err := a.Seal(MsgBundle, make([]byte, MaxPayload+1)); !errors.Is(err, ErrTooLarge) {
+	if _, err := a.Seal(MsgMux, make([]byte, MaxPayload+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize seal: %v", err)
 	}
 }
@@ -237,7 +237,7 @@ func TestPayloadSizeLimit(t *testing.T) {
 func TestQuickSealOpen(t *testing.T) {
 	a, b := pair(t)
 	f := func(payload []byte) bool {
-		msg, err := a.Seal(MsgORAMRead, payload)
+		msg, err := a.Seal(MsgMux, payload)
 		if err != nil {
 			return false
 		}
@@ -261,7 +261,7 @@ func BenchmarkSealOpen1KB(b *testing.B) {
 	b.SetBytes(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		msg, err := a.Seal(MsgORAMRead, payload)
+		msg, err := a.Seal(MsgMux, payload)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -197,27 +197,56 @@ func TestResumeNilAndEmptyTickets(t *testing.T) {
 	}
 }
 
+// TestResumeBypassesAdmission is the resume stampede: a restarted
+// front end's whole user population reconnecting at once while the
+// cold-handshake gate is full. Every resume must get through and serve
+// a bundle without queuing on the gate and without one asymmetric
+// operation.
 func TestResumeBypassesAdmission(t *testing.T) {
 	sr := buildServiceRig(t, ConfigRaw)
 
-	cold := sr.dialCold(t)
-	ticket := cold.Ticket()
-	cold.Close()
+	const sessions = 64
+	tickets := make([]*session.ClientTicket, sessions)
+	for i := range tickets {
+		cold := sr.dialCold(t)
+		tickets[i] = cold.Ticket()
+		cold.Close()
+	}
 
 	// Fill the cold-handshake gate completely: any cold dial would now
-	// queue. A warm resume must sail through regardless.
+	// queue. Warm resumes must sail through regardless.
 	adm := session.NewAdmission(1)
 	adm.Acquire()
 	sr.svc.SetAdmission(adm)
 
-	warm, err := Resume(sr.serveOnce(t), ticket)
-	if err != nil {
+	bundle := sr.transferBundle(t, 5) // pre-execution never commits: one bundle serves every session
+	before := attest.AsymOps()
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for _, ticket := range tickets {
+		conn := sr.serveOnce(t)
+		wg.Add(1)
+		go func(ticket *session.ClientTicket) {
+			defer wg.Done()
+			warm, err := Resume(conn, ticket)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer warm.Close()
+			if _, err := warm.PreExecute(bundle); err != nil {
+				errs <- err
+			}
+		}(ticket)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
 		t.Fatalf("resume blocked by admission gate: %v", err)
 	}
-	if _, err := warm.PreExecute(sr.transferBundle(t, 5)); err != nil {
-		t.Fatal(err)
+	if ops := attest.AsymOps() - before; ops != 0 {
+		t.Fatalf("%d concurrent resumes performed %d asymmetric ops, want 0", sessions, ops)
 	}
-	warm.Close()
 	if adm.Waits() != 0 {
 		t.Fatal("resume queued on the cold-handshake gate")
 	}

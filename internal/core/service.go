@@ -63,7 +63,11 @@ type traceMsg struct {
 	Trace       tracer.BundleTrace
 	VirtualTime time.Duration
 	AbortReason string
-	GasUsed     uint64
+	// Failed marks AbortReason as an execution error (no trace exists:
+	// an invalid transaction, an executor fault) rather than a hardware
+	// abort of a bundle that did run.
+	Failed  bool
+	GasUsed uint64
 	// TraceSpans carries this process's finished distributed-tracing
 	// spans for the request's trace back to the caller, which adopts
 	// them into its flight recorder — one contiguous tree per request
@@ -420,6 +424,7 @@ func (s *Service) executeBundle(tc channel.TraceContext, bm *bundleMsg) traceMsg
 	var out traceMsg
 	if err != nil {
 		out.AbortReason = err.Error()
+		out.Failed = true
 		s.tm.bundlesErr.Inc()
 	} else {
 		out.Trace = *res.Trace
@@ -611,15 +616,20 @@ func (c *Client) PreExecuteContext(ctx context.Context, bundle *types.Bundle) (r
 		Trace:       &tm.Trace,
 		VirtualTime: tm.VirtualTime,
 		AbortReason: tm.AbortReason,
+		Failed:      tm.Failed,
 		GasUsed:     tm.GasUsed,
 	}, nil
 }
 
 // TraceResult is the client-side view of a pre-execution response.
+// AbortReason is non-empty when the bundle did not complete: with
+// Failed set the executor returned an error and there is no trace,
+// otherwise the hardware aborted a running bundle (Memory Overflow).
 type TraceResult struct {
 	Trace       *tracer.BundleTrace
 	VirtualTime time.Duration
 	AbortReason string
+	Failed      bool
 	GasUsed     uint64
 }
 

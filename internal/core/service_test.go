@@ -207,7 +207,7 @@ func TestServiceRejectsProtocolViolations(t *testing.T) {
 			defer server.Close()
 			errCh <- sr.svc.ServeConn(server)
 		}()
-		h := channel.Header{Type: channel.MsgTrace, Length: 0}
+		h := channel.Header{Type: channel.MsgAttestReport, Length: 0}
 		raw := h.Marshal()
 		if err := channel.WriteMessage(client, raw[:]); err != nil {
 			t.Fatal(err)
@@ -217,8 +217,8 @@ func TestServiceRejectsProtocolViolations(t *testing.T) {
 		}
 	})
 
-	// The client is mux-only: a correctly sealed bare MsgBundle after the
-	// handshake is as unexpected as any other non-mux type.
+	// The client is mux-only: a correctly sealed bundle under any type
+	// but MsgMux is a protocol violation after the handshake.
 	t.Run("sealed bundle outside the mux", func(t *testing.T) {
 		var key [32]byte
 		key[0] = 7
@@ -237,7 +237,7 @@ func TestServiceRejectsProtocolViolations(t *testing.T) {
 			defer server.Close()
 			errCh <- sr.svc.serveSession(server, deviceEnd)
 		}()
-		sealed, err := userEnd.Seal(channel.MsgBundle, gobEncode(&bundleMsg{Bundle: *sr.transferBundle(t, 3)}))
+		sealed, err := userEnd.Seal(channel.MsgTicketIssue, gobEncode(&bundleMsg{Bundle: *sr.transferBundle(t, 3)}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestServiceRejectsProtocolViolations(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := <-errCh; !errors.Is(err, ErrProtocol) {
-			t.Fatalf("sealed MsgBundle: %v", err)
+			t.Fatalf("sealed non-mux bundle: %v", err)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -326,13 +327,19 @@ func (b *RemoteBackend) Execute(ctx context.Context, bundle *types.Bundle) (*cor
 		}
 		break
 	}
+	if tr.Failed {
+		// The bundle's own fault, as the service's executor reported it:
+		// a plain error, like LocalBackend's, so the gateway neither
+		// fails over nor counts the bundle completed.
+		return nil, errors.New(tr.AbortReason)
+	}
 	res := &core.BundleResult{
 		Trace:       tr.Trace,
 		VirtualTime: tr.VirtualTime,
 		GasUsed:     tr.GasUsed,
 	}
 	if tr.AbortReason != "" {
-		res.Aborted = fmt.Errorf("%s", tr.AbortReason)
+		res.Aborted = errors.New(tr.AbortReason)
 	}
 	return res, nil
 }

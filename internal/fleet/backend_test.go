@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -184,11 +185,11 @@ func TestRemoteBackendOverTCP(t *testing.T) {
 	}
 }
 
-func TestGatewayWithRemoteBackendFailover(t *testing.T) {
-	// One local + one remote backend; the remote dies mid-run and the
-	// local picks up its bundles.
-	r := buildFleetRig(t, 1, 1)
-
+// serveRemoteDevice puts one more single-HEVM -raw device over the rig's
+// world behind a core.Service on real TCP, with its own manufacturer,
+// and returns the service and the verifier a RemoteBackend dials it with.
+func (r *fleetRig) serveRemoteDevice(t *testing.T) (*remoteService, *attest.Verifier) {
+	t.Helper()
 	mfr, err := attest.NewManufacturer()
 	if err != nil {
 		t.Fatal(err)
@@ -207,8 +208,14 @@ func TestGatewayWithRemoteBackendFailover(t *testing.T) {
 	if err := dev.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	rs := serveRemote(t, core.NewService(dev))
-	verifier := attest.NewVerifier(mfr.PublicKey(), core.ImageMeasurement())
+	return serveRemote(t, core.NewService(dev)), attest.NewVerifier(mfr.PublicKey(), core.ImageMeasurement())
+}
+
+func TestGatewayWithRemoteBackendFailover(t *testing.T) {
+	// One local + one remote backend; the remote dies mid-run and the
+	// local picks up its bundles.
+	r := buildFleetRig(t, 1, 1)
+	rs, verifier := r.serveRemoteDevice(t)
 	remote := NewRemoteBackend("remote", rs.addr, verifier, false, 1)
 
 	g := NewGateway(Config{QueueDepth: 8, HealthInterval: 10 * time.Millisecond}, r.backends[0], remote)
@@ -225,5 +232,59 @@ func TestGatewayWithRemoteBackendFailover(t *testing.T) {
 	st := g.Stats()
 	if st.Backends[0].Dispatched == 0 {
 		t.Fatal("local backend never dispatched")
+	}
+}
+
+// TestBundleFaultSameThroughLocalAndRemote pins that a backend's kind
+// does not change a bundle's outcome: an invalid-nonce bundle is the
+// same plain Submit error, counted failed with no failover, whether the
+// device sits in-process or behind a core.Service, and a Memory
+// Overflow bundle completes as Aborted on both.
+func TestBundleFaultSameThroughLocalAndRemote(t *testing.T) {
+	r := buildFleetRig(t, 1, 1)
+	rs, verifier := r.serveRemoteDevice(t)
+	remote := NewRemoteBackend("remote", rs.addr, verifier, false, 1)
+
+	// The second transaction reuses the first's nonce.
+	stale := r.transferBundle(t, 0, 1)
+	stale.Txs = append(stale.Txs, r.transferBundle(t, 0, 2).Txs[0])
+	hog := r.world.MemoryHog
+	tx, err := r.world.SignedTxAt(r.world.EOAs[2], 0, &hog, 0, workload.CalldataUint(600_000), 25_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflow := &types.Bundle{Txs: []*types.Transaction{tx}}
+
+	type outcome struct {
+		fault                                            string
+		completed, failed, retries, dispatched, failures uint64
+		healthy                                          bool
+	}
+	got := map[string]outcome{}
+	for _, b := range []Backend{r.backends[0], remote} {
+		g := NewGateway(Config{QueueDepth: 4, BundleDeadline: 10 * time.Second}, b)
+		_, err := g.Submit(context.Background(), stale)
+		var be *BackendError
+		if err == nil || errors.As(err, &be) {
+			t.Fatalf("%s: invalid-nonce bundle: err = %v, want a plain bundle-fault error", b.Name(), err)
+		}
+		fault := err.Error()
+		res, err := g.Submit(context.Background(), overflow)
+		if err != nil || res.Aborted == nil || !strings.Contains(res.Aborted.Error(), "memory overflow") {
+			t.Fatalf("%s: overflow bundle: res = %+v, err = %v, want Aborted", b.Name(), res, err)
+		}
+		st := g.Stats()
+		got[b.Name()] = outcome{fault, st.Completed, st.Failed, st.Retries,
+			st.Backends[0].Dispatched, st.Backends[0].Failures, st.Backends[0].Healthy}
+		g.Close()
+	}
+	want := outcome{got["dev-0"].fault, 1, 1, 0, 2, 0, true}
+	if !strings.Contains(want.fault, "nonce mismatch") {
+		t.Errorf("local fault = %q, want a nonce mismatch", want.fault)
+	}
+	for name, o := range got {
+		if o != want {
+			t.Errorf("%s: outcome %+v, want %+v", name, o, want)
+		}
 	}
 }
