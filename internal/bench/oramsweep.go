@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -90,7 +91,7 @@ func oramSweepCell(shards, batch int) (modeled time.Duration, maxStash int, err 
 			op.Data = append([]byte(nil), payload...)
 			ops = append(ops, op)
 		}
-		if _, err := cli.AccessBatch(ops); err != nil {
+		if _, err := cli.AccessBatch(context.Background(), ops); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -103,7 +104,7 @@ func oramSweepCell(shards, batch int) (modeled time.Duration, maxStash int, err 
 			reads[j] = oram.BatchOp{Op: oram.OpRead, ID: oram.BlockID(next % oramSweepBlocks)}
 			next++
 		}
-		if _, err := cli.AccessBatch(reads); err != nil {
+		if _, err := cli.AccessBatch(context.Background(), reads); err != nil {
 			return 0, 0, err
 		}
 	}

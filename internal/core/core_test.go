@@ -269,6 +269,68 @@ func TestConcurrentBundlesQueueForSlots(t *testing.T) {
 	}
 }
 
+// TestSyncExcludesRunningBundles: Device.Sync rewrites the plain mirror
+// every config reads code from (and, with ORAM, the pager's page
+// dictionary), so no bundle may run beside it. Two goroutines execute
+// transfer bundles in a loop while the test syncs three times; under
+// -race a sync that admits bundles reports the mirror's map race.
+func TestSyncExcludesRunningBundles(t *testing.T) {
+	for _, feat := range []Features{ConfigE, ConfigFull} {
+		t.Run(feat.Name(), func(t *testing.T) {
+			r := buildRig(t, feat)
+			bundles := []*types.Bundle{r.transferBundle(t, 1), r.transferBundle(t, 2)}
+			ran := make(chan struct{}, 1)
+			stop := make(chan struct{})
+			errs := make(chan error, len(bundles))
+			for _, b := range bundles {
+				go func(b *types.Bundle) {
+					for {
+						select {
+						case <-stop:
+							errs <- nil
+							return
+						default:
+						}
+						res, err := r.device.Execute(b)
+						if err == nil && res.Aborted != nil {
+							err = res.Aborted
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+						select {
+						case ran <- struct{}{}:
+						default:
+						}
+					}
+				}(b)
+			}
+			live := len(bundles)
+			defer func() {
+				close(stop)
+				for ; live > 0; live-- {
+					if err := <-errs; err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+			for i := 0; i < 3; i++ {
+				// Sync only while bundles are running.
+				select {
+				case <-ran:
+				case err := <-errs:
+					live--
+					t.Fatal(err)
+				}
+				if err := r.device.Sync(); err != nil {
+					t.Fatalf("sync %d: %v", i, err)
+				}
+			}
+		})
+	}
+}
+
 func TestORAMObserverSeesUniformishTraffic(t *testing.T) {
 	r := buildRig(t, ConfigFull)
 	var leaves []uint64

@@ -187,9 +187,6 @@ type Device struct {
 	// oramKey is the shared bucket-encryption key (paper §IV-D "ORAM
 	// key protection"); OfferORAMKey transfers it to sibling devices.
 	oramKey []byte
-	// oramMu serializes the shared ORAM client (the Hypervisor
-	// serializes queries; Path ORAM clients are not concurrent-safe).
-	oramMu sync.Mutex
 }
 
 // NewDevice provisions, boots, and wires a device to its node. The
@@ -374,16 +371,24 @@ func (d *Device) ORAMServer() *oram.MemServer {
 func (d *Device) ORAMServers() []*oram.MemServer { return d.oramServers }
 
 // Sync pulls the node's world state — Merkle-verified — into the
-// device's stores (step 11 / initial full sync).
-//
-//hardtape:locksafe-ok oramMu exists to serialize the non-concurrent-safe ORAM client; holding it across SyncAll is the lock's purpose
+// device's stores (step 11 / initial full sync). It holds every HEVM
+// slot for its duration: it waits for running bundles to finish and
+// admits none until it returns, so no bundle reads the stores while
+// they are rewritten and none straddles a sync.
 func (d *Device) Sync() error {
+	held := make([]*slot, 0, len(d.allSlots))
+	for range d.allSlots {
+		held = append(held, <-d.slots)
+	}
+	defer func() {
+		for _, s := range held {
+			d.slots <- s
+		}
+	}()
 	if err := d.syncMirror.SyncAll(); err != nil {
 		return fmt.Errorf("core: mirror sync: %w", err)
 	}
 	if d.syncORAM != nil {
-		d.oramMu.Lock()
-		defer d.oramMu.Unlock()
 		if err := d.syncORAM.SyncAll(); err != nil {
 			return fmt.Errorf("core: oram sync: %w", err)
 		}
@@ -602,8 +607,6 @@ func (d *Device) ORAMStats() oram.Stats {
 	if d.oramClient == nil {
 		return oram.Stats{}
 	}
-	d.oramMu.Lock()
-	defer d.oramMu.Unlock()
 	return d.oramClient.Stats()
 }
 

@@ -458,9 +458,9 @@ func (r *parallelRig) hammer(t *testing.T, dev *Device, workers int, bundles ...
 
 // TestExecutorConcurrentSlotsNoLanes is the -race target for the
 // commit-lane-only schedule on an ORAM device: with no lanes, three
-// slots still interleave on the shared ORAM client per query (no bundle
-// holds it whole), so 1-tx and 4-tx bundles running at once must each
-// produce the oracle's traces.
+// slots still interleave on the shared ORAM client, one tree access at
+// a time, so 1-tx and 4-tx bundles running at once must each produce
+// the oracle's traces.
 func TestExecutorConcurrentSlotsNoLanes(t *testing.T) {
 	r := buildParallelRig(t, ConfigFull, 0, false)
 	mev, err := r.world.MEVBundle(4, 1.0)

@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"hardtape/internal/hevm"
-	"hardtape/internal/oram"
 	"hardtape/internal/pager"
 	"hardtape/internal/state"
 	"hardtape/internal/types"
@@ -28,6 +26,9 @@ import (
 type hvReader struct {
 	dev  *Device
 	lane *laneState
+	// ctx is the bundle's context; a traced bundle's ORAM rounds parent
+	// under its span.
+	ctx context.Context
 	// kvStore serves account meta and storage records.
 	kvStore *pager.Store
 	// codeStore serves code pages; codeMirror provides the bytes when
@@ -184,7 +185,7 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 				for i := uint32(1); i < n; i++ {
 					indices = append(indices, i)
 				}
-				if _, err := r.codeStore.ReadCodePages(codeHash, indices); err != nil {
+				if _, err := r.codeStore.ReadCodePages(r.ctx, codeHash, indices); err != nil {
 					panic(fmt.Errorf("core: code pages of %s: %w", codeHash, err))
 				}
 				r.recordORAMBatch('c', len(indices))
@@ -211,13 +212,10 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 }
 
 // newReader wires the reader one lane executes against, charging that
-// lane's clock and caches. With ORAM features it is wrapped in a
-// lockedReader; the -raw mirror is a plain map safe for concurrent
-// reads and needs no lock. ctx is the bundle's execution context
-// (stamped on the ORAM client even when the bundle is untraced, to
-// displace a previous holder's attribution).
+// lane's clock and caches. ctx is the bundle's execution context: the
+// ORAM rounds the reader issues are attributed to it.
 func (d *Device) newReader(ctx context.Context, l *laneState) state.Reader {
-	r := &hvReader{dev: d, lane: l}
+	r := &hvReader{dev: d, lane: l, ctx: ctx}
 	if d.cfg.Features.ORAMStorage {
 		r.kvStore, r.kvORAM = d.oramStore, true
 	} else {
@@ -230,48 +228,5 @@ func (d *Device) newReader(ctx context.Context, l *laneState) state.Reader {
 		r.codeStore = d.mirror
 		r.codeMirror = d.mirror
 	}
-	if r.kvORAM || r.codeORAM {
-		return &lockedReader{mu: &d.oramMu, inner: r, acc: d.oramClient, ctx: ctx}
-	}
 	return r
-}
-
-// lockedReader is the Hypervisor's query serialization point: every
-// world-state query of every lane — the commit lane and speculative
-// lanes, of every slot — takes the device-wide oramMu for exactly its
-// own duration, because the shared Path ORAM client is not
-// concurrent-safe. Nothing else of a bundle runs under the lock, so
-// slots and lanes interleave at ORAM-access granularity.
-type lockedReader struct {
-	mu    *sync.Mutex
-	inner state.Reader
-	// acc/ctx re-stamp the shared ORAM client's trace attribution
-	// under the lock on every query: lanes from different bundles (and
-	// traced next to untraced ones) interleave here, so each holder
-	// must claim — or clear — the attribution for its own accesses.
-	acc *oram.Client
-	ctx context.Context
-}
-
-var _ state.Reader = (*lockedReader)(nil)
-
-func (r *lockedReader) Account(addr types.Address) (*types.Account, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.acc.SetTrace(r.ctx)
-	return r.inner.Account(addr)
-}
-
-func (r *lockedReader) Storage(addr types.Address, key types.Hash) types.Hash {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.acc.SetTrace(r.ctx)
-	return r.inner.Storage(addr, key)
-}
-
-func (r *lockedReader) Code(codeHash types.Hash) []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.acc.SetTrace(r.ctx)
-	return r.inner.Code(codeHash)
 }

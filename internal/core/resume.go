@@ -128,7 +128,7 @@ func (s *Service) warmHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	// successor ticket before any bundles flow.
 	nextPSK := session.ResumptionPSK(traffic, newID)
 	defer session.ZeroKey(&nextPSK)
-	if err := s.sendTicket(conn, secure, nil, nextPSK, newID); err != nil {
+	if err := s.sendTicket(conn, secure, nextPSK, newID); err != nil {
 		return nil, err
 	}
 

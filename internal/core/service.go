@@ -316,16 +316,16 @@ func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	// bound to this device's identity and booted measurement.
 	psk := session.ResumptionPSK(sess.Key, sessionID)
 	defer session.ZeroKey(&psk)
-	if err := s.sendTicket(conn, secure, nil, psk, sessionID); err != nil {
+	if err := s.sendTicket(conn, secure, psk, sessionID); err != nil {
 		return nil, err
 	}
 	return secure, nil
 }
 
-// sendTicket seals the rotated resumption ticket into the established
-// channel. wmu (nil on a fresh handshake) serializes with concurrent
-// mux replies. The PSK is consumed: sealed into the ticket and zeroed.
-func (s *Service) sendTicket(conn io.ReadWriter, secure *channel.SecureChannel, wmu *sync.Mutex, psk [32]byte, sessionID uint64) error {
+// sendTicket seals the rotated resumption ticket into the freshly
+// established channel, before any mux reply can share it. The PSK is
+// consumed: sealed into the ticket and zeroed.
+func (s *Service) sendTicket(conn io.ReadWriter, secure *channel.SecureChannel, psk [32]byte, sessionID uint64) error {
 	defer session.ZeroKey(&psk)
 	var out ticketIssueMsg
 	if s.issuer != nil {
@@ -345,15 +345,10 @@ func (s *Service) sendTicket(conn io.ReadWriter, secure *channel.SecureChannel, 
 		// On issue failure the message carries no ticket; the client
 		// simply cannot resume — fail-safe, not fail-open.
 	}
-	if wmu != nil {
-		wmu.Lock()
-		defer wmu.Unlock()
-	}
 	sealed, err := secure.Seal(channel.MsgTicketIssue, gobEncode(&out))
 	if err != nil {
 		return err
 	}
-	//hardtape:locksafe-ok wmu exists to keep seal order == write order; the channel's sequence numbers demand it
 	return channel.WriteMessage(conn, sealed)
 }
 
@@ -488,9 +483,9 @@ type Client struct {
 	ticket *session.ClientTicket
 }
 
-// SetTracer turns on distributed tracing for this client's requests
+// UseTracer turns on distributed tracing for this client's requests
 // (nil disables). Usually reg.Tracer() for the process registry.
-func (c *Client) SetTracer(tr *telemetry.Tracer) { c.reg = tr.Registry() }
+func (c *Client) UseTracer(tr *telemetry.Tracer) { c.reg = tr.Registry() }
 
 // readWriteCloser adapts the io.ReadWriter handshake streams (net.Pipe
 // halves in tests, net.Conn in production) to the mux's closer needs.

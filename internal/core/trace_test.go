@@ -85,7 +85,7 @@ func TestConcurrentTracedMuxTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTracer(ctr)
+	c.UseTracer(ctr)
 
 	const workers, rounds = 6, 4
 	var wg sync.WaitGroup
@@ -233,7 +233,7 @@ func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTracer(ctr)
+	c.UseTracer(ctr)
 	_, failed = errSpans(t, clientReg, func(ctx context.Context) {
 		res, err := c.PreExecuteContext(ctx, bad)
 		if err != nil || !strings.Contains(res.AbortReason, "core: tx 1:") {

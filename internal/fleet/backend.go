@@ -219,7 +219,7 @@ func (b *RemoteBackend) dial(ticket *session.ClientTicket) error {
 		conn.Close()
 		return err
 	}
-	c.SetTracer(b.tracer)
+	c.UseTracer(b.tracer)
 	b.client, b.ticket = c, c.Ticket()
 	return nil
 }

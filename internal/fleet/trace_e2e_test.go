@@ -105,7 +105,7 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTracer(ctr)
+	c.UseTracer(ctr)
 
 	// A high-conflict MEV bundle on cold devices: every tx hammers one
 	// pool (lane re-execution) and first-touch state rides the batched

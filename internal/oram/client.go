@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"hardtape/internal/simclock"
 	"hardtape/internal/telemetry"
@@ -51,42 +52,34 @@ func (e *failedError) Unwrap() []error { return []error{ErrClientFailed, e.cause
 // Client is the trusted Path ORAM client (on-chip in the Hypervisor)
 // over K ≥ 1 independent trees, one per Server. Blocks are partitioned
 // across the trees by a public hash of their id; every tree owns its
-// private stash, position map, cryptor and scratch, so a round that
-// touches several trees runs their sub-batches concurrently without
-// locks. The Client itself is NOT safe for concurrent use: the paper
-// dedicates one client per Hypervisor and serializes its queries, and
-// the fan-out parallelism lives entirely inside one call.
+// private stash, position map, cryptor and scratch behind its own lock.
+// The Client is safe for concurrent use: a tree is the unit of
+// serialization, so each tree runs whole Path ORAM accesses one at a
+// time while accesses on different trees overlap, and a round that
+// spans several trees runs each sub-batch on its own goroutine under
+// only that tree's lock.
 type Client struct {
 	trees []*tree
 	// clock, when non-nil, is charged cal's virtual time per round.
 	clock *simclock.Clock
 	cal   simclock.Calibration
-	// stores, when non-nil, checkpoints each tree's stash + position map
-	// after every round (see persist.go).
+	// stores, when non-nil, checkpoints every tree's stash + position
+	// map after every round, one epoch per round on each (persist.go).
 	stores []*CheckpointStore
-	// failed is the fail-closed latch (ErrClientFailed wrapping the
-	// first mid-access error).
-	failed error
+	// failed is the fail-closed latch: the first mid-access error,
+	// wrapped in ErrClientFailed; later errors never replace it.
+	failed atomic.Pointer[failedError]
 	// obs is what the trees report to; they share it by pointer.
-	obs attribution
-	// Single-access and ReadMany scratch (single-goroutine contract).
-	oneOp   [1]BatchOp
-	oneOut  [1][]byte
-	readOps []BatchOp
+	obs observer
 }
 
-// attribution is where a client's trees report: the registry their
-// round spans start from, the metric series, and the request the
-// current accesses belong to.
-type attribution struct {
+// observer is where a client's trees report: the registry their round
+// spans start from and the metric series.
+type observer struct {
 	// reg is nil when telemetry is disabled; tm then holds nil
 	// instruments, so the hot path pays one branch per record call.
 	reg *telemetry.Registry
 	tm  clientTelemetry
-	// ctx is the current bundle's context, installed via SetTrace under
-	// the same serialization that guards every access (the Hypervisor's
-	// query lock); a traced bundle's rounds parent under its span.
-	ctx context.Context
 }
 
 // clientTelemetry holds the client's registered series, shared by all
@@ -182,7 +175,6 @@ func NewClient(servers []Server, key []byte, opts ...ClientOption) (*Client, err
 		return nil, ErrBadKey
 	}
 	c := &Client{trees: make([]*tree, len(servers))}
-	c.obs.ctx = context.Background()
 	for i, srv := range servers {
 		t, err := newTree(&c.obs, i, srv, deriveShardKey(key, fmt.Sprintf("hardtape-oram-shard-%d", i)))
 		if err != nil {
@@ -195,15 +187,6 @@ func NewClient(servers []Server, key []byte, opts ...ClientOption) (*Client, err
 	}
 	return c, nil
 }
-
-// SetTrace installs the context of the request the next accesses belong
-// to: when it carries a trace, every multi-op sub-batch opens an
-// "oram.batch" span under it and the batch-latency histogram's
-// exemplars carry its trace id. An untraced context detaches (accesses
-// from untraced bundles must not land on the previous bundle's trace).
-// Callers MUST hold whatever lock serializes this client's queries —
-// the same single-goroutine contract as every other method.
-func (c *Client) SetTrace(ctx context.Context) { c.obs.ctx = ctx }
 
 // Read fetches a block from its owning tree. Missing blocks return
 // ErrNotFound after a full (oblivious) path access, so lookups are
@@ -226,147 +209,155 @@ func (c *Client) Write(id BlockID, data []byte) error {
 	return err
 }
 
-// one runs a single access as the n = 1 round, through client-owned
-// scratch so it allocates nothing beyond the returned block.
+// one runs a single access as the n = 1 round. Its op and result
+// arrays stay on the caller's stack, so it allocates nothing beyond
+// the returned block. Single accesses are never traced.
 func (c *Client) one(op BatchOp) ([]byte, error) {
-	c.oneOp[0] = op
-	err := c.run(c.oneOp[:], c.oneOut[:])
-	data := c.oneOut[0]
-	c.oneOp[0].Data, c.oneOut[0] = nil, nil
-	return data, err
+	var out [1][]byte
+	_, err := c.access(context.Background(), []BatchOp{op}, out[:])
+	return out[0], err
 }
 
 // ReadMany fetches many blocks in ONE overlapped round across the trees
 // holding any of them (one ReadPaths + WritePaths round trip per tree,
 // instead of one per block). The result is aligned with ids; missing
 // blocks yield nil entries, each after a full oblivious path access.
-func (c *Client) ReadMany(ids []BlockID) ([][]byte, error) {
-	ops := c.readOps[:0]
-	for _, id := range ids {
-		ops = append(ops, BatchOp{Op: OpRead, ID: id})
+// When ctx carries a trace, every multi-op sub-batch is an "oram.batch"
+// span under it.
+func (c *Client) ReadMany(ctx context.Context, ids []BlockID) ([][]byte, error) {
+	ops := make([]BatchOp, len(ids))
+	for i, id := range ids {
+		ops[i] = BatchOp{Op: OpRead, ID: id}
 	}
-	c.readOps = ops
-	return c.AccessBatch(ops)
+	return c.AccessBatch(ctx, ops)
 }
 
 // AccessBatch performs a mixed read/write batch in one round. The
 // returned slice is aligned with ops and holds each block's prior
-// contents (nil when absent).
-func (c *Client) AccessBatch(ops []BatchOp) ([][]byte, error) {
+// contents (nil when absent). ctx attributes the round as in ReadMany.
+func (c *Client) AccessBatch(ctx context.Context, ops []BatchOp) ([][]byte, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	out := make([][]byte, len(ops))
-	if err := c.run(ops, out); err != nil {
+	return c.access(ctx, ops, make([][]byte, len(ops)))
+}
+
+// access runs one round and returns out. When every op belongs to one
+// tree — always at K = 1, and for every single access — the round runs
+// inline on the caller's goroutine under that tree's lock; goroutines
+// are spent only on a real fan-out, or on a durable sharded client,
+// whose every round checkpoints every tree (one epoch per round on each
+// shard).
+func (c *Client) access(ctx context.Context, ops []BatchOp, out [][]byte) ([][]byte, error) {
+	for _, op := range ops {
+		if op.Op == OpWrite && len(op.Data) > BlockSize {
+			return nil, ErrBlockTooBig
+		}
+	}
+	k := len(c.trees)
+	sh := shardOf(ops[0].ID, k)
+	inline := c.stores == nil || k == 1
+	for _, op := range ops[1:] {
+		inline = inline && shardOf(op.ID, k) == sh
+	}
+	var err error
+	if inline {
+		t := c.trees[sh]
+		t.mu.Lock()
+		err = c.runTree(ctx, t, ops, out)
+		t.mu.Unlock()
+		if err == nil && c.clock != nil {
+			c.clock.Advance(c.cal.ORAMBatchCost(len(ops), len(ops)*t.depth*BucketSize))
+		}
+	} else {
+		err = c.fanOut(ctx, ops, out)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// run executes one round: the ops split into per-tree sub-batches by
-// the public id→shard hash, each tree runs its sub-batch as one regular
-// Path ORAM access (tree.accessBatch) against its private server, and
-// the results land in out in request order. When every op belongs to
-// one tree — always at K = 1, and for every single access — the round
-// runs inline on the caller's goroutine; goroutines are spent only on a
-// real fan-out. Obliviousness holds per tree: the adversary observing
-// all servers sees K independent uniform leaf sequences whose
-// interleaving depends only on the public hash.
-func (c *Client) run(ops []BatchOp, out [][]byte) error {
-	if c.failed != nil {
-		return c.failed
+// latched returns the fail-closed error, or nil while the client is
+// healthy.
+func (c *Client) latched() error {
+	if f := c.failed.Load(); f != nil {
+		return f
 	}
-	for _, op := range ops {
-		if op.Op == OpWrite && len(op.Data) > BlockSize {
-			return ErrBlockTooBig
+	return nil
+}
+
+// runTree runs one tree's (sub-)batch as one regular Path ORAM access
+// (tree.accessBatch) against its private server and, for a durable
+// client, checkpoints the tree, server Sync first. The caller holds
+// t.mu, so the access and the checkpoint that publishes its state are
+// one critical section. The latch is checked under the lock: a round
+// queued behind a failing access must not touch the tree it poisoned.
+// The first access error is latched client-wide; later ones return it.
+func (c *Client) runTree(ctx context.Context, t *tree, ops []BatchOp, out [][]byte) error {
+	if err := c.latched(); err != nil {
+		return err
+	}
+	// An empty sub-batch is a durable client's untouched tree: it only
+	// checkpoints.
+	if len(ops) > 0 {
+		if err := t.accessBatch(ctx, ops, out); err != nil {
+			c.failed.CompareAndSwap(nil, &failedError{cause: err})
+			return c.failed.Load()
 		}
-	}
-	k := len(c.trees)
-	first := c.trees[shardOf(ops[0].ID, k)]
-	spread := false
-	for _, op := range ops[1:] {
-		if c.trees[shardOf(op.ID, k)] != first {
-			spread = true
-			break
-		}
-	}
-	var err error
-	maxQ, blocks := len(ops), len(ops)*first.depth*BucketSize
-	if spread {
-		maxQ, blocks, err = c.fanOut(ops, out)
-	} else {
-		err = first.accessBatch(ops, out)
-	}
-	if err != nil {
-		c.failed = &failedError{cause: err}
-		return c.failed
-	}
-	if c.clock != nil {
-		c.clock.Advance(c.cal.ORAMBatchCost(maxQ, blocks))
 	}
 	if c.stores != nil {
-		return c.Checkpoint()
+		return c.stores[t.shard].checkpoint(t)
 	}
 	return nil
 }
 
 // fanOut runs a round that spans several trees: every non-empty tree's
-// sub-batch on its own goroutine (a tree is touched by exactly one
-// goroutine, so its single-goroutine contract holds), results
-// reassembled in request order. It reports the largest sub-batch and
-// the total blocks moved for the virtual-time charge.
-func (c *Client) fanOut(ops []BatchOp, out [][]byte) (maxQ, blocks int, err error) {
+// sub-batch (every tree's, for a durable client) on its own goroutine
+// under only that tree's lock, results reassembled in request order.
+// Obliviousness holds per tree: the adversary observing all servers
+// sees K independent uniform leaf sequences whose interleaving depends
+// only on the public hash. The round is charged once: the link RTT, the
+// largest sub-batch's serial server work, and every moved block's
+// client work.
+func (c *Client) fanOut(ctx context.Context, ops []BatchOp, out [][]byte) error {
 	k := len(c.trees)
-	for _, t := range c.trees {
-		t.ops, t.idx = t.ops[:0], t.idx[:0]
-	}
+	subOps, subIdx, subOut := make([][]BatchOp, k), make([][]int, k), make([][][]byte, k)
 	for i, op := range ops {
-		t := c.trees[shardOf(op.ID, k)]
-		t.ops = append(t.ops, op)
-		t.idx = append(t.idx, i)
+		sh := shardOf(op.ID, k)
+		subOps[sh] = append(subOps[sh], op)
+		subIdx[sh] = append(subIdx[sh], i)
 	}
+	errs := make([]error, k)
 	var wg sync.WaitGroup
-	for _, t := range c.trees {
-		n := len(t.ops)
-		if n == 0 {
+	maxQ, blocks := 0, 0
+	for sh, t := range c.trees {
+		n := len(subOps[sh])
+		if n == 0 && c.stores == nil {
 			continue
 		}
 		maxQ = max(maxQ, n)
 		blocks += n * t.depth * BucketSize
-		if cap(t.out) < n {
-			t.out = make([][]byte, n)
-		}
-		t.out = t.out[:n]
+		subOut[sh] = make([][]byte, n)
 		wg.Add(1)
-		go func(t *tree) {
+		go func(sh int, t *tree) {
 			defer wg.Done()
-			t.err = t.accessBatch(t.ops, t.out)
-		}(t)
+			t.mu.Lock()
+			defer t.mu.Unlock()
+			errs[sh] = c.runTree(ctx, t, subOps[sh], subOut[sh])
+		}(sh, t)
 	}
 	wg.Wait()
-	for _, t := range c.trees {
-		if len(t.ops) == 0 {
-			continue
+	for sh, err := range errs {
+		if err != nil {
+			return err
 		}
-		if t.err != nil && err == nil {
-			err = t.err
-		}
-		for j, i := range t.idx {
-			out[i], t.out[j] = t.out[j], nil
+		for j, i := range subIdx[sh] {
+			out[i] = subOut[sh][j]
 		}
 	}
-	return maxQ, blocks, err
-}
-
-// Sync flushes every durable server to stable storage (no-op for
-// in-memory or remote servers).
-func (c *Client) Sync() error {
-	for _, t := range c.trees {
-		if fs, ok := t.server.(interface{ Sync() error }); ok {
-			if err := fs.Sync(); err != nil {
-				return fmt.Errorf("oram: sync shard %d: %w", t.shard, err)
-			}
-		}
+	if c.clock != nil {
+		c.clock.Advance(c.cal.ORAMBatchCost(maxQ, blocks))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	mrand "math/rand"
@@ -133,7 +134,7 @@ func TestOversizeBlock(t *testing.T) {
 		if err := cli.Write(1, big); !errors.Is(err, ErrBlockTooBig) {
 			t.Fatalf("oversize: %v", err)
 		}
-		if _, err := cli.AccessBatch([]BatchOp{{Op: OpRead, ID: 2}, {Op: OpWrite, ID: 1, Data: big}}); !errors.Is(err, ErrBlockTooBig) {
+		if _, err := cli.AccessBatch(context.Background(), []BatchOp{{Op: OpRead, ID: 2}, {Op: OpWrite, ID: 1, Data: big}}); !errors.Is(err, ErrBlockTooBig) {
 			t.Fatalf("oversize in batch: %v", err)
 		}
 		// Rejected before any state changed: the client stays usable.
@@ -185,7 +186,7 @@ func checkStashBound(t *testing.T, k, batch int) {
 		var err error
 		switch {
 		case batch > 1:
-			_, err = cli.AccessBatch(ops)
+			_, err = cli.AccessBatch(context.Background(), ops)
 		case ops[0].Op == OpWrite:
 			err = cli.Write(ops[0].ID, ops[0].Data)
 		default:
@@ -300,7 +301,7 @@ func TestBatchLeafSequenceLooksUniform(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				ids = append(ids, hot...)
 			}
-			_, err := cli.ReadMany(ids)
+			_, err := cli.ReadMany(context.Background(), ids)
 			return 4, err
 		})
 	})
@@ -311,7 +312,7 @@ func TestBatchLeafSequenceLooksUniform(t *testing.T) {
 func TestShardedLeafUniformityPerShard(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		checkLeafUniformity(t, k, func(cli *Client, hot []BlockID) (int, error) {
-			_, err := cli.ReadMany(hot)
+			_, err := cli.ReadMany(context.Background(), hot)
 			return 1, err
 		})
 	})
@@ -337,7 +338,7 @@ func TestShardedNoCrossShardTraffic(t *testing.T) {
 			if _, err := cli.Read(id); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cli.ReadMany([]BlockID{id, id}); err != nil {
+			if _, err := cli.ReadMany(context.Background(), []BlockID{id, id}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -370,7 +371,7 @@ func checkCharge(t *testing.T, k, n int) (got time.Duration, maxQ, blocks int) {
 	if n == 1 {
 		err = cli.Write(ids[0], []byte("x"))
 	} else {
-		_, err = cli.ReadMany(ids)
+		_, err = cli.ReadMany(context.Background(), ids)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -446,7 +447,7 @@ func TestShardedTamperDetected(t *testing.T) {
 			}
 		}
 		corruptAll(mems[shardOf(9, k)])
-		if _, err := cli.ReadMany(ids); !errors.Is(err, ErrTampered) {
+		if _, err := cli.ReadMany(context.Background(), ids); !errors.Is(err, ErrTampered) {
 			t.Fatalf("tampered shard read: %v, want ErrTampered", err)
 		}
 	})
@@ -478,9 +479,9 @@ func TestConcurrentClientsSharedServer(t *testing.T) {
 		}
 		done <- firstErr
 	}()
-	// NOTE: clients are not internally synchronized; interleaved path
-	// writes can race on shared buckets. Production (and the paper)
-	// serializes through the Hypervisor; here we run c2 after c1.
+	// NOTE: two clients do not coordinate with each other; interleaved
+	// path writes can race on shared buckets. Production (and the paper)
+	// has one client per tree set; here we run c2 after c1.
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +602,7 @@ func TestShardedRoundTrip(t *testing.T) {
 						ops[i] = BatchOp{Op: OpRead, ID: id}
 					}
 				}
-				got, err := cli.AccessBatch(ops)
+				got, err := cli.AccessBatch(context.Background(), ops)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
@@ -642,10 +643,10 @@ func TestBatchReadWriteRoundTrip(t *testing.T) {
 			ids[i] = BlockID(i)
 			ops[i] = BatchOp{Op: OpWrite, ID: ids[i], Data: []byte(fmt.Sprintf("batch-%d", i))}
 		}
-		if _, err := cli.AccessBatch(ops); err != nil {
+		if _, err := cli.AccessBatch(context.Background(), ops); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cli.ReadMany(ids)
+		got, err := cli.ReadMany(context.Background(), ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -687,7 +688,7 @@ func TestBatchMissingBlocks(t *testing.T) {
 		if err := cli.Write(1, []byte("present")); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cli.ReadMany([]BlockID{1, 42, 43})
+		got, err := cli.ReadMany(context.Background(), []BlockID{1, 42, 43})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -707,7 +708,7 @@ func TestBatchDuplicateIDs(t *testing.T) {
 		if err := cli.Write(7, []byte("dup")); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cli.ReadMany([]BlockID{7, 7, 7})
+		got, err := cli.ReadMany(context.Background(), []BlockID{7, 7, 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -718,7 +719,7 @@ func TestBatchDuplicateIDs(t *testing.T) {
 		}
 		// Read-your-writes inside a batch: ops apply in request order and
 		// each returns the contents its predecessors left.
-		got, err = cli.AccessBatch([]BatchOp{
+		got, err = cli.AccessBatch(context.Background(), []BatchOp{
 			{Op: OpWrite, ID: 7, Data: []byte("one")},
 			{Op: OpRead, ID: 7},
 			{Op: OpRead, ID: 8},
@@ -813,7 +814,7 @@ func TestQuickBatchMatchesMap(t *testing.T) {
 					ops[i] = BatchOp{Op: OpRead, ID: id}
 				}
 			}
-			got, err := cli.AccessBatch(ops)
+			got, err := cli.AccessBatch(context.Background(), ops)
 			if err != nil {
 				return false
 			}
@@ -924,7 +925,7 @@ func TestFailClosedAfterServerError(t *testing.T) {
 						if batch == 1 {
 							_, cause = cli.Read(ids[0])
 						} else {
-							_, cause = cli.ReadMany(ids)
+							_, cause = cli.ReadMany(context.Background(), ids)
 						}
 					}
 					if !errors.Is(cause, errInjected) || !errors.Is(cause, ErrClientFailed) {
@@ -944,10 +945,10 @@ func TestFailClosedAfterServerError(t *testing.T) {
 						_, err := cli.Read(all[id])
 						closed(fmt.Sprintf("Read(%d)", id), err)
 					}
-					_, err = cli.ReadMany(all[:8])
+					_, err = cli.ReadMany(context.Background(), all[:8])
 					closed("ReadMany", err)
 					closed("Write", cli.Write(3, []byte("late")))
-					_, err = cli.AccessBatch([]BatchOp{{Op: OpWrite, ID: 3, Data: []byte("late")}, {Op: OpRead, ID: 4}})
+					_, err = cli.AccessBatch(context.Background(), []BatchOp{{Op: OpWrite, ID: 3, Data: []byte("late")}, {Op: OpRead, ID: 4}})
 					closed("AccessBatch", err)
 					closed("Checkpoint", cli.Checkpoint())
 				})

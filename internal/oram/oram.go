@@ -219,8 +219,8 @@ func putCipherBuf(b []byte) {
 // Nonces are drawn from the CSPRNG in bulk: one rand.Read refills a
 // scratch block covering many seals, amortizing the getrandom syscall
 // over a whole path (or batch) eviction. Each seal still consumes
-// fresh, never-reused CSPRNG output. The cryptor shares its owning
-// Client's single-goroutine contract.
+// fresh, never-reused CSPRNG output. The cryptor is used under its
+// tree's lock.
 type cryptor struct {
 	aead     cipher.AEAD
 	nonceBuf [32 * 16]byte

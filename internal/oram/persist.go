@@ -29,7 +29,7 @@ import (
 //     surfaces as ErrTampered.
 //
 // The bucket file is synced BEFORE the manifest is published
-// (Client.Checkpoint), so a published checkpoint never
+// (CheckpointStore.checkpoint), so a published checkpoint never
 // references tree state that might not have hit the disk.
 const (
 	manifestName  = "MANIFEST"
@@ -40,7 +40,7 @@ const (
 var ErrNoCheckpoint = errors.New("oram: no checkpoint")
 
 // CheckpointStore persists one tree's stash + position map in a
-// directory. It shares its owning client's single-goroutine contract.
+// directory. It is used under its tree's lock.
 type CheckpointStore struct {
 	dir   string
 	crypt *cryptor
@@ -120,8 +120,15 @@ func (cs *CheckpointStore) writeAtomic(name string, data []byte) error {
 }
 
 // checkpoint seals and publishes the tree's current stash + position
-// map as the next epoch.
+// map as the next epoch. Bucket durability comes first: a published
+// checkpoint must never reference tree state still sitting in the page
+// cache. The caller holds t.mu.
 func (cs *CheckpointStore) checkpoint(t *tree) error {
+	if fs, ok := t.server.(interface{ Sync() error }); ok {
+		if err := fs.Sync(); err != nil {
+			return fmt.Errorf("oram: sync shard %d: %w", t.shard, err)
+		}
+	}
 	plain := make([]byte, 0, 16+len(t.stash)*(16+BlockSize)+len(t.pos)*16)
 	var u [8]byte
 	binary.BigEndian.PutUint64(u[:], uint64(len(t.stash)))
@@ -231,27 +238,32 @@ func (cs *CheckpointStore) restore(t *tree) (bool, error) {
 }
 
 // Checkpoint syncs every durable server and publishes each tree's
-// state as a new epoch. Requires checkpoint stores (OpenShardedStore).
-// A failed client never checkpoints: a poisoned stash must not be
-// published as a new epoch.
+// state as a new epoch, one tree at a time under that tree's lock.
+// Requires checkpoint stores (OpenShardedStore). A failed client never
+// checkpoints: a poisoned stash must not be published as a new epoch.
 func (c *Client) Checkpoint() error {
-	if c.failed != nil {
-		return c.failed
+	if err := c.latched(); err != nil {
+		return err
 	}
 	if c.stores == nil {
 		return fmt.Errorf("%w: no checkpoint stores attached", ErrShards)
 	}
-	// Bucket durability first: a published checkpoint must never
-	// reference tree state still sitting in the page cache.
-	if err := c.Sync(); err != nil {
-		return err
-	}
 	for i, cs := range c.stores {
-		if err := cs.checkpoint(c.trees[i]); err != nil {
+		if err := c.checkpointTree(cs, c.trees[i]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// checkpointTree is Checkpoint for one tree.
+func (c *Client) checkpointTree(cs *CheckpointStore, t *tree) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := c.latched(); err != nil {
+		return err
+	}
+	return cs.checkpoint(t)
 }
 
 // OpenShardedStore opens (or creates) a persistent ORAM under dir: one

@@ -2,6 +2,7 @@ package oram
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -114,7 +115,7 @@ func recoveryRound(r int) []BatchOp {
 func runRecoveryRounds(t *testing.T, cli *Client, from, to int, trace *strings.Builder) {
 	t.Helper()
 	for r := from; r < to; r++ {
-		out, err := cli.AccessBatch(recoveryRound(r))
+		out, err := cli.AccessBatch(context.Background(), recoveryRound(r))
 		if err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
@@ -197,7 +198,7 @@ func TestShardedStoreCorruptCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := 0; r < 3; r++ {
-			if _, err := cli.AccessBatch(recoveryRound(r)); err != nil {
+			if _, err := cli.AccessBatch(context.Background(), recoveryRound(r)); err != nil {
 				t.Fatal(err)
 			}
 		}

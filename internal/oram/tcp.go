@@ -16,8 +16,8 @@ import (
 // the ORAM client, so the transport itself needs no confidentiality —
 // exactly the paper's trust split.
 //
-// A connection carries one request at a time: a tree is
-// single-goroutine and every tree dials its own connection, so the
+// A connection carries one request at a time: a tree runs one access
+// at a time under its lock and every tree dials its own connection, so the
 // client writes a request, flushes, and reads the response on the
 // caller's goroutine. Batching, not pipelining, amortizes the link: one
 // request moves up to maxWirePaths paths for one round trip, and a

@@ -3,6 +3,7 @@ package oram
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -216,8 +217,8 @@ func TestTCPBatchRoundTrip(t *testing.T) {
 // -race: eight goroutines share ONE connection, where they now take
 // turns — each must get the response to its own request — while
 // additional independent connections hammer the same TCPServer.
-// ORAM *clients* are single-goroutine by contract, so this drives the
-// raw transport ops directly.
+// An ORAM client calls each tree's server under that tree's lock, so
+// this drives the raw transport ops directly.
 func TestTCPPipelinedConcurrent(t *testing.T) {
 	remote, _ := startTCP(t, 256)
 	addr := remote.conn.RemoteAddr().String()
@@ -699,7 +700,7 @@ func BenchmarkORAMBatch(b *testing.B) {
 				for i := lo; i < lo+batch; i++ {
 					ops = append(ops, BatchOp{Op: OpWrite, ID: ids[i], Data: []byte{byte(i)}})
 				}
-				if _, err := cli.AccessBatch(ops); err != nil {
+				if _, err := cli.AccessBatch(context.Background(), ops); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -712,7 +713,7 @@ func BenchmarkORAMBatch(b *testing.B) {
 					reads[j] = ids[next%blocks]
 					next++
 				}
-				if _, err := cli.ReadMany(reads); err != nil {
+				if _, err := cli.ReadMany(context.Background(), reads); err != nil {
 					b.Fatal(err)
 				}
 			}

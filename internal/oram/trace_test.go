@@ -11,10 +11,10 @@ import (
 
 // TestBatchSpanTimesTracesAndFails pins what the one span in
 // tree.accessBatch does in each state: every round feeds the latency
-// series; under a traced bundle a multi-op round is also an "oram.batch"
-// node whose trace id lands on the histogram exemplar and whose Err
-// carries an injected server fault (and nobody else's does); single
-// accesses and rounds of an untraced bundle are timed but never traced.
+// series; when the round's ctx carries a trace, a multi-op round is also
+// an "oram.batch" node whose trace id lands on the histogram exemplar
+// and whose Err carries an injected server fault (and nobody else's
+// does); single accesses and untraced rounds are timed but never traced.
 func TestBatchSpanTimesTracesAndFails(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.EnableTracing("device", 8)
@@ -32,11 +32,11 @@ func TestBatchSpanTimesTracesAndFails(t *testing.T) {
 	batch := reg.Histogram("hardtape_oram_access_seconds", "", nil, "kind", "batch")
 	ids := []BlockID{1, 2, 3, 4}
 
-	// Untraced bundle: timed only.
+	// Untraced ctx: timed only.
 	if err := cli.Write(1, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.ReadMany(ids); err != nil {
+	if _, err := cli.ReadMany(context.Background(), ids); err != nil {
 		t.Fatal(err)
 	}
 	if single.Count() != 1 || batch.Count() != 1 {
@@ -46,17 +46,16 @@ func TestBatchSpanTimesTracesAndFails(t *testing.T) {
 		t.Fatalf("untraced rounds reached the flight recorder: %+v", st)
 	}
 
-	// Traced bundle: one clean batch, one single access, one failing batch.
+	// Traced ctx: one clean batch, one single access, one failing batch.
 	root, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), telemetry.SpanContext{}), "test.bundle")
-	cli.SetTrace(ctx)
-	if _, err := cli.ReadMany(ids); err != nil {
+	if _, err := cli.ReadMany(ctx, ids); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli.Read(1); err != nil {
 		t.Fatal(err)
 	}
 	flaky.failWrite = flaky.writes + 1
-	if _, err := cli.ReadMany(ids); !errors.Is(err, errInjected) {
+	if _, err := cli.ReadMany(ctx, ids); !errors.Is(err, errInjected) {
 		t.Fatalf("faulting batch returned %v", err)
 	}
 	root.End(nil, nil)

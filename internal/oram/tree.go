@@ -3,6 +3,7 @@ package oram
 import (
 	"context"
 	"fmt"
+	"sync"
 )
 
 // stashSafetyFactor bounds the stash at factor*depth blocks; Path ORAM
@@ -12,12 +13,12 @@ const stashSafetyFactor = 16
 
 // tree is the trusted state of ONE Path ORAM tree: stash, flat position
 // map, bucket cryptor and scratch. A Client owns one tree per shard;
-// trees never share mutable structures, so a fan-out round may run each
-// on its own goroutine. A tree itself is single-goroutine.
+// trees never share mutable structures. mu serializes whole accesses
+// on one tree and guards its stash, position map, scratch and counters.
 type tree struct {
-	// obs is the owning client's telemetry and trace attribution,
-	// shared by all its trees and frozen for the duration of a round.
-	obs    *attribution
+	// obs is the owning client's telemetry, shared by all its trees.
+	obs    *observer
+	mu     sync.Mutex
 	shard  int
 	server Server
 	crypt  *cryptor
@@ -25,13 +26,6 @@ type tree struct {
 	stash  map[BlockID]*block
 	depth  int
 	leaves uint64
-
-	// fan-out slots: the client fills ops/idx before a multi-shard round
-	// and this tree's goroutine writes out/err during it.
-	ops []BatchOp
-	idx []int
-	out [][]byte
-	err error
 
 	// Round scratch, reused across accesses. Every per-round structure
 	// is a flat slice (no maps on the hot path — linear scans over
@@ -59,7 +53,7 @@ type tree struct {
 	bytesMoved uint64
 }
 
-func newTree(obs *attribution, shard int, server Server, key []byte) (*tree, error) {
+func newTree(obs *observer, shard int, server Server, key []byte) (*tree, error) {
 	crypt, err := newCryptor(key)
 	if err != nil {
 		return nil, err
@@ -89,8 +83,10 @@ func newTree(obs *attribution, shard int, server Server, key []byte) (*tree, err
 //
 // Any error leaves the tree inconsistent — the position map already
 // points at the new leaves, blocks may have left the stash for buckets
-// that were never stored — so the client latches it (Client.run).
-func (t *tree) accessBatch(ops []BatchOp, out [][]byte) (err error) {
+// that were never stored — so the client latches it (Client.runTree).
+// ctx is the round's context: under a traced bundle a multi-op round
+// is an "oram.batch" span of that trace.
+func (t *tree) accessBatch(ctx context.Context, ops []BatchOp, out [][]byte) (err error) {
 	n := len(ops)
 	tm := &t.obs.tm
 	// One span times the round for the latency series and, under a traced
@@ -98,7 +94,7 @@ func (t *tree) accessBatch(ops []BatchOp, out [][]byte) (err error) {
 	// never traced. Attribute values are sizes and the public shard
 	// index only — never block ids or leaf positions (the secretflow
 	// sink discipline).
-	ctx, latency := t.obs.ctx, tm.batch
+	latency := tm.batch
 	if n == 1 {
 		ctx, latency = context.Background(), tm.single
 	}
@@ -427,6 +423,8 @@ func (t *tree) releaseSealed() {
 
 // stats snapshots the tree's counters.
 func (t *tree) stats() Stats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return Stats{
 		Accesses:   t.accesses,
 		Batches:    t.batches,

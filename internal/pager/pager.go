@@ -12,6 +12,7 @@
 package pager
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -68,8 +69,9 @@ type Backend interface {
 	// the transport allows (one per batch chunk on the ORAM). The
 	// result is aligned with keys; missing pages are nil entries, not
 	// errors — the trusted dictionary already knows absence without
-	// touching the backend.
-	ReadPages(keys []PageKey) ([][]byte, error)
+	// touching the backend. ctx attributes the rounds to the request
+	// they serve (an ORAM round under a traced ctx is a span of it).
+	ReadPages(ctx context.Context, keys []PageKey) ([][]byte, error)
 	// WritePages stores many pages in as few backend round trips as
 	// the transport allows.
 	WritePages(keys []PageKey, pages [][]byte) error
@@ -110,7 +112,7 @@ func (p *PlainBackend) WritePage(key PageKey, data []byte) error {
 }
 
 // ReadPages implements Backend.
-func (p *PlainBackend) ReadPages(keys []PageKey) ([][]byte, error) {
+func (p *PlainBackend) ReadPages(_ context.Context, keys []PageKey) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	for i, key := range keys {
 		page, err := p.ReadPage(key)
@@ -196,7 +198,7 @@ const oramBatchChunk = 16
 // every chunk of known pages costs one link round trip instead of one
 // per page. Unknown keys contribute nil entries without any ORAM
 // traffic (as in ReadPage, the trusted dictionary decides absence).
-func (o *ORAMBackend) ReadPages(keys []PageKey) ([][]byte, error) {
+func (o *ORAMBackend) ReadPages(ctx context.Context, keys []PageKey) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	ids := make([]oram.BlockID, 0, len(keys))
 	slots := make([]int, 0, len(keys))
@@ -211,7 +213,7 @@ func (o *ORAMBackend) ReadPages(keys []PageKey) ([][]byte, error) {
 		if end > len(ids) {
 			end = len(ids)
 		}
-		data, err := o.client.ReadMany(ids[start:end])
+		data, err := o.client.ReadMany(ctx, ids[start:end])
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +247,7 @@ func (o *ORAMBackend) WritePages(keys []PageKey, pages [][]byte) error {
 		if end > len(ops) {
 			end = len(ops)
 		}
-		if _, err := o.client.AccessBatch(ops[start:end]); err != nil {
+		if _, err := o.client.AccessBatch(context.Background(), ops[start:end]); err != nil {
 			return err
 		}
 	}
@@ -418,14 +420,14 @@ func (s *Store) ReadCodePage(codeHash types.Hash, index uint32) ([]byte, error) 
 }
 
 // ReadCodePages fetches many code pages of one contract through the
-// backend's batched read path. The result is aligned with indices;
-// missing pages are nil entries.
-func (s *Store) ReadCodePages(codeHash types.Hash, indices []uint32) ([][]byte, error) {
+// backend's batched read path on behalf of ctx's request. The result is
+// aligned with indices; missing pages are nil entries.
+func (s *Store) ReadCodePages(ctx context.Context, codeHash types.Hash, indices []uint32) ([][]byte, error) {
 	keys := make([]PageKey, len(indices))
 	for i, idx := range indices {
 		keys[i] = PageKey{Kind: KindCodePage, CodeHash: codeHash, Index: idx}
 	}
-	return s.backend.ReadPages(keys)
+	return s.backend.ReadPages(ctx, keys)
 }
 
 // StorageRecord is one key/value pair for WriteStorageRecords.
@@ -457,7 +459,7 @@ func (s *Store) WriteStorageRecords(addr types.Address, recs []StorageRecord) er
 		}
 		slots[i] = j*RecordsPerPage + slot
 	}
-	pages, err := s.backend.ReadPages(keys)
+	pages, err := s.backend.ReadPages(context.Background(), keys)
 	if err != nil {
 		return err
 	}
