@@ -66,10 +66,10 @@ func TestRunJSONIsOneDocument(t *testing.T) {
 
 // TestSweepOutputIndependentOfSelection pins that a sweep's output does
 // not depend on which sweeps ran before it. It compares table1, whose
-// fields all repeat exactly (internal/bench's drawDependent table is the
-// one statement of which fields do not) and whose distributions move
-// with the workload generator's state, which correctness and fig4 both
-// advance.
+// distributions move with the workload generator's state, which
+// correctness and fig4 both advance. Like every field outside the
+// parallel table's multi-lane rows (internal/bench's drawDependent),
+// table1's repeat exactly.
 func TestSweepOutputIndependentOfSelection(t *testing.T) {
 	alone := runJSON(t, "-run", "table1", "-n", "16")
 	together := runJSON(t, "-run", "correctness,fig4,table1", "-n", "16")

@@ -295,9 +295,9 @@ func NewTestbed(opts TestbedOptions) (*Testbed, error) {
 }
 
 // buildTestbed is the one builder behind both testbeds: world → node →
-// manufacturer → n configured, synced devices. Device i gets noise seed
-// i+1 (the first one's is the default config's), so serials differ.
-// The returned Testbed holds device 0.
+// manufacturer → n configured, synced devices, each with its own drawn
+// serial and crypto-keyed generators. The returned Testbed holds
+// device 0.
 func buildTestbed(opts TestbedOptions, n int) (*Testbed, []*Device, error) {
 	world, err := workload.BuildWorld(workload.Config{
 		Seed: opts.Seed, EOAs: opts.EOAs, Tokens: opts.Tokens, DEXes: opts.DEXes,
@@ -323,7 +323,6 @@ func buildTestbed(opts TestbedOptions, n int) (*Testbed, []*Device, error) {
 		cfg.Lanes = opts.Lanes
 		cfg.ORAMShards = opts.Shards
 		cfg.Telemetry = opts.Telemetry
-		cfg.NoiseSeed = int64(i + 1)
 		if devs[i], err = core.NewDevice(cfg, mfr, chain); err != nil {
 			return nil, nil, fmt.Errorf("hardtape: device %d: %w", i, err)
 		}

@@ -8,5 +8,5 @@ import (
 )
 
 func TestCryptorand(t *testing.T) {
-	analysistest.Run(t, "testdata", cryptorand.Analyzer, "hevm", "plain")
+	analysistest.Run(t, "testdata", cryptorand.Analyzer, "hevm", "plain", "core", "oram", "app", "bench")
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"hardtape/internal/core"
+	"hardtape/internal/drbg"
 	"hardtape/internal/evm"
 	"hardtape/internal/hevm"
 	"hardtape/internal/oram"
@@ -39,7 +40,11 @@ func noiseAblation() (Table, error) {
 		cfg.FrameLimitBytes = 32 * 1024
 		cfg.NoiseMaxPages = noiseMax
 		clock := simclock.NewClock()
-		m, err := hevm.New(cfg, clock, simclock.DefaultCalibration(), make([]byte, 32), seed)
+		noise, err := drbg.New(seed, hevm.NoiseLabel, 0)
+		if err != nil {
+			return nil, err
+		}
+		m, err := hevm.New(cfg, clock, simclock.DefaultCalibration(), make([]byte, 32), noise)
 		if err != nil {
 			return nil, err
 		}
@@ -95,8 +100,7 @@ func prefetchAblation(env *Env) (Table, error) {
 		Name:  "ablation_prefetch",
 		Title: "ABLATION — pagewise code prefetching (§IV-D problem 3)",
 		Note: "max_code_run is the longest contiguous run of code-page queries: prefetching spreads code\n" +
-			"between K-V queries; without it frame boundaries are visible as bursts\n" +
-			notePrefetchDraws,
+			"between K-V queries; without it frame boundaries are visible as bursts",
 	}
 	run := func(disable bool) ([]byte, error) {
 		cfg := core.DefaultConfig()
@@ -164,15 +168,14 @@ func groupingAblation() (Table, error) {
 	t := Table{
 		Name:  "ablation_grouping",
 		Title: "ABLATION — storage record grouping (§IV-D problems 1-2): scan of 32 consecutive records (Solidity array layout)",
-		Note: "paper's choice (32/page) turns an array scan into a single page fetch\n" +
-			noteORAMDraws,
+		Note:  "paper's choice (32/page) turns an array scan into a single page fetch",
 	}
 	for _, gs := range []int{1, 8, 32} {
 		srv, err := oram.NewMemServer(4096)
 		if err != nil {
 			return t, err
 		}
-		cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
+		cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize), oram.WithSeed(modelSeed))
 		if err != nil {
 			return t, err
 		}
@@ -224,15 +227,14 @@ func depthAblation() (Table, error) {
 	t := Table{
 		Name:  "ablation_depth",
 		Title: "ABLATION — ORAM bandwidth vs capacity (O(log n) overhead)",
-		Note: "bytes_per_access grows ∝ depth = O(log n), the Path ORAM bound the paper cites\n" +
-			noteORAMDraws,
+		Note:  "bytes_per_access grows ∝ depth = O(log n), the Path ORAM bound the paper cites",
 	}
 	for _, capacity := range []uint64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16} {
 		srv, err := oram.NewMemServer(capacity)
 		if err != nil {
 			return t, err
 		}
-		cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
+		cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize), oram.WithSeed(modelSeed))
 		if err != nil {
 			return t, err
 		}

@@ -19,8 +19,7 @@ func amortization(env *Env) (Table, error) {
 		Name:  "amortization",
 		Title: "§VI-C — bundle amortization (per-bundle ECDSA spread over transactions)",
 		Note: "paper: single-tx bundles are the throughput lower bound; the ~80 ms\n" +
-			"signature round is paid once per bundle regardless of size\n" +
-			notePrefetchDraws,
+			"signature round is paid once per bundle regardless of size",
 	}
 	dev := env.Devices["-full"]
 	token := env.World.Tokens[0]

@@ -24,8 +24,7 @@ func fig5(env *Env) (Table, error) {
 	t := Table{
 		Name:  "fig5",
 		Title: "FIG. 5 — execution time per operation, all data local (warm caches)",
-		Note: "paper shape: no significant platform difference except Geth slower on Transfer\n" +
-			notePrefetchDraws,
+		Note:  "paper shape: no significant platform difference except Geth slower on Transfer",
 	}
 
 	// Each benchmark compares a bundle of one tx against a bundle of

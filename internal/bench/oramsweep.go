@@ -35,8 +35,7 @@ func oramShardSweep() (Table, error) {
 		Title: fmt.Sprintf("§17 — sharded ORAM batch fan-out (aggregate capacity %d blocks, %d rounds/cell)",
 			oramSweepCapacity, oramSweepRounds),
 		Note: "per_batch models the overlapped round (RTT once + slowest shard's serial server work\n" +
-			"+ serial on-chip client work). max_stash is the worst per-shard stash high-water mark\n" +
-			noteORAMDraws,
+			"+ serial on-chip client work). max_stash is the worst per-shard stash high-water mark",
 	}
 	for _, batch := range []int{8, 32} {
 		var baseModeled time.Duration
@@ -75,7 +74,7 @@ func oramSweepCell(shards, batch int) (modeled time.Duration, maxStash int, err 
 	}
 	clock := simclock.NewClock()
 	cli, err := oram.NewClient(servers, make([]byte, oram.KeySize),
-		oram.WithClock(clock, simclock.DefaultCalibration()))
+		oram.WithClock(clock, simclock.DefaultCalibration()), oram.WithSeed(modelSeed))
 	if err != nil {
 		return 0, 0, err
 	}

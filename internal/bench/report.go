@@ -28,22 +28,16 @@ type Row struct {
 }
 
 // Table is the one report shape every sweep produces. Note carries the
-// paper's reference values and the expected shape.
+// paper's reference values and the expected shape. Modeled fields
+// repeat exactly from run to run at one (seed, n); the one exception,
+// lane interleaving on the parallel table's multi-lane rows (DESIGN.md
+// §3), is spelled out in that table's Note.
 type Table struct {
 	Name  string `json:"name"`
 	Title string `json:"title"`
 	Note  string `json:"note,omitempty"`
 	Rows  []Row  `json:"rows"`
 }
-
-// Modeled fields repeat exactly from run to run at one (seed, n) unless
-// they follow one of three sources (DESIGN.md §3); a table with such
-// fields ends its Note with the source's sentence. The third — lane
-// interleaving — touches the parallel table only and is spelled out there.
-const (
-	notePrefetchDraws = "draw-dependent: times and query counts on the -full device follow its code-prefetch cadence, drawn from crypto/rand"
-	noteORAMDraws     = "draw-dependent: ORAM byte and stash counters follow the leaf every access draws from crypto/rand"
-)
 
 var fieldKinds = [...]string{"param", "modeled"}
 

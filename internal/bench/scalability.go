@@ -18,8 +18,7 @@ func scalability(env *Env, nBundles int) (Table, error) {
 		Note: "chip_throughput = hevms_per_chip / mean_tx_time (paper: ≈18 tx/s; Ethereum needs ≈17);\n" +
 			"query_gap is the virtual time between ORAM queries from one busy HEVM (paper: 630 µs);\n" +
 			"server_per_query is the calibrated server time (paper: 25 µs);\n" +
-			"hevms_per_server = ⌊query_gap / server_per_query⌋ (paper: ⌊630/25⌋ = 25)\n" +
-			notePrefetchDraws,
+			"hevms_per_server = ⌊query_gap / server_per_query⌋ (paper: ⌊630/25⌋ = 25)",
 	}
 	dev := env.Devices["-full"]
 	bundles, err := env.EvalBundles(nBundles)

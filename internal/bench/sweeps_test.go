@@ -15,24 +15,12 @@ var drawDependent = []struct {
 	rows   func(Row) bool
 	fields []string
 }{
-	// (a) Times and query counts taken on a device with ORAMCode: its
-	// prefetcher draws the cadence of code-page queries from crypto/rand.
-	{table: "fig4", rows: rowNamed("-full"), fields: []string{"mean", "p50", "p95"}},
-	{table: "fig5", fields: []string{"hardtape"}},
-	{table: "amortization", fields: []string{"total", "per_tx"}},
-	{table: "scalability", fields: []string{"mean_tx_time", "chip_throughput", "query_gap", "hevms_per_server"}},
-	{table: "ablation_prefetch", rows: rowNamed("prefetch-on"), fields: []string{"queries", "max_code_run"}},
-	// (b) ORAM byte and stash counters: every access remaps its block to
-	// a leaf drawn from crypto/rand.
-	{fields: []string{"bytes_moved", "bytes_per_access", "bytes_per_log2_capacity", "max_stash"}},
 	// (c) The parallel sweep's scheduler fields on rows with more than
 	// one lane: speculation runs on real goroutines, and which lane
 	// reaches a contended slot first decides who conflicts (DESIGN.md §16).
 	{table: "parallel", rows: func(r Row) bool { return r.Params[0].Value > 1 },
 		fields: []string{"virtual_time", "speedup", "conflicts", "reexecs", "reexec_time", "spec_retries", "occupancy"}},
 }
-
-func rowNamed(name string) func(Row) bool { return func(r Row) bool { return r.Name == name } }
 
 // drawDependentEntry returns the index of the drawDependent entry
 // covering the field, or -1.

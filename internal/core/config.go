@@ -94,8 +94,10 @@ type Config struct {
 	// A device restarted over the same directory (and ORAMKey) resumes
 	// from the last checkpoint. Mutually exclusive with RemoteORAMAddr.
 	ORAMDir string
-	// NoiseSeed seeds the swap-noise RNG (reproducibility).
-	NoiseSeed int64
+	// Seed keys every lane's swap noise and prefetch cadence and every
+	// ORAM tree's leaves (drbg): 0 from crypto/rand, else a public model
+	// seed that only models and tests may set (cryptorand lint).
+	Seed int64
 	// CaptureSteps enables per-instruction traces (correctness runs).
 	CaptureSteps bool
 	// DisablePrefetch turns off pagewise code prefetching: all code
@@ -136,6 +138,5 @@ func DefaultConfig() Config {
 		Hardware:     hevm.DefaultConfig(),
 		Calibration:  simclock.DefaultCalibration(),
 		ORAMCapacity: 1 << 16, // 64k pages ≙ 64 MB simulated world state
-		NoiseSeed:    1,
 	}
 }

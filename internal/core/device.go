@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"hardtape/internal/attest"
+	"hardtape/internal/drbg"
 	"hardtape/internal/evm"
 	"hardtape/internal/hevm"
 	"hardtape/internal/node"
@@ -203,7 +205,13 @@ func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device,
 			return nil, err
 		}
 	}
-	provisioned, err := mfr.Provision(fmt.Sprintf("HT-%d", cfg.NoiseSeed))
+	// The serial travels in the plaintext attestation report, so it is
+	// drawn, never derived from the seed.
+	var serial [8]byte
+	if _, err := rand.Read(serial[:]); err != nil {
+		return nil, fmt.Errorf("core: serial: %w", err)
+	}
+	provisioned, err := mfr.Provision("HT-" + hex.EncodeToString(serial[:]))
 	if err != nil {
 		return nil, err
 	}
@@ -246,17 +254,16 @@ func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device,
 	d.syncMirror = node.NewSyncer(chain, d.mirror)
 
 	for i := 0; i < cfg.HEVMs; i++ {
-		lane, err := newLane(cfg, i, cfg.NoiseSeed+int64(i))
+		lane, err := newLane(cfg, i, i)
 		if err != nil {
 			return nil, err
 		}
 		s := &slot{laneState: *lane}
 		// Speculative lanes get their own full hardware set each, with
-		// noise seeds disjoint from every core's primary seed.
+		// stream indexes disjoint from every core's primary lane.
 		if cfg.Lanes > 1 {
 			for j := 0; j < cfg.Lanes; j++ {
-				seed := cfg.NoiseSeed + int64(cfg.HEVMs) + int64(i*cfg.Lanes+j)
-				sl, err := newLane(cfg, j, seed)
+				sl, err := newLane(cfg, j, cfg.HEVMs+i*cfg.Lanes+j)
 				if err != nil {
 					return nil, err
 				}
@@ -275,7 +282,7 @@ func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device,
 // (DESIGN.md §11).
 func (d *Device) buildORAM(cfg Config, key []byte) (*oram.Client, error) {
 	shards := cfg.ORAMShardCount()
-	var opts []oram.ClientOption
+	opts := []oram.ClientOption{oram.WithSeed(cfg.Seed)}
 	if cfg.Telemetry != nil {
 		opts = append(opts, oram.WithTelemetry(cfg.Telemetry))
 	}
@@ -332,14 +339,22 @@ func (d *Device) buildORAM(cfg Config, key []byte) (*oram.Client, error) {
 	return client, nil
 }
 
-// newLane builds one execution lane's hardware set.
-func newLane(cfg Config, id int, noiseSeed int64) (*laneState, error) {
+// newLane builds one lane's hardware set; stream indexes its generators.
+func newLane(cfg Config, id, stream int) (*laneState, error) {
 	clock := simclock.NewClock()
 	l3Key := make([]byte, 32)
 	if _, err := rand.Read(l3Key); err != nil {
 		return nil, fmt.Errorf("core: l3 key: %w", err)
 	}
-	machine, err := hevm.New(cfg.Hardware, clock, cfg.Calibration, l3Key, noiseSeed)
+	noise, err := drbg.New(cfg.Seed, hevm.NoiseLabel, stream)
+	if err != nil {
+		return nil, err
+	}
+	cadence, err := drbg.New(cfg.Seed, pager.PrefetchLabel, stream)
+	if err != nil {
+		return nil, err
+	}
+	machine, err := hevm.New(cfg.Hardware, clock, cfg.Calibration, l3Key, noise)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +363,7 @@ func newLane(cfg Config, id int, noiseSeed int64) (*laneState, error) {
 		clock:      clock,
 		machine:    machine,
 		wsCache:    hevm.NewWSCache(cfg.Hardware.WSCacheEntries),
-		prefetcher: pager.NewPrefetcher(),
+		prefetcher: pager.NewPrefetcher(cadence),
 		codeCache:  make(map[types.Hash][]byte),
 		acctCache:  make(map[types.Address]*pager.AccountMeta),
 	}, nil

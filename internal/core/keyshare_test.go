@@ -66,7 +66,6 @@ func keyShareRig(t *testing.T) (a, b *Device, mfr *attest.Manufacturer, w *workl
 	}
 	cfgB := DefaultConfig()
 	cfgB.HEVMs = 1
-	cfgB.NoiseSeed = 2 // distinct serial
 	cfgB.RemoteORAMAddr = srv.Addr().String()
 	cfgB.ORAMKey = key
 	b, err = NewDevice(cfgB, mfr, chain)

@@ -435,7 +435,6 @@ func buildFleetRig(t testing.TB, devices, hevms int) *fleetRig {
 		cfg := core.DefaultConfig()
 		cfg.Features = core.ConfigRaw // fastest config; scheduling is what's under test
 		cfg.HEVMs = hevms
-		cfg.NoiseSeed = int64(i + 1)
 		dev, err := core.NewDevice(cfg, nil, chain)
 		if err != nil {
 			t.Fatal(err)

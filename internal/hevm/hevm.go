@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"hardtape/internal/drbg"
 	"hardtape/internal/evm"
 	"hardtape/internal/simclock"
 )
@@ -113,7 +114,7 @@ type Machine struct {
 	cal   simclock.Calibration
 
 	aead   cipher.AEAD
-	noise  *noiseRand
+	noise  *drbg.Rand
 	frames []*frameShadow
 	// l3Store is the untrusted memory: encrypted page blobs.
 	l3Store map[uint64][]byte
@@ -128,12 +129,12 @@ type Machine struct {
 	nonceCtr   uint64
 }
 
-// New creates a machine. l3Key seals layer-3 pages (32 bytes);
-// noiseSeed seeds the pre-evict/pre-load noise generator: 0 keys it
-// from crypto/rand (the prototype's stand-in for the Manufacturer's
-// secure RNG), any other value derives the key deterministically so
-// experiments stay reproducible.
-func New(cfg Config, clock *simclock.Clock, cal simclock.Calibration, l3Key []byte, noiseSeed int64) (*Machine, error) {
+// NoiseLabel names the pre-evict/pre-load noise stream (drbg).
+const NoiseLabel = "hardtape-noise-v1"
+
+// New creates a machine. l3Key seals layer-3 pages (32 bytes); noise,
+// this machine's alone, draws the pre-evict/pre-load noise (A5).
+func New(cfg Config, clock *simclock.Clock, cal simclock.Calibration, l3Key []byte, noise *drbg.Rand) (*Machine, error) {
 	if len(l3Key) != 32 {
 		return nil, errors.New("hevm: l3 key must be 32 bytes")
 	}
@@ -144,10 +145,6 @@ func New(cfg Config, clock *simclock.Clock, cal simclock.Calibration, l3Key []by
 	aead, err := cipher.NewGCM(blk)
 	if err != nil {
 		return nil, fmt.Errorf("hevm: %w", err)
-	}
-	noise, err := newNoiseRand(noiseSeed)
-	if err != nil {
-		return nil, err
 	}
 	return &Machine{
 		cfg:     cfg,
@@ -323,8 +320,7 @@ func (m *Machine) onCallExit(info evm.CallResultInfo) {
 		}
 	}
 	if len(toLoad) > 0 {
-		noise := m.preloadNoise()
-		m.loadPages(cur, toLoad, noise)
+		m.loadPages(cur, toLoad, m.noise.Intn(m.cfg.NoiseMaxPages+1))
 	}
 	// Charge the L2→L1 reload of the caller's working set.
 	pages := (cur.frameBytes(m.cfg.PageSize) + m.cfg.PageSize - 1) / m.cfg.PageSize
@@ -432,10 +428,6 @@ func (m *Machine) loadPages(owner *frameShadow, pages []uint64, noise int) {
 	}
 	m.swaps = append(m.swaps, SwapEvent{Evict: false, Pages: loaded, At: m.clock.Now()})
 	m.clock.Advance(time.Duration(loaded) * m.cal.L3SwapPerPage)
-}
-
-func (m *Machine) preloadNoise() int {
-	return m.noise.Intn(m.cfg.NoiseMaxPages + 1)
 }
 
 // sealPageToL3 performs the real A.E.DMA encryption of one page into

@@ -5,16 +5,27 @@ import (
 	"testing"
 	"time"
 
+	"hardtape/internal/drbg"
 	"hardtape/internal/evm"
 	"hardtape/internal/simclock"
 	"hardtape/internal/types"
 )
 
+// seededNoise is the machine's noise stream at a model seed.
+func seededNoise(t testing.TB, seed int64) *drbg.Rand {
+	t.Helper()
+	r, err := drbg.New(seed, NoiseLabel, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func newTestMachine(t testing.TB, cfg Config) (*Machine, *simclock.Clock) {
 	t.Helper()
 	clock := simclock.NewClock()
 	key := make([]byte, 32)
-	m, err := New(cfg, clock, simclock.DefaultCalibration(), key, 1)
+	m, err := New(cfg, clock, simclock.DefaultCalibration(), key, seededNoise(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +147,7 @@ func TestSwapNoiseVariesWithSeed(t *testing.T) {
 		cfg.L2Bytes = 64 * 1024
 		cfg.FrameLimitBytes = 32 * 1024
 		clock := simclock.NewClock()
-		m, err := New(cfg, clock, simclock.DefaultCalibration(), make([]byte, 32), seed)
+		m, err := New(cfg, clock, simclock.DefaultCalibration(), make([]byte, 32), seededNoise(t, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +268,7 @@ func TestResetClearsEverything(t *testing.T) {
 }
 
 func TestBadKey(t *testing.T) {
-	if _, err := New(DefaultConfig(), simclock.NewClock(), simclock.DefaultCalibration(), []byte("short"), 1); err == nil {
+	if _, err := New(DefaultConfig(), simclock.NewClock(), simclock.DefaultCalibration(), []byte("short"), seededNoise(t, 1)); err == nil {
 		t.Fatal("short key accepted")
 	}
 }

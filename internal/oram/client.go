@@ -70,7 +70,8 @@ type Client struct {
 	// wrapped in ErrClientFailed; later errors never replace it.
 	failed atomic.Pointer[failedError]
 	// obs is what the trees report to; they share it by pointer.
-	obs observer
+	obs  observer
+	seed int64 // WithSeed
 }
 
 // observer is where a client's trees report: the registry their round
@@ -113,6 +114,14 @@ func WithClock(clock *simclock.Clock, cal simclock.Calibration) ClientOption {
 	return func(c *Client) {
 		c.clock, c.cal = clock, cal
 	}
+}
+
+// WithSeed keys each tree's leaf remaps by (seed, shard) instead of
+// crypto/rand, so a model run repeats its leaves exactly whatever order
+// fan-out goroutines run in. Whoever knows the seed knows every leaf:
+// models and tests only. Bucket nonces stay on crypto/rand.
+func WithSeed(seed int64) ClientOption {
+	return func(c *Client) { c.seed = seed }
 }
 
 // WithTelemetry registers the client's series on reg and records per
@@ -175,15 +184,15 @@ func NewClient(servers []Server, key []byte, opts ...ClientOption) (*Client, err
 		return nil, ErrBadKey
 	}
 	c := &Client{trees: make([]*tree, len(servers))}
+	for _, opt := range opts {
+		opt(c)
+	}
 	for i, srv := range servers {
-		t, err := newTree(&c.obs, i, srv, deriveShardKey(key, fmt.Sprintf("hardtape-oram-shard-%d", i)))
+		t, err := newTree(&c.obs, i, srv, deriveShardKey(key, fmt.Sprintf("hardtape-oram-shard-%d", i)), c.seed)
 		if err != nil {
 			return nil, fmt.Errorf("oram: shard %d: %w", i, err)
 		}
 		c.trees[i] = t
-	}
-	for _, opt := range opts {
-		opt(c)
 	}
 	return c, nil
 }

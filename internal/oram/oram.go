@@ -299,16 +299,6 @@ func (c *cryptor) openInto(bucketIdx uint64, ciphertext, dst []byte) ([]byte, er
 	return pt, nil
 }
 
-// randomLeaf samples a uniform leaf index in [0, nLeaves).
-func randomLeaf(nLeaves uint64) uint64 {
-	var buf [8]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		// crypto/rand failure is unrecoverable for obliviousness.
-		panic(fmt.Sprintf("oram: rng failure: %v", err))
-	}
-	return binary.BigEndian.Uint64(buf[:]) % nLeaves
-}
-
 // pathIndices returns the bucket indices from the root to the given
 // leaf in a 1-indexed heap layout (root = 1).
 func pathIndices(leaf uint64, depth int) []uint64 {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 )
 
 // The paper connects HarDTAPE to the SP's ORAM server over Ethernet
@@ -53,6 +54,14 @@ const maxWirePaths = 64
 
 // maxWireDepth bounds the tree depth a server may announce.
 const maxWireDepth = 64
+
+// roundTripTimeout bounds one request, first byte out to last byte in:
+// a stalled server fails the access (latching connection, then client)
+// instead of holding the tree lock for good. Vars so tests can shorten.
+var (
+	roundTripTimeout = 10 * time.Second
+	dialTimeout      = 5 * time.Second
+)
 
 // Transport errors.
 var (
@@ -252,7 +261,7 @@ var _ Server = (*RemoteServer)(nil)
 
 // DialServer connects to a TCP ORAM server and fetches its geometry.
 func DialServer(addr string) (*RemoteServer, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("oram: dial: %w", err)
 	}
@@ -278,9 +287,9 @@ func (rs *RemoteServer) Depth() int { return rs.depth }
 func (rs *RemoteServer) Leaves() uint64 { return rs.leaves }
 
 // roundTrip sends one request and decodes its response on the caller's
-// goroutine. A statusErr response is returned as an ErrWire-wrapped
-// error and leaves the connection usable; any other failure latches
-// broken.
+// goroutine, within roundTripTimeout. A statusErr response is returned
+// as an ErrWire-wrapped error and leaves the connection usable; any
+// other failure, the deadline included, latches broken.
 func (rs *RemoteServer) roundTrip(op byte, leaves []uint64, paths [][][]byte) ([][][]byte, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -288,7 +297,10 @@ func (rs *RemoteServer) roundTrip(op byte, leaves []uint64, paths [][][]byte) ([
 		return nil, rs.broken
 	}
 	rs.nextID++
-	err := writeRequest(rs.w, rs.nextID, op, leaves, paths)
+	err := rs.conn.SetDeadline(time.Now().Add(roundTripTimeout))
+	if err == nil {
+		err = writeRequest(rs.w, rs.nextID, op, leaves, paths)
+	}
 	var resp [][][]byte
 	var remote error
 	if err == nil {

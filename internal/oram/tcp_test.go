@@ -500,6 +500,60 @@ func TestTCPLyingServerBounded(t *testing.T) {
 	})
 }
 
+// TestTCPStalledServerFailsClosed: a server that answers the dial-time
+// opMeta and then never replies fails the access within the round-trip
+// timeout instead of holding the tree lock for good; the client latches
+// ErrClientFailed and every later call fails without touching the wire.
+// A listener that never answers opMeta fails the dial the same way.
+func TestTCPStalledServerFailsClosed(t *testing.T) {
+	defer func(d time.Duration) { roundTripTimeout = d }(roundTripTimeout)
+	roundTripTimeout = 300 * time.Millisecond
+
+	addr := scriptedServer(t, 5, func(r *bufio.Reader, _ net.Conn) {
+		_, _ = io.Copy(io.Discard, r) // read every request, answer none
+	})
+	remote, err := DialServer(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := NewClient([]Server{remote}, make([]byte, KeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close() // before the script's cleanup: it ends the io.Copy
+
+	start := time.Now()
+	if _, err := cli.Read(1); !errors.Is(err, ErrClientFailed) {
+		t.Fatalf("read from a stalled server: %v, want ErrClientFailed", err)
+	}
+	if took := time.Since(start); took > roundTripTimeout+time.Second {
+		t.Fatalf("stalled read took %v, timeout %v", took, roundTripTimeout)
+	}
+	start = time.Now()
+	if _, err := cli.Read(1); !errors.Is(err, ErrClientFailed) {
+		t.Fatalf("read after the latch: %v, want ErrClientFailed", err)
+	}
+	if err := cli.Write(2, []byte{1}); !errors.Is(err, ErrClientFailed) {
+		t.Fatalf("write after the latch: %v, want ErrClientFailed", err)
+	}
+	if took := time.Since(start); took > roundTripTimeout/2 {
+		t.Fatalf("latched calls took %v; they must not wait on the wire", took)
+	}
+
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	start = time.Now()
+	if _, err := DialServer(silent.Addr().String()); err == nil {
+		t.Fatal("dial succeeded against a listener that never answers")
+	}
+	if took := time.Since(start); took > roundTripTimeout+time.Second {
+		t.Fatalf("dial took %v, timeout %v", took, roundTripTimeout)
+	}
+}
+
 // TestTCPServerRequestCaps: the server's request decoder holds the same
 // line against a hostile client — a count, path length or bucket size
 // beyond what the tree implies ends that connection (and only that

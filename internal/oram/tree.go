@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"hardtape/internal/drbg"
 )
 
 // stashSafetyFactor bounds the stash at factor*depth blocks; Path ORAM
@@ -12,9 +14,9 @@ import (
 const stashSafetyFactor = 16
 
 // tree is the trusted state of ONE Path ORAM tree: stash, flat position
-// map, bucket cryptor and scratch. A Client owns one tree per shard;
-// trees never share mutable structures. mu serializes whole accesses
-// on one tree and guards its stash, position map, scratch and counters.
+// map, bucket cryptor, leaf generator and scratch. A Client owns one
+// tree per shard; trees never share mutable structures. mu serializes
+// whole accesses on one tree and guards all of its state.
 type tree struct {
 	// obs is the owning client's telemetry, shared by all its trees.
 	obs    *observer
@@ -22,6 +24,7 @@ type tree struct {
 	shard  int
 	server Server
 	crypt  *cryptor
+	rng    *drbg.Rand
 	pos    map[BlockID]uint64
 	stash  map[BlockID]*block
 	depth  int
@@ -53,8 +56,12 @@ type tree struct {
 	bytesMoved uint64
 }
 
-func newTree(obs *observer, shard int, server Server, key []byte) (*tree, error) {
+func newTree(obs *observer, shard int, server Server, key []byte, seed int64) (*tree, error) {
 	crypt, err := newCryptor(key)
+	if err != nil {
+		return nil, err
+	}
+	rng, err := drbg.New(seed, "hardtape-oram-leaf-v1", shard)
 	if err != nil {
 		return nil, err
 	}
@@ -64,6 +71,7 @@ func newTree(obs *observer, shard int, server Server, key []byte) (*tree, error)
 		shard:      shard,
 		server:     server,
 		crypt:      crypt,
+		rng:        rng,
 		pos:        make(map[BlockID]uint64),
 		stash:      make(map[BlockID]*block),
 		depth:      depth,
@@ -112,9 +120,9 @@ func (t *tree) accessBatch(ctx context.Context, ops []BatchOp, out [][]byte) (er
 	for _, op := range ops {
 		leaf, known := t.pos[op.ID]
 		if !known {
-			leaf = randomLeaf(t.leaves)
+			leaf = t.rng.Uint64n(t.leaves)
 		}
-		nl := randomLeaf(t.leaves)
+		nl := t.rng.Uint64n(t.leaves)
 		leaves = append(leaves, leaf)
 		newLeaves = append(newLeaves, nl)
 		t.pos[op.ID] = nl

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hardtape/internal/drbg"
 	"hardtape/internal/oram"
 	"hardtape/internal/types"
 	"hardtape/internal/uint256"
@@ -241,7 +242,7 @@ func TestPlainBackendValidation(t *testing.T) {
 }
 
 func TestPrefetcherQueuesTailPages(t *testing.T) {
-	p := NewPrefetcher()
+	p := NewPrefetcher(seededRand(t, 1))
 	p.QueueCode(hashOf(1), uint32(3*PageSize)) // 3 pages → queue pages 1,2
 	if p.Pending() != 2 {
 		t.Fatalf("pending = %d", p.Pending())
@@ -254,25 +255,43 @@ func TestPrefetcherQueuesTailPages(t *testing.T) {
 	}
 }
 
-func TestPrefetcherInterval(t *testing.T) {
-	p := NewPrefetcher()
-	p.SetRandFn(func(n int64) int64 { return n / 2 }) // deterministic midpoint
-	p.QueueCode(hashOf(1), uint32(10*PageSize))       // 9 queued
-
-	// Simulate real queries every 10 ms of virtual time.
-	now := time.Duration(0)
-	gap := 10 * time.Millisecond
-	for i := 0; i < 8; i++ {
-		p.NotifyQuery(now)
-		now += gap
+// seededRand is a prefetcher stream at a model seed; two calls with one
+// seed return twins.
+func seededRand(t *testing.T, seed int64) *drbg.Rand {
+	t.Helper()
+	r, err := drbg.New(seed, PrefetchLabel, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// avgGap ≈ 10 ms; next due ≈ lastQuery + 2.5ms + 2.5ms = +5 ms.
-	if _, ok := p.PopDue(now - gap + time.Millisecond); ok {
+	return r
+}
+
+// TestPrefetcherInterval replays the prefetcher's draws on a twin
+// generator and checks the timer fires exactly at the deadline they
+// give.
+func TestPrefetcherInterval(t *testing.T) {
+	p := NewPrefetcher(seededRand(t, 1))
+	twin := seededRand(t, 1)
+	p.QueueCode(hashOf(1), uint32(10*PageSize)) // 9 queued
+
+	// Real queries every 10 ms of virtual time. The first arms no timer
+	// (no gap estimate yet); each later one draws once and re-arms it at
+	// now + ¼·avg + U[0, ½·avg), with avg exactly 10 ms.
+	gap := 10 * time.Millisecond
+	var deadline time.Duration
+	for i := 0; i < 8; i++ {
+		now := time.Duration(i) * gap
+		p.NotifyQuery(now)
+		if i > 0 {
+			deadline = now + gap/4 + time.Duration(twin.Uint64n(uint64(gap/2)))
+		}
+	}
+	if _, ok := p.PopDue(deadline - 1); ok {
 		t.Fatal("popped before the timer expired")
 	}
-	ref, ok := p.PopDue(now)
+	ref, ok := p.PopDue(deadline)
 	if !ok {
-		t.Fatal("pop after deadline failed")
+		t.Fatal("pop at the deadline failed")
 	}
 	if ref.Index != 1 {
 		t.Fatalf("first prefetched page = %d, want 1", ref.Index)
@@ -287,8 +306,7 @@ func TestPrefetcherSpreadsQueries(t *testing.T) {
 	// fire between consecutive real queries: should be ≈1 (the paper's
 	// "insert a prefetch query in the middle of every two original
 	// queries"), never a burst.
-	p := NewPrefetcher()
-	p.SetRandFn(func(n int64) int64 { return n / 2 })
+	p := NewPrefetcher(seededRand(t, 1))
 	p.QueueCode(hashOf(1), uint32(40*PageSize))
 
 	now := time.Duration(0)
@@ -322,7 +340,7 @@ func TestPrefetcherSpreadsQueries(t *testing.T) {
 }
 
 func TestPrefetcherReset(t *testing.T) {
-	p := NewPrefetcher()
+	p := NewPrefetcher(seededRand(t, 1))
 	p.QueueCode(hashOf(1), uint32(5*PageSize))
 	p.NotifyQuery(time.Second)
 	p.Reset()

@@ -1,10 +1,9 @@
 package pager
 
 import (
-	"crypto/rand"
-	"encoding/binary"
 	"time"
 
+	"hardtape/internal/drbg"
 	"hardtape/internal/types"
 )
 
@@ -31,33 +30,20 @@ type Prefetcher struct {
 	seenQuery bool
 	// nextDue is the virtual deadline of the interval timer.
 	nextDue time.Duration
-	// randFn samples a uniform value in [0, n); defaults to the
-	// secure RNG (the Manufacturer-provisioned randomness source).
-	randFn func(n int64) int64
+	// rng, this prefetcher's alone, draws the interval timer.
+	rng *drbg.Rand
 	// stats
 	issued uint64
 }
 
-// NewPrefetcher returns an idle prefetcher.
-func NewPrefetcher() *Prefetcher {
-	return &Prefetcher{randFn: secureRandInt}
-}
+// PrefetchLabel names the interval-timer stream (drbg).
+const PrefetchLabel = "hardtape-prefetch-v1"
 
-// secureRandInt samples uniformly from [0, n) using crypto/rand.
-func secureRandInt(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	var buf [8]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		panic("pager: rng failure: " + err.Error())
-	}
-	v := int64(binary.BigEndian.Uint64(buf[:]) >> 1)
-	return v % n
+// NewPrefetcher returns an idle prefetcher drawing its interval timer
+// from r.
+func NewPrefetcher(r *drbg.Rand) *Prefetcher {
+	return &Prefetcher{rng: r}
 }
-
-// SetRandFn overrides the randomness source (tests only).
-func (p *Prefetcher) SetRandFn(fn func(n int64) int64) { p.randFn = fn }
 
 // QueueCode enqueues all pages of a contract for background prefetch.
 // The first page is NOT queued: the Hypervisor fetches it immediately
@@ -106,7 +92,7 @@ func (p *Prefetcher) arm(now time.Duration) {
 		p.nextDue = now
 		return
 	}
-	p.nextDue = now + base + time.Duration(p.randFn(int64(span)))
+	p.nextDue = now + base + time.Duration(p.rng.Uint64n(uint64(span)))
 }
 
 // PopDue returns the next code page to prefetch if the interval timer
@@ -123,10 +109,5 @@ func (p *Prefetcher) PopDue(now time.Duration) (CodeRef, bool) {
 }
 
 // Reset clears all prefetcher state (bundle release, step 10).
-func (p *Prefetcher) Reset() {
-	p.queue = nil
-	p.avgGap = 0
-	p.seenQuery = false
-	p.nextDue = 0
-	p.issued = 0
-}
+// The generator is not reset: its stream runs on across bundles.
+func (p *Prefetcher) Reset() { *p = Prefetcher{rng: p.rng} }
