@@ -55,7 +55,8 @@ type (
 	Node = node.Node
 	// Manufacturer provisions trusted devices.
 	Manufacturer = attest.Manufacturer
-	// Verifier checks remote attestation reports on the user side.
+	// Verifier checks remote attestation reports on the user side and
+	// owns the revocation list (Verifier.Revoke).
 	Verifier = attest.Verifier
 
 	// Bundle is an ordered transaction sequence to pre-execute.
@@ -102,15 +103,8 @@ type (
 	// the ~80 ms asymmetric handshake; tickets are single-use and every
 	// session (cold or warm) mints a successor, via Client.Ticket.
 	SessionTicket = session.ClientTicket
-	// VerdictCache remembers verified attestation verdicts per device
-	// identity + image measurement, with epoch expiry and an explicit
-	// revocation list.
-	VerdictCache = session.VerdictCache
-	// CachingVerifier wraps a Verifier with a VerdictCache so repeat
-	// cold dials skip the manufacturer-chain ECDSA verify.
-	CachingVerifier = session.CachingVerifier
-	// ReportVerifier is the user-side attestation contract Dial accepts:
-	// *Verifier or *CachingVerifier.
+	// ReportVerifier is the user-side attestation contract Dial
+	// accepts; *Verifier implements it.
 	ReportVerifier = core.ReportVerifier
 	// Admission bounds concurrent cold handshakes on a Service; warm
 	// resumes bypass it.
@@ -125,14 +119,14 @@ var (
 	ErrNoBackends = fleet.ErrNoBackends
 )
 
-// Session-resumption errors. Every adversarial resume path fails
-// closed with one of these typed sentinels.
+// Session errors. Every adversarial resume path fails closed with one
+// of these typed sentinels; ErrDeviceRevoked also fails a cold Dial.
 var (
 	ErrTicketTampered     = session.ErrTicketTampered
 	ErrTicketExpired      = session.ErrTicketExpired
 	ErrTicketReplayed     = session.ErrTicketReplayed
 	ErrMeasurementChanged = session.ErrMeasurementChanged
-	ErrDeviceRevoked      = session.ErrDeviceRevoked
+	ErrDeviceRevoked      = attest.ErrDeviceRevoked
 	ErrResumeRejected     = session.ErrResumeRejected
 )
 
@@ -227,9 +221,10 @@ func NewVerifierForKey(raw []byte) (*Verifier, error) {
 }
 
 // Dial attests a service over a stream and opens the secure channel.
-// sign must match the service's Features.Sign. The verifier may be a
-// plain *Verifier or a *CachingVerifier. The returned client carries a
-// resumption ticket (Client.Ticket) for later warm reconnects.
+// sign must match the service's Features.Sign. The verifier checks the
+// full certificate chain and its revocation list on every call. The
+// returned client carries a resumption ticket (Client.Ticket) for later
+// warm reconnects.
 func Dial(conn io.ReadWriter, verifier ReportVerifier, sign bool) (*Client, error) {
 	return core.Dial(conn, verifier, sign)
 }
@@ -241,12 +236,6 @@ func Dial(conn io.ReadWriter, verifier ReportVerifier, sign bool) (*Client, erro
 // back to a cold Dial on a fresh connection.
 func Resume(conn io.ReadWriter, ticket *SessionTicket) (*Client, error) {
 	return core.Resume(conn, ticket)
-}
-
-// NewVerdictCache builds an attestation-verdict cache with the default
-// TTL, for wiring into a CachingVerifier.
-func NewVerdictCache() *VerdictCache {
-	return session.NewVerdictCache(nil, 0)
 }
 
 // Testbed is a fully wired single-process deployment: synthetic world,

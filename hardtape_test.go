@@ -1,9 +1,11 @@
 package hardtape
 
 import (
+	"errors"
 	"net"
 	"testing"
 
+	"hardtape/internal/attest"
 	"hardtape/internal/uint256"
 	"hardtape/internal/workload"
 )
@@ -51,6 +53,41 @@ func TestTestbedQuickstartFlow(t *testing.T) {
 	}
 	if got := new(uint256.Int).SetBytes(res.Trace.Txs[0].ReturnData); !got.Eq(uint256.NewInt(1)) {
 		t.Fatalf("transfer returned %s", got)
+	}
+}
+
+// TestDialRevokedDeviceFailsClosed: a plain Verifier that revokes a
+// device's serial refuses that device's cold Dial, before the user side
+// runs any asymmetric operation.
+func TestDialRevokedDeviceFailsClosed(t *testing.T) {
+	opts := DefaultTestbedOptions()
+	opts.EOAs = 4
+	opts.Tokens = 1
+	opts.DEXes = 1
+	opts.Features = ConfigRaw
+	opts.HEVMs = 1
+	tb, err := NewTestbed(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifier := tb.Verifier()
+	verifier.Revoke(tb.Device.Booted().Serial())
+
+	userConn, spConn := net.Pipe()
+	defer userConn.Close()
+	go func() {
+		defer spConn.Close()
+		_ = NewService(tb.Device).ServeConn(spConn)
+	}()
+	before := attest.AsymOps()
+	if _, err := Dial(userConn, verifier, false); !errors.Is(err, ErrDeviceRevoked) {
+		t.Fatalf("cold dial to a revoked device: got %v, want ErrDeviceRevoked", err)
+	}
+	// The device answered the challenge before the verifier refused it:
+	// its report signature, ephemeral ECDH key and session signing key
+	// are the only asymmetric operations of the exchange.
+	if ops := attest.AsymOps() - before; ops != 3 {
+		t.Fatalf("refused dial cost %d asym ops, want the device's 3 and none on the user side", ops)
 	}
 }
 

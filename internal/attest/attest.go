@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 	"sync/atomic"
 )
 
@@ -42,6 +43,9 @@ var (
 	ErrBadReport      = errors.New("attest: attestation report invalid")
 	ErrBadMeasurement = errors.New("attest: image measurement mismatch")
 	ErrNonceMismatch  = errors.New("attest: nonce mismatch (replay?)")
+	// ErrDeviceRevoked reports a device on the verifier's revocation
+	// list.
+	ErrDeviceRevoked = errors.New("attest: device revoked")
 )
 
 // PUF simulates the physically unclonable function: a per-device
@@ -181,8 +185,7 @@ func (d *Device) SecureBoot(image []byte) (*BootedDevice, error) {
 // Measurement returns the booted image hash.
 func (b *BootedDevice) Measurement() [32]byte { return b.measurement }
 
-// Serial returns the device identity (ticket binding, verdict-cache
-// keys).
+// Serial returns the device identity (ticket binding, revocation).
 func (b *BootedDevice) Serial() string { return b.dev.Serial }
 
 // Report is the remote attestation response: the device signs the
@@ -261,16 +264,46 @@ func deriveKey(shared []byte, nonce [32]byte) [32]byte {
 }
 
 // Verifier is the user side: it pins the manufacturer key and the
-// expected image measurement.
+// expected image measurement, and keeps the list of revoked device
+// serials. Safe for concurrent use.
 type Verifier struct {
 	manufacturerPub *ecdsa.PublicKey
 	expectedImage   [32]byte
 	rng             io.Reader
+
+	mu      sync.Mutex
+	revoked map[string]struct{}
 }
 
 // NewVerifier builds a verifier for a known-good image hash.
 func NewVerifier(manufacturerPub *ecdsa.PublicKey, expectedImage [32]byte) *Verifier {
-	return &Verifier{manufacturerPub: manufacturerPub, expectedImage: expectedImage, rng: rand.Reader}
+	return &Verifier{
+		manufacturerPub: manufacturerPub,
+		expectedImage:   expectedImage,
+		rng:             rand.Reader,
+		revoked:         make(map[string]struct{}),
+	}
+}
+
+// Revoke puts a device serial on the revocation list: from now on
+// Verify and Check fail with ErrDeviceRevoked for it. Used when the
+// manufacturer or fleet operator distrusts a device.
+func (v *Verifier) Revoke(serial string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.revoked[serial] = struct{}{}
+}
+
+// Check returns ErrDeviceRevoked if the serial is on the revocation
+// list. Resume paths call it before presenting a ticket, since a
+// resume never runs Verify.
+func (v *Verifier) Check(serial string) error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if _, bad := v.revoked[serial]; bad {
+		return ErrDeviceRevoked
+	}
+	return nil
 }
 
 // NewNonce samples a fresh challenge.
@@ -284,32 +317,21 @@ func (v *Verifier) NewNonce() ([32]byte, error) {
 
 // Verify checks the report chain and, on success, completes the DHKE
 // with a fresh user key, returning the session and the user's ECDH
-// public key (to send to the device).
+// public key (to send to the device). A revoked device fails before
+// any asymmetric operation runs.
 func (v *Verifier) Verify(report *Report, nonce [32]byte) (*Session, []byte, error) {
+	if err := v.Check(report.Cert.Serial); err != nil {
+		return nil, nil, err
+	}
 	asymOps.Add(1) // certificate-chain ECDSA verify
 	// 1. Certificate chain: manufacturer signed the device key.
 	certHash := certDigest(report.Cert.Serial, report.Cert.DevicePub)
 	if !ecdsa.VerifyASN1(v.manufacturerPub, certHash, report.Cert.Sig) {
 		return nil, nil, ErrBadCertificate
 	}
-	return v.verifyReport(report, nonce, report.Cert.DevicePub)
-}
-
-// VerifyCached checks a report against an already chain-verified
-// device public key — the verdict-cache fast path. It skips only the
-// manufacturer-certificate ECDSA verify; the report signature is still
-// checked against the pinned key, so a forged report cannot ride a
-// cached verdict.
-func (v *Verifier) VerifyCached(report *Report, nonce [32]byte, trustedDevPub []byte) (*Session, []byte, error) {
-	return v.verifyReport(report, nonce, trustedDevPub)
-}
-
-// verifyReport runs steps 2-5 of the chain: report signature under
-// devPubBytes, nonce freshness, measurement, and the DHKE completion.
-func (v *Verifier) verifyReport(report *Report, nonce [32]byte, devPubBytes []byte) (*Session, []byte, error) {
 	asymOps.Add(3) // report verify + user ECDH keygen + agreement
 	// 2. Report signature by the device key.
-	x, y := elliptic.Unmarshal(elliptic.P256(), devPubBytes)
+	x, y := elliptic.Unmarshal(elliptic.P256(), report.Cert.DevicePub)
 	if x == nil {
 		return nil, nil, ErrBadCertificate
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -195,4 +197,96 @@ func TestPUFDeterminism(t *testing.T) {
 	if k1.D.Cmp(k3.D) == 0 {
 		t.Fatal("different devices derived the same key")
 	}
+}
+
+// bootDevice provisions and boots one device under m.
+func bootDevice(t *testing.T, m *Manufacturer, serial string) *BootedDevice {
+	t.Helper()
+	dev, err := m.Provision(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	booted, err := dev.SecureBoot(_testImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return booted
+}
+
+// verifyOnce runs one attestation of booted against v and reports the
+// asymmetric operations Verify alone performed.
+func verifyOnce(t *testing.T, v *Verifier, booted *BootedDevice) (uint64, error) {
+	t.Helper()
+	nonce, err := v.NewNonce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, _, err := booted.Attest(nonce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := AsymOps()
+	_, _, err = v.Verify(report, nonce)
+	return AsymOps() - before, err
+}
+
+// TestVerifierRevocation: every Verify of a trusted device pays the
+// full chain (there is no remembered verdict); a revoked serial fails
+// Check and Verify with ErrDeviceRevoked before any asymmetric
+// operation, and other devices under the same manufacturer stay
+// trusted.
+func TestVerifierRevocation(t *testing.T) {
+	m, err := NewManufacturer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	revoked := bootDevice(t, m, "HT-9")
+	clean := bootDevice(t, m, "HT-2")
+	v := NewVerifier(m.PublicKey(), sha256.Sum256(_testImage))
+	// Chain verify + report verify + user ECDH keygen + agreement.
+	const fullVerifyOps = 4
+	for i := 0; i < 2; i++ {
+		ops, err := verifyOnce(t, v, revoked)
+		if err != nil {
+			t.Fatalf("verify %d before revocation: %v", i, err)
+		}
+		if ops != fullVerifyOps {
+			t.Fatalf("verify %d cost %d asym ops, want %d", i, ops, fullVerifyOps)
+		}
+	}
+
+	v.Revoke("HT-9")
+	if err := v.Check("HT-9"); !errors.Is(err, ErrDeviceRevoked) {
+		t.Fatalf("Check: got %v, want ErrDeviceRevoked", err)
+	}
+	if err := v.Check("HT-2"); err != nil {
+		t.Fatalf("Check on clean serial: %v", err)
+	}
+	ops, err := verifyOnce(t, v, revoked)
+	if !errors.Is(err, ErrDeviceRevoked) {
+		t.Fatalf("verify of revoked device: got %v, want ErrDeviceRevoked", err)
+	}
+	if ops != 0 {
+		t.Fatalf("refusing a revoked device cost %d asym ops, want 0", ops)
+	}
+	if ops, err := verifyOnce(t, v, clean); err != nil || ops != fullVerifyOps {
+		t.Fatalf("verify of clean device after another's revocation: %d asym ops, %v", ops, err)
+	}
+
+	// Concurrent dials and revocations share the list safely.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(serial string) {
+			defer wg.Done()
+			v.Revoke(serial)
+			if err := v.Check(serial); !errors.Is(err, ErrDeviceRevoked) {
+				t.Errorf("Check(%s) after Revoke: %v", serial, err)
+			}
+			if err := v.Check("HT-2"); err != nil {
+				t.Errorf("Check on clean serial during revocations: %v", err)
+			}
+		}(fmt.Sprintf("HT-C%d", i))
+	}
+	wg.Wait()
 }

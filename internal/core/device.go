@@ -170,8 +170,8 @@ type Device struct {
 	oramServers []*oram.MemServer
 	oramStore   *pager.Store
 	mirror      *pager.Store
-	syncORAM    *node.Syncer
-	syncMirror  *node.Syncer
+	// syncer writes every store above from one verified pass.
+	syncer *node.Syncer
 
 	slots    chan *slot
 	allSlots []*slot
@@ -249,9 +249,12 @@ func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device,
 		}
 		d.oramClient = client
 		d.oramStore = pager.NewStore(pager.NewORAMBackend(client))
-		d.syncORAM = node.NewSyncer(chain, d.oramStore)
 	}
-	d.syncMirror = node.NewSyncer(chain, d.mirror)
+	stores := []*pager.Store{d.mirror}
+	if d.oramStore != nil {
+		stores = append(stores, d.oramStore)
+	}
+	d.syncer = node.NewSyncer(chain, d.registerCodeLen, stores...)
 
 	for i := 0; i < cfg.HEVMs; i++ {
 		lane, err := newLane(cfg, i, i)
@@ -400,28 +403,15 @@ func (d *Device) Sync() error {
 			d.slots <- s
 		}
 	}()
-	if err := d.syncMirror.SyncAll(); err != nil {
-		return fmt.Errorf("core: mirror sync: %w", err)
-	}
-	if d.syncORAM != nil {
-		if err := d.syncORAM.SyncAll(); err != nil {
-			return fmt.Errorf("core: oram sync: %w", err)
-		}
-	}
-	// Register code lengths from the chain (hypervisor bookkeeping,
-	// maintained during sync).
-	for _, addr := range d.chain.State().Addresses() {
-		if acct, ok := d.chain.State().Account(addr); ok {
-			if code := d.chain.State().Code(acct.CodeHash); code != nil {
-				d.registerCodeLen(acct.CodeHash, uint32(len(code)))
-			}
-		}
+	if err := d.syncer.SyncAll(); err != nil {
+		return fmt.Errorf("core: sync: %w", err)
 	}
 	return nil
 }
 
 // registerCodeLen records a contract's code length (trusted metadata,
-// like the position map).
+// like the position map). Sync registers every code blob it verified
+// against its hash.
 func (d *Device) registerCodeLen(h types.Hash, n uint32) {
 	if h == types.EmptyCodeHash || h.IsZero() || n == 0 {
 		return

@@ -95,7 +95,9 @@ func TestFullLifecycleAcrossBlocks(t *testing.T) {
 
 // TestBalancesVisibleAfterSync pins the exact data path: a balance
 // changed by an imported block must be served through the ORAM on the
-// next bundle.
+// next bundle, and a contract the block deploys — code, code length
+// and constructor storage, all new since the first Sync — must run
+// after the second Sync exactly as the reference executor runs it.
 func TestBalancesVisibleAfterSync(t *testing.T) {
 	r := buildRig(t, ConfigFull)
 	from, to := r.world.EOAs[3], r.world.EOAs[4]
@@ -105,10 +107,30 @@ func TestBalancesVisibleAfterSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// On-chain deployment of a contract spanning several code pages:
+	// the constructor sets slot 7 = 42; the runtime stores
+	// slot 7 + calldata[0] into slot 8.
+	runtime := workload.PaddedRuntime([]byte{
+		0x60, 0x07, 0x54, // SLOAD(7)
+		0x5f, 0x35, 0x01, // + CALLDATALOAD(0)
+		0x60, 0x08, 0x55, // SSTORE(8, ·)
+		0x00, // STOP
+	}, 3000)
+	n := len(runtime)
+	initCode := append([]byte{
+		0x60, 0x2a, 0x60, 0x07, 0x55, // SSTORE(7, 42)
+		0x61, byte(n >> 8), byte(n), 0x60, 17, 0x5f, 0x39, // CODECOPY(0, 17, n)
+		0x61, byte(n >> 8), byte(n), 0x5f, 0xf3, // RETURN(0, n)
+	}, runtime...)
+	deployer := r.world.EOAs[5]
+	deploy, err := r.world.SignedTx(deployer, nil, 0, initCode, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	blk := &types.Block{Header: r.chain.Head().Header}
 	blk.Header.Number = 1
 	blk.Header.GasLimit = 30_000_000
-	blk.Txs = []*types.Transaction{tx}
+	blk.Txs = []*types.Transaction{tx, deploy}
 	blk.Header.TxRoot = blk.ComputeTxRoot()
 	if err := r.chain.ImportBlock(blk); err != nil {
 		t.Fatal(err)
@@ -134,6 +156,32 @@ func TestBalancesVisibleAfterSync(t *testing.T) {
 	}
 	if res.Aborted != nil || res.Trace.Txs[0].Failed {
 		t.Fatalf("post-sync bundle failed: %+v", res)
+	}
+
+	created := types.CreateAddress(deployer, deploy.Nonce)
+	if _, ok := r.chain.State().Account(created); !ok {
+		t.Fatal("deployment not committed by the imported block")
+	}
+	caller := r.world.EOAs[6]
+	call, err := r.world.SignedTxAt(caller, 0, &created, 0, workload.CalldataUint(5), 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle := &types.Bundle{Txs: []*types.Transaction{call}}
+	res, err = r.device.Execute(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Aborted != nil || res.Trace.Txs[0].Failed {
+		t.Fatalf("call into the synced contract failed: %+v", res)
+	}
+	ref := baseline.NewGeth(r.chain.State(), workload.NewBlockContext(&r.chain.Head().Header))
+	gt, err := ref.ExecuteBundle(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diffs := tracer.Diff(res.Trace.Txs[0], gt.Trace.Txs[0]); len(diffs) != 0 {
+		t.Fatalf("synced contract diverges from the reference: %v", diffs)
 	}
 }
 

@@ -457,9 +457,9 @@ func (s *Service) executeBundle(tc channel.TraceContext, bm *bundleMsg) traceMsg
 	return out
 }
 
-// ReportVerifier is what Dial needs from the user side of attestation:
-// *attest.Verifier satisfies it, and so does session.CachingVerifier,
-// which skips the manufacturer-chain ECDSA verify on a cache hit.
+// ReportVerifier is what Dial needs from the user side of attestation.
+// *attest.Verifier is the one implementation; tests substitute fakes
+// through it.
 type ReportVerifier interface {
 	NewNonce() ([32]byte, error)
 	Verify(report *attest.Report, nonce [32]byte) (*attest.Session, []byte, error)

@@ -7,37 +7,25 @@ import (
 )
 
 // CodeAnalysis is the static analysis of one bytecode blob: the valid
-// JUMPDEST bitmap and the push-immediate marks. It is immutable after
-// construction, so one instance is safely shared by every frame,
-// transaction, and bundle executing the same code.
+// JUMPDEST bitmap. It is immutable after construction, so one instance
+// is safely shared by every frame, transaction, and bundle executing
+// the same code.
 type CodeAnalysis struct {
 	// jumpdests marks positions holding a JUMPDEST opcode that is not
 	// inside a PUSH immediate (bit i of byte i/8).
 	jumpdests []byte
-	// pushdata marks positions that are PUSH immediate bytes, i.e. not
-	// instruction boundaries.
-	pushdata []byte
 }
 
-// analyzeCode scans code once, marking valid JUMPDESTs and push
-// immediates in a single pass.
+// analyzeCode scans code once, marking the JUMPDESTs that are not
+// inside a PUSH immediate.
 func analyzeCode(code []byte) *CodeAnalysis {
-	a := &CodeAnalysis{
-		jumpdests: make([]byte, (len(code)+7)/8),
-		pushdata:  make([]byte, (len(code)+7)/8),
-	}
+	a := &CodeAnalysis{jumpdests: make([]byte, (len(code)+7)/8)}
 	for i := 0; i < len(code); {
 		op := OpCode(code[i])
 		if op == JUMPDEST {
 			a.jumpdests[i/8] |= 1 << (i % 8)
-			i++
-			continue
 		}
-		n := op.PushSize()
-		for j := i + 1; j <= i+n && j < len(code); j++ {
-			a.pushdata[j/8] |= 1 << (j % 8)
-		}
-		i += 1 + n
+		i += 1 + op.PushSize()
 	}
 	return a
 }

@@ -237,8 +237,9 @@ func getData(data []byte, offset, size uint64) []byte {
 	return out
 }
 
-// execute handles every non-PUSH/DUP/SWAP opcode. It returns the
-// frame's output when done is true.
+// execute handles every opcode run does not dispatch inline (PUSH,
+// DUP, SWAP, POP, JUMPDEST). It returns the frame's output when done
+// is true.
 func (e *EVM) execute(f *frame, op OpCode, pc uint64) (ret []byte, nextPC uint64, done bool, err error) {
 	nextPC = pc + 1
 	stack := f.stack
@@ -554,8 +555,6 @@ func (e *EVM) execute(f *frame, op OpCode, pc uint64) (ret []byte, nextPC uint64
 		stack.push(e.Block.BaseFee)
 
 	// --- Stack / memory / storage / flow ---
-	case POP:
-		stack.pop()
 	case MLOAD:
 		offset := stack.peek(0)
 		off, overflow := offset.Uint64WithOverflow()
@@ -653,8 +652,6 @@ func (e *EVM) execute(f *frame, op OpCode, pc uint64) (ret []byte, nextPC uint64
 		stack.pushUint64(uint64(f.mem.Len()))
 	case GAS:
 		stack.pushUint64(f.gas)
-	case JUMPDEST:
-		// No-op.
 	case TLOAD:
 		keyWord := stack.peek(0)
 		key := types.BytesToHash(keyBytes(keyWord))

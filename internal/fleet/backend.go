@@ -105,8 +105,7 @@ func (b *LocalBackend) Close() error { return nil }
 type RemoteBackend struct {
 	name     string
 	addr     string
-	verifier core.ReportVerifier
-	cache    *session.VerdictCache
+	verifier *attest.Verifier
 	sign     bool
 	// dialTimeout bounds the TCP connect, the handshake after it, and
 	// each occupancy query.
@@ -141,14 +140,10 @@ func NewRemoteBackend(name, addr string, verifier *attest.Verifier, sign bool, s
 	if slots <= 0 {
 		slots = 1
 	}
-	// Cold dials share a verdict cache: after the first session against
-	// a device+image, later dials skip the manufacturer-chain verify.
-	cache := session.NewVerdictCache(nil, 0)
 	return &RemoteBackend{
 		name:        name,
 		addr:        addr,
-		verifier:    &session.CachingVerifier{Verifier: verifier, Cache: cache},
-		cache:       cache,
+		verifier:    verifier,
 		sign:        sign,
 		dialTimeout: 2 * time.Second,
 		slots:       make(chan struct{}, slots),
@@ -179,7 +174,7 @@ func (b *RemoteBackend) session() (*core.Client, error) {
 	}
 	if ticket := b.ticket; ticket != nil && !b.sign {
 		b.ticket = nil
-		if err := b.cache.Check(ticket.Serial); err != nil {
+		if err := b.verifier.Check(ticket.Serial); err != nil {
 			// Revoked since the ticket was minted: fail closed, never
 			// hand the device a provable live session.
 			return nil, err
@@ -233,10 +228,6 @@ func (b *RemoteBackend) drop(c *core.Client) {
 		b.client = nil
 	}
 }
-
-// VerdictCache exposes the backend's attestation-verdict cache (for
-// revocation: VerdictCache().Revoke(serial) blocks future sessions).
-func (b *RemoteBackend) VerdictCache() *session.VerdictCache { return b.cache }
 
 // FreeSlots implements Backend: it asks the service for its live
 // occupancy over the session, within dialTimeout. This doubles as the

@@ -328,6 +328,36 @@ func TestRemoteBackendWarmRedial(t *testing.T) {
 	}
 }
 
+// TestRemoteBackendRevokedDevice: once the verifier revokes the
+// device, the backend neither presents the ticket it harvested nor
+// re-attests cold — both fail closed with ErrDeviceRevoked.
+func TestRemoteBackendRevokedDevice(t *testing.T) {
+	r := buildFleetRig(t, 0, 1)
+	dev, verifier := r.remoteDevice(t, 1)
+	rs := serveRemote(t, core.NewService(dev))
+	rb := NewRemoteBackend("remote", rs.addr, verifier, false, 1)
+	defer rb.Close()
+
+	if _, err := rb.Execute(context.Background(), r.transferBundle(t, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	rs.sever()
+	verifier.Revoke(dev.Booted().Serial())
+
+	if _, err := rb.Execute(context.Background(), r.transferBundle(t, 1, 2)); !errors.Is(err, attest.ErrDeviceRevoked) {
+		t.Fatalf("resume with a revoked device's ticket: got %v, want ErrDeviceRevoked", err)
+	}
+	if n := rs.accepted(); n != 1 {
+		t.Fatalf("service accepted %d connections, want 1 (the ticket is never presented)", n)
+	}
+	if _, err := rb.Execute(context.Background(), r.transferBundle(t, 2, 3)); !errors.Is(err, attest.ErrDeviceRevoked) {
+		t.Fatalf("cold redial to a revoked device: got %v, want ErrDeviceRevoked", err)
+	}
+	if n := rs.accepted(); n != 2 {
+		t.Fatalf("service accepted %d connections, want 2 (the cold dial attests, then is refused)", n)
+	}
+}
+
 // within fails the test unless fn returns inside d.
 func within(t *testing.T, d time.Duration, what string, fn func()) {
 	t.Helper()

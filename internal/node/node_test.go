@@ -174,16 +174,31 @@ func TestStorageProofRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSyncAllIntoPlainStore: one verified pass fills every store the
+// syncer keeps, and reports each verified code blob's length.
 func TestSyncAllIntoPlainStore(t *testing.T) {
-	n, _ := buildNode(t)
-	store := pager.NewStore(pager.NewPlainBackend())
-	syncer := NewSyncer(n, store)
+	n, w := buildNode(t)
+	stores := []*pager.Store{
+		pager.NewStore(pager.NewPlainBackend()),
+		pager.NewStore(pager.NewPlainBackend()),
+	}
+	codeLens := make(map[types.Hash]uint32)
+	syncer := NewSyncer(n, func(h types.Hash, l uint32) { codeLens[h] = l }, stores...)
 	if err := syncer.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	accounts, records, codePages := syncer.Stats()
 	if accounts == 0 || records == 0 || codePages == 0 {
 		t.Fatalf("sync stats: %d %d %d", accounts, records, codePages)
+	}
+	for i, store := range stores {
+		meta, err := store.ReadAccountMeta(w.Tokens[0])
+		if err != nil {
+			t.Fatalf("store %d: %v", i, err)
+		}
+		if meta.CodeLen == 0 || codeLens[meta.CodeHash] != meta.CodeLen {
+			t.Fatalf("store %d: code length %d, reported %d", i, meta.CodeLen, codeLens[meta.CodeHash])
+		}
 	}
 }
 
@@ -198,7 +213,7 @@ func TestSyncIntoORAMAndReadBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := pager.NewStore(pager.NewORAMBackend(cli))
-	syncer := NewSyncer(n, store)
+	syncer := NewSyncer(n, nil, store)
 	if err := syncer.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +258,7 @@ func TestSyncDetectsTamperedCode(t *testing.T) {
 	// under an account: simulate by syncing against a wrong state root
 	// (the adversary serves stale/fake data).
 	store := pager.NewStore(pager.NewPlainBackend())
-	syncer := NewSyncer(n, store)
+	syncer := NewSyncer(n, nil, store)
 	badRoot := types.Hash{0xde, 0xad}
 	err := syncer.SyncAccount(badRoot, w.EOAs[0])
 	if err == nil {
@@ -254,7 +269,7 @@ func TestSyncDetectsTamperedCode(t *testing.T) {
 func TestSyncAfterNewBlock(t *testing.T) {
 	n, w := buildNode(t)
 	store := pager.NewStore(pager.NewPlainBackend())
-	syncer := NewSyncer(n, store)
+	syncer := NewSyncer(n, nil, store)
 	if err := syncer.SyncAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -10,24 +10,28 @@ import (
 
 // Syncer implements workflow step 11: after new blocks execute, the
 // world state is pulled from the (untrusted) Node with Merkle proofs,
-// verified on the trusted side, and written — re-paged — into the
-// pre-executor's page store (the ORAM in the -full configuration).
-// Sync traffic needs no obliviousness (blocks are public), only
-// integrity.
+// verified on the trusted side once, and written — re-paged — into
+// every page store of the pre-executor (its plain mirror, plus the
+// ORAM in the -full configuration). Sync traffic needs no
+// obliviousness (blocks are public), only integrity.
 type Syncer struct {
-	node  *Node
-	store *pager.Store
+	node   *Node
+	stores []*pager.Store
+	// onCode, when non-nil, learns the length of each code blob just
+	// checked against its hash.
+	onCode func(types.Hash, uint32)
 	// stats
 	accounts, records, codePages uint64
 }
 
-// NewSyncer wires a node to a page store.
-func NewSyncer(n *Node, store *pager.Store) *Syncer {
-	return &Syncer{node: n, store: store}
+// NewSyncer wires a node to the page stores it keeps; onCode may be
+// nil.
+func NewSyncer(n *Node, onCode func(types.Hash, uint32), stores ...*pager.Store) *Syncer {
+	return &Syncer{node: n, stores: stores, onCode: onCode}
 }
 
-// SyncAccount fetches, verifies, and re-pages one account: its meta
-// page, all its storage records, and its code pages.
+// SyncAccount fetches, verifies, and re-pages one account into every
+// store: its meta page, all its storage records, and its code pages.
 func (s *Syncer) SyncAccount(stateRoot types.Hash, addr types.Address) error {
 	proof, err := s.node.ProveAccount(addr)
 	if err != nil {
@@ -48,11 +52,16 @@ func (s *Syncer) SyncAccount(stateRoot types.Hash, addr types.Address) error {
 		if types.Hash(keccak.Sum256(code)) != acct.CodeHash {
 			return fmt.Errorf("node: sync %s: code hash mismatch", addr)
 		}
-		if err := s.store.WriteCode(acct.CodeHash, code); err != nil {
-			return err
+		for _, st := range s.stores {
+			if err := st.WriteCode(acct.CodeHash, code); err != nil {
+				return err
+			}
 		}
 		codeLen = uint32(len(code))
 		s.codePages += uint64(pager.CodePages(codeLen))
+		if s.onCode != nil {
+			s.onCode(acct.CodeHash, codeLen)
+		}
 	}
 
 	meta := &pager.AccountMeta{
@@ -61,8 +70,10 @@ func (s *Syncer) SyncAccount(stateRoot types.Hash, addr types.Address) error {
 		CodeLen:  codeLen,
 		CodeHash: acct.CodeHash,
 	}
-	if err := s.store.WriteAccountMeta(addr, meta); err != nil {
-		return err
+	for _, st := range s.stores {
+		if err := st.WriteAccountMeta(addr, meta); err != nil {
+			return err
+		}
 	}
 	s.accounts++
 
@@ -87,8 +98,10 @@ func (s *Syncer) SyncAccount(stateRoot types.Hash, addr types.Address) error {
 		}
 		recs = append(recs, pager.StorageRecord{Key: slot, Value: val})
 	}
-	if err := s.store.WriteStorageRecords(addr, recs); err != nil {
-		return err
+	for _, st := range s.stores {
+		if err := st.WriteStorageRecords(addr, recs); err != nil {
+			return err
+		}
 	}
 	s.records += uint64(len(recs))
 	return nil

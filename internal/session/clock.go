@@ -5,15 +5,15 @@ import (
 	"time"
 )
 
-// Clock abstracts wall time so ticket expiry, verdict-cache TTLs, and
-// revocation windows are deterministic under test (the same injected-
-// clock discipline internal/simclock applies to virtual device time).
+// Clock abstracts wall time so ticket expiry is deterministic under
+// test (the same injected-clock discipline internal/simclock applies
+// to virtual device time).
 // Implementations must be safe for concurrent use.
 type Clock interface {
 	Now() time.Time
 }
 
-// EpochLength is the granularity of ticket and verdict expiry. Epochs
+// EpochLength is the granularity of ticket expiry. Epochs
 // coarsen timestamps so a ticket does not leak a fine-grained issue
 // time, and so expiry checks are a single integer compare.
 const EpochLength = time.Minute
@@ -35,8 +35,7 @@ func (systemClock) Now() time.Time { return time.Now() }
 // SystemClock returns the production clock.
 func SystemClock() Clock { return systemClock{} }
 
-// FakeClock is a settable clock for deterministic expiry and
-// revocation tests.
+// FakeClock is a settable clock for deterministic expiry tests.
 type FakeClock struct {
 	mu  sync.Mutex
 	now time.Time

@@ -4,7 +4,7 @@
 // reconnects.
 //
 // It sits between internal/channel / internal/attest and the
-// service/fleet layers and has three parts:
+// service/fleet layers and has two parts:
 //
 //   - Resumption tickets ([TicketIssuer], [ClientTicket]): the first
 //     handshake mints an encrypted, self-authenticating ticket holding
@@ -12,12 +12,6 @@
 //     ticket and completes a cheap AES-GCM rekey — fresh nonce-salted
 //     traffic keys, key-confirmation tags, zero asymmetric crypto.
 //     Tickets are single-use and rotate on every resume.
-//   - Cached attestation verdicts ([VerdictCache],
-//     [CachingVerifier]): the user side remembers which device key it
-//     verified for a given identity + image measurement, with
-//     epoch-based expiry and an explicit revocation list, so cold
-//     re-dials skip the certificate-chain verification and resumes
-//     skip report verification entirely.
 //   - Connection multiplexing ([Mux]): one secure channel carries many
 //     interleaved request/response exchanges matched by request id,
 //     so a warm session amortizes connection setup too.
@@ -46,8 +40,6 @@ var (
 	// booted image measurement no longer matches the one the ticket
 	// was bound to.
 	ErrMeasurementChanged = errors.New("session: image measurement changed since ticket issue")
-	// ErrDeviceRevoked reports a device on the user's revocation list.
-	ErrDeviceRevoked = errors.New("session: device revoked")
 	// ErrResumeRejected is the client-side fallback when the service
 	// refuses a resume without a recognizable reason.
 	ErrResumeRejected = errors.New("session: resume rejected")
