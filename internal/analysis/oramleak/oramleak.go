@@ -9,13 +9,10 @@
 //
 // The analyzer flags, outside the oram package itself, any call to a
 // raw-store method on the ORAM server types: the oram.Server interface
-// or any concrete store behind it — *oram.MemServer, the disk-backed
-// *oram.FileServer (the sharded/persistent deployment, DESIGN.md §11),
-// and the *oram.RemoteServer TCP transport. The two stores get their
-// path methods by embedding one unexported path store; a promoted
-// method is fenced exactly like a declared one, whether the promotion
-// happens inside oram (MemServer.ReadPath) or in a wrapper elsewhere
-// that embeds a server.
+// or any concrete store behind it — *oram.MemServer and the
+// *oram.RemoteServer TCP transport. A promoted method is fenced exactly
+// like a declared one: a wrapper elsewhere that embeds a server still
+// reaches the raw store.
 //
 // Escape hatch (reason required): //hardtape:oram-direct reason
 package oramleak
@@ -47,16 +44,12 @@ var rawMethods = map[string]bool{
 }
 
 // serverTypes are the receiver types exposing the raw store. Every
-// Server implementation belongs here: a new backend (disk, TCP, …)
-// that is not listed would let raw access drift past the fence.
-// pathStore is the shared store MemServer and FileServer embed: it is
-// unexported, so it is only ever reached through a promoted method.
+// Server implementation belongs here: a new backend that is not listed
+// would let raw access drift past the fence.
 var serverTypes = map[string]bool{
 	"Server":       true,
 	"MemServer":    true,
-	"FileServer":   true,
 	"RemoteServer": true,
-	"pathStore":    true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -10,26 +10,16 @@ type Server interface {
 	ReadPath(leaf uint64) [][]byte
 }
 
-// pathStore mimics the shared path server both stores embed: every
-// raw-store method of MemServer and FileServer is promoted from here.
-type pathStore struct{ obs func(AccessEvent) }
-
-func (s *pathStore) ReadPath(leaf uint64) [][]byte                { return nil }
-func (s *pathStore) WritePath(leaf uint64, data [][]byte)         {}
-func (s *pathStore) ReadPaths(leaves []uint64) [][][]byte         { return nil }
-func (s *pathStore) WritePaths(leaves []uint64, paths [][][]byte) {}
-func (s *pathStore) TamperBucket(leaf uint64)                     {}
-func (s *pathStore) SetObserver(fn func(AccessEvent))             { s.obs = fn }
-func (s *pathStore) Leaves() int                                  { return 0 }
-
 // MemServer mimics the in-memory bucket store.
-type MemServer struct{ pathStore }
+type MemServer struct{ obs func(AccessEvent) }
 
-// FileServer mimics the disk-backed bucket store (persist/shard PR).
-type FileServer struct{ pathStore }
-
-func (s *FileServer) Sync() error  { return nil }
-func (s *FileServer) Close() error { return nil }
+func (s *MemServer) ReadPath(leaf uint64) [][]byte                { return nil }
+func (s *MemServer) WritePath(leaf uint64, data [][]byte)         {}
+func (s *MemServer) ReadPaths(leaves []uint64) [][][]byte         { return nil }
+func (s *MemServer) WritePaths(leaves []uint64, paths [][][]byte) {}
+func (s *MemServer) TamperBucket(leaf uint64)                     {}
+func (s *MemServer) SetObserver(fn func(AccessEvent))             { s.obs = fn }
+func (s *MemServer) Leaves() int                                  { return 0 }
 
 // RemoteServer mimics the TCP transport.
 type RemoteServer struct{}
@@ -38,7 +28,7 @@ func (s *RemoteServer) ReadPath(leaf uint64) [][]byte { return nil }
 func (s *RemoteServer) Close() error                  { return nil }
 
 // internalUse shows in-package raw access is exempt.
-func internalUse(s *MemServer, f *FileServer) {
+func internalUse(s *MemServer) {
 	s.WritePath(1, s.ReadPath(1))
-	f.WritePaths(nil, f.ReadPaths(nil))
+	s.WritePaths(nil, s.ReadPaths(nil))
 }

@@ -151,7 +151,9 @@ func NewSecureChannel(sessionKey [32]byte, sessionID uint64) (*SecureChannel, er
 }
 
 // EnableSigning adds the -ES signature layer: sign with own key,
-// verify the peer's.
+// verify the peer's. From then on Open requires a signature on every
+// frame: the flags are outside the AEAD's associated data, so an
+// unsigned frame may be a signed one whose signature was stripped.
 func (c *SecureChannel) EnableSigning(own *ecdsa.PrivateKey, peer *ecdsa.PublicKey) {
 	c.signKey = own
 	c.verifyKey = peer
@@ -228,10 +230,11 @@ func (c *SecureChannel) Open(msg []byte) (*Header, []byte, error) {
 	ct := body[:h.Length]
 	sig := body[h.Length:]
 
-	if h.Flags&FlagSigned != 0 {
-		if c.verifyKey == nil {
-			return nil, nil, ErrBadSignature
-		}
+	signed := h.Flags&FlagSigned != 0
+	if signed != (c.verifyKey != nil) {
+		return nil, nil, ErrBadSignature
+	}
+	if signed {
 		digest := sha256.Sum256(ct)
 		if !ecdsa.VerifyASN1(c.verifyKey, digest[:], sig) {
 			return nil, nil, ErrBadSignature

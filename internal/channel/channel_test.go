@@ -201,6 +201,41 @@ func TestSignedMessages(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsStrippedSignature: the SP clears FlagSigned, drops
+// the signature bytes and zeroes the signature length. The AEAD still
+// opens (the flags are not associated data), so a signing channel must
+// refuse the unsigned frame itself.
+func TestOpenRejectsStrippedSignature(t *testing.T) {
+	aKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := pair(t)
+	a.EnableSigning(aKey, &bKey.PublicKey)
+	b.EnableSigning(bKey, &aKey.PublicKey)
+	msg, err := a.Seal(MsgMuxReply, []byte("signed trace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := ParseHeader(msg[:HeaderSize])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := append([]byte(nil), msg[:HeaderSize+int(h.Length)]...)
+	stripped[4] &^= FlagSigned
+	clear(stripped[28:32])
+	if _, _, err := b.Open(stripped); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("stripped signature: %v, want ErrBadSignature", err)
+	}
+	if _, pt, err := b.Open(msg); err != nil || string(pt) != "signed trace" {
+		t.Fatalf("intact frame after the refusal: %q, %v", pt, err)
+	}
+}
+
 func TestStreamFraming(t *testing.T) {
 	client, server := net.Pipe()
 	defer client.Close()

@@ -43,6 +43,17 @@ func TestConfirmTagRejectsTampering(t *testing.T) {
 		"empty": func() error {
 			return VerifyConfirmTag(key, 7, "user", nil)
 		},
+		"swapped bound value": func() error {
+			forged := ConfirmTag(key, 7, "user", []byte("dev-key"), []byte("user-key"))
+			return VerifyConfirmTag(key, 7, "user", forged[:], []byte("sp-key"), []byte("user-key"))
+		},
+		"shifted bound boundary": func() error {
+			forged := ConfirmTag(key, 7, "user", []byte("ab"), []byte("c"))
+			return VerifyConfirmTag(key, 7, "user", forged[:], []byte("a"), []byte("bc"))
+		},
+		"bound value dropped": func() error {
+			return VerifyConfirmTag(key, 7, "user", tag[:], []byte{})
+		},
 	}
 	for name, fn := range cases {
 		if err := fn(); !errors.Is(err, ErrBadConfirmTag) {

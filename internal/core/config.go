@@ -88,12 +88,6 @@ type Config struct {
 	// in one overlapped round (DESIGN.md §11). 0 or 1 is the paper's
 	// single tree — the same client at K = 1.
 	ORAMShards int
-	// ORAMDir, when non-empty, makes the ORAM durable: disk-backed
-	// bucket files plus crash-consistent stash/position-map
-	// checkpointing under this directory, one subdirectory per shard.
-	// A device restarted over the same directory (and ORAMKey) resumes
-	// from the last checkpoint. Mutually exclusive with RemoteORAMAddr.
-	ORAMDir string
 	// Seed keys every lane's swap noise and prefetch cadence and every
 	// ORAM tree's leaves (drbg): 0 from crypto/rand, else a public model
 	// seed that only models and tests may set (cryptorand lint).

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"crypto/ecdsa"
+	"crypto/elliptic"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
@@ -56,6 +61,89 @@ func TestServeConnRejectsBadConfirmTag(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("service did not reject the tampered confirmation tag")
+	}
+}
+
+// TestDialRejectsSwappedDeviceSigningKey: DevSigPub travels outside
+// the signed report, so an SP relay can put its own key in its place
+// and re-sign every service frame with it. The user's confirm tag
+// covers the key the user saw, so the device refuses the key exchange
+// and the dial fails before any bundle is sent.
+func TestDialRejectsSwappedDeviceSigningKey(t *testing.T) {
+	sr := buildServiceRig(t, ConfigES)
+	spKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, userSide := net.Pipe()
+	deviceSide, server := net.Pipe()
+	defer client.Close()
+	errCh := make(chan error, 1)
+	go func() {
+		defer server.Close()
+		errCh <- sr.svc.ServeConn(server)
+	}()
+	// User → device: forwarded untouched.
+	go func() {
+		defer deviceSide.Close()
+		for {
+			msg, err := channel.ReadMessage(userSide)
+			if err != nil || channel.WriteMessage(deviceSide, msg) != nil {
+				return
+			}
+		}
+	}()
+	// Device → user: swap DevSigPub in the report, then strip each
+	// sealed frame's signature and sign its ciphertext with spKey.
+	go func() {
+		defer userSide.Close()
+		for first := true; ; first = false {
+			msg, err := channel.ReadMessage(deviceSide)
+			if err != nil {
+				return
+			}
+			if first {
+				rep, err := decodePlain[attestReportMsg](msg, channel.MsgAttestReport)
+				if err != nil {
+					return
+				}
+				rep.DevSigPub = elliptic.Marshal(elliptic.P256(), spKey.X, spKey.Y)
+				if writePlain(userSide, channel.MsgAttestReport, rep.SessionID, &rep) != nil {
+					return
+				}
+				continue
+			}
+			h, err := channel.ParseHeader(msg[:channel.HeaderSize])
+			if err != nil {
+				return
+			}
+			ct := msg[channel.HeaderSize : channel.HeaderSize+int(h.Length)]
+			digest := sha256.Sum256(ct)
+			sig, err := ecdsa.SignASN1(rand.Reader, spKey, digest[:])
+			if err != nil {
+				return
+			}
+			out := append(append([]byte(nil), msg[:channel.HeaderSize]...), ct...)
+			binary.BigEndian.PutUint32(out[28:32], uint32(len(sig)))
+			if channel.WriteMessage(userSide, append(out, sig...)) != nil {
+				return
+			}
+		}
+	}()
+
+	c, err := Dial(client, sr.verifier(), true)
+	if err == nil {
+		_, err = c.PreExecute(sr.transferBundle(t, 77))
+		c.Close()
+		t.Fatalf("dial through a relay that swapped DevSigPub succeeded (PreExecute: %v)", err)
+	}
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, channel.ErrBadConfirmTag) {
+			t.Fatalf("service: want ErrBadConfirmTag, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("service did not reject the key exchange")
 	}
 }
 

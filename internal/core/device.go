@@ -280,24 +280,15 @@ func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device,
 }
 
 // buildORAM wires the device's oblivious store from the config: pick
-// one server per shard — remote, disk-backed under ORAMDir (with
-// checkpointing), or in-process — and put the one ORAM client on top
-// (DESIGN.md §11).
+// one server per shard — remote or in-process — and put the one ORAM
+// client on top (DESIGN.md §11). The client's stash and position map
+// live as long as the device: a restarted device is provisioned again
+// and syncs.
 func (d *Device) buildORAM(cfg Config, key []byte) (*oram.Client, error) {
 	shards := cfg.ORAMShardCount()
 	opts := []oram.ClientOption{oram.WithSeed(cfg.Seed)}
 	if cfg.Telemetry != nil {
 		opts = append(opts, oram.WithTelemetry(cfg.Telemetry))
-	}
-	if cfg.ORAMDir != "" {
-		if cfg.RemoteORAMAddr != "" {
-			return nil, fmt.Errorf("core: ORAMDir and RemoteORAMAddr are mutually exclusive")
-		}
-		client, err := oram.OpenShardedStore(cfg.ORAMDir, shards, cfg.ORAMCapacity, key, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("core: durable oram: %w", err)
-		}
-		return client, nil
 	}
 	servers := make([]oram.Server, 0, shards)
 	// closeDialed releases the shard connections opened so far when a

@@ -157,7 +157,7 @@ func TestResumeExpiredTicketFailsClosed(t *testing.T) {
 
 func TestResumeMeasurementChangeFailsClosed(t *testing.T) {
 	sr := buildServiceRig(t, ConfigRaw)
-	issuer := sr.svc.SessionIssuer()
+	issuer := sr.svc.issuer
 	serial := sr.device.Booted().Serial()
 
 	mint := func(serial string, measurement [32]byte) *session.ClientTicket {

@@ -37,14 +37,17 @@ type attestReportMsg struct {
 	Report    attest.Report
 	SessionID uint64
 	// DevSigPub is the Hypervisor's per-session ECDSA public key
-	// (uncompressed), used when signatures are enabled.
+	// (uncompressed), used when signatures are enabled. It is outside
+	// the signed report; the user's confirm tag binds it instead.
 	DevSigPub []byte
 }
 
 // keyExchangeMsg completes DHKE. The exchange itself is plaintext, so
 // Confirm carries the user's key-confirmation tag: an HMAC under the
 // derived session key that the Hypervisor verifies before opening the
-// bundle loop. A tampered exchange is rejected here, explicitly,
+// bundle loop. The tag also covers DevSigPub as the user received it
+// and UserSigPub, so a signing key swapped on either plaintext leg is
+// caught too. A tampered exchange is rejected here, explicitly,
 // instead of surfacing later as an unattributable AEAD failure.
 type keyExchangeMsg struct {
 	SessionID  uint64
@@ -166,10 +169,6 @@ func (s *Service) SetSessionPolicy(clock session.Clock, lifetimeEpochs int, adm 
 	s.admission = adm
 	return nil
 }
-
-// SessionIssuer exposes the ticket issuer (benchmarks mint resumable
-// state directly; the gateway shares one issuer across listeners).
-func (s *Service) SessionIssuer() *session.TicketIssuer { return s.issuer }
 
 // SetAdmission installs a cold-handshake gate without rotating the
 // ticket issuer. Call before serving connections.
@@ -294,7 +293,10 @@ func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	// The DHKE key lives exactly as long as this handshake, whichever
 	// way it ends; the channel and the ticket hold what they derived.
 	defer session.ZeroKey(&sess.Key)
-	if err := channel.VerifyConfirmTag(sess.Key, sessionID, "user", kx.Confirm); err != nil {
+	// The tag covers both signing keys as the user saw them: a DevSigPub
+	// swapped on the way out, or a UserSigPub swapped on the way in,
+	// fails here, before any sealed frame.
+	if err := channel.VerifyConfirmTag(sess.Key, sessionID, "user", kx.Confirm, resp.DevSigPub, kx.UserSigPub); err != nil {
 		return nil, err
 	}
 	secure, err := channel.NewSecureChannel(sess.Key, sessionID)
@@ -526,11 +528,12 @@ func Dial(conn io.ReadWriter, verifier ReportVerifier, sign bool) (*Client, erro
 		return nil, err
 	}
 	attest.RecordAsymOps(1) // per-session user signing key
-	confirm := channel.ConfirmTag(sess.Key, rep.SessionID, "user")
+	userSigPub := elliptic.Marshal(elliptic.P256(), userSigKey.PublicKey.X, userSigKey.PublicKey.Y)
+	confirm := channel.ConfirmTag(sess.Key, rep.SessionID, "user", rep.DevSigPub, userSigPub)
 	kx := keyExchangeMsg{
 		SessionID:  rep.SessionID,
 		UserPub:    userPub,
-		UserSigPub: elliptic.Marshal(elliptic.P256(), userSigKey.PublicKey.X, userSigKey.PublicKey.Y),
+		UserSigPub: userSigPub,
 		Confirm:    confirm[:],
 	}
 	if err := writePlain(conn, channel.MsgKeyExchange, rep.SessionID, &kx); err != nil {

@@ -93,49 +93,6 @@ func TestShardedDeviceTraceParity(t *testing.T) {
 	}
 }
 
-// TestShardedDeviceDurable: a -full device over a durable sharded store
-// executes correctly, and a second device opened over the same
-// directory and key reuses the persisted trees.
-func TestShardedDeviceDurable(t *testing.T) {
-	dir := t.TempDir()
-	key := make([]byte, 32)
-	copy(key, "core-durable-test-key-0123456789")
-
-	r := buildShardedRig(t, func(c *Config) {
-		c.ORAMShards = 2
-		c.ORAMDir = dir
-		c.ORAMKey = key
-		c.ORAMCapacity = 1 << 12
-	})
-	res, err := r.device.Execute(r.transferBundle(t, 77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Aborted != nil {
-		t.Fatalf("aborted: %v", res.Aborted)
-	}
-	want := res.Trace.Txs[0]
-
-	// Second device over the same directory: recovery opens the
-	// checkpointed trees (Sync then overwrites the same ids in place).
-	r2 := buildShardedRig(t, func(c *Config) {
-		c.ORAMShards = 2
-		c.ORAMDir = dir
-		c.ORAMKey = key
-		c.ORAMCapacity = 1 << 12
-	})
-	res2, err := r2.device.Execute(r2.transferBundle(t, 77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Aborted != nil {
-		t.Fatalf("resumed device aborted: %v", res2.Aborted)
-	}
-	if diffs := tracer.Diff(want, res2.Trace.Txs[0]); len(diffs) != 0 {
-		t.Fatalf("durable device trace diverges: %v", diffs)
-	}
-}
-
 // TestShardedConfigRejections: real misconfigurations must fail device
 // construction loudly, not degrade silently.
 func TestShardedConfigRejections(t *testing.T) {
@@ -153,10 +110,6 @@ func TestShardedConfigRejections(t *testing.T) {
 		name   string
 		mutate func(*Config)
 	}{
-		{"dir+remote", func(c *Config) {
-			c.ORAMDir = t.TempDir()
-			c.RemoteORAMAddr = "127.0.0.1:1"
-		}},
 		{"shards+short-remote-list", func(c *Config) {
 			c.ORAMShards = 4
 			c.RemoteORAMAddr = "127.0.0.1:1,127.0.0.1:2"

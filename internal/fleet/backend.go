@@ -10,7 +10,6 @@ import (
 
 	"hardtape/internal/attest"
 	"hardtape/internal/core"
-	"hardtape/internal/oram"
 	"hardtape/internal/session"
 	"hardtape/internal/telemetry"
 	"hardtape/internal/types"
@@ -88,9 +87,6 @@ func (b *LocalBackend) Execute(ctx context.Context, bundle *types.Bundle) (*core
 	}
 	return res, err
 }
-
-// ORAMStats exposes the device's ORAM counters for fleet.Stats.
-func (b *LocalBackend) ORAMStats() oram.Stats { return b.dev.ORAMStats() }
 
 // Close implements Backend (devices have no resources to release).
 func (b *LocalBackend) Close() error { return nil }

@@ -30,9 +30,6 @@ type Config struct {
 	HealthBackoff time.Duration
 	// HealthBackoffMax caps the exponential backoff.
 	HealthBackoffMax time.Duration
-	// DispatchRetries is how many times one accepted bundle may fail
-	// over to another backend after a BackendError.
-	DispatchRetries int
 	// ColdHandshakeLimit bounds concurrent cold (attest+DHKE)
 	// handshakes on services fronting this gateway; warm ticket resumes
 	// bypass the gate, so a reconnect burst never queues behind cold
@@ -52,9 +49,12 @@ func DefaultConfig() Config {
 		HealthInterval:   100 * time.Millisecond,
 		HealthBackoff:    50 * time.Millisecond,
 		HealthBackoffMax: 5 * time.Second,
-		DispatchRetries:  3,
 	}
 }
+
+// dispatchRetries is how many times one accepted bundle may fail over
+// to another backend after a BackendError.
+const dispatchRetries = 3
 
 // backendState is the gateway's scheduling view of one backend.
 type backendState struct {
@@ -125,9 +125,6 @@ func NewGateway(cfg Config, backends ...Backend) *Gateway {
 	}
 	if cfg.HealthBackoffMax <= 0 {
 		cfg.HealthBackoffMax = def.HealthBackoffMax
-	}
-	if cfg.DispatchRetries <= 0 {
-		cfg.DispatchRetries = def.DispatchRetries
 	}
 	reg := cfg.Telemetry
 	if reg == nil {
@@ -214,7 +211,7 @@ func (g *Gateway) Submit(ctx context.Context, bundle *types.Bundle) (res *core.B
 		// Infrastructure fault: release drained the backend; retry the
 		// bundle on a survivor.
 		retries++
-		if ctx.Err() != nil || retries > g.cfg.DispatchRetries {
+		if ctx.Err() != nil || retries > dispatchRetries {
 			break
 		}
 		g.mu.Lock()

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"hardtape/internal/hevm"
-	"hardtape/internal/oram"
 )
 
 // Stats is a point-in-time snapshot of the gateway. The struct is
@@ -47,16 +46,8 @@ type BackendStats struct {
 	Failures   uint64
 	LastError  string
 	// HEVM aggregates per-bundle machine stats over this backend's
-	// completed bundles; ORAM is the device's live client counters
-	// (in-process backends only).
+	// completed bundles.
 	HEVM hevm.Stats
-	ORAM oram.Stats
-}
-
-// oramStatser is implemented by backends that can surface their
-// device's ORAM counters (LocalBackend).
-type oramStatser interface {
-	ORAMStats() oram.Stats
 }
 
 // Stats snapshots the gateway from its telemetry series plus the
@@ -87,9 +78,6 @@ func (g *Gateway) Stats() Stats {
 		}
 		if bs.lastErr != nil {
 			b.LastError = bs.lastErr.Error()
-		}
-		if os, ok := bs.b.(oramStatser); ok {
-			b.ORAM = os.ORAMStats()
 		}
 		st.Capacity += b.Capacity
 		st.InFlight += bs.inflight

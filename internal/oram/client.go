@@ -36,9 +36,8 @@ var (
 	ErrShards = errors.New("oram: invalid shard configuration")
 	// ErrClientFailed is the fail-closed latch: an access died between
 	// remapping its blocks and storing the evicted paths, so the trusted
-	// state no longer matches the server's. Every later access and
-	// Checkpoint returns it (wrapping the original cause); the client
-	// must be rebuilt.
+	// state no longer matches the server's. Every later access returns
+	// it (wrapping the original cause); the client must be rebuilt.
 	ErrClientFailed = errors.New("oram: client failed closed after an access error")
 )
 
@@ -63,9 +62,6 @@ type Client struct {
 	// clock, when non-nil, is charged cal's virtual time per round.
 	clock *simclock.Clock
 	cal   simclock.Calibration
-	// stores, when non-nil, checkpoints every tree's stash + position
-	// map after every round, one epoch per round on each (persist.go).
-	stores []*CheckpointStore
 	// failed is the fail-closed latch: the first mid-access error,
 	// wrapped in ErrClientFailed; later errors never replace it.
 	failed atomic.Pointer[failedError]
@@ -251,12 +247,10 @@ func (c *Client) AccessBatch(ctx context.Context, ops []BatchOp) ([][]byte, erro
 	return c.access(ctx, ops, make([][]byte, len(ops)))
 }
 
-// access runs one round and returns out. When every op belongs to one
-// tree — always at K = 1, and for every single access — the round runs
-// inline on the caller's goroutine under that tree's lock; goroutines
-// are spent only on a real fan-out, or on a durable sharded client,
-// whose every round checkpoints every tree (one epoch per round on each
-// shard).
+// access runs one round and returns out. The round runs inline on the
+// caller's goroutine, under that tree's lock, if and only if every op
+// belongs to one tree — always at K = 1, and for every single access;
+// goroutines are spent only on a real fan-out.
 func (c *Client) access(ctx context.Context, ops []BatchOp, out [][]byte) ([][]byte, error) {
 	for _, op := range ops {
 		if op.Op == OpWrite && len(op.Data) > BlockSize {
@@ -265,7 +259,7 @@ func (c *Client) access(ctx context.Context, ops []BatchOp, out [][]byte) ([][]b
 	}
 	k := len(c.trees)
 	sh := shardOf(ops[0].ID, k)
-	inline := c.stores == nil || k == 1
+	inline := true
 	for _, op := range ops[1:] {
 		inline = inline && shardOf(op.ID, k) == sh
 	}
@@ -297,32 +291,23 @@ func (c *Client) latched() error {
 }
 
 // runTree runs one tree's (sub-)batch as one regular Path ORAM access
-// (tree.accessBatch) against its private server and, for a durable
-// client, checkpoints the tree, server Sync first. The caller holds
-// t.mu, so the access and the checkpoint that publishes its state are
-// one critical section. The latch is checked under the lock: a round
-// queued behind a failing access must not touch the tree it poisoned.
-// The first access error is latched client-wide; later ones return it.
+// (tree.accessBatch) against its private server. The caller holds t.mu.
+// The latch is checked under the lock: a round queued behind a failing
+// access must not touch the tree it poisoned. The first access error is
+// latched client-wide; later ones return it.
 func (c *Client) runTree(ctx context.Context, t *tree, ops []BatchOp, out [][]byte) error {
 	if err := c.latched(); err != nil {
 		return err
 	}
-	// An empty sub-batch is a durable client's untouched tree: it only
-	// checkpoints.
-	if len(ops) > 0 {
-		if err := t.accessBatch(ctx, ops, out); err != nil {
-			c.failed.CompareAndSwap(nil, &failedError{cause: err})
-			return c.failed.Load()
-		}
-	}
-	if c.stores != nil {
-		return c.stores[t.shard].checkpoint(t)
+	if err := t.accessBatch(ctx, ops, out); err != nil {
+		c.failed.CompareAndSwap(nil, &failedError{cause: err})
+		return c.failed.Load()
 	}
 	return nil
 }
 
 // fanOut runs a round that spans several trees: every non-empty tree's
-// sub-batch (every tree's, for a durable client) on its own goroutine
+// sub-batch on its own goroutine
 // under only that tree's lock, results reassembled in request order.
 // Obliviousness holds per tree: the adversary observing all servers
 // sees K independent uniform leaf sequences whose interleaving depends
@@ -342,7 +327,7 @@ func (c *Client) fanOut(ctx context.Context, ops []BatchOp, out [][]byte) error 
 	maxQ, blocks := 0, 0
 	for sh, t := range c.trees {
 		n := len(subOps[sh])
-		if n == 0 && c.stores == nil {
+		if n == 0 {
 			continue
 		}
 		maxQ = max(maxQ, n)
@@ -371,7 +356,7 @@ func (c *Client) fanOut(ctx context.Context, ops []BatchOp, out [][]byte) error 
 	return nil
 }
 
-// Close releases every closable server (file handles, TCP connections).
+// Close releases every closable server (TCP connections).
 func (c *Client) Close() error {
 	var firstErr error
 	for _, t := range c.trees {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -518,15 +517,9 @@ func TestShardedConfigErrors(t *testing.T) {
 	if _, err := NewClient(nil, testKey()); !errors.Is(err, ErrShards) {
 		t.Fatalf("no servers: %v, want ErrShards", err)
 	}
-	if _, err := OpenShardedStore(t.TempDir(), 0, 64, testKey()); !errors.Is(err, ErrShards) {
-		t.Fatalf("zero shards: %v, want ErrShards", err)
-	}
 	cli, _ := newTestClient(t, 2, 128)
 	if cli.Stats().Shards != 2 || len(cli.ShardStats()) != 2 {
 		t.Fatal("shard count mismatch")
-	}
-	if err := cli.Checkpoint(); !errors.Is(err, ErrShards) {
-		t.Fatalf("checkpoint without stores: %v, want ErrShards", err)
 	}
 }
 
@@ -885,7 +878,7 @@ func (f *flakyServer) WritePaths(leaves []uint64, paths [][][]byte) error {
 // next Read of an affected block walks the wrong path and reports
 // ErrNotFound — which the pager turns into a zero storage slot, a
 // silently wrong trace. After the fault NO access may return nil or
-// ErrNotFound for a written block, and Checkpoint must refuse.
+// ErrNotFound for a written block.
 func TestFailClosedAfterServerError(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		for _, fault := range []string{"read", "write"} {
@@ -950,63 +943,8 @@ func TestFailClosedAfterServerError(t *testing.T) {
 					closed("Write", cli.Write(3, []byte("late")))
 					_, err = cli.AccessBatch(context.Background(), []BatchOp{{Op: OpWrite, ID: 3, Data: []byte("late")}, {Op: OpRead, ID: 4}})
 					closed("AccessBatch", err)
-					closed("Checkpoint", cli.Checkpoint())
 				})
 			}
-		}
-	}
-}
-
-// TestFailClosedNeverCheckpoints: a poisoned stash must never be
-// published as a new epoch. The failed round itself must not checkpoint,
-// an explicit Checkpoint must refuse, and reopening the directory
-// recovers the last good epoch with every block intact.
-func TestFailClosedNeverCheckpoints(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	cli, err := OpenShardedStore(dir, 1, 128, testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const blocks = 24
-	for id := BlockID(0); id < blocks; id++ {
-		if err := cli.Write(id, []byte(fmt.Sprintf("durable-%d", id))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	epoch := cli.stores[0].Epoch()
-	if epoch != blocks {
-		t.Fatalf("epoch %d after %d rounds at cadence 1", epoch, blocks)
-	}
-	// The next path write fails without reaching the disk, so the bucket
-	// file stays exactly at the last published epoch.
-	disk := cli.trees[0].server.(*FileServer)
-	cli.trees[0].server = &flakyServer{Server: disk, failWrite: 1}
-	if _, err := cli.Read(5); !errors.Is(err, ErrClientFailed) {
-		t.Fatalf("faulting read: %v", err)
-	}
-	if err := cli.Checkpoint(); !errors.Is(err, ErrClientFailed) {
-		t.Fatalf("checkpoint of a failed client: %v", err)
-	}
-	if got := cli.stores[0].Epoch(); got != epoch {
-		t.Fatalf("failed client published epoch %d (was %d)", got, epoch)
-	}
-	if err := disk.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenShardedStore(dir, 1, 128, testKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := re.stores[0].Epoch(); got != epoch {
-		t.Fatalf("recovered at epoch %d, want %d", got, epoch)
-	}
-	for id := BlockID(0); id < blocks; id++ {
-		want := fmt.Sprintf("durable-%d", id)
-		got, err := re.Read(id)
-		if err != nil || string(got[:len(want)]) != want {
-			t.Fatalf("block %d after recovery: %q, %v", id, got, err)
 		}
 	}
 }

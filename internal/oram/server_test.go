@@ -5,18 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
-
-// bucketStore is what the conformance script needs of the store behind
-// a Server: the adversary's tap and the corruption hook.
-type bucketStore interface {
-	Server
-	SetObserver(func(AccessEvent))
-	TamperBucket(leaf uint64)
-}
 
 // stepResult is what one scripted op returned: the paths (nil entries
 // normalized to empty) and the error class.
@@ -53,7 +44,7 @@ func testPath(depth int, tag byte) [][]byte {
 // runServerScript drives the same op sequence against srv and returns
 // every step's outcome plus the adversary-visible event stream store
 // observed. srv is store itself or a transport in front of it.
-func runServerScript(t *testing.T, srv Server, store bucketStore) ([]stepResult, []AccessEvent) {
+func runServerScript(t *testing.T, srv Server, store *MemServer) ([]stepResult, []AccessEvent) {
 	t.Helper()
 	var events []AccessEvent
 	store.SetObserver(func(ev AccessEvent) { events = append(events, ev) })
@@ -122,44 +113,27 @@ func runServerScript(t *testing.T, srv Server, store bucketStore) ([]stepResult,
 	return results, events
 }
 
-// TestServerConformance: MemServer, FileServer and each of them behind
-// the TCP transport are one path server. The same script returns
-// identical bytes, shows the adversary an identical event stream and
-// refuses the same requests, whichever store holds the nodes and
-// however the request travelled.
+// TestServerConformance: MemServer alone and behind the TCP transport
+// is one path server. The same script returns identical bytes, shows
+// the adversary an identical event stream and refuses the same
+// requests, however the request travelled.
 func TestServerConformance(t *testing.T) {
-	const capacity = 64
-	newMem := func(t *testing.T) bucketStore {
-		s, err := NewMemServer(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	newFile := func(t *testing.T) bucketStore {
-		s, err := OpenFileServer(filepath.Join(t.TempDir(), "buckets"), capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = s.Close() })
-		return s
-	}
 	backends := []struct {
-		name     string
-		newStore func(*testing.T) bucketStore
-		overTCP  bool
+		name    string
+		overTCP bool
 	}{
-		{"mem", newMem, false},
-		{"file", newFile, false},
-		{"mem/tcp", newMem, true},
-		{"file/tcp", newFile, true},
+		{"mem", false},
+		{"mem/tcp", true},
 	}
 
 	var wantResults []stepResult
 	var wantEvents []AccessEvent
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
-			store := be.newStore(t)
+			store, err := NewMemServer(64)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var srv Server = store
 			if be.overTCP {
 				l, err := net.Listen("tcp", "127.0.0.1:0")

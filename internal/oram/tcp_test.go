@@ -635,8 +635,8 @@ func BenchmarkTCPPath(b *testing.B) {
 // benchmark requests 100 µs so loopback TCP pays a real but smaller
 // link cost) plus a per-PATH serial processing charge modeling the
 // server's bucket-store work: each path query is depth × Z random
-// ~1 KB bucket I/Os against a disk-backed store (oram.FileServer's
-// deployment shape) plus index logic, SSD-class. Server processing is
+// ~1 KB bucket I/Os against the SP's disk-backed store (the paper's
+// 1.1 TB tree does not fit in memory) plus index logic, SSD-class. Server processing is
 // serial per path WITHIN a server — the very §VI-D bottleneck sharding
 // attacks — so a K-shard fan-out overlaps K of these queues.
 type linkServer struct {

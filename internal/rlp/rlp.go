@@ -266,11 +266,8 @@ func decodeLongLength(data []byte, n byte) (payload, rest []byte, err error) {
 	if lenBytes[0] == 0 {
 		return nil, nil, ErrNonCanonical
 	}
-	var length uint64
+	var length uint64 // n ≤ 8 (the tag ranges), so this cannot overflow
 	for _, c := range lenBytes {
-		if length > (1<<56)-1 {
-			return nil, nil, fmt.Errorf("rlp: length overflow")
-		}
 		length = length<<8 | uint64(c)
 	}
 	start := 1 + int(n)

@@ -69,7 +69,7 @@ func EncodeMuxFrame(reqID uint64, kind byte, tc channel.TraceContext, body []byt
 // kind has MuxFlagTraced cleared.
 func ParseMuxFrame(frame []byte) (reqID uint64, kind byte, tc channel.TraceContext, body []byte, err error) {
 	if len(frame) < muxHeaderLen {
-		return 0, 0, channel.TraceContext{}, nil, fmt.Errorf("session: short mux frame (%d bytes)", len(frame))
+		return 0, 0, channel.TraceContext{}, nil, fmt.Errorf("%w: %d bytes", ErrBadMuxFrame, len(frame))
 	}
 	reqID = binary.BigEndian.Uint64(frame[:8])
 	kind = frame[8]
@@ -78,7 +78,7 @@ func ParseMuxFrame(frame []byte) (reqID uint64, kind byte, tc channel.TraceConte
 		kind &^= MuxFlagTraced
 		tc, body, err = channel.ParseTraceContext(body)
 		if err != nil {
-			return 0, 0, channel.TraceContext{}, nil, err
+			return 0, 0, channel.TraceContext{}, nil, fmt.Errorf("%w: %w", ErrBadMuxFrame, err)
 		}
 	}
 	return reqID, kind, tc, body, nil

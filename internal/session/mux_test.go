@@ -187,11 +187,11 @@ func TestMuxCancelledRoundTripForgetsItsID(t *testing.T) {
 }
 
 func TestParseMuxFrameRejectsShort(t *testing.T) {
-	if _, _, _, _, err := ParseMuxFrame([]byte{1, 2, 3}); err == nil {
+	if _, _, _, _, err := ParseMuxFrame([]byte{1, 2, 3}); !errors.Is(err, ErrBadMuxFrame) {
 		t.Fatal("short frame must be rejected")
 	}
 	// A traced flag without the 24 context bytes behind it is short too.
-	if _, _, _, _, err := ParseMuxFrame([]byte{0, 0, 0, 0, 0, 0, 0, 9, MuxBundle | MuxFlagTraced, 'x'}); err == nil {
+	if _, _, _, _, err := ParseMuxFrame([]byte{0, 0, 0, 0, 0, 0, 0, 9, MuxBundle | MuxFlagTraced, 'x'}); !errors.Is(err, ErrBadMuxFrame) {
 		t.Fatal("traced frame without its context must be rejected")
 	}
 }

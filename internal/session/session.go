@@ -46,6 +46,9 @@ var (
 	// ErrMuxClosed reports a multiplexed exchange attempted on a dead
 	// session.
 	ErrMuxClosed = errors.New("session: multiplexed session closed")
+	// ErrBadMuxFrame reports a decrypted mux frame too short for its
+	// header or its trace context.
+	ErrBadMuxFrame = errors.New("session: malformed mux frame")
 )
 
 // Reject codes carried in a resume-reject message. The mapping is
