@@ -73,7 +73,7 @@ var blockingCalls = map[string]bool{
 	"Status":           true,
 	"Submit":           true,
 	"Sync":             true,
-	"SyncAll":          true,
+	"VerifyAll":        true,
 	"Wait":             true,
 	"WriteMessage":     true,
 }

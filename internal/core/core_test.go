@@ -269,11 +269,12 @@ func TestConcurrentBundlesQueueForSlots(t *testing.T) {
 	}
 }
 
-// TestSyncExcludesRunningBundles: Device.Sync rewrites the plain mirror
-// every config reads code from (and, with ORAM, the pager's page
-// dictionary), so no bundle may run beside it. Two goroutines execute
-// transfer bundles in a loop while the test syncs three times; under
-// -race a sync that admits bundles reports the mirror's map race.
+// TestSyncExcludesRunningBundles: Device.Sync replaces the page stores
+// every bundle reads (the plain store and, with ORAM, the pager's page
+// dictionary) and writes the ORAM, so no bundle may run beside it. Two
+// goroutines execute transfer bundles in a loop while the test syncs
+// three times; under -race a sync that admits bundles reports the race
+// on the device's stores.
 func TestSyncExcludesRunningBundles(t *testing.T) {
 	for _, feat := range []Features{ConfigE, ConfigFull} {
 		t.Run(feat.Name(), func(t *testing.T) {

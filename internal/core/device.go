@@ -9,7 +9,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"hardtape/internal/attest"
@@ -166,12 +165,12 @@ type Device struct {
 	chain *node.Node
 
 	// oramServers holds the in-process shard servers in shard order (nil
-	// for remote or disk-backed deployments).
+	// for remote deployments).
 	oramServers []*oram.MemServer
-	oramStore   *pager.Store
-	mirror      *pager.Store
-	// syncer writes every store above from one verified pass.
-	syncer *node.Syncer
+	// pages is the world state the last successful Sync paged. Sync
+	// replaces it whole while it holds every HEVM slot, so a bundle
+	// reads one Sync's pages throughout.
+	pages *pageStores
 
 	slots    chan *slot
 	allSlots []*slot
@@ -184,10 +183,9 @@ type Device struct {
 	// are nil and every record call is a single branch.
 	tm *devMetrics
 
-	mu       sync.Mutex
-	codeLens map[types.Hash]uint32
 	// oramKey is the shared bucket-encryption key (paper §IV-D "ORAM
 	// key protection"); OfferORAMKey transfers it to sibling devices.
+	// It is set once, in NewDevice.
 	oramKey []byte
 }
 
@@ -221,13 +219,11 @@ func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device,
 	}
 
 	d := &Device{
-		cfg:      cfg,
-		booted:   booted,
-		chain:    chain,
-		mirror:   pager.NewStore(pager.NewPlainBackend()),
-		codeLens: make(map[types.Hash]uint32),
-		slots:    make(chan *slot, cfg.HEVMs),
-		tm:       newDevMetrics(cfg.Telemetry),
+		cfg:    cfg,
+		booted: booted,
+		chain:  chain,
+		slots:  make(chan *slot, cfg.HEVMs),
+		tm:     newDevMetrics(cfg.Telemetry),
 	}
 
 	// ORAM server(s) + shared client (the SP runs the servers; the
@@ -248,13 +244,8 @@ func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device,
 			return nil, err
 		}
 		d.oramClient = client
-		d.oramStore = pager.NewStore(pager.NewORAMBackend(client))
 	}
-	stores := []*pager.Store{d.mirror}
-	if d.oramStore != nil {
-		stores = append(stores, d.oramStore)
-	}
-	d.syncer = node.NewSyncer(chain, d.registerCodeLen, stores...)
+	d.pages = newPageStores(d.oramClient)
 
 	for i := 0; i < cfg.HEVMs; i++ {
 		lane, err := newLane(cfg, i, i)
@@ -376,14 +367,18 @@ func (d *Device) ORAMServer() *oram.MemServer {
 }
 
 // ORAMServers exposes every in-process shard server in shard order
-// (nil for remote or disk-backed deployments).
+// (nil for remote deployments).
 func (d *Device) ORAMServers() []*oram.MemServer { return d.oramServers }
 
-// Sync pulls the node's world state — Merkle-verified — into the
-// device's stores (step 11 / initial full sync). It holds every HEVM
-// slot for its duration: it waits for running bundles to finish and
-// admits none until it returns, so no bundle reads the stores while
-// they are rewritten and none straddles a sync.
+// Sync rebuilds the device's page stores from the node's world state,
+// Merkle-verified (step 11 / initial full sync): every account is
+// verified first, then each of its pages is written once, blind, into
+// the stores place names, and the new stores replace the old. It holds
+// every HEVM slot for its duration: it waits for running bundles to
+// finish and admits none until it returns, so no bundle reads the
+// stores while they are rebuilt and none straddles a sync. A Sync that
+// fails installs nothing: verification fails before any write, and a
+// failed ORAM write latches the client closed (oram.ErrClientFailed).
 func (d *Device) Sync() error {
 	held := make([]*slot, 0, len(d.allSlots))
 	for range d.allSlots {
@@ -394,29 +389,19 @@ func (d *Device) Sync() error {
 			d.slots <- s
 		}
 	}()
-	if err := d.syncer.SyncAll(); err != nil {
+	accts, err := node.NewSyncer(d.chain).VerifyAll()
+	if err != nil {
 		return fmt.Errorf("core: sync: %w", err)
 	}
-	return nil
-}
-
-// registerCodeLen records a contract's code length (trusted metadata,
-// like the position map). Sync registers every code blob it verified
-// against its hash.
-func (d *Device) registerCodeLen(h types.Hash, n uint32) {
-	if h == types.EmptyCodeHash || h.IsZero() || n == 0 {
-		return
+	pages := newPageStores(d.oramClient)
+	pl := pages.place(d.cfg.Features)
+	for _, a := range accts {
+		if err := pages.add(pl, a); err != nil {
+			return fmt.Errorf("core: sync: %w", err)
+		}
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.codeLens[h] = n
-}
-
-func (d *Device) codeLen(h types.Hash) (uint32, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n, ok := d.codeLens[h]
-	return n, ok
+	d.pages = pages
+	return nil
 }
 
 // BundleResult is what a pre-execution returns to the user (step 9).

@@ -46,9 +46,7 @@ type ORAMKeyOffer struct {
 // public key arrives, seals the ORAM key under the session key.
 // The two-step shape mirrors the user attestation flow.
 func (d *Device) OfferORAMKey(nonce [32]byte) (*ORAMKeyOffer, func(requesterPub []byte) ([]byte, error), error) {
-	d.mu.Lock()
 	key := append([]byte(nil), d.oramKey...)
-	d.mu.Unlock()
 	if len(key) == 0 {
 		return nil, nil, ErrNoORAMKey
 	}

@@ -29,50 +29,42 @@ type hvReader struct {
 	// ctx is the bundle's context; a traced bundle's ORAM rounds parent
 	// under its span.
 	ctx context.Context
-	// kvStore serves account meta and storage records.
-	kvStore *pager.Store
-	// codeStore serves code pages; codeMirror provides the bytes when
-	// ORAM traffic is spread by the prefetcher (see DESIGN.md).
-	codeStore  *pager.Store
-	codeMirror *pager.Store
-	// kvORAM/codeORAM mark whether each store crosses the ORAM.
-	kvORAM, codeORAM bool
+	// codeLens and the placement's stores are the last Sync's.
+	codeLens map[types.Hash]uint32
+	placement
 }
 
 var _ state.Reader = (*hvReader)(nil)
 
-// chargeQuery advances the lane clock for one page fetch and drains
-// any due prefetches first.
-func (r *hvReader) chargeQuery(oramBacked bool) {
-	r.chargeQueryKind(oramBacked, 'k')
-}
-
-func (r *hvReader) chargeQueryKind(oramBacked bool, kind byte) {
-	if oramBacked {
-		r.drainPrefetch()
-		r.lane.prefetcher.NotifyQuery(r.lane.clock.Now())
-		r.recordORAMQuery(kind)
-		return
-	}
-	// Prefetched-to-untrusted-memory path: one A.E.DMA page move.
-	r.lane.clock.Advance(r.dev.cfg.Calibration.L3SwapPerPage)
-}
-
-// recordORAMQuery logs one real ORAM query at the current virtual time
-// and charges its link-RTT + server cost — the single bookkeeping site
-// for every query the adversary observes.
-func (r *hvReader) recordORAMQuery(kind byte) {
-	r.recordORAMBatch(kind, 1)
-}
-
-// recordORAMBatch logs n queries issued together in one batched
-// message and charges them as OVERLAPPED virtual time: the 2 ms link
-// round trip is paid once for the whole batch, server processing
-// serially per query within a shard but in parallel across shards
-// (simclock.Calibration.ORAMShardedBatchCost — with one shard this is
-// exactly ORAMBatchCost). All n queries share one timestamp — on the
-// wire they leave back to back.
+// recordORAMBatch is the reader's one ORAM charge site: n real queries
+// of one kind leave in one batched message. First, at most ONE code
+// prefetch whose randomized interval timer has expired goes out as its
+// own query (a real ORAM access whose data is discarded). One per real
+// query is the paper's design: "we insert a prefetch query in the
+// middle of every two original queries" — a loop here would burst the
+// queue and recreate the very pattern the prefetcher exists to hide.
+// The prefetcher then learns of the real query, and the queries are
+// logged and charged (logQueries).
 func (r *hvReader) recordORAMBatch(kind byte, n int) {
+	if ref, ok := r.lane.prefetcher.PopDue(r.lane.clock.Now()); ok {
+		if _, err := r.codeORAM.ReadCodePage(r.ctx, ref.CodeHash, ref.Index); err != nil &&
+			!errors.Is(err, pager.ErrPageNotFound) {
+			panic(fmt.Errorf("core: prefetch page %d: %w", ref.Index, err))
+		}
+		r.logQueries('c', 1)
+	}
+	r.lane.prefetcher.NotifyQuery(r.lane.clock.Now())
+	r.logQueries(kind, n)
+}
+
+// logQueries logs n queries issued together in one message at the
+// current virtual time and charges them as OVERLAPPED virtual time: the
+// 2 ms link round trip is paid once for the whole message, server
+// processing serially per query within a shard but in parallel across
+// shards (simclock.Calibration.ORAMShardedBatchCost — with one shard
+// this is exactly ORAMBatchCost). All n queries share one timestamp —
+// on the wire they leave back to back.
+func (r *hvReader) logQueries(kind byte, n int) {
 	now := r.lane.clock.Now()
 	for i := 0; i < n; i++ {
 		r.lane.queryTimes = append(r.lane.queryTimes, now)
@@ -82,25 +74,10 @@ func (r *hvReader) recordORAMBatch(kind byte, n int) {
 	r.lane.oramQueries += uint64(n)
 }
 
-// drainPrefetch issues at most ONE code prefetch whose randomized
-// interval timer has expired (a real ORAM access whose data is
-// discarded). One per real query is the paper's design: "we insert a
-// prefetch query in the middle of every two original queries" — a
-// loop here would burst the queue and recreate the very pattern the
-// prefetcher exists to hide.
-func (r *hvReader) drainPrefetch() {
-	if !r.codeORAM {
-		return
-	}
-	ref, ok := r.lane.prefetcher.PopDue(r.lane.clock.Now())
-	if !ok {
-		return
-	}
-	if _, err := r.codeStore.ReadCodePage(ref.CodeHash, ref.Index); err != nil &&
-		!errors.Is(err, pager.ErrPageNotFound) {
-		panic(fmt.Errorf("core: prefetch page %d: %w", ref.Index, err))
-	}
-	r.recordORAMQuery('c')
+// movePages charges n pages fetched from prefetched untrusted memory:
+// one A.E.DMA page move each.
+func (r *hvReader) movePages(n uint32) {
+	r.lane.clock.Advance(time.Duration(n) * r.dev.cfg.Calibration.L3SwapPerPage)
 }
 
 // Account implements state.Reader via the account-meta page. The
@@ -110,12 +87,15 @@ func (r *hvReader) drainPrefetch() {
 func (r *hvReader) Account(addr types.Address) (*types.Account, bool) {
 	meta, seen := r.lane.acctCache[addr]
 	if !seen {
-		r.chargeQuery(r.kvORAM)
+		if r.kvORAM {
+			r.recordORAMBatch('k', 1)
+		} else {
+			r.movePages(1)
+		}
 		var err error
-		meta, err = r.kvStore.ReadAccountMeta(addr)
+		meta, err = r.kv.ReadAccountMeta(r.ctx, addr)
 		switch {
 		case err == nil:
-			r.dev.registerCodeLen(meta.CodeHash, meta.CodeLen)
 		case errors.Is(err, pager.ErrPageNotFound):
 			meta = nil // absent accounts are memoized too
 		default:
@@ -141,8 +121,12 @@ func (r *hvReader) Storage(addr types.Address, slot types.Hash) types.Hash {
 		// L1 hit: same-cycle, no exception.
 		return types.Hash(v)
 	}
-	r.chargeQuery(r.kvORAM)
-	val, _, err := r.kvStore.ReadStorageRecord(addr, slot)
+	if r.kvORAM {
+		r.recordORAMBatch('k', 1)
+	} else {
+		r.movePages(1)
+	}
+	val, _, err := r.kv.ReadStorageRecord(r.ctx, addr, slot)
 	if err != nil {
 		panic(fmt.Errorf("core: storage %s/%s: %w", addr, slot, err))
 	}
@@ -153,7 +137,7 @@ func (r *hvReader) Storage(addr types.Address, slot types.Hash) types.Hash {
 // Code implements state.Reader. With ORAM-backed code, page 0 is
 // fetched obliviously now and the tail pages are queued on the
 // prefetcher's randomized interval timer; the bytes executed come from
-// the trusted-side mirror (simulation note in DESIGN.md — the
+// the plain store either way (simulation note in DESIGN.md — the
 // adversary-visible ORAM sequence is the faithful artifact).
 func (r *hvReader) Code(codeHash types.Hash) []byte {
 	if codeHash == types.EmptyCodeHash || codeHash.IsZero() {
@@ -164,13 +148,13 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 	if code, ok := r.lane.codeCache[codeHash]; ok {
 		return code
 	}
-	codeLen, ok := r.dev.codeLen(codeHash)
+	codeLen, ok := r.codeLens[codeHash]
 	if !ok {
 		return nil
 	}
-	if r.codeORAM {
-		r.chargeQueryKind(true, 'c')
-		if _, err := r.codeStore.ReadCodePage(codeHash, 0); err != nil &&
+	if r.codeORAM != nil {
+		r.recordORAMBatch('c', 1)
+		if _, err := r.codeORAM.ReadCodePage(r.ctx, codeHash, 0); err != nil &&
 			!errors.Is(err, pager.ErrPageNotFound) {
 			panic(fmt.Errorf("core: code page 0 of %s: %w", codeHash, err))
 		}
@@ -185,7 +169,7 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 				for i := uint32(1); i < n; i++ {
 					indices = append(indices, i)
 				}
-				if _, err := r.codeStore.ReadCodePages(r.ctx, codeHash, indices); err != nil {
+				if _, err := r.codeORAM.ReadCodePages(r.ctx, codeHash, indices); err != nil {
 					panic(fmt.Errorf("core: code pages of %s: %w", codeHash, err))
 				}
 				r.recordORAMBatch('c', len(indices))
@@ -193,17 +177,11 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 		} else {
 			r.lane.prefetcher.QueueCode(codeHash, codeLen)
 		}
-		code, err := r.codeMirror.ReadCode(codeHash, codeLen)
-		if err != nil {
-			panic(fmt.Errorf("core: code mirror %s: %w", codeHash, err))
-		}
-		r.lane.codeCache[codeHash] = code
-		return code
+	} else {
+		// Local path: every page is one untrusted-memory move.
+		r.movePages(pager.CodePages(codeLen))
 	}
-	// Local path: every page is one untrusted-memory move.
-	pages := pager.CodePages(codeLen)
-	r.lane.clock.Advance(time.Duration(pages) * r.dev.cfg.Calibration.L3SwapPerPage)
-	code, err := r.codeStore.ReadCode(codeHash, codeLen)
+	code, err := r.code.ReadCode(r.ctx, codeHash, codeLen)
 	if err != nil {
 		panic(fmt.Errorf("core: code %s: %w", codeHash, err))
 	}
@@ -215,18 +193,5 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 // lane's clock and caches. ctx is the bundle's execution context: the
 // ORAM rounds the reader issues are attributed to it.
 func (d *Device) newReader(ctx context.Context, l *laneState) state.Reader {
-	r := &hvReader{dev: d, lane: l, ctx: ctx}
-	if d.cfg.Features.ORAMStorage {
-		r.kvStore, r.kvORAM = d.oramStore, true
-	} else {
-		r.kvStore = d.mirror
-	}
-	if d.cfg.Features.ORAMCode {
-		r.codeStore, r.codeORAM = d.oramStore, true
-		r.codeMirror = d.mirror
-	} else {
-		r.codeStore = d.mirror
-		r.codeMirror = d.mirror
-	}
-	return r
+	return &hvReader{dev: d, lane: l, ctx: ctx, codeLens: d.pages.codeLens, placement: d.pages.place(d.cfg.Features)}
 }

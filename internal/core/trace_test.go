@@ -253,3 +253,33 @@ func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 		t.Errorf("dead connection produced spans beyond root and client: %v", count)
 	}
 }
+
+// TestTracedBundleSpansEveryORAMRound: a traced -full bundle with code
+// prefetching on (so every real query and every prefetch is its own
+// single-access round) has one oram.batch span per ORAM round it
+// caused, counted from the ORAM client's own access counter.
+func TestTracedBundleSpansEveryORAMRound(t *testing.T) {
+	sr, devReg := buildTracedServiceRig(t)
+	dev := sr.device
+	if dev.Config().DisablePrefetch {
+		t.Fatal("rig has code prefetching off")
+	}
+	bundle, err := sr.world.MEVBundle(4, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dev.ORAMStats()
+	count, failed := errSpans(t, devReg, func(ctx context.Context) {
+		if _, err := dev.ExecuteContext(ctx, bundle); err != nil {
+			t.Error(err)
+		}
+	})
+	after := dev.ORAMStats()
+	if after.Batches != before.Batches {
+		t.Fatalf("prefetching bundle ran %d multi-op rounds", after.Batches-before.Batches)
+	}
+	rounds := after.Accesses - before.Accesses
+	if rounds == 0 || uint64(count["oram.batch"]) != rounds {
+		t.Fatalf("%d oram.batch spans for %d ORAM rounds (spans %v, failed %v)", count["oram.batch"], rounds, count, failed)
+	}
+}

@@ -19,7 +19,7 @@ import (
 // bundle must come back as ONE contiguous trace in the client's
 // recorder: the client root, the gateway's admission/scheduling
 // segment, and the executing device's bundle, lane re-execution, and
-// per-shard ORAM batch spans, every parent link resolving.
+// ORAM round spans, every parent link resolving.
 func TestTracePropagationAcrossFleet(t *testing.T) {
 	mfr, err := attest.NewManufacturer()
 	if err != nil {
@@ -49,11 +49,6 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 		cfg.HEVMs = 1
 		cfg.Lanes = 4
 		cfg.ORAMShards = 2
-		// Burst-fetch code pages so the bundle rides the batched ORAM
-		// fan-out (the prefetcher spreads single accesses instead, which
-		// never batch); multi-page DEX code then produces per-shard
-		// oram.batch spans on the first cold execution.
-		cfg.DisablePrefetch = true
 		cfg.Telemetry = reg
 		dev, err := core.NewDevice(cfg, mfr, chain)
 		if err != nil {
@@ -108,8 +103,8 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 	c.UseTracer(ctr)
 
 	// A high-conflict MEV bundle on cold devices: every tx hammers one
-	// pool (lane re-execution) and first-touch state rides the batched
-	// ORAM prefetch (per-shard fan-out spans).
+	// pool (lane re-execution), and every world-state query and code
+	// prefetch is an ORAM round of the trace.
 	bundle, err := w.MEVBundle(8, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +155,7 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 		"device.bundle",     // executing device
 		"device.exec",       // HEVM stage
 		"lane.reexec",       // conflict-driven re-execution
-		"oram.batch",        // per-shard batched fan-out
+		"oram.batch",        // one per ORAM round
 	} {
 		if names[want] == 0 {
 			t.Errorf("span %q missing from trace (got %v)", want, names)
@@ -172,6 +167,6 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 		t.Errorf("service.bundle count %d, want one per hop (>=2)", names["service.bundle"])
 	}
 	if names["oram.batch"] < 2 {
-		t.Errorf("oram.batch count %d, want one per shard (>=2)", names["oram.batch"])
+		t.Errorf("oram.batch count %d, want one per ORAM round (>=2)", names["oram.batch"])
 	}
 }

@@ -1,8 +1,10 @@
 // Package node simulates the Ethereum full node of the paper's use
 // case: it holds the canonical chain and world state, executes new
-// blocks, and serves world-state data with Merkle proofs so that
-// HarDTAPE can synchronize its ORAM with authenticated contents
-// (workflow step 11, attack A6).
+// blocks, and serves world-state data with Merkle proofs (workflow
+// step 11, attack A6). Its Syncer is the verifying half of a sync: it
+// checks every account, code blob and storage record against the
+// head's state root and hands the verified state to the device, which
+// rebuilds its page stores from it.
 package node
 
 import (

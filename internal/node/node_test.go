@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -174,31 +175,48 @@ func TestStorageProofRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSyncAllIntoPlainStore: one verified pass fills every store the
-// syncer keeps, and reports each verified code blob's length.
+// pageInto writes verified accounts' pages, blind, into store: each
+// account's meta and storage groups, and its code.
+func pageInto(t *testing.T, store *pager.Store, accts ...*Account) {
+	t.Helper()
+	for _, a := range accts {
+		if err := store.WritePages(store.AccountPages(a.Addr, &a.Meta, a.Storage)); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.WritePages(pager.SplitCode(a.Meta.CodeHash, a.Code)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSyncAllIntoPlainStore: one verified pass returns every account
+// with its code (length in the meta) and full record set, and its pages
+// written blind serve the meta back.
 func TestSyncAllIntoPlainStore(t *testing.T) {
 	n, w := buildNode(t)
-	stores := []*pager.Store{
-		pager.NewStore(pager.NewPlainBackend()),
-		pager.NewStore(pager.NewPlainBackend()),
-	}
-	codeLens := make(map[types.Hash]uint32)
-	syncer := NewSyncer(n, func(h types.Hash, l uint32) { codeLens[h] = l }, stores...)
-	if err := syncer.SyncAll(); err != nil {
+	accts, err := NewSyncer(n).VerifyAll()
+	if err != nil {
 		t.Fatal(err)
 	}
-	accounts, records, codePages := syncer.Stats()
-	if accounts == 0 || records == 0 || codePages == 0 {
-		t.Fatalf("sync stats: %d %d %d", accounts, records, codePages)
+	var records, codePages int
+	for _, a := range accts {
+		records += len(a.Storage)
+		codePages += int(pager.CodePages(a.Meta.CodeLen))
+		if int(a.Meta.CodeLen) != len(a.Code) {
+			t.Fatalf("%s: meta code length %d, code %d bytes", a.Addr, a.Meta.CodeLen, len(a.Code))
+		}
 	}
-	for i, store := range stores {
-		meta, err := store.ReadAccountMeta(w.Tokens[0])
-		if err != nil {
-			t.Fatalf("store %d: %v", i, err)
-		}
-		if meta.CodeLen == 0 || codeLens[meta.CodeHash] != meta.CodeLen {
-			t.Fatalf("store %d: code length %d, reported %d", i, meta.CodeLen, codeLens[meta.CodeHash])
-		}
+	if len(accts) != len(n.State().Addresses()) || records == 0 || codePages == 0 {
+		t.Fatalf("verified %d accounts, %d records, %d code pages", len(accts), records, codePages)
+	}
+	store := pager.NewStore(pager.NewPlainBackend())
+	pageInto(t, store, accts...)
+	meta, err := store.ReadAccountMeta(context.Background(), w.Tokens[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.CodeLen == 0 || meta.CodeHash.IsZero() {
+		t.Fatalf("token meta %+v", meta)
 	}
 }
 
@@ -213,14 +231,20 @@ func TestSyncIntoORAMAndReadBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := pager.NewStore(pager.NewORAMBackend(cli))
-	syncer := NewSyncer(n, nil, store)
-	if err := syncer.SyncAll(); err != nil {
+	accts, err := NewSyncer(n).VerifyAll()
+	if err != nil {
 		t.Fatal(err)
+	}
+	pageInto(t, store, accts...)
+	// Blind writes: one ORAM access per page, none read back.
+	if got := cli.Stats().Accesses; got != uint64(store.Len()) {
+		t.Fatalf("%d ORAM accesses to write %d pages", got, store.Len())
 	}
 
 	// Read back through the oblivious path: meta, storage, code.
+	ctx := context.Background()
 	addr := w.EOAs[0]
-	meta, err := store.ReadAccountMeta(addr)
+	meta, err := store.ReadAccountMeta(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +252,14 @@ func TestSyncIntoORAMAndReadBack(t *testing.T) {
 		t.Fatalf("meta balance = %d", meta.Balance.Uint64())
 	}
 	token := w.Tokens[0]
-	tokenMeta, err := store.ReadAccountMeta(token)
+	tokenMeta, err := store.ReadAccountMeta(ctx, token)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tokenMeta.CodeLen == 0 {
 		t.Fatal("token code length missing")
 	}
-	code, err := store.ReadCode(tokenMeta.CodeHash, tokenMeta.CodeLen)
+	code, err := store.ReadCode(ctx, tokenMeta.CodeHash, tokenMeta.CodeLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +267,7 @@ func TestSyncIntoORAMAndReadBack(t *testing.T) {
 		t.Fatalf("code length %d != %d", len(code), tokenMeta.CodeLen)
 	}
 	key := types.BytesToHash(addr.Word().Bytes())
-	val, found, err := store.ReadStorageRecord(token, key)
+	val, found, err := store.ReadStorageRecord(ctx, token, key)
 	if err != nil || !found {
 		t.Fatalf("storage read: %v found=%v", err, found)
 	}
@@ -257,24 +281,18 @@ func TestSyncDetectsTamperedCode(t *testing.T) {
 	// Corrupt the node's code store by registering mismatched code
 	// under an account: simulate by syncing against a wrong state root
 	// (the adversary serves stale/fake data).
-	store := pager.NewStore(pager.NewPlainBackend())
-	syncer := NewSyncer(n, nil, store)
 	badRoot := types.Hash{0xde, 0xad}
-	err := syncer.SyncAccount(badRoot, w.EOAs[0])
-	if err == nil {
+	if _, err := NewSyncer(n).VerifyAccount(badRoot, w.EOAs[0]); err == nil {
 		t.Fatal("sync accepted data against a wrong root")
 	}
 }
 
 func TestSyncAfterNewBlock(t *testing.T) {
 	n, w := buildNode(t)
-	store := pager.NewStore(pager.NewPlainBackend())
-	syncer := NewSyncer(n, nil, store)
-	if err := syncer.SyncAll(); err != nil {
-		t.Fatal(err)
-	}
-	// Import a block that changes a balance, re-sync the sender, and
-	// check the page store sees the new value.
+	syncer := NewSyncer(n)
+	// Import a block that changes a balance, re-verify the recipient
+	// against the new root, and check its rebuilt page holds the new
+	// value.
 	from, to := w.EOAs[0], w.EOAs[1]
 	tx, err := w.SignedTx(from, &to, 999, nil, 21_000)
 	if err != nil {
@@ -288,11 +306,13 @@ func TestSyncAfterNewBlock(t *testing.T) {
 	if err := n.ImportBlock(blk); err != nil {
 		t.Fatal(err)
 	}
-	root := n.Head().Header.StateRoot
-	if err := syncer.SyncAccount(root, to); err != nil {
+	acct, err := syncer.VerifyAccount(n.Head().Header.StateRoot, to)
+	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := store.ReadAccountMeta(to)
+	store := pager.NewStore(pager.NewPlainBackend())
+	pageInto(t, store, acct)
+	meta, err := store.ReadAccountMeta(context.Background(), to)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,12 +193,13 @@ func NewClient(servers []Server, key []byte, opts ...ClientOption) (*Client, err
 	return c, nil
 }
 
-// Read fetches a block from its owning tree. Missing blocks return
-// ErrNotFound after a full (oblivious) path access, so lookups are
-// indistinguishable; the other trees see nothing, which leaks only the
-// public id→shard hash.
-func (c *Client) Read(id BlockID) ([]byte, error) {
-	data, err := c.one(BatchOp{Op: OpRead, ID: id})
+// Read fetches a block from its owning tree on behalf of ctx's request
+// (under a traced ctx the round is an "oram.batch" span of it). Missing
+// blocks return ErrNotFound after a full (oblivious) path access, so
+// lookups are indistinguishable; the other trees see nothing, which
+// leaks only the public id→shard hash.
+func (c *Client) Read(ctx context.Context, id BlockID) ([]byte, error) {
+	data, err := c.one(ctx, BatchOp{Op: OpRead, ID: id})
 	if err != nil {
 		return nil, err
 	}
@@ -210,16 +211,16 @@ func (c *Client) Read(id BlockID) ([]byte, error) {
 
 // Write stores a block (padding data to BlockSize).
 func (c *Client) Write(id BlockID, data []byte) error {
-	_, err := c.one(BatchOp{Op: OpWrite, ID: id, Data: data})
+	_, err := c.one(context.Background(), BatchOp{Op: OpWrite, ID: id, Data: data})
 	return err
 }
 
 // one runs a single access as the n = 1 round. Its op and result
 // arrays stay on the caller's stack, so it allocates nothing beyond
-// the returned block. Single accesses are never traced.
-func (c *Client) one(op BatchOp) ([]byte, error) {
+// the returned block.
+func (c *Client) one(ctx context.Context, op BatchOp) ([]byte, error) {
 	var out [1][]byte
-	_, err := c.access(context.Background(), []BatchOp{op}, out[:])
+	_, err := c.access(ctx, []BatchOp{op}, out[:])
 	return out[0], err
 }
 
@@ -227,7 +228,7 @@ func (c *Client) one(op BatchOp) ([]byte, error) {
 // holding any of them (one ReadPaths + WritePaths round trip per tree,
 // instead of one per block). The result is aligned with ids; missing
 // blocks yield nil entries, each after a full oblivious path access.
-// When ctx carries a trace, every multi-op sub-batch is an "oram.batch"
+// When ctx carries a trace, every tree's sub-batch is an "oram.batch"
 // span under it.
 func (c *Client) ReadMany(ctx context.Context, ids []BlockID) ([][]byte, error) {
 	ops := make([]BatchOp, len(ids))

@@ -81,7 +81,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 		if err := cli.Write(7, data); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cli.Read(7)
+		got, err := cli.Read(context.Background(), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestOverwrite(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := cli.Read(5)
+		got, err := cli.Read(context.Background(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestOverwrite(t *testing.T) {
 func TestReadMissing(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		cli, _ := newTestClient(t, k, 64)
-		if _, err := cli.Read(42); !errors.Is(err, ErrNotFound) {
+		if _, err := cli.Read(context.Background(), 42); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("missing block: %v", err)
 		}
 		// A miss still performs a full path access (oblivious lookups).
@@ -155,7 +155,7 @@ func TestManyBlocksSurviveShuffling(t *testing.T) {
 		// Random re-reads in scrambled order.
 		rng := mrand.New(mrand.NewSource(1))
 		for _, i := range rng.Perm(n) {
-			got, err := cli.Read(BlockID(i))
+			got, err := cli.Read(context.Background(), BlockID(i))
 			if err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
@@ -189,7 +189,7 @@ func checkStashBound(t *testing.T, k, batch int) {
 		case ops[0].Op == OpWrite:
 			err = cli.Write(ops[0].ID, ops[0].Data)
 		default:
-			if _, err = cli.Read(ops[0].ID); errors.Is(err, ErrNotFound) {
+			if _, err = cli.Read(context.Background(), ops[0].ID); errors.Is(err, ErrNotFound) {
 				err = nil
 			}
 		}
@@ -282,7 +282,7 @@ func TestLeafSequenceLooksUniform(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		checkLeafUniformity(t, k, func(cli *Client, hot []BlockID) (int, error) {
 			for _, id := range hot {
-				if _, err := cli.Read(id); err != nil {
+				if _, err := cli.Read(context.Background(), id); err != nil {
 					return 0, err
 				}
 			}
@@ -334,7 +334,7 @@ func TestShardedNoCrossShardTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			if _, err := cli.Read(id); err != nil {
+			if _, err := cli.Read(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := cli.ReadMany(context.Background(), []BlockID{id, id}); err != nil {
@@ -428,7 +428,7 @@ func TestTamperDetection(t *testing.T) {
 		// Tamper one bucket on leaf 0's path: the first non-empty bucket is
 		// the root, which every subsequent path read must traverse.
 		mems[shardOf(1, k)].TamperBucket(0)
-		if _, err := cli.Read(1); !errors.Is(err, ErrTampered) {
+		if _, err := cli.Read(context.Background(), 1); !errors.Is(err, ErrTampered) {
 			t.Fatalf("tamper: %v", err)
 		}
 	})
@@ -490,7 +490,7 @@ func TestConcurrentClientsSharedServer(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		got, err := c2.Read(BlockID(1000 + i))
+		got, err := c2.Read(context.Background(), BlockID(1000+i))
 		if err != nil {
 			t.Fatalf("c2 read %d: %v", i, err)
 		}
@@ -613,7 +613,7 @@ func TestShardedRoundTrip(t *testing.T) {
 			if err := cli.Write(7, []byte("direct")); err != nil {
 				t.Fatal(err)
 			}
-			got, err := cli.Read(7)
+			got, err := cli.Read(context.Background(), 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -661,7 +661,7 @@ func TestBatchReadWriteRoundTrip(t *testing.T) {
 		if st.Accesses != 16 || st.Batches == 0 {
 			t.Fatalf("after two 8-op rounds: accesses %d, batches %d", st.Accesses, st.Batches)
 		}
-		one, err := cli.Read(3)
+		one, err := cli.Read(context.Background(), 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -730,7 +730,7 @@ func TestBatchDuplicateIDs(t *testing.T) {
 			}
 		}
 		// And the block survives the multi-remap.
-		after, err := cli.Read(7)
+		after, err := cli.Read(context.Background(), 7)
 		if err != nil || string(after[:3]) != "two" {
 			t.Fatalf("block lost after duplicate batch: %v", err)
 		}
@@ -753,7 +753,7 @@ func TestQuickORAMMatchesMap(t *testing.T) {
 				}
 				ref[id] = v
 			} else {
-				got, err := cli.Read(id)
+				got, err := cli.Read(context.Background(), id)
 				want, exists := ref[id]
 				if !exists {
 					if !errors.Is(err, ErrNotFound) {
@@ -916,7 +916,7 @@ func TestFailClosedAfterServerError(t *testing.T) {
 							ids[i] = BlockID((round*batch + i) % blocks)
 						}
 						if batch == 1 {
-							_, cause = cli.Read(ids[0])
+							_, cause = cli.Read(context.Background(), ids[0])
 						} else {
 							_, cause = cli.ReadMany(context.Background(), ids)
 						}
@@ -935,7 +935,7 @@ func TestFailClosedAfterServerError(t *testing.T) {
 					all := make([]BlockID, blocks)
 					for id := range all {
 						all[id] = BlockID(id)
-						_, err := cli.Read(all[id])
+						_, err := cli.Read(context.Background(), all[id])
 						closed(fmt.Sprintf("Read(%d)", id), err)
 					}
 					_, err = cli.ReadMany(context.Background(), all[:8])
@@ -960,7 +960,7 @@ func BenchmarkORAMAccess(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cli.Read(BlockID(i % 512)); err != nil {
+		if _, err := cli.Read(context.Background(), BlockID(i%512)); err != nil {
 			b.Fatal(err)
 		}
 	}

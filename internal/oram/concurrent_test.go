@@ -90,7 +90,7 @@ func (w *concWorker) step(i int) error {
 	switch i % 4 {
 	case 0:
 		id := w.anyID()
-		got, err := w.cli.Read(id)
+		got, err := w.cli.Read(context.Background(), id)
 		if errors.Is(err, ErrNotFound) {
 			got, err = nil, nil
 		}
@@ -213,7 +213,7 @@ func TestConcurrentClientWholeAccesses(t *testing.T) {
 
 		for _, w := range workers {
 			for id, want := range w.oracle {
-				got, err := cli.Read(id)
+				got, err := cli.Read(context.Background(), id)
 				if err != nil || string(bytes.TrimRight(got, "\x00")) != want {
 					t.Fatalf("final block %d = %q, %v; want %q", id, got, err, want)
 				}

@@ -58,7 +58,7 @@ func TestTCPClientRoundTrip(t *testing.T) {
 		}
 	}
 	for i := 0; i < 40; i++ {
-		got, err := cli.Read(BlockID(i))
+		got, err := cli.Read(context.Background(), BlockID(i))
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -154,7 +154,7 @@ func TestTCPMultipleClients(t *testing.T) {
 	if err := cli2.Write(900, []byte("second client")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cli2.Read(900)
+	got, err := cli2.Read(context.Background(), 900)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,14 +523,14 @@ func TestTCPStalledServerFailsClosed(t *testing.T) {
 	defer cli.Close() // before the script's cleanup: it ends the io.Copy
 
 	start := time.Now()
-	if _, err := cli.Read(1); !errors.Is(err, ErrClientFailed) {
+	if _, err := cli.Read(context.Background(), 1); !errors.Is(err, ErrClientFailed) {
 		t.Fatalf("read from a stalled server: %v, want ErrClientFailed", err)
 	}
 	if took := time.Since(start); took > roundTripTimeout+time.Second {
 		t.Fatalf("stalled read took %v, timeout %v", took, roundTripTimeout)
 	}
 	start = time.Now()
-	if _, err := cli.Read(1); !errors.Is(err, ErrClientFailed) {
+	if _, err := cli.Read(context.Background(), 1); !errors.Is(err, ErrClientFailed) {
 		t.Fatalf("read after the latch: %v, want ErrClientFailed", err)
 	}
 	if err := cli.Write(2, []byte{1}); !errors.Is(err, ErrClientFailed) {

@@ -11,10 +11,11 @@ import (
 
 // TestBatchSpanTimesTracesAndFails pins what the one span in
 // tree.accessBatch does in each state: every round feeds the latency
-// series; when the round's ctx carries a trace, a multi-op round is also
-// an "oram.batch" node whose trace id lands on the histogram exemplar
-// and whose Err carries an injected server fault (and nobody else's
-// does); single accesses and untraced rounds are timed but never traced.
+// series; when the round's ctx carries a trace, the round — a single
+// access as much as a batch — is also an "oram.batch" node whose trace
+// id lands on its histogram's exemplar and whose Err carries an injected
+// server fault (and nobody else's does); untraced rounds are timed but
+// never traced.
 func TestBatchSpanTimesTracesAndFails(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.EnableTracing("device", 8)
@@ -46,12 +47,13 @@ func TestBatchSpanTimesTracesAndFails(t *testing.T) {
 		t.Fatalf("untraced rounds reached the flight recorder: %+v", st)
 	}
 
-	// Traced ctx: one clean batch, one single access, one failing batch.
+	// Traced ctx: one clean batch, one clean single access, one failing
+	// batch.
 	root, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), telemetry.SpanContext{}), "test.bundle")
 	if _, err := cli.ReadMany(ctx, ids); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Read(1); err != nil {
+	if _, err := cli.Read(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	flaky.failWrite = flaky.writes + 1
@@ -75,22 +77,21 @@ func TestBatchSpanTimesTracesAndFails(t *testing.T) {
 			t.Errorf("unexpected span %s (err %q)", s.Name, s.Err)
 		}
 	}
-	if clean != 1 || failed != 1 || len(trace.Spans) != 3 {
-		t.Fatalf("got %d clean + %d failed oram.batch of %d spans, want 1 + 1 of 3", clean, failed, len(trace.Spans))
+	if clean != 2 || failed != 1 || len(trace.Spans) != 4 {
+		t.Fatalf("got %d clean + %d failed oram.batch of %d spans, want 2 + 1 of 4", clean, failed, len(trace.Spans))
 	}
 	if single.Count() != 2 || batch.Count() != 3 {
 		t.Fatalf("rounds timed %d single / %d batch, want 2 / 3", single.Count(), batch.Count())
 	}
-	stamped := false
-	for i := 0; i <= len(telemetry.DurationBuckets); i++ {
-		if ex := batch.BucketExemplar(i); ex != nil && ex.Trace == root.Context().Trace {
-			stamped = true
+	for name, h := range map[string]*telemetry.Histogram{"batch": batch, "single": single} {
+		stamped := false
+		for i := 0; i <= len(telemetry.DurationBuckets); i++ {
+			if ex := h.BucketExemplar(i); ex != nil && ex.Trace == root.Context().Trace {
+				stamped = true
+			}
 		}
-		if single.BucketExemplar(i) != nil {
-			t.Fatal("a single access stamped an exemplar")
+		if !stamped {
+			t.Fatalf("traced %s round did not stamp the latency exemplar with its trace id", name)
 		}
-	}
-	if !stamped {
-		t.Fatal("traced batch did not stamp the latency exemplar with its trace id")
 	}
 }

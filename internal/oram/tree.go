@@ -92,19 +92,19 @@ func newTree(obs *observer, shard int, server Server, key []byte, seed int64) (*
 // Any error leaves the tree inconsistent — the position map already
 // points at the new leaves, blocks may have left the stash for buckets
 // that were never stored — so the client latches it (Client.runTree).
-// ctx is the round's context: under a traced bundle a multi-op round
-// is an "oram.batch" span of that trace.
+// ctx is the round's context: under a traced bundle the round is an
+// "oram.batch" span of that trace.
 func (t *tree) accessBatch(ctx context.Context, ops []BatchOp, out [][]byte) (err error) {
 	n := len(ops)
 	tm := &t.obs.tm
 	// One span times the round for the latency series and, under a traced
-	// bundle, is its "oram.batch" node. Single accesses are timed but
-	// never traced. Attribute values are sizes and the public shard
-	// index only — never block ids or leaf positions (the secretflow
-	// sink discipline).
+	// bundle, is its "oram.batch" node — a single access included, so a
+	// trace shows every round its request caused. Attribute values are
+	// sizes and the public shard index only — never block ids or leaf
+	// positions (the secretflow sink discipline).
 	latency := tm.batch
 	if n == 1 {
-		ctx, latency = context.Background(), tm.single
+		latency = tm.single
 	}
 	sp, _ := t.obs.reg.StartSpan(ctx, "oram.batch")
 	sp.AddInt("shard", int64(t.shard))

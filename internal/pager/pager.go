@@ -61,20 +61,24 @@ var (
 
 // Backend stores opaque fixed-size pages. The ORAM client implements
 // the oblivious version; PlainBackend is the prefetched-to-memory
-// variant used by the paper's -raw/-E/-ES configurations.
+// variant used by the paper's -raw/-E/-ES configurations. Pages are
+// written blind, whole, and never read back by the writer: a store is
+// filled once from verified state and then only read.
 type Backend interface {
-	ReadPage(key PageKey) ([]byte, error)
-	WritePage(key PageKey, data []byte) error
+	// ReadPage fetches one page on behalf of ctx's request (an ORAM
+	// round under a traced ctx is a span of it).
+	ReadPage(ctx context.Context, key PageKey) ([]byte, error)
 	// ReadPages fetches many pages in as few backend round trips as
 	// the transport allows (one per batch chunk on the ORAM). The
 	// result is aligned with keys; missing pages are nil entries, not
 	// errors — the trusted dictionary already knows absence without
-	// touching the backend. ctx attributes the rounds to the request
-	// they serve (an ORAM round under a traced ctx is a span of it).
+	// touching the backend. ctx attributes the rounds as in ReadPage.
 	ReadPages(ctx context.Context, keys []PageKey) ([][]byte, error)
 	// WritePages stores many pages in as few backend round trips as
 	// the transport allows.
 	WritePages(keys []PageKey, pages [][]byte) error
+	// Len returns the number of pages stored.
+	Len() int
 }
 
 // PlainBackend is a direct in-memory page store (no obliviousness).
@@ -90,7 +94,7 @@ func NewPlainBackend() *PlainBackend {
 }
 
 // ReadPage implements Backend.
-func (p *PlainBackend) ReadPage(key PageKey) ([]byte, error) {
+func (p *PlainBackend) ReadPage(_ context.Context, key PageKey) ([]byte, error) {
 	page, ok := p.pages[key]
 	if !ok {
 		return nil, ErrPageNotFound
@@ -100,52 +104,51 @@ func (p *PlainBackend) ReadPage(key PageKey) ([]byte, error) {
 	return out, nil
 }
 
-// WritePage implements Backend.
-func (p *PlainBackend) WritePage(key PageKey, data []byte) error {
-	if len(data) != PageSize {
-		return fmt.Errorf("%w: size %d", ErrBadPage, len(data))
-	}
-	cp := make([]byte, PageSize)
-	copy(cp, data)
-	p.pages[key] = cp
-	return nil
-}
-
 // ReadPages implements Backend.
-func (p *PlainBackend) ReadPages(_ context.Context, keys []PageKey) ([][]byte, error) {
+func (p *PlainBackend) ReadPages(ctx context.Context, keys []PageKey) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	for i, key := range keys {
-		page, err := p.ReadPage(key)
-		if errors.Is(err, ErrPageNotFound) {
-			continue
+		if page, err := p.ReadPage(ctx, key); err == nil {
+			out[i] = page
 		}
-		if err != nil {
-			return nil, err
-		}
-		out[i] = page
 	}
 	return out, nil
 }
 
 // WritePages implements Backend.
 func (p *PlainBackend) WritePages(keys []PageKey, pages [][]byte) error {
+	if err := checkPages(keys, pages); err != nil {
+		return err
+	}
+	for i, key := range keys {
+		p.pages[key] = append([]byte(nil), pages[i]...)
+	}
+	return nil
+}
+
+// Len implements Backend.
+func (p *PlainBackend) Len() int { return len(p.pages) }
+
+// checkPages rejects a write whose pages do not pair up with its keys
+// or are not exactly one page each, before anything is stored.
+func checkPages(keys []PageKey, pages [][]byte) error {
 	if len(pages) != len(keys) {
 		return fmt.Errorf("%w: %d pages for %d keys", ErrBadPage, len(pages), len(keys))
 	}
-	for i, key := range keys {
-		if err := p.WritePage(key, pages[i]); err != nil {
-			return err
+	for _, page := range pages {
+		if len(page) != PageSize {
+			return fmt.Errorf("%w: size %d", ErrBadPage, len(page))
 		}
 	}
 	return nil
 }
 
-// Len returns the stored page count.
-func (p *PlainBackend) Len() int { return len(p.pages) }
-
 // ORAMBackend maps page keys to dense ORAM block ids. The dictionary
 // is trusted client state (like the position map); Ethereum's key
-// space is sparse, so ids are assigned on first write.
+// space is sparse, so ids are assigned on first write, from 0. A new
+// ORAMBackend over a client that already holds blocks reuses their ids
+// and never reads them: the blocks it does not overwrite are
+// unreachable.
 type ORAMBackend struct {
 	client *oram.Client
 	ids    map[PageKey]oram.BlockID
@@ -161,32 +164,17 @@ func NewORAMBackend(client *oram.Client) *ORAMBackend {
 }
 
 // ReadPage implements Backend. Unknown keys perform no ORAM access:
-// the trusted dictionary already knows the page does not exist, so no
-// information crosses the boundary.
-func (o *ORAMBackend) ReadPage(key PageKey) ([]byte, error) {
+// the trusted dictionary already knows the page does not exist.
+func (o *ORAMBackend) ReadPage(ctx context.Context, key PageKey) ([]byte, error) {
 	id, ok := o.ids[key]
 	if !ok {
 		return nil, ErrPageNotFound
 	}
-	data, err := o.client.Read(id)
+	data, err := o.client.Read(ctx, id)
 	if errors.Is(err, oram.ErrNotFound) {
 		return nil, ErrPageNotFound
 	}
 	return data, err
-}
-
-// WritePage implements Backend.
-func (o *ORAMBackend) WritePage(key PageKey, data []byte) error {
-	if len(data) != PageSize {
-		return fmt.Errorf("%w: size %d", ErrBadPage, len(data))
-	}
-	id, ok := o.ids[key]
-	if !ok {
-		id = o.next
-		o.next++
-		o.ids[key] = id
-	}
-	return o.client.Write(id, data)
 }
 
 // oramBatchChunk caps one ORAM access batch: large enough to amortize
@@ -224,16 +212,14 @@ func (o *ORAMBackend) ReadPages(ctx context.Context, keys []PageKey) ([][]byte, 
 	return out, nil
 }
 
-// WritePages implements Backend via the client's batched access path.
+// WritePages implements Backend via the client's batched access path:
+// one ORAM access per page.
 func (o *ORAMBackend) WritePages(keys []PageKey, pages [][]byte) error {
-	if len(pages) != len(keys) {
-		return fmt.Errorf("%w: %d pages for %d keys", ErrBadPage, len(pages), len(keys))
+	if err := checkPages(keys, pages); err != nil {
+		return err
 	}
 	ops := make([]oram.BatchOp, 0, len(keys))
 	for i, key := range keys {
-		if len(pages[i]) != PageSize {
-			return fmt.Errorf("%w: size %d", ErrBadPage, len(pages[i]))
-		}
 		id, ok := o.ids[key]
 		if !ok {
 			id = o.next
@@ -254,8 +240,9 @@ func (o *ORAMBackend) WritePages(keys []PageKey, pages [][]byte) error {
 	return nil
 }
 
-// Pages returns the number of mapped pages.
-func (o *ORAMBackend) Pages() int { return len(o.ids) }
+// Len implements Backend: the number of mapped pages, which is also the
+// number of live ORAM blocks.
+func (o *ORAMBackend) Len() int { return len(o.ids) }
 
 // AccountMeta is the K-V style account data (balance, nonce, code
 // length, code hash) packed into one page.
@@ -330,40 +317,55 @@ func NewStoreGrouped(backend Backend, groupSize int) (*Store, error) {
 	}
 }
 
-// WriteAccountMeta stores an account's K-V data.
-func (s *Store) WriteAccountMeta(addr types.Address, meta *AccountMeta) error {
-	return s.backend.WritePage(PageKey{Kind: KindAccountMeta, Addr: addr}, encodeMeta(meta))
+// Len returns the number of pages the store holds.
+func (s *Store) Len() int { return s.backend.Len() }
+
+// WritePages stores whole pages blind, in one batched backend write
+// (one round trip per batch chunk on the ORAM). Nothing is read back:
+// the caller builds each page complete (AccountPages, SplitCode).
+func (s *Store) WritePages(keys []PageKey, pages [][]byte) error {
+	return s.backend.WritePages(keys, pages)
 }
 
-// ReadAccountMeta fetches an account's K-V data.
-func (s *Store) ReadAccountMeta(addr types.Address) (*AccountMeta, error) {
-	page, err := s.backend.ReadPage(PageKey{Kind: KindAccountMeta, Addr: addr})
+// AccountPages builds one account's K-V pages under this store's
+// grouping, meta page first: then one page per storage group recs
+// touches, each zero-filled and then filled from recs. Written whole,
+// they hold exactly recs — so recs must be the account's full record
+// set: a record it omits reads as zero, and a group it does not touch
+// is absent.
+func (s *Store) AccountPages(addr types.Address, meta *AccountMeta, recs []StorageRecord) ([]PageKey, [][]byte) {
+	keys := []PageKey{{Kind: KindAccountMeta, Addr: addr}}
+	pages := [][]byte{encodeMeta(meta)}
+	index := make(map[types.Hash]int, len(recs))
+	for _, rec := range recs {
+		group, slot := storageGroupKeyN(rec.Key, s.groupSize)
+		i, ok := index[group]
+		if !ok {
+			i = len(keys)
+			index[group] = i
+			keys = append(keys, PageKey{Kind: KindStorageGroup, Addr: addr, Group: group})
+			pages = append(pages, make([]byte, PageSize))
+		}
+		copy(pages[i][slot*32:(slot+1)*32], rec.Value[:])
+	}
+	return keys, pages
+}
+
+// ReadAccountMeta fetches an account's K-V data on behalf of ctx's
+// request.
+func (s *Store) ReadAccountMeta(ctx context.Context, addr types.Address) (*AccountMeta, error) {
+	page, err := s.backend.ReadPage(ctx, PageKey{Kind: KindAccountMeta, Addr: addr})
 	if err != nil {
 		return nil, err
 	}
 	return decodeMeta(page)
 }
 
-// WriteStorageRecord writes one record, read-modify-writing its group
-// page (creating it when absent).
-func (s *Store) WriteStorageRecord(addr types.Address, key, value types.Hash) error {
+// ReadStorageRecord reads one record on behalf of ctx's request. Absent
+// groups return the zero hash (Ethereum semantics) with found=false.
+func (s *Store) ReadStorageRecord(ctx context.Context, addr types.Address, key types.Hash) (types.Hash, bool, error) {
 	group, slot := storageGroupKeyN(key, s.groupSize)
-	pk := PageKey{Kind: KindStorageGroup, Addr: addr, Group: group}
-	page, err := s.backend.ReadPage(pk)
-	if errors.Is(err, ErrPageNotFound) {
-		page = make([]byte, PageSize)
-	} else if err != nil {
-		return err
-	}
-	copy(page[slot*32:(slot+1)*32], value[:])
-	return s.backend.WritePage(pk, page)
-}
-
-// ReadStorageRecord reads one record. Absent groups return the zero
-// hash (Ethereum semantics) with found=false.
-func (s *Store) ReadStorageRecord(addr types.Address, key types.Hash) (types.Hash, bool, error) {
-	group, slot := storageGroupKeyN(key, s.groupSize)
-	page, err := s.backend.ReadPage(PageKey{Kind: KindStorageGroup, Addr: addr, Group: group})
+	page, err := s.backend.ReadPage(ctx, PageKey{Kind: KindStorageGroup, Addr: addr, Group: group})
 	if errors.Is(err, ErrPageNotFound) {
 		return types.Hash{}, false, nil
 	}
@@ -380,30 +382,17 @@ func (s *Store) GroupKey(key types.Hash) types.Hash {
 	return g
 }
 
-// WriteCode splits contract code into pages and stores them in one
-// batched backend write (one round trip per batch chunk on the ORAM —
-// this is block sync's hot path).
-func (s *Store) WriteCode(codeHash types.Hash, code []byte) error {
+// SplitCode builds contract code's pages, zero-padding the last.
+func SplitCode(codeHash types.Hash, code []byte) ([]PageKey, [][]byte) {
 	n := int(CodePages(uint32(len(code))))
-	if n == 0 {
-		n = 1
-	}
 	keys := make([]PageKey, n)
 	pages := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		page := make([]byte, PageSize)
-		start := i * PageSize
-		if start < len(code) {
-			end := start + PageSize
-			if end > len(code) {
-				end = len(code)
-			}
-			copy(page, code[start:end])
-		}
+	for i := range keys {
+		pages[i] = make([]byte, PageSize)
+		copy(pages[i], code[i*PageSize:])
 		keys[i] = PageKey{Kind: KindCodePage, CodeHash: codeHash, Index: uint32(i)}
-		pages[i] = page
 	}
-	return s.backend.WritePages(keys, pages)
+	return keys, pages
 }
 
 // CodePages returns how many pages a code of the given length occupies.
@@ -414,9 +403,9 @@ func CodePages(codeLen uint32) uint32 {
 	return (codeLen + PageSize - 1) / PageSize
 }
 
-// ReadCodePage fetches one code page.
-func (s *Store) ReadCodePage(codeHash types.Hash, index uint32) ([]byte, error) {
-	return s.backend.ReadPage(PageKey{Kind: KindCodePage, CodeHash: codeHash, Index: index})
+// ReadCodePage fetches one code page on behalf of ctx's request.
+func (s *Store) ReadCodePage(ctx context.Context, codeHash types.Hash, index uint32) ([]byte, error) {
+	return s.backend.ReadPage(ctx, PageKey{Kind: KindCodePage, CodeHash: codeHash, Index: index})
 }
 
 // ReadCodePages fetches many code pages of one contract through the
@@ -430,60 +419,21 @@ func (s *Store) ReadCodePages(ctx context.Context, codeHash types.Hash, indices 
 	return s.backend.ReadPages(ctx, keys)
 }
 
-// StorageRecord is one key/value pair for WriteStorageRecords.
+// StorageRecord is one key/value pair for AccountPages.
 type StorageRecord struct {
 	Key   types.Hash
 	Value types.Hash
 }
 
-// WriteStorageRecords writes a set of records for one account with
-// batched backend traffic: the affected group pages are fetched in one
-// batched read, modified in place, and written back in one batched
-// write — block sync pays ~2 round trips per account instead of 2 per
-// record.
-func (s *Store) WriteStorageRecords(addr types.Address, recs []StorageRecord) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	keys := make([]PageKey, 0, len(recs))
-	keyIdx := make(map[PageKey]int, len(recs))
-	slots := make([]int, len(recs))
-	for i, rec := range recs {
-		group, slot := storageGroupKeyN(rec.Key, s.groupSize)
-		pk := PageKey{Kind: KindStorageGroup, Addr: addr, Group: group}
-		j, ok := keyIdx[pk]
-		if !ok {
-			j = len(keys)
-			keyIdx[pk] = j
-			keys = append(keys, pk)
-		}
-		slots[i] = j*RecordsPerPage + slot
-	}
-	pages, err := s.backend.ReadPages(context.Background(), keys)
-	if err != nil {
-		return err
-	}
-	for i := range pages {
-		if pages[i] == nil {
-			pages[i] = make([]byte, PageSize)
-		}
-	}
-	for i, rec := range recs {
-		page := pages[slots[i]/RecordsPerPage]
-		slot := slots[i] % RecordsPerPage
-		copy(page[slot*32:(slot+1)*32], rec.Value[:])
-	}
-	return s.backend.WritePages(keys, pages)
-}
-
-// ReadCode reassembles full contract code of a known length.
-func (s *Store) ReadCode(codeHash types.Hash, codeLen uint32) ([]byte, error) {
+// ReadCode reassembles full contract code of a known length on behalf
+// of ctx's request.
+func (s *Store) ReadCode(ctx context.Context, codeHash types.Hash, codeLen uint32) ([]byte, error) {
 	if codeLen == 0 {
 		return nil, nil
 	}
 	out := make([]byte, 0, codeLen)
 	for i := uint32(0); i < CodePages(codeLen); i++ {
-		page, err := s.ReadCodePage(codeHash, i)
+		page, err := s.ReadCodePage(ctx, codeHash, i)
 		if err != nil {
 			return nil, fmt.Errorf("pager: code page %d: %w", i, err)
 		}

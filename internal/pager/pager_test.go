@@ -2,6 +2,7 @@ package pager
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -55,10 +56,10 @@ func TestAccountMetaRoundTrip(t *testing.T) {
 				CodeLen:  5000,
 				CodeHash: hashOf(0xcc),
 			}
-			if err := s.WriteAccountMeta(addr(1), meta); err != nil {
+			if err := s.WritePages(s.AccountPages(addr(1), meta, nil)); err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.ReadAccountMeta(addr(1))
+			got, err := s.ReadAccountMeta(context.Background(), addr(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +67,7 @@ func TestAccountMetaRoundTrip(t *testing.T) {
 				got.CodeLen != 5000 || got.CodeHash != meta.CodeHash {
 				t.Fatalf("meta round trip: %+v", got)
 			}
-			if _, err := s.ReadAccountMeta(addr(9)); !errors.Is(err, ErrPageNotFound) {
+			if _, err := s.ReadAccountMeta(context.Background(), addr(9)); !errors.Is(err, ErrPageNotFound) {
 				t.Fatalf("missing meta: %v", err)
 			}
 		})
@@ -93,15 +94,19 @@ func TestStorageGrouping(t *testing.T) {
 func TestStorageRecords(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
 			a := addr(2)
 			// Two records in the same group + one in another group.
-			if err := s.WriteStorageRecord(a, hashOf(1), hashOf(0x11)); err != nil {
-				t.Fatal(err)
+			recs := []StorageRecord{
+				{Key: hashOf(1), Value: hashOf(0x11)},
+				{Key: hashOf(2), Value: hashOf(0x22)},
+				{Key: hashOf(200), Value: hashOf(0x33)},
 			}
-			if err := s.WriteStorageRecord(a, hashOf(2), hashOf(0x22)); err != nil {
-				t.Fatal(err)
+			keys, pages := s.AccountPages(a, &AccountMeta{Balance: uint256.NewInt(1)}, recs)
+			if len(keys) != 3 || keys[0].Kind != KindAccountMeta {
+				t.Fatalf("pages %+v, want the meta page then two groups", keys)
 			}
-			if err := s.WriteStorageRecord(a, hashOf(200), hashOf(0x33)); err != nil {
+			if err := s.WritePages(keys, pages); err != nil {
 				t.Fatal(err)
 			}
 			for _, tt := range []struct {
@@ -112,7 +117,7 @@ func TestStorageRecords(t *testing.T) {
 				{hashOf(2), hashOf(0x22)},
 				{hashOf(200), hashOf(0x33)},
 			} {
-				got, found, err := s.ReadStorageRecord(a, tt.key)
+				got, found, err := s.ReadStorageRecord(ctx, a, tt.key)
 				if err != nil || !found {
 					t.Fatalf("read %s: found=%v err=%v", tt.key, found, err)
 				}
@@ -121,12 +126,12 @@ func TestStorageRecords(t *testing.T) {
 				}
 			}
 			// Unset key in an existing group reads zero (found).
-			got, found, err := s.ReadStorageRecord(a, hashOf(3))
+			got, found, err := s.ReadStorageRecord(ctx, a, hashOf(3))
 			if err != nil || !found || !got.IsZero() {
 				t.Fatalf("unset-in-group: %s found=%v err=%v", got, found, err)
 			}
 			// Key in a missing group: not found, zero.
-			got, found, err = s.ReadStorageRecord(a, hashOf(100))
+			got, found, err = s.ReadStorageRecord(ctx, a, hashOf(100))
 			if err != nil || found || !got.IsZero() {
 				t.Fatalf("missing group: %s found=%v err=%v", got, found, err)
 			}
@@ -143,13 +148,14 @@ func TestCodePaging(t *testing.T) {
 				code[i] = byte(i * 31)
 			}
 			ch := hashOf(0xab)
-			if err := s.WriteCode(ch, code); err != nil {
+			if err := s.WritePages(SplitCode(ch, code)); err != nil {
 				t.Fatal(err)
 			}
-			if CodePages(uint32(len(code))) != 3 {
-				t.Fatalf("CodePages = %d", CodePages(uint32(len(code))))
+			if CodePages(uint32(len(code))) != 3 || s.Len() != 3 {
+				t.Fatalf("CodePages = %d, stored %d", CodePages(uint32(len(code))), s.Len())
 			}
-			back, err := s.ReadCode(ch, uint32(len(code)))
+			ctx := context.Background()
+			back, err := s.ReadCode(ctx, ch, uint32(len(code)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +163,7 @@ func TestCodePaging(t *testing.T) {
 				t.Fatal("code round trip mismatch")
 			}
 			// Single page fetch has fixed size.
-			page, err := s.ReadCodePage(ch, 2)
+			page, err := s.ReadCodePage(ctx, ch, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +171,7 @@ func TestCodePaging(t *testing.T) {
 				t.Fatalf("page size %d", len(page))
 			}
 			// Missing page.
-			if _, err := s.ReadCodePage(ch, 3); !errors.Is(err, ErrPageNotFound) {
+			if _, err := s.ReadCodePage(ctx, ch, 3); !errors.Is(err, ErrPageNotFound) {
 				t.Fatalf("missing page: %v", err)
 			}
 		})
@@ -179,12 +185,12 @@ func TestCodePagesEdge(t *testing.T) {
 	if CodePages(1) != 1 || CodePages(PageSize) != 1 || CodePages(PageSize+1) != 2 {
 		t.Error("CodePages boundaries")
 	}
-	// Empty code writes a single zero page without error.
+	// Empty code splits into no pages and writes nothing.
 	s := NewStore(NewPlainBackend())
-	if err := s.WriteCode(hashOf(1), nil); err != nil {
-		t.Fatal(err)
+	if err := s.WritePages(SplitCode(hashOf(1), nil)); err != nil || s.Len() != 0 {
+		t.Fatalf("empty code: %v, %d pages stored", err, s.Len())
 	}
-	code, err := s.ReadCode(hashOf(1), 0)
+	code, err := s.ReadCode(context.Background(), hashOf(1), 0)
 	if err != nil || code != nil {
 		t.Fatalf("empty code: %x %v", code, err)
 	}
@@ -195,13 +201,11 @@ func TestResponseSizesAreUniform(t *testing.T) {
 	// regardless of query type.
 	s := newORAMStore(t)
 	a := addr(3)
-	if err := s.WriteAccountMeta(a, &AccountMeta{Balance: uint256.NewInt(1)}); err != nil {
+	recs := []StorageRecord{{Key: hashOf(1), Value: hashOf(2)}}
+	if err := s.WritePages(s.AccountPages(a, &AccountMeta{Balance: uint256.NewInt(1)}, recs)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteStorageRecord(a, hashOf(1), hashOf(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteCode(hashOf(0xcd), make([]byte, 100)); err != nil {
+	if err := s.WritePages(SplitCode(hashOf(0xcd), make([]byte, 100))); err != nil {
 		t.Fatal(err)
 	}
 	backend := s.backend
@@ -210,7 +214,7 @@ func TestResponseSizesAreUniform(t *testing.T) {
 		"storage": {Kind: KindStorageGroup, Addr: a, Group: mustGroup(hashOf(1))},
 		"code":    {Kind: KindCodePage, CodeHash: hashOf(0xcd), Index: 0},
 	} {
-		page, err := backend.ReadPage(key)
+		page, err := backend.ReadPage(context.Background(), key)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -227,13 +231,21 @@ func mustGroup(key types.Hash) types.Hash {
 
 func TestPlainBackendValidation(t *testing.T) {
 	b := NewPlainBackend()
-	if err := b.WritePage(PageKey{Kind: KindAccountMeta}, []byte("short")); !errors.Is(err, ErrBadPage) {
+	meta, other := PageKey{Kind: KindAccountMeta}, PageKey{Kind: KindCodePage}
+	// A short page fails the whole write: nothing is stored.
+	if err := b.WritePages([]PageKey{other, meta}, [][]byte{make([]byte, PageSize), []byte("short")}); !errors.Is(err, ErrBadPage) {
 		t.Fatalf("short page: %v", err)
 	}
-	if _, err := b.ReadPage(PageKey{Kind: KindAccountMeta}); !errors.Is(err, ErrPageNotFound) {
+	if err := b.WritePages([]PageKey{meta}, nil); !errors.Is(err, ErrBadPage) {
+		t.Fatalf("pages for keys mismatch: %v", err)
+	}
+	if _, err := b.ReadPage(context.Background(), meta); !errors.Is(err, ErrPageNotFound) {
 		t.Fatalf("missing page: %v", err)
 	}
-	if err := b.WritePage(PageKey{Kind: KindAccountMeta}, make([]byte, PageSize)); err != nil {
+	if b.Len() != 0 {
+		t.Fatalf("a rejected write stored %d pages", b.Len())
+	}
+	if err := b.WritePages([]PageKey{meta}, [][]byte{make([]byte, PageSize)}); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 1 {
@@ -349,18 +361,28 @@ func TestPrefetcherReset(t *testing.T) {
 	}
 }
 
-// Property: storage read-after-write returns the written value for
+// Property: an account's pages, written blind from its full record set,
+// read back every record it holds and zero for a key it does not, for
 // arbitrary keys, through real grouping.
 func TestQuickStorageRoundTrip(t *testing.T) {
-	s := NewStore(NewPlainBackend())
+	ctx := context.Background()
 	a := addr(9)
-	f := func(key, val [32]byte) bool {
-		k, v := types.Hash(key), types.Hash(val)
-		if err := s.WriteStorageRecord(a, k, v); err != nil {
+	f := func(key, other, val [32]byte) bool {
+		k, o, v := types.Hash(key), types.Hash(other), types.Hash(val)
+		if k == o {
+			return true
+		}
+		s := NewStore(NewPlainBackend())
+		recs := []StorageRecord{{Key: k, Value: v}}
+		if err := s.WritePages(s.AccountPages(a, &AccountMeta{Balance: uint256.NewInt(0)}, recs)); err != nil {
 			return false
 		}
-		got, found, err := s.ReadStorageRecord(a, k)
-		return err == nil && found && got == v
+		got, found, err := s.ReadStorageRecord(ctx, a, k)
+		if err != nil || !found || got != v {
+			return false
+		}
+		got, _, err = s.ReadStorageRecord(ctx, a, o)
+		return err == nil && got.IsZero()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -369,16 +391,19 @@ func TestQuickStorageRoundTrip(t *testing.T) {
 
 func BenchmarkORAMStorageRead(b *testing.B) {
 	s := newORAMStore(b)
+	ctx := context.Background()
 	a := addr(1)
-	for i := byte(0); i < 64; i++ {
-		if err := s.WriteStorageRecord(a, hashOf(i), hashOf(i+1)); err != nil {
-			b.Fatal(err)
-		}
+	recs := make([]StorageRecord, 64)
+	for i := range recs {
+		recs[i] = StorageRecord{Key: hashOf(byte(i)), Value: hashOf(byte(i) + 1)}
+	}
+	if err := s.WritePages(s.AccountPages(a, &AccountMeta{Balance: uint256.NewInt(0)}, recs)); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.ReadStorageRecord(a, hashOf(byte(i%64))); err != nil {
+		if _, _, err := s.ReadStorageRecord(ctx, a, hashOf(byte(i%64))); err != nil {
 			b.Fatal(err)
 		}
 	}
