@@ -10,8 +10,8 @@
 // Each sweep runs against its own freshly built environment, so its
 // output does not depend on which sweeps ran before it. Every number is
 // the model: virtual-clock timings use the calibration table in
-// internal/simclock (see DESIGN.md §3 for the fields that also follow
-// random draws); shapes, not absolute values, are the reproduction
+// internal/simclock, and every field repeats exactly at one (-seed, -n)
+// (DESIGN.md §3); shapes, not absolute values, are the reproduction
 // target. Host wall clock and allocations are measured by benchmark/
 // and the go-test benchmarks, never here.
 package main

@@ -3,12 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"hardtape/internal/bench"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/modeled.golden.json from this run")
+
+// goldenPath holds the output of `benchtab -run all -n 16 -json`.
+const goldenPath = "testdata/modeled.golden.json"
 
 func TestRunUnknownSweepListsValidNames(t *testing.T) {
 	var stdout, stderr bytes.Buffer
@@ -67,8 +74,7 @@ func TestRunJSONIsOneDocument(t *testing.T) {
 // TestSweepOutputIndependentOfSelection pins that a sweep's output does
 // not depend on which sweeps ran before it. It compares table1, whose
 // distributions move with the workload generator's state, which
-// correctness and fig4 both advance. Like every field outside the
-// parallel table's multi-lane rows (internal/bench's drawDependent),
+// correctness and fig4 both advance. Like every field of every sweep,
 // table1's repeat exactly.
 func TestSweepOutputIndependentOfSelection(t *testing.T) {
 	alone := runJSON(t, "-run", "table1", "-n", "16")
@@ -76,4 +82,36 @@ func TestSweepOutputIndependentOfSelection(t *testing.T) {
 	if got := together.Tables[len(together.Tables)-len(alone.Tables):]; !reflect.DeepEqual(alone.Tables, got) {
 		t.Errorf("table1 alone differs from table1 under -run correctness,fig4,table1:\n%+v\n%+v", alone.Tables, got)
 	}
+}
+
+// TestModeledGolden pins the whole modeled column: the output of
+// `benchtab -run all -n 16 -json` must equal the committed golden byte
+// for byte, so a change that moves a modeled number shows the move in
+// its diff. Rewrite the golden with
+// `go test ./cmd/benchtab -run TestModeledGolden -update`.
+func TestModeledGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-run", "all", "-n", "16", "-json"}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(goldenPath, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(stdout.Bytes(), want) {
+		return
+	}
+	got, exp := strings.Split(stdout.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < min(len(got), len(exp)); i++ {
+		if got[i] != exp[i] {
+			t.Fatalf("output differs from %s at line %d:\n got %s\nwant %s", goldenPath, i+1, got[i], exp[i])
+		}
+	}
+	t.Fatalf("output has %d lines, %s has %d", len(got), goldenPath, len(exp))
 }

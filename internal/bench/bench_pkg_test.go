@@ -213,8 +213,8 @@ func TestParallelSweepShape(t *testing.T) {
 	if s := val(t, tab, free, "speedup"); s <= 1.0 {
 		t.Errorf("rate-0 speedup at 4 lanes = %.2f, want > 1", s)
 	}
-	if val(t, tab, hot, "conflicts")+val(t, tab, hot, "spec_retries") == 0 {
-		t.Error("rate-1 cell saw no staleness at all")
+	if val(t, tab, hot, "conflicts") == 0 {
+		t.Error("rate-1 cell saw no conflict")
 	}
 	if h, f := val(t, tab, hot, "speedup"), val(t, tab, free, "speedup"); h > f {
 		t.Errorf("hot speedup %.2f exceeds conflict-free speedup %.2f", h, f)

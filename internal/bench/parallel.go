@@ -26,10 +26,7 @@ func parallelSweep(env *Env) (Table, error) {
 		Title: fmt.Sprintf("PARALLEL PRE-EXECUTION — lanes × conflict-rate sweep (%d-tx MEV bundles, -raw device)", txs),
 		Note: "expected shape: speedup ≈ lanes at rate 0, decaying toward 1x as the\n" +
 			"conflict rate forces the committer to re-execute serially; traces are\n" +
-			"byte-identical to sequential execution at every cell\n" +
-			"draw-dependent: on rows with more than one lane, speculation runs on real goroutines and\n" +
-			"which lane reaches a contended slot first decides who conflicts — virtual_time, speedup,\n" +
-			"conflicts, reexecs, reexec_time, spec_retries and occupancy follow that interleaving",
+			"byte-identical to sequential execution at every cell",
 	}
 	devices := make(map[int]*core.Device, len(laneCounts))
 	mkDevice := func(lanes int) (*core.Device, error) {
@@ -77,7 +74,7 @@ func parallelSweep(env *Env) (Table, error) {
 					ns("virtual_time", res.VirtualTime),
 					num("speedup", "x", float64(seq.VirtualTime)/float64(res.VirtualTime)),
 					count("conflicts", p.Conflicts), count("reexecs", p.ReExecs),
-					count("spec_retries", p.SpecRetries), ns("reexec_time", p.ReExecTime),
+					ns("reexec_time", p.ReExecTime),
 					num("occupancy", "ratio", p.Occupancy),
 				},
 			})

@@ -1,47 +1,14 @@
 package bench
 
-import (
-	"slices"
-	"testing"
-)
-
-// drawDependent is the one statement of which params/modeled fields may
-// differ between two runs at the same (seed, n). Entries name a source
-// of randomness or scheduling the model is open to, not fields that
-// were seen to move; every other field must repeat exactly. A zero
-// table matches every table, a nil rows every row.
-var drawDependent = []struct {
-	table  string
-	rows   func(Row) bool
-	fields []string
-}{
-	// (c) The parallel sweep's scheduler fields on rows with more than
-	// one lane: speculation runs on real goroutines, and which lane
-	// reaches a contended slot first decides who conflicts (DESIGN.md §16).
-	{table: "parallel", rows: func(r Row) bool { return r.Params[0].Value > 1 },
-		fields: []string{"virtual_time", "speedup", "conflicts", "reexecs", "reexec_time", "spec_retries", "occupancy"}},
-}
-
-// drawDependentEntry returns the index of the drawDependent entry
-// covering the field, or -1.
-func drawDependentEntry(table string, r Row, field string) int {
-	for i, d := range drawDependent {
-		if (d.table == "" || d.table == table) && (d.rows == nil || d.rows(r)) && slices.Contains(d.fields, field) {
-			return i
-		}
-	}
-	return -1
-}
+import "testing"
 
 // TestSweepsRegistry runs every registered sweep twice and checks the
 // shape rules every table obeys and that the two runs agree on every
-// field outside drawDependent.
+// field: the model is a function of (seed, n).
 func TestSweepsRegistry(t *testing.T) {
 	units := map[string]bool{"ns": true, "count": true, "ratio": true, "x": true, "%": true, "B": true, "tx/s": true}
 	wantNames := []string{"table1", "resources", "correctness", "fig4", "fig5", "amortization", "scalability",
 		"ablations", "sessions", "parallel", "oram"}
-	exempted := make([]bool, len(drawDependent))
-	ran := 0 // a -run filter skips subtests, and with them the fields some entries cover
 	if len(Sweeps) != len(wantNames) {
 		t.Fatalf("registry holds %d sweeps, want %d", len(Sweeps), len(wantNames))
 	}
@@ -55,7 +22,6 @@ func TestSweepsRegistry(t *testing.T) {
 			t.Errorf("Find(%q) = %q, %v", sw.Name, got.Name, ok)
 		}
 		t.Run(sw.Name, func(t *testing.T) {
-			ran++
 			tabs, err := sw.RunFresh(smallEnvConfig(), 8)
 			if err != nil {
 				t.Fatal(err)
@@ -103,22 +69,14 @@ func TestSweepsRegistry(t *testing.T) {
 							if !units[f.Unit] {
 								t.Errorf("%s.%s.%s: unit %q outside the closed set", tab.Name, r.Name, f.Name, f.Unit)
 							}
-							if e := drawDependentEntry(tab.Name, r, f.Name); e >= 0 {
-								exempted[e] = true
-							} else if g := again[ti].Rows[ri].kind(k); len(g) != len(first) || g[i] != f {
-								t.Errorf("%s.%s.%s is %v in one run and %v in the next, and no drawDependent source covers it",
-									tab.Name, r.Name, f.Name, f, g)
+							if g := again[ti].Rows[ri].kind(k); len(g) != len(first) || g[i] != f {
+								t.Errorf("%s.%s.%s is %v in one run and %v in the next", tab.Name, r.Name, f.Name, f, g)
 							}
 						}
 					}
 				}
 			}
 		})
-	}
-	for i, used := range exempted {
-		if !used && ran == len(Sweeps) {
-			t.Errorf("drawDependent entry %d (%s %v) matches no field of any sweep", i, drawDependent[i].table, drawDependent[i].fields)
-		}
 	}
 	if _, ok := Find("nope"); ok {
 		t.Error("Find accepted an unregistered name")

@@ -43,12 +43,11 @@ var (
 // speculated; the extra lanes (when Config.Lanes > 1) run speculative
 // transactions.
 type laneState struct {
-	id          int
-	clock       *simclock.Clock
-	machine     *hevm.Machine
-	wsCache     *hevm.WSCache
-	prefetcher  *pager.Prefetcher
-	oramQueries uint64
+	id         int
+	clock      *simclock.Clock
+	machine    *hevm.Machine
+	wsCache    *hevm.WSCache
+	prefetcher *pager.Prefetcher
 	// opCounts samples retired instructions by class for telemetry.
 	// Plain memory owned by this lane — flushed to shared counters
 	// between bundles, so the interpreter loop never touches atomics.
@@ -73,7 +72,6 @@ func (l *laneState) reset() {
 	l.wsCache.Clear()
 	l.prefetcher.Reset()
 	l.clock.Reset()
-	l.oramQueries = 0
 	l.opCounts.Reset()
 	l.queryTimes = nil
 	l.queryKinds = nil
@@ -108,15 +106,6 @@ func (s *slot) hevmStats() hevm.Stats {
 		st.Add(l.machine.Stats())
 	}
 	return st
-}
-
-// totalORAMQueries sums query counts across all lanes.
-func (s *slot) totalORAMQueries() uint64 {
-	n := s.oramQueries
-	for _, l := range s.lanes {
-		n += l.oramQueries
-	}
-	return n
 }
 
 // mergedQueries folds the speculative lanes' lane-relative query logs
@@ -527,8 +516,8 @@ func (d *Device) executeOn(ctx context.Context, s *slot, bundle *types.Bundle) (
 	}
 	result.VirtualTime = s.clock.Now()
 	result.HEVMStats = s.hevmStats()
-	result.ORAMQueries = s.totalORAMQueries()
 	result.QueryTimes, result.QueryKinds = s.mergedQueries(execBase)
+	result.ORAMQueries = uint64(len(result.QueryTimes))
 	d.tm.txs.Add(uint64(len(bundle.Txs)))
 	if d.cfg.Telemetry != nil {
 		d.tm.recordBundle(s, result)

@@ -39,7 +39,6 @@ type devMetrics struct {
 
 	// Optimistic-scheduler series (Config.Lanes > 1).
 	specsTotal    *telemetry.Counter
-	specRetries   *telemetry.Counter
 	conflicts     *telemetry.Counter
 	reexecs       *telemetry.Counter
 	reexecSeconds *telemetry.Histogram
@@ -71,7 +70,6 @@ func newDevMetrics(reg *telemetry.Registry) *devMetrics {
 	m.wsMisses = reg.Counter("hardtape_wscache_misses_total", "L1 world-state cache misses")
 	m.oramQueries = reg.Counter("hardtape_device_oram_queries_total", "world-state queries answered through the ORAM")
 	m.specsTotal = reg.Counter("hardtape_device_speculations_total", "speculative transaction executions on parallel lanes")
-	m.specRetries = reg.Counter("hardtape_device_spec_retries_total", "worker-side re-speculations after a stale read set")
 	m.conflicts = reg.Counter("hardtape_device_conflicts_total", "commit-time read-set validation failures")
 	m.reexecs = reg.Counter("hardtape_device_reexecs_total", "in-order re-executions on the commit lane")
 	m.reexecSeconds = reg.Histogram("hardtape_device_reexec_seconds", "modeled device time spent re-executing conflicting transactions", nil)
@@ -119,7 +117,6 @@ func (m *devMetrics) recordBundle(s *slot, res *BundleResult) {
 	}
 	if p := res.Parallel; p != nil {
 		m.specsTotal.Add(uint64(p.Speculations))
-		m.specRetries.Add(uint64(p.SpecRetries))
 		m.conflicts.Add(uint64(p.Conflicts))
 		m.reexecs.Add(uint64(p.ReExecs))
 		m.reexecSeconds.Observe(p.ReExecTime.Seconds())

@@ -15,23 +15,17 @@ import (
 	"hardtape/internal/types"
 )
 
-// maxSpecAttempts bounds how often a lane re-speculates a transaction
-// whose read set went stale before handing it to the committer. The
-// committer's in-order re-execution is the unconditional backstop, so
-// one retry is enough to absorb the common "raced one commit" case
-// without burning lane time on hot conflicts.
-const maxSpecAttempts = 2
-
 // ParallelStats reports what the optimistic scheduler did for one
 // bundle (surfaced on BundleResult and in telemetry).
 type ParallelStats struct {
 	// Lanes is the number of speculative lanes the bundle ran on.
 	Lanes int
-	// Speculations counts speculative executions on the lanes,
-	// including worker-side retries.
+	// Speculations counts the speculative executions the committer
+	// consumed — one per transaction it reached.
 	Speculations int
-	// SpecRetries counts worker-side re-speculations after an advisory
-	// validation failed.
+	// SpecRetries is always 0: a lane speculates each transaction once,
+	// against the base snapshot. It stays because the load benchmark's
+	// ladder still reads it.
 	SpecRetries int
 	// Conflicts counts commit-time validation failures.
 	Conflicts int
@@ -40,12 +34,8 @@ type ParallelStats struct {
 	ReExecs int
 	// ReExecTime is the modeled device time spent re-executing.
 	ReExecTime time.Duration
-	// MaxTxExecs is the most executions any single transaction needed
-	// (lane speculations plus the commit-lane re-execution). 3 means
-	// some transaction conflicted twice: its retry went stale too, and
-	// the committer re-executed it a second time.
-	MaxTxExecs int
-	// LaneBusy is each lane's modeled busy time.
+	// LaneBusy is each lane's modeled busy time up to the end of the
+	// last speculation the committer consumed from it.
 	LaneBusy []time.Duration
 	// Occupancy is mean lane utilization over the parallel phase
 	// (1.0 = every lane busy until the last commit).
@@ -69,10 +59,10 @@ type laneOutcome struct {
 	hardErr error
 	// bugPanic carries a non-error panic to re-raise on the committer.
 	bugPanic any
-	attempts int
 	// specEnd is the lane-relative virtual time the speculation
-	// finished at.
+	// finished at, and queries the length of the lane's query log then.
 	specEnd time.Duration
+	queries int
 }
 
 // failed reports whether the speculation ended in any failure mode.
@@ -81,27 +71,33 @@ func (o *laneOutcome) failed() bool {
 }
 
 // speculation is the optimistic half of one bundle: transaction i runs
-// on worker lane i mod N against a versioned view of the bundle's base
-// snapshot and is handed to the in-order committer over done[i].
+// on worker lane i mod N against the bundle's immutable base snapshot
+// and is handed to the in-order committer over done[i]. A lane never
+// sees a commit, so its outcomes and clock are a function of the bundle
+// alone, whatever the goroutines' interleaving.
 type speculation struct {
 	lanes []*laneState
 	// base is the device time the lanes' relative clocks started at.
 	base     time.Duration
 	outcomes []*laneOutcome
 	done     []chan struct{}
+	// consumed is, per lane, the last outcome the committer took from
+	// it: the end of the lane's share of the bundle.
+	consumed []*laneOutcome
 	stop     atomic.Bool
 	wg       sync.WaitGroup
 	stats    *ParallelStats
 }
 
 // startSpeculation launches one worker per speculative lane of s.
-func (d *Device) startSpeculation(ctx context.Context, s *slot, v *state.Versioned, blockCtx evm.BlockContext, bundle *types.Bundle) *speculation {
+func (d *Device) startSpeculation(ctx context.Context, s *slot, blockCtx evm.BlockContext, bundle *types.Bundle) *speculation {
 	n := len(bundle.Txs)
 	sp := &speculation{
 		lanes:    s.lanes,
 		base:     s.clock.Now(),
 		outcomes: make([]*laneOutcome, n),
 		done:     make([]chan struct{}, n),
+		consumed: make([]*laneOutcome, len(s.lanes)),
 		stats:    &ParallelStats{Lanes: len(s.lanes)},
 	}
 	for i := range sp.done {
@@ -114,7 +110,9 @@ func (d *Device) startSpeculation(ctx context.Context, s *slot, v *state.Version
 			laneBase := d.newReader(ctx, l)
 			for i := w; i < n; i += len(sp.lanes) {
 				if !sp.stop.Load() {
-					sp.outcomes[i] = d.speculate(l, laneBase, v, blockCtx, bundle.Txs[i])
+					out := d.specOnce(l, laneBase, nil, blockCtx, bundle.Txs[i])
+					out.specEnd, out.queries = l.clock.Now(), len(l.queryTimes)
+					sp.outcomes[i] = out
 				}
 				close(sp.done[i])
 			}
@@ -126,13 +124,21 @@ func (d *Device) startSpeculation(ctx context.Context, s *slot, v *state.Version
 // finish drains the workers — the slot is reset and recycled as soon as
 // executeOn returns, and stopping first keeps the drain short when the
 // committer bailed out early — then closes the lane statistics over the
-// parallel phase that ended at device time end.
+// parallel phase that ended at device time end. Each lane counts only
+// up to the last outcome the committer consumed: after an early end,
+// what a lane ran past that point depends on the wall clock, so its
+// busy time and ORAM queries there are dropped.
 func (sp *speculation) finish(end time.Duration) {
 	sp.stop.Store(true)
 	sp.wg.Wait()
 	phase := end - sp.base
-	for _, l := range sp.lanes {
-		busy := l.clock.Now()
+	for w, l := range sp.lanes {
+		var busy time.Duration
+		queries := 0
+		if out := sp.consumed[w]; out != nil {
+			busy, queries = out.specEnd, out.queries
+		}
+		l.queryTimes, l.queryKinds = l.queryTimes[:queries], l.queryKinds[:queries]
 		sp.stats.LaneBusy = append(sp.stats.LaneBusy, busy)
 		if phase > 0 {
 			sp.stats.Occupancy += float64(busy) / (float64(phase) * float64(len(sp.lanes)))
@@ -143,28 +149,22 @@ func (sp *speculation) finish(end time.Duration) {
 // validated waits for transaction i's speculation and validates its read
 // set against the committed buffer on the commit clock: the committer
 // can act no earlier than the lane finished, and pays a tag compare per
-// read-set entry. It returns nil on a conflict — a transaction committed
-// after the speculation began changed something it read.
+// read-set entry. It returns nil on a conflict — an earlier transaction
+// of the bundle changed something the speculation read from the base.
 func (sp *speculation) validated(i int, commit *simclock.Clock, v *state.Versioned, cal simclock.Calibration) *laneOutcome {
 	<-sp.done[i]
 	out := sp.outcomes[i]
+	sp.consumed[i%len(sp.lanes)] = out
 	if out.bugPanic != nil {
 		return out
 	}
-	st := sp.stats
-	st.Speculations += out.attempts
-	st.SpecRetries += out.attempts - 1
-	execs := out.attempts
+	sp.stats.Speculations++
 	commit.AdvanceTo(sp.base + out.specEnd)
 	commit.Advance(time.Duration(out.rs.Len()) * cal.LaneValidatePerRead)
 	if !v.Validate(out.rs) {
-		st.Conflicts++
-		st.ReExecs++
-		execs++
-		out = nil
-	}
-	if execs > st.MaxTxExecs {
-		st.MaxTxExecs = execs
+		sp.stats.Conflicts++
+		sp.stats.ReExecs++
+		return nil
 	}
 	return out
 }
@@ -189,7 +189,7 @@ func (d *Device) runBundle(ctx context.Context, s *slot, blockCtx evm.BlockConte
 
 	var spec *speculation
 	if len(s.lanes) > 0 && len(bundle.Txs) > 1 {
-		spec = d.startSpeculation(ctx, s, v, blockCtx, bundle)
+		spec = d.startSpeculation(ctx, s, blockCtx, bundle)
 		result.Parallel = spec.stats
 		defer func() { spec.finish(s.clock.Now()) }()
 	}
@@ -249,34 +249,13 @@ func (d *Device) finishFailed(result *BundleResult, i int, out *laneOutcome) err
 	return out.hardErr
 }
 
-// speculate runs one transaction on a lane, retrying once if an
-// advisory validation shows the view went stale mid-flight. The final
-// say stays with the committer; the retry only keeps cheap conflicts
-// off the serial commit lane.
-func (d *Device) speculate(l *laneState, laneBase state.Reader, v *state.Versioned,
-	blockCtx evm.BlockContext, tx *types.Transaction) *laneOutcome {
-	var out *laneOutcome
-	for attempt := 1; attempt <= maxSpecAttempts; attempt++ {
-		out = d.specOnce(l, laneBase, v, blockCtx, tx)
-		out.attempts = attempt
-		if out.bugPanic != nil {
-			break
-		}
-		l.clock.Advance(time.Duration(out.rs.Len()) * d.cfg.Calibration.LaneValidatePerRead)
-		if v.Validate(out.rs) {
-			break
-		}
-	}
-	out.specEnd = l.clock.Now()
-	return out
-}
-
 // specOnce executes one transaction on the given lane against a fresh
-// versioned overlay and returns its outcome with read/write sets — the
-// one place a transaction meets the interpreter, so the one place hooks
-// are wired and hardware aborts are recovered. Speculative lanes and the
-// commit lane both run through here; they differ only in the reader and
-// in whether the outcome is validated afterwards.
+// per-transaction overlay and returns its outcome with read/write sets —
+// the one place a transaction meets the interpreter, so the one place
+// hooks are wired and hardware aborts are recovered. Speculative lanes
+// and the commit lane both run through here: a lane passes a nil v and
+// reads the base snapshot alone, and its outcome is validated
+// afterwards; the commit lane reads the committed prefix through v.
 func (d *Device) specOnce(l *laneState, laneBase state.Reader, v *state.Versioned,
 	blockCtx evm.BlockContext, tx *types.Transaction) (out *laneOutcome) {
 	out = &laneOutcome{}

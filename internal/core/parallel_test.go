@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -258,14 +259,11 @@ func TestParallelSchedulerStats(t *testing.T) {
 	if p.Conflicts != p.ReExecs {
 		t.Fatalf("conflicts %d != re-execs %d (every conflict re-executes exactly once)", p.Conflicts, p.ReExecs)
 	}
-	if p.Speculations != len(mev.Txs)+p.SpecRetries {
-		t.Fatalf("speculations %d != txs %d + retries %d", p.Speculations, len(mev.Txs), p.SpecRetries)
+	if p.Speculations != len(mev.Txs) {
+		t.Fatalf("speculations %d != txs %d (each transaction is speculated once)", p.Speculations, len(mev.Txs))
 	}
-	if p.Conflicts == 0 && p.SpecRetries == 0 {
-		t.Fatal("12 transactions hammering one pool produced no staleness at all")
-	}
-	if p.MaxTxExecs < 1 || p.MaxTxExecs > maxSpecAttempts+1 {
-		t.Fatalf("MaxTxExecs = %d outside [1, %d]", p.MaxTxExecs, maxSpecAttempts+1)
+	if p.Conflicts == 0 {
+		t.Fatal("12 transactions hammering one pool produced no conflict")
 	}
 	if p.ReExecs > 0 && p.ReExecTime <= 0 {
 		t.Fatal("re-executions charged no virtual time")
@@ -321,16 +319,15 @@ func TestParallelReadAfterRevertedWrite(t *testing.T) {
 	r.executeAll(t, "reverted-write", b, r.seq, r.par)
 }
 
-// TestParallelConflictTwiceReexecutesTwice walks one transaction
-// through the scheduler's full abort/retry ladder deterministically:
-// its first speculation is invalidated by a competing commit
-// (conflict 1 → the worker-retry re-execution), the retry is
-// invalidated by another commit (conflict 2 → the commit-lane
-// re-execution), and the third execution — against the quiesced
-// committed prefix — validates and commits. Uses the same specOnce /
-// Validate / Commit primitives the worker and committer run. (The
-// state-layer half is TestVersionedDoubleConflict.)
-func TestParallelConflictTwiceReexecutesTwice(t *testing.T) {
+// TestParallelConflictReexecutesOnce walks one transaction through the
+// scheduler's conflict path deterministically: its speculation reads the
+// pool's base reserves, a competing swap commits first, so validation
+// fails and the committer re-executes it against the committed prefix —
+// and that re-execution is final: it validates and commits, and no
+// further commit can come between it and its own. Uses the same
+// specOnce / Validate / Commit primitives the lanes and the committer
+// run. (The state-layer ladder is TestVersionedDoubleConflict.)
+func TestParallelConflictReexecutesOnce(t *testing.T) {
 	r := buildParallelRig(t, ConfigRaw, 2, false)
 	d := r.par
 	s := <-d.slots
@@ -350,30 +347,148 @@ func TestParallelConflictTwiceReexecutesTwice(t *testing.T) {
 		return tx
 	}
 	v := state.NewVersioned()
-	reader := d.newReader(context.Background(), &s.laneState)
-	run := func(i int) *laneOutcome {
-		out := d.specOnce(&s.laneState, reader, v, blockCtx, mkSwap(i))
+	laneReader := d.newReader(context.Background(), s.lanes[0])
+	commitReader := d.newReader(context.Background(), &s.laneState)
+	run := func(l *laneState, reader state.Reader, v *state.Versioned, i int) *laneOutcome {
+		out := d.specOnce(l, reader, v, blockCtx, mkSwap(i))
 		if out.failed() {
 			t.Fatalf("swap %d failed: %v %v %v", i, out.applyErr, out.abortErr, out.hardErr)
 		}
 		return out
 	}
 
-	victim := run(0) // speculation: reads the pool's base reserves
-	v.Commit(run(1).ws, reader)
-	if v.Validate(victim.rs) {
-		t.Fatal("conflict 1 not detected after a competing swap committed")
+	spec := run(s.lanes[0], laneReader, nil, 1) // the lane: base reserves only
+	v.Commit(run(&s.laneState, commitReader, v, 0).ws, commitReader)
+	if v.Validate(spec.rs) {
+		t.Fatal("conflict not detected after a competing swap committed")
 	}
-	victim = run(0) // re-execution 1 (the worker retry)
-	v.Commit(run(2).ws, reader)
-	if v.Validate(victim.rs) {
-		t.Fatal("conflict 2 not detected after a second competing commit")
+	final := run(&s.laneState, commitReader, v, 1) // the commit-lane re-execution
+	if !v.Validate(final.rs) {
+		t.Fatal("re-execution against the committed prefix must validate")
 	}
-	victim = run(0) // re-execution 2 (the commit lane); final
-	if !v.Validate(victim.rs) {
-		t.Fatal("final re-execution against the quiesced prefix must validate")
+	if reflect.DeepEqual(spec.trace, final.trace) {
+		t.Fatal("re-execution against the committed prefix traced the same as the stale speculation")
 	}
-	v.Commit(victim.ws, reader)
+	v.Commit(final.ws, commitReader)
+}
+
+// modeledRun is everything a bundle result models, compared whole
+// across runs of one bundle.
+type modeledRun struct {
+	virtual    time.Duration
+	parallel   ParallelStats
+	queryTimes []time.Duration
+	queryKinds []byte
+	gas        uint64
+	aborted    string
+	trace      *tracer.BundleTrace
+}
+
+func modeledOf(res *BundleResult) modeledRun {
+	m := modeledRun{virtual: res.VirtualTime, queryTimes: res.QueryTimes, queryKinds: res.QueryKinds,
+		gas: res.GasUsed, trace: res.Trace}
+	if res.Parallel != nil {
+		m.parallel = *res.Parallel
+	}
+	if res.Aborted != nil {
+		m.aborted = res.Aborted.Error()
+	}
+	return m
+}
+
+// assertModelRepeats executes b runs times, alternating GOMAXPROCS
+// between 1 and 2, each time on a fresh one-slot device with a fixed
+// model seed — so every run starts from the same generator state — and
+// requires one modeled result from all of them. It returns that result.
+func (r *parallelRig) assertModelRepeats(t *testing.T, name string, features Features, lanes, runs int, b *types.Bundle) modeledRun {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first modeledRun
+	for run := 0; run < runs; run++ {
+		procs := 1 + run%2
+		runtime.GOMAXPROCS(procs)
+		cfg := DefaultConfig()
+		cfg.Features, cfg.HEVMs, cfg.Lanes, cfg.Seed = features, 1, lanes, 1
+		dev, err := NewDevice(cfg, nil, r.chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := dev.Execute(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := modeledOf(res)
+		if run == 0 {
+			first = got
+		} else if !reflect.DeepEqual(first, got) {
+			t.Fatalf("%s: run %d (GOMAXPROCS %d) models differently from run 0:\n%+v\n%+v",
+				name, run, procs, first.parallel, got.parallel)
+		}
+	}
+	return first
+}
+
+// TestParallelModelRepeats pins that speculation is a function of the
+// bundle and the seed: lanes read only the bundle's base snapshot, so
+// neither the goroutines' interleaving nor GOMAXPROCS reaches the
+// virtual clock, the scheduler statistics, the ORAM query log or the
+// traces.
+func TestParallelModelRepeats(t *testing.T) {
+	r := buildParallelRig(t, ConfigRaw, 0, false)
+	for _, rate := range []float64{0.25, 0.5, 1.0} {
+		b, err := r.world.MEVBundle(8, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lanes := range []int{2, 4, 8} {
+			r.assertModelRepeats(t, fmt.Sprintf("-raw/%d lanes @ %.2f", lanes, rate), ConfigRaw, lanes, 10, b)
+		}
+	}
+	b, err := r.world.MEVBundle(8, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := r.assertModelRepeats(t, "-full/4 lanes @ 0.50", ConfigFull, 4, 10, b); len(m.queryTimes) == 0 {
+		t.Fatal("-full run issued no ORAM queries")
+	}
+}
+
+// TestParallelAbortStatsRepeat: when a hardware abort ends a speculated
+// bundle early, the lanes may already have run transactions past it —
+// how many depends on the wall clock. The statistics count only what
+// the committer consumed, so the result repeats and occupancy stays a
+// fraction of the parallel phase.
+func TestParallelAbortStatsRepeat(t *testing.T) {
+	r := buildParallelRig(t, ConfigRaw, 4, false)
+	loop := uniformBundle(t, r.world, 12).Txs
+	hog := r.world.MemoryHog
+	overflow, err := r.world.SignedTxAt(r.world.EOAs[1], 0, &hog, 0, workload.CalldataUint(600_000), 25_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &types.Bundle{Txs: append([]*types.Transaction{loop[0], overflow}, loop[2:]...)}
+	var first modeledRun
+	for run := 0; run < 20; run++ {
+		res, err := r.par.Execute(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Aborted == nil || res.Parallel == nil {
+			t.Fatalf("run %d: aborted=%v parallel=%v", run, res.Aborted, res.Parallel)
+		}
+		if occ := res.Parallel.Occupancy; occ > 1 {
+			t.Fatalf("run %d: occupancy %.2f > 1 (lane busy %v)", run, occ, res.Parallel.LaneBusy)
+		}
+		got := modeledOf(res)
+		if run == 0 {
+			first = got
+		} else if !reflect.DeepEqual(first, got) {
+			t.Fatalf("run %d differs from run 0:\n%+v\n%+v", run, first.parallel, got.parallel)
+		}
+	}
 }
 
 // TestParallelModeledSpeedup is the acceptance bar: on a conflict-free

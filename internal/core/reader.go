@@ -71,7 +71,6 @@ func (r *hvReader) logQueries(kind byte, n int) {
 		r.lane.queryKinds = append(r.lane.queryKinds, kind)
 	}
 	r.lane.clock.Advance(r.dev.cfg.Calibration.ORAMShardedBatchCost(n, r.dev.cfg.ORAMShardCount(), 0))
-	r.lane.oramQueries += uint64(n)
 }
 
 // movePages charges n pages fetched from prefetched untrusted memory:

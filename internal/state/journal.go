@@ -18,8 +18,9 @@ import (
 //     sets for conflict detection and in-order commit.
 //
 // The split is what makes intra-bundle parallelism possible without
-// the interpreter knowing: a speculative lane sees a versioned view of
-// the bundle state while recording exactly which values it consumed.
+// the interpreter knowing: a speculative lane reads the bundle's base
+// snapshot while recording exactly which values it consumed, and the
+// committer checks those values against the committed prefix.
 type Journal interface {
 	// Account lifecycle and fields.
 	Exists(addr types.Address) bool

@@ -1,8 +1,6 @@
 package state
 
 import (
-	"sync"
-
 	"hardtape/internal/types"
 	"hardtape/internal/uint256"
 )
@@ -14,7 +12,9 @@ import (
 //     commit into it strictly in bundle order, so a single resolved
 //     entry per account/slot (rather than a per-version list) is
 //     enough: a reader either sees the latest committed value or falls
-//     through to the bundle's immutable base snapshot.
+//     through to the bundle's immutable base snapshot. Only the
+//     in-order committer reads or writes it; speculative lanes read the
+//     base snapshot alone.
 //   - TxOverlay is the per-transaction journal: an Overlay
 //     whose backend records the first value observed for every
 //     account field and storage slot actually consumed (the read set)
@@ -132,11 +132,10 @@ func (ws *WriteSet) Len() int {
 	return len(ws.accounts) + len(ws.storage)
 }
 
-// Versioned is the bundle-scope committed buffer shared by all
-// speculative lanes. Reads (View, Validate) take the read lock; Commit
-// is called by the single in-order committer with the write lock.
+// Versioned is the bundle-scope committed buffer. It is owned by the
+// single in-order committer — speculative lanes never see it — so
+// View, Validate and Commit take no lock.
 type Versioned struct {
-	mu       sync.RWMutex
 	accounts map[types.Address]versionedAccount
 	storage  map[storageSlot]types.Hash
 	code     map[types.Hash][]byte
@@ -152,7 +151,7 @@ func NewVersioned() *Versioned {
 }
 
 // View returns a Reader that resolves committed entries first and
-// falls through to base — the versioned snapshot a speculative lane
+// falls through to base — the committed prefix the commit lane
 // executes against. base is charged (clock, caches) only on real
 // fall-throughs, so committed-buffer hits stay on-chip.
 func (v *Versioned) View(base Reader) Reader {
@@ -165,9 +164,7 @@ type versionedView struct {
 }
 
 func (r *versionedView) Account(addr types.Address) (*types.Account, bool) {
-	r.v.mu.RLock()
 	e, ok := r.v.accounts[addr]
-	r.v.mu.RUnlock()
 	if !ok {
 		return r.base.Account(addr)
 	}
@@ -179,9 +176,7 @@ func (r *versionedView) Account(addr types.Address) (*types.Account, bool) {
 }
 
 func (r *versionedView) Storage(addr types.Address, key types.Hash) types.Hash {
-	r.v.mu.RLock()
 	val, ok := r.v.storage[storageSlot{addr, key}]
-	r.v.mu.RUnlock()
 	if ok {
 		return val
 	}
@@ -189,9 +184,7 @@ func (r *versionedView) Storage(addr types.Address, key types.Hash) types.Hash {
 }
 
 func (r *versionedView) Code(codeHash types.Hash) []byte {
-	r.v.mu.RLock()
 	code, ok := r.v.code[codeHash]
-	r.v.mu.RUnlock()
 	if ok {
 		return code
 	}
@@ -206,8 +199,6 @@ func (v *Versioned) Validate(rs *ReadSet) bool {
 	if rs == nil {
 		return true
 	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
 	for addr, ar := range rs.accounts {
 		cur, ok := v.accounts[addr]
 		if !ok {
@@ -244,8 +235,6 @@ func (v *Versioned) Commit(ws *WriteSet, base Reader) {
 	if ws == nil {
 		return
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	for addr, aw := range ws.accounts {
 		if aw.absolute {
 			fin := aw.final
@@ -279,10 +268,10 @@ func (v *Versioned) Commit(ws *WriteSet, base Reader) {
 	}
 }
 
-// recordingReader sits between a TxOverlay and the versioned view: it
+// recordingReader sits between a TxOverlay and the state it reads: it
 // records the first value observed for every account and storage slot
-// and pins it, so repeated reads within one speculation stay
-// self-consistent even while the committer publishes concurrently.
+// and pins it, so repeated reads within one execution return that
+// observation even if a commit lands in between.
 type recordingReader struct {
 	view     Reader
 	accounts map[types.Address]versionedAccount
@@ -346,11 +335,17 @@ type TxOverlay struct {
 
 var _ Journal = (*TxOverlay)(nil)
 
-// NewTxOverlay builds a speculative journal for one transaction over
-// the committed buffer v and the bundle's immutable base reader.
+// NewTxOverlay builds a per-transaction journal over the bundle's
+// immutable base reader, seen through the committed buffer v. A nil v
+// reads the base alone — a speculative lane, whose read set the
+// committer validates by value against v afterwards.
 func NewTxOverlay(v *Versioned, base Reader) *TxOverlay {
+	view := base
+	if v != nil {
+		view = v.View(base)
+	}
 	rec := &recordingReader{
-		view:     v.View(base),
+		view:     view,
 		accounts: make(map[types.Address]versionedAccount),
 		storage:  make(map[storageSlot]types.Hash),
 	}

@@ -49,6 +49,38 @@ func TestVersionedWriteAfterWrite(t *testing.T) {
 	}
 }
 
+// TestVersionedBaseOnlyOverlay: a speculative lane's overlay (nil
+// committed buffer) reads the base snapshot even after a commit changed
+// the slot, and its read set validates by value — stale iff the
+// committed prefix now holds something else.
+func TestVersionedBaseOnlyOverlay(t *testing.T) {
+	w := testWorld(t)
+	v := NewVersioned()
+
+	writer := NewTxOverlay(v, w)
+	writer.BeginTx()
+	writer.SetStorage(addr(1), hashOf(7), hashOf(100))
+	writer.SetStorage(addr(2), hashOf(9), hashOf(0))
+	_, ws := writer.Finish()
+	v.Commit(ws, w)
+
+	stale := NewTxOverlay(nil, w)
+	stale.BeginTx()
+	if got := stale.GetStorage(addr(1), hashOf(7)); got != hashOf(42) {
+		t.Fatalf("base-only read %s, want the base value %s", got, hashOf(42))
+	}
+	if rs, _ := stale.Finish(); v.Validate(rs) {
+		t.Fatal("base read of a slot the prefix changed must fail validation")
+	}
+
+	same := NewTxOverlay(nil, w)
+	same.BeginTx()
+	same.GetStorage(addr(2), hashOf(9)) // committed, but to its base value
+	if rs, _ := same.Finish(); !v.Validate(rs) {
+		t.Fatal("base read of a slot committed to the same value must validate")
+	}
+}
+
 // TestVersionedAbortedWritesInvisible: a speculative transaction that
 // fails (its write set is never committed) must leave no trace — a
 // concurrent reader and a later transaction both see the base value.
