@@ -258,7 +258,8 @@ func depthAblation() (Table, error) {
 		payload := make([]byte, oram.BlockSize)
 		const accesses = 64
 		for i := 0; i < accesses; i++ {
-			if err := cli.Write(oram.BlockID(i), payload); err != nil {
+			op := oram.BatchOp{Op: oram.OpWrite, ID: oram.BlockID(i), Data: payload}
+			if _, err := cli.AccessBatch(context.Background(), []oram.BatchOp{op}); err != nil {
 				return t, err
 			}
 		}

@@ -52,6 +52,10 @@ type laneState struct {
 	// Plain memory owned by this lane — flushed to shared counters
 	// between bundles, so the interpreter loop never touches atomics.
 	opCounts evm.OpClassCounts
+	// specStats is a speculative lane's machine statistics up to the
+	// last outcome the committer consumed from it, set when the
+	// speculation finishes; the commit lane leaves it zero.
+	specStats hevm.Stats
 	// queryTimes/queryKinds record the virtual time and kind ('k' for
 	// K-V, 'c' for code) of every ORAM query this bundle issued (for
 	// the prefetch ablation). Speculative lanes record lane-relative
@@ -73,6 +77,7 @@ func (l *laneState) reset() {
 	l.prefetcher.Reset()
 	l.clock.Reset()
 	l.opCounts.Reset()
+	l.specStats = hevm.Stats{}
 	l.queryTimes = nil
 	l.queryKinds = nil
 	l.codeCache = make(map[types.Hash][]byte)
@@ -98,12 +103,13 @@ func (s *slot) reset() {
 }
 
 // hevmStats aggregates machine statistics across the commit lane and
-// every speculative lane (counts sum; the L2 high-water mark is the max
-// across independent rings; any lane overflowing marks the slot).
+// every speculative lane's consumed share (counts sum; the L2
+// high-water mark is the max across independent rings; any lane
+// overflowing marks the slot).
 func (s *slot) hevmStats() hevm.Stats {
 	st := s.machine.Stats()
 	for _, l := range s.lanes {
-		st.Add(l.machine.Stats())
+		st.Add(l.specStats)
 	}
 	return st
 }

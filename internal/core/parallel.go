@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hardtape/internal/evm"
+	"hardtape/internal/hevm"
 	"hardtape/internal/simclock"
 	"hardtape/internal/state"
 	"hardtape/internal/telemetry"
@@ -59,10 +60,23 @@ type laneOutcome struct {
 	hardErr error
 	// bugPanic carries a non-error panic to re-raise on the committer.
 	bugPanic any
-	// specEnd is the lane-relative virtual time the speculation
-	// finished at, and queries the length of the lane's query log then.
+	// laneCut is the lane's progress when the speculation finished.
+	laneCut
+}
+
+// laneCut is what a speculative lane had done in the bundle at one
+// point: its lane-relative virtual time, the length of its query log,
+// its machine statistics and its op-class counts.
+type laneCut struct {
 	specEnd time.Duration
 	queries int
+	hevm    hevm.Stats
+	ops     evm.OpClassCounts
+}
+
+// cut snapshots the lane's progress so far in the bundle.
+func (l *laneState) cut() laneCut {
+	return laneCut{specEnd: l.clock.Now(), queries: len(l.queryTimes), hevm: l.machine.Stats(), ops: l.opCounts}
 }
 
 // failed reports whether the speculation ended in any failure mode.
@@ -111,7 +125,7 @@ func (d *Device) startSpeculation(ctx context.Context, s *slot, blockCtx evm.Blo
 			for i := w; i < n; i += len(sp.lanes) {
 				if !sp.stop.Load() {
 					out := d.specOnce(l, laneBase, nil, blockCtx, bundle.Txs[i])
-					out.specEnd, out.queries = l.clock.Now(), len(l.queryTimes)
+					out.laneCut = l.cut()
 					sp.outcomes[i] = out
 				}
 				close(sp.done[i])
@@ -127,21 +141,22 @@ func (d *Device) startSpeculation(ctx context.Context, s *slot, blockCtx evm.Blo
 // parallel phase that ended at device time end. Each lane counts only
 // up to the last outcome the committer consumed: after an early end,
 // what a lane ran past that point depends on the wall clock, so its
-// busy time and ORAM queries there are dropped.
+// busy time, ORAM queries, machine statistics and op-class counts there
+// are dropped.
 func (sp *speculation) finish(end time.Duration) {
 	sp.stop.Store(true)
 	sp.wg.Wait()
 	phase := end - sp.base
 	for w, l := range sp.lanes {
-		var busy time.Duration
-		queries := 0
+		var cut laneCut
 		if out := sp.consumed[w]; out != nil {
-			busy, queries = out.specEnd, out.queries
+			cut = out.laneCut
 		}
-		l.queryTimes, l.queryKinds = l.queryTimes[:queries], l.queryKinds[:queries]
-		sp.stats.LaneBusy = append(sp.stats.LaneBusy, busy)
+		l.queryTimes, l.queryKinds = l.queryTimes[:cut.queries], l.queryKinds[:cut.queries]
+		l.specStats, l.opCounts = cut.hevm, cut.ops
+		sp.stats.LaneBusy = append(sp.stats.LaneBusy, cut.specEnd)
 		if phase > 0 {
-			sp.stats.Occupancy += float64(busy) / (float64(phase) * float64(len(sp.lanes)))
+			sp.stats.Occupancy += float64(cut.specEnd) / (float64(phase) * float64(len(sp.lanes)))
 		}
 	}
 }

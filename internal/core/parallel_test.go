@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"hardtape/internal/baseline"
+	"hardtape/internal/evm"
 	"hardtape/internal/hevm"
 	"hardtape/internal/node"
 	"hardtape/internal/state"
+	"hardtape/internal/telemetry"
 	"hardtape/internal/tracer"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
@@ -377,6 +379,7 @@ func TestParallelConflictReexecutesOnce(t *testing.T) {
 type modeledRun struct {
 	virtual    time.Duration
 	parallel   ParallelStats
+	hevm       hevm.Stats
 	queryTimes []time.Duration
 	queryKinds []byte
 	gas        uint64
@@ -385,7 +388,7 @@ type modeledRun struct {
 }
 
 func modeledOf(res *BundleResult) modeledRun {
-	m := modeledRun{virtual: res.VirtualTime, queryTimes: res.QueryTimes, queryKinds: res.QueryKinds,
+	m := modeledRun{virtual: res.VirtualTime, hevm: res.HEVMStats, queryTimes: res.QueryTimes, queryKinds: res.QueryKinds,
 		gas: res.GasUsed, trace: res.Trace}
 	if res.Parallel != nil {
 		m.parallel = *res.Parallel
@@ -459,10 +462,28 @@ func TestParallelModelRepeats(t *testing.T) {
 // TestParallelAbortStatsRepeat: when a hardware abort ends a speculated
 // bundle early, the lanes may already have run transactions past it —
 // how many depends on the wall clock. The statistics count only what
-// the committer consumed, so the result repeats and occupancy stays a
-// fraction of the parallel phase.
+// the committer consumed — lane busy time, queries, HEVMStats and the
+// op-class counts telemetry exports — so the result repeats and
+// occupancy stays a fraction of the parallel phase.
 func TestParallelAbortStatsRepeat(t *testing.T) {
 	r := buildParallelRig(t, ConfigRaw, 4, false)
+	cfg := DefaultConfig()
+	cfg.Features, cfg.HEVMs, cfg.Lanes = ConfigRaw, 1, 4
+	cfg.Telemetry = telemetry.NewRegistry()
+	dev, err := NewDevice(cfg, nil, r.chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// opCounts reads the op-class series the device registered.
+	opCounts := func() (c evm.OpClassCounts) {
+		for i := range c {
+			c[i] = cfg.Telemetry.Counter("hardtape_evm_ops_total", "", "class", evm.OpClass(i).String()).Value()
+		}
+		return c
+	}
 	loop := uniformBundle(t, r.world, 12).Txs
 	hog := r.world.MemoryHog
 	overflow, err := r.world.SignedTxAt(r.world.EOAs[1], 0, &hog, 0, workload.CalldataUint(600_000), 25_000_000)
@@ -471,10 +492,16 @@ func TestParallelAbortStatsRepeat(t *testing.T) {
 	}
 	b := &types.Bundle{Txs: append([]*types.Transaction{loop[0], overflow}, loop[2:]...)}
 	var first modeledRun
+	var firstOps evm.OpClassCounts
 	for run := 0; run < 20; run++ {
-		res, err := r.par.Execute(b)
+		before := opCounts()
+		res, err := dev.Execute(b)
 		if err != nil {
 			t.Fatal(err)
+		}
+		ops := opCounts()
+		for i := range ops {
+			ops[i] -= before[i]
 		}
 		if res.Aborted == nil || res.Parallel == nil {
 			t.Fatalf("run %d: aborted=%v parallel=%v", run, res.Aborted, res.Parallel)
@@ -484,9 +511,10 @@ func TestParallelAbortStatsRepeat(t *testing.T) {
 		}
 		got := modeledOf(res)
 		if run == 0 {
-			first = got
-		} else if !reflect.DeepEqual(first, got) {
-			t.Fatalf("run %d differs from run 0:\n%+v\n%+v", run, first.parallel, got.parallel)
+			first, firstOps = got, ops
+		} else if !reflect.DeepEqual(first, got) || ops != firstOps {
+			t.Fatalf("run %d differs from run 0:\n%+v %+v %v\n%+v %+v %v", run,
+				first.parallel, first.hevm, firstOps, got.parallel, got.hevm, ops)
 		}
 	}
 }

@@ -193,71 +193,27 @@ func NewClient(servers []Server, key []byte, opts ...ClientOption) (*Client, err
 	return c, nil
 }
 
-// Read fetches a block from its owning tree on behalf of ctx's request
-// (under a traced ctx the round is an "oram.batch" span of it). Missing
-// blocks return ErrNotFound after a full (oblivious) path access, so
-// lookups are indistinguishable; the other trees see nothing, which
-// leaks only the public id→shard hash.
-func (c *Client) Read(ctx context.Context, id BlockID) ([]byte, error) {
-	data, err := c.one(ctx, BatchOp{Op: OpRead, ID: id})
-	if err != nil {
-		return nil, err
-	}
-	if data == nil {
-		return nil, ErrNotFound
-	}
-	return data, nil
-}
-
-// Write stores a block (padding data to BlockSize).
-func (c *Client) Write(id BlockID, data []byte) error {
-	_, err := c.one(context.Background(), BatchOp{Op: OpWrite, ID: id, Data: data})
-	return err
-}
-
-// one runs a single access as the n = 1 round. Its op and result
-// arrays stay on the caller's stack, so it allocates nothing beyond
-// the returned block.
-func (c *Client) one(ctx context.Context, op BatchOp) ([]byte, error) {
-	var out [1][]byte
-	_, err := c.access(ctx, []BatchOp{op}, out[:])
-	return out[0], err
-}
-
-// ReadMany fetches many blocks in ONE overlapped round across the trees
-// holding any of them (one ReadPaths + WritePaths round trip per tree,
-// instead of one per block). The result is aligned with ids; missing
-// blocks yield nil entries, each after a full oblivious path access.
-// When ctx carries a trace, every tree's sub-batch is an "oram.batch"
-// span under it.
-func (c *Client) ReadMany(ctx context.Context, ids []BlockID) ([][]byte, error) {
-	ops := make([]BatchOp, len(ids))
-	for i, id := range ids {
-		ops[i] = BatchOp{Op: OpRead, ID: id}
-	}
-	return c.AccessBatch(ctx, ops)
-}
-
-// AccessBatch performs a mixed read/write batch in one round. The
+// AccessBatch performs a mixed read/write batch in one round across
+// the trees holding any of its blocks (one ReadPaths + WritePaths round
+// trip per tree; a one-op round uses the single-path calls). The
 // returned slice is aligned with ops and holds each block's prior
-// contents (nil when absent). ctx attributes the round as in ReadMany.
+// contents, nil when absent — after a full oblivious path access, so a
+// miss looks like a hit. When ctx carries a trace, every tree's
+// sub-batch is an "oram.batch" span under it.
+//
+// The round runs inline on the caller's goroutine, under that tree's
+// lock, if and only if every op belongs to one tree — always at K = 1;
+// goroutines are spent only on a real fan-out.
 func (c *Client) AccessBatch(ctx context.Context, ops []BatchOp) ([][]byte, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	return c.access(ctx, ops, make([][]byte, len(ops)))
-}
-
-// access runs one round and returns out. The round runs inline on the
-// caller's goroutine, under that tree's lock, if and only if every op
-// belongs to one tree — always at K = 1, and for every single access;
-// goroutines are spent only on a real fan-out.
-func (c *Client) access(ctx context.Context, ops []BatchOp, out [][]byte) ([][]byte, error) {
 	for _, op := range ops {
 		if op.Op == OpWrite && len(op.Data) > BlockSize {
 			return nil, ErrBlockTooBig
 		}
 	}
+	out := make([][]byte, len(ops))
 	k := len(c.trees)
 	sh := shardOf(ops[0].ID, k)
 	inline := true

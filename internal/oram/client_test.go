@@ -47,6 +47,30 @@ func newTestClient(t testing.TB, k int, totalCap uint64, opts ...ClientOption) (
 	return cli, mems
 }
 
+// readOne, writeOne and readMany are the rounds most tests issue, each
+// one AccessBatch: a single read (nil for an absent block), a single
+// write, and a read of every id.
+func readOne(ctx context.Context, cli *Client, id BlockID) ([]byte, error) {
+	out, err := cli.AccessBatch(ctx, []BatchOp{{Op: OpRead, ID: id}})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+func writeOne(cli *Client, id BlockID, data []byte) error {
+	_, err := cli.AccessBatch(context.Background(), []BatchOp{{Op: OpWrite, ID: id, Data: data}})
+	return err
+}
+
+func readMany(ctx context.Context, cli *Client, ids []BlockID) ([][]byte, error) {
+	ops := make([]BatchOp, len(ids))
+	for i, id := range ids {
+		ops[i] = BatchOp{Op: OpRead, ID: id}
+	}
+	return cli.AccessBatch(ctx, ops)
+}
+
 // hotPerShard returns one block id per shard, found by the public hash.
 func hotPerShard(k int) []BlockID {
 	hot := make([]BlockID, k)
@@ -78,10 +102,10 @@ func TestReadWriteRoundTrip(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		cli, _ := newTestClient(t, k, 64)
 		data := []byte("hello oblivious world")
-		if err := cli.Write(7, data); err != nil {
+		if err := writeOne(cli, 7, data); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cli.Read(context.Background(), 7)
+		got, err := readOne(context.Background(), cli, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,11 +122,11 @@ func TestOverwrite(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		cli, _ := newTestClient(t, k, 64)
 		for _, v := range []string{"version-1", "v2"} {
-			if err := cli.Write(5, []byte(v)); err != nil {
+			if err := writeOne(cli, 5, []byte(v)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got, err := cli.Read(context.Background(), 5)
+		got, err := readOne(context.Background(), cli, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,8 +140,8 @@ func TestOverwrite(t *testing.T) {
 func TestReadMissing(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		cli, _ := newTestClient(t, k, 64)
-		if _, err := cli.Read(context.Background(), 42); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("missing block: %v", err)
+		if got, err := readOne(context.Background(), cli, 42); got != nil || err != nil {
+			t.Fatalf("missing block: %q %v", got, err)
 		}
 		// A miss still performs a full path access (oblivious lookups).
 		if cli.Stats().Accesses != 1 {
@@ -130,14 +154,14 @@ func TestOversizeBlock(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		cli, _ := newTestClient(t, k, 64)
 		big := make([]byte, BlockSize+1)
-		if err := cli.Write(1, big); !errors.Is(err, ErrBlockTooBig) {
+		if err := writeOne(cli, 1, big); !errors.Is(err, ErrBlockTooBig) {
 			t.Fatalf("oversize: %v", err)
 		}
 		if _, err := cli.AccessBatch(context.Background(), []BatchOp{{Op: OpRead, ID: 2}, {Op: OpWrite, ID: 1, Data: big}}); !errors.Is(err, ErrBlockTooBig) {
 			t.Fatalf("oversize in batch: %v", err)
 		}
 		// Rejected before any state changed: the client stays usable.
-		if err := cli.Write(1, []byte("ok")); err != nil {
+		if err := writeOne(cli, 1, []byte("ok")); err != nil {
 			t.Fatalf("client unusable after a rejected write: %v", err)
 		}
 	})
@@ -148,14 +172,14 @@ func TestManyBlocksSurviveShuffling(t *testing.T) {
 		const n = 200
 		cli, _ := newTestClient(t, k, 256)
 		for i := 0; i < n; i++ {
-			if err := cli.Write(BlockID(i), []byte(fmt.Sprintf("block-%d", i))); err != nil {
+			if err := writeOne(cli, BlockID(i), []byte(fmt.Sprintf("block-%d", i))); err != nil {
 				t.Fatalf("write %d: %v", i, err)
 			}
 		}
 		// Random re-reads in scrambled order.
 		rng := mrand.New(mrand.NewSource(1))
 		for _, i := range rng.Perm(n) {
-			got, err := cli.Read(context.Background(), BlockID(i))
+			got, err := readOne(context.Background(), cli, BlockID(i))
 			if err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
@@ -182,18 +206,7 @@ func checkStashBound(t *testing.T, k, batch int) {
 				ops[i].Op, ops[i].Data = OpWrite, []byte{byte(round), byte(i)}
 			}
 		}
-		var err error
-		switch {
-		case batch > 1:
-			_, err = cli.AccessBatch(context.Background(), ops)
-		case ops[0].Op == OpWrite:
-			err = cli.Write(ops[0].ID, ops[0].Data)
-		default:
-			if _, err = cli.Read(context.Background(), ops[0].ID); errors.Is(err, ErrNotFound) {
-				err = nil
-			}
-		}
-		if err != nil {
+		if _, err := cli.AccessBatch(context.Background(), ops); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -238,7 +251,7 @@ func checkLeafUniformity(t *testing.T, k int, round func(cli *Client, hot []Bloc
 	}
 	hot := hotPerShard(k)
 	for _, id := range hot {
-		if err := cli.Write(id, []byte("hot block")); err != nil {
+		if err := writeOne(cli, id, []byte("hot block")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,7 +295,7 @@ func TestLeafSequenceLooksUniform(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		checkLeafUniformity(t, k, func(cli *Client, hot []BlockID) (int, error) {
 			for _, id := range hot {
-				if _, err := cli.Read(context.Background(), id); err != nil {
+				if _, err := readOne(context.Background(), cli, id); err != nil {
 					return 0, err
 				}
 			}
@@ -300,7 +313,7 @@ func TestBatchLeafSequenceLooksUniform(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				ids = append(ids, hot...)
 			}
-			_, err := cli.ReadMany(context.Background(), ids)
+			_, err := readMany(context.Background(), cli, ids)
 			return 4, err
 		})
 	})
@@ -311,7 +324,7 @@ func TestBatchLeafSequenceLooksUniform(t *testing.T) {
 func TestShardedLeafUniformityPerShard(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		checkLeafUniformity(t, k, func(cli *Client, hot []BlockID) (int, error) {
-			_, err := cli.ReadMany(context.Background(), hot)
+			_, err := readMany(context.Background(), cli, hot)
 			return 1, err
 		})
 	})
@@ -330,14 +343,14 @@ func TestShardedNoCrossShardTraffic(t *testing.T) {
 		}
 		const id = BlockID(5)
 		owner := shardOf(id, k)
-		if err := cli.Write(id, []byte("lonely")); err != nil {
+		if err := writeOne(cli, id, []byte("lonely")); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			if _, err := cli.Read(context.Background(), id); err != nil {
+			if _, err := readOne(context.Background(), cli, id); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cli.ReadMany(context.Background(), []BlockID{id, id}); err != nil {
+			if _, err := readMany(context.Background(), cli, []BlockID{id, id}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -368,9 +381,9 @@ func checkCharge(t *testing.T, k, n int) (got time.Duration, maxQ, blocks int) {
 	}
 	var err error
 	if n == 1 {
-		err = cli.Write(ids[0], []byte("x"))
+		err = writeOne(cli, ids[0], []byte("x"))
 	} else {
-		_, err = cli.ReadMany(context.Background(), ids)
+		_, err = readMany(context.Background(), cli, ids)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -422,13 +435,13 @@ func TestShardedClockCharging(t *testing.T) {
 func TestTamperDetection(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		cli, mems := newTestClient(t, k, 64)
-		if err := cli.Write(1, []byte("secret")); err != nil {
+		if err := writeOne(cli, 1, []byte("secret")); err != nil {
 			t.Fatal(err)
 		}
 		// Tamper one bucket on leaf 0's path: the first non-empty bucket is
 		// the root, which every subsequent path read must traverse.
 		mems[shardOf(1, k)].TamperBucket(0)
-		if _, err := cli.Read(context.Background(), 1); !errors.Is(err, ErrTampered) {
+		if _, err := readOne(context.Background(), cli, 1); !errors.Is(err, ErrTampered) {
 			t.Fatalf("tamper: %v", err)
 		}
 	})
@@ -441,12 +454,12 @@ func TestShardedTamperDetected(t *testing.T) {
 		cli, mems := newTestClient(t, k, 512)
 		ids := []BlockID{9, 10, 11, 12, 13, 14}
 		for _, id := range ids {
-			if err := cli.Write(id, []byte("integrity")); err != nil {
+			if err := writeOne(cli, id, []byte("integrity")); err != nil {
 				t.Fatal(err)
 			}
 		}
 		corruptAll(mems[shardOf(9, k)])
-		if _, err := cli.ReadMany(context.Background(), ids); !errors.Is(err, ErrTampered) {
+		if _, err := readMany(context.Background(), cli, ids); !errors.Is(err, ErrTampered) {
 			t.Fatalf("tampered shard read: %v, want ErrTampered", err)
 		}
 	})
@@ -471,7 +484,7 @@ func TestConcurrentClientsSharedServer(t *testing.T) {
 	go func() {
 		var firstErr error
 		for i := 0; i < 50; i++ {
-			if err := c1.Write(BlockID(i), []byte{1, byte(i)}); err != nil {
+			if err := writeOne(c1, BlockID(i), []byte{1, byte(i)}); err != nil {
 				firstErr = err
 				break
 			}
@@ -485,12 +498,12 @@ func TestConcurrentClientsSharedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := c2.Write(BlockID(1000+i), []byte{2, byte(i)}); err != nil {
+		if err := writeOne(c2, BlockID(1000+i), []byte{2, byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 50; i++ {
-		got, err := c2.Read(context.Background(), BlockID(1000+i))
+		got, err := readOne(context.Background(), c2, BlockID(1000+i))
 		if err != nil {
 			t.Fatalf("c2 read %d: %v", i, err)
 		}
@@ -561,7 +574,7 @@ func TestShardedKeyDomainSeparation(t *testing.T) {
 	// K = 1 is a parameter value, not a second key schedule: the single
 	// tree is sealed under the shard-0 key, never the master key.
 	cli, mems := newTestClient(t, 1, 64)
-	if err := cli.Write(1, []byte("k1")); err != nil {
+	if err := writeOne(cli, 1, []byte("k1")); err != nil {
 		t.Fatal(err)
 	}
 	derived, _ := newCryptor(a)
@@ -610,10 +623,10 @@ func TestShardedRoundTrip(t *testing.T) {
 				}
 			}
 			// Single accesses route through the same trees.
-			if err := cli.Write(7, []byte("direct")); err != nil {
+			if err := writeOne(cli, 7, []byte("direct")); err != nil {
 				t.Fatal(err)
 			}
-			got, err := cli.Read(context.Background(), 7)
+			got, err := readOne(context.Background(), cli, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -639,7 +652,7 @@ func TestBatchReadWriteRoundTrip(t *testing.T) {
 		if _, err := cli.AccessBatch(context.Background(), ops); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cli.ReadMany(context.Background(), ids)
+		got, err := readMany(context.Background(), cli, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -661,7 +674,7 @@ func TestBatchReadWriteRoundTrip(t *testing.T) {
 		if st.Accesses != 16 || st.Batches == 0 {
 			t.Fatalf("after two 8-op rounds: accesses %d, batches %d", st.Accesses, st.Batches)
 		}
-		one, err := cli.Read(context.Background(), 3)
+		one, err := readOne(context.Background(), cli, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -678,10 +691,10 @@ func TestBatchReadWriteRoundTrip(t *testing.T) {
 func TestBatchMissingBlocks(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		cli, _ := newTestClient(t, k, 64)
-		if err := cli.Write(1, []byte("present")); err != nil {
+		if err := writeOne(cli, 1, []byte("present")); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cli.ReadMany(context.Background(), []BlockID{1, 42, 43})
+		got, err := readMany(context.Background(), cli, []BlockID{1, 42, 43})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -695,13 +708,78 @@ func TestBatchMissingBlocks(t *testing.T) {
 	})
 }
 
+// TestAbsentReadsLeaveNoState: reads of never-written ids, alone or in
+// batches, leave no position-map entry and no stash block behind, so
+// any number of them costs no trusted state. A fresh id read and then
+// written inside one batch still keeps its block: the cleanup runs
+// after the round's ops, not per op.
+func TestAbsentReadsLeaveNoState(t *testing.T) {
+	forShards(t, func(t *testing.T, k int) {
+		cli, _ := newTestClient(t, k, 256)
+		for id := BlockID(0); id < 64; id++ {
+			if err := writeOne(cli, id, []byte{byte(id)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		state := func() (pos, stash int) {
+			for _, tr := range cli.trees {
+				tr.mu.Lock()
+				pos, stash = pos+len(tr.pos), stash+len(tr.stash)
+				tr.mu.Unlock()
+			}
+			return pos, stash
+		}
+		pos0, stash0 := state()
+		const absent = 1000
+		fresh := BlockID(1 << 40)
+		for n := 0; n < absent; {
+			size := 1 + n%8
+			ops := make([]BatchOp, 0, size)
+			for ; len(ops) < size && n < absent; n++ {
+				ops = append(ops, BatchOp{Op: OpRead, ID: fresh})
+				fresh++
+			}
+			got, err := cli.AccessBatch(context.Background(), ops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, data := range got {
+				if data != nil {
+					t.Fatalf("never-written id %d read %q", ops[i].ID, data)
+				}
+			}
+		}
+		if pos, stash := state(); pos != pos0 || stash > stash0 {
+			t.Fatalf("%d absent reads left state: positions %d → %d, stash %d → %d", absent, pos0, pos, stash0, stash)
+		}
+		if st := cli.Stats(); st.Accesses != 64+absent {
+			t.Fatalf("accesses %d, want %d", st.Accesses, 64+absent)
+		}
+
+		got, err := cli.AccessBatch(context.Background(), []BatchOp{
+			{Op: OpRead, ID: fresh},
+			{Op: OpRead, ID: 3},
+			{Op: OpWrite, ID: fresh, Data: []byte("late")},
+		})
+		if err != nil || got[0] != nil || got[1] == nil {
+			t.Fatalf("read-then-write batch: %v %v", got, err)
+		}
+		if back, err := readOne(context.Background(), cli, fresh); err != nil || !bytes.HasPrefix(back, []byte("late")) {
+			t.Fatalf("fresh id written after its read in one batch read back %q, %v", back, err)
+		}
+		if pos, _ := state(); pos != pos0+1 {
+			t.Fatalf("positions %d, want %d", pos, pos0+1)
+		}
+	})
+}
+
 func TestBatchDuplicateIDs(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		cli, _ := newTestClient(t, k, 64)
-		if err := cli.Write(7, []byte("dup")); err != nil {
+		if err := writeOne(cli, 7, []byte("dup")); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cli.ReadMany(context.Background(), []BlockID{7, 7, 7})
+		got, err := readMany(context.Background(), cli, []BlockID{7, 7, 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -730,7 +808,7 @@ func TestBatchDuplicateIDs(t *testing.T) {
 			}
 		}
 		// And the block survives the multi-remap.
-		after, err := cli.Read(context.Background(), 7)
+		after, err := readOne(context.Background(), cli, 7)
 		if err != nil || string(after[:3]) != "two" {
 			t.Fatalf("block lost after duplicate batch: %v", err)
 		}
@@ -748,15 +826,15 @@ func TestQuickORAMMatchesMap(t *testing.T) {
 			id := BlockID(rng.Intn(40))
 			if rng.Intn(2) == 0 {
 				v := []byte(fmt.Sprintf("v%d", rng.Intn(1000)))
-				if err := cli.Write(id, v); err != nil {
+				if err := writeOne(cli, id, v); err != nil {
 					return false
 				}
 				ref[id] = v
 			} else {
-				got, err := cli.Read(context.Background(), id)
+				got, err := readOne(context.Background(), cli, id)
 				want, exists := ref[id]
 				if !exists {
-					if !errors.Is(err, ErrNotFound) {
+					if err != nil || got != nil {
 						return false
 					}
 					continue
@@ -785,7 +863,7 @@ func TestQuickBatchMatchesMap(t *testing.T) {
 				// Interleave a single op.
 				id := BlockID(rng.Intn(40))
 				v := []byte(fmt.Sprintf("s%d", rng.Intn(1000)))
-				if err := cli.Write(id, v); err != nil {
+				if err := writeOne(cli, id, v); err != nil {
 					return false
 				}
 				ref[id] = v
@@ -875,10 +953,10 @@ func (f *flakyServer) WritePaths(leaves []uint64, paths [][][]byte) error {
 // TestFailClosedAfterServerError: a server error in the middle of an
 // access (after the remap, or after blocks left the stash for buckets
 // that were never stored) must latch the client. Without the latch the
-// next Read of an affected block walks the wrong path and reports
-// ErrNotFound — which the pager turns into a zero storage slot, a
-// silently wrong trace. After the fault NO access may return nil or
-// ErrNotFound for a written block.
+// next read of an affected block walks the wrong path and finds it
+// absent — which the pager turns into a zero storage slot, a silently
+// wrong trace. After the fault NO access may return nil for a written
+// block.
 func TestFailClosedAfterServerError(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		for _, fault := range []string{"read", "write"} {
@@ -897,7 +975,7 @@ func TestFailClosedAfterServerError(t *testing.T) {
 					}
 					const blocks = 48
 					for id := BlockID(0); id < blocks; id++ {
-						if err := cli.Write(id, []byte(fmt.Sprintf("block-%d", id))); err != nil {
+						if err := writeOne(cli, id, []byte(fmt.Sprintf("block-%d", id))); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -916,9 +994,9 @@ func TestFailClosedAfterServerError(t *testing.T) {
 							ids[i] = BlockID((round*batch + i) % blocks)
 						}
 						if batch == 1 {
-							_, cause = cli.Read(context.Background(), ids[0])
+							_, cause = readOne(context.Background(), cli, ids[0])
 						} else {
-							_, cause = cli.ReadMany(context.Background(), ids)
+							_, cause = readMany(context.Background(), cli, ids)
 						}
 					}
 					if !errors.Is(cause, errInjected) || !errors.Is(cause, ErrClientFailed) {
@@ -928,19 +1006,19 @@ func TestFailClosedAfterServerError(t *testing.T) {
 					// The servers are healthy again; the client must not be.
 					closed := func(what string, err error) {
 						t.Helper()
-						if err == nil || errors.Is(err, ErrNotFound) || !errors.Is(err, ErrClientFailed) || !errors.Is(err, errInjected) {
+						if !errors.Is(err, ErrClientFailed) || !errors.Is(err, errInjected) {
 							t.Fatalf("%s after the fault returned %v, want ErrClientFailed wrapping the cause", what, err)
 						}
 					}
 					all := make([]BlockID, blocks)
 					for id := range all {
 						all[id] = BlockID(id)
-						_, err := cli.Read(context.Background(), all[id])
-						closed(fmt.Sprintf("Read(%d)", id), err)
+						_, err := readOne(context.Background(), cli, all[id])
+						closed(fmt.Sprintf("read(%d)", id), err)
 					}
-					_, err = cli.ReadMany(context.Background(), all[:8])
-					closed("ReadMany", err)
-					closed("Write", cli.Write(3, []byte("late")))
+					_, err = readMany(context.Background(), cli, all[:8])
+					closed("read batch", err)
+					closed("Write", writeOne(cli, 3, []byte("late")))
 					_, err = cli.AccessBatch(context.Background(), []BatchOp{{Op: OpWrite, ID: 3, Data: []byte("late")}, {Op: OpRead, ID: 4}})
 					closed("AccessBatch", err)
 				})
@@ -953,14 +1031,14 @@ func BenchmarkORAMAccess(b *testing.B) {
 	cli, _ := newTestClient(b, 1, 4096)
 	payload := make([]byte, BlockSize)
 	for i := 0; i < 512; i++ {
-		if err := cli.Write(BlockID(i), payload); err != nil {
+		if err := writeOne(cli, BlockID(i), payload); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cli.Read(context.Background(), BlockID(i%512)); err != nil {
+		if _, err := readOne(context.Background(), cli, BlockID(i%512)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -971,7 +1049,7 @@ func BenchmarkORAMWrite(b *testing.B) {
 	payload := make([]byte, BlockSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := cli.Write(BlockID(i%1024), payload); err != nil {
+		if err := writeOne(cli, BlockID(i%1024), payload); err != nil {
 			b.Fatal(err)
 		}
 	}

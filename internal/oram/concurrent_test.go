@@ -83,17 +83,15 @@ func (w *concWorker) count(ids ...BlockID) {
 	}
 }
 
-// step issues the worker's i-th call, cycling Read, Write, ReadMany and
-// AccessBatch, and validates what it returns.
+// step issues the worker's i-th round, cycling a single read, a single
+// write, a read-only batch and a mixed batch, and validates what it
+// returns.
 func (w *concWorker) step(i int) error {
 	ctx := context.Background()
 	switch i % 4 {
 	case 0:
 		id := w.anyID()
-		got, err := w.cli.Read(context.Background(), id)
-		if errors.Is(err, ErrNotFound) {
-			got, err = nil, nil
-		}
+		got, err := readOne(ctx, w.cli, id)
 		if err != nil {
 			return err
 		}
@@ -102,7 +100,7 @@ func (w *concWorker) step(i int) error {
 	case 1:
 		id := w.ownID()
 		v := w.value(id)
-		if err := w.cli.Write(id, []byte(v)); err != nil {
+		if err := writeOne(w.cli, id, []byte(v)); err != nil {
 			return err
 		}
 		w.count(id)
@@ -113,7 +111,7 @@ func (w *concWorker) step(i int) error {
 		for j := range ids {
 			ids[j] = w.anyID()
 		}
-		got, err := w.cli.ReadMany(ctx, ids)
+		got, err := readMany(ctx, w.cli, ids)
 		if err != nil {
 			return err
 		}
@@ -213,7 +211,7 @@ func TestConcurrentClientWholeAccesses(t *testing.T) {
 
 		for _, w := range workers {
 			for id, want := range w.oracle {
-				got, err := cli.Read(context.Background(), id)
+				got, err := readOne(context.Background(), cli, id)
 				if err != nil || string(bytes.TrimRight(got, "\x00")) != want {
 					t.Fatalf("final block %d = %q, %v; want %q", id, got, err, want)
 				}

@@ -41,7 +41,6 @@ var (
 	ErrBadKey       = errors.New("oram: key must be 32 bytes")
 	ErrCapacity     = errors.New("oram: capacity must be at least 2 blocks")
 	ErrBlockTooBig  = errors.New("oram: block data exceeds BlockSize")
-	ErrNotFound     = errors.New("oram: block not found")
 	ErrTampered     = errors.New("oram: bucket authentication failed")
 	ErrBadBucket    = errors.New("oram: malformed bucket")
 	ErrStashOverrun = errors.New("oram: stash exceeded safety bound")

@@ -53,12 +53,12 @@ func TestTCPClientRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := cli.Write(BlockID(i), []byte(fmt.Sprintf("remote-%d", i))); err != nil {
+		if err := writeOne(cli, BlockID(i), []byte(fmt.Sprintf("remote-%d", i))); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
 	for i := 0; i < 40; i++ {
-		got, err := cli.Read(context.Background(), BlockID(i))
+		got, err := readOne(context.Background(), cli, BlockID(i))
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -136,7 +136,7 @@ func TestTCPMultipleClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli1.Write(7, []byte("shared")); err != nil {
+	if err := writeOne(cli1, 7, []byte("shared")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,10 +151,10 @@ func TestTCPMultipleClients(t *testing.T) {
 	}
 	// cli2 has its own (empty) position map: it cannot find block 7,
 	// but its own writes work over the same tree.
-	if err := cli2.Write(900, []byte("second client")); err != nil {
+	if err := writeOne(cli2, 900, []byte("second client")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cli2.Read(context.Background(), 900)
+	got, err := readOne(context.Background(), cli2, 900)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,17 +523,17 @@ func TestTCPStalledServerFailsClosed(t *testing.T) {
 	defer cli.Close() // before the script's cleanup: it ends the io.Copy
 
 	start := time.Now()
-	if _, err := cli.Read(context.Background(), 1); !errors.Is(err, ErrClientFailed) {
+	if _, err := readOne(context.Background(), cli, 1); !errors.Is(err, ErrClientFailed) {
 		t.Fatalf("read from a stalled server: %v, want ErrClientFailed", err)
 	}
 	if took := time.Since(start); took > roundTripTimeout+time.Second {
 		t.Fatalf("stalled read took %v, timeout %v", took, roundTripTimeout)
 	}
 	start = time.Now()
-	if _, err := cli.Read(context.Background(), 1); !errors.Is(err, ErrClientFailed) {
+	if _, err := readOne(context.Background(), cli, 1); !errors.Is(err, ErrClientFailed) {
 		t.Fatalf("read after the latch: %v, want ErrClientFailed", err)
 	}
-	if err := cli.Write(2, []byte{1}); !errors.Is(err, ErrClientFailed) {
+	if err := writeOne(cli, 2, []byte{1}); !errors.Is(err, ErrClientFailed) {
 		t.Fatalf("write after the latch: %v, want ErrClientFailed", err)
 	}
 	if took := time.Since(start); took > roundTripTimeout/2 {
@@ -714,7 +714,7 @@ func balancedIDs(blocks, shards int) []BlockID {
 	return ids
 }
 
-// BenchmarkORAMBatch measures one batched ReadMany round across shard
+// BenchmarkORAMBatch measures one batched read round across shard
 // counts 1/2/4/8, each shard a TCP-served tree behind the modeled link
 // (see linkServer). Aggregate capacity is constant — a 4-shard point is
 // four quarter-size trees — so the comparison isolates the fan-out.
@@ -767,7 +767,7 @@ func BenchmarkORAMBatch(b *testing.B) {
 					reads[j] = ids[next%blocks]
 					next++
 				}
-				if _, err := cli.ReadMany(context.Background(), reads); err != nil {
+				if _, err := readMany(context.Background(), cli, reads); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -34,10 +34,10 @@ func TestBatchSpanTimesTracesAndFails(t *testing.T) {
 	ids := []BlockID{1, 2, 3, 4}
 
 	// Untraced ctx: timed only.
-	if err := cli.Write(1, []byte("one")); err != nil {
+	if err := writeOne(cli, 1, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.ReadMany(context.Background(), ids); err != nil {
+	if _, err := readMany(context.Background(), cli, ids); err != nil {
 		t.Fatal(err)
 	}
 	if single.Count() != 1 || batch.Count() != 1 {
@@ -50,14 +50,14 @@ func TestBatchSpanTimesTracesAndFails(t *testing.T) {
 	// Traced ctx: one clean batch, one clean single access, one failing
 	// batch.
 	root, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), telemetry.SpanContext{}), "test.bundle")
-	if _, err := cli.ReadMany(ctx, ids); err != nil {
+	if _, err := readMany(ctx, cli, ids); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Read(ctx, 1); err != nil {
+	if _, err := readOne(ctx, cli, 1); err != nil {
 		t.Fatal(err)
 	}
 	flaky.failWrite = flaky.writes + 1
-	if _, err := cli.ReadMany(ctx, ids); !errors.Is(err, errInjected) {
+	if _, err := readMany(ctx, cli, ids); !errors.Is(err, errInjected) {
 		t.Fatalf("faulting batch returned %v", err)
 	}
 	root.End(nil, nil)

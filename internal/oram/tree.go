@@ -88,6 +88,9 @@ func newTree(obs *observer, shard int, server Server, key []byte, seed int64) (*
 // ops and receives each block's prior contents (nil when absent). A
 // single access is the n = 1 case and uses the single-path server calls,
 // so the adversary view and the wire are those of the textbook protocol.
+// An id that ends the round with no block — a read of a block that was
+// never written — leaves no position behind, so absent reads, however
+// many, grow no trusted state.
 //
 // Any error leaves the tree inconsistent — the position map already
 // points at the new leaves, blocks may have left the stash for buckets
@@ -175,6 +178,14 @@ func (t *tree) accessBatch(ctx context.Context, ops []BatchOp, out [][]byte) (er
 			for j := m; j < BlockSize; j++ {
 				blk.data[j] = 0
 			}
+		}
+	}
+
+	// After the whole op loop, not per op: a read-then-write of one
+	// fresh id inside the batch ends with a block and keeps its position.
+	for _, op := range ops {
+		if _, ok := t.stash[op.ID]; !ok {
+			delete(t.pos, op.ID)
 		}
 	}
 

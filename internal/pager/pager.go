@@ -8,11 +8,13 @@
 //     occupies one page.
 //
 // Both query types therefore produce identical 1 KB responses, closing
-// the response-size side channel the paper describes.
+// the response-size side channel the paper describes. Every page read,
+// present or absent, is one backend read: on the ORAM, one access.
 package pager
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,14 +67,12 @@ var (
 // written blind, whole, and never read back by the writer: a store is
 // filled once from verified state and then only read.
 type Backend interface {
-	// ReadPage fetches one page on behalf of ctx's request (an ORAM
-	// round under a traced ctx is a span of it).
-	ReadPage(ctx context.Context, key PageKey) ([]byte, error)
-	// ReadPages fetches many pages in as few backend round trips as
-	// the transport allows (one per batch chunk on the ORAM). The
-	// result is aligned with keys; missing pages are nil entries, not
-	// errors — the trusted dictionary already knows absence without
-	// touching the backend. ctx attributes the rounds as in ReadPage.
+	// ReadPages fetches pages on behalf of ctx's request (an ORAM round
+	// under a traced ctx is a span of it) in as few backend round trips
+	// as the transport allows (one per batch chunk on the ORAM). It is
+	// the one read method: a single read is a batch of one. The result
+	// is aligned with keys; missing pages are nil entries, not errors,
+	// and cost the backend the same as present ones.
 	ReadPages(ctx context.Context, keys []PageKey) ([][]byte, error)
 	// WritePages stores many pages in as few backend round trips as
 	// the transport allows.
@@ -93,23 +93,12 @@ func NewPlainBackend() *PlainBackend {
 	return &PlainBackend{pages: make(map[PageKey][]byte)}
 }
 
-// ReadPage implements Backend.
-func (p *PlainBackend) ReadPage(_ context.Context, key PageKey) ([]byte, error) {
-	page, ok := p.pages[key]
-	if !ok {
-		return nil, ErrPageNotFound
-	}
-	out := make([]byte, len(page))
-	copy(out, page)
-	return out, nil
-}
-
 // ReadPages implements Backend.
-func (p *PlainBackend) ReadPages(ctx context.Context, keys []PageKey) ([][]byte, error) {
+func (p *PlainBackend) ReadPages(_ context.Context, keys []PageKey) ([][]byte, error) {
 	out := make([][]byte, len(keys))
 	for i, key := range keys {
-		if page, err := p.ReadPage(ctx, key); err == nil {
-			out[i] = page
+		if page, ok := p.pages[key]; ok {
+			out[i] = append([]byte(nil), page...)
 		}
 	}
 	return out, nil
@@ -148,7 +137,8 @@ func checkPages(keys []PageKey, pages [][]byte) error {
 // space is sparse, so ids are assigned on first write, from 0. A new
 // ORAMBackend over a client that already holds blocks reuses their ids
 // and never reads them: the blocks it does not overwrite are
-// unreachable.
+// unreachable. A key the dictionary lacks still costs one ORAM read,
+// of its absent id (absentID).
 type ORAMBackend struct {
 	client *oram.Client
 	ids    map[PageKey]oram.BlockID
@@ -163,53 +153,44 @@ func NewORAMBackend(client *oram.Client) *ORAMBackend {
 	return &ORAMBackend{client: client, ids: make(map[PageKey]oram.BlockID)}
 }
 
-// ReadPage implements Backend. Unknown keys perform no ORAM access:
-// the trusted dictionary already knows the page does not exist.
-func (o *ORAMBackend) ReadPage(ctx context.Context, key PageKey) ([]byte, error) {
-	id, ok := o.ids[key]
-	if !ok {
-		return nil, ErrPageNotFound
-	}
-	data, err := o.client.Read(ctx, id)
-	if errors.Is(err, oram.ErrNotFound) {
-		return nil, ErrPageNotFound
-	}
-	return data, err
-}
-
 // oramBatchChunk caps one ORAM access batch: large enough to amortize
 // the link RTT, small enough to bound the transient stash growth and
 // stay under the wire's per-message path limit.
 const oramBatchChunk = 16
 
-// ReadPages implements Backend via the client's batched access path:
-// every chunk of known pages costs one link round trip instead of one
-// per page. Unknown keys contribute nil entries without any ORAM
-// traffic (as in ReadPage, the trusted dictionary decides absence).
+// absentBit is set in every absent id and in no dense id: WritePages
+// counts dense ids up from 0.
+const absentBit = oram.BlockID(1) << 63
+
+// absentID is the never-written block a read of an unmapped key
+// touches: a fixed function of the key, so its tree is too, as a
+// present page's tree is of its id. Bit 62 stays clear, so it is never
+// the ORAM's all-ones dummy id. The client keeps no state for it.
+func absentID(key PageKey) oram.BlockID {
+	var buf [1 + types.AddressLength + 2*types.HashLength + 4]byte
+	buf[0] = byte(key.Kind)
+	n := 1 + copy(buf[1:], key.Addr[:])
+	n += copy(buf[n:], key.Group[:])
+	n += copy(buf[n:], key.CodeHash[:])
+	binary.BigEndian.PutUint32(buf[n:], key.Index)
+	h := sha256.Sum256(buf[:])
+	return absentBit | oram.BlockID(binary.BigEndian.Uint64(h[:8])>>2)
+}
+
+// ReadPages implements Backend: every key is exactly one ORAM read in
+// the same chunked round, present or absent, so the server sees one
+// uniformly random path per key whatever the dictionary holds. An
+// absent page comes back nil from its never-written id.
 func (o *ORAMBackend) ReadPages(ctx context.Context, keys []PageKey) ([][]byte, error) {
-	out := make([][]byte, len(keys))
-	ids := make([]oram.BlockID, 0, len(keys))
-	slots := make([]int, 0, len(keys))
+	ops := make([]oram.BatchOp, len(keys))
 	for i, key := range keys {
-		if id, ok := o.ids[key]; ok {
-			ids = append(ids, id)
-			slots = append(slots, i)
+		id, ok := o.ids[key]
+		if !ok {
+			id = absentID(key)
 		}
+		ops[i] = oram.BatchOp{Op: oram.OpRead, ID: id}
 	}
-	for start := 0; start < len(ids); start += oramBatchChunk {
-		end := start + oramBatchChunk
-		if end > len(ids) {
-			end = len(ids)
-		}
-		data, err := o.client.ReadMany(ctx, ids[start:end])
-		if err != nil {
-			return nil, err
-		}
-		for j, page := range data {
-			out[slots[start+j]] = page
-		}
-	}
-	return out, nil
+	return o.access(ctx, ops)
 }
 
 // WritePages implements Backend via the client's batched access path:
@@ -228,16 +209,25 @@ func (o *ORAMBackend) WritePages(keys []PageKey, pages [][]byte) error {
 		}
 		ops = append(ops, oram.BatchOp{Op: oram.OpWrite, ID: id, Data: pages[i]})
 	}
-	for start := 0; start < len(ops); start += oramBatchChunk {
-		end := start + oramBatchChunk
-		if end > len(ops) {
-			end = len(ops)
-		}
-		if _, err := o.client.AccessBatch(context.Background(), ops[start:end]); err != nil {
-			return err
-		}
+	_, err := o.access(context.Background(), ops)
+	return err
+}
+
+// access runs ops in rounds of at most oramBatchChunk, one link round
+// trip each; the result is aligned with ops.
+func (o *ORAMBackend) access(ctx context.Context, ops []oram.BatchOp) ([][]byte, error) {
+	if len(ops) <= oramBatchChunk {
+		return o.client.AccessBatch(ctx, ops)
 	}
-	return nil
+	out := make([][]byte, 0, len(ops))
+	for start := 0; start < len(ops); start += oramBatchChunk {
+		data, err := o.client.AccessBatch(ctx, ops[start:min(start+oramBatchChunk, len(ops))])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, data...)
+	}
+	return out, nil
 }
 
 // Len implements Backend: the number of mapped pages, which is also the
@@ -351,10 +341,23 @@ func (s *Store) AccountPages(addr types.Address, meta *AccountMeta, recs []Stora
 	return keys, pages
 }
 
+// readPage is a single page read: the backend's batch of one, a nil
+// entry being ErrPageNotFound.
+func (s *Store) readPage(ctx context.Context, key PageKey) ([]byte, error) {
+	pages, err := s.backend.ReadPages(ctx, []PageKey{key})
+	if err != nil {
+		return nil, err
+	}
+	if pages[0] == nil {
+		return nil, ErrPageNotFound
+	}
+	return pages[0], nil
+}
+
 // ReadAccountMeta fetches an account's K-V data on behalf of ctx's
 // request.
 func (s *Store) ReadAccountMeta(ctx context.Context, addr types.Address) (*AccountMeta, error) {
-	page, err := s.backend.ReadPage(ctx, PageKey{Kind: KindAccountMeta, Addr: addr})
+	page, err := s.readPage(ctx, PageKey{Kind: KindAccountMeta, Addr: addr})
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +368,7 @@ func (s *Store) ReadAccountMeta(ctx context.Context, addr types.Address) (*Accou
 // groups return the zero hash (Ethereum semantics) with found=false.
 func (s *Store) ReadStorageRecord(ctx context.Context, addr types.Address, key types.Hash) (types.Hash, bool, error) {
 	group, slot := storageGroupKeyN(key, s.groupSize)
-	page, err := s.backend.ReadPage(ctx, PageKey{Kind: KindStorageGroup, Addr: addr, Group: group})
+	page, err := s.readPage(ctx, PageKey{Kind: KindStorageGroup, Addr: addr, Group: group})
 	if errors.Is(err, ErrPageNotFound) {
 		return types.Hash{}, false, nil
 	}
@@ -405,7 +408,7 @@ func CodePages(codeLen uint32) uint32 {
 
 // ReadCodePage fetches one code page on behalf of ctx's request.
 func (s *Store) ReadCodePage(ctx context.Context, codeHash types.Hash, index uint32) ([]byte, error) {
-	return s.backend.ReadPage(ctx, PageKey{Kind: KindCodePage, CodeHash: codeHash, Index: index})
+	return s.readPage(ctx, PageKey{Kind: KindCodePage, CodeHash: codeHash, Index: index})
 }
 
 // ReadCodePages fetches many code pages of one contract through the
@@ -426,16 +429,23 @@ type StorageRecord struct {
 }
 
 // ReadCode reassembles full contract code of a known length on behalf
-// of ctx's request.
+// of ctx's request, reading its pages in one batch.
 func (s *Store) ReadCode(ctx context.Context, codeHash types.Hash, codeLen uint32) ([]byte, error) {
 	if codeLen == 0 {
 		return nil, nil
 	}
-	out := make([]byte, 0, codeLen)
-	for i := uint32(0); i < CodePages(codeLen); i++ {
-		page, err := s.ReadCodePage(ctx, codeHash, i)
-		if err != nil {
-			return nil, fmt.Errorf("pager: code page %d: %w", i, err)
+	indices := make([]uint32, CodePages(codeLen))
+	for i := range indices {
+		indices[i] = uint32(i)
+	}
+	pages, err := s.ReadCodePages(ctx, codeHash, indices)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(pages)*PageSize)
+	for i, page := range pages {
+		if page == nil {
+			return nil, fmt.Errorf("pager: code page %d: %w", i, ErrPageNotFound)
 		}
 		out = append(out, page...)
 	}

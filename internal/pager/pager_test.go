@@ -214,13 +214,72 @@ func TestResponseSizesAreUniform(t *testing.T) {
 		"storage": {Kind: KindStorageGroup, Addr: a, Group: mustGroup(hashOf(1))},
 		"code":    {Kind: KindCodePage, CodeHash: hashOf(0xcd), Index: 0},
 	} {
-		page, err := backend.ReadPage(context.Background(), key)
+		pages, err := backend.ReadPages(context.Background(), []PageKey{key})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(page) != PageSize {
+		if page := pages[0]; len(page) != PageSize {
 			t.Fatalf("%s response size %d != %d", name, len(page), PageSize)
 		}
+	}
+}
+
+// TestORAMBackendAbsentReadIsOneAccess: a batch of n keys is n ORAM
+// accesses in one round, whatever the dictionary holds — an absent key
+// reads its never-written id, comes back nil, and maps nothing.
+func TestORAMBackendAbsentReadIsOneAccess(t *testing.T) {
+	srv, err := oram.NewMemServer(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := oram.NewClient([]oram.Server{srv}, make([]byte, oram.KeySize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewORAMBackend(cli)
+	present := PageKey{Kind: KindAccountMeta, Addr: addr(1)}
+	if err := b.WritePages([]PageKey{present}, [][]byte{make([]byte, PageSize)}); err != nil {
+		t.Fatal(err)
+	}
+	paths := 0
+	srv.SetObserver(func(ev oram.AccessEvent) {
+		if !ev.Write {
+			paths++
+		}
+	})
+	keys := []PageKey{
+		{Kind: KindAccountMeta, Addr: addr(2)},
+		present,
+		{Kind: KindStorageGroup, Addr: addr(1), Group: hashOf(32)},
+		{Kind: KindCodePage, CodeHash: hashOf(7), Index: 3},
+	}
+	before := cli.Stats()
+	pages, err := b.ReadPages(context.Background(), keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cli.Stats()
+	if got := after.Accesses - before.Accesses; got != uint64(len(keys)) {
+		t.Fatalf("%d keys cost %d accesses", len(keys), got)
+	}
+	if after.Batches-before.Batches != 1 || paths != len(keys) {
+		t.Fatalf("want one round of %d paths: batches %d, paths %d", len(keys), after.Batches-before.Batches, paths)
+	}
+	for i, page := range pages {
+		if (page != nil) != (keys[i] == present) {
+			t.Fatalf("key %d: present %v", i, page != nil)
+		}
+	}
+	if b.Len() != 1 {
+		t.Fatalf("absent reads mapped pages: Len %d", b.Len())
+	}
+	seen := map[oram.BlockID]bool{}
+	for _, key := range keys {
+		id := absentID(key)
+		if id&absentBit == 0 || uint64(id) == ^uint64(0) || seen[id] {
+			t.Fatalf("absent id %x: top bit clear, the dummy id, or a repeat", id)
+		}
+		seen[id] = true
 	}
 }
 
@@ -239,8 +298,8 @@ func TestPlainBackendValidation(t *testing.T) {
 	if err := b.WritePages([]PageKey{meta}, nil); !errors.Is(err, ErrBadPage) {
 		t.Fatalf("pages for keys mismatch: %v", err)
 	}
-	if _, err := b.ReadPage(context.Background(), meta); !errors.Is(err, ErrPageNotFound) {
-		t.Fatalf("missing page: %v", err)
+	if pages, err := b.ReadPages(context.Background(), []PageKey{meta}); err != nil || pages[0] != nil {
+		t.Fatalf("missing page: %v %v", pages, err)
 	}
 	if b.Len() != 0 {
 		t.Fatalf("a rejected write stored %d pages", b.Len())
