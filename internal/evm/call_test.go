@@ -392,8 +392,9 @@ func TestPrecompileEcrecover(t *testing.T) {
 	input := make([]byte, 128)
 	copy(input[:32], msgHash[:])
 	input[63] = sig.V + 27
-	sig.R.FillBytes(input[64:96])
-	sig.S.FillBytes(input[96:128])
+	r, s := sig.R.Bytes32(), sig.S.Bytes32()
+	copy(input[64:96], r[:])
+	copy(input[96:128], s[:])
 
 	target := types.MustAddress("0x0000000000000000000000000000000000000001")
 	e := newTestEVM(t, nil)
@@ -409,6 +410,43 @@ func TestPrecompileEcrecover(t *testing.T) {
 	ret, _, err = e.Call(testCaller, target, make([]byte, 128), 100_000, new(uint256.Int))
 	if err != nil || len(ret) != 0 {
 		t.Fatalf("garbage ecrecover: ret=%x err=%v", ret, err)
+	}
+}
+
+// The precompile is plain ecrecover: unlike a transaction signature
+// (EIP-2), a high-s signature recovers, to the same address as its
+// low-s twin.
+func TestPrecompileEcrecoverAcceptsHighS(t *testing.T) {
+	priv, err := secp256k1.GenerateKey([]byte("ecrecover high s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgHash := types.BytesToHash(keccakBytes([]byte("signed message")))
+	sig, err := priv.Sign(msgHash[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint256.MustFromHex("0xfffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
+	sig.S.Sub(n, &sig.S)
+	sig.V ^= 1
+	if sig.LowS() {
+		t.Fatal("n-s of a low s is low")
+	}
+	input := make([]byte, 128)
+	copy(input[:32], msgHash[:])
+	input[63] = sig.V + 27
+	r, s := sig.R.Bytes32(), sig.S.Bytes32()
+	copy(input[64:96], r[:])
+	copy(input[96:128], s[:])
+
+	target := types.MustAddress("0x0000000000000000000000000000000000000001")
+	ret, _, err := newTestEVM(t, nil).Call(testCaller, target, input, 100_000, new(uint256.Int))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAddr := priv.Public.Address()
+	if len(ret) != 32 || !bytes.Equal(ret[12:], wantAddr[:]) {
+		t.Fatalf("high-s ecrecover = %x, want %x", ret, wantAddr)
 	}
 }
 

@@ -2,7 +2,6 @@ package evm
 
 import (
 	"crypto/sha256"
-	"math/big"
 
 	"hardtape/internal/secp256k1"
 	"hardtape/internal/types"
@@ -77,9 +76,12 @@ func (ecrecoverPrecompile) run(input []byte) ([]byte, error) {
 	if v != 27 && v != 28 {
 		return nil, nil
 	}
-	r := new(big.Int).SetBytes(in[64:96])
-	s := new(big.Int).SetBytes(in[96:128])
-	pub, err := secp256k1.Recover(hash, &secp256k1.Signature{R: r, S: s, V: v - 27})
+	// High s is accepted here: EIP-2's low-s rule binds transaction
+	// signatures only, not the ecrecover precompile.
+	sig := secp256k1.Signature{V: v - 27}
+	sig.R.SetBytes(in[64:96])
+	sig.S.SetBytes(in[96:128])
+	pub, err := secp256k1.Recover(hash, &sig)
 	if err != nil {
 		return nil, nil
 	}

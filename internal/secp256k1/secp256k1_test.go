@@ -2,15 +2,15 @@ package secp256k1
 
 import (
 	"encoding/hex"
-	"math/big"
 	"testing"
 	"testing/quick"
 
 	"hardtape/internal/keccak"
+	"hardtape/internal/uint256"
 )
 
 func TestGeneratorOnCurve(t *testing.T) {
-	if !onCurve(_gx, _gy) {
+	if !onCurve(&_g.X, &_g.Y) {
 		t.Fatal("generator not on curve")
 	}
 }
@@ -18,11 +18,11 @@ func TestGeneratorOnCurve(t *testing.T) {
 func TestKnownKeyAddress(t *testing.T) {
 	// The canonical test key with D=1: its public key is G, and the
 	// Ethereum address of G is a well-known constant.
-	priv, err := NewPrivateKey(big.NewInt(1))
+	priv, err := NewPrivateKey(uint256.NewInt(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if priv.Public.X.Cmp(_gx) != 0 || priv.Public.Y.Cmp(_gy) != 0 {
+	if priv.Public != _g {
 		t.Fatal("1*G != G")
 	}
 	addr := priv.Public.Address()
@@ -34,21 +34,22 @@ func TestKnownKeyAddress(t *testing.T) {
 
 func TestKnownScalarMult(t *testing.T) {
 	// 2*G has a known x coordinate.
-	priv, err := NewPrivateKey(big.NewInt(2))
+	priv, err := NewPrivateKey(uint256.NewInt(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantX := mustHexBig("c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5")
-	if priv.Public.X.Cmp(wantX) != 0 {
-		t.Errorf("2G.x = %x, want %x", priv.Public.X, wantX)
+	wantX := uint256.MustFromHex("0xc6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5")
+	if !priv.Public.X.Eq(wantX) {
+		t.Errorf("2G.x = %s, want %s", priv.Public.X.Hex(), wantX.Hex())
 	}
-	if !onCurve(priv.Public.X, priv.Public.Y) {
+	if !onCurve(&priv.Public.X, &priv.Public.Y) {
 		t.Error("2G not on curve")
 	}
 }
 
 func TestInvalidKeys(t *testing.T) {
-	for _, d := range []*big.Int{nil, big.NewInt(0), big.NewInt(-1), new(big.Int).Set(_n)} {
+	minusOne := new(uint256.Int).Neg(uint256.NewInt(1))
+	for _, d := range []*uint256.Int{nil, uint256.NewInt(0), minusOne, _n.Clone()} {
 		if _, err := NewPrivateKey(d); err == nil {
 			t.Errorf("NewPrivateKey(%v) should fail", d)
 		}
@@ -72,7 +73,7 @@ func TestSignVerify(t *testing.T) {
 		t.Fatal("signature does not verify")
 	}
 	// Low-s is enforced.
-	if sig.S.Cmp(_halfN) > 0 {
+	if sig.S.Gt(_halfN) || !sig.LowS() {
 		t.Error("signature s is not low")
 	}
 	// Wrong hash must fail.
@@ -81,8 +82,9 @@ func TestSignVerify(t *testing.T) {
 		t.Error("signature verified against wrong hash")
 	}
 	// Tampered r must fail.
-	bad := &Signature{R: new(big.Int).Add(sig.R, big.NewInt(1)), S: sig.S, V: sig.V}
-	if priv.Public.Verify(hash[:], bad) {
+	bad := *sig
+	bad.R.Add(&bad.R, uint256.NewInt(1))
+	if priv.Public.Verify(hash[:], &bad) {
 		t.Error("tampered signature verified")
 	}
 }
@@ -101,7 +103,7 @@ func TestSignDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.R.Cmp(s2.R) != 0 || s1.S.Cmp(s2.S) != 0 || s1.V != s2.V {
+	if *s1 != *s2 {
 		t.Error("signing is not deterministic")
 	}
 }
@@ -120,7 +122,7 @@ func TestRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pub.X.Cmp(priv.Public.X) != 0 || pub.Y.Cmp(priv.Public.Y) != 0 {
+	if *pub != priv.Public {
 		t.Error("recovered wrong public key")
 	}
 	if pub.Address() != priv.Public.Address() {
@@ -133,52 +135,94 @@ func TestRecover(t *testing.T) {
 			t.Error("flipped V recovered same address")
 		}
 	}
+	// The high-s twin (n-s, V flipped) recovers the same key: Recover
+	// is ecrecover, and EIP-2's low-s rule is the caller's to apply.
+	twin := &Signature{R: sig.R, V: sig.V ^ 1}
+	twin.S.Sub(_n, &sig.S)
+	if twin.LowS() {
+		t.Fatal("n-s of a low s is low")
+	}
+	if pub3, err := Recover(hash[:], twin); err != nil || *pub3 != priv.Public {
+		t.Errorf("high-s twin: %v", err)
+	}
 }
 
 func TestRecoverRejectsGarbage(t *testing.T) {
 	hash := keccak.Sum256([]byte("x"))
+	one := *uint256.NewInt(1)
 	bad := []*Signature{
 		nil,
-		{R: big.NewInt(0), S: big.NewInt(1), V: 0},
-		{R: big.NewInt(1), S: big.NewInt(0), V: 0},
-		{R: new(big.Int).Set(_n), S: big.NewInt(1), V: 0},
-		{R: big.NewInt(1), S: big.NewInt(1), V: 2},
+		{R: uint256.Int{}, S: one, V: 0},
+		{R: one, S: uint256.Int{}, V: 0},
+		{R: *_n, S: one, V: 0},
+		{R: one, S: *_n, V: 0},
+		{R: one, S: one, V: 2},
 	}
 	for i, sig := range bad {
 		if _, err := Recover(hash[:], sig); err == nil {
 			t.Errorf("case %d: Recover accepted invalid signature", i)
 		}
 	}
-	if _, err := Recover([]byte("short"), &Signature{R: big.NewInt(1), S: big.NewInt(1)}); err == nil {
+	if _, err := Recover([]byte("short"), &Signature{R: one, S: one}); err == nil {
 		t.Error("Recover accepted short hash")
 	}
 }
 
+// sameJacobian reports whether a and b are the same point: x1·z2² =
+// x2·z1² and y1·z2³ = y2·z1³, or both are infinity.
+func sameJacobian(a, b *jacobian) bool {
+	if a.z.IsZero() || b.z.IsZero() {
+		return a.z.IsZero() && b.z.IsZero()
+	}
+	var z1z1, z2z2, l, r uint256.Int
+	z1z1.MulMod(&a.z, &a.z, _p)
+	z2z2.MulMod(&b.z, &b.z, _p)
+	if !l.MulMod(&a.x, &z2z2, _p).Eq(r.MulMod(&b.x, &z1z1, _p)) {
+		return false
+	}
+	l.MulMod(l.MulMod(&a.y, &z2z2, _p), &b.z, _p)
+	r.MulMod(r.MulMod(&b.y, &z1z1, _p), &a.z, _p)
+	return l.Eq(&r)
+}
+
 func TestJacobianIdentities(t *testing.T) {
-	// P + infinity = P.
-	x, y, z := addJacobian(_gx, _gy, big.NewInt(1), new(big.Int), big.NewInt(1), new(big.Int))
-	ax, ay := toAffine(x, y, z)
-	if ax.Cmp(_gx) != 0 || ay.Cmp(_gy) != 0 {
+	g := jacobian{x: _g.X, y: _g.Y, z: *uint256.NewInt(1)}
+	// P + infinity = P, either way round.
+	var sum jacobian
+	if !sameJacobian(sum.add(&g, &jacobian{}), &g) || !sameJacobian(sum.add(&jacobian{}, &g), &g) {
 		t.Error("G + inf != G")
 	}
-	// P + P = 2P = double(P).
-	dx, dy, dz := doubleJacobian(_gx, _gy, big.NewInt(1))
-	sx, sy, sz := addJacobian(_gx, _gy, big.NewInt(1), _gx, _gy, big.NewInt(1))
-	dax, day := toAffine(dx, dy, dz)
-	sax, say := toAffine(sx, sy, sz)
-	if dax.Cmp(sax) != 0 || day.Cmp(say) != 0 {
+	// P + P = 2P = double(P), also when the result aliases an input.
+	var dbl jacobian
+	dbl.double(&g)
+	if !sameJacobian(sum.add(&g, &g), &dbl) {
 		t.Error("P+P != double(P)")
 	}
+	if alias := g; !sameJacobian(alias.add(&alias, &g), &dbl) {
+		t.Error("aliased P+P != double(P)")
+	}
+	// 2P + P, with 2P off z = 1, is 3P.
+	three, _ := mulAdd(uint256.NewInt(3), &_g, new(uint256.Int))
+	if !sameJacobian(sum.add(&dbl, &g), &jacobian{x: three.X, y: three.Y, z: g.z}) {
+		t.Error("2P + P != 3P")
+	}
 	// P + (-P) = infinity.
-	negY := new(big.Int).Sub(_p, _gy)
-	_, _, iz := addJacobian(_gx, _gy, big.NewInt(1), _gx, negY, big.NewInt(1))
-	if iz.Sign() != 0 {
+	neg := g
+	neg.y.Sub(_p, &g.y)
+	if !sum.add(&g, &neg).z.IsZero() {
 		t.Error("P + (-P) != infinity")
 	}
-	// n*G = infinity.
-	_, _, nz := scalarMultJacobian(_gx, _gy, _n)
-	if nz.Sign() != 0 {
+	// n*G = infinity, and so is n·G + 0·Q and (n-1)·G + 1·G.
+	if _, ok := mulAdd(_n, &_g, new(uint256.Int)); ok {
 		t.Error("n*G != infinity")
+	}
+	nMinus1 := new(uint256.Int).Sub(_n, uint256.NewInt(1))
+	if _, ok := mulAdd(nMinus1, &_g, uint256.NewInt(1)); ok {
+		t.Error("(n-1)G + G != infinity")
+	}
+	// 0·G + 1·Q = Q.
+	if q, ok := mulAdd(new(uint256.Int), &three, uint256.NewInt(1)); !ok || q != three {
+		t.Error("0·G + 1·Q != Q")
 	}
 }
 
@@ -211,23 +255,25 @@ func TestQuickSignRecover(t *testing.T) {
 	}
 }
 
-// Property: scalar multiplication distributes over addition:
-// (a+b)G == aG + bG.
-func TestQuickScalarDistributive(t *testing.T) {
-	f := func(a, b uint64) bool {
-		if a == 0 || b == 0 {
-			return true
-		}
-		ab := new(big.Int).Add(big.NewInt(0).SetUint64(a), big.NewInt(0).SetUint64(b))
-		x1, y1 := scalarBaseMult(ab)
-		ax, ay, az := scalarMultJacobian(_gx, _gy, new(big.Int).SetUint64(a))
-		bx, by, bz := scalarMultJacobian(_gx, _gy, new(big.Int).SetUint64(b))
-		sx, sy, sz := addJacobian(ax, ay, az, bx, by, bz)
-		x2, y2 := toAffine(sx, sy, sz)
-		return x1.Cmp(x2) == 0 && y1.Cmp(y2) == 0
+// Recover allocates only the key it returns: the field arithmetic runs
+// on stack uint256 values.
+func TestRecoverAllocs(t *testing.T) {
+	priv, err := GenerateKey([]byte("allocs"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
+	hash := keccak.Sum256([]byte("payload"))
+	sig, err := priv.Sign(hash[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Recover(hash[:], sig); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Recover: %.0f allocs/op, want <= 2", allocs)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/big"
 
 	"hardtape/internal/keccak"
 	"hardtape/internal/rlp"
@@ -33,6 +32,11 @@ var (
 	ErrBadAddress = errors.New("types: invalid address")
 	ErrBadHash    = errors.New("types: invalid hash")
 	ErrUnsigned   = errors.New("types: transaction is not signed")
+
+	// ErrHighS rejects a signature with s > n/2: EIP-2 makes it
+	// invalid, because (r, n-s) with V flipped is a second signature,
+	// under a second hash, of the same transaction by the same sender.
+	ErrHighS = fmt.Errorf("types: signature s above n/2 (EIP-2): %w", secp256k1.ErrInvalidSignature)
 )
 
 // HexToAddress parses a 0x-prefixed 40-hex-digit address.
@@ -220,7 +224,7 @@ type Transaction struct {
 	Data     []byte
 
 	// Signature values; nil R/S means unsigned.
-	R, S *big.Int
+	R, S *uint256.Int
 	V    byte
 
 	// cachedSender memoizes Sender() recovery.
@@ -278,7 +282,7 @@ func (tx *Transaction) Sign(priv *secp256k1.PrivateKey) error {
 	if err != nil {
 		return fmt.Errorf("types: sign transaction: %w", err)
 	}
-	tx.R, tx.S, tx.V = sig.R, sig.S, sig.V
+	tx.R, tx.S, tx.V = &sig.R, &sig.S, sig.V
 	addr := Address(priv.Public.Address())
 	tx.cachedSender = &addr
 	return nil
@@ -292,8 +296,12 @@ func (tx *Transaction) Sender() (Address, error) {
 	if tx.R == nil || tx.S == nil {
 		return Address{}, ErrUnsigned
 	}
+	sig := &secp256k1.Signature{R: *tx.R, S: *tx.S, V: tx.V}
+	if !sig.LowS() {
+		return Address{}, ErrHighS
+	}
 	h := tx.SigningHash()
-	pub, err := secp256k1.Recover(h[:], &secp256k1.Signature{R: tx.R, S: tx.S, V: tx.V})
+	pub, err := secp256k1.Recover(h[:], sig)
 	if err != nil {
 		return Address{}, fmt.Errorf("types: sender recovery: %w", err)
 	}

@@ -152,6 +152,39 @@ func TestTransactionSignSender(t *testing.T) {
 	}
 }
 
+// EIP-2: (r, n-s) with V flipped is a valid ECDSA signature of the same
+// payload by the same key, under a different transaction hash. Sender
+// must reject it, as a post-Homestead node does.
+func TestSenderRejectsHighS(t *testing.T) {
+	priv, err := secp256k1.GenerateKey([]byte("malleable"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	to := MustAddress("0x1111111111111111111111111111111111111111")
+	tx := &Transaction{Nonce: 3, GasPrice: uint256.NewInt(1), GasLimit: 21000, To: &to, Value: uint256.NewInt(1)}
+	if err := tx.Sign(priv); err != nil {
+		t.Fatal(err)
+	}
+	n := uint256.MustFromHex("0xfffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
+	twin := *tx
+	twin.cachedSender = nil
+	twin.S = new(uint256.Int).Sub(n, tx.S)
+	twin.V ^= 1
+	if twin.Hash() == tx.Hash() {
+		t.Fatal("high-s twin has the same hash")
+	}
+	_, err = twin.Sender()
+	if !errors.Is(err, ErrHighS) || !errors.Is(err, secp256k1.ErrInvalidSignature) {
+		t.Fatalf("high-s Sender: %v, want ErrHighS wrapping ErrInvalidSignature", err)
+	}
+	// The twin is a real signature: ecrecover itself accepts it.
+	sig := &secp256k1.Signature{R: *twin.R, S: *twin.S, V: twin.V}
+	h := twin.SigningHash()
+	if pub, err := secp256k1.Recover(h[:], sig); err != nil || pub.Address() != priv.Public.Address() {
+		t.Fatalf("high-s twin does not recover the signer: %v", err)
+	}
+}
+
 func TestTransactionHashesDiffer(t *testing.T) {
 	to := MustAddress("0x2222222222222222222222222222222222222222")
 	tx1 := &Transaction{Nonce: 1, GasPrice: uint256.NewInt(1), GasLimit: 21000, To: &to, Value: uint256.NewInt(5)}

@@ -693,9 +693,10 @@ func udivrem(quot, u []uint64, d *Int) (rem Int) {
 		return rem
 	}
 
-	unStorage := make([]uint64, uLen+1)
+	// The widest dividend is umul's 8 limbs; one more holds the
+	// normalising shift's overflow.
+	var unStorage [9]uint64
 	un := unStorage[:uLen+1]
-	un[uLen] = 0
 	if shift > 0 {
 		un[uLen] = u[uLen-1] >> (64 - shift)
 	}

@@ -406,6 +406,28 @@ func TestStringersAndLens(t *testing.T) {
 	}
 }
 
+// Division keeps its normalised dividend on the stack, so the EVM's
+// DIV/MOD/ADDMOD/MULMOD and the curve arithmetic built on them never
+// touch the heap, whatever the operands' widths.
+func TestDivisionDoesNotAllocate(t *testing.T) {
+	x := MustFromHex("0xfedcba9876543210fedcba9876543210fedcba9876543210fedcba9876543210")
+	y := MustFromHex("0x123456789abcdef0123456789abcdef0123456789abcdef")
+	m := MustFromHex("0xfffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
+	small := NewInt(0x1234567)
+	var z Int
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, d := range []*Int{y, m, small} {
+			z.Div(x, d)
+			z.Mod(x, d)
+			z.AddMod(x, m, d)
+			z.MulMod(x, x, d)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Div/Mod/AddMod/MulMod: %v allocs per run, want 0", allocs)
+	}
+}
+
 func BenchmarkAdd(b *testing.B) {
 	x := MustFromHex("0xdeadbeefcafebabe0123456789abcdef00000000000000000000000000000001")
 	y := MustFromHex("0xffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff")
