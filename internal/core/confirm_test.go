@@ -35,10 +35,10 @@ func TestServeConnRejectsBadConfirmTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writePlain(client, channel.MsgAttestRequest, 0, &attestRequestMsg{Nonce: nonce}); err != nil {
+	if err := writePlain(client, channel.MsgAttestRequest, 0, nonce[:]); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := readPlain[attestReportMsg](client, channel.MsgAttestReport)
+	rep, err := readPlain(client, channel.MsgAttestReport, decodeAttestReport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,8 @@ func TestServeConnRejectsBadConfirmTag(t *testing.T) {
 
 	confirm := channel.ConfirmTag(session.Key, rep.SessionID, "user")
 	confirm[0] ^= 0x01 // attacker-in-the-middle: tag no longer matches the key
-	kx := keyExchangeMsg{SessionID: rep.SessionID, UserPub: userPub, Confirm: confirm[:]}
-	if err := writePlain(client, channel.MsgKeyExchange, rep.SessionID, &kx); err != nil {
+	kx := keyExchangeMsg{SessionID: rep.SessionID, UserPub: userPub, Confirm: confirm}
+	if err := writePlain(client, channel.MsgKeyExchange, rep.SessionID, appendKeyExchange(nil, &kx)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,12 +103,12 @@ func TestDialRejectsSwappedDeviceSigningKey(t *testing.T) {
 				return
 			}
 			if first {
-				rep, err := decodePlain[attestReportMsg](msg, channel.MsgAttestReport)
+				rep, err := decodePlain(msg, channel.MsgAttestReport, decodeAttestReport)
 				if err != nil {
 					return
 				}
 				rep.DevSigPub = elliptic.Marshal(elliptic.P256(), spKey.X, spKey.Y)
-				if writePlain(userSide, channel.MsgAttestReport, rep.SessionID, &rep) != nil {
+				if writePlain(userSide, channel.MsgAttestReport, rep.SessionID, appendAttestReport(nil, &rep)) != nil {
 					return
 				}
 				continue

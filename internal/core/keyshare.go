@@ -66,9 +66,9 @@ func (d *Device) OfferORAMKey(nonce [32]byte) (*ORAMKeyOffer, func(requesterPub 
 }
 
 // RequestORAMKey runs the requester side end to end against an
-// in-process provider (the cmd binaries wire the same exchange over
-// the channel protocol): verify the provider's attestation, complete
-// DHKE, and unseal the ORAM key.
+// in-process provider: verify the provider's attestation, complete
+// DHKE, and unseal the ORAM key. No wire carries this exchange yet;
+// only tests call it.
 func RequestORAMKey(provider *Device, verifier *attest.Verifier) ([]byte, error) {
 	nonce, err := verifier.NewNonce()
 	if err != nil {

@@ -52,19 +52,12 @@ type resumeRequestMsg struct {
 type resumeAcceptMsg struct {
 	SessionID   uint64
 	ServerNonce [session.NonceSize]byte
-	Confirm     []byte
+	Confirm     [channel.ConfirmTagSize]byte
 }
 
-// resumeRejectMsg carries the coarse reject code (session.Reject*).
-type resumeRejectMsg struct {
-	Code uint8
-}
-
-// resumeConfirmMsg closes the rekey: the user's confirmation tag,
-// sealed under the traffic key it claims to hold.
-type resumeConfirmMsg struct {
-	Confirm []byte
-}
+// The resume reject is its one coarse code byte (session.Reject*), and
+// the resume confirm is the user's confirmation tag, sealed under the
+// traffic key it claims to hold.
 
 // ticketIssueMsg delivers a (possibly rotated) resumption ticket at
 // the end of a handshake. An empty Ticket means the service could not
@@ -79,7 +72,7 @@ type ticketIssueMsg struct {
 // (the client maps it to the same sentinel) and the connection dies.
 func (s *Service) warmHandshake(conn io.ReadWriter, raw []byte) (*channel.SecureChannel, error) {
 	hsp, _ := s.reg.StartSpan(context.Background(), "service.resume")
-	req, err := decodePlain[resumeRequestMsg](raw, channel.MsgResumeRequest)
+	req, err := decodePlain(raw, channel.MsgResumeRequest, decodeResumeRequest)
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +81,7 @@ func (s *Service) warmHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	if err != nil {
 		s.recordTicketFailure(err)
 		//hardtape:faulterr-ok the reject write is best-effort; the redeem failure is the error that matters
-		_ = writePlain(conn, channel.MsgResumeReject, 0, &resumeRejectMsg{Code: session.RejectCode(err)})
+		_ = writePlain(conn, channel.MsgResumeReject, 0, []byte{session.RejectCode(err)})
 		return nil, err
 	}
 	defer session.ZeroKey(&st.PSK)
@@ -107,8 +100,8 @@ func (s *Service) warmHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	defer session.ZeroKey(&traffic)
 
 	devTag := channel.ConfirmTag(traffic, newID, "device")
-	accept := resumeAcceptMsg{SessionID: newID, ServerNonce: serverNonce, Confirm: devTag[:]}
-	if err := writePlain(conn, channel.MsgResumeAccept, newID, &accept); err != nil {
+	accept := resumeAcceptMsg{SessionID: newID, ServerNonce: serverNonce, Confirm: devTag}
+	if err := writePlain(conn, channel.MsgResumeAccept, newID, appendResumeAccept(nil, &accept)); err != nil {
 		return nil, err
 	}
 
@@ -116,11 +109,11 @@ func (s *Service) warmHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	if err != nil {
 		return nil, err
 	}
-	cm, err := readSealed[resumeConfirmMsg](conn, secure, channel.MsgResumeConfirm)
+	userTag, err := readSealed(conn, secure, channel.MsgResumeConfirm, decodeFixed32)
 	if err != nil {
 		return nil, err
 	}
-	if err := channel.VerifyConfirmTag(traffic, newID, "user", cm.Confirm); err != nil {
+	if err := channel.VerifyConfirmTag(traffic, newID, "user", userTag[:]); err != nil {
 		return nil, err
 	}
 
@@ -186,7 +179,7 @@ func Resume(conn io.ReadWriter, ticket *session.ClientTicket) (*Client, error) {
 		return nil, fmt.Errorf("core: resume nonce: %w", err)
 	}
 	req := resumeRequestMsg{Ticket: ticket.Opaque, ClientNonce: clientNonce}
-	if err := writePlain(conn, channel.MsgResumeRequest, ticket.SessionID, &req); err != nil {
+	if err := writePlain(conn, channel.MsgResumeRequest, ticket.SessionID, appendResumeRequest(nil, &req)); err != nil {
 		return nil, err
 	}
 
@@ -197,11 +190,11 @@ func Resume(conn io.ReadWriter, ticket *session.ClientTicket) (*Client, error) {
 	if len(raw) >= channel.HeaderSize {
 		if hdr, err := channel.ParseHeader(raw[:channel.HeaderSize]); err == nil && hdr.Type == channel.MsgResumeReject {
 			//hardtape:faulterr-ok an undecodable reject still rejects; the code only refines the sentinel
-			rej, _ := decodePlain[resumeRejectMsg](raw, channel.MsgResumeReject)
-			return nil, session.RejectError(rej.Code)
+			code, _ := decodePlain(raw, channel.MsgResumeReject, decodeResumeReject)
+			return nil, session.RejectError(code)
 		}
 	}
-	accept, err := decodePlain[resumeAcceptMsg](raw, channel.MsgResumeAccept)
+	accept, err := decodePlain(raw, channel.MsgResumeAccept, decodeResumeAccept)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +205,7 @@ func Resume(conn io.ReadWriter, ticket *session.ClientTicket) (*Client, error) {
 	defer session.ZeroKey(&traffic)
 	// The device's tag proves it redeemed the ticket and derived the
 	// same traffic key — without it, anyone could echo our nonce.
-	if err := channel.VerifyConfirmTag(traffic, accept.SessionID, "device", accept.Confirm); err != nil {
+	if err := channel.VerifyConfirmTag(traffic, accept.SessionID, "device", accept.Confirm[:]); err != nil {
 		return nil, fmt.Errorf("%w: %w", session.ErrResumeRejected, err)
 	}
 	secure, err := channel.NewSecureChannel(traffic, accept.SessionID)
@@ -220,7 +213,7 @@ func Resume(conn io.ReadWriter, ticket *session.ClientTicket) (*Client, error) {
 		return nil, err
 	}
 	userTag := channel.ConfirmTag(traffic, accept.SessionID, "user")
-	sealed, err := secure.Seal(channel.MsgResumeConfirm, gobEncode(&resumeConfirmMsg{Confirm: userTag[:]}))
+	sealed, err := secure.Seal(channel.MsgResumeConfirm, userTag[:])
 	if err != nil {
 		return nil, err
 	}

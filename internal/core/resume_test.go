@@ -89,7 +89,7 @@ func TestResumeWarmSessionZeroAsymOps(t *testing.T) {
 
 	// Pre-execution is stateless, so the cold and warm sessions must
 	// produce byte-identical traces for the same bundle.
-	if !bytes.Equal(gobEncode(coldRes.Trace), gobEncode(warmRes.Trace)) {
+	if !bytes.Equal(appendTrace(nil, &traceMsg{Trace: *coldRes.Trace}), appendTrace(nil, &traceMsg{Trace: *warmRes.Trace})) {
 		t.Fatal("cold and warm execution traces differ")
 	}
 

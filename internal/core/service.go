@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -24,12 +22,9 @@ import (
 	"hardtape/internal/types"
 )
 
-// Wire payloads (gob-encoded inside channel messages).
-
-// attestRequestMsg opens a session (plaintext: no keys exist yet).
-type attestRequestMsg struct {
-	Nonce [32]byte
-}
+// Wire messages; wire.go holds their layouts. A message of one field is
+// that field: the attest request is the user's nonce, a bundle
+// submission is the types.Bundle.
 
 // attestReportMsg carries the device's report plus the session id the
 // Hypervisor allocated.
@@ -53,12 +48,7 @@ type keyExchangeMsg struct {
 	SessionID  uint64
 	UserPub    []byte
 	UserSigPub []byte
-	Confirm    []byte
-}
-
-// bundleMsg is the encrypted bundle submission.
-type bundleMsg struct {
-	Bundle types.Bundle
+	Confirm    [channel.ConfirmTagSize]byte
 }
 
 // traceMsg is the encrypted response.
@@ -89,8 +79,7 @@ func spanCtxFromWire(tc channel.TraceContext) telemetry.SpanContext {
 	return telemetry.SpanContext{Trace: telemetry.TraceID(tc.Trace), Span: telemetry.SpanID(tc.Span)}
 }
 
-// statusMsg is the occupancy-probe response (request carries a zero
-// value of the same type).
+// statusMsg is the occupancy-probe response (the request is empty).
 type statusMsg struct {
 	FreeSlots int
 	Capacity  int
@@ -256,12 +245,12 @@ func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 
 	// --- Step 2: remote attestation + DHKE ---
 	hsp, _ := s.reg.StartSpan(context.Background(), "service.handshake")
-	req, err := decodePlain[attestRequestMsg](raw, channel.MsgAttestRequest)
+	nonce, err := decodePlain(raw, channel.MsgAttestRequest, decodeFixed32)
 	if err != nil {
 		return nil, err
 	}
 
-	report, complete, err := s.booted.Attest(req.Nonce)
+	report, complete, err := s.booted.Attest(nonce)
 	if err != nil {
 		return nil, err
 	}
@@ -277,12 +266,12 @@ func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 		SessionID: sessionID,
 		DevSigPub: elliptic.Marshal(elliptic.P256(), devSigKey.PublicKey.X, devSigKey.PublicKey.Y),
 	}
-	if err := writePlain(conn, channel.MsgAttestReport, sessionID, &resp); err != nil {
+	if err := writePlain(conn, channel.MsgAttestReport, sessionID, appendAttestReport(nil, &resp)); err != nil {
 		return nil, err
 	}
 	hsp.Mark(s.tm.attest)
 
-	kx, err := readPlain[keyExchangeMsg](conn, channel.MsgKeyExchange)
+	kx, err := readPlain(conn, channel.MsgKeyExchange, decodeKeyExchange)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +285,7 @@ func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 	// The tag covers both signing keys as the user saw them: a DevSigPub
 	// swapped on the way out, or a UserSigPub swapped on the way in,
 	// fails here, before any sealed frame.
-	if err := channel.VerifyConfirmTag(sess.Key, sessionID, "user", kx.Confirm, resp.DevSigPub, kx.UserSigPub); err != nil {
+	if err := channel.VerifyConfirmTag(sess.Key, sessionID, "user", kx.Confirm[:], resp.DevSigPub, kx.UserSigPub); err != nil {
 		return nil, err
 	}
 	secure, err := channel.NewSecureChannel(sess.Key, sessionID)
@@ -347,7 +336,7 @@ func (s *Service) sendTicket(conn io.ReadWriter, secure *channel.SecureChannel, 
 		// On issue failure the message carries no ticket; the client
 		// simply cannot resume — fail-safe, not fail-open.
 	}
-	sealed, err := secure.Seal(channel.MsgTicketIssue, gobEncode(&out))
+	sealed, err := secure.Seal(channel.MsgTicketIssue, appendTicketIssue(nil, &out))
 	if err != nil {
 		return err
 	}
@@ -400,13 +389,13 @@ func (s *Service) serveSession(conn io.ReadWriter, secure *channel.SecureChannel
 		switch kind {
 		case session.MuxStatus:
 			out := statusMsg{FreeSlots: s.exec.FreeSlots(), Capacity: s.exec.SlotCount()}
-			if err := reply(reqID, session.MuxOK, gobEncode(&out)); err != nil {
+			if err := reply(reqID, session.MuxOK, appendStatus(nil, &out)); err != nil {
 				return err
 			}
 		case session.MuxBundle:
 			s.tm.bytesIn.Observe(float64(len(raw)))
-			var bm bundleMsg
-			if err := gobDecode(body, &bm); err != nil {
+			bundle, err := decodeBundle(body)
+			if err != nil {
 				if werr := reply(reqID, session.MuxErr, []byte(err.Error())); werr != nil {
 					return werr
 				}
@@ -418,9 +407,21 @@ func (s *Service) serveSession(conn io.ReadWriter, secure *channel.SecureChannel
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				out := s.executeBundle(tc, &bm)
+				out := s.executeBundle(tc, bundle)
+				err := reply(reqID, session.MuxOK, appendTrace(nil, &out))
+				if errors.Is(err, channel.ErrTooLarge) {
+					// A trace too large for one sealed frame is the
+					// bundle's fault, answered as one, so the caller
+					// does not wait for a reply that never comes.
+					out = traceMsg{
+						AbortReason: fmt.Sprintf("core: trace reply exceeds the %d-byte frame limit", channel.MaxPayload),
+						Failed:      true,
+						TraceSpans:  out.TraceSpans,
+					}
+					err = reply(reqID, session.MuxOK, appendTrace(nil, &out))
+				}
 				//hardtape:faulterr-ok a write race with connection teardown fails the conn, which the read loop reports
-				_ = reply(reqID, session.MuxOK, gobEncode(&out))
+				_ = err
 			}()
 		default:
 			return fmt.Errorf("%w: mux kind %d", ErrProtocol, kind)
@@ -436,10 +437,10 @@ func (s *Service) serveSession(conn io.ReadWriter, secure *channel.SecureChannel
 // clients don't propagate contexts. The two cases compose: a locally
 // rooted trace assembles into the local ring when its root ends, and
 // TakeSpans then finds nothing left to ship.
-func (s *Service) executeBundle(tc channel.TraceContext, bm *bundleMsg) traceMsg {
+func (s *Service) executeBundle(tc channel.TraceContext, bundle *types.Bundle) traceMsg {
 	ctx := s.reg.ContinueTrace(context.Background(), spanCtxFromWire(tc))
 	sp, ctx := s.reg.StartSpan(ctx, "service.bundle")
-	res, err := s.exec.ExecuteContext(ctx, &bm.Bundle)
+	res, err := s.exec.ExecuteContext(ctx, bundle)
 	sp.End(s.tm.execute, &err)
 	var out traceMsg
 	if err != nil {
@@ -508,10 +509,10 @@ func Dial(conn io.ReadWriter, verifier ReportVerifier, sign bool) (*Client, erro
 	if err != nil {
 		return nil, err
 	}
-	if err := writePlain(conn, channel.MsgAttestRequest, 0, &attestRequestMsg{Nonce: nonce}); err != nil {
+	if err := writePlain(conn, channel.MsgAttestRequest, 0, nonce[:]); err != nil {
 		return nil, err
 	}
-	rep, err := readPlain[attestReportMsg](conn, channel.MsgAttestReport)
+	rep, err := readPlain(conn, channel.MsgAttestReport, decodeAttestReport)
 	if err != nil {
 		return nil, err
 	}
@@ -534,9 +535,9 @@ func Dial(conn io.ReadWriter, verifier ReportVerifier, sign bool) (*Client, erro
 		SessionID:  rep.SessionID,
 		UserPub:    userPub,
 		UserSigPub: userSigPub,
-		Confirm:    confirm[:],
+		Confirm:    confirm,
 	}
-	if err := writePlain(conn, channel.MsgKeyExchange, rep.SessionID, &kx); err != nil {
+	if err := writePlain(conn, channel.MsgKeyExchange, rep.SessionID, appendKeyExchange(nil, &kx)); err != nil {
 		return nil, err
 	}
 
@@ -573,7 +574,7 @@ func Dial(conn io.ReadWriter, verifier ReportVerifier, sign bool) (*Client, erro
 // client un-resumable but otherwise functional; the PSK is zeroed.
 func readTicket(conn io.ReadWriter, secure *channel.SecureChannel, psk [32]byte, sessionID uint64, serial string, measurement [32]byte) (*session.ClientTicket, error) {
 	defer session.ZeroKey(&psk)
-	tim, err := readSealed[ticketIssueMsg](conn, secure, channel.MsgTicketIssue)
+	tim, err := readSealed(conn, secure, channel.MsgTicketIssue, decodeTicketIssue)
 	if err != nil || len(tim.Ticket) == 0 {
 		return nil, err
 	}
@@ -624,12 +625,12 @@ func (c *Client) PreExecuteContext(ctx context.Context, bundle *types.Bundle) (r
 	sp, _ := c.reg.StartSpan(c.reg.ContinueTrace(ctx, telemetry.SpanContext{}), "client.preexecute")
 	sp.AddInt("txs", int64(len(bundle.Txs)))
 	defer sp.End(nil, &err)
-	body, err := c.mux.RoundTrip(ctx, session.MuxBundle, wireTraceContext(sp.Context()), gobEncode(&bundleMsg{Bundle: *bundle}))
+	body, err := c.mux.RoundTrip(ctx, session.MuxBundle, wireTraceContext(sp.Context()), appendBundle(nil, bundle))
 	if err != nil {
 		return nil, err
 	}
-	var tm traceMsg
-	if err := gobDecode(body, &tm); err != nil {
+	tm, err := decodeTrace(body)
+	if err != nil {
 		return nil, err
 	}
 	c.reg.FlightRecorder().Adopt(tm.TraceSpans)
@@ -666,12 +667,12 @@ type ServiceStatus struct {
 // session, giving up when ctx ends. Schedulers (the fleet gateway) use
 // it both as a health check and to weight dispatch by free capacity.
 func (c *Client) Status(ctx context.Context) (*ServiceStatus, error) {
-	body, err := c.mux.RoundTrip(ctx, session.MuxStatus, channel.TraceContext{}, gobEncode(&statusMsg{}))
+	body, err := c.mux.RoundTrip(ctx, session.MuxStatus, channel.TraceContext{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	var sm statusMsg
-	if err := gobDecode(body, &sm); err != nil {
+	sm, err := decodeStatus(body)
+	if err != nil {
 		return nil, err
 	}
 	return &ServiceStatus{FreeSlots: sm.FreeSlots, Capacity: sm.Capacity}, nil
@@ -680,8 +681,7 @@ func (c *Client) Status(ctx context.Context) (*ServiceStatus, error) {
 // --- plumbing ---
 
 // writePlain frames an unencrypted protocol message (pre-session).
-func writePlain(w io.Writer, t channel.MsgType, session uint64, v any) error {
-	payload := gobEncode(v)
+func writePlain(w io.Writer, t channel.MsgType, session uint64, payload []byte) error {
 	h := channel.Header{Type: t, Session: session, Length: uint32(len(payload))}
 	hdr := h.Marshal()
 	msg := append(hdr[:], payload...)
@@ -690,7 +690,7 @@ func writePlain(w io.Writer, t channel.MsgType, session uint64, v any) error {
 
 // decodePlain validates an unencrypted protocol message of type want
 // and decodes its payload.
-func decodePlain[T any](raw []byte, want channel.MsgType) (v T, err error) {
+func decodePlain[T any](raw []byte, want channel.MsgType, decode func([]byte) (T, error)) (v T, err error) {
 	if len(raw) < channel.HeaderSize {
 		return v, channel.ErrBadHeader
 	}
@@ -705,23 +705,22 @@ func decodePlain[T any](raw []byte, want channel.MsgType) (v T, err error) {
 	if uint32(len(body)) != hdr.Length {
 		return v, channel.ErrBadHeader
 	}
-	err = gobDecode(body, &v)
-	return v, err
+	return decode(body)
 }
 
 // readPlain reads the next message off r as an unencrypted message of
 // type want (pre-session).
-func readPlain[T any](r io.Reader, want channel.MsgType) (v T, err error) {
+func readPlain[T any](r io.Reader, want channel.MsgType, decode func([]byte) (T, error)) (v T, err error) {
 	raw, err := channel.ReadMessage(r)
 	if err != nil {
 		return v, err
 	}
-	return decodePlain[T](raw, want)
+	return decodePlain(raw, want, decode)
 }
 
 // readSealed reads the next message off r, opens it on the established
 // channel and decodes it as a message of type want.
-func readSealed[T any](r io.Reader, secure *channel.SecureChannel, want channel.MsgType) (v T, err error) {
+func readSealed[T any](r io.Reader, secure *channel.SecureChannel, want channel.MsgType, decode func([]byte) (T, error)) (v T, err error) {
 	raw, err := channel.ReadMessage(r)
 	if err != nil {
 		return v, err
@@ -733,23 +732,7 @@ func readSealed[T any](r io.Reader, secure *channel.SecureChannel, want channel.
 	if hdr.Type != want {
 		return v, fmt.Errorf("%w: expected type %d, got %d", ErrProtocol, want, hdr.Type)
 	}
-	err = gobDecode(payload, &v)
-	return v, err
-}
-
-func gobEncode(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("core: gob encode: %v", err)) // programming error
-	}
-	return buf.Bytes()
-}
-
-func gobDecode(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("core: decode: %w", err)
-	}
-	return nil
+	return decode(payload)
 }
 
 func unmarshalPub(raw []byte) (*ecdsa.PublicKey, error) {

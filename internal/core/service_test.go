@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -238,7 +240,7 @@ func TestServiceRejectsProtocolViolations(t *testing.T) {
 			defer server.Close()
 			errCh <- sr.svc.serveSession(server, deviceEnd)
 		}()
-		sealed, err := userEnd.Seal(channel.MsgTicketIssue, gobEncode(&bundleMsg{Bundle: *sr.transferBundle(t, 3)}))
+		sealed, err := userEnd.Seal(channel.MsgTicketIssue, appendBundle(nil, sr.transferBundle(t, 3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,11 +327,11 @@ func TestSilentPeerReleasesColdAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer silent.Close()
-	if err := writePlain(silent, channel.MsgAttestRequest, 0, &attestRequestMsg{}); err != nil {
+	if err := writePlain(silent, channel.MsgAttestRequest, 0, make([]byte, 32)); err != nil {
 		t.Fatal(err)
 	}
 	// The report back means the silent peer holds the admission slot.
-	if _, err := readPlain[attestReportMsg](silent, channel.MsgAttestReport); err != nil {
+	if _, err := readPlain(silent, channel.MsgAttestReport, decodeAttestReport); err != nil {
 		t.Fatal(err)
 	}
 	// Dial halfway through the silent peer's budget: the honest
@@ -404,5 +406,50 @@ func TestSecondClientGetsFreshSession(t *testing.T) {
 	s2 := runOne(2)
 	if s1 == s2 {
 		t.Fatal("sessions must be unique per connection")
+	}
+}
+
+// TestServiceAnswersOversizedTraceAsFailed: a trace reply too large for
+// one sealed frame comes back as a Failed reply that names the limit,
+// before the caller's deadline, and the session serves the next bundle.
+// Each transaction is a contract creation whose init code SLOADs in a
+// loop until its 29 M gas runs out, recording about 250 000 storage
+// reads; two of them are more trace than channel.MaxPayload holds.
+func TestServiceAnswersOversizedTraceAsFailed(t *testing.T) {
+	sr := buildServiceRig(t, ConfigRaw)
+	client, server := net.Pipe()
+	defer client.Close()
+	go func() {
+		defer server.Close()
+		_ = sr.svc.ServeConn(server)
+	}()
+	c, err := Dial(client, sr.verifier(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := []byte{0x5b, 0x60, 0x00, 0x54, 0x50, 0x60, 0x00, 0x56} // JUMPDEST PUSH1 0 SLOAD POP PUSH1 0 JUMP
+	bundle := &types.Bundle{}
+	for i := 0; i < 2; i++ {
+		tx, err := sr.world.SignedTxAt(sr.world.EOAs[i], 0, nil, 0, loop, 29_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundle.Txs = append(bundle.Txs, tx)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := c.PreExecuteContext(ctx, bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Failed || !strings.Contains(res.AbortReason, fmt.Sprint(channel.MaxPayload)) {
+		t.Fatalf("oversized trace: failed=%v reason %q, want a Failed reply naming the %d-byte limit", res.Failed, res.AbortReason, channel.MaxPayload)
+	}
+	res, err = c.PreExecuteContext(ctx, sr.transferBundle(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failed || len(res.Trace.Txs) != 1 {
+		t.Fatalf("next bundle: %+v", res)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // holds canonical strings and lists of every length class, nested
 // lists, and non-canonical, truncated and trailing-byte variants.
 func FuzzDecode(f *testing.F) {
-	typed := []error{ErrTruncated, ErrTrailingBytes, ErrNonCanonical}
+	typed := []error{ErrTruncated, ErrTrailingBytes, ErrNonCanonical, ErrTooDeep}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Each input byte can become one item: its struct, a copy and a
 		// share of its parent's child slice.

@@ -35,7 +35,14 @@ var (
 	ErrNonCanonical  = errors.New("rlp: non-canonical encoding")
 	ErrNotString     = errors.New("rlp: item is not a string")
 	ErrNotList       = errors.New("rlp: item is not a list")
+	ErrTooDeep       = errors.New("rlp: lists nested too deep")
 )
+
+// maxDepth caps list nesting. The deepest lists the repo decodes are
+// trie nodes with embedded children, a few levels; without a cap a
+// hostile input recurses until the goroutine stack overflows, a fatal
+// error that recover cannot catch.
+const maxDepth = 1024
 
 // String constructs a string item. The bytes are copied.
 func String(b []byte) *Item {
@@ -179,7 +186,7 @@ func appendLength(out []byte, base byte, length int) []byte {
 // Decode parses a single RLP item and requires the input to be fully
 // consumed.
 func Decode(data []byte) (*Item, error) {
-	it, rest, err := decodeItem(data)
+	it, rest, err := decodeItem(data, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -192,10 +199,11 @@ func Decode(data []byte) (*Item, error) {
 // DecodePrefix parses a single RLP item from the front of data,
 // returning the item and any remaining bytes.
 func DecodePrefix(data []byte) (*Item, []byte, error) {
-	return decodeItem(data)
+	return decodeItem(data, 0)
 }
 
-func decodeItem(data []byte) (*Item, []byte, error) {
+// decodeItem parses one item whose enclosing lists number depth.
+func decodeItem(data []byte, depth int) (*Item, []byte, error) {
 	if len(data) == 0 {
 		return nil, nil, ErrTruncated
 	}
@@ -229,12 +237,15 @@ func decodeItem(data []byte) (*Item, []byte, error) {
 		copy(cp, payload)
 		return &Item{kind: KindString, str: cp}, rest, nil
 
+	case depth == maxDepth: // any list from here on
+		return nil, nil, ErrTooDeep
+
 	case tag <= 0xf7: // short list
 		length := int(tag - 0xc0)
 		if len(data) < 1+length {
 			return nil, nil, ErrTruncated
 		}
-		children, err := decodeListPayload(data[1 : 1+length])
+		children, err := decodeListPayload(data[1:1+length], depth+1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -248,7 +259,7 @@ func decodeItem(data []byte) (*Item, []byte, error) {
 		if len(payload) < 56 {
 			return nil, nil, ErrNonCanonical
 		}
-		children, err := decodeListPayload(payload)
+		children, err := decodeListPayload(payload, depth+1)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -277,10 +288,10 @@ func decodeLongLength(data []byte, n byte) (payload, rest []byte, err error) {
 	return data[start : start+int(length)], data[start+int(length):], nil
 }
 
-func decodeListPayload(payload []byte) ([]*Item, error) {
+func decodeListPayload(payload []byte, depth int) ([]*Item, error) {
 	var children []*Item
 	for len(payload) > 0 {
-		child, rest, err := decodeItem(payload)
+		child, rest, err := decodeItem(payload, depth)
 		if err != nil {
 			return nil, err
 		}

@@ -109,6 +109,42 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeNestingDepth: maxDepth nested lists decode and one more is
+// ErrTooDeep.
+func TestDecodeNestingDepth(t *testing.T) {
+	nested := func(levels int) []byte {
+		it := List()
+		for i := 1; i < levels; i++ {
+			it = List(it)
+		}
+		return it.Encode()
+	}
+	if _, err := Decode(nested(maxDepth)); err != nil {
+		t.Fatalf("%d nested lists: %v", maxDepth, err)
+	}
+	if _, err := Decode(nested(maxDepth + 1)); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("%d nested lists: got %v, want ErrTooDeep", maxDepth+1, err)
+	}
+}
+
+// TestDecodeDeepInputIsAnError: a 12 MB input of three million nested
+// long lists is ErrTooDeep. Uncapped, the decoder recursed until the
+// goroutine stack overflowed, a fatal error that killed the process.
+func TestDecodeDeepInputIsAnError(t *testing.T) {
+	// Each level is a long-list header with a 3-byte length (0xfa);
+	// the innermost item is a 56-byte long string.
+	const levels, inner = 3_000_000, 58
+	in := make([]byte, 4*levels+inner)
+	for k := 0; k < levels; k++ {
+		n := len(in) - 4*k - 4
+		in[4*k], in[4*k+1], in[4*k+2], in[4*k+3] = 0xfa, byte(n>>16), byte(n>>8), byte(n)
+	}
+	in[4*levels], in[4*levels+1] = 0xb8, inner-2
+	if _, err := Decode(in); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("%d-byte input of %d nested lists: got %v, want ErrTooDeep", len(in), levels, err)
+	}
+}
+
 func TestKindAccessors(t *testing.T) {
 	s := String([]byte("x"))
 	l := List(s)

@@ -27,7 +27,8 @@ import (
 
 // Mux frame kinds.
 const (
-	// MuxBundle carries a gob-encoded bundle; the reply is a trace.
+	// MuxBundle carries an encoded bundle; the reply is a trace (the
+	// layouts are core's wire codec, core/wire.go).
 	MuxBundle byte = 1
 	// MuxStatus probes device occupancy; the reply is a status report.
 	MuxStatus byte = 2

@@ -81,9 +81,9 @@ type Attr struct {
 	IsInt bool
 }
 
-// SpanRecord is one finished span, gob-encodable so remote processes
-// can ship their segment of a trace back to the caller (see
-// Recorder.TakeSpans / Adopt).
+// SpanRecord is one finished span. Remote processes ship their segment
+// of a trace back to the caller inside the trace reply (see
+// Recorder.TakeSpans / Adopt; the layout is core's wire codec).
 type SpanRecord struct {
 	Trace    TraceID
 	Span     SpanID
