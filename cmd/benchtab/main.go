@@ -11,7 +11,7 @@
 // output does not depend on which sweeps ran before it. Every number is
 // the model: virtual-clock timings use the calibration table in
 // internal/simclock, and every field repeats exactly at one (-seed, -n)
-// (DESIGN.md §3); shapes, not absolute values, are the reproduction
+// (DESIGN.md §9); shapes, not absolute values, are the reproduction
 // target. Host wall clock and allocations are measured by benchmark/
 // and the go-test benchmarks, never here.
 package main

@@ -172,7 +172,7 @@ func NewService(dev *Device) *Service { return core.NewService(dev) }
 
 // NewFleetService exposes a whole gateway over the message protocol,
 // using the attestation identity of one of its devices (the gateway
-// runs inside the trusted boundary — see DESIGN.md "Fleet deployment").
+// runs inside the trusted boundary — see DESIGN.md §3 and §8).
 // The gateway's cold-handshake admission gate, when configured
 // (FleetConfig.ColdHandshakeLimit), is wired into the service so warm
 // resumes never queue behind cold attestations.
@@ -258,10 +258,10 @@ type TestbedOptions struct {
 	HEVMs    int
 	// Lanes enables optimistic intra-bundle parallelism: N > 1 runs
 	// each bundle's transactions speculatively on N lanes per HEVM with
-	// in-order commit (DESIGN.md §16); 0 or 1 executes sequentially.
+	// in-order commit (DESIGN.md §6); 0 or 1 executes sequentially.
 	Lanes int
 	// Shards partitions the ORAM across N independent trees with
-	// shard-aware batched fan-out (DESIGN.md §11); 0 or 1 keeps the
+	// shard-aware batched fan-out (DESIGN.md §7); 0 or 1 keeps the
 	// paper's single tree.
 	Shards int
 	// Telemetry, when non-nil, instruments the testbed's device(s) —

@@ -18,7 +18,7 @@ import (
 	"hardtape/internal/workload"
 )
 
-// This file holds the ablations of DESIGN.md §7: each isolates one of
+// This file holds the ablations of DESIGN.md §9: each isolates one of
 // the paper's design choices and measures what breaks without it.
 
 // --- Ablation 1: swap-size noise (paper §IV-B, attack A5) ---

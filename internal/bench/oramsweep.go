@@ -22,7 +22,7 @@ const oramSweepBlocks = 512
 const oramSweepRounds = 16
 
 // oramShardSweep measures batched ORAM access cost across shard counts
-// {1, 2, 4, 8} × batch sizes {8, 32} (DESIGN.md §17): how the per-round
+// {1, 2, 4, 8} × batch sizes {8, 32} (DESIGN.md §7): how the per-round
 // cost falls as the tree is partitioned across more shards. Each cell
 // builds a fresh sharded client over in-process MemServers (aggregate
 // capacity held constant), loads a deterministic working set, then

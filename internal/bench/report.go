@@ -29,9 +29,7 @@ type Row struct {
 
 // Table is the one report shape every sweep produces. Note carries the
 // paper's reference values and the expected shape. Modeled fields
-// repeat exactly from run to run at one (seed, n); the one exception,
-// lane interleaving on the parallel table's multi-lane rows (DESIGN.md
-// §3), is spelled out in that table's Note.
+// repeat exactly from run to run at one (seed, n) (DESIGN.md §9).
 type Table struct {
 	Name  string `json:"name"`
 	Title string `json:"title"`

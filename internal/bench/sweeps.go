@@ -68,7 +68,7 @@ func tables(t Table, err error) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// ablations runs the four design-choice ablations of DESIGN.md §7.
+// ablations runs the four design-choice ablations of DESIGN.md §9.
 func ablations(env *Env, _ int) ([]Table, error) {
 	var out []Table
 	for _, run := range []func() (Table, error){

@@ -1,6 +1,9 @@
 package channel
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Trace-context propagation: the wire encoding that lets one trace
 // follow a bundle across the secure channel into another process. The
@@ -10,6 +13,9 @@ import "fmt"
 // handshake transcript and stays untouched; keeping the context under
 // the AEAD also means an on-path attacker cannot splice requests
 // across traces.
+
+// ErrShortTraceContext is returned for fewer than TraceContextSize bytes.
+var ErrShortTraceContext = errors.New("channel: short trace context")
 
 // TraceContextSize is the wire length of a propagated trace context:
 // a 128-bit trace id followed by the 64-bit id of the sending span.
@@ -38,7 +44,7 @@ func AppendTraceContext(dst []byte, tc TraceContext) []byte {
 // returning the remainder.
 func ParseTraceContext(b []byte) (tc TraceContext, rest []byte, err error) {
 	if len(b) < TraceContextSize {
-		return TraceContext{}, nil, fmt.Errorf("channel: short trace context (%d bytes)", len(b))
+		return TraceContext{}, nil, fmt.Errorf("%w (%d bytes)", ErrShortTraceContext, len(b))
 	}
 	copy(tc.Trace[:], b[:16])
 	copy(tc.Span[:], b[16:24])

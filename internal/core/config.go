@@ -68,7 +68,7 @@ type Config struct {
 	HEVMs int
 	// Lanes is the number of speculative execution lanes per HEVM core.
 	// Every bundle runs through the one in-order committer loop
-	// (DESIGN.md §16): with 0 or 1 every transaction executes on the
+	// (DESIGN.md §6): with 0 or 1 every transaction executes on the
 	// core's commit lane (the paper's prototype); N > 1 additionally
 	// pre-executes a multi-tx bundle's transactions optimistically on N
 	// lanes, with conflict-driven re-execution on the commit lane.
@@ -85,7 +85,7 @@ type Config struct {
 	// ORAMShards is K, the number of independent Path ORAM trees the
 	// one ORAM client partitions the world state across by a stable
 	// block-id hash; a round touching several trees fans out across them
-	// in one overlapped round (DESIGN.md §11). 0 or 1 is the paper's
+	// in one overlapped round (DESIGN.md §7). 0 or 1 is the paper's
 	// single tree — the same client at K = 1.
 	ORAMShards int
 	// Seed keys every lane's swap noise and prefetch cadence and every

@@ -267,7 +267,7 @@ func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device,
 
 // buildORAM wires the device's oblivious store from the config: pick
 // one server per shard — remote or in-process — and put the one ORAM
-// client on top (DESIGN.md §11). The client's stash and position map
+// client on top (DESIGN.md §7). The client's stash and position map
 // live as long as the device: a restarted device is provisioned again
 // and syncs.
 func (d *Device) buildORAM(cfg Config, key []byte) (*oram.Client, error) {

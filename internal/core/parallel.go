@@ -184,7 +184,7 @@ func (sp *speculation) validated(i int, commit *simclock.Clock, v *state.Version
 	return out
 }
 
-// runBundle is the bundle executor (DESIGN.md §16), the one routine every
+// runBundle is the bundle executor (DESIGN.md §6), the one routine every
 // bundle runs through: the committer walks the bundle in order on the
 // slot's commit lane, and each transaction either arrives as a
 // speculated outcome whose read set still validates against the

@@ -136,7 +136,7 @@ func (r *hvReader) Storage(addr types.Address, slot types.Hash) types.Hash {
 // Code implements state.Reader. With ORAM-backed code, page 0 is
 // fetched obliviously now and the tail pages are queued on the
 // prefetcher's randomized interval timer; the bytes executed come from
-// the plain store either way (simulation note in DESIGN.md — the
+// the plain store either way (DESIGN.md §8 — the
 // adversary-visible ORAM sequence is the faithful artifact).
 func (r *hvReader) Code(codeHash types.Hash) []byte {
 	if codeHash == types.EmptyCodeHash || codeHash.IsZero() {

@@ -38,10 +38,6 @@ type EVM struct {
 	State state.Journal
 	Hooks *Hooks
 
-	// DisablePooling makes every call allocate a fresh frame instead of
-	// drawing from the shared pool (parity testing and debugging).
-	DisablePooling bool
-
 	depth int
 	// readOnly propagates STATICCALL write protection.
 	readOnly bool
@@ -208,7 +204,7 @@ func (e *EVM) callInternal(kind CallKind, caller, storageCtx, codeAddr types.Add
 		return nil, gas, nil
 	}
 
-	f := e.newFrame(caller, storageCtx, codeAddr, code, input, value, gas,
+	f := newFrame(caller, storageCtx, codeAddr, code, input, value, gas,
 		sharedAnalysis.analyze(codeHash, code))
 
 	prevRO := e.readOnly
@@ -221,7 +217,7 @@ func (e *EVM) callInternal(kind CallKind, caller, storageCtx, codeAddr types.Add
 	e.readOnly = prevRO
 
 	leftGas := f.gas
-	e.releaseFrame(f)
+	releaseFrame(f)
 
 	if err != nil && !errors.Is(err, ErrExecutionReverted) {
 		// Hard failure burns remaining gas and reverts state.
@@ -305,7 +301,7 @@ func (e *EVM) createAt(kind CallKind, caller, addr types.Address, initCode []byt
 	if initCodeHash != nil {
 		analysis = sharedAnalysis.analyze(*initCodeHash, initCode)
 	}
-	f := e.newFrame(caller, addr, addr, initCode, nil, value, gas, analysis)
+	f := newFrame(caller, addr, addr, initCode, nil, value, gas, analysis)
 	e.depth++
 	ret, err := e.run(f)
 	e.depth--
@@ -329,7 +325,7 @@ func (e *EVM) createAt(kind CallKind, caller, addr types.Address, initCode []byt
 	}
 
 	leftGas := f.gas
-	e.releaseFrame(f)
+	releaseFrame(f)
 
 	if err != nil && !errors.Is(err, ErrExecutionReverted) {
 		e.State.RevertToSnapshot(snap)

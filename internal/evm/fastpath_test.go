@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -13,11 +14,12 @@ import (
 	"hardtape/internal/uint256"
 )
 
-// Fast-path invariants (ISSUE 4): the shared analysis cache must be
-// safe under concurrent EVMs (run these with -race), and neither frame
-// pooling nor hook attachment may change observable behaviour — the
-// same bundle produces identical traces and gas with pooling on or
-// off, and identical gas/results with hooks attached or detached.
+// Fast-path invariants: the shared analysis cache must be safe under
+// concurrent EVMs (run these with -race), and neither frame reuse nor
+// hook attachment may change observable behaviour — the same bundle
+// produces identical traces and gas on a cold pool and on frames a
+// previous call dirtied, and identical gas/results with hooks attached
+// or detached.
 
 // synthCode builds deterministic pseudo-random bytecode of length n
 // from seed, so distinct seeds give distinct code hashes with varied
@@ -229,14 +231,13 @@ func parityBundle() []parityTx {
 
 // runParityBundle executes the bundle on a fresh EVM and returns the
 // recording plus per-tx (gas used, return data).
-func runParityBundle(t *testing.T, disablePooling, attachHooks bool) (*stepRec, []uint64, [][]byte) {
+func runParityBundle(t *testing.T, attachHooks bool) (*stepRec, []uint64, [][]byte) {
 	t.Helper()
 	rec := &stepRec{}
 	var gasUsed []uint64
 	var rets [][]byte
 	for _, tx := range parityBundle() {
 		e := newTestEVM(t, tx.code)
-		e.DisablePooling = disablePooling
 		if attachHooks {
 			e.Hooks = rec.hooks()
 		}
@@ -250,24 +251,60 @@ func runParityBundle(t *testing.T, disablePooling, attachHooks bool) (*stepRec, 
 	return rec, gasUsed, rets
 }
 
-// TestPoolingParity runs the same bundle with frame pooling enabled
-// and disabled and requires bit-identical traces, gas, and returns —
-// the property that pooled frames never leak state between owners.
+// coldFramePool empties the frame pool: a sync.Pool drops what it holds
+// over two collections (primary, then victim cache).
+func coldFramePool() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// dirtyCode is a contract that recurses to the calldata depth and then,
+// in every frame on the way back, leaves 900 all-ones stack words and
+// 64 KiB of all-ones memory behind it for the pool to take back.
+func dirtyCode() []byte {
+	deep := deepCallCode()
+	prologue := append([]byte{}, deep[:len(deep)-1]...) // drop the final STOP
+	ones := cat([]byte{byte(PUSH32)}, bytes.Repeat([]byte{0xff}, 32))
+	for i := 0; i < 900; i++ {
+		prologue = append(prologue, ones...)
+	}
+	// mem[counter·32] = all-ones; the counter stays on top.
+	fill := cat([]byte{byte(DUP1), byte(PUSH1), 5, byte(SHL)}, ones, []byte{byte(SWAP1), byte(MSTORE)})
+	return loopCode(prologue, 2048, fill)
+}
+
+// dirtyFramePool runs dirtyCode eight frames deep, so the next calls
+// draw frames whose last owner used deep stacks and large memories.
+func dirtyFramePool(t testing.TB) {
+	t.Helper()
+	var depth [32]byte
+	binary.BigEndian.PutUint64(depth[24:], 8)
+	if _, _, err := runCode(t, dirtyCode(), depth[:], 30_000_000); err != nil {
+		t.Fatalf("dirtying call: %v", err)
+	}
+}
+
+// TestPoolingParity runs the same bundle on a cold frame pool and again
+// after a call that left deep stacks and large memories in pooled
+// frames, and requires identical traces, gas and returns: a reused
+// frame carries nothing of its previous owner.
 func TestPoolingParity(t *testing.T) {
-	pooled, pooledGas, pooledRet := runParityBundle(t, false, true)
-	fresh, freshGas, freshRet := runParityBundle(t, true, true)
-	if d := pooled.diff(fresh); d != "" {
-		t.Fatalf("pooling on vs off trace divergence: %s", d)
+	coldFramePool()
+	cold, coldGas, coldRet := runParityBundle(t, true)
+	dirtyFramePool(t)
+	reused, reusedGas, reusedRet := runParityBundle(t, true)
+	if d := cold.diff(reused); d != "" {
+		t.Fatalf("cold vs reused frames trace divergence: %s", d)
 	}
-	for i := range pooledGas {
-		if pooledGas[i] != freshGas[i] {
-			t.Errorf("tx %d gas: pooled %d vs fresh %d", i, pooledGas[i], freshGas[i])
+	for i := range coldGas {
+		if coldGas[i] != reusedGas[i] {
+			t.Errorf("tx %d gas: cold %d vs reused %d", i, coldGas[i], reusedGas[i])
 		}
-		if !bytes.Equal(pooledRet[i], freshRet[i]) {
-			t.Errorf("tx %d return: pooled %x vs fresh %x", i, pooledRet[i], freshRet[i])
+		if !bytes.Equal(coldRet[i], reusedRet[i]) {
+			t.Errorf("tx %d return: cold %x vs reused %x", i, coldRet[i], reusedRet[i])
 		}
 	}
-	if len(pooled.steps) == 0 {
+	if len(cold.steps) == 0 {
 		t.Fatal("recorder captured no steps; parity test is vacuous")
 	}
 }
@@ -276,8 +313,8 @@ func TestPoolingParity(t *testing.T) {
 // detached: the zero-cost hook fast path must not change gas or
 // results, and the attached run must actually observe events.
 func TestHookDetachParity(t *testing.T) {
-	rec, hookedGas, hookedRet := runParityBundle(t, false, true)
-	_, bareGas, bareRet := runParityBundle(t, false, false)
+	rec, hookedGas, hookedRet := runParityBundle(t, true)
+	_, bareGas, bareRet := runParityBundle(t, false)
 	for i := range hookedGas {
 		if hookedGas[i] != bareGas[i] {
 			t.Errorf("tx %d gas: hooked %d vs detached %d", i, hookedGas[i], bareGas[i])

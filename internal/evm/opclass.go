@@ -116,12 +116,3 @@ func (c *OpClassCounts) Hooks() *Hooks {
 
 // Reset zeroes the counts (slot release).
 func (c *OpClassCounts) Reset() { *c = OpClassCounts{} }
-
-// Total sums all classes.
-func (c *OpClassCounts) Total() uint64 {
-	var n uint64
-	for _, v := range c {
-		n += v
-	}
-	return n
-}

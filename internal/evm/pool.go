@@ -19,17 +19,12 @@ var framePool = sync.Pool{
 	},
 }
 
-// newFrame acquires a frame (pooled unless e.DisablePooling) and
-// initializes it for one execution. value is retained, not copied: the
-// interpreter only ever reads it (CALLVALUE pushes a copy), and every
-// caller keeps it alive for the duration of the call.
-func (e *EVM) newFrame(caller, address, codeAddr types.Address, code, input []byte, value *uint256.Int, gas uint64, analysis *CodeAnalysis) *frame {
-	var f *frame
-	if e.DisablePooling {
-		f = &frame{stack: newStack(), mem: newMemory()}
-	} else {
-		f = framePool.Get().(*frame)
-	}
+// newFrame acquires a pooled frame and initializes it for one
+// execution. value is retained, not copied: the interpreter only ever
+// reads it (CALLVALUE pushes a copy), and every caller keeps it alive
+// for the duration of the call.
+func newFrame(caller, address, codeAddr types.Address, code, input []byte, value *uint256.Int, gas uint64, analysis *CodeAnalysis) *frame {
+	f := framePool.Get().(*frame)
 	f.caller = caller
 	f.address = address
 	f.codeAddr = codeAddr
@@ -44,10 +39,7 @@ func (e *EVM) newFrame(caller, address, codeAddr types.Address, code, input []by
 // releaseFrame resets f and returns it to the pool. The caller must
 // have copied out everything it needs (gas, return data) first: after
 // release the frame may be reused by any other call on this process.
-func (e *EVM) releaseFrame(f *frame) {
-	if e.DisablePooling {
-		return
-	}
+func releaseFrame(f *frame) {
 	f.caller = types.Address{}
 	f.address = types.Address{}
 	f.codeAddr = types.Address{}

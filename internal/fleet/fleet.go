@@ -16,9 +16,9 @@
 //     underlying hevm/oram statistics.
 //
 // The gateway runs inside the trusted boundary (a scaled-up
-// Hypervisor): it terminates user secure channels and forwards
-// plaintext bundles to devices over links the SP must protect — see
-// DESIGN.md "Fleet deployment" for the trust argument.
+// Hypervisor): it terminates user secure channels, hands bundles to
+// local devices in process and re-seals them to remote devices over the
+// user protocol — see DESIGN.md §3 and §4 for the trust argument.
 package fleet
 
 import (

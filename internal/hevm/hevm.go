@@ -431,9 +431,9 @@ func (m *Machine) loadPages(owner *frameShadow, pages []uint64, noise int) {
 }
 
 // sealPageToL3 performs the real A.E.DMA encryption of one page into
-// untrusted memory. Page contents are the page header + id (the
-// canonical data lives in the interpreter; see DESIGN.md on shadow
-// fidelity) — the cryptographic path is the real one.
+// untrusted memory. The sealed buffer is a zeroed page carrying only
+// the page id (the canonical data lives in the interpreter; see
+// DESIGN.md §8) — the cryptographic path is the real one.
 func (m *Machine) sealPageToL3(pageID uint64) {
 	plain := make([]byte, m.cfg.PageSize)
 	binary.BigEndian.PutUint64(plain, pageID)

@@ -195,7 +195,7 @@ func NewClient(servers []Server, key []byte, opts ...ClientOption) (*Client, err
 
 // AccessBatch performs a mixed read/write batch in one round across
 // the trees holding any of its blocks (one ReadPaths + WritePaths round
-// trip per tree; a one-op round uses the single-path calls). The
+// trip per tree, whatever the round's size). The
 // returned slice is aligned with ops and holds each block's prior
 // contents, nil when absent — after a full oblivious path access, so a
 // miss looks like a hit. When ctx carries a trace, every tree's

@@ -580,10 +580,10 @@ func TestShardedKeyDomainSeparation(t *testing.T) {
 	derived, _ := newCryptor(a)
 	master, _ := newCryptor(testKey())
 	root := mems[0].buckets[1]
-	if _, err := derived.open(1, root); err != nil {
+	if _, err := derived.openInto(1, root, nil); err != nil {
 		t.Fatalf("K=1 root bucket does not open under the shard-0 key: %v", err)
 	}
-	if _, err := master.open(1, root); !errors.Is(err, ErrTampered) {
+	if _, err := master.openInto(1, root, nil); !errors.Is(err, ErrTampered) {
 		t.Fatalf("K=1 root bucket opens under the master key: %v", err)
 	}
 }
@@ -706,6 +706,69 @@ func TestBatchMissingBlocks(t *testing.T) {
 			t.Fatalf("accesses = %d, want 4", cli.Stats().Accesses)
 		}
 	})
+}
+
+// pathsOnlyServer serves the multi-path calls and fails the test on a
+// single-path one: a round of any size is one ReadPaths and one
+// WritePaths.
+type pathsOnlyServer struct {
+	Server
+	t     *testing.T
+	reads int
+}
+
+func (p *pathsOnlyServer) ReadPath(leaf uint64) ([][]byte, error) {
+	p.t.Fatalf("client called ReadPath(%d)", leaf)
+	return nil, nil
+}
+
+func (p *pathsOnlyServer) WritePath(leaf uint64, _ [][]byte) error {
+	p.t.Fatalf("client called WritePath(%d)", leaf)
+	return nil
+}
+
+func (p *pathsOnlyServer) ReadPaths(leaves []uint64) ([][][]byte, error) {
+	p.reads += len(leaves)
+	return p.Server.ReadPaths(leaves)
+}
+
+// TestRoundsUseOnlyBatchCalls: one-op and multi-op rounds, over one and
+// two trees, reach the server only through ReadPaths and WritePaths.
+func TestRoundsUseOnlyBatchCalls(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards-%d", k), func(t *testing.T) {
+			_, mems := newTestClient(t, k, 128)
+			servers := make([]Server, k)
+			wrapped := make([]*pathsOnlyServer, k)
+			for i, m := range mems {
+				wrapped[i] = &pathsOnlyServer{Server: m, t: t}
+				servers[i] = wrapped[i]
+			}
+			cli, err := NewClient(servers, testKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeOne(cli, 5, []byte("one")); err != nil {
+				t.Fatal(err)
+			}
+			got, err := readOne(context.Background(), cli, 5)
+			if err != nil || string(got[:3]) != "one" {
+				t.Fatalf("one-op round: %q, %v", got, err)
+			}
+			ops := []BatchOp{{Op: OpWrite, ID: 9, Data: []byte("nine")}, {Op: OpRead, ID: 5}, {Op: OpRead, ID: 9}}
+			got2, err := cli.AccessBatch(context.Background(), ops)
+			if err != nil || string(got2[1][:3]) != "one" || string(got2[2][:4]) != "nine" {
+				t.Fatalf("multi-op round: %q, %v", got2, err)
+			}
+			reads := 0
+			for _, w := range wrapped {
+				reads += w.reads
+			}
+			if reads != 5 {
+				t.Fatalf("servers saw %d path reads, want 5 (one per op)", reads)
+			}
+		})
+	}
 }
 
 // TestAbsentReadsLeaveNoState: reads of never-written ids, alone or in

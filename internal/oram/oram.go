@@ -62,25 +62,9 @@ type bucket struct {
 	slots [BucketSize]block
 }
 
-// newEmptyBucket returns a bucket of dummies.
-func newEmptyBucket() *bucket {
-	var b bucket
-	for i := range b.slots {
-		b.slots[i].id = BlockID(dummyID)
-	}
-	return &b
-}
-
-// serialize encodes the bucket to its fixed plaintext layout.
-func (b *bucket) serialize() []byte {
-	out := make([]byte, bucketPlain)
-	b.serializeInto(out)
-	return out
-}
-
-// serializeInto encodes the bucket into a caller-owned bucketPlain
-// buffer. Dummy-slot data regions are zeroed so a reused buffer never
-// carries stale plaintext into the next seal.
+// serializeInto encodes the bucket to its fixed plaintext layout in a
+// caller-owned bucketPlain buffer. Dummy-slot data regions are zeroed so
+// a reused buffer never carries stale plaintext into the next seal.
 func (b *bucket) serializeInto(out []byte) {
 	off := 0
 	for _, s := range b.slots {
@@ -98,20 +82,11 @@ func (b *bucket) serializeInto(out []byte) {
 	}
 }
 
-// parseBucket decodes the fixed plaintext layout. Slot data ALIASES
-// the input buffer (no copy): callers that retain blocks past the
-// lifetime of data must copy them out first.
-func parseBucket(data []byte) (*bucket, error) {
-	b := new(bucket)
-	if err := parseBucketInto(b, data); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// parseBucketInto is parseBucket decoding into a caller-owned bucket
-// (the hot path parses one bucket per decrypt; a fresh struct per call
-// would escape to the heap every time).
+// parseBucketInto decodes the fixed plaintext layout into a
+// caller-owned bucket (one bucket per decrypt; a fresh struct per call
+// would escape to the heap every time). Slot data ALIASES the input
+// buffer (no copy): callers that retain blocks past the lifetime of
+// data must copy them out first.
 func parseBucketInto(b *bucket, data []byte) error {
 	if len(data) != bucketPlain {
 		return fmt.Errorf("%w: plaintext length %d", ErrBadBucket, len(data))
@@ -132,7 +107,7 @@ func parseBucketInto(b *bucket, data []byte) error {
 
 // --- buffer pools -------------------------------------------------------
 //
-// seal/open/parseBucket run once per bucket per access; at depth d and
+// sealInto/openInto/parseBucketInto run once per bucket per access; at depth d and
 // Z=4 that is 2d seals + up to d opens per logical access. Pooling the
 // three hot buffer classes (1 KB block bodies, bucketPlain plaintexts,
 // bucketPlain+overhead ciphertexts) removes them from the allocation
@@ -260,14 +235,10 @@ func (c *cryptor) nextNonce(ns int) ([]byte, error) {
 	return n, nil
 }
 
-// seal encrypts a bucket plaintext with a fresh random nonce. The
-// bucket index is bound as associated data to prevent relocation.
-func (c *cryptor) seal(bucketIdx uint64, plaintext []byte) ([]byte, error) {
-	return c.sealInto(bucketIdx, plaintext, nil)
-}
-
-// sealInto is seal appending nonce||ciphertext to dst (pass a pooled
-// buffer truncated to length 0 to avoid the allocation).
+// sealInto encrypts a bucket plaintext with a fresh random nonce and
+// appends nonce||ciphertext to dst (pass a pooled buffer truncated to
+// length 0 to avoid the allocation). The bucket index is bound as
+// associated data to prevent relocation.
 func (c *cryptor) sealInto(bucketIdx uint64, plaintext, dst []byte) ([]byte, error) {
 	nonce, err := c.nextNonce(c.aead.NonceSize())
 	if err != nil {
@@ -278,13 +249,9 @@ func (c *cryptor) sealInto(bucketIdx uint64, plaintext, dst []byte) ([]byte, err
 	return c.aead.Seal(dst, nonce, plaintext, c.adBuf[:]), nil
 }
 
-// open decrypts and authenticates a bucket ciphertext.
-func (c *cryptor) open(bucketIdx uint64, ciphertext []byte) ([]byte, error) {
-	return c.openInto(bucketIdx, ciphertext, nil)
-}
-
-// openInto is open appending the plaintext to dst (pass a pooled
-// buffer truncated to length 0 to avoid the allocation).
+// openInto decrypts and authenticates a bucket ciphertext, appending
+// the plaintext to dst (pass a pooled buffer truncated to length 0 to
+// avoid the allocation).
 func (c *cryptor) openInto(bucketIdx uint64, ciphertext, dst []byte) ([]byte, error) {
 	ns := c.aead.NonceSize()
 	if len(ciphertext) < ns {

@@ -17,6 +17,17 @@ func testKey() []byte {
 	return key
 }
 
+// dummyBucket returns the plaintext of a bucket of dummies.
+func dummyBucket() []byte {
+	var b bucket
+	for i := range b.slots {
+		b.slots[i].id = BlockID(dummyID)
+	}
+	out := make([]byte, bucketPlain)
+	b.serializeInto(out)
+	return out
+}
+
 func TestBucketRelocationDetected(t *testing.T) {
 	// Moving a ciphertext to a different bucket index must fail AD
 	// authentication.
@@ -24,15 +35,14 @@ func TestBucketRelocationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := newEmptyBucket().serialize()
-	ct, err := c.seal(5, pt)
+	ct, err := c.sealInto(5, dummyBucket(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.open(5, ct); err != nil {
+	if _, err := c.openInto(5, ct, nil); err != nil {
 		t.Fatalf("legitimate open failed: %v", err)
 	}
-	if _, err := c.open(6, ct); !errors.Is(err, ErrTampered) {
+	if _, err := c.openInto(6, ct, nil); !errors.Is(err, ErrTampered) {
 		t.Fatalf("relocated bucket accepted: %v", err)
 	}
 }
@@ -43,12 +53,12 @@ func TestRandomizedReEncryption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := newEmptyBucket().serialize()
-	ct1, err := c.seal(1, pt)
+	pt := dummyBucket()
+	ct1, err := c.sealInto(1, pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct2, err := c.seal(1, pt)
+	ct2, err := c.sealInto(1, pt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +92,16 @@ func TestPathIndices(t *testing.T) {
 }
 
 func TestBucketSerializationRoundTrip(t *testing.T) {
-	b := newEmptyBucket()
+	var b bucket
+	if err := parseBucketInto(&b, dummyBucket()); err != nil {
+		t.Fatal(err)
+	}
 	b.slots[0] = block{id: 7, leaf: 3, data: bytes.Repeat([]byte{0xaa}, BlockSize)}
 	b.slots[2] = block{id: 9, leaf: 1, data: bytes.Repeat([]byte{0xbb}, BlockSize)}
-	back, err := parseBucket(b.serialize())
-	if err != nil {
+	pt := make([]byte, bucketPlain)
+	b.serializeInto(pt)
+	var back bucket
+	if err := parseBucketInto(&back, pt); err != nil {
 		t.Fatal(err)
 	}
 	if back.slots[0].id != 7 || back.slots[0].leaf != 3 || back.slots[0].data[0] != 0xaa {
@@ -98,7 +113,7 @@ func TestBucketSerializationRoundTrip(t *testing.T) {
 	if back.slots[2].id != 9 {
 		t.Fatal("slot 2 mismatch")
 	}
-	if _, err := parseBucket([]byte("short")); !errors.Is(err, ErrBadBucket) {
+	if err := parseBucketInto(&back, []byte("short")); !errors.Is(err, ErrBadBucket) {
 		t.Fatalf("short bucket: %v", err)
 	}
 }

@@ -10,10 +10,11 @@ import (
 // exact adversary view the paper's obliviousness argument is about.
 type Server interface {
 	// ReadPath returns the encrypted buckets along the path to leaf,
-	// root first.
+	// root first: ReadPaths of one leaf. The client never calls it; every
+	// round it runs is one ReadPaths and one WritePaths.
 	ReadPath(leaf uint64) ([][]byte, error)
 	// WritePath stores the encrypted buckets along the path to leaf,
-	// root first.
+	// root first: WritePaths of one leaf.
 	WritePath(leaf uint64, buckets [][]byte) error
 	// ReadPaths returns the encrypted buckets along each leaf's path in
 	// one server round trip (batched transports pay one link RTT for
@@ -140,14 +141,13 @@ func (s *MemServer) writePathLocked(leaf uint64, buckets [][]byte) error {
 	return nil
 }
 
-// ReadPath implements Server: ReadPaths for one leaf, without the outer
-// slice.
+// ReadPath implements Server: a one-element ReadPaths.
 func (s *MemServer) ReadPath(leaf uint64) ([][]byte, error) {
-	out := make([][]byte, s.depth)
-	if err := s.readInto([]uint64{leaf}, out); err != nil {
+	paths, err := s.ReadPaths([]uint64{leaf})
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return paths[0], nil
 }
 
 // ReadPaths implements Server. The batch is served under one lock
@@ -155,26 +155,16 @@ func (s *MemServer) ReadPath(leaf uint64) ([][]byte, error) {
 // All per-path bucket lists share one flat backing allocation.
 func (s *MemServer) ReadPaths(leaves []uint64) ([][][]byte, error) {
 	flat := make([][]byte, len(leaves)*s.depth)
-	if err := s.readInto(leaves, flat); err != nil {
-		return nil, err
-	}
 	out := make([][][]byte, len(leaves))
-	for i := range out {
-		out[i] = flat[i*s.depth : (i+1)*s.depth]
-	}
-	return out, nil
-}
-
-// readInto serves each leaf's path into its depth-sized window of flat.
-func (s *MemServer) readInto(leaves []uint64, flat [][]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, leaf := range leaves {
-		if err := s.readPathLocked(leaf, flat[i*s.depth:(i+1)*s.depth]); err != nil {
-			return err
+		out[i] = flat[i*s.depth : (i+1)*s.depth]
+		if err := s.readPathLocked(leaf, out[i]); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }
 
 // WritePath implements Server: WritePaths for one leaf.

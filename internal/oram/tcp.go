@@ -22,7 +22,7 @@ import (
 // client writes a request, flushes, and reads the response on the
 // caller's goroutine. Batching, not pipelining, amortizes the link: one
 // request moves up to maxWirePaths paths for one round trip, and a
-// single-path access is a batch of one.
+// one-op round is a batch of one.
 //
 //	request:  [reqID u64][op u8][payload]
 //	response: [reqID u64][status u8][payload]   (statusErr: [len u8][msg])

@@ -86,8 +86,8 @@ func newTree(obs *observer, shard int, server Server, key []byte, seed int64) (*
 // server round trip, apply the ops in order, evict along the union of
 // the paths and write it back in one round trip. out is aligned with
 // ops and receives each block's prior contents (nil when absent). A
-// single access is the n = 1 case and uses the single-path server calls,
-// so the adversary view and the wire are those of the textbook protocol.
+// single access is the n = 1 case of the same two calls: the server
+// sees one path read and one path write, the textbook protocol's view.
 // An id that ends the round with no block — a read of a block that was
 // never written — leaves no position behind, so absent reads, however
 // many, grow no trusted state.
@@ -135,26 +135,16 @@ func (t *tree) accessBatch(ctx context.Context, ops []BatchOp, out [][]byte) (er
 	// Absorb each path once; buckets shared between paths of the batch
 	// are decrypted only once.
 	t.seenNodes = t.seenNodes[:0]
-	if n == 1 {
-		path, err := t.server.ReadPath(leaves[0])
-		if err != nil {
+	paths, err := t.server.ReadPaths(leaves)
+	if err != nil {
+		return err
+	}
+	if len(paths) != n {
+		return fmt.Errorf("%w: got %d paths, want %d", ErrBadBucket, len(paths), n)
+	}
+	for i, path := range paths {
+		if err := t.absorbPath(leaves[i], path); err != nil {
 			return err
-		}
-		if err := t.absorbPath(leaves[0], path); err != nil {
-			return err
-		}
-	} else {
-		paths, err := t.server.ReadPaths(leaves)
-		if err != nil {
-			return err
-		}
-		if len(paths) != n {
-			return fmt.Errorf("%w: got %d paths, want %d", ErrBadBucket, len(paths), n)
-		}
-		for i, path := range paths {
-			if err := t.absorbPath(leaves[i], path); err != nil {
-				return err
-			}
 		}
 	}
 
@@ -192,11 +182,7 @@ func (t *tree) accessBatch(ctx context.Context, ops []BatchOp, out [][]byte) (er
 	if err := t.evict(leaves); err != nil {
 		return err
 	}
-	if n == 1 {
-		err = t.server.WritePath(leaves[0], t.outPaths[0])
-	} else {
-		err = t.server.WritePaths(leaves, t.outPaths)
-	}
+	err = t.server.WritePaths(leaves, t.outPaths)
 	t.releaseSealed()
 	if err != nil {
 		return err

@@ -3,8 +3,8 @@
 // block headers.
 //
 // RLP encodes two kinds of items: byte strings and lists of items. This
-// package exposes an Item tree model plus convenience encoders for the
-// common cases (bytes, uint64, lists of byte slices).
+// package exposes one Item tree model: build items with String, Uint and
+// List, serialize them with Encode, and parse with Decode.
 package rlp
 
 import (
@@ -127,25 +127,6 @@ func (it *Item) appendTo(out []byte) []byte {
 	return append(out, payload...)
 }
 
-// EncodeBytes RLP-encodes a single byte string.
-func EncodeBytes(b []byte) []byte {
-	return appendString(nil, b)
-}
-
-// EncodeUint RLP-encodes an unsigned integer.
-func EncodeUint(v uint64) []byte {
-	return appendString(nil, putUint(v))
-}
-
-// EncodeList RLP-encodes a list whose elements are byte strings.
-func EncodeList(elems ...[]byte) []byte {
-	items := make([]*Item, len(elems))
-	for i, e := range elems {
-		items[i] = String(e)
-	}
-	return List(items...).Encode()
-}
-
 // putUint returns the minimal big-endian representation of v.
 func putUint(v uint64) []byte {
 	if v == 0 {
@@ -194,12 +175,6 @@ func Decode(data []byte) (*Item, error) {
 		return nil, ErrTrailingBytes
 	}
 	return it, nil
-}
-
-// DecodePrefix parses a single RLP item from the front of data,
-// returning the item and any remaining bytes.
-func DecodePrefix(data []byte) (*Item, []byte, error) {
-	return decodeItem(data, 0)
 }
 
 // decodeItem parses one item whose enclosing lists number depth.

@@ -53,7 +53,7 @@ func TestKnownVectors(t *testing.T) {
 func TestLongString(t *testing.T) {
 	// "Lorem ipsum..." style: a 56-byte string needs a long-form header.
 	s := bytes.Repeat([]byte{'a'}, 56)
-	enc := EncodeBytes(s)
+	enc := String(s).Encode()
 	if enc[0] != 0xb8 || enc[1] != 56 {
 		t.Fatalf("long string header: %x", enc[:2])
 	}
@@ -67,11 +67,11 @@ func TestLongString(t *testing.T) {
 }
 
 func TestLongList(t *testing.T) {
-	var elems [][]byte
+	var elems []*Item
 	for i := 0; i < 30; i++ {
-		elems = append(elems, []byte("ab"))
+		elems = append(elems, String([]byte("ab")))
 	}
-	enc := EncodeList(elems...)
+	enc := List(elems...).Encode()
 	it, err := Decode(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestKindAccessors(t *testing.T) {
 
 func TestUintValue(t *testing.T) {
 	for _, v := range []uint64{0, 1, 127, 128, 255, 256, 1 << 32, 1<<63 + 5} {
-		it, err := Decode(EncodeUint(v))
+		it, err := Decode(Uint(v).Encode())
 		if err != nil {
 			t.Fatalf("decode uint %d: %v", v, err)
 		}
@@ -185,9 +185,11 @@ func TestUintValue(t *testing.T) {
 	}
 }
 
+// TestDecodePrefix: one item parses off the front of its input and
+// leaves the rest, as list decoding relies on.
 func TestDecodePrefix(t *testing.T) {
-	data := append(EncodeBytes([]byte("hello")), 0xde, 0xad)
-	it, rest, err := DecodePrefix(data)
+	data := append(String([]byte("hello")).Encode(), 0xde, 0xad)
+	it, rest, err := decodeItem(data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

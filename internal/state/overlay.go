@@ -165,12 +165,6 @@ func (o *Overlay) Exists(addr types.Address) bool {
 	return e.exists && !e.destructed
 }
 
-// Empty reports EIP-161 emptiness.
-func (o *Overlay) Empty(addr types.Address) bool {
-	e := o.loadAccount(addr)
-	return e.nonce == 0 && e.balance.IsZero() && e.codeHash == types.EmptyCodeHash
-}
-
 // CreateAccount marks an account as existing (called on contract
 // creation and on first credit).
 func (o *Overlay) CreateAccount(addr types.Address) {

@@ -194,9 +194,6 @@ func TestOverlayBalanceNonce(t *testing.T) {
 	if !o.Exists(a) {
 		t.Fatal("credited account should exist")
 	}
-	if o.Empty(a) {
-		t.Fatal("credited account is not empty")
-	}
 }
 
 func TestOverlayCode(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the versioned state layer under the bundle
-// executor and its optimistic lanes (DESIGN.md §16):
+// executor and its optimistic lanes (DESIGN.md §6):
 //
 //   - Versioned is the bundle-scope committed buffer. Transactions
 //     commit into it strictly in bundle order, so a single resolved

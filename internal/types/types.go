@@ -362,7 +362,7 @@ type Block struct {
 
 // ComputeTxRoot returns a commitment over the block's transactions
 // (keccak over the concatenated tx hashes; a simplification of the
-// transaction trie documented in DESIGN.md).
+// transaction trie documented in DESIGN.md §8).
 func (b *Block) ComputeTxRoot() Hash {
 	var buf bytes.Buffer
 	for _, tx := range b.Txs {

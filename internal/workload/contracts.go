@@ -2,7 +2,7 @@
 // contracts and a seeded generator producing blocks whose per-frame
 // memory sizes, storage-record counts, and call depths follow the
 // paper's Table I (measured on Ethereum Mainnet blocks
-// #19145194–#19145293). See DESIGN.md for the substitution rationale.
+// #19145194–#19145293). See DESIGN.md §1 for the substitution rationale.
 package workload
 
 import (
