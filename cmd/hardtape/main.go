@@ -223,18 +223,8 @@ func printStats(st hardtape.FleetStats) {
 }
 
 func parseFeatures(name string) (hardtape.Features, error) {
-	switch name {
-	case "raw":
-		return hardtape.ConfigRaw, nil
-	case "e":
-		return hardtape.ConfigE, nil
-	case "es":
-		return hardtape.ConfigES, nil
-	case "eso":
-		return hardtape.ConfigESO, nil
-	case "full":
-		return hardtape.ConfigFull, nil
-	default:
-		return hardtape.Features{}, fmt.Errorf("unknown config %q (raw|e|es|eso|full)", name)
+	if f, ok := hardtape.FeaturesNamed(name); ok {
+		return f, nil
 	}
+	return hardtape.Features{}, fmt.Errorf("unknown config %q (raw|e|es|eso|full)", name)
 }

@@ -139,6 +139,10 @@ var (
 	ConfigFull = core.ConfigFull
 )
 
+// FeaturesNamed returns the configuration named "raw", "e", "es", "eso"
+// or "full".
+func FeaturesNamed(name string) (Features, bool) { return core.FeaturesNamed(name) }
+
 // DefaultConfig mirrors the paper's prototype (3 HEVMs, 1 MB L2,
 // 2 ms ORAM RTT, -full features).
 func DefaultConfig() Config { return core.DefaultConfig() }

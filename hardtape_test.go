@@ -3,6 +3,7 @@ package hardtape
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 
 	"hardtape/internal/attest"
@@ -124,5 +125,12 @@ func TestConfigNames(t *testing.T) {
 		if cfg.Name() != want {
 			t.Errorf("Name() = %s, want %s", cfg.Name(), want)
 		}
+		// The command line names each rung by its label, dash dropped.
+		if f, ok := FeaturesNamed(strings.ToLower(want[1:])); !ok || f != cfg {
+			t.Errorf("FeaturesNamed(%q) = %+v, %v", strings.ToLower(want[1:]), f, ok)
+		}
+	}
+	if _, ok := FeaturesNamed("custom"); ok {
+		t.Error("FeaturesNamed admits a sixth configuration")
 	}
 }

@@ -37,12 +37,11 @@ type Result struct {
 type Geth struct {
 	backing state.Reader
 	block   evm.BlockContext
-	cal     simclock.GethCalibration
 }
 
 // NewGeth builds the baseline over a world-state reader.
 func NewGeth(backing state.Reader, block evm.BlockContext) *Geth {
-	return &Geth{backing: backing, block: block, cal: simclock.DefaultGethCalibration()}
+	return &Geth{backing: backing, block: block}
 }
 
 // ExecuteBundle simulates a bundle the way the Geth-based service
@@ -68,7 +67,7 @@ func (g *Geth) ExecuteBundle(bundle *types.Bundle) (*Result, error) {
 	}
 	return &Result{
 		Trace:       tr.Bundle(),
-		VirtualTime: time.Duration(steps) * g.cal.TimePerOp,
+		VirtualTime: time.Duration(steps) * simclock.DefaultCalibration().GethTimePerOp,
 		GasUsed:     gasUsed,
 		Steps:       steps,
 	}, nil

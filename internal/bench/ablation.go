@@ -46,7 +46,7 @@ func noiseAblation() (Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := hevm.New(cfg, clock, simclock.DefaultCalibration(), make([]byte, 32), noise)
+		m, err := hevm.New(cfg, clock, make([]byte, 32), noise)
 		if err != nil {
 			return nil, err
 		}

@@ -26,13 +26,14 @@ const oramSweepRounds = 16
 // cost falls as the tree is partitioned across more shards. Each cell
 // builds a fresh sharded client over in-process MemServers (aggregate
 // capacity held constant), loads a deterministic working set, then
-// times batched reads on the virtual clock (the calibrated overlapped
-// model). Speedups are relative to the 1-shard cell of the same batch
-// size. Wall time of the software fan-out is BenchmarkORAMBatch's.
+// runs batched reads and prices each round from the client's per-shard
+// counters (the calibrated overlapped model). Speedups are relative to
+// the 1-shard cell of the same batch size. Wall time of the software
+// fan-out is BenchmarkORAMBatch's.
 func oramShardSweep() (Table, error) {
 	t := Table{
 		Name: "oram",
-		Title: fmt.Sprintf("§17 — sharded ORAM batch fan-out (aggregate capacity %d blocks, %d rounds/cell)",
+		Title: fmt.Sprintf("§7 — sharded ORAM batch fan-out (aggregate capacity %d blocks, %d rounds/cell)",
 			oramSweepCapacity, oramSweepRounds),
 		Note: "per_batch models the overlapped round (RTT once + slowest shard's serial server work\n" +
 			"+ serial on-chip client work). max_stash is the worst per-shard stash high-water mark",
@@ -60,8 +61,8 @@ func oramShardSweep() (Table, error) {
 	return t, nil
 }
 
-// oramSweepCell returns one cell's per-round cost on the virtual clock
-// and the worst per-shard stash high-water mark.
+// oramSweepCell returns one cell's modeled per-round cost and the worst
+// per-shard stash high-water mark.
 func oramSweepCell(shards, batch int) (modeled time.Duration, maxStash int, err error) {
 	perShard := (oramSweepCapacity + uint64(shards) - 1) / uint64(shards)
 	servers := make([]oram.Server, shards)
@@ -72,9 +73,7 @@ func oramSweepCell(shards, batch int) (modeled time.Duration, maxStash int, err 
 		}
 		servers[i] = srv
 	}
-	clock := simclock.NewClock()
-	cli, err := oram.NewClient(servers, make([]byte, oram.KeySize),
-		oram.WithClock(clock, simclock.DefaultCalibration()), oram.WithSeed(modelSeed))
+	cli, err := oram.NewClient(servers, make([]byte, oram.KeySize), oram.WithSeed(modelSeed))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -95,7 +94,11 @@ func oramSweepCell(shards, batch int) (modeled time.Duration, maxStash int, err 
 		}
 	}
 
-	clock.Reset()
+	// Each round is one ORAMBatchCost: the fullest shard's accesses are
+	// the serial server queries, every shard's moved blocks the serial
+	// client work.
+	cal := simclock.DefaultCalibration()
+	var total time.Duration
 	next := 0
 	reads := make([]oram.BatchOp, batch)
 	for r := 0; r < oramSweepRounds; r++ {
@@ -103,9 +106,17 @@ func oramSweepCell(shards, batch int) (modeled time.Duration, maxStash int, err 
 			reads[j] = oram.BatchOp{Op: oram.OpRead, ID: oram.BlockID(next % oramSweepBlocks)}
 			next++
 		}
+		before := cli.ShardStats()
 		if _, err := cli.AccessBatch(context.Background(), reads); err != nil {
 			return 0, 0, err
 		}
+		maxQ, blocks := 0, 0
+		for i, st := range cli.ShardStats() {
+			n := int(st.Accesses - before[i].Accesses)
+			maxQ = max(maxQ, n)
+			blocks += n * st.Depth * oram.BucketSize
+		}
+		total += cal.ORAMBatchCost(maxQ, blocks)
 	}
-	return clock.Now() / oramSweepRounds, cli.Stats().MaxStash, nil
+	return total / oramSweepRounds, cli.Stats().MaxStash, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"hardtape/internal/hevm"
 	"hardtape/internal/pager"
+	"hardtape/internal/simclock"
 )
 
 // scalability reproduces §VI-D from live -full runs: transactions per
@@ -47,7 +48,7 @@ func scalability(env *Env, nBundles int) (Table, error) {
 	}
 	meanFull := total / time.Duration(executed)
 	queryGap := total / time.Duration(queries)
-	serverPerQuery := dev.Config().Calibration.ORAMServerPerQuery
+	serverPerQuery := simclock.DefaultCalibration().ORAMServerPerQuery
 	supported := 0
 	if serverPerQuery > 0 {
 		supported = int(queryGap / serverPerQuery)
@@ -76,7 +77,7 @@ func resources() Table {
 	const oramDepth = 30
 	hw := hevm.DefaultConfig()
 	l1 := uint64(32*1024) + // full runtime stack
-		uint64(hw.CodeCachePages)*hw.PageSize + // code cache
+		hevm.CodeCachePages*hevm.PageSize + // code cache
 		3*4*1024 + // memory/input caches + world-state cache (4 KB each)
 		1024 + // ReturnData cache
 		32*32 // frame state registers

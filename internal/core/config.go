@@ -8,8 +8,10 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"hardtape/internal/hevm"
-	"hardtape/internal/simclock"
 	"hardtape/internal/telemetry"
 )
 
@@ -43,22 +45,47 @@ var (
 	ConfigFull = Features{Encrypt: true, Sign: true, ORAMStorage: true, ORAMCode: true}
 )
 
-// Name renders the paper's label for a feature set.
+// rungs maps each of the paper's five configurations to its Fig. 4
+// label, in ladder order. It is the only list of admitted Features.
+var rungs = [...]struct {
+	name string
+	f    Features
+}{
+	{"-raw", ConfigRaw}, {"-E", ConfigE}, {"-ES", ConfigES},
+	{"-ESO", ConfigESO}, {"-full", ConfigFull},
+}
+
+// Name renders the paper's label for a feature set, or "" for a
+// combination that is none of the five (NewDevice rejects those).
 func (f Features) Name() string {
-	switch f {
-	case ConfigRaw:
-		return "-raw"
-	case ConfigE:
-		return "-E"
-	case ConfigES:
-		return "-ES"
-	case ConfigESO:
-		return "-ESO"
-	case ConfigFull:
-		return "-full"
-	default:
-		return "custom"
+	for _, r := range rungs {
+		if r.f == f {
+			return r.name
+		}
 	}
+	return ""
+}
+
+// FeaturesNamed returns the configuration whose label, without its
+// leading dash and lower-cased, is name: "raw", "e", "es", "eso" or
+// "full".
+func FeaturesNamed(name string) (Features, bool) {
+	for _, r := range rungs {
+		if strings.ToLower(r.name[1:]) == name {
+			return r.f, true
+		}
+	}
+	return Features{}, false
+}
+
+// FeaturesError rejects a Features value that is not one of the
+// paper's five configurations.
+type FeaturesError struct {
+	Features Features
+}
+
+func (e *FeaturesError) Error() string {
+	return fmt.Sprintf("core: features %+v are not one of the paper's five configurations", e.Features)
 }
 
 // Config sizes one HarDTAPE device.
@@ -77,8 +104,6 @@ type Config struct {
 	Lanes int
 	// Hardware is the per-HEVM memory geometry.
 	Hardware hevm.Config
-	// Calibration is the virtual-time cost table.
-	Calibration simclock.Calibration
 	// ORAMCapacity is the ORAM tree capacity in 1 KB blocks (split
 	// evenly across shards when ORAMShards > 1).
 	ORAMCapacity uint64
@@ -130,7 +155,6 @@ func DefaultConfig() Config {
 		Features:     ConfigFull,
 		HEVMs:        3,
 		Hardware:     hevm.DefaultConfig(),
-		Calibration:  simclock.DefaultCalibration(),
 		ORAMCapacity: 1 << 16, // 64k pages ≙ 64 MB simulated world state
 	}
 }

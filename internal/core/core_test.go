@@ -400,3 +400,31 @@ func TestDeviceRequiresHEVMs(t *testing.T) {
 		t.Fatal("0-HEVM device accepted")
 	}
 }
+
+// TestDeviceAdmitsOnlyPaperRungs: of the 16 Features values, the five
+// Fig. 4 configurations build a device and the other 11 are refused
+// with a *FeaturesError naming the value.
+func TestDeviceAdmitsOnlyPaperRungs(t *testing.T) {
+	admitted := 0
+	for bits := 0; bits < 16; bits++ {
+		f := Features{Encrypt: bits&1 != 0, Sign: bits&2 != 0, ORAMStorage: bits&4 != 0, ORAMCode: bits&8 != 0}
+		cfg := DefaultConfig()
+		cfg.Features = f
+		cfg.HEVMs = 1
+		cfg.ORAMCapacity = 1 << 8
+		_, err := NewDevice(cfg, nil, nil)
+		var fe *FeaturesError
+		switch {
+		case f.Name() != "":
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name(), err)
+			}
+			admitted++
+		case !errors.As(err, &fe) || fe.Features != f:
+			t.Fatalf("%+v: got %v, want a *FeaturesError", f, err)
+		}
+	}
+	if admitted != 5 {
+		t.Fatalf("%d Features values admitted, want the paper's 5", admitted)
+	}
+}

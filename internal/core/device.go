@@ -188,6 +188,9 @@ type Device struct {
 // manufacturer is created internally when mfr is nil (tests); pass a
 // shared manufacturer when users must verify against a pinned root.
 func NewDevice(cfg Config, mfr *attest.Manufacturer, chain *node.Node) (*Device, error) {
+	if cfg.Features.Name() == "" {
+		return nil, &FeaturesError{Features: cfg.Features}
+	}
 	if cfg.HEVMs <= 0 {
 		return nil, fmt.Errorf("core: need at least one HEVM, got %d", cfg.HEVMs)
 	}
@@ -334,7 +337,7 @@ func newLane(cfg Config, id, stream int) (*laneState, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine, err := hevm.New(cfg.Hardware, clock, cfg.Calibration, l3Key, noise)
+	machine, err := hevm.New(cfg.Hardware, clock, l3Key, noise)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +345,7 @@ func newLane(cfg Config, id, stream int) (*laneState, error) {
 		id:         id,
 		clock:      clock,
 		machine:    machine,
-		wsCache:    hevm.NewWSCache(cfg.Hardware.WSCacheEntries),
+		wsCache:    hevm.NewWSCache(),
 		prefetcher: pager.NewPrefetcher(cadence),
 		codeCache:  make(map[types.Hash][]byte),
 		acctCache:  make(map[types.Address]*pager.AccountMeta),
@@ -482,7 +485,7 @@ func (d *Device) acquireSlot(ctx context.Context) (s *slot, err error) {
 func (d *Device) executeOn(ctx context.Context, s *slot, bundle *types.Bundle) (result *BundleResult, err error) {
 	sp, ctx := d.cfg.Telemetry.StartSpan(ctx, "device.exec")
 	defer sp.End(d.tm.execWall, &err)
-	cal := d.cfg.Calibration
+	cal := simclock.DefaultCalibration()
 	feat := d.cfg.Features
 
 	// Step 6: the user's message crosses the border. Charge the

@@ -166,7 +166,7 @@ func (sp *speculation) finish(end time.Duration) {
 // can act no earlier than the lane finished, and pays a tag compare per
 // read-set entry. It returns nil on a conflict — an earlier transaction
 // of the bundle changed something the speculation read from the base.
-func (sp *speculation) validated(i int, commit *simclock.Clock, v *state.Versioned, cal simclock.Calibration) *laneOutcome {
+func (sp *speculation) validated(i int, commit *simclock.Clock, v *state.Versioned) *laneOutcome {
 	<-sp.done[i]
 	out := sp.outcomes[i]
 	sp.consumed[i%len(sp.lanes)] = out
@@ -175,7 +175,7 @@ func (sp *speculation) validated(i int, commit *simclock.Clock, v *state.Version
 	}
 	sp.stats.Speculations++
 	commit.AdvanceTo(sp.base + out.specEnd)
-	commit.Advance(time.Duration(out.rs.Len()) * cal.LaneValidatePerRead)
+	commit.Advance(time.Duration(out.rs.Len()) * simclock.DefaultCalibration().LaneValidatePerRead)
 	if !v.Validate(out.rs) {
 		sp.stats.Conflicts++
 		sp.stats.ReExecs++
@@ -196,7 +196,6 @@ func (sp *speculation) validated(i int, commit *simclock.Clock, v *state.Version
 // validate/commit time is charged. ctx carries the bundle's execution
 // span, which parents the lane and ORAM spans.
 func (d *Device) runBundle(ctx context.Context, s *slot, blockCtx evm.BlockContext, bundle *types.Bundle, result *BundleResult) error {
-	cal := d.cfg.Calibration
 	v := state.NewVersioned()
 	commitReader := d.newReader(ctx, &s.laneState)
 	traces := make([]*tracer.TxTrace, 0, len(bundle.Txs))
@@ -212,7 +211,7 @@ func (d *Device) runBundle(ctx context.Context, s *slot, blockCtx evm.BlockConte
 	for i, tx := range bundle.Txs {
 		var out *laneOutcome
 		if spec != nil {
-			out = spec.validated(i, s.clock, v, cal)
+			out = spec.validated(i, s.clock, v)
 		}
 		if out == nil {
 			// Not speculated, or conflicted: execute in order on the
@@ -241,7 +240,7 @@ func (d *Device) runBundle(ctx context.Context, s *slot, blockCtx evm.BlockConte
 		}
 		v.Commit(out.ws, commitReader)
 		if spec != nil {
-			s.clock.Advance(time.Duration(out.ws.Len()) * cal.LaneCommitPerWrite)
+			s.clock.Advance(time.Duration(out.ws.Len()) * simclock.DefaultCalibration().LaneCommitPerWrite)
 		}
 		traces = append(traces, out.trace)
 		result.GasUsed += out.res.GasUsed

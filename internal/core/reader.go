@@ -8,6 +8,7 @@ import (
 
 	"hardtape/internal/hevm"
 	"hardtape/internal/pager"
+	"hardtape/internal/simclock"
 	"hardtape/internal/state"
 	"hardtape/internal/types"
 )
@@ -58,25 +59,26 @@ func (r *hvReader) recordORAMBatch(kind byte, n int) {
 }
 
 // logQueries logs n queries issued together in one message at the
-// current virtual time and charges them as OVERLAPPED virtual time: the
-// 2 ms link round trip is paid once for the whole message, server
-// processing serially per query within a shard but in parallel across
-// shards (simclock.Calibration.ORAMShardedBatchCost — with one shard
-// this is exactly ORAMBatchCost). All n queries share one timestamp —
-// on the wire they leave back to back.
+// current virtual time and charges them as one ORAM round
+// (simclock.Calibration.ORAMBatchCost): the 2 ms link round trip once
+// for the whole message, and server processing serially per query on
+// the busiest of the K shards, which a uniform block→shard hash gives
+// ⌈n/K⌉ queries. All n queries share one timestamp — on the wire they
+// leave back to back.
 func (r *hvReader) logQueries(kind byte, n int) {
 	now := r.lane.clock.Now()
 	for i := 0; i < n; i++ {
 		r.lane.queryTimes = append(r.lane.queryTimes, now)
 		r.lane.queryKinds = append(r.lane.queryKinds, kind)
 	}
-	r.lane.clock.Advance(r.dev.cfg.Calibration.ORAMShardedBatchCost(n, r.dev.cfg.ORAMShardCount(), 0))
+	k := r.dev.cfg.ORAMShardCount()
+	r.lane.clock.Advance(simclock.DefaultCalibration().ORAMBatchCost((n+k-1)/k, 0))
 }
 
 // movePages charges n pages fetched from prefetched untrusted memory:
 // one A.E.DMA page move each.
 func (r *hvReader) movePages(n uint32) {
-	r.lane.clock.Advance(time.Duration(n) * r.dev.cfg.Calibration.L3SwapPerPage)
+	r.lane.clock.Advance(time.Duration(n) * simclock.DefaultCalibration().L3SwapPerPage)
 }
 
 // Account implements state.Reader via the account-meta page. The

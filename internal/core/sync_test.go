@@ -175,6 +175,7 @@ func TestSyncSelfdestructedContract(t *testing.T) {
 func pageCounts(t *testing.T, chain *node.Node) (kv, code int) {
 	t.Helper()
 	seen := map[types.Hash]bool{}
+	grouping := pager.NewStore(pager.NewPlainBackend())
 	for _, addr := range chain.State().Addresses() {
 		acct, ok := chain.State().Account(addr)
 		if !ok {
@@ -183,8 +184,7 @@ func pageCounts(t *testing.T, chain *node.Node) (kv, code int) {
 		kv++
 		groups := map[types.Hash]bool{}
 		for _, key := range chain.State().StorageKeys(addr) {
-			g, _ := pager.StorageGroupKey(key)
-			groups[g] = true
+			groups[grouping.GroupKey(key)] = true
 		}
 		kv += len(groups)
 		if h := acct.CodeHash; h != types.EmptyCodeHash && !h.IsZero() && !seen[h] {

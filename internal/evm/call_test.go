@@ -292,7 +292,8 @@ func TestCreate2Address(t *testing.T) {
 }
 
 func keccakBytes(b []byte) []byte {
-	return keccak.Hash(b)
+	h := keccak.Sum256(b)
+	return h[:]
 }
 
 func TestCreateRejectsEOFPrefixAndOversize(t *testing.T) {

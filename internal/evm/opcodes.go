@@ -337,8 +337,3 @@ func (op OpCode) String() string {
 	}
 	return info.name
 }
-
-// Defined reports whether op exists in the supported fork.
-func (op OpCode) Defined() bool {
-	return _opTable[op].defined
-}

@@ -310,7 +310,7 @@ func TestOpcodeStringAndDefined(t *testing.T) {
 	if ADD.String() != "ADD" || KECCAK256.String() != "KECCAK256" {
 		t.Fatal("mnemonics wrong")
 	}
-	if OpCode(0x0c).Defined() {
+	if _opTable[0x0c].defined {
 		t.Fatal("0x0c should be undefined")
 	}
 	if OpCode(0x0c).String() != "op(0x0c)" {
@@ -321,7 +321,7 @@ func TestOpcodeStringAndDefined(t *testing.T) {
 	}
 	for op := 0; op < 256; op++ {
 		o := OpCode(op)
-		if o.Defined() && o.String() == "" {
+		if _opTable[o].defined && o.String() == "" {
 			t.Fatalf("defined opcode %#x without name", op)
 		}
 	}

@@ -31,19 +31,24 @@ import (
 	"hardtape/internal/simclock"
 )
 
-// Config fixes the hardware dimensions. Defaults follow the paper.
-type Config struct {
+// The paper's fixed hardware dimensions.
+const (
 	// PageSize is the swap granularity (1 KB).
-	PageSize uint64
+	PageSize = 1024
+	// CodeCachePages is the L1 code cache capacity (64 pages = 64 KB).
+	CodeCachePages = 64
+	// WSCacheEntries is the L1 world-state cache (64 records).
+	WSCacheEntries = 64
+)
+
+// Config holds the dimensions the ablations and tests vary. Defaults
+// follow the paper.
+type Config struct {
 	// L2Bytes is the on-chip call-stack capacity (1 MB).
 	L2Bytes uint64
 	// FrameLimitBytes aborts the bundle when one frame exceeds it
 	// (paper: half of L2).
 	FrameLimitBytes uint64
-	// CodeCachePages is the L1 code cache capacity (64 pages = 64 KB).
-	CodeCachePages int
-	// WSCacheEntries is the L1 world-state cache (64 records).
-	WSCacheEntries int
 	// NoiseMaxPages bounds the random pre-evict/pre-load noise.
 	NoiseMaxPages int
 }
@@ -51,11 +56,8 @@ type Config struct {
 // DefaultConfig returns the paper's dimensions.
 func DefaultConfig() Config {
 	return Config{
-		PageSize:        1024,
 		L2Bytes:         1 << 20,
 		FrameLimitBytes: 1 << 19, // L2/2
-		CodeCachePages:  64,
-		WSCacheEntries:  64,
 		NoiseMaxPages:   8,
 	}
 }
@@ -101,8 +103,8 @@ type frameShadow struct {
 
 // frameBytes is the L2 footprint: stack contents + memory-likes +
 // 1 KB frame state.
-func (f *frameShadow) frameBytes(pageSize uint64) uint64 {
-	return uint64(f.stackLen)*32 + f.memBytes + f.inputLen + f.retLen + f.codeLen + pageSize
+func (f *frameShadow) frameBytes() uint64 {
+	return uint64(f.stackLen)*32 + f.memBytes + f.inputLen + f.retLen + f.codeLen + PageSize
 }
 
 // Machine is one HEVM's hardware shadow. It is exclusively assigned to
@@ -111,7 +113,8 @@ func (f *frameShadow) frameBytes(pageSize uint64) uint64 {
 type Machine struct {
 	cfg   Config
 	clock *simclock.Clock
-	cal   simclock.Calibration
+	// cal is simclock's calibration table, read once at construction.
+	cal simclock.Calibration
 
 	aead   cipher.AEAD
 	noise  *drbg.Rand
@@ -134,7 +137,7 @@ const NoiseLabel = "hardtape-noise-v1"
 
 // New creates a machine. l3Key seals layer-3 pages (32 bytes); noise,
 // this machine's alone, draws the pre-evict/pre-load noise (A5).
-func New(cfg Config, clock *simclock.Clock, cal simclock.Calibration, l3Key []byte, noise *drbg.Rand) (*Machine, error) {
+func New(cfg Config, clock *simclock.Clock, l3Key []byte, noise *drbg.Rand) (*Machine, error) {
 	if len(l3Key) != 32 {
 		return nil, errors.New("hevm: l3 key must be 32 bytes")
 	}
@@ -149,7 +152,7 @@ func New(cfg Config, clock *simclock.Clock, cal simclock.Calibration, l3Key []by
 	return &Machine{
 		cfg:     cfg,
 		clock:   clock,
-		cal:     cal,
+		cal:     simclock.DefaultCalibration(),
 		aead:    aead,
 		noise:   noise,
 		l3Store: make(map[uint64][]byte),
@@ -261,8 +264,8 @@ func (m *Machine) onStep(info evm.StepInfo) {
 	}
 	f.stackLen = info.StackLen
 	// Code cache: pages beyond the 64 KB window fault to L2.
-	page := info.PC / m.cfg.PageSize
-	if page >= uint64(m.cfg.CodeCachePages) && !f.codePagesTouched[page] {
+	page := info.PC / PageSize
+	if page >= CodeCachePages && !f.codePagesTouched[page] {
 		if f.codePagesTouched == nil {
 			f.codePagesTouched = make(map[uint64]bool)
 		}
@@ -285,7 +288,7 @@ func (m *Machine) onCallEnter(info evm.CallFrameInfo) {
 	// Charge the L1→L2 eviction of the caller's working set.
 	if len(m.frames) > 1 {
 		caller := m.frames[len(m.frames)-2]
-		pages := (caller.frameBytes(m.cfg.PageSize) + m.cfg.PageSize - 1) / m.cfg.PageSize
+		pages := (caller.frameBytes() + PageSize - 1) / PageSize
 		m.clock.Advance(time.Duration(pages) * m.cal.L2SwapPerPage)
 	}
 	m.growFrame(f)
@@ -323,7 +326,7 @@ func (m *Machine) onCallExit(info evm.CallResultInfo) {
 		m.loadPages(cur, toLoad, m.noise.Intn(m.cfg.NoiseMaxPages+1))
 	}
 	// Charge the L2→L1 reload of the caller's working set.
-	pages := (cur.frameBytes(m.cfg.PageSize) + m.cfg.PageSize - 1) / m.cfg.PageSize
+	pages := (cur.frameBytes() + PageSize - 1) / PageSize
 	m.clock.Advance(time.Duration(pages) * m.cal.L2SwapPerPage)
 }
 
@@ -344,12 +347,12 @@ func (m *Machine) onMemAccess(a evm.MemAccess) {
 // swapping lower frames to L3 when the ring is full, and raises the
 // Memory Overflow Error past the frame limit.
 func (m *Machine) growFrame(f *frameShadow) {
-	size := f.frameBytes(m.cfg.PageSize)
+	size := f.frameBytes()
 	if size >= m.cfg.FrameLimitBytes {
 		m.overflowed = true
 		panic(&MemoryOverflowError{FrameBytes: size, Limit: m.cfg.FrameLimitBytes})
 	}
-	needPages := (size + m.cfg.PageSize - 1) / m.cfg.PageSize
+	needPages := (size + PageSize - 1) / PageSize
 	for uint64(len(f.pages)) < needPages {
 		m.ensureL2Space(1)
 		f.pages = append(f.pages, m.nextPage)
@@ -360,7 +363,7 @@ func (m *Machine) growFrame(f *frameShadow) {
 
 // l2Capacity in pages.
 func (m *Machine) l2Capacity() uint64 {
-	return m.cfg.L2Bytes / m.cfg.PageSize
+	return m.cfg.L2Bytes / PageSize
 }
 
 // ensureL2Space evicts bottom-frame pages to L3 until `need` pages fit.
@@ -435,7 +438,7 @@ func (m *Machine) loadPages(owner *frameShadow, pages []uint64, noise int) {
 // the page id (the canonical data lives in the interpreter; see
 // DESIGN.md §8) — the cryptographic path is the real one.
 func (m *Machine) sealPageToL3(pageID uint64) {
-	plain := make([]byte, m.cfg.PageSize)
+	plain := make([]byte, PageSize)
 	binary.BigEndian.PutUint64(plain, pageID)
 	nonce := make([]byte, m.aead.NonceSize())
 	binary.BigEndian.PutUint64(nonce[len(nonce)-8:], m.nextNonce())
@@ -482,6 +485,3 @@ func (m *Machine) TamperL3() bool {
 	}
 	return false
 }
-
-// L3Pages reports how many pages are currently swapped out.
-func (m *Machine) L3Pages() int { return len(m.l3Store) }

@@ -25,7 +25,7 @@ func newTestMachine(t testing.TB, cfg Config) (*Machine, *simclock.Clock) {
 	t.Helper()
 	clock := simclock.NewClock()
 	key := make([]byte, 32)
-	m, err := New(cfg, clock, simclock.DefaultCalibration(), key, seededNoise(t, 1))
+	m, err := New(cfg, clock, key, seededNoise(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestL3SwapOnL2Pressure(t *testing.T) {
 		enter(m, d, 0, 1000)
 		touch(m, 0, 24*1024)
 	}
-	if m.L3Pages() == 0 {
+	if len(m.l3Store) == 0 {
 		t.Fatal("no pages swapped to L3 under pressure")
 	}
 	evicted := false
@@ -147,7 +147,7 @@ func TestSwapNoiseVariesWithSeed(t *testing.T) {
 		cfg.L2Bytes = 64 * 1024
 		cfg.FrameLimitBytes = 32 * 1024
 		clock := simclock.NewClock()
-		m, err := New(cfg, clock, simclock.DefaultCalibration(), make([]byte, 32), seededNoise(t, seed))
+		m, err := New(cfg, clock, make([]byte, 32), seededNoise(t, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestL3TamperDetection(t *testing.T) {
 	exit(m, 1)
 	// Depending on which page was tampered, reload may happen on either
 	// exit; if we got here, force reload of everything.
-	for m.L3Pages() > 0 {
+	for len(m.l3Store) > 0 {
 		exit(m, 0)
 	}
 }
@@ -259,8 +259,8 @@ func TestResetClearsEverything(t *testing.T) {
 	}
 	m.Reset()
 	s := m.Stats()
-	if s.Steps != 0 || s.SwapEvents != 0 || s.L2PagesUsed != 0 || m.L3Pages() != 0 {
-		t.Fatalf("reset incomplete: %+v l3=%d", s, m.L3Pages())
+	if s.Steps != 0 || s.SwapEvents != 0 || s.L2PagesUsed != 0 || len(m.l3Store) != 0 {
+		t.Fatalf("reset incomplete: %+v l3=%d", s, len(m.l3Store))
 	}
 	if m.current() != nil {
 		t.Fatal("frames survived reset")
@@ -268,29 +268,28 @@ func TestResetClearsEverything(t *testing.T) {
 }
 
 func TestBadKey(t *testing.T) {
-	if _, err := New(DefaultConfig(), simclock.NewClock(), simclock.DefaultCalibration(), []byte("short"), seededNoise(t, 1)); err == nil {
+	if _, err := New(DefaultConfig(), simclock.NewClock(), []byte("short"), seededNoise(t, 1)); err == nil {
 		t.Fatal("short key accepted")
 	}
 }
 
 func TestWSCacheLRU(t *testing.T) {
-	c := NewWSCache(2)
-	k1 := WSCacheKey{Addr: types.MustAddress("0x1111111111111111111111111111111111111111")}
-	k2 := WSCacheKey{Addr: types.MustAddress("0x2222222222222222222222222222222222222222")}
-	k3 := WSCacheKey{Addr: types.MustAddress("0x3333333333333333333333333333333333333333")}
+	c := NewWSCache()
+	key := func(i int) WSCacheKey { return WSCacheKey{Key: types.Hash{30: byte(i >> 8), 31: byte(i)}} }
 	v := [32]byte{1}
-	c.Put(k1, v)
-	c.Put(k2, v)
-	if _, ok := c.Get(k1); !ok {
-		t.Fatal("k1 missing")
+	for i := 0; i < WSCacheEntries; i++ {
+		c.Put(key(i), v)
 	}
-	// k2 is now LRU; inserting k3 evicts it.
-	c.Put(k3, v)
-	if _, ok := c.Get(k2); ok {
-		t.Fatal("k2 should have been evicted")
+	if _, ok := c.Get(key(0)); !ok {
+		t.Fatal("key 0 missing")
 	}
-	if _, ok := c.Get(k1); !ok {
-		t.Fatal("k1 should survive (recently used)")
+	// Key 1 is now LRU; one more record evicts it.
+	c.Put(key(WSCacheEntries), v)
+	if _, ok := c.Get(key(1)); ok {
+		t.Fatal("key 1 should have been evicted")
+	}
+	if _, ok := c.Get(key(0)); !ok {
+		t.Fatal("key 0 should survive (recently used)")
 	}
 	hits, misses := c.HitRate()
 	if hits == 0 || misses == 0 {
@@ -299,7 +298,7 @@ func TestWSCacheLRU(t *testing.T) {
 }
 
 func TestWSCacheUpdateAndInvalidate(t *testing.T) {
-	c := NewWSCache(4)
+	c := NewWSCache()
 	k := WSCacheKey{Addr: types.MustAddress("0x1111111111111111111111111111111111111111"), Key: types.Hash{31: 5}}
 	c.Put(k, [32]byte{1})
 	c.Put(k, [32]byte{2}) // update, not duplicate
@@ -310,24 +309,23 @@ func TestWSCacheUpdateAndInvalidate(t *testing.T) {
 	if !ok || got[0] != 2 {
 		t.Fatalf("update lost: %v %v", got, ok)
 	}
-	c.Invalidate(k)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("invalidate failed")
-	}
-	c.Put(k, [32]byte{3})
+	// Bundle release invalidates every record.
 	c.Clear()
 	if c.Len() != 0 {
 		t.Fatal("clear failed")
 	}
+	if _, ok := c.Get(k); ok {
+		t.Fatal("record survived clear")
+	}
 }
 
 func TestWSCacheDefaultCapacity(t *testing.T) {
-	c := NewWSCache(0)
+	c := NewWSCache()
 	for i := 0; i < 100; i++ {
 		c.Put(WSCacheKey{Key: types.Hash{31: byte(i)}}, [32]byte{byte(i)})
 	}
 	if c.Len() != 64 {
-		t.Fatalf("default capacity should be the paper's 64 entries, got %d", c.Len())
+		t.Fatalf("capacity should be the paper's 64 entries, got %d", c.Len())
 	}
 }
 

@@ -20,9 +20,8 @@ type WSCacheKey struct {
 // exception to the Hypervisor, which answers from the overlay, the
 // local store, or the ORAM.
 type WSCache struct {
-	capacity int
-	entries  map[WSCacheKey]*list.Element
-	order    *list.List // front = most recent
+	entries map[WSCacheKey]*list.Element
+	order   *list.List // front = most recent
 
 	hits, misses uint64
 }
@@ -32,15 +31,11 @@ type wsEntry struct {
 	value [32]byte
 }
 
-// NewWSCache returns a cache with the given entry capacity.
-func NewWSCache(capacity int) *WSCache {
-	if capacity <= 0 {
-		capacity = 64
-	}
+// NewWSCache returns an empty cache of WSCacheEntries records.
+func NewWSCache() *WSCache {
 	return &WSCache{
-		capacity: capacity,
-		entries:  make(map[WSCacheKey]*list.Element, capacity),
-		order:    list.New(),
+		entries: make(map[WSCacheKey]*list.Element, WSCacheEntries),
+		order:   list.New(),
 	}
 }
 
@@ -63,7 +58,7 @@ func (c *WSCache) Put(key WSCacheKey, value [32]byte) {
 		c.order.MoveToFront(el)
 		return
 	}
-	if c.order.Len() >= c.capacity {
+	if c.order.Len() >= WSCacheEntries {
 		oldest := c.order.Back()
 		if oldest != nil {
 			c.order.Remove(oldest)
@@ -73,17 +68,9 @@ func (c *WSCache) Put(key WSCacheKey, value [32]byte) {
 	c.entries[key] = c.order.PushFront(&wsEntry{key: key, value: value})
 }
 
-// Invalidate drops one record (e.g. after an overlay write).
-func (c *WSCache) Invalidate(key WSCacheKey) {
-	if el, ok := c.entries[key]; ok {
-		c.order.Remove(el)
-		delete(c.entries, key)
-	}
-}
-
 // Clear wipes the cache (bundle release).
 func (c *WSCache) Clear() {
-	c.entries = make(map[WSCacheKey]*list.Element, c.capacity)
+	c.entries = make(map[WSCacheKey]*list.Element, WSCacheEntries)
 	c.order.Init()
 	c.hits, c.misses = 0, 0
 }

@@ -5,7 +5,6 @@ package keccak
 
 import (
 	"encoding/binary"
-	"hash"
 	"sync"
 )
 
@@ -35,13 +34,6 @@ type state struct {
 	bufLen int
 }
 
-var _ hash.Hash = (*state)(nil)
-
-// New256 returns a new Keccak-256 hash.Hash.
-func New256() hash.Hash {
-	return &state{}
-}
-
 // Sum256 computes the Keccak-256 digest of data.
 func Sum256(data []byte) [Size]byte {
 	var s state
@@ -51,75 +43,31 @@ func Sum256(data []byte) [Size]byte {
 	return out
 }
 
-// Hash computes the Keccak-256 digest of the concatenation of the
-// provided byte slices and returns it as a 32-byte slice.
-func Hash(data ...[]byte) []byte {
-	var s state
-	for _, d := range data {
-		_, _ = s.Write(d)
-	}
-	out := make([]byte, Size)
-	s.sumInto(out)
-	return out
-}
-
-// Sponge is an exported, resettable Keccak-256 sponge for callers
-// that hash in a loop (the EVM's KECCAK256 opcode, CREATE2 address
-// derivation, MPT node hashing): Reset returns it to the initial
-// state without reallocating, and SumInto finalizes without copying
-// the digest through a return value. A Sponge is not safe for
-// concurrent use.
-type Sponge struct {
-	s state
-}
-
-// NewSponge returns a fresh reusable sponge.
-func NewSponge() *Sponge { return &Sponge{} }
-
-// Reset returns the sponge to its initial (empty) state.
-func (h *Sponge) Reset() { h.s.Reset() }
-
-// Write absorbs p. It never fails.
-func (h *Sponge) Write(p []byte) (int, error) { return h.s.Write(p) }
-
-// SumInto finalizes the sponge and writes the 32-byte digest into
-// out (which must hold at least Size bytes). Finalization is
-// destructive: call Reset before reusing the sponge.
-func (h *Sponge) SumInto(out []byte) { h.s.sumInto(out) }
-
-// Sum256 finalizes the sponge and returns the digest. Like SumInto,
-// it consumes the sponge: Reset before reuse.
-func (h *Sponge) Sum256() [Size]byte {
-	var out [Size]byte
-	h.s.sumInto(out[:])
-	return out
-}
-
 // spongePool recycles sponges for the Into helpers below; sponges are
 // returned reset, so Get yields a ready-to-absorb state.
-var spongePool = sync.Pool{New: func() any { return new(Sponge) }}
+var spongePool = sync.Pool{New: func() any { return new(state) }}
 
 // Sum256Into computes the Keccak-256 digest of data into out (which
 // must hold at least Size bytes) using a pooled sponge: no per-call
 // sponge setup and no digest copies, for hot paths that hash per
 // opcode or per trie node.
 func Sum256Into(out []byte, data []byte) {
-	h := spongePool.Get().(*Sponge)
-	_, _ = h.s.Write(data)
-	h.s.sumInto(out)
-	h.s.Reset()
+	h := spongePool.Get().(*state)
+	_, _ = h.Write(data)
+	h.sumInto(out)
+	h.Reset()
 	spongePool.Put(h)
 }
 
 // HashInto is Sum256Into over the concatenation of multiple slices
 // (CREATE2's 0xff ++ sender ++ salt ++ codeHash preimage).
 func HashInto(out []byte, data ...[]byte) {
-	h := spongePool.Get().(*Sponge)
+	h := spongePool.Get().(*state)
 	for _, d := range data {
-		_, _ = h.s.Write(d)
+		_, _ = h.Write(d)
 	}
-	h.s.sumInto(out)
-	h.s.Reset()
+	h.sumInto(out)
+	h.Reset()
 	spongePool.Put(h)
 }
 
@@ -152,25 +100,10 @@ func (s *state) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// Sum appends the digest to b and returns the result. It does not
-// modify the underlying sponge state.
-func (s *state) Sum(b []byte) []byte {
-	var out [Size]byte
-	clone := *s
-	clone.sumInto(out[:])
-	return append(b, out[:]...)
-}
-
 // Reset resets the sponge to its initial state.
 func (s *state) Reset() {
 	*s = state{}
 }
-
-// Size returns the digest size in bytes.
-func (s *state) Size() int { return Size }
-
-// BlockSize returns the sponge rate in bytes.
-func (s *state) BlockSize() int { return rate }
 
 // sumInto finalizes the sponge (destructively) and writes the digest.
 func (s *state) sumInto(out []byte) {

@@ -36,107 +36,65 @@ func TestKnownAnswers(t *testing.T) {
 func TestBlockBoundaries(t *testing.T) {
 	for _, n := range []int{1, 135, 136, 137, 271, 272, 273, 1000, 4096} {
 		data := bytes.Repeat([]byte{0xa5}, n)
-		// Hash in one shot vs incremental writes must agree.
+		// Hash in one shot vs 7-byte writes must agree.
 		oneShot := Sum256(data)
-		h := New256()
+		var chunks [][]byte
 		for i := 0; i < n; i += 7 {
-			end := i + 7
-			if end > n {
-				end = n
-			}
-			if _, err := h.Write(data[i:end]); err != nil {
-				t.Fatalf("Write: %v", err)
-			}
+			chunks = append(chunks, data[i:min(i+7, n)])
 		}
-		if got := h.Sum(nil); !bytes.Equal(got, oneShot[:]) {
+		var got [Size]byte
+		HashInto(got[:], chunks...)
+		if got != oneShot {
 			t.Errorf("n=%d: incremental %x != one-shot %x", n, got, oneShot)
 		}
 	}
 }
 
-func TestSumDoesNotMutate(t *testing.T) {
-	h := New256()
-	if _, err := h.Write([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	d1 := h.Sum(nil)
-	d2 := h.Sum(nil)
-	if !bytes.Equal(d1, d2) {
-		t.Error("Sum mutated sponge state")
-	}
-	if _, err := h.Write([]byte(" world")); err != nil {
-		t.Fatal(err)
-	}
-	want := Sum256([]byte("hello world"))
-	if got := h.Sum(nil); !bytes.Equal(got, want[:]) {
-		t.Errorf("continued write after Sum: got %x want %x", got, want)
-	}
-}
-
 func TestReset(t *testing.T) {
-	h := New256()
-	if _, err := h.Write([]byte("garbage")); err != nil {
-		t.Fatal(err)
-	}
+	var h state
+	_, _ = h.Write([]byte("garbage"))
 	h.Reset()
-	if _, err := h.Write([]byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	want := Sum256([]byte("abc"))
-	if got := h.Sum(nil); !bytes.Equal(got, want[:]) {
+	_, _ = h.Write([]byte("abc"))
+	var got [Size]byte
+	h.sumInto(got[:])
+	if want := Sum256([]byte("abc")); got != want {
 		t.Errorf("after reset: got %x want %x", got, want)
 	}
 }
 
-func TestHashVariadic(t *testing.T) {
-	want := Sum256([]byte("foobarbaz"))
-	got := Hash([]byte("foo"), []byte("bar"), []byte("baz"))
-	if !bytes.Equal(got, want[:]) {
-		t.Errorf("Hash variadic: got %x want %x", got, want)
-	}
-}
-
+// TestSizes: Keccak-256 absorbs 1088-bit blocks (a 512-bit capacity).
 func TestSizes(t *testing.T) {
-	h := New256()
-	if h.Size() != 32 {
-		t.Errorf("Size = %d", h.Size())
-	}
-	if h.BlockSize() != 136 {
-		t.Errorf("BlockSize = %d", h.BlockSize())
+	if Size != 32 || rate != 136 {
+		t.Errorf("Size = %d, rate = %d", Size, rate)
 	}
 }
 
 // Property: splitting the input at any point yields the same digest.
 func TestQuickSplitInvariance(t *testing.T) {
 	f := func(data []byte, split uint8) bool {
-		i := int(split)
-		if i > len(data) {
-			i = len(data)
-		}
-		h := New256()
-		_, _ = h.Write(data[:i])
-		_, _ = h.Write(data[i:])
-		whole := Sum256(data)
-		return bytes.Equal(h.Sum(nil), whole[:])
+		i := min(int(split), len(data))
+		var got [Size]byte
+		HashInto(got[:], data[:i], data[i:])
+		return got == Sum256(data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
-// The reusable-sponge API must agree with the one-shot functions,
-// including across Reset reuse and the pooled Into helpers.
+// A pooled sponge must agree with the one-shot function across Reset
+// reuse, and so must the pooled Into helper.
 func TestSpongeMatchesSum256(t *testing.T) {
 	inputs := [][]byte{nil, []byte("abc"), bytes.Repeat([]byte{0x5a}, 137)}
-	h := NewSponge()
+	var h state
 	for _, in := range inputs {
 		h.Reset()
-		if _, err := h.Write(in); err != nil {
-			t.Fatal(err)
-		}
+		_, _ = h.Write(in)
 		want := Sum256(in)
-		if got := h.Sum256(); got != want {
-			t.Errorf("Sponge(%q) = %x, want %x", in, got, want)
+		var got [Size]byte
+		h.sumInto(got[:])
+		if got != want {
+			t.Errorf("sponge(%q) = %x, want %x", in, got, want)
 		}
 
 		var into [Size]byte
@@ -148,15 +106,13 @@ func TestSpongeMatchesSum256(t *testing.T) {
 }
 
 func TestSpongeSumInto(t *testing.T) {
-	h := NewSponge()
-	if _, err := h.Write([]byte("hello world")); err != nil {
-		t.Fatal(err)
-	}
+	var h state
+	_, _ = h.Write([]byte("hello world"))
 	var out [Size]byte
-	h.SumInto(out[:])
+	h.sumInto(out[:])
 	want := Sum256([]byte("hello world"))
 	if out != want {
-		t.Errorf("SumInto = %x, want %x", out, want)
+		t.Errorf("sumInto = %x, want %x", out, want)
 	}
 }
 

@@ -170,33 +170,6 @@ func (t *Trie) Hash() [32]byte {
 	return h
 }
 
-// Len walks the trie and counts stored values (test/diagnostic helper).
-func (t *Trie) Len() int {
-	return countValues(t.root)
-}
-
-func countValues(n node) int {
-	switch n := n.(type) {
-	case nil:
-		return 0
-	case *leafNode:
-		return 1
-	case *extensionNode:
-		return countValues(n.child)
-	case *branchNode:
-		total := 0
-		if n.value != nil {
-			total = 1
-		}
-		for _, c := range n.children {
-			total += countValues(c)
-		}
-		return total
-	default:
-		return 0
-	}
-}
-
 // insert adds value at nibble path key under n.
 func insert(n node, key, value []byte) node {
 	switch n := n.(type) {

@@ -207,11 +207,6 @@ func (s *SecureTrie) Hash() [32]byte {
 	return s.trie.Hash()
 }
 
-// Len counts stored values.
-func (s *SecureTrie) Len() int {
-	return s.trie.Len()
-}
-
 // Prove builds a proof for the raw key.
 func (s *SecureTrie) Prove(key []byte) (*Proof, error) {
 	h := keccak.Sum256(key)

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"hardtape/internal/simclock"
 	"hardtape/internal/telemetry"
 )
 
@@ -59,9 +58,6 @@ func (e *failedError) Unwrap() []error { return []error{ErrClientFailed, e.cause
 // only that tree's lock.
 type Client struct {
 	trees []*tree
-	// clock, when non-nil, is charged cal's virtual time per round.
-	clock *simclock.Clock
-	cal   simclock.Calibration
 	// failed is the fail-closed latch: the first mid-access error,
 	// wrapped in ErrClientFailed; later errors never replace it.
 	failed atomic.Pointer[failedError]
@@ -99,18 +95,6 @@ type clientTelemetry struct {
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithClock makes the client charge virtual time per round: the link
-// RTT once (the sub-batches leave back to back and overlap on the
-// link), the slowest tree's serial per-query server work, and the whole
-// round's serial on-chip per-block client work — one Hypervisor does
-// all the stash/crypto work regardless of the fan-out width
-// (simclock.ORAMBatchCost with max-shard queries).
-func WithClock(clock *simclock.Clock, cal simclock.Calibration) ClientOption {
-	return func(c *Client) {
-		c.clock, c.cal = clock, cal
-	}
-}
 
 // WithSeed keys each tree's leaf remaps by (seed, shard) instead of
 // crypto/rand, so a model run repeats its leaves exactly whatever order
@@ -226,9 +210,6 @@ func (c *Client) AccessBatch(ctx context.Context, ops []BatchOp) ([][]byte, erro
 		t.mu.Lock()
 		err = c.runTree(ctx, t, ops, out)
 		t.mu.Unlock()
-		if err == nil && c.clock != nil {
-			c.clock.Advance(c.cal.ORAMBatchCost(len(ops), len(ops)*t.depth*BucketSize))
-		}
 	} else {
 		err = c.fanOut(ctx, ops, out)
 	}
@@ -268,9 +249,7 @@ func (c *Client) runTree(ctx context.Context, t *tree, ops []BatchOp, out [][]by
 // under only that tree's lock, results reassembled in request order.
 // Obliviousness holds per tree: the adversary observing all servers
 // sees K independent uniform leaf sequences whose interleaving depends
-// only on the public hash. The round is charged once: the link RTT, the
-// largest sub-batch's serial server work, and every moved block's
-// client work.
+// only on the public hash.
 func (c *Client) fanOut(ctx context.Context, ops []BatchOp, out [][]byte) error {
 	k := len(c.trees)
 	subOps, subIdx, subOut := make([][]BatchOp, k), make([][]int, k), make([][][]byte, k)
@@ -281,14 +260,11 @@ func (c *Client) fanOut(ctx context.Context, ops []BatchOp, out [][]byte) error 
 	}
 	errs := make([]error, k)
 	var wg sync.WaitGroup
-	maxQ, blocks := 0, 0
 	for sh, t := range c.trees {
 		n := len(subOps[sh])
 		if n == 0 {
 			continue
 		}
-		maxQ = max(maxQ, n)
-		blocks += n * t.depth * BucketSize
 		subOut[sh] = make([][]byte, n)
 		wg.Add(1)
 		go func(sh int, t *tree) {
@@ -306,9 +282,6 @@ func (c *Client) fanOut(ctx context.Context, ops []BatchOp, out [][]byte) error 
 		for j, i := range subIdx[sh] {
 			out[i] = subOut[sh][j]
 		}
-	}
-	if c.clock != nil {
-		c.clock.Advance(c.cal.ORAMBatchCost(maxQ, blocks))
 	}
 	return nil
 }
@@ -357,7 +330,8 @@ func (c *Client) Stats() Stats {
 	return agg
 }
 
-// ShardStats returns each tree's own counters (tests, diagnostics).
+// ShardStats returns each tree's own counters: a round's per-shard
+// access deltas and depths are what a cost model prices it from.
 func (c *Client) ShardStats() []Stats {
 	out := make([]Stats, len(c.trees))
 	for i, t := range c.trees {

@@ -199,14 +199,3 @@ func (s *MemServer) TamperBucket(leaf uint64) {
 		}
 	}
 }
-
-// StoredBytes reports the server's total ciphertext footprint.
-func (s *MemServer) StoredBytes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total uint64
-	for _, b := range s.buckets {
-		total += uint64(len(b))
-	}
-	return total
-}

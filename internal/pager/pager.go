@@ -267,12 +267,6 @@ func decodeMeta(page []byte) (*AccountMeta, error) {
 	}, nil
 }
 
-// StorageGroupKey returns the group id for a storage key (low 5 bits
-// cleared → 32 consecutive keys share a group).
-func StorageGroupKey(key types.Hash) (group types.Hash, slot int) {
-	return storageGroupKeyN(key, RecordsPerPage)
-}
-
 // storageGroupKeyN groups `gs` consecutive keys (gs a power of two
 // ≤ 32). gs=1 disables grouping — the ablation baseline.
 func storageGroupKeyN(key types.Hash, gs int) (group types.Hash, slot int) {

@@ -76,10 +76,10 @@ func TestAccountMetaRoundTrip(t *testing.T) {
 
 func TestStorageGrouping(t *testing.T) {
 	// Keys 0..31 share one group; key 32 starts another.
-	g0, s0 := StorageGroupKey(hashOf(0))
-	g5, s5 := StorageGroupKey(hashOf(5))
-	g31, s31 := StorageGroupKey(hashOf(31))
-	g32, s32 := StorageGroupKey(hashOf(32))
+	g0, s0 := storageGroupKeyN(hashOf(0), RecordsPerPage)
+	g5, s5 := storageGroupKeyN(hashOf(5), RecordsPerPage)
+	g31, s31 := storageGroupKeyN(hashOf(31), RecordsPerPage)
+	g32, s32 := storageGroupKeyN(hashOf(32), RecordsPerPage)
 	if g0 != g5 || g5 != g31 {
 		t.Fatal("keys 0..31 should share a group")
 	}
@@ -284,7 +284,7 @@ func TestORAMBackendAbsentReadIsOneAccess(t *testing.T) {
 }
 
 func mustGroup(key types.Hash) types.Hash {
-	g, _ := StorageGroupKey(key)
+	g, _ := storageGroupKeyN(key, RecordsPerPage)
 	return g
 }
 
@@ -367,8 +367,8 @@ func TestPrefetcherInterval(t *testing.T) {
 	if ref.Index != 1 {
 		t.Fatalf("first prefetched page = %d, want 1", ref.Index)
 	}
-	if p.Issued() != 1 {
-		t.Fatal("issued counter")
+	if p.Pending() != 8 {
+		t.Fatalf("%d pages pending after one pop, want 8", p.Pending())
 	}
 }
 
@@ -415,7 +415,7 @@ func TestPrefetcherReset(t *testing.T) {
 	p.QueueCode(hashOf(1), uint32(5*PageSize))
 	p.NotifyQuery(time.Second)
 	p.Reset()
-	if p.Pending() != 0 || p.Issued() != 0 {
+	if p.Pending() != 0 {
 		t.Fatal("reset incomplete")
 	}
 }

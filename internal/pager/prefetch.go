@@ -32,8 +32,6 @@ type Prefetcher struct {
 	nextDue time.Duration
 	// rng, this prefetcher's alone, draws the interval timer.
 	rng *drbg.Rand
-	// stats
-	issued uint64
 }
 
 // PrefetchLabel names the interval-timer stream (drbg).
@@ -57,9 +55,6 @@ func (p *Prefetcher) QueueCode(codeHash types.Hash, codeLen uint32) {
 
 // Pending returns the number of queued pages.
 func (p *Prefetcher) Pending() int { return len(p.queue) }
-
-// Issued returns how many prefetches have been popped.
-func (p *Prefetcher) Issued() uint64 { return p.issued }
 
 // NotifyQuery records a real world-state query at virtual time now,
 // updating the average gap and re-arming the interval timer to a
@@ -103,7 +98,6 @@ func (p *Prefetcher) PopDue(now time.Duration) (CodeRef, bool) {
 	}
 	ref := p.queue[0]
 	p.queue = p.queue[1:]
-	p.issued++
 	p.arm(now)
 	return ref, true
 }

@@ -73,16 +73,6 @@ func (it *Item) Str() ([]byte, error) {
 	return it.str, nil
 }
 
-// MustStr returns the string payload, panicking for lists. For use in
-// contexts where the shape has already been validated.
-func (it *Item) MustStr() []byte {
-	b, err := it.Str()
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // Children returns the list elements. It returns ErrNotList for strings.
 func (it *Item) Children() ([]*Item, error) {
 	if it.kind != KindList {

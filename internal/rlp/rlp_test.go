@@ -61,7 +61,7 @@ func TestLongString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := it.MustStr(); !bytes.Equal(got, s) {
+	if got := strOf(t, it); !bytes.Equal(got, s) {
 		t.Fatalf("round trip: %q", got)
 	}
 }
@@ -193,8 +193,8 @@ func TestDecodePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(it.MustStr(), []byte("hello")) {
-		t.Fatalf("prefix item: %q", it.MustStr())
+	if !bytes.Equal(strOf(t, it), []byte("hello")) {
+		t.Fatalf("prefix item: %q", strOf(t, it))
 	}
 	if !bytes.Equal(rest, []byte{0xde, 0xad}) {
 		t.Fatalf("rest: %x", rest)
@@ -205,7 +205,7 @@ func TestStringCopies(t *testing.T) {
 	src := []byte("mutable")
 	it := String(src)
 	src[0] = 'X'
-	if it.MustStr()[0] == 'X' {
+	if strOf(t, it)[0] == 'X' {
 		t.Error("String must copy its input")
 	}
 }
@@ -244,4 +244,14 @@ func TestQuickDecodeTotal(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// strOf returns a string item's payload, failing the test for a list.
+func strOf(t *testing.T, it *Item) []byte {
+	t.Helper()
+	b, err := it.Str()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -15,9 +15,9 @@ import (
 	"time"
 )
 
-// Calibration holds the per-unit virtual costs. The defaults reproduce
-// the paper's prototype; experiments may override individual fields
-// (e.g. to run ablations).
+// Calibration holds the per-unit virtual costs. There is one table,
+// DefaultCalibration, calibrated to the paper's prototype; every
+// component reads it from there and no configuration carries a copy.
 type Calibration struct {
 	// HEVMCyclePeriod is one HEVM clock cycle (0.1 GHz → 10 ns).
 	HEVMCyclePeriod time.Duration
@@ -62,15 +62,24 @@ type Calibration struct {
 	// LaneCommitPerWrite is the committer's cost to publish one
 	// write-set entry into the committed buffer.
 	LaneCommitPerWrite time.Duration
+
+	// GethTimePerOp models the paper's baseline, Geth on an i7-12700 at
+	// 4.35 GHz with all data prefetched to main memory: the average
+	// interpreted-EVM wall time per instruction (≈55 cycles ≈ 12.6 ns:
+	// software dispatch is heavier than the HEVM pipeline but the clock
+	// is 43x faster).
+	GethTimePerOp time.Duration
 }
 
-// ORAMBatchCost models a batched ORAM access of `queries` path
-// queries moving `blocks` blocks in total: the link round trip is paid
-// ONCE for the whole batch (the requests travel in one pipelined
-// message), while server processing stays serial per query and client
-// stash/crypto work stays serial per block. With queries=1 this is
-// exactly the classic per-access charge, so sequential and batched
-// paths share one arithmetic.
+// ORAMBatchCost models one ORAM round: the link round trip is paid
+// ONCE for the whole round (the requests travel in one pipelined
+// message, and sub-batches fanned out to several shards leave back to
+// back and overlap on the wire), server processing is serial per query
+// on the busiest server (`queries`: the whole batch on one tree, the
+// fullest shard's sub-batch on several), and the on-chip client work
+// is serial per moved block (`blocks`, summed over every shard: one
+// Hypervisor does all the stash/crypto work). It is the one formula
+// that prices every ORAM round, one access included.
 func (c Calibration) ORAMBatchCost(queries, blocks int) time.Duration {
 	if queries <= 0 {
 		return 0
@@ -78,27 +87,6 @@ func (c Calibration) ORAMBatchCost(queries, blocks int) time.Duration {
 	return c.ORAMLinkRTT +
 		time.Duration(queries)*c.ORAMServerPerQuery +
 		time.Duration(blocks)*c.ORAMClientPerBlock
-}
-
-// ORAMShardedBatchCost models a batched access fanned out across
-// `shards` independent ORAM servers in ONE overlapped round: the link
-// RTT is paid once (all per-shard sub-batches leave back to back and
-// their responses overlap on the wire), server processing runs in
-// parallel across shards but stays serial per query *within* a shard
-// (the slowest shard gates the round — with a uniform block→shard hash
-// that is ⌈queries/shards⌉ queries), and the on-chip per-block client
-// work stays serial (one Hypervisor does all the stash/crypto work).
-// With shards ≤ 1 this degenerates to exactly ORAMBatchCost, so the
-// single-tree and sharded paths share one arithmetic.
-func (c Calibration) ORAMShardedBatchCost(queries, shards, blocks int) time.Duration {
-	if shards <= 1 {
-		return c.ORAMBatchCost(queries, blocks)
-	}
-	if queries <= 0 {
-		return 0
-	}
-	perShard := (queries + shards - 1) / shards
-	return c.ORAMBatchCost(perShard, blocks)
 }
 
 // ColdHandshakeCost models the device-side virtual time of a full
@@ -122,7 +110,9 @@ func (c Calibration) WarmResumeCost(ticketBytes int) time.Duration {
 	return time.Duration(kb+2) * c.AESGCMPerKB
 }
 
-// DefaultCalibration returns costs calibrated to the paper's prototype.
+// DefaultCalibration returns the calibration table: costs calibrated to
+// the paper's prototype. Each call returns a fresh value, so no reader
+// can change what another reads.
 func DefaultCalibration() Calibration {
 	return Calibration{
 		HEVMCyclePeriod:          10 * time.Nanosecond, // 0.1 GHz
@@ -144,23 +134,8 @@ func DefaultCalibration() Calibration {
 
 		LaneValidatePerRead: 90 * time.Nanosecond,
 		LaneCommitPerWrite:  120 * time.Nanosecond,
-	}
-}
 
-// GethCalibration models the paper's baseline: Geth on an i7-12700 at
-// 4.35 GHz with all data prefetched to main memory.
-type GethCalibration struct {
-	// TimePerOp is the average interpreted-EVM wall time per
-	// instruction on the baseline server (≈55 cycles at 4.35 GHz ≈
-	// 12.6 ns: software dispatch is heavier than the HEVM pipeline but
-	// the clock is 43x faster).
-	TimePerOp time.Duration
-}
-
-// DefaultGethCalibration returns the baseline cost model.
-func DefaultGethCalibration() GethCalibration {
-	return GethCalibration{
-		TimePerOp: 13 * time.Nanosecond,
+		GethTimePerOp: 13 * time.Nanosecond,
 	}
 }
 

@@ -62,8 +62,7 @@ func TestDefaultCalibrationSanity(t *testing.T) {
 	if total < 60*time.Millisecond || total > 100*time.Millisecond {
 		t.Errorf("ECDSA round = %v, want ≈80 ms", total)
 	}
-	g := DefaultGethCalibration()
-	if g.TimePerOp <= 0 {
+	if cal.GethTimePerOp <= 0 {
 		t.Error("geth calibration must be positive")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // into other servers):
 //
 //	/metrics       Prometheus text exposition
-//	/metrics.json  JSON snapshot (same shape as `benchtab -telemetry`)
+//	/metrics.json  JSON snapshot (Registry.WriteJSON)
 //	/traces        flight-recorder index (when tracing is enabled)
 //	/traces/{id}   one trace; ?format=chrome for chrome://tracing
 //	/healthz       liveness probe

@@ -71,9 +71,7 @@ func formatFloat(f float64) string {
 }
 
 // Snapshot is the machine-readable registry dump: one entry per
-// series. The admin endpoint's /metrics.json and `benchtab -telemetry`
-// both emit exactly this shape, so EXPERIMENTS.md numbers and live
-// scrapes come from one code path.
+// series, the shape the admin endpoint's /metrics.json emits.
 type Snapshot struct {
 	Metrics []MetricSnapshot `json:"metrics"`
 }

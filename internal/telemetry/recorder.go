@@ -336,16 +336,6 @@ func (r *Recorder) Lookup(id TraceID) *Trace {
 	return nil
 }
 
-// LastExemplar returns the most recent kept trace id (zero when the
-// ring is empty) — a convenience for tests and dashboards.
-func (r *Recorder) LastExemplar() TraceID {
-	ts := r.Traces()
-	if len(ts) == 0 {
-		return TraceID{}
-	}
-	return ts[0].ID
-}
-
 // RecorderStats is the recorder's own bookkeeping, exported on the
 // /traces index.
 type RecorderStats struct {

@@ -30,7 +30,6 @@ type Hash [HashLength]byte
 // Parsing errors.
 var (
 	ErrBadAddress = errors.New("types: invalid address")
-	ErrBadHash    = errors.New("types: invalid hash")
 	ErrUnsigned   = errors.New("types: transaction is not signed")
 
 	// ErrHighS rejects a signature with s > n/2: EIP-2 makes it
@@ -103,20 +102,6 @@ func BytesToHash(b []byte) Hash {
 	return h
 }
 
-// HexToHash parses a 0x-prefixed 64-hex-digit hash.
-func HexToHash(s string) (Hash, error) {
-	var h Hash
-	if len(s) != 2+2*HashLength || s[:2] != "0x" {
-		return h, fmt.Errorf("%w: %q", ErrBadHash, s)
-	}
-	raw, err := hex.DecodeString(s[2:])
-	if err != nil {
-		return h, fmt.Errorf("%w: %v", ErrBadHash, err)
-	}
-	copy(h[:], raw)
-	return h, nil
-}
-
 // String implements fmt.Stringer with a 0x prefix.
 func (h Hash) String() string {
 	return "0x" + hex.EncodeToString(h[:])
@@ -161,12 +146,6 @@ func (a *Account) Clone() *Account {
 		StorageRoot: a.StorageRoot,
 		CodeHash:    a.CodeHash,
 	}
-}
-
-// IsEmpty reports whether the account is empty per EIP-161 (zero nonce,
-// zero balance, no code).
-func (a *Account) IsEmpty() bool {
-	return a.Nonce == 0 && a.Balance.IsZero() && a.CodeHash == EmptyCodeHash
 }
 
 // EncodeRLP serializes the account in the canonical trie leaf format.

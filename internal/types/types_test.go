@@ -42,15 +42,14 @@ func TestBytesToAddressPadding(t *testing.T) {
 }
 
 func TestHashParsing(t *testing.T) {
-	h, err := HexToHash("0x00112233445566778899aabbccddeeff00112233445566778899aabbccddeeff")
-	if err != nil {
-		t.Fatal(err)
+	long := make([]byte, HashLength+1)
+	long[0], long[1], long[HashLength] = 0xee, 0x11, 0x7f
+	h := BytesToHash(long)
+	if h[0] != 0x11 || h[HashLength-1] != 0x7f {
+		t.Errorf("long input should keep the low 32 bytes: %s", h)
 	}
-	if h.IsZero() {
-		t.Error("parsed hash should not be zero")
-	}
-	if _, err := HexToHash("0x1234"); !errors.Is(err, ErrBadHash) {
-		t.Error("short hash should fail")
+	if short := BytesToHash([]byte{0x05}); short[HashLength-1] != 0x05 || !BytesToHash(nil).IsZero() {
+		t.Errorf("short input should left-pad: %s", short)
 	}
 	if !h.Word().Eq(new(uint256.Int).SetBytes(h[:])) {
 		t.Error("Word mismatch")
@@ -97,13 +96,10 @@ func TestAccountDecodeErrors(t *testing.T) {
 
 func TestAccountEmptyAndClone(t *testing.T) {
 	a := NewAccount()
-	if !a.IsEmpty() {
-		t.Error("new account should be empty")
+	if a.Nonce != 0 || !a.Balance.IsZero() || a.CodeHash != EmptyCodeHash {
+		t.Error("new account should be empty (EIP-161)")
 	}
 	a.Balance.SetUint64(5)
-	if a.IsEmpty() {
-		t.Error("funded account is not empty")
-	}
 	c := a.Clone()
 	c.Balance.SetUint64(9)
 	if a.Balance.Uint64() != 5 {

@@ -1,12 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"hardtape/internal/evm"
-)
+import "hardtape/internal/evm"
 
 // FrameStats captures one execution frame's Table I dimensions.
 type FrameStats struct {
@@ -151,61 +145,4 @@ func Distribution(values []uint64, bands []SizeBand) map[string]float64 {
 		out[b.Label] = 100 * float64(count) / float64(len(values))
 	}
 	return out
-}
-
-// TableI renders the collector's measurements in the paper's Table I
-// layout.
-func (c *StatsCollector) TableI() string {
-	var sb strings.Builder
-	pick := func(f func(FrameStats) uint64) []uint64 {
-		out := make([]uint64, len(c.Frames))
-		for i, fr := range c.Frames {
-			out[i] = f(fr)
-		}
-		return out
-	}
-	code := Distribution(pick(func(f FrameStats) uint64 { return f.CodeSize }), SizeBands)
-	input := Distribution(pick(func(f FrameStats) uint64 { return f.InputSize }), SizeBands)
-	mem := Distribution(pick(func(f FrameStats) uint64 { return f.MemorySize }), SizeBands)
-	ret := Distribution(pick(func(f FrameStats) uint64 { return f.ReturnSize }), SizeBands)
-
-	sb.WriteString("(a) Memory-like size by type in bytes per frame\n")
-	fmt.Fprintf(&sb, "%-8s %8s %8s %8s %8s\n", "", "code", "input", "memory", "return")
-	for _, b := range SizeBands {
-		fmt.Fprintf(&sb, "%-8s %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
-			b.Label, code[b.Label], input[b.Label], mem[b.Label], ret[b.Label])
-	}
-
-	keys := make([]uint64, len(c.Frames))
-	for i, fr := range c.Frames {
-		keys[i] = uint64(fr.StorageKeys)
-	}
-	keyDist := Distribution(keys, KeyBands)
-	depths := make([]uint64, len(c.Txs))
-	for i, tx := range c.Txs {
-		depths[i] = uint64(tx.CallDepth)
-	}
-	depthDist := Distribution(depths, DepthBands)
-
-	sb.WriteString("\n(b) Storage records per frame | call depth per transaction\n")
-	fmt.Fprintf(&sb, "%-8s %8s     %-8s %8s\n", "", "keys", "", "depth")
-	keyLabels := []string{"<=4", "5-16", "17-64", ">64"}
-	depthLabels := []string{"1", "2-5", "6-10", ">10"}
-	for i := range keyLabels {
-		fmt.Fprintf(&sb, "%-8s %7.1f%%     %-8s %7.1f%%\n",
-			keyLabels[i], keyDist[keyLabels[i]], depthLabels[i], depthDist[depthLabels[i]])
-	}
-	return sb.String()
-}
-
-// Percentile returns the p-quantile (0..100) of values.
-func Percentile(values []uint64, p float64) uint64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := make([]uint64, len(values))
-	copy(sorted, values)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return sorted[idx]
 }
