@@ -87,22 +87,11 @@ type TSCVEE struct {
 	block   evm.BlockContext
 	// Contract is the single contract admitted to the enclave.
 	Contract types.Address
-	// timePerOp on the TrustZone core (slightly slower than the
-	// baseline server per the TSC-VEE paper's own numbers).
-	timePerOp time.Duration
-	// prefetch is the one-time secure-memory load cost.
-	prefetch time.Duration
 }
 
 // NewTSCVEE builds the model for one admitted contract.
 func NewTSCVEE(backing state.Reader, block evm.BlockContext, contract types.Address) *TSCVEE {
-	return &TSCVEE{
-		backing:   backing,
-		block:     block,
-		Contract:  contract,
-		timePerOp: 15 * time.Nanosecond,
-		prefetch:  2 * time.Millisecond,
-	}
+	return &TSCVEE{backing: backing, block: block, Contract: contract}
 }
 
 // ExecuteBundle runs a bundle against the single admitted contract.
@@ -144,9 +133,10 @@ func (t *TSCVEE) ExecuteBundle(bundle *types.Bundle) (*Result, error) {
 		tr.EndTx(res)
 		gasUsed += res.GasUsed
 	}
+	cal := simclock.DefaultCalibration()
 	return &Result{
 		Trace:       tr.Bundle(),
-		VirtualTime: t.prefetch + time.Duration(steps)*t.timePerOp,
+		VirtualTime: cal.TSCVEEPrefetch + time.Duration(steps)*cal.TSCVEETimePerOp,
 		GasUsed:     gasUsed,
 		Steps:       steps,
 	}, nil

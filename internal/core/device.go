@@ -30,7 +30,6 @@ var HypervisorImage = []byte("hardtape-hypervisor-v1.0")
 
 // Errors.
 var (
-	ErrNotBooted   = errors.New("core: device not booted")
 	ErrBundleEmpty = errors.New("core: empty bundle")
 	ErrAborted     = errors.New("core: bundle aborted")
 )
@@ -435,9 +434,6 @@ func (d *Device) Execute(bundle *types.Bundle) (*BundleResult, error) {
 // ctx.Err() instead of queuing forever. Once a core is assigned the
 // bundle runs to completion (the paper's HEVMs have no preemption).
 func (d *Device) ExecuteContext(ctx context.Context, bundle *types.Bundle) (res *BundleResult, err error) {
-	if d.booted == nil {
-		return nil, ErrNotBooted
-	}
 	if bundle == nil || len(bundle.Txs) == 0 {
 		return nil, ErrBundleEmpty
 	}
@@ -532,22 +528,6 @@ func (d *Device) executeOn(ctx context.Context, s *slot, bundle *types.Bundle) (
 		d.tm.recordBundle(s, result)
 	}
 	return result, nil
-}
-
-// classifyPanic sorts a value recovered from a transaction execution:
-// a hardware abort (Memory Overflow, L3 tamper) ends the bundle with
-// Aborted set, any other error is a hard failure wrapped in ErrAborted,
-// and a non-error panic is a genuine bug for the caller to surface.
-func classifyPanic(r any) (abort, hard error, bug any) {
-	rErr, ok := r.(error)
-	if !ok {
-		return nil, nil, r
-	}
-	var moe *hevm.MemoryOverflowError
-	if errors.As(rErr, &moe) || errors.Is(rErr, hevm.ErrL3Tampered) {
-		return rErr, nil, nil
-	}
-	return nil, fmt.Errorf("%w: %v", ErrAborted, rErr), nil
 }
 
 // bundleSize approximates the wire size of a bundle.

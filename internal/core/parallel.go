@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -50,16 +51,9 @@ type laneOutcome struct {
 	trace *tracer.TxTrace
 	rs    *state.ReadSet
 	ws    *state.WriteSet
-	// applyErr is a transaction validation failure (nonce, funds — it
-	// fails the whole bundle).
-	applyErr error
-	// abortErr is a hardware abort (Memory Overflow, L3 tamper).
-	abortErr error
-	// hardErr is any other error panic out of the execution path,
-	// wrapped in ErrAborted.
-	hardErr error
-	// bugPanic carries a non-error panic to re-raise on the committer.
-	bugPanic any
+	// err is ApplyTransaction's: a validation failure or a halt
+	// (finishFailed sorts them).
+	err error
 	// laneCut is the lane's progress when the speculation finished.
 	laneCut
 }
@@ -77,11 +71,6 @@ type laneCut struct {
 // cut snapshots the lane's progress so far in the bundle.
 func (l *laneState) cut() laneCut {
 	return laneCut{specEnd: l.clock.Now(), queries: len(l.queryTimes), hevm: l.machine.Stats(), ops: l.opCounts}
-}
-
-// failed reports whether the speculation ended in any failure mode.
-func (o *laneOutcome) failed() bool {
-	return o.applyErr != nil || o.abortErr != nil || o.hardErr != nil
 }
 
 // speculation is the optimistic half of one bundle: transaction i runs
@@ -170,9 +159,6 @@ func (sp *speculation) validated(i int, commit *simclock.Clock, v *state.Version
 	<-sp.done[i]
 	out := sp.outcomes[i]
 	sp.consumed[i%len(sp.lanes)] = out
-	if out.bugPanic != nil {
-		return out
-	}
 	sp.stats.Speculations++
 	commit.AdvanceTo(sp.base + out.specEnd)
 	commit.Advance(time.Duration(out.rs.Len()) * simclock.DefaultCalibration().LaneValidatePerRead)
@@ -232,13 +218,10 @@ func (d *Device) runBundle(ctx context.Context, s *slot, blockCtx evm.BlockConte
 			}
 			rsp.End(nil, nil)
 		}
-		if out.bugPanic != nil {
-			panic(out.bugPanic) // genuine bug, re-raise
+		if out.err != nil {
+			return finishFailed(result, i, out.err)
 		}
-		if out.failed() {
-			return d.finishFailed(result, i, out)
-		}
-		v.Commit(out.ws, commitReader)
+		v.Commit(out.ws)
 		if spec != nil {
 			s.clock.Advance(time.Duration(out.ws.Len()) * simclock.DefaultCalibration().LaneCommitPerWrite)
 		}
@@ -249,30 +232,35 @@ func (d *Device) runBundle(ctx context.Context, s *slot, blockCtx evm.BlockConte
 }
 
 // finishFailed ends the bundle on an authoritative failure — one seen
-// against exactly the committed prefix: validation failures and
-// non-abort panics fail the bundle, hardware aborts end it with Aborted
-// set (earlier transactions keep their traces).
-func (d *Device) finishFailed(result *BundleResult, i int, out *laneOutcome) error {
-	if out.applyErr != nil {
-		return fmt.Errorf("core: tx %d: %w", i, out.applyErr)
+// against exactly the committed prefix. A validation failure fails the
+// bundle naming the transaction; a hardware abort (Memory Overflow, L3
+// tamper) ends it with Aborted set, earlier transactions keeping their
+// traces; any other halt fails it with ErrAborted.
+func finishFailed(result *BundleResult, i int, err error) error {
+	var halt *evm.HaltError
+	if !errors.As(err, &halt) {
+		return fmt.Errorf("core: tx %d: %w", i, err)
 	}
-	if out.abortErr != nil {
-		result.Aborted = out.abortErr
+	var moe *hevm.MemoryOverflowError
+	if errors.As(halt.Err, &moe) || errors.Is(halt.Err, hevm.ErrL3Tampered) {
+		result.Aborted = halt.Err
 		return nil
 	}
-	return out.hardErr
+	return fmt.Errorf("%w: %v", ErrAborted, halt.Err)
 }
 
 // specOnce executes one transaction on the given lane against a fresh
 // per-transaction overlay and returns its outcome with read/write sets —
 // the one place a transaction meets the interpreter, so the one place
-// hooks are wired and hardware aborts are recovered. Speculative lanes
-// and the commit lane both run through here: a lane passes a nil v and
-// reads the base snapshot alone, and its outcome is validated
-// afterwards; the commit lane reads the committed prefix through v.
+// hooks are wired. Speculative lanes and the commit lane both run
+// through here: a lane passes a nil v and reads the base snapshot
+// alone, and its outcome is validated afterwards; the commit lane reads
+// the committed prefix through v. On a failure the read set decides
+// whether it is authoritative (in-order execution would have hit it
+// too) or an artifact of a stale view; the write set is never
+// committed.
 func (d *Device) specOnce(l *laneState, laneBase state.Reader, v *state.Versioned,
-	blockCtx evm.BlockContext, tx *types.Transaction) (out *laneOutcome) {
-	out = &laneOutcome{}
+	blockCtx evm.BlockContext, tx *types.Transaction) *laneOutcome {
 	txo := state.NewTxOverlay(v, laneBase)
 	e := evm.New(blockCtx, txo)
 	ttr := tracer.New(d.cfg.CaptureSteps)
@@ -283,27 +271,12 @@ func (d *Device) specOnce(l *laneState, laneBase state.Reader, v *state.Versione
 		// existing hook-presence flags at zero extra cost.
 		e.Hooks = evm.CombineHooks(e.Hooks, l.opCounts.Hooks())
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			out.abortErr, out.hardErr, out.bugPanic = classifyPanic(r)
-			if out.bugPanic != nil {
-				return
-			}
-			// The read set decides whether this failure is authoritative
-			// (in-order execution would have hit it too) or an artifact
-			// of a stale view.
-			out.rs, _ = txo.Finish()
-		}
-	}()
 	ttr.BeginTx(tx.Hash())
-	res, applyErr := e.ApplyTransaction(tx)
-	if applyErr != nil {
-		out.applyErr = applyErr
-		out.rs, _ = txo.Finish()
-		return out
-	}
-	out.res = res
-	out.trace = ttr.EndTx(res)
+	res, err := e.ApplyTransaction(tx)
+	out := &laneOutcome{res: res, err: err}
 	out.rs, out.ws = txo.Finish()
+	if err == nil {
+		out.trace = ttr.EndTx(res)
+	}
 	return out
 }

@@ -353,14 +353,14 @@ func TestParallelConflictReexecutesOnce(t *testing.T) {
 	commitReader := d.newReader(context.Background(), &s.laneState)
 	run := func(l *laneState, reader state.Reader, v *state.Versioned, i int) *laneOutcome {
 		out := d.specOnce(l, reader, v, blockCtx, mkSwap(i))
-		if out.failed() {
-			t.Fatalf("swap %d failed: %v %v %v", i, out.applyErr, out.abortErr, out.hardErr)
+		if out.err != nil {
+			t.Fatalf("swap %d failed: %v", i, out.err)
 		}
 		return out
 	}
 
 	spec := run(s.lanes[0], laneReader, nil, 1) // the lane: base reserves only
-	v.Commit(run(&s.laneState, commitReader, v, 0).ws, commitReader)
+	v.Commit(run(&s.laneState, commitReader, v, 0).ws)
 	if v.Validate(spec.rs) {
 		t.Fatal("conflict not detected after a competing swap committed")
 	}
@@ -371,7 +371,7 @@ func TestParallelConflictReexecutesOnce(t *testing.T) {
 	if reflect.DeepEqual(spec.trace, final.trace) {
 		t.Fatal("re-execution against the committed prefix traced the same as the stale speculation")
 	}
-	v.Commit(final.ws, commitReader)
+	v.Commit(final.ws)
 }
 
 // modeledRun is everything a bundle result models, compared whole
@@ -660,9 +660,10 @@ func TestExecutorCommitLaneModelUnchanged(t *testing.T) {
 
 // TestExecutorFailureSurfaces pins how failures leave the executor at
 // lane counts 0 and 4: a validation failure fails the bundle naming the
-// transaction, a hardware abort ends it with Aborted set and earlier
-// traces kept, an error panic out of the query path is wrapped in
-// ErrAborted, and a non-error panic is re-raised.
+// transaction, a hardware abort (Memory Overflow, L3 tamper) ends it
+// with Aborted set to the cause and earlier traces kept, any other halt
+// out of the query path fails it with ErrAborted, and a panic that is
+// not a halt — a bug — is not recovered at all.
 func TestExecutorFailureSurfaces(t *testing.T) {
 	r := buildParallelRig(t, ConfigRaw, 4, false)
 	ok := nonceChainBundle(t, r.world, 1).Txs[0]
@@ -685,8 +686,9 @@ func TestExecutorFailureSurfaces(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d lanes: overflow: %v", dev.cfg.Lanes, err)
 		}
-		var moe *hevm.MemoryOverflowError
-		if !errors.As(res.Aborted, &moe) || len(res.Trace.Txs) != 1 || res.GasUsed != res.Trace.Txs[0].GasUsed {
+		moe, isMOE := res.Aborted.(*hevm.MemoryOverflowError)
+		if !isMOE || !strings.HasPrefix(moe.Error(), "hevm: memory overflow: frame ") ||
+			len(res.Trace.Txs) != 1 || res.GasUsed != res.Trace.Txs[0].GasUsed {
 			t.Errorf("%d lanes: overflow: aborted=%v traces=%d gas=%d", dev.cfg.Lanes, res.Aborted, len(res.Trace.Txs), res.GasUsed)
 		}
 	}
@@ -695,19 +697,49 @@ func TestExecutorFailureSurfaces(t *testing.T) {
 	s := <-d.slots
 	defer func() { s.reset(); d.slots <- s }()
 	blockCtx := workload.NewBlockContext(&d.chain.Head().Header)
-	out := d.specOnce(&s.laneState, panicReader{errors.New("backend down")}, state.NewVersioned(), blockCtx, ok)
-	if !errors.Is(out.hardErr, ErrAborted) || out.bugPanic != nil || out.abortErr != nil {
-		t.Errorf("error panic: hard=%v abort=%v bug=%v", out.hardErr, out.abortErr, out.bugPanic)
+	run := func(fault func()) *laneOutcome {
+		return d.specOnce(&s.laneState, faultyReader{fault}, state.NewVersioned(), blockCtx, ok)
 	}
-	out = d.specOnce(&s.laneState, panicReader{"index out of range"}, state.NewVersioned(), blockCtx, ok)
-	if out.bugPanic != "index out of range" || out.failed() {
-		t.Errorf("non-error panic: bug=%v hard=%v abort=%v", out.bugPanic, out.hardErr, out.abortErr)
+	moe := &hevm.MemoryOverflowError{FrameBytes: 1 << 20, Limit: 512 << 10}
+	for _, c := range []struct {
+		cause, aborted error
+		fails          string
+	}{
+		{errors.New("backend down"), nil, "core: bundle aborted: backend down"},
+		{hevm.ErrL3Tampered, hevm.ErrL3Tampered, ""},
+		{moe, moe, ""},
+	} {
+		out := run(func() { evm.Halt(c.cause) })
+		result := &BundleResult{}
+		err := finishFailed(result, 0, out.err)
+		if (err == nil) != (c.fails == "") || err != nil && (!errors.Is(err, ErrAborted) || err.Error() != c.fails) {
+			t.Errorf("halt %v: bundle error %v, want %q", c.cause, err, c.fails)
+		}
+		if result.Aborted != c.aborted {
+			t.Errorf("halt %v: Aborted = %v, want %v", c.cause, result.Aborted, c.aborted)
+		}
+	}
+	// A bug panics out of specOnce with its own value, unrecovered.
+	if r := recoverFrom(func() { run(func() { panic("index out of range") }) }); r != "index out of range" {
+		t.Errorf("string panic: specOnce let through %v", r)
+	}
+	var none []int
+	r0 := recoverFrom(func() { run(func() { _ = none[len(none)] }) })
+	if _, isRuntime := r0.(runtime.Error); !isRuntime {
+		t.Errorf("runtime error: specOnce let through %v", r0)
 	}
 }
 
-// panicReader is a world-state backend whose every query panics.
-type panicReader struct{ with any }
+// recoverFrom runs fn and returns what it panicked with, or nil.
+func recoverFrom(fn func()) (r any) {
+	defer func() { r = recover() }()
+	fn()
+	return nil
+}
 
-func (p panicReader) Account(types.Address) (*types.Account, bool) { panic(p.with) }
-func (p panicReader) Storage(types.Address, types.Hash) types.Hash { panic(p.with) }
-func (p panicReader) Code(types.Hash) []byte                       { panic(p.with) }
+// faultyReader is a world-state backend whose every query runs fault.
+type faultyReader struct{ fault func() }
+
+func (f faultyReader) Account(types.Address) (*types.Account, bool) { f.fault(); return nil, false }
+func (f faultyReader) Storage(types.Address, types.Hash) types.Hash { f.fault(); return types.Hash{} }
+func (f faultyReader) Code(types.Hash) []byte                       { f.fault(); return nil }

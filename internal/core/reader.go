@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"hardtape/internal/evm"
 	"hardtape/internal/hevm"
 	"hardtape/internal/pager"
 	"hardtape/internal/simclock"
@@ -21,9 +22,12 @@ import (
 // with a Hypervisor exception charged on every L1 miss (paper step 5)
 // and the code prefetcher notified on every real ORAM query (§IV-D).
 //
-// hvReader panics with a wrapped error on backend failures — the
-// executor converts this into a bundle failure, matching the hardware
-// behaviour of halting the HEVM on an unrecoverable exception.
+// A backend failure halts the transaction (evm.Halt) — the hardware
+// halts the HEVM on an unrecoverable exception — and the executor
+// turns the halt into a bundle failure wrapping ErrAborted. The halt
+// names the kind of read and carries the backend's error, never the
+// address, slot, code hash or page read: its text reaches error spans
+// the SP can scrape.
 type hvReader struct {
 	dev  *Device
 	lane *laneState
@@ -50,7 +54,7 @@ func (r *hvReader) recordORAMBatch(kind byte, n int) {
 	if ref, ok := r.lane.prefetcher.PopDue(r.lane.clock.Now()); ok {
 		if _, err := r.codeORAM.ReadCodePage(r.ctx, ref.CodeHash, ref.Index); err != nil &&
 			!errors.Is(err, pager.ErrPageNotFound) {
-			panic(fmt.Errorf("core: prefetch page %d: %w", ref.Index, err))
+			halt("prefetch", err)
 		}
 		r.logQueries('c', 1)
 	}
@@ -100,7 +104,7 @@ func (r *hvReader) Account(addr types.Address) (*types.Account, bool) {
 		case errors.Is(err, pager.ErrPageNotFound):
 			meta = nil // absent accounts are memoized too
 		default:
-			panic(fmt.Errorf("core: account %s: %w", addr, err))
+			halt("account", err)
 		}
 		r.lane.acctCache[addr] = meta
 	}
@@ -129,7 +133,7 @@ func (r *hvReader) Storage(addr types.Address, slot types.Hash) types.Hash {
 	}
 	val, _, err := r.kv.ReadStorageRecord(r.ctx, addr, slot)
 	if err != nil {
-		panic(fmt.Errorf("core: storage %s/%s: %w", addr, slot, err))
+		halt("storage", err)
 	}
 	r.lane.wsCache.Put(ck, val)
 	return val
@@ -157,7 +161,7 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 		r.recordORAMBatch('c', 1)
 		if _, err := r.codeORAM.ReadCodePage(r.ctx, codeHash, 0); err != nil &&
 			!errors.Is(err, pager.ErrPageNotFound) {
-			panic(fmt.Errorf("core: code page 0 of %s: %w", codeHash, err))
+			halt("code page", err)
 		}
 		if r.dev.cfg.DisablePrefetch {
 			// Ablation: burst-fetch all remaining pages immediately —
@@ -171,7 +175,7 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 					indices = append(indices, i)
 				}
 				if _, err := r.codeORAM.ReadCodePages(r.ctx, codeHash, indices); err != nil {
-					panic(fmt.Errorf("core: code pages of %s: %w", codeHash, err))
+					halt("code page", err)
 				}
 				r.recordORAMBatch('c', len(indices))
 			}
@@ -184,10 +188,15 @@ func (r *hvReader) Code(codeHash types.Hash) []byte {
 	}
 	code, err := r.code.ReadCode(r.ctx, codeHash, codeLen)
 	if err != nil {
-		panic(fmt.Errorf("core: code %s: %w", codeHash, err))
+		halt("code", err)
 	}
 	r.lane.codeCache[codeHash] = code
 	return code
+}
+
+// halt stops the transaction on a failed read of the given kind.
+func halt(kind string, err error) {
+	evm.Halt(fmt.Errorf("core: %s read: %w", kind, err))
 }
 
 // newReader wires the reader one lane executes against, charging that

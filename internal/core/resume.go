@@ -36,8 +36,8 @@ import (
 // Resumed channels never enable per-message ECDSA signatures: the
 // bundle stream is authenticated by the PSK-bound AEAD, and keeping the
 // warm path free of asymmetric operations is the subsystem's entire
-// point. A deployment that requires the -ES signature layer simply
-// re-dials cold.
+// point. So a signing service mints no ticket (sendTicket), and every
+// session with it dials cold.
 
 // resumeRequestMsg presents a ticket. Plaintext: the ticket is opaque
 // (STEK-sealed) and the nonce is public salt.

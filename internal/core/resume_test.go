@@ -45,6 +45,24 @@ func copyTicket(ct *session.ClientTicket) *session.ClientTicket {
 	return &cp
 }
 
+// TestSigningServiceMintsNoTicket: a resumed channel never signs, so a
+// service that signs hands a cold session no ticket — the -ES layer
+// then holds for every client, not only for those that never resume.
+func TestSigningServiceMintsNoTicket(t *testing.T) {
+	sr := buildServiceRig(t, ConfigES)
+	c, err := Dial(sr.serveOnce(t), sr.verifier(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.PreExecute(sr.transferBundle(t, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Ticket() != nil {
+		t.Fatal("a signing service minted a resumption ticket")
+	}
+}
+
 func TestResumeWarmSessionZeroAsymOps(t *testing.T) {
 	sr := buildServiceRig(t, ConfigE)
 

@@ -315,11 +315,13 @@ func (s *Service) coldHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 
 // sendTicket seals the rotated resumption ticket into the freshly
 // established channel, before any mux reply can share it. The PSK is
-// consumed: sealed into the ticket and zeroed.
+// consumed: sealed into the ticket and zeroed. A signing service mints
+// no ticket: a resumed channel never signs, so a ticket would let a
+// client drop the -ES layer the service was deployed with.
 func (s *Service) sendTicket(conn io.ReadWriter, secure *channel.SecureChannel, psk [32]byte, sessionID uint64) error {
 	defer session.ZeroKey(&psk)
 	var out ticketIssueMsg
-	if s.issuer != nil {
+	if s.issuer != nil && !s.sign {
 		st := &session.State{
 			SessionID:   sessionID,
 			PSK:         psk,

@@ -336,6 +336,59 @@ func TestCreateRevertReturnsData(t *testing.T) {
 	}
 }
 
+// TestRevertedCreateLeavesNoCode: a frame CREATEs a contract and then
+// reverts. The code store is journaled with the frame, so no code is
+// left in the per-transaction overlay or in the write set it commits.
+func TestRevertedCreateLeavesNoCode(t *testing.T) {
+	runtime := cat(push(7), returnTop)
+	// Initcode: MSTORE the runtime right-aligned in word 0, RETURN it.
+	var word [32]byte
+	copy(word[32-len(runtime):], runtime)
+	initCode := cat([]byte{byte(PUSH32)}, word[:], push(0), []byte{byte(MSTORE)},
+		push(uint64(len(runtime))), push(uint64(32-len(runtime))), []byte{byte(RETURN)})
+	// The frame: copy the initcode from calldata, CREATE, then REVERT.
+	outer := cat(
+		[]byte{byte(CALLDATASIZE)}, push(0), push(0), []byte{byte(CALLDATACOPY)},
+		[]byte{byte(CALLDATASIZE)}, push(0), push(0), []byte{byte(CREATE)},
+		push(0), push(0), []byte{byte(REVERT)},
+	)
+	w := state.NewWorldState()
+	caller := types.NewAccount()
+	caller.Balance.SetUint64(1_000_000_000)
+	contract := types.NewAccount()
+	contract.CodeHash = w.SetCode(outer)
+	if err := w.SetAccount(testCaller, caller); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SetAccount(testContract, contract); err != nil {
+		t.Fatal(err)
+	}
+	v := state.NewVersioned()
+	txo := state.NewTxOverlay(v, w)
+	e := New(BlockContext{GasLimit: 30_000_000}, txo)
+	created := types.CreateAddress(testContract, 0)
+
+	// The same CREATE without the REVERT deploys: the test is not vacuous.
+	probe := New(BlockContext{GasLimit: 30_000_000}, state.NewTxOverlay(v, w))
+	if _, addr, _, err := probe.Create(testContract, initCode, 1_000_000, new(uint256.Int)); err != nil ||
+		addr != created || !bytes.Equal(probe.State.GetCode(created), runtime) {
+		t.Fatalf("CREATE alone: %v, address %s, code %x", err, addr, probe.State.GetCode(created))
+	}
+
+	txo.BeginTx()
+	if _, _, err := e.Call(testCaller, testContract, initCode, 1_000_000, new(uint256.Int)); !errors.Is(err, ErrExecutionReverted) {
+		t.Fatalf("outer frame: %v, want a revert", err)
+	}
+	if code := txo.GetCode(created); code != nil {
+		t.Fatalf("reverted CREATE left code %x at %s", code, created)
+	}
+	_, ws := txo.Finish()
+	v.Commit(ws)
+	if code := v.View(w).Code(types.Hash(keccak.Sum256(runtime))); code != nil {
+		t.Fatalf("reverted CREATE committed code %x", code)
+	}
+}
+
 func TestSelfdestructOpcode(t *testing.T) {
 	beneficiary := types.MustAddress("0x1234000000000000000000000000000000001234")
 	code := cat([]byte{byte(PUSH1) + 19}, beneficiary[:], []byte{byte(SELFDESTRUCT)})

@@ -27,3 +27,18 @@ var (
 	ErrNonceMismatch     = errors.New("evm: nonce mismatch")
 	ErrInsufficientFunds = errors.New("evm: insufficient funds for gas * price + value")
 )
+
+// HaltError is an unrecoverable exception raised below the interpreter
+// — by a hook (a hardware abort: Memory Overflow, a forged L3 page) or
+// by the world-state reader (a backend failure). It stops the whole
+// transaction, not just the frame: ApplyTransaction returns it, and it
+// unwraps to its cause.
+type HaltError struct{ Err error }
+
+func (h *HaltError) Error() string { return h.Err.Error() }
+func (h *HaltError) Unwrap() error { return h.Err }
+
+// Halt stops the running transaction with err. It may be called from a
+// hook or a state.Reader method while ApplyTransaction runs; it
+// unwinds to ApplyTransaction, the one place that recovers it.
+func Halt(err error) { panic(&HaltError{Err: err}) }

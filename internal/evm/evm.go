@@ -51,7 +51,6 @@ type EVM struct {
 	hookCallExit  bool
 	hookWS        bool
 	hookMem       bool
-	hookLog       bool
 }
 
 // refreshHookFlags recomputes the hook fast-path flags from e.Hooks.
@@ -64,7 +63,6 @@ func (e *EVM) refreshHookFlags() {
 	e.hookCallExit = h != nil && h.OnCallExit != nil
 	e.hookWS = h != nil && h.OnWorldState != nil
 	e.hookMem = h != nil && h.OnMemAccess != nil
-	e.hookLog = h != nil && h.OnLog != nil
 }
 
 // New constructs an EVM. Nil BaseFee/ChainID default to zero values.
@@ -365,8 +363,19 @@ func (r *ExecutionResult) Reverted() bool {
 // charging gas to the sender and crediting the coinbase, exactly as a
 // node (or pre-executor) would. Validation failures return an error
 // and leave the state untouched; execution failures are reported
-// inside the result.
-func (e *EVM) ApplyTransaction(tx *types.Transaction) (*ExecutionResult, error) {
+// inside the result. A Halt anywhere below returns its *HaltError, and
+// the state is then mid-transaction and must be discarded. Any other
+// panic is a bug and is not recovered.
+func (e *EVM) ApplyTransaction(tx *types.Transaction) (_ *ExecutionResult, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			h, ok := r.(*HaltError)
+			if !ok {
+				panic(r)
+			}
+			err = h
+		}
+	}()
 	sender, err := tx.Sender()
 	if err != nil {
 		return nil, fmt.Errorf("evm: apply: %w", err)

@@ -121,7 +121,8 @@ type stepRec struct {
 	exits  []CallResultInfo
 	ws     []WorldStateAccess
 	mems   []MemAccess
-	logs   int
+	// logs counts the logs the journal holds after each transaction.
+	logs int
 }
 
 func (r *stepRec) hooks() *Hooks {
@@ -137,7 +138,6 @@ func (r *stepRec) hooks() *Hooks {
 		OnCallExit:   func(i CallResultInfo) { r.exits = append(r.exits, i) },
 		OnWorldState: func(a WorldStateAccess) { r.ws = append(r.ws, a) },
 		OnMemAccess:  func(a MemAccess) { r.mems = append(r.mems, a) },
-		OnLog:        func(*types.Log) { r.logs++ },
 	}
 }
 
@@ -245,6 +245,7 @@ func runParityBundle(t *testing.T, attachHooks bool) (*stepRec, []uint64, [][]by
 		if err != nil {
 			t.Fatalf("%s: %v", tx.name, err)
 		}
+		rec.logs += len(e.State.Logs())
 		gasUsed = append(gasUsed, tx.gas-left)
 		rets = append(rets, append([]byte(nil), ret...))
 	}

@@ -70,7 +70,6 @@ func countingHooks() *Hooks {
 		OnCallExit:   func(CallResultInfo) { n++ },
 		OnWorldState: func(WorldStateAccess) { n++ },
 		OnMemAccess:  func(MemAccess) { n++ },
-		OnLog:        func(*types.Log) { n++ },
 	}
 }
 

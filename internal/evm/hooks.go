@@ -112,7 +112,6 @@ type Hooks struct {
 	OnCallExit   func(CallResultInfo)
 	OnWorldState func(WorldStateAccess)
 	OnMemAccess  func(MemAccess)
-	OnLog        func(*types.Log)
 }
 
 func (h *Hooks) step(info StepInfo) {
@@ -145,12 +144,6 @@ func (h *Hooks) memAccess(a MemAccess) {
 	}
 }
 
-func (h *Hooks) log(l *types.Log) {
-	if h != nil && h.OnLog != nil {
-		h.OnLog(l)
-	}
-}
-
 // CombineHooks fans events out to multiple consumers (e.g. the tracer
 // and the hardware shadow) in order. Nil entries are skipped, and each
 // handler is installed only when at least one consumer implements it,
@@ -158,7 +151,7 @@ func (h *Hooks) log(l *types.Log) {
 // a combined hook set.
 func CombineHooks(hooks ...*Hooks) *Hooks {
 	var list []*Hooks
-	var anyStep, anyEnter, anyExit, anyWS, anyMem, anyLog bool
+	var anyStep, anyEnter, anyExit, anyWS, anyMem bool
 	for _, h := range hooks {
 		if h == nil {
 			continue
@@ -169,7 +162,6 @@ func CombineHooks(hooks ...*Hooks) *Hooks {
 		anyExit = anyExit || h.OnCallExit != nil
 		anyWS = anyWS || h.OnWorldState != nil
 		anyMem = anyMem || h.OnMemAccess != nil
-		anyLog = anyLog || h.OnLog != nil
 	}
 	out := &Hooks{}
 	if anyStep {
@@ -204,13 +196,6 @@ func CombineHooks(hooks ...*Hooks) *Hooks {
 		out.OnMemAccess = func(a MemAccess) {
 			for _, h := range list {
 				h.memAccess(a)
-			}
-		}
-	}
-	if anyLog {
-		out.OnLog = func(l *types.Log) {
-			for _, h := range list {
-				h.log(l)
 			}
 		}
 	}

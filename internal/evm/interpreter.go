@@ -737,7 +737,6 @@ func (e *EVM) execute(f *frame, op OpCode, pc uint64) (ret []byte, nextPC uint64
 			e.Hooks.memAccess(MemAccess{Offset: off, Size: sz})
 		}
 		e.State.AddLog(log)
-		e.Hooks.log(log)
 
 	// --- Calls and creates ---
 	case CREATE, CREATE2:

@@ -155,8 +155,8 @@ func (b *RemoteBackend) Capacity() int { return cap(b.slots) }
 
 // session returns the live client, dialing one if there is none: warm
 // (ticket resume, zero asymmetric crypto) when a harvested ticket is on
-// hand, cold attestation otherwise. Signing sessions always dial cold —
-// resumed channels deliberately never carry the per-message ECDSA layer.
+// hand, cold attestation otherwise. A signing device mints no ticket,
+// so its sessions always dial cold.
 //
 //hardtape:locksafe-ok b.mu serializes the one session's (re)dial so concurrent bundles share it; dial bounds every handshake it guards by dialTimeout
 func (b *RemoteBackend) session() (*core.Client, error) {
@@ -168,7 +168,7 @@ func (b *RemoteBackend) session() (*core.Client, error) {
 	if b.client != nil {
 		return b.client, nil
 	}
-	if ticket := b.ticket; ticket != nil && !b.sign {
+	if ticket := b.ticket; ticket != nil {
 		b.ticket = nil
 		if err := b.verifier.Check(ticket.Serial); err != nil {
 			// Revoked since the ticket was minted: fail closed, never

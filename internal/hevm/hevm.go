@@ -350,7 +350,7 @@ func (m *Machine) growFrame(f *frameShadow) {
 	size := f.frameBytes()
 	if size >= m.cfg.FrameLimitBytes {
 		m.overflowed = true
-		panic(&MemoryOverflowError{FrameBytes: size, Limit: m.cfg.FrameLimitBytes})
+		evm.Halt(&MemoryOverflowError{FrameBytes: size, Limit: m.cfg.FrameLimitBytes})
 	}
 	needPages := (size + PageSize - 1) / PageSize
 	for uint64(len(f.pages)) < needPages {
@@ -453,25 +453,19 @@ func (m *Machine) nextNonce() uint64 {
 }
 
 // openPageFromL3 decrypts and authenticates one page on reload,
-// panicking with ErrL3Tampered on forgery (caught by the executor and
-// surfaced as a bundle failure).
+// halting the transaction with ErrL3Tampered on a missing or forged
+// page.
 func (m *Machine) openPageFromL3(pageID uint64) {
-	blob, ok := m.l3Store[pageID]
-	if !ok {
-		panic(ErrL3Tampered)
-	}
+	blob := m.l3Store[pageID]
 	ns := m.aead.NonceSize()
 	if len(blob) < ns {
-		panic(ErrL3Tampered)
+		evm.Halt(ErrL3Tampered)
 	}
 	var ad [8]byte
 	binary.BigEndian.PutUint64(ad[:], pageID)
 	plain, err := m.aead.Open(nil, blob[:ns], blob[ns:], ad[:])
-	if err != nil {
-		panic(ErrL3Tampered)
-	}
-	if binary.BigEndian.Uint64(plain) != pageID {
-		panic(ErrL3Tampered)
+	if err != nil || binary.BigEndian.Uint64(plain) != pageID {
+		evm.Halt(ErrL3Tampered)
 	}
 	delete(m.l3Store, pageID)
 }

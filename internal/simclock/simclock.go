@@ -69,6 +69,13 @@ type Calibration struct {
 	// software dispatch is heavier than the HEVM pipeline but the clock
 	// is 43x faster).
 	GethTimePerOp time.Duration
+	// TSCVEETimePerOp and TSCVEEPrefetch model the TSC-VEE baseline
+	// (Fig. 5): the interpreted-EVM time per instruction on its
+	// TrustZone core (slightly slower than the Geth server, per the
+	// TSC-VEE paper's own numbers) and the one-time load of the admitted
+	// contract's bytecode and storage into secure memory.
+	TSCVEETimePerOp time.Duration
+	TSCVEEPrefetch  time.Duration
 }
 
 // ORAMBatchCost models one ORAM round: the link round trip is paid
@@ -135,7 +142,9 @@ func DefaultCalibration() Calibration {
 		LaneValidatePerRead: 90 * time.Nanosecond,
 		LaneCommitPerWrite:  120 * time.Nanosecond,
 
-		GethTimePerOp: 13 * time.Nanosecond,
+		GethTimePerOp:   13 * time.Nanosecond,
+		TSCVEETimePerOp: 15 * time.Nanosecond,
+		TSCVEEPrefetch:  2 * time.Millisecond,
 	}
 }
 

@@ -106,7 +106,10 @@ func (rs *ReadSet) Len() int {
 
 // accountWrite is one account's pending commit: either the full
 // resolved final state (absolute), or a signed balance delta plus a
-// monotonic exists bit.
+// monotonic exists bit, applied to base when no earlier transaction
+// committed the account. base is the state the transaction observed:
+// the recorder pins it, so the committer never reads to resolve a
+// delta.
 type accountWrite struct {
 	absolute bool
 	final    versionedAccount
@@ -114,6 +117,7 @@ type accountWrite struct {
 	deltaNeg bool
 	delta    uint256.Int
 	exists   bool
+	base     versionedAccount
 }
 
 // WriteSet is everything a speculative execution wants to publish.
@@ -229,9 +233,10 @@ func (v *Versioned) Validate(rs *ReadSet) bool {
 
 // Commit publishes a validated (or re-executed) transaction's write
 // set. Called only by the in-order committer; delta commits resolve
-// against the current committed value, falling through to base for
-// accounts no earlier transaction touched.
-func (v *Versioned) Commit(ws *WriteSet, base Reader) {
+// against the current committed value, falling back to the observed
+// base state for accounts no earlier transaction touched. It reads
+// nothing: a commit issues no world-state query.
+func (v *Versioned) Commit(ws *WriteSet) {
 	if ws == nil {
 		return
 	}
@@ -248,7 +253,10 @@ func (v *Versioned) Commit(ws *WriteSet, base Reader) {
 		}
 		cur, ok := v.accounts[addr]
 		if !ok {
-			cur = accountOf(base.Account(addr))
+			// Committed entries are never deleted: absent now means no
+			// commit before the observation either, so it came from
+			// the immutable base.
+			cur = aw.base
 		}
 		if aw.deltaNeg {
 			cur.balance.Sub(&cur.balance, &aw.delta)
@@ -492,7 +500,7 @@ func (t *TxOverlay) Finish() (*ReadSet, *WriteSet) {
 				// Unread balance: commit the signed delta so concurrent
 				// fee credits (coinbase, transfer recipients) compose
 				// instead of conflicting.
-				aw := &accountWrite{exists: final.exists}
+				aw := &accountWrite{exists: final.exists, base: obs}
 				if final.balance.Lt(&obs.balance) {
 					aw.deltaNeg = true
 					aw.delta.Sub(&obs.balance, &final.balance)

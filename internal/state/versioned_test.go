@@ -41,8 +41,8 @@ func TestVersionedWriteAfterWrite(t *testing.T) {
 	t2.SetStorage(addr(1), hashOf(7), hashOf(200))
 	_, ws2 := t2.Finish()
 
-	v.Commit(ws1, w)
-	v.Commit(ws2, w)
+	v.Commit(ws1)
+	v.Commit(ws2)
 
 	if got := v.View(w).Storage(addr(1), hashOf(7)); got != hashOf(200) {
 		t.Fatalf("WAW slot = %s, want later writer's value %s", got, hashOf(200))
@@ -62,7 +62,7 @@ func TestVersionedBaseOnlyOverlay(t *testing.T) {
 	writer.SetStorage(addr(1), hashOf(7), hashOf(100))
 	writer.SetStorage(addr(2), hashOf(9), hashOf(0))
 	_, ws := writer.Finish()
-	v.Commit(ws, w)
+	v.Commit(ws)
 
 	stale := NewTxOverlay(nil, w)
 	stale.BeginTx()
@@ -129,7 +129,7 @@ func TestVersionedStorageConflict(t *testing.T) {
 	writer.BeginTx()
 	writer.SetStorage(addr(1), hashOf(7), hashOf(100))
 	_, ws := writer.Finish()
-	v.Commit(ws, w)
+	v.Commit(ws)
 
 	if v.Validate(rs) {
 		t.Fatal("stale read of a committed slot must fail validation")
@@ -166,7 +166,7 @@ func TestVersionedDoubleConflict(t *testing.T) {
 		txo.BeginTx()
 		txo.SetStorage(addr(1), hashOf(7), val)
 		_, ws := txo.Finish()
-		v.Commit(ws, w)
+		v.Commit(ws)
 	}
 
 	rs := speculate()
@@ -205,11 +205,11 @@ func TestVersionedBalanceDelta(t *testing.T) {
 	_, ws1 := credit(10)
 	rs2, ws2 := credit(25)
 
-	v.Commit(ws1, w)
+	v.Commit(ws1)
 	if !v.Validate(rs2) {
 		t.Fatal("pure credit must not conflict with an earlier credit")
 	}
-	v.Commit(ws2, w)
+	v.Commit(ws2)
 
 	acct, ok := v.View(w).Account(coinbase)
 	if !ok {
@@ -239,7 +239,7 @@ func TestVersionedBalanceReadConflicts(t *testing.T) {
 	spender.GetBalance(addr(2))
 	spender.SubBalance(addr(2), uint256.NewInt(1))
 	_, ws := spender.Finish()
-	v.Commit(ws, w)
+	v.Commit(ws)
 
 	if v.Validate(rs) {
 		t.Fatal("balance read must conflict with a committed spend")
@@ -267,7 +267,7 @@ func TestVersionedAbsoluteForcesFullValidation(t *testing.T) {
 	a.BeginTx()
 	a.AddBalance(target, uint256.NewInt(5))
 	_, wsA := a.Finish()
-	v.Commit(wsA, w)
+	v.Commit(wsA)
 
 	if v.Validate(rsB) {
 		t.Fatal("absolute write must conflict with the earlier balance delta")
@@ -281,7 +281,7 @@ func TestVersionedAbsoluteForcesFullValidation(t *testing.T) {
 	if !v.Validate(rsB2) {
 		t.Fatal("re-speculated absolute write should validate")
 	}
-	v.Commit(wsB2, w)
+	v.Commit(wsB2)
 
 	acct, ok := v.View(w).Account(target)
 	if !ok {
@@ -308,7 +308,7 @@ func TestVersionedDeletionCanonical(t *testing.T) {
 	killer.Selfdestruct(victim)
 	killer.FinaliseTx()
 	_, ws := killer.Finish()
-	v.Commit(ws, w)
+	v.Commit(ws)
 
 	if _, ok := v.View(w).Account(victim); ok {
 		t.Fatal("destroyed account should not resolve")
@@ -342,7 +342,7 @@ func TestVersionedPinnedReads(t *testing.T) {
 	writer.BeginTx()
 	writer.SetStorage(addr(1), hashOf(7), hashOf(200))
 	_, ws := writer.Finish()
-	v.Commit(ws, w)
+	v.Commit(ws)
 
 	second := txo.GetStorage(addr(1), hashOf(7))
 	if first != second {
@@ -366,7 +366,7 @@ func TestVersionedCommittedStorageBypass(t *testing.T) {
 	writer.BeginTx()
 	writer.SetStorage(addr(1), hashOf(7), hashOf(200))
 	_, ws := writer.Finish()
-	v.Commit(ws, w)
+	v.Commit(ws)
 
 	txo := NewTxOverlay(v, w)
 	txo.BeginTx()
@@ -394,7 +394,7 @@ func TestVersionedRevertedWriteIsNoop(t *testing.T) {
 	if !v.Validate(rs) {
 		t.Fatal("reverted write should validate")
 	}
-	v.Commit(ws, w)
+	v.Commit(ws)
 
 	acct, ok := v.View(w).Account(addr(2))
 	if !ok || acct.Nonce != 2 {
@@ -416,12 +416,43 @@ func TestVersionedCodeCommit(t *testing.T) {
 	deployer.SetNonce(contract, 1)
 	deployer.SetCode(contract, code)
 	_, ws := deployer.Finish()
-	v.Commit(ws, w)
+	v.Commit(ws)
 
 	reader := NewTxOverlay(v, w)
 	reader.BeginTx()
 	got := reader.GetCode(contract)
 	if string(got) != string(code) {
 		t.Fatalf("committed code = %x, want %x", got, code)
+	}
+}
+
+// TestVersionedCodeSizeReadConflicts: EXTCODESIZE consumes the account's
+// code hash. tx0 deploys a contract to an address that tx1, speculated
+// against the base, measured as empty; once tx0 commits, tx1 must
+// conflict.
+func TestVersionedCodeSizeReadConflicts(t *testing.T) {
+	w := testWorld(t)
+	v := NewVersioned()
+	target := addr(9)
+
+	deploy := NewTxOverlay(v, w)
+	deploy.BeginTx()
+	deploy.CreateAccount(target)
+	deploy.SetNonce(target, 1)
+	deploy.SetCode(target, []byte{0x60, 0x07, 0x00})
+
+	measure := NewTxOverlay(nil, w)
+	measure.BeginTx()
+	if n := measure.GetCodeSize(target); n != 0 {
+		t.Fatalf("base code size %d, want 0", n)
+	}
+	rs, _ := measure.Finish()
+	if !v.Validate(rs) {
+		t.Fatal("a code-size read must validate before any commit")
+	}
+	_, ws := deploy.Finish()
+	v.Commit(ws)
+	if v.Validate(rs) {
+		t.Fatal("a code-size read of an address deployed to by an earlier commit validated")
 	}
 }

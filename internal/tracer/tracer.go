@@ -90,7 +90,6 @@ func (t *Tracer) Hooks() *evm.Hooks {
 		OnCallEnter:  t.onCallEnter,
 		OnCallExit:   t.onCallExit,
 		OnWorldState: t.onWorldState,
-		OnLog:        t.onLog,
 	}
 	if t.CaptureSteps {
 		h.OnStep = t.onStep
@@ -104,7 +103,9 @@ func (t *Tracer) BeginTx(txHash types.Hash) {
 	t.callStack = t.callStack[:0]
 }
 
-// EndTx finalizes the record with the execution result.
+// EndTx finalizes the record with the execution result. Logs come
+// from the result, not from a hook: a log emitted in a frame that later
+// reverts is gone by then.
 func (t *Tracer) EndTx(res *evm.ExecutionResult) *TxTrace {
 	if t.current == nil {
 		return nil
@@ -124,13 +125,6 @@ func (t *Tracer) EndTx(res *evm.ExecutionResult) *TxTrace {
 func (t *Tracer) Bundle() *BundleTrace {
 	b := t.bundle
 	return &b
-}
-
-// Reset clears all state (bundle release).
-func (t *Tracer) Reset() {
-	t.current = nil
-	t.bundle = BundleTrace{}
-	t.callStack = nil
 }
 
 func (t *Tracer) onStep(info evm.StepInfo) {
@@ -188,11 +182,6 @@ func (t *Tracer) onWorldState(a evm.WorldStateAccess) {
 		Slot:    a.Key,
 		Write:   a.Write,
 	})
-}
-
-func (t *Tracer) onLog(*types.Log) {
-	// Logs are taken from the execution result at EndTx (they may be
-	// reverted away mid-transaction).
 }
 
 // Diff compares two transaction traces and returns a human-readable

@@ -149,10 +149,6 @@ func TestBundleAccumulation(t *testing.T) {
 	if got := len(tr.Bundle().Txs); got != 2 {
 		t.Fatalf("bundle txs = %d", got)
 	}
-	tr.Reset()
-	if len(tr.Bundle().Txs) != 0 {
-		t.Fatal("reset did not clear bundle")
-	}
 }
 
 func TestDiffIdenticalTraces(t *testing.T) {
