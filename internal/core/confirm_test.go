@@ -21,7 +21,7 @@ import (
 // loop with ErrBadConfirmTag, not fail later with a generic AEAD
 // error.
 func TestServeConnRejectsBadConfirmTag(t *testing.T) {
-	sr := buildServiceRig(t, ConfigFull)
+	sr := newRig(t, serviceWorld, config(ConfigFull, 2, 0))
 	client, server := net.Pipe()
 	defer client.Close()
 	errCh := make(chan error, 1)
@@ -70,7 +70,7 @@ func TestServeConnRejectsBadConfirmTag(t *testing.T) {
 // covers the key the user saw, so the device refuses the key exchange
 // and the dial fails before any bundle is sent.
 func TestDialRejectsSwappedDeviceSigningKey(t *testing.T) {
-	sr := buildServiceRig(t, ConfigES)
+	sr := newRig(t, serviceWorld, config(ConfigES, 2, 0))
 	spKey, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // ZeroKey it was wiped on the success path only, so a failed
 // key-exchange write (or a bad device signing key) left it in memory.
 func TestDialZeroesSessionKeyOnEveryPath(t *testing.T) {
-	sr := buildServiceRig(t, ConfigFull)
+	sr := newRig(t, serviceWorld, config(ConfigFull, 2, 0))
 	for _, tc := range []struct {
 		name   string
 		writes int // client writes allowed before the fault; <0 = none injected

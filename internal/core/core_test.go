@@ -5,49 +5,12 @@ import (
 	"sync"
 	"testing"
 
-	"hardtape/internal/baseline"
 	"hardtape/internal/hevm"
-	"hardtape/internal/node"
 	"hardtape/internal/oram"
-	"hardtape/internal/tracer"
 	"hardtape/internal/types"
 	"hardtape/internal/uint256"
 	"hardtape/internal/workload"
 )
-
-// rig is a fully wired test environment.
-type rig struct {
-	world  *workload.World
-	chain  *node.Node
-	device *Device
-}
-
-func buildRig(t testing.TB, features Features) *rig {
-	t.Helper()
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 12
-	wcfg.Tokens = 2
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Features = features
-	cfg.HEVMs = 2
-	dev, err := NewDevice(cfg, nil, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	return &rig{world: w, chain: chain, device: dev}
-}
 
 // transferBundle builds a single ERC-20 transfer bundle. Bundles are
 // temporary (nothing persists), so each bundle uses a distinct sender
@@ -70,7 +33,7 @@ func (r *rig) transferBundleFrom(t testing.TB, sender int, amount uint64) *types
 }
 
 func TestExecuteTransferFull(t *testing.T) {
-	r := buildRig(t, ConfigFull)
+	r := newRig(t, deviceWorld, config(ConfigFull, 2, 0))
 	res, err := r.device.Execute(r.transferBundle(t, 250))
 	if err != nil {
 		t.Fatal(err)
@@ -101,33 +64,22 @@ func TestExecuteTransferFull(t *testing.T) {
 
 func TestTraceMatchesGroundTruth(t *testing.T) {
 	// §VI-B: HarDTAPE's trace must equal the reference executor's.
-	r := buildRig(t, ConfigFull)
+	r := newRig(t, deviceWorld, config(ConfigFull, 2, 0))
 	bundle := r.transferBundle(t, 123)
 
 	res, err := r.device.Execute(bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference run with the same (already signed) txs; fresh world
-	// with identical state.
-	g := baseline.NewGeth(r.chain.State(), workload.NewBlockContext(&r.chain.Head().Header))
-	ref, err := g.ExecuteBundle(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bundle.Txs {
-		diffs := tracer.Diff(res.Trace.Txs[i], ref.Trace.Txs[i])
-		if len(diffs) != 0 {
-			t.Fatalf("tx %d diverges from ground truth: %v", i, diffs)
-		}
-	}
+	// Reference run with the same (already signed) txs on the same state.
+	assertParity(t, "ground truth", r.oracle(t, bundle), res, false)
 }
 
 func TestAllConfigsAgreeOnBehaviour(t *testing.T) {
 	configs := []Features{ConfigRaw, ConfigE, ConfigES, ConfigESO, ConfigFull}
 	var refGas uint64
 	for i, feat := range configs {
-		r := buildRig(t, feat)
+		r := newRig(t, deviceWorld, config(feat, 2, 0))
 		res, err := r.device.Execute(r.transferBundle(t, 42))
 		if err != nil {
 			t.Fatalf("%s: %v", feat.Name(), err)
@@ -148,7 +100,7 @@ func TestFeatureCostOrdering(t *testing.T) {
 	// (signature and ORAM dominate).
 	times := map[string]int64{}
 	for _, feat := range []Features{ConfigRaw, ConfigE, ConfigES, ConfigESO, ConfigFull} {
-		r := buildRig(t, feat)
+		r := newRig(t, deviceWorld, config(feat, 2, 0))
 		// Use a DEX swap: it touches code + storage of two contracts.
 		dex := r.world.DEXes[0]
 		tx, err := r.world.SignedTxAt(r.world.EOAs[0], 0, &dex, 0, workload.CalldataSwap(1000), 400_000)
@@ -172,7 +124,7 @@ func TestFeatureCostOrdering(t *testing.T) {
 }
 
 func TestMemoryOverflowAbortsBundle(t *testing.T) {
-	r := buildRig(t, ConfigRaw)
+	r := newRig(t, deviceWorld, config(ConfigRaw, 2, 0))
 	hog := r.world.MemoryHog
 	tx, err := r.world.SignedTxAt(r.world.EOAs[0], 0, &hog, 0,
 		workload.CalldataUint(600_000), 25_000_000)
@@ -200,7 +152,7 @@ func TestMemoryOverflowAbortsBundle(t *testing.T) {
 
 func TestBundleStateIsTemporary(t *testing.T) {
 	// Step 10: world-state modifications are never persisted.
-	r := buildRig(t, ConfigFull)
+	r := newRig(t, deviceWorld, config(ConfigFull, 2, 0))
 	if _, err := r.device.Execute(r.transferBundle(t, 999)); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +174,7 @@ func TestBundleStateIsTemporary(t *testing.T) {
 }
 
 func TestSlotIsolationAndReset(t *testing.T) {
-	r := buildRig(t, ConfigFull)
+	r := newRig(t, deviceWorld, config(ConfigFull, 2, 0))
 	res1, err := r.device.Execute(r.transferBundle(t, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +194,7 @@ func TestSlotIsolationAndReset(t *testing.T) {
 }
 
 func TestConcurrentBundlesQueueForSlots(t *testing.T) {
-	r := buildRig(t, ConfigRaw) // no shared ORAM → true slot parallelism
+	r := newRig(t, deviceWorld, config(ConfigRaw, 2, 0)) // no shared ORAM → true slot parallelism
 	const n = 8
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -278,7 +230,7 @@ func TestConcurrentBundlesQueueForSlots(t *testing.T) {
 func TestSyncExcludesRunningBundles(t *testing.T) {
 	for _, feat := range []Features{ConfigE, ConfigFull} {
 		t.Run(feat.Name(), func(t *testing.T) {
-			r := buildRig(t, feat)
+			r := newRig(t, deviceWorld, config(feat, 2, 0))
 			bundles := []*types.Bundle{r.transferBundle(t, 1), r.transferBundle(t, 2)}
 			ran := make(chan struct{}, 1)
 			stop := make(chan struct{})
@@ -333,7 +285,7 @@ func TestSyncExcludesRunningBundles(t *testing.T) {
 }
 
 func TestORAMObserverSeesUniformishTraffic(t *testing.T) {
-	r := buildRig(t, ConfigFull)
+	r := newRig(t, deviceWorld, config(ConfigFull, 2, 0))
 	var leaves []uint64
 	r.device.ORAMServer().SetObserver(func(ev oram.AccessEvent) {
 		if !ev.Write {
@@ -363,7 +315,7 @@ func TestORAMObserverSeesUniformishTraffic(t *testing.T) {
 }
 
 func TestPrefetcherRunsInFullConfig(t *testing.T) {
-	r := buildRig(t, ConfigFull)
+	r := newRig(t, deviceWorld, config(ConfigFull, 2, 0))
 	// A DEX swap touches a contract with multi-page code (tokens are
 	// padded per Table I's code-size distribution) and issues multiple
 	// storage queries to drive the interval timer.
@@ -387,7 +339,7 @@ func TestPrefetcherRunsInFullConfig(t *testing.T) {
 }
 
 func TestEmptyAndUnbooted(t *testing.T) {
-	r := buildRig(t, ConfigRaw)
+	r := newRig(t, deviceWorld, config(ConfigRaw, 2, 0))
 	if _, err := r.device.Execute(&types.Bundle{}); !errors.Is(err, ErrBundleEmpty) {
 		t.Fatalf("empty bundle: %v", err)
 	}

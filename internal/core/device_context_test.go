@@ -8,7 +8,7 @@ import (
 )
 
 func TestFreeSlotsTracksOccupancy(t *testing.T) {
-	r := buildRig(t, ConfigRaw)
+	r := newRig(t, deviceWorld, config(ConfigRaw, 2, 0))
 	d := r.device
 	if got := d.FreeSlots(); got != d.SlotCount() {
 		t.Fatalf("idle device: FreeSlots = %d, want %d", got, d.SlotCount())
@@ -34,7 +34,7 @@ func TestFreeSlotsTracksOccupancy(t *testing.T) {
 }
 
 func TestExecuteContextTimesOutWhenSaturated(t *testing.T) {
-	r := buildRig(t, ConfigRaw)
+	r := newRig(t, deviceWorld, config(ConfigRaw, 2, 0))
 	d := r.device
 
 	// Saturate every core so ExecuteContext must queue.
@@ -65,7 +65,7 @@ func TestExecuteContextTimesOutWhenSaturated(t *testing.T) {
 func TestExecuteContextPrefersFreeSlotOverCancelledContext(t *testing.T) {
 	// A free core should win even if the context is already cancelled
 	// (non-blocking fast path).
-	r := buildRig(t, ConfigRaw)
+	r := newRig(t, deviceWorld, config(ConfigRaw, 2, 0))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := r.device.ExecuteContext(ctx, r.transferBundle(t, 3))

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"net"
 	"sync/atomic"
 	"testing"
 
-	"hardtape/internal/node"
 	"hardtape/internal/oram"
-	"hardtape/internal/tracer"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
 )
@@ -15,45 +12,17 @@ import (
 // TestRemoteORAMDevice runs the whole device against a TCP ORAM server
 // — the paper's actual deployment topology.
 func TestRemoteORAMDevice(t *testing.T) {
-	inner, err := oram.NewMemServer(1 << 15)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inner := memServer(t, 1<<15)
 	var pathWrites atomic.Int64
 	inner.SetObserver(func(ev oram.AccessEvent) {
 		if ev.Write {
 			pathWrites.Add(1)
 		}
 	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := oram.ServeTCP(inner, l)
-	defer srv.Close()
-
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 8
-	wcfg.Tokens = 1
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.HEVMs = 1
-	cfg.RemoteORAMAddr = srv.Addr().String()
-	dev, err := NewDevice(cfg, nil, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	cfg := config(ConfigFull, 1, 0)
+	cfg.RemoteORAMAddr = serveORAM(t, inner)
+	r := newRig(t, worldShape{eoas: 8, tokens: 1}, cfg)
+	w, dev := r.world, r.device
 	token := w.Tokens[0]
 	tx, err := w.SignedTxAt(w.EOAs[0], 0, &token, 0,
 		workload.CalldataTransfer(w.EOAs[1], 7), 200_000)
@@ -75,54 +44,20 @@ func TestRemoteORAMDevice(t *testing.T) {
 
 // TestRemoteAndLocalAgree: the transport must not change behaviour.
 func TestRemoteAndLocalORAMAgree(t *testing.T) {
-	inner, err := oram.NewMemServer(1 << 15)
+	remote := config(ConfigFull, 1, 0)
+	remote.RemoteORAMAddr = serveORAM(t, memServer(t, 1<<15))
+	r := newRig(t, worldShape{eoas: 8, tokens: 1}, config(ConfigFull, 1, 0), remote)
+	dex := r.world.DEXes[0]
+	tx, err := r.world.SignedTxAt(r.world.EOAs[0], 0, &dex, 0, workload.CalldataSwap(500), 500_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	b := &types.Bundle{Txs: []*types.Transaction{tx}}
+	var res [2]*BundleResult
+	for i, dev := range r.devices {
+		if res[i], err = dev.Execute(b); err != nil {
+			t.Fatal(err)
+		}
 	}
-	srv := oram.ServeTCP(inner, l)
-	defer srv.Close()
-
-	run := func(remoteAddr string) *tracer.TxTrace {
-		wcfg := workload.DefaultConfig()
-		wcfg.EOAs = 8
-		wcfg.Tokens = 1
-		wcfg.DEXes = 1
-		w, err := workload.BuildWorld(wcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chain, err := node.New(w.State)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.HEVMs = 1
-		cfg.RemoteORAMAddr = remoteAddr
-		dev, err := NewDevice(cfg, nil, chain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dev.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		dex := w.DEXes[0]
-		tx, err := w.SignedTxAt(w.EOAs[0], 0, &dex, 0, workload.CalldataSwap(500), 500_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := dev.Execute(&types.Bundle{Txs: []*types.Transaction{tx}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Trace.Txs[0]
-	}
-	local := run("")
-	remote := run(srv.Addr().String())
-	if diffs := tracer.Diff(local, remote); len(diffs) != 0 {
-		t.Fatalf("transport changed behaviour: %v", diffs)
-	}
+	assertParity(t, "remote ORAM", res[0], res[1], false)
 }

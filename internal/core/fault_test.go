@@ -8,13 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"hardtape/internal/attest"
-	"hardtape/internal/baseline"
-	"hardtape/internal/node"
 	"hardtape/internal/oram"
-	"hardtape/internal/telemetry"
 	"hardtape/internal/types"
-	"hardtape/internal/workload"
 )
 
 // errServerDown is the injected ORAM server fault.
@@ -54,57 +49,15 @@ func (f *faultServer) WritePaths(leaves []uint64, paths [][][]byte) error {
 	return f.Server.WritePaths(leaves, paths)
 }
 
-// faultyORAMDevice builds and syncs a one-core device whose only ORAM
+// faultyDevice builds and syncs a device of cfg on r whose only ORAM
 // shard is a TCP server over a faultServer, then arms the fault.
-func faultyORAMDevice(t *testing.T, chain *node.Node, mfr *attest.Manufacturer, mutate func(*Config), failFrom int64) (*Device, *faultServer) {
+func (r *rig) faultyDevice(t *testing.T, cfg Config, failFrom int64) (*Device, *faultServer) {
 	t.Helper()
-	inner, err := oram.NewMemServer(1 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := &faultServer{Server: inner, failFrom: failFrom}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := oram.ServeTCP(fs, l)
-	t.Cleanup(func() { srv.Close() })
-	cfg := DefaultConfig()
-	cfg.HEVMs = 1
-	cfg.RemoteORAMAddr = srv.Addr().String()
-	mutate(&cfg)
-	dev, err := NewDevice(cfg, mfr, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	fs := &faultServer{Server: memServer(t, 1<<10), failFrom: failFrom}
+	cfg.RemoteORAMAddr = serveORAM(t, fs)
+	dev := r.newDevice(t, cfg)
 	fs.armed.Store(true)
 	return dev, fs
-}
-
-// faultWorld is the small world both fault tests run on, and a 4-tx
-// searcher bundle over it (distinct senders, half of them conflicting).
-func faultWorld(t *testing.T) (*node.Node, *types.Bundle) {
-	t.Helper()
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 4
-	wcfg.Tokens = 1
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := w.MEVBundle(4, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return chain, bundle
 }
 
 // TestORAMFaultSweep: an SP that fails its ORAM server at any point of
@@ -114,9 +67,13 @@ func faultWorld(t *testing.T) (*node.Node, *types.Bundle) {
 // the fault lands on a lane, on a commit-lane re-execution or between
 // commits.
 func TestORAMFaultSweep(t *testing.T) {
-	chain, bundle := faultWorld(t)
-	eso := func(c *Config) { c.Features, c.Lanes = ConfigESO, 4 }
-	dev, fs := faultyORAMDevice(t, chain, nil, eso, -1)
+	r := newRig(t, worldShape{eoas: 4, tokens: 1})
+	bundle, err := r.world.MEVBundle(4, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eso := config(ConfigESO, 1, 4)
+	dev, fs := r.faultyDevice(t, eso, -1)
 	if res, err := dev.Execute(bundle); err != nil || res.Aborted != nil {
 		t.Fatalf("fault-free run: %v, %+v", err, res)
 	}
@@ -126,7 +83,7 @@ func TestORAMFaultSweep(t *testing.T) {
 	}
 	t.Logf("fault-free bundle: %d server calls", calls)
 	for n := int64(0); n < calls; n++ {
-		dev, _ := faultyORAMDevice(t, chain, nil, eso, n)
+		dev, _ := r.faultyDevice(t, eso, n)
 		res, err := dev.Execute(bundle)
 		switch {
 		case err != nil && !errors.Is(err, ErrAborted):
@@ -144,33 +101,29 @@ func TestORAMFaultSweep(t *testing.T) {
 // reads) reach the recorder through a Service; no span error contains
 // the hex of an address, storage slot or code hash the bundle touches.
 func TestORAMFaultSpansNameNoKey(t *testing.T) {
-	chain, bundle := faultWorld(t)
-	keys := touchedKeys(t, chain, bundle)
-	mfr, err := attest.NewManufacturer()
+	r := newRig(t, worldShape{eoas: 4, tokens: 1})
+	bundle, err := r.world.MEVBundle(4, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifier := attest.NewVerifier(mfr.PublicKey(), ImageMeasurement())
-	full := func(reg *telemetry.Registry) func(*Config) {
-		return func(c *Config) { c.Features, c.Lanes, c.Telemetry = ConfigFull, 2, reg }
-	}
-	dev, fs := faultyORAMDevice(t, chain, mfr, full(nil), -1)
+	keys := touchedKeys(t, r, bundle)
+	full := config(ConfigFull, 1, 2)
+	dev, fs := r.faultyDevice(t, full, -1)
 	if _, err := dev.Execute(bundle); err != nil {
 		t.Fatal(err)
 	}
 	failed := 0
 	for n := int64(0); n < fs.calls.Load(); n += 9 {
-		reg := telemetry.NewRegistry()
-		reg.EnableTracing("device", 0)
-		t.Cleanup(reg.FlightRecorder().Close)
-		dev, _ := faultyORAMDevice(t, chain, mfr, full(reg), n)
+		reg := tracedRegistry(t, "device")
+		full.Telemetry = reg
+		dev, _ := r.faultyDevice(t, full, n)
 		clientConn, serverConn := net.Pipe()
 		go func() {
 			defer serverConn.Close()
 			//hardtape:faulterr-ok the session ends when the test closes the pipe; its EOF is the shutdown signal
 			_ = NewService(dev).ServeConn(serverConn)
 		}()
-		c, err := Dial(clientConn, verifier, true)
+		c, err := Dial(clientConn, r.verifier(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,14 +153,10 @@ func TestORAMFaultSpansNameNoKey(t *testing.T) {
 
 // touchedKeys runs bundle on the baseline and returns the lower-case
 // hex of every address, storage slot and code hash it touches.
-func touchedKeys(t *testing.T, chain *node.Node, bundle *types.Bundle) []string {
+func touchedKeys(t *testing.T, r *rig, bundle *types.Bundle) []string {
 	t.Helper()
-	blockCtx := workload.NewBlockContext(&chain.Head().Header)
-	ref, err := baseline.NewGeth(chain.State(), blockCtx).ExecuteBundle(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := map[types.Address]bool{blockCtx.Coinbase: true}
+	ref := r.oracle(t, bundle)
+	addrs := map[types.Address]bool{r.chain.Head().Header.Coinbase: true}
 	var keys []string
 	for _, tx := range ref.Trace.Txs {
 		for _, c := range tx.Calls {
@@ -220,7 +169,7 @@ func touchedKeys(t *testing.T, chain *node.Node, bundle *types.Bundle) []string 
 	}
 	for a := range addrs {
 		keys = append(keys, hex.EncodeToString(a[:]))
-		if acct, ok := chain.State().Account(a); ok && acct.CodeHash != types.EmptyCodeHash {
+		if acct, ok := r.chain.State().Account(a); ok && acct.CodeHash != types.EmptyCodeHash {
 			keys = append(keys, hex.EncodeToString(acct.CodeHash[:]))
 		}
 	}

@@ -53,7 +53,7 @@ func FuzzDecodeMessage(f *testing.F) {
 // error. Every transaction's gas is capped at 300 000, below the memory
 // cost of a 512 KB frame, so no HEVM abort can occur.
 func FuzzBundleParity(f *testing.F) {
-	r := buildParallelRig(f, ConfigRaw, 4, false)
+	r := newRig(f, laneWorld, config(ConfigRaw, 1, 0), config(ConfigRaw, 1, 4))
 	w := r.world
 	recipient := w.EOAs[len(w.EOAs)-1]
 	token := w.Tokens[0]
@@ -84,8 +84,8 @@ func FuzzBundleParity(f *testing.F) {
 		add(w.EOAs[3], &token, workload.CalldataTransfer(recipient, 7))
 		b := &types.Bundle{Txs: txs}
 
-		want, wantErr := r.geth.ExecuteBundle(b)
-		for _, dev := range []*Device{r.seq, r.par} {
+		want, wantErr := r.geth().ExecuteBundle(b)
+		for _, dev := range r.devices {
 			name := fmt.Sprintf("%d lanes", dev.cfg.Lanes)
 			got, err := dev.Execute(b)
 			switch {
@@ -98,7 +98,7 @@ func FuzzBundleParity(f *testing.F) {
 			case err != nil:
 				t.Fatalf("%s: %v (oracle succeeded)", name, err)
 			default:
-				assertOracleParity(t, name, want, got)
+				assertParity(t, name, oracleResult(want), got, false)
 			}
 		}
 	})

@@ -2,12 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
-	"hardtape/internal/baseline"
 	"hardtape/internal/hevm"
-	"hardtape/internal/node"
-	"hardtape/internal/tracer"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
 )
@@ -17,24 +15,8 @@ import (
 // the device re-syncs with Merkle verification, and pre-executions
 // against each new state version keep matching ground truth (§VI-B).
 func TestFullLifecycleAcrossBlocks(t *testing.T) {
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 16
-	wcfg.Tokens = 2
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.HEVMs = 2
-	dev, err := NewDevice(cfg, nil, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t, laneWorld, config(ConfigFull, 2, 0))
+	w, chain, dev := r.world, r.chain, r.device
 
 	for epoch := uint64(1); epoch <= 3; epoch++ {
 		// New on-chain traffic. Pre-execution txs generated below are
@@ -55,7 +37,6 @@ func TestFullLifecycleAcrossBlocks(t *testing.T) {
 
 		// Pre-execute a batch against the fresh state and diff against
 		// the reference executor on the same state.
-		ref := baseline.NewGeth(chain.State(), workload.NewBlockContext(&chain.Head().Header))
 		for i := 0; i < 5; i++ {
 			tx, _, err := w.GenerateTx()
 			if err != nil {
@@ -82,13 +63,7 @@ func TestFullLifecycleAcrossBlocks(t *testing.T) {
 			if res.Aborted != nil {
 				continue
 			}
-			gt, err := ref.ExecuteBundle(bundle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diffs := tracer.Diff(res.Trace.Txs[0], gt.Trace.Txs[0]); len(diffs) != 0 {
-				t.Fatalf("epoch %d bundle %d diverges post-sync: %v", epoch, i, diffs)
-			}
+			assertParity(t, fmt.Sprintf("epoch %d bundle %d", epoch, i), r.oracle(t, bundle), res, false)
 		}
 	}
 }
@@ -99,7 +74,7 @@ func TestFullLifecycleAcrossBlocks(t *testing.T) {
 // and constructor storage, all new since the first Sync — must run
 // after the second Sync exactly as the reference executor runs it.
 func TestBalancesVisibleAfterSync(t *testing.T) {
-	r := buildRig(t, ConfigFull)
+	r := newRig(t, deviceWorld, config(ConfigFull, 2, 0))
 	from, to := r.world.EOAs[3], r.world.EOAs[4]
 
 	// On-chain transfer of 5000 wei.
@@ -175,14 +150,7 @@ func TestBalancesVisibleAfterSync(t *testing.T) {
 	if res.Aborted != nil || res.Trace.Txs[0].Failed {
 		t.Fatalf("call into the synced contract failed: %+v", res)
 	}
-	ref := baseline.NewGeth(r.chain.State(), workload.NewBlockContext(&r.chain.Head().Header))
-	gt, err := ref.ExecuteBundle(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diffs := tracer.Diff(res.Trace.Txs[0], gt.Trace.Txs[0]); len(diffs) != 0 {
-		t.Fatalf("synced contract diverges from the reference: %v", diffs)
-	}
+	assertParity(t, "synced contract", r.oracle(t, bundle), res, false)
 }
 
 // TestEvaluationSetCorrectnessAtScale is the §VI-B experiment at a
@@ -191,8 +159,7 @@ func TestEvaluationSetCorrectnessAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large correctness sweep skipped in -short mode")
 	}
-	r := buildRig(t, ConfigFull)
-	ref := baseline.NewGeth(r.chain.State(), workload.NewBlockContext(&r.chain.Head().Header))
+	r := newRig(t, deviceWorld, config(ConfigFull, 2, 0))
 	matched, aborted := 0, 0
 	const n = 150
 	for i := 0; i < n; i++ {
@@ -217,13 +184,7 @@ func TestEvaluationSetCorrectnessAtScale(t *testing.T) {
 			aborted++
 			continue
 		}
-		gt, err := ref.ExecuteBundle(bundle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diffs := tracer.Diff(res.Trace.Txs[0], gt.Trace.Txs[0]); len(diffs) != 0 {
-			t.Fatalf("bundle %d diverges: %v", i, diffs)
-		}
+		assertParity(t, fmt.Sprintf("bundle %d", i), r.oracle(t, bundle), res, false)
 		matched++
 	}
 	if matched+aborted != n {
@@ -237,7 +198,7 @@ func TestEvaluationSetCorrectnessAtScale(t *testing.T) {
 // size limit and abort with the Memory Overflow Error, while the
 // unprotected baseline executes them fine — support is future work.
 func TestRollupTransactionHitsOverflow(t *testing.T) {
-	r := buildRig(t, ConfigRaw)
+	r := newRig(t, deviceWorld, config(ConfigRaw, 2, 0))
 	tx, err := r.world.RollupTx(r.world.EOAs[0], 0)
 	if err != nil {
 		t.Fatal(err)
@@ -253,12 +214,7 @@ func TestRollupTransactionHitsOverflow(t *testing.T) {
 		t.Fatalf("roll-up should hit Memory Overflow, got %v", res.Aborted)
 	}
 	// The software baseline handles the same transaction.
-	ref := baseline.NewGeth(r.chain.State(), workload.NewBlockContext(&r.chain.Head().Header))
-	gt, err := ref.ExecuteBundle(bundle)
-	if err != nil {
-		t.Fatalf("baseline should run the roll-up: %v", err)
-	}
-	if gt.Trace.Txs[0].Failed {
+	if r.oracle(t, bundle).Trace.Txs[0].Failed {
 		t.Fatal("baseline execution failed")
 	}
 }

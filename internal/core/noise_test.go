@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"hardtape/internal/node"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
 )
@@ -15,18 +14,8 @@ import (
 // anything the SP can read is noise the SP can compute and subtract
 // from the observed swap sizes (A5).
 func TestDefaultDevicesDrawIndependentNoise(t *testing.T) {
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 12
-	wcfg.Tokens = 1
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t, worldShape{eoas: 12, tokens: 1})
+	w := r.world
 	// run executes 8 deep-call bundles per slot, one at a time, so the
 	// slots take turns; it returns the serial and each slot's sequence
 	// of (noisy) evicted page counts.
@@ -35,13 +24,7 @@ func TestDefaultDevicesDrawIndependentNoise(t *testing.T) {
 		cfg.Features = ConfigRaw
 		cfg.Hardware.L2Bytes = 16 << 10
 		cfg.Hardware.FrameLimitBytes = 8 << 10
-		dev, err := NewDevice(cfg, nil, chain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dev.Sync(); err != nil {
-			t.Fatal(err)
-		}
+		dev := r.newDevice(t, cfg)
 		evicted := make([][]int, cfg.HEVMs)
 		for i := 0; i < 8*cfg.HEVMs; i++ {
 			tx, err := w.SignedTxAt(w.EOAs[i%len(w.EOAs)], 0, &w.DeepCaller, 0, workload.CalldataUint(40), 5_000_000)

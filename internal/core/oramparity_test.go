@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"hardtape/internal/node"
 	"hardtape/internal/oram"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
@@ -76,12 +75,12 @@ func assertAccessesMatchQueries(t *testing.T, name string, dev *Device, b *types
 func TestORAMAccessesEqualQueries(t *testing.T) {
 	for _, feat := range []Features{ConfigESO, ConfigFull} {
 		t.Run(feat.Name(), func(t *testing.T) {
-			r := buildParallelRig(t, feat, 4, false)
+			r := newRig(t, laneWorld, config(feat, 1, 0), config(feat, 1, 4))
 			names, txs := archetypeTxs(t, r.world)
 			for i, tx := range txs {
-				assertAccessesMatchQueries(t, names[i], r.seq, &types.Bundle{Txs: []*types.Transaction{tx}})
+				assertAccessesMatchQueries(t, names[i], r.devices[0], &types.Bundle{Txs: []*types.Transaction{tx}})
 			}
-			assertAccessesMatchQueries(t, "all archetypes, 4 lanes", r.par, &types.Bundle{Txs: txs})
+			assertAccessesMatchQueries(t, "all archetypes, 4 lanes", r.devices[1], &types.Bundle{Txs: txs})
 		})
 	}
 }
@@ -94,25 +93,8 @@ func TestORAMAccessesEqualQueries(t *testing.T) {
 func TestAbsentReadsLookPresent(t *testing.T) {
 	for _, feat := range []Features{ConfigESO, ConfigFull} {
 		t.Run(feat.Name(), func(t *testing.T) {
-			wcfg := workload.DefaultConfig()
-			wcfg.EOAs, wcfg.Tokens, wcfg.DEXes = 18, 1, 1
-			w, err := workload.BuildWorld(wcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			chain, err := node.New(w.State)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := DefaultConfig()
-			cfg.Features, cfg.HEVMs = feat, 1
-			dev, err := NewDevice(cfg, nil, chain)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dev.Sync(); err != nil {
-				t.Fatal(err)
-			}
+			r := newRig(t, worldShape{eoas: 18, tokens: 1}, config(feat, 1, 0))
+			w, dev := r.world, r.device
 			// rounds turns the observed path operations into paths per
 			// round: a round is a run of path reads, then its writes.
 			var events []oram.AccessEvent

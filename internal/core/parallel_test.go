@@ -11,10 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"hardtape/internal/baseline"
 	"hardtape/internal/evm"
 	"hardtape/internal/hevm"
-	"hardtape/internal/node"
 	"hardtape/internal/state"
 	"hardtape/internal/telemetry"
 	"hardtape/internal/tracer"
@@ -22,92 +20,32 @@ import (
 	"hardtape/internal/workload"
 )
 
-// parallelRig wires one world behind two devices — the commit-lane-only
-// schedule (0 lanes) and the speculating unit under test — and the
-// independent baseline.Geth oracle both are checked against.
-type parallelRig struct {
-	world *workload.World
-	chain *node.Node
-	geth  *baseline.Geth
-	seq   *Device
-	par   *Device
-	// newDevice builds one more device over the same world.
-	newDevice func(hevms, lanes int) *Device
+// laneConfigs is one single-core config of features per lane count,
+// each capturing steps when steps is set.
+func laneConfigs(features Features, steps bool, lanes ...int) []Config {
+	cfgs := make([]Config, len(lanes))
+	for i, n := range lanes {
+		cfgs[i] = config(features, 1, n)
+		cfgs[i].CaptureSteps = steps
+	}
+	return cfgs
 }
 
-func buildParallelRig(t testing.TB, features Features, lanes int, captureSteps bool) *parallelRig {
-	t.Helper()
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 16
-	wcfg.Tokens = 2
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(hevms, lanes int) *Device {
-		cfg := DefaultConfig()
-		cfg.Features = features
-		cfg.HEVMs = hevms
-		cfg.Lanes = lanes
-		cfg.CaptureSteps = captureSteps
-		dev, err := NewDevice(cfg, nil, chain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dev.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		return dev
-	}
-	return &parallelRig{
-		world: w, chain: chain,
-		geth:      baseline.NewGeth(chain.State(), workload.NewBlockContext(&chain.Head().Header)),
-		seq:       mk(1, 0),
-		par:       mk(1, lanes),
-		newDevice: mk,
-	}
-}
-
-// assertOracleParity checks a device result against the Geth oracle's
-// traces for the same bundle: empty tracer.Diff on every transaction.
-func assertOracleParity(t testing.TB, name string, want *baseline.Result, got *BundleResult) {
-	t.Helper()
-	if got.Aborted != nil {
-		t.Fatalf("%s: aborted: %v", name, got.Aborted)
-	}
-	if got.GasUsed != want.GasUsed || len(got.Trace.Txs) != len(want.Trace.Txs) {
-		t.Fatalf("%s: gas %d / %d txs, oracle %d / %d", name,
-			got.GasUsed, len(got.Trace.Txs), want.GasUsed, len(want.Trace.Txs))
-	}
-	for i := range want.Trace.Txs {
-		if diffs := tracer.Diff(want.Trace.Txs[i], got.Trace.Txs[i]); len(diffs) > 0 {
-			t.Errorf("%s: tx %d diverges from the oracle: %v", name, i, diffs)
-		}
-	}
-}
-
-// executeAll runs b on the oracle and on every device, checks each
+// executeAll runs b on the oracle and on every device of r, checks each
 // device against the oracle, and the devices against each other
 // byte for byte. It returns the results in device order.
-func (r *parallelRig) executeAll(t *testing.T, name string, b *types.Bundle, devs ...*Device) []*BundleResult {
+func (r *rig) executeAll(t *testing.T, name string, b *types.Bundle) []*BundleResult {
 	t.Helper()
-	want, err := r.geth.ExecuteBundle(b)
-	if err != nil {
-		t.Fatalf("%s: oracle: %v", name, err)
-	}
-	out := make([]*BundleResult, len(devs))
-	for i, d := range devs {
+	want := r.oracle(t, b)
+	out := make([]*BundleResult, len(r.devices))
+	for i, d := range r.devices {
+		var err error
 		if out[i], err = d.Execute(b); err != nil {
 			t.Fatalf("%s: %d lanes: %v", name, d.cfg.Lanes, err)
 		}
-		assertOracleParity(t, fmt.Sprintf("%s/%d lanes", name, d.cfg.Lanes), want, out[i])
+		assertParity(t, fmt.Sprintf("%s/%d lanes", name, d.cfg.Lanes), want, out[i], false)
 		if i > 0 {
-			assertTraceParity(t, name, out[0], out[i])
+			assertParity(t, name, out[0], out[i], true)
 		}
 	}
 	return out
@@ -149,27 +87,6 @@ func uniformBundle(t testing.TB, w *workload.World, n int) *types.Bundle {
 	return &types.Bundle{Txs: txs}
 }
 
-func assertTraceParity(t *testing.T, name string, seq, par *BundleResult) {
-	t.Helper()
-	if (seq.Aborted == nil) != (par.Aborted == nil) {
-		t.Fatalf("%s: abort mismatch: seq=%v par=%v", name, seq.Aborted, par.Aborted)
-	}
-	if seq.GasUsed != par.GasUsed {
-		t.Errorf("%s: gas mismatch: seq=%d par=%d", name, seq.GasUsed, par.GasUsed)
-	}
-	if len(seq.Trace.Txs) != len(par.Trace.Txs) {
-		t.Fatalf("%s: trace length mismatch: seq=%d par=%d", name, len(seq.Trace.Txs), len(par.Trace.Txs))
-	}
-	for i := range seq.Trace.Txs {
-		if diffs := tracer.Diff(seq.Trace.Txs[i], par.Trace.Txs[i]); len(diffs) > 0 {
-			t.Errorf("%s: tx %d diverges: %v", name, i, diffs)
-		}
-		if !reflect.DeepEqual(seq.Trace.Txs[i], par.Trace.Txs[i]) {
-			t.Errorf("%s: tx %d traces not byte-identical", name, i)
-		}
-	}
-}
-
 // TestParallelTraceParity is the executor's hard correctness bar: at
 // every lane count in {0, 1, 4}, with and without step capture, traces
 // equal the baseline.Geth oracle and are byte-identical across lane
@@ -178,8 +95,7 @@ func assertTraceParity(t *testing.T, name string, seq, par *BundleResult) {
 // re-executes every transaction.
 func TestParallelTraceParity(t *testing.T) {
 	for _, steps := range []bool{false, true} {
-		r := buildParallelRig(t, ConfigFull, 4, steps)
-		one := r.newDevice(1, 1)
+		r := newRig(t, laneWorld, laneConfigs(ConfigFull, steps, 0, 1, 4)...)
 
 		bundles := map[string]*types.Bundle{}
 		mev, err := r.world.MEVBundle(12, 1.0)
@@ -201,7 +117,7 @@ func TestParallelTraceParity(t *testing.T) {
 
 		for name, b := range bundles {
 			name = fmt.Sprintf("%s/steps=%v", name, steps)
-			res := r.executeAll(t, name, b, r.seq, one, r.par)
+			res := r.executeAll(t, name, b)
 			if res[0].Parallel != nil || res[1].Parallel != nil {
 				t.Fatalf("%s: scheduler stats without speculation", name)
 			}
@@ -217,8 +133,7 @@ func TestParallelTraceParity(t *testing.T) {
 // {0, 1, 4}, with and without step capture.
 func TestParallelEvalSetParity(t *testing.T) {
 	for _, steps := range []bool{false, true} {
-		r := buildParallelRig(t, ConfigFull, 4, steps)
-		one := r.newDevice(1, 1)
+		r := newRig(t, laneWorld, laneConfigs(ConfigFull, steps, 0, 1, 4)...)
 		r.world.SyncNonces(r.chain.State())
 		for i := 0; i < 6; i++ {
 			var txs []*types.Transaction
@@ -229,8 +144,7 @@ func TestParallelEvalSetParity(t *testing.T) {
 				}
 				txs = append(txs, tx)
 			}
-			r.executeAll(t, fmt.Sprintf("eval-%d/steps=%v", i, steps),
-				&types.Bundle{Txs: txs}, r.seq, one, r.par)
+			r.executeAll(t, fmt.Sprintf("eval-%d/steps=%v", i, steps), &types.Bundle{Txs: txs})
 			// The generator threads nonces across bundles; re-anchor so the
 			// next bundle stays valid against the pinned canonical state.
 			r.world.SyncNonces(r.chain.State())
@@ -242,12 +156,12 @@ func TestParallelEvalSetParity(t *testing.T) {
 // identities and that the high-conflict workload actually produces
 // conflict-driven re-executions.
 func TestParallelSchedulerStats(t *testing.T) {
-	r := buildParallelRig(t, ConfigFull, 4, false)
+	r := newRig(t, laneWorld, config(ConfigFull, 1, 4))
 	mev, err := r.world.MEVBundle(12, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.par.Execute(mev)
+	res, err := r.device.Execute(mev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +202,13 @@ func TestParallelSchedulerStats(t *testing.T) {
 // oracle and the 0-lane device. (The state-layer half of this edge case is
 // TestVersionedWriteAfterWrite.)
 func TestParallelWriteAfterWriteSameSlot(t *testing.T) {
-	r := buildParallelRig(t, ConfigFull, 2, true)
+	r := newRig(t, laneWorld, laneConfigs(ConfigFull, true, 0, 2)...)
 	for _, n := range []int{2, 6} {
 		b, err := r.world.MEVBundle(n, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.executeAll(t, fmt.Sprintf("waw-%d", n), b, r.seq, r.par)
+		r.executeAll(t, fmt.Sprintf("waw-%d", n), b)
 	}
 }
 
@@ -305,7 +219,7 @@ func TestParallelWriteAfterWriteSameSlot(t *testing.T) {
 // with the oracle and the 0-lane device proves no leakage. (The
 // state-layer half is TestVersionedAbortedWritesInvisible.)
 func TestParallelReadAfterRevertedWrite(t *testing.T) {
-	r := buildParallelRig(t, ConfigFull, 2, true)
+	r := newRig(t, laneWorld, laneConfigs(ConfigFull, true, 0, 2)...)
 	pool := r.world.DEXes[0]
 	oog, err := r.world.SignedTxAt(r.world.EOAs[0], 0, &pool, 0,
 		workload.CalldataSwap(5000), 30_000)
@@ -318,7 +232,7 @@ func TestParallelReadAfterRevertedWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &types.Bundle{Txs: []*types.Transaction{oog, swap}}
-	r.executeAll(t, "reverted-write", b, r.seq, r.par)
+	r.executeAll(t, "reverted-write", b)
 }
 
 // TestParallelConflictReexecutesOnce walks one transaction through the
@@ -330,8 +244,8 @@ func TestParallelReadAfterRevertedWrite(t *testing.T) {
 // specOnce / Validate / Commit primitives the lanes and the committer
 // run. (The state-layer ladder is TestVersionedDoubleConflict.)
 func TestParallelConflictReexecutesOnce(t *testing.T) {
-	r := buildParallelRig(t, ConfigRaw, 2, false)
-	d := r.par
+	r := newRig(t, laneWorld, config(ConfigRaw, 1, 2))
+	d := r.device
 	s := <-d.slots
 	s.reset()
 	defer func() { s.reset(); d.slots <- s }()
@@ -403,23 +317,16 @@ func modeledOf(res *BundleResult) modeledRun {
 // between 1 and 2, each time on a fresh one-slot device with a fixed
 // model seed — so every run starts from the same generator state — and
 // requires one modeled result from all of them. It returns that result.
-func (r *parallelRig) assertModelRepeats(t *testing.T, name string, features Features, lanes, runs int, b *types.Bundle) modeledRun {
+func (r *rig) assertModelRepeats(t *testing.T, name string, features Features, lanes, runs int, b *types.Bundle) modeledRun {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var first modeledRun
 	for run := 0; run < runs; run++ {
 		procs := 1 + run%2
 		runtime.GOMAXPROCS(procs)
-		cfg := DefaultConfig()
-		cfg.Features, cfg.HEVMs, cfg.Lanes, cfg.Seed = features, 1, lanes, 1
-		dev, err := NewDevice(cfg, nil, r.chain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dev.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		res, err := dev.Execute(b)
+		cfg := config(features, 1, lanes)
+		cfg.Seed = 1
+		res, err := r.newDevice(t, cfg).Execute(b)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -440,7 +347,7 @@ func (r *parallelRig) assertModelRepeats(t *testing.T, name string, features Fea
 // virtual clock, the scheduler statistics, the ORAM query log or the
 // traces.
 func TestParallelModelRepeats(t *testing.T) {
-	r := buildParallelRig(t, ConfigRaw, 0, false)
+	r := newRig(t, laneWorld)
 	for _, rate := range []float64{0.25, 0.5, 1.0} {
 		b, err := r.world.MEVBundle(8, rate)
 		if err != nil {
@@ -466,17 +373,10 @@ func TestParallelModelRepeats(t *testing.T) {
 // op-class counts telemetry exports — so the result repeats and
 // occupancy stays a fraction of the parallel phase.
 func TestParallelAbortStatsRepeat(t *testing.T) {
-	r := buildParallelRig(t, ConfigRaw, 4, false)
-	cfg := DefaultConfig()
-	cfg.Features, cfg.HEVMs, cfg.Lanes = ConfigRaw, 1, 4
+	cfg := config(ConfigRaw, 1, 4)
 	cfg.Telemetry = telemetry.NewRegistry()
-	dev, err := NewDevice(cfg, nil, r.chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t, laneWorld, cfg)
+	dev := r.device
 	// opCounts reads the op-class series the device registered.
 	opCounts := func() (c evm.OpClassCounts) {
 		for i := range c {
@@ -523,13 +423,13 @@ func TestParallelAbortStatsRepeat(t *testing.T) {
 // bundle, 4 lanes must model at least a 3x virtual-time speedup over
 // sequential execution on the same workload.
 func TestParallelModeledSpeedup(t *testing.T) {
-	r := buildParallelRig(t, ConfigRaw, 4, false)
+	r := newRig(t, laneWorld, config(ConfigRaw, 1, 0), config(ConfigRaw, 1, 4))
 	b := uniformBundle(t, r.world, 16)
-	seq, err := r.seq.Execute(b)
+	seq, err := r.devices[0].Execute(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := r.par.Execute(b)
+	par, err := r.devices[1].Execute(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +449,7 @@ func TestParallelModeledSpeedup(t *testing.T) {
 // target for the scheduler's hand-offs. Every result must equal the
 // oracle and the 0-lane device's.
 func TestParallelConcurrentBundles(t *testing.T) {
-	r := buildParallelRig(t, ConfigFull, 3, false)
+	r := newRig(t, laneWorld, config(ConfigFull, 1, 0), config(ConfigFull, 2, 3))
 	mev, err := r.world.MEVBundle(10, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -558,25 +458,23 @@ func TestParallelConcurrentBundles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.hammer(t, r.newDevice(2, 3), 4, mev, free)
+	r.hammer(t, r.devices[1], 4, mev, free)
 }
 
 // hammer runs bundles[i%len] from `workers` goroutines at once on dev
 // and checks every result against the oracle and, byte for byte,
-// against the 0-lane single-slot device run alone.
-func (r *parallelRig) hammer(t *testing.T, dev *Device, workers int, bundles ...*types.Bundle) {
+// against r.device — the 0-lane single-slot device — run alone.
+func (r *rig) hammer(t *testing.T, dev *Device, workers int, bundles ...*types.Bundle) {
 	t.Helper()
-	oracle := make([]*baseline.Result, len(bundles))
+	oracle := make([]*BundleResult, len(bundles))
 	alone := make([]*BundleResult, len(bundles))
 	for i, b := range bundles {
+		oracle[i] = r.oracle(t, b)
 		var err error
-		if oracle[i], err = r.geth.ExecuteBundle(b); err != nil {
+		if alone[i], err = r.device.Execute(b); err != nil {
 			t.Fatal(err)
 		}
-		if alone[i], err = r.seq.Execute(b); err != nil {
-			t.Fatal(err)
-		}
-		assertOracleParity(t, fmt.Sprintf("bundle %d alone", i), oracle[i], alone[i])
+		assertParity(t, fmt.Sprintf("bundle %d alone", i), oracle[i], alone[i], false)
 	}
 	results := make([]*BundleResult, workers)
 	errs := make([]error, workers)
@@ -594,8 +492,8 @@ func (r *parallelRig) hammer(t *testing.T, dev *Device, workers int, bundles ...
 			t.Fatalf("run %d: %v", w, errs[w])
 		}
 		name := fmt.Sprintf("run %d", w)
-		assertOracleParity(t, name, oracle[w%len(bundles)], res)
-		assertTraceParity(t, name, alone[w%len(bundles)], res)
+		assertParity(t, name, oracle[w%len(bundles)], res, false)
+		assertParity(t, name, alone[w%len(bundles)], res, true)
 	}
 }
 
@@ -605,7 +503,7 @@ func (r *parallelRig) hammer(t *testing.T, dev *Device, workers int, bundles ...
 // a time, so 1-tx and 4-tx bundles running at once must each produce
 // the oracle's traces.
 func TestExecutorConcurrentSlotsNoLanes(t *testing.T) {
-	r := buildParallelRig(t, ConfigFull, 0, false)
+	r := newRig(t, laneWorld, config(ConfigFull, 1, 0), config(ConfigFull, 3, 0))
 	mev, err := r.world.MEVBundle(4, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -614,7 +512,7 @@ func TestExecutorConcurrentSlotsNoLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.hammer(t, r.newDevice(3, 0), 9, single, mev, nonceChainBundle(t, r.world, 4))
+	r.hammer(t, r.devices[1], 9, single, mev, nonceChainBundle(t, r.world, 4))
 }
 
 // TestExecutorCommitLaneModelUnchanged pins the modeled cost of the
@@ -628,8 +526,8 @@ func TestExecutorConcurrentSlotsNoLanes(t *testing.T) {
 // Both rows are prefetcher-free (no contract code over ORAM), so they
 // are deterministic.
 func TestExecutorCommitLaneModelUnchanged(t *testing.T) {
-	full := buildParallelRig(t, ConfigFull, 0, false)
-	eso := buildParallelRig(t, ConfigESO, 0, false)
+	full := newRig(t, laneWorld, config(ConfigFull, 1, 0))
+	eso := newRig(t, laneWorld, config(ConfigESO, 1, 0))
 	mev, err := eso.world.MEVBundle(4, 1.0)
 	if err != nil {
 		t.Fatal(err)
@@ -641,8 +539,8 @@ func TestExecutorCommitLaneModelUnchanged(t *testing.T) {
 		queries uint64
 		virtual time.Duration
 	}{
-		{"full/same-sender-chain", full.seq, nonceChainBundle(t, full.world, 4), 6, 92172000},
-		{"eso/mev-4", eso.seq, mev, 22, 124996920},
+		{"full/same-sender-chain", full.device, nonceChainBundle(t, full.world, 4), 6, 92172000},
+		{"eso/mev-4", eso.device, mev, 22, 124996920},
 	} {
 		res, err := c.dev.Execute(c.bundle)
 		if err != nil {
@@ -665,7 +563,7 @@ func TestExecutorCommitLaneModelUnchanged(t *testing.T) {
 // out of the query path fails it with ErrAborted, and a panic that is
 // not a halt — a bug — is not recovered at all.
 func TestExecutorFailureSurfaces(t *testing.T) {
-	r := buildParallelRig(t, ConfigRaw, 4, false)
+	r := newRig(t, laneWorld, config(ConfigRaw, 1, 0), config(ConfigRaw, 1, 4))
 	ok := nonceChainBundle(t, r.world, 1).Txs[0]
 	to := types.BytesToAddress([]byte{0xcd})
 	badNonce, err := r.world.SignedTxAt(r.world.EOAs[1], 7, &to, 1, nil, 40_000)
@@ -677,7 +575,7 @@ func TestExecutorFailureSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dev := range []*Device{r.seq, r.par} {
+	for _, dev := range r.devices {
 		_, err := dev.Execute(&types.Bundle{Txs: []*types.Transaction{ok, badNonce}})
 		if err == nil || !strings.Contains(err.Error(), "core: tx 1:") {
 			t.Errorf("%d lanes: bad nonce: %v", dev.cfg.Lanes, err)
@@ -693,7 +591,7 @@ func TestExecutorFailureSurfaces(t *testing.T) {
 		}
 	}
 
-	d := r.seq
+	d := r.device
 	s := <-d.slots
 	defer func() { s.reset(); d.slots <- s }()
 	blockCtx := workload.NewBlockContext(&d.chain.Head().Header)

@@ -15,22 +15,22 @@ import (
 )
 
 // serveOnce runs the service side of one connection in the background.
-func (sr *serviceRig) serveOnce(t testing.TB) (client net.Conn) {
+func (r *rig) serveOnce(t testing.TB) (client net.Conn) {
 	t.Helper()
 	client, server := net.Pipe()
 	t.Cleanup(func() { client.Close() })
 	go func() {
 		defer server.Close()
-		_ = sr.svc.ServeConn(server)
+		_ = r.svc.ServeConn(server)
 	}()
 	return client
 }
 
 // dialCold establishes a full attested session (sign=false so a later
 // resume is permitted) and returns the client.
-func (sr *serviceRig) dialCold(t testing.TB) *Client {
+func (r *rig) dialCold(t testing.TB) *Client {
 	t.Helper()
-	c, err := Dial(sr.serveOnce(t), sr.verifier(), false)
+	c, err := Dial(r.serveOnce(t), r.verifier(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func copyTicket(ct *session.ClientTicket) *session.ClientTicket {
 // service that signs hands a cold session no ticket — the -ES layer
 // then holds for every client, not only for those that never resume.
 func TestSigningServiceMintsNoTicket(t *testing.T) {
-	sr := buildServiceRig(t, ConfigES)
+	sr := newRig(t, serviceWorld, config(ConfigES, 2, 0))
 	c, err := Dial(sr.serveOnce(t), sr.verifier(), true)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestSigningServiceMintsNoTicket(t *testing.T) {
 }
 
 func TestResumeWarmSessionZeroAsymOps(t *testing.T) {
-	sr := buildServiceRig(t, ConfigE)
+	sr := newRig(t, serviceWorld, config(ConfigE, 2, 0))
 
 	cold := sr.dialCold(t)
 	if cold.Warm() {
@@ -128,7 +128,7 @@ func TestResumeWarmSessionZeroAsymOps(t *testing.T) {
 }
 
 func TestResumeReplayedTicketFailsClosed(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	cold := sr.dialCold(t)
 	ticket := cold.Ticket()
 	cold.Close()
@@ -146,7 +146,7 @@ func TestResumeReplayedTicketFailsClosed(t *testing.T) {
 }
 
 func TestResumeTamperedTicketFailsClosed(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	cold := sr.dialCold(t)
 	ticket := cold.Ticket()
 	cold.Close()
@@ -158,7 +158,7 @@ func TestResumeTamperedTicketFailsClosed(t *testing.T) {
 }
 
 func TestResumeExpiredTicketFailsClosed(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	clk := session.NewFakeClock(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	if err := sr.svc.SetSessionPolicy(clk, 2, nil); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestResumeExpiredTicketFailsClosed(t *testing.T) {
 }
 
 func TestResumeMeasurementChangeFailsClosed(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	issuer := sr.svc.issuer
 	serial := sr.device.Booted().Serial()
 
@@ -222,7 +222,7 @@ func TestResumeNilAndEmptyTickets(t *testing.T) {
 // a bundle without queuing on the gate and without one asymmetric
 // operation.
 func TestResumeBypassesAdmission(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 
 	const sessions = 64
 	tickets := make([]*session.ClientTicket, sessions)
@@ -273,7 +273,7 @@ func TestResumeBypassesAdmission(t *testing.T) {
 }
 
 func TestResumeConcurrentMuxBundles(t *testing.T) {
-	sr := buildServiceRig(t, ConfigE)
+	sr := newRig(t, serviceWorld, config(ConfigE, 2, 0))
 	cold := sr.dialCold(t)
 	ticket := cold.Ticket()
 	cold.Close()

@@ -13,7 +13,7 @@ import (
 // that every connection goroutine winds down once the listener closes
 // (no goroutine leak from half-open sessions).
 func TestServeListenerConcurrentSessions(t *testing.T) {
-	sr := buildServiceRig(t, ConfigES)
+	sr := newRig(t, serviceWorld, config(ConfigES, 2, 0))
 
 	baseline := runtime.NumGoroutine()
 

@@ -13,62 +13,14 @@ import (
 
 	"hardtape/internal/attest"
 	"hardtape/internal/channel"
-	"hardtape/internal/node"
 	"hardtape/internal/session"
 	"hardtape/internal/types"
 	"hardtape/internal/uint256"
 	"hardtape/internal/workload"
 )
 
-// serviceRig wires a device behind a Service with a shared
-// manufacturer so the client can pin the root of trust.
-type serviceRig struct {
-	*rig
-	mfr *attest.Manufacturer
-	svc *Service
-}
-
-func buildServiceRig(t testing.TB, features Features) *serviceRig {
-	t.Helper()
-	mfr, err := attest.NewManufacturer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 8
-	wcfg.Tokens = 2
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Features = features
-	cfg.HEVMs = 2
-	dev, err := NewDevice(cfg, mfr, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	return &serviceRig{
-		rig: &rig{world: w, chain: chain, device: dev},
-		mfr: mfr,
-		svc: NewService(dev),
-	}
-}
-
-func (sr *serviceRig) verifier() *attest.Verifier {
-	return attest.NewVerifier(sr.mfr.PublicKey(), ImageMeasurement())
-}
-
 func TestServiceEndToEndOverPipe(t *testing.T) {
-	sr := buildServiceRig(t, ConfigFull)
+	sr := newRig(t, serviceWorld, config(ConfigFull, 2, 0))
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {
@@ -109,7 +61,7 @@ func TestServiceEndToEndOverPipe(t *testing.T) {
 }
 
 func TestServiceOverTCP(t *testing.T) {
-	sr := buildServiceRig(t, ConfigES)
+	sr := newRig(t, serviceWorld, config(ConfigES, 2, 0))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +88,7 @@ func TestServiceOverTCP(t *testing.T) {
 }
 
 func TestServiceRejectsWrongManufacturer(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	evil, err := attest.NewManufacturer()
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +108,7 @@ func TestServiceRejectsWrongManufacturer(t *testing.T) {
 }
 
 func TestServiceReportsAborts(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {
@@ -183,7 +135,7 @@ func TestServiceReportsAborts(t *testing.T) {
 }
 
 func TestServiceRejectsProtocolViolations(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 
 	t.Run("garbage first message", func(t *testing.T) {
 		client, server := net.Pipe()
@@ -257,7 +209,7 @@ func TestServiceRejectsProtocolViolations(t *testing.T) {
 // concurrent handshakes, not session lifetimes — with limit 1, cold
 // session A staying open must not keep cold session B's Dial out.
 func TestColdAdmissionCoversHandshakeOnly(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	adm := session.NewAdmission(1)
 	sr.svc.SetAdmission(adm)
 
@@ -295,7 +247,7 @@ func TestColdAdmissionCoversHandshakeOnly(t *testing.T) {
 func TestSilentPeerReleasesColdAdmission(t *testing.T) {
 	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
 	handshakeTimeout = 500 * time.Millisecond
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	sr.svc.SetAdmission(session.NewAdmission(1))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -363,7 +315,7 @@ func TestSilentPeerReleasesColdAdmission(t *testing.T) {
 }
 
 func TestClientSessionEndsCleanly(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	client, server := net.Pipe()
 	errCh := make(chan error, 1)
 	go func() {
@@ -385,7 +337,7 @@ func TestClientSessionEndsCleanly(t *testing.T) {
 }
 
 func TestSecondClientGetsFreshSession(t *testing.T) {
-	sr := buildServiceRig(t, ConfigES)
+	sr := newRig(t, serviceWorld, config(ConfigES, 2, 0))
 	runOne := func(amount uint64) uint64 {
 		client, server := net.Pipe()
 		defer client.Close()
@@ -416,7 +368,7 @@ func TestSecondClientGetsFreshSession(t *testing.T) {
 // loop until its 29 M gas runs out, recording about 250 000 storage
 // reads; two of them are more trace than channel.MaxPayload holds.
 func TestServiceAnswersOversizedTraceAsFailed(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	client, server := net.Pipe()
 	defer client.Close()
 	go func() {

@@ -1,77 +1,38 @@
 package core
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
-	"hardtape/internal/node"
 	"hardtape/internal/oram"
-	"hardtape/internal/tracer"
-	"hardtape/internal/workload"
 )
-
-// buildShardedRig wires a device over the given ORAM shard count (and
-// optional durable directory) against a small deterministic world.
-func buildShardedRig(t testing.TB, mutate func(*Config)) *rig {
-	t.Helper()
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 12
-	wcfg.Tokens = 2
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Features = ConfigFull
-	cfg.HEVMs = 2
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	dev, err := NewDevice(cfg, nil, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	return &rig{world: w, chain: chain, device: dev}
-}
 
 // TestShardedDeviceTraceParity: the shard count is a performance knob,
 // never a behaviour knob — a 4-shard -full device must produce exactly
 // the single-tree device's trace, gas, and ORAM query count for the
 // same bundle.
 func TestShardedDeviceTraceParity(t *testing.T) {
-	single := buildShardedRig(t, nil)
-	sharded := buildShardedRig(t, func(c *Config) { c.ORAMShards = 4 })
+	sharded := config(ConfigFull, 2, 0)
+	sharded.ORAMShards = 4
+	r := newRig(t, deviceWorld, config(ConfigFull, 2, 0), sharded)
+	single, four := r.devices[0], r.devices[1]
 
 	for _, amount := range []uint64{123, 250} {
-		res1, err := single.device.Execute(single.transferBundle(t, amount))
+		res1, err := single.Execute(r.transferBundle(t, amount))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res4, err := sharded.device.Execute(sharded.transferBundle(t, amount))
+		res4, err := four.Execute(r.transferBundle(t, amount))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res1.Aborted != nil || res4.Aborted != nil {
 			t.Fatalf("aborted: single=%v sharded=%v", res1.Aborted, res4.Aborted)
 		}
-		for i := range res1.Trace.Txs {
-			if diffs := tracer.Diff(res1.Trace.Txs[i], res4.Trace.Txs[i]); len(diffs) != 0 {
-				t.Fatalf("amount %d tx %d: sharded trace diverges: %v", amount, i, diffs)
-			}
-		}
-		if res1.GasUsed != res4.GasUsed {
-			t.Fatalf("amount %d: gas %d (single) != %d (sharded)", amount, res1.GasUsed, res4.GasUsed)
-		}
+		assertParity(t, fmt.Sprintf("amount %d sharded", amount), res1, res4, false)
 		if res1.ORAMQueries != res4.ORAMQueries {
 			t.Fatalf("amount %d: ORAM queries %d (single) != %d (sharded)",
 				amount, res1.ORAMQueries, res4.ORAMQueries)
@@ -84,28 +45,19 @@ func TestShardedDeviceTraceParity(t *testing.T) {
 		}
 	}
 
-	st := sharded.device.ORAMStats()
+	st := four.ORAMStats()
 	if st.Shards != 4 {
 		t.Fatalf("ORAMStats().Shards = %d, want 4", st.Shards)
 	}
-	if len(sharded.device.ORAMServers()) != 4 {
-		t.Fatalf("ORAMServers() = %d servers, want 4", len(sharded.device.ORAMServers()))
+	if len(four.ORAMServers()) != 4 {
+		t.Fatalf("ORAMServers() = %d servers, want 4", len(four.ORAMServers()))
 	}
 }
 
 // TestShardedConfigRejections: real misconfigurations must fail device
 // construction loudly, not degrade silently.
 func TestShardedConfigRejections(t *testing.T) {
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 4
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t, worldShape{eoas: 4, tokens: 1})
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -120,7 +72,7 @@ func TestShardedConfigRejections(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.HEVMs = 1
 			tc.mutate(&cfg)
-			if _, err := NewDevice(cfg, nil, chain); err == nil {
+			if _, err := NewDevice(cfg, nil, r.chain); err == nil {
 				t.Fatal("invalid ORAM configuration accepted")
 			}
 		})
@@ -160,26 +112,13 @@ func (c *hangupConn) Read(p []byte) (int, error) {
 // the connection, device construction fails AND hangs up on shard 0,
 // which it had already dialed — no connection outlives the error.
 func TestBuildORAMClosesDialedShardsOnFailure(t *testing.T) {
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 4
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := oram.NewMemServer(1 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRig(t, worldShape{eoas: 4, tokens: 1})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := &hangupListener{Listener: l, hungUp: make(chan struct{})}
-	srv := oram.ServeTCP(inner, live)
+	srv := oram.ServeTCP(memServer(t, 1<<10), live)
 	defer srv.Close()
 	// A port that was just released refuses connections.
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
@@ -193,7 +132,7 @@ func TestBuildORAMClosesDialedShardsOnFailure(t *testing.T) {
 	cfg.HEVMs = 1
 	cfg.ORAMShards = 2
 	cfg.RemoteORAMAddr = srv.Addr().String() + "," + refused
-	if _, err := NewDevice(cfg, nil, chain); err == nil {
+	if _, err := NewDevice(cfg, nil, r.chain); err == nil {
 		t.Fatal("device built over a refusing shard")
 	}
 	select {

@@ -5,10 +5,8 @@ import (
 	"errors"
 	"testing"
 
-	"hardtape/internal/baseline"
 	"hardtape/internal/node"
 	"hardtape/internal/pager"
-	"hardtape/internal/tracer"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
 )
@@ -66,14 +64,7 @@ func (r *rig) assertGethParity(t *testing.T, i int, to types.Address, data []byt
 	if res.Aborted != nil {
 		t.Fatalf("bundle aborted: %v", res.Aborted)
 	}
-	ref, err := baseline.NewGeth(r.chain.State(), workload.NewBlockContext(&r.chain.Head().Header)).ExecuteBundle(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diffs := tracer.Diff(res.Trace.Txs[0], ref.Trace.Txs[0]); len(diffs) != 0 {
-		t.Fatalf("device diverges from the reference after sync (gas %d vs %d): %v",
-			res.Trace.Txs[0].GasUsed, ref.Trace.Txs[0].GasUsed, diffs)
-	}
+	assertParity(t, "after sync", r.oracle(t, bundle), res, false)
 }
 
 // deploy mines a block creating a contract from initCode and returns
@@ -118,7 +109,7 @@ func setCall(key, value uint64) []byte {
 func TestSyncClearedSlotBesideLiveSlot(t *testing.T) {
 	for _, f := range syncParityConfigs {
 		t.Run(f.Name(), func(t *testing.T) {
-			r := buildRig(t, f)
+			r := newRig(t, deviceWorld, config(f, 2, 0))
 			c := r.deploy(t, setterInit)
 			r.assertGethParity(t, 3, c, setCall(0, 7))
 			r.mine(t, r.signed(t, 1, &c, setCall(0, 0)))
@@ -134,7 +125,7 @@ func TestSyncClearedSlotBesideLiveSlot(t *testing.T) {
 func TestSyncFullyClearedGroup(t *testing.T) {
 	for _, f := range syncParityConfigs {
 		t.Run(f.Name(), func(t *testing.T) {
-			r := buildRig(t, f)
+			r := newRig(t, deviceWorld, config(f, 2, 0))
 			c := r.deploy(t, setterInit)
 			r.mine(t, r.signed(t, 1, &c, setCall(0, 0)), r.signed(t, 1, &c, setCall(1, 0)))
 			if keys := r.chain.State().StorageKeys(c); len(keys) != 0 {
@@ -152,7 +143,7 @@ func TestSyncFullyClearedGroup(t *testing.T) {
 func TestSyncSelfdestructedContract(t *testing.T) {
 	for _, f := range syncParityConfigs {
 		t.Run(f.Name(), func(t *testing.T) {
-			r := buildRig(t, f)
+			r := newRig(t, deviceWorld, config(f, 2, 0))
 			beneficiary := r.world.EOAs[1]
 			runtime := append(append([]byte{0x73}, beneficiary[:]...), 0xff) // SELFDESTRUCT(beneficiary)
 			initCode := append([]byte{
@@ -209,7 +200,7 @@ func TestSyncWritesEachPageOnceIntoItsStore(t *testing.T) {
 	ctx := context.Background()
 	for _, f := range []Features{ConfigE, ConfigESO, ConfigFull} {
 		t.Run(f.Name(), func(t *testing.T) {
-			r := buildRig(t, f)
+			r := newRig(t, deviceWorld, config(f, 2, 0))
 			kv, code := pageCounts(t, r.chain)
 			wantPlain, wantORAM := code, 0
 			if f.ORAMStorage {

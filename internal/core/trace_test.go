@@ -10,56 +10,18 @@ import (
 	"testing"
 	"time"
 
-	"hardtape/internal/attest"
-	"hardtape/internal/node"
 	"hardtape/internal/telemetry"
 	"hardtape/internal/types"
-	"hardtape/internal/workload"
 )
 
-// buildTracedServiceRig is buildServiceRig with tracing on at the
-// device side (its own registry, standing in for the device process)
-// and the parallel scheduler + sharded ORAM enabled so traced bundles
-// cover every span family.
-func buildTracedServiceRig(t testing.TB) (*serviceRig, *telemetry.Registry) {
-	t.Helper()
-	mfr, err := attest.NewManufacturer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 8
-	wcfg.Tokens = 2
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devReg := telemetry.NewRegistry()
-	devReg.EnableTracing("device", 0)
-	t.Cleanup(devReg.FlightRecorder().Close)
-	cfg := DefaultConfig()
-	cfg.Features = ConfigFull
-	cfg.HEVMs = 2
-	cfg.Lanes = 2
+// tracedConfig is a 2-core -full device with 2 lanes and 2 ORAM shards,
+// so traced bundles cover every span family, tracing into its own
+// registry (standing in for the device process).
+func tracedConfig(t testing.TB) Config {
+	cfg := config(ConfigFull, 2, 2)
 	cfg.ORAMShards = 2
-	cfg.Telemetry = devReg
-	dev, err := NewDevice(cfg, mfr, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	return &serviceRig{
-		rig: &rig{world: w, chain: chain, device: dev},
-		mfr: mfr,
-		svc: NewService(dev),
-	}, devReg
+	cfg.Telemetry = tracedRegistry(t, "device")
+	return cfg
 }
 
 // TestConcurrentTracedMuxTraffic hammers one multiplexed session with
@@ -68,7 +30,7 @@ func buildTracedServiceRig(t testing.TB) (*serviceRig, *telemetry.Registry) {
 // while replies interleave on the mux. Run under -race this is the
 // whole-pipeline data-race harness for the tracing tentpole.
 func TestConcurrentTracedMuxTraffic(t *testing.T) {
-	sr, _ := buildTracedServiceRig(t)
+	sr := newRig(t, serviceWorld, tracedConfig(t))
 	clientConn, serverConn := net.Pipe()
 	defer clientConn.Close()
 	go func() {
@@ -77,9 +39,8 @@ func TestConcurrentTracedMuxTraffic(t *testing.T) {
 		_ = sr.svc.ServeConn(serverConn)
 	}()
 
-	clientReg := telemetry.NewRegistry()
-	ctr := clientReg.EnableTracing("client", 0)
-	defer clientReg.FlightRecorder().Close()
+	clientReg := tracedRegistry(t, "client")
+	ctr := clientReg.Tracer()
 
 	c, err := Dial(clientConn, sr.verifier(), true)
 	if err != nil {
@@ -174,8 +135,8 @@ func errSpans(t *testing.T, reg *telemetry.Registry, fn func(ctx context.Context
 // (the failure travels as an abort reason), and a dead connection fails
 // client.preexecute alone.
 func TestSpanErrLandsOnFailingLayer(t *testing.T) {
-	sr, devReg := buildTracedServiceRig(t)
-	dev := sr.device
+	sr := newRig(t, serviceWorld, tracedConfig(t))
+	dev, devReg := sr.device, sr.device.cfg.Telemetry
 	to := types.BytesToAddress([]byte{0xcd})
 	badNonce, err := sr.world.SignedTxAt(sr.world.EOAs[1], 7, &to, 1, nil, 40_000)
 	if err != nil {
@@ -225,9 +186,8 @@ func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 	}
 
 	// Through the wire: the service span fails, the client's does not.
-	clientReg := telemetry.NewRegistry()
-	ctr := clientReg.EnableTracing("client", 0)
-	defer clientReg.FlightRecorder().Close()
+	clientReg := tracedRegistry(t, "client")
+	ctr := clientReg.Tracer()
 	conn := sr.serveOnce(t)
 	c, err := Dial(conn, sr.verifier(), true)
 	if err != nil {
@@ -259,8 +219,8 @@ func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 // single-access round) has one oram.batch span per ORAM round it
 // caused, counted from the ORAM client's own access counter.
 func TestTracedBundleSpansEveryORAMRound(t *testing.T) {
-	sr, devReg := buildTracedServiceRig(t)
-	dev := sr.device
+	sr := newRig(t, serviceWorld, tracedConfig(t))
+	dev, devReg := sr.device, sr.device.cfg.Telemetry
 	if dev.Config().DisablePrefetch {
 		t.Fatal("rig has code prefetching off")
 	}

@@ -97,7 +97,7 @@ func archetypeBundles(t *testing.T, w *workload.World) map[workload.TxKind]*type
 // seven archetypes, a searcher bundle, a per-instruction trace, a hardware-aborted bundle,
 // an executor failure and a traced reply's span segment.
 func TestWireMatchesGobOracle(t *testing.T) {
-	sr := buildServiceRig(t, ConfigRaw)
+	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
 	for kind, b := range archetypeBundles(t, sr.world) {
 		checkBundleOracle(t, b)
 		out := sr.svc.executeBundle(channel.TraceContext{}, b)
@@ -121,17 +121,9 @@ func TestWireMatchesGobOracle(t *testing.T) {
 	})
 
 	t.Run("steps", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Features = ConfigRaw
+		cfg := config(ConfigRaw, 3, 0)
 		cfg.CaptureSteps = true
-		dev, err := NewDevice(cfg, sr.mfr, sr.chain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dev.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		out := NewService(dev).executeBundle(channel.TraceContext{}, sr.transferBundle(t, 5))
+		out := NewService(sr.newDevice(t, cfg)).executeBundle(channel.TraceContext{}, sr.transferBundle(t, 5))
 		if len(out.Trace.Txs) != 1 || len(out.Trace.Txs[0].Steps) == 0 {
 			t.Fatalf("no steps captured: %+v", out)
 		}
@@ -161,7 +153,7 @@ func TestWireMatchesGobOracle(t *testing.T) {
 	})
 
 	t.Run("spans", func(t *testing.T) {
-		tr, _ := buildTracedServiceRig(t)
+		tr := newRig(t, serviceWorld, tracedConfig(t))
 		var tc channel.TraceContext
 		if _, err := rand.Read(tc.Trace[:]); err != nil {
 			t.Fatal(err)

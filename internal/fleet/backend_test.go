@@ -11,13 +11,12 @@ import (
 
 	"hardtape/internal/attest"
 	"hardtape/internal/core"
-	"hardtape/internal/node"
 	"hardtape/internal/types"
 	"hardtape/internal/workload"
 )
 
 func TestLocalBackendKillRevive(t *testing.T) {
-	r := buildFleetRig(t, 1, 2)
+	r := newRig(t, 12, config(core.ConfigRaw, 2))
 	lb := r.backends[0]
 
 	free, err := lb.FreeSlots()
@@ -124,37 +123,11 @@ func (rs *remoteService) restart(svc *core.Service) {
 }
 
 func TestRemoteBackendOverTCP(t *testing.T) {
-	mfr, err := attest.NewManufacturer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 8
-	wcfg.Tokens = 2
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Features = core.ConfigES
-	cfg.HEVMs = 2
-	dev, err := core.NewDevice(cfg, mfr, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	svc := core.NewService(dev)
+	r := newRig(t, 8, config(core.ConfigES, 2))
+	svc := core.NewService(r.devices[0])
 	rs := serveRemote(t, svc)
 
-	verifier := attest.NewVerifier(mfr.PublicKey(), core.ImageMeasurement())
-	rb := NewRemoteBackend("remote-0", rs.addr, verifier, true, 2)
+	rb := NewRemoteBackend("remote-0", rs.addr, r.verifier(), true, 2)
 	defer rb.Close()
 
 	// The status probe reflects the remote device's occupancy.
@@ -163,16 +136,7 @@ func TestRemoteBackendOverTCP(t *testing.T) {
 		t.Fatalf("remote probe: free=%d err=%v", free, err)
 	}
 
-	bundle := func(sender int) *types.Bundle {
-		token := w.Tokens[0]
-		tx, err := w.SignedTxAt(w.EOAs[sender], 0, &token, 0,
-			workload.CalldataTransfer(w.EOAs[1], 42), 200_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &types.Bundle{Txs: []*types.Transaction{tx}}
-	}
-	res, err := rb.Execute(context.Background(), bundle(0))
+	res, err := rb.Execute(context.Background(), r.transferBundle(t, 0, 42))
 	if err != nil {
 		t.Fatalf("remote execute: %v", err)
 	}
@@ -186,7 +150,7 @@ func TestRemoteBackendOverTCP(t *testing.T) {
 	if _, err := rb.FreeSlots(); !errors.As(err, &be) {
 		t.Fatalf("dead-service probe: %v", err)
 	}
-	if _, err := rb.Execute(context.Background(), bundle(2)); !errors.As(err, &be) {
+	if _, err := rb.Execute(context.Background(), r.transferBundle(t, 2, 42)); !errors.As(err, &be) {
 		t.Fatalf("dead-service execute: %v", err)
 	}
 
@@ -196,42 +160,9 @@ func TestRemoteBackendOverTCP(t *testing.T) {
 	if _, err := rb.FreeSlots(); err != nil {
 		t.Fatalf("restarted probe: %v", err)
 	}
-	if _, err := rb.Execute(context.Background(), bundle(3)); err != nil {
+	if _, err := rb.Execute(context.Background(), r.transferBundle(t, 3, 42)); err != nil {
 		t.Fatalf("restarted execute: %v", err)
 	}
-}
-
-// remoteDevice builds one more -raw device over the rig's world with
-// its own manufacturer, and the verifier a RemoteBackend dials it with.
-func (r *fleetRig) remoteDevice(t *testing.T, hevms int) (*core.Device, *attest.Verifier) {
-	t.Helper()
-	mfr, err := attest.NewManufacturer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(r.world.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Features = core.ConfigRaw
-	cfg.HEVMs = hevms
-	dev, err := core.NewDevice(cfg, mfr, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	return dev, attest.NewVerifier(mfr.PublicKey(), core.ImageMeasurement())
-}
-
-// serveRemoteDevice puts a single-HEVM remoteDevice behind a
-// core.Service on real TCP.
-func (r *fleetRig) serveRemoteDevice(t *testing.T) (*remoteService, *attest.Verifier) {
-	t.Helper()
-	dev, verifier := r.remoteDevice(t, 1)
-	return serveRemote(t, core.NewService(dev)), verifier
 }
 
 // peakExec is a device that holds each bundle a while and records the
@@ -262,11 +193,11 @@ func (p *peakExec) ExecuteContext(ctx context.Context, bundle *types.Bundle) (*c
 // multiplexed connection, and the backend's slot count — not the
 // device's eight HEVMs — bounds the bundles in flight on it.
 func TestRemoteBackendOneSession(t *testing.T) {
-	r := buildFleetRig(t, 0, 1)
-	dev, verifier := r.remoteDevice(t, 8)
+	r := newRig(t, 12, config(core.ConfigRaw, 8))
+	dev := r.devices[0]
 	exec := &peakExec{Device: dev, hold: 50 * time.Millisecond}
 	rs := serveRemote(t, core.NewServiceFor(exec, dev.Booted(), false))
-	rb := NewRemoteBackend("remote", rs.addr, verifier, false, 4)
+	rb := NewRemoteBackend("remote", rs.addr, r.verifier(), false, 4)
 	defer rb.Close()
 
 	const bundles = 8
@@ -307,9 +238,9 @@ func TestRemoteBackendOneSession(t *testing.T) {
 // next bundle redials warm from the session's ticket — no asymmetric
 // operation on either side.
 func TestRemoteBackendWarmRedial(t *testing.T) {
-	r := buildFleetRig(t, 0, 1)
-	rs, verifier := r.serveRemoteDevice(t)
-	rb := NewRemoteBackend("remote", rs.addr, verifier, false, 1)
+	r := newRig(t, 12, config(core.ConfigRaw, 1))
+	rs := serveRemote(t, core.NewService(r.devices[0]))
+	rb := NewRemoteBackend("remote", rs.addr, r.verifier(), false, 1)
 	defer rb.Close()
 
 	if _, err := rb.Execute(context.Background(), r.transferBundle(t, 0, 1)); err != nil {
@@ -332,8 +263,8 @@ func TestRemoteBackendWarmRedial(t *testing.T) {
 // device, the backend neither presents the ticket it harvested nor
 // re-attests cold — both fail closed with ErrDeviceRevoked.
 func TestRemoteBackendRevokedDevice(t *testing.T) {
-	r := buildFleetRig(t, 0, 1)
-	dev, verifier := r.remoteDevice(t, 1)
+	r := newRig(t, 12, config(core.ConfigRaw, 1))
+	dev, verifier := r.devices[0], r.verifier()
 	rs := serveRemote(t, core.NewService(dev))
 	rb := NewRemoteBackend("remote", rs.addr, verifier, false, 1)
 	defer rb.Close()
@@ -432,9 +363,9 @@ func TestRemoteBackendSilentPeerBounded(t *testing.T) {
 func TestGatewayWithRemoteBackendFailover(t *testing.T) {
 	// One local + one remote backend; the remote dies mid-run and the
 	// local picks up its bundles.
-	r := buildFleetRig(t, 1, 1)
-	rs, verifier := r.serveRemoteDevice(t)
-	remote := NewRemoteBackend("remote", rs.addr, verifier, false, 1)
+	r := newRig(t, 12, config(core.ConfigRaw, 1), config(core.ConfigRaw, 1))
+	rs := serveRemote(t, core.NewService(r.devices[1]))
+	remote := NewRemoteBackend("remote", rs.addr, r.verifier(), false, 1)
 
 	g := NewGateway(Config{QueueDepth: 8, HealthInterval: 10 * time.Millisecond}, r.backends[0], remote)
 	defer g.Close()
@@ -459,9 +390,9 @@ func TestGatewayWithRemoteBackendFailover(t *testing.T) {
 // device sits in-process or behind a core.Service, and a Memory
 // Overflow bundle completes as Aborted on both.
 func TestBundleFaultSameThroughLocalAndRemote(t *testing.T) {
-	r := buildFleetRig(t, 1, 1)
-	rs, verifier := r.serveRemoteDevice(t)
-	remote := NewRemoteBackend("remote", rs.addr, verifier, false, 1)
+	r := newRig(t, 12, config(core.ConfigRaw, 1), config(core.ConfigRaw, 1))
+	rs := serveRemote(t, core.NewService(r.devices[1]))
+	remote := NewRemoteBackend("remote", rs.addr, r.verifier(), false, 1)
 
 	// The second transaction reuses the first's nonce.
 	stale := r.transferBundle(t, 0, 1)

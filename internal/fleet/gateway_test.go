@@ -12,10 +12,8 @@ import (
 	"time"
 
 	"hardtape/internal/core"
-	"hardtape/internal/node"
 	"hardtape/internal/telemetry"
 	"hardtape/internal/types"
-	"hardtape/internal/workload"
 )
 
 // fakeBackend is a controllable Backend for scheduler tests.
@@ -410,57 +408,10 @@ func TestQueueWaitQuantiles(t *testing.T) {
 
 // --- integration: real devices, one killed mid-run ---
 
-// fleetRig is three single-HEVM devices on one synthetic chain.
-type fleetRig struct {
-	world    *workload.World
-	backends []*LocalBackend
-}
-
-func buildFleetRig(t testing.TB, devices, hevms int) *fleetRig {
-	t.Helper()
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 12
-	wcfg.Tokens = 2
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &fleetRig{world: w}
-	for i := 0; i < devices; i++ {
-		cfg := core.DefaultConfig()
-		cfg.Features = core.ConfigRaw // fastest config; scheduling is what's under test
-		cfg.HEVMs = hevms
-		dev, err := core.NewDevice(cfg, nil, chain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dev.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		r.backends = append(r.backends, NewLocalBackend(fmt.Sprintf("dev-%d", i), dev))
-	}
-	return r
-}
-
-func (r *fleetRig) transferBundle(t testing.TB, sender int, amount uint64) *types.Bundle {
-	t.Helper()
-	token := r.world.Tokens[0]
-	from := r.world.EOAs[sender%len(r.world.EOAs)]
-	tx, err := r.world.SignedTxAt(from, 0, &token, 0,
-		workload.CalldataTransfer(r.world.EOAs[1], amount), 200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &types.Bundle{Txs: []*types.Transaction{tx}}
-}
-
 func TestFleetFailoverIntegration(t *testing.T) {
-	r := buildFleetRig(t, 3, 1)
+	// -raw is the fastest configuration; scheduling is what's under test.
+	raw := config(core.ConfigRaw, 1)
+	r := newRig(t, 12, raw, raw, raw)
 	g := NewGateway(Config{
 		QueueDepth:     6,
 		BundleDeadline: 10 * time.Second,

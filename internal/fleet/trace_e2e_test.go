@@ -5,11 +5,8 @@ import (
 	"net"
 	"testing"
 
-	"hardtape/internal/attest"
 	"hardtape/internal/core"
-	"hardtape/internal/node"
 	"hardtape/internal/telemetry"
-	"hardtape/internal/workload"
 )
 
 // TestTracePropagationAcrossFleet is the examples/fleet topology with
@@ -21,52 +18,22 @@ import (
 // segment, and the executing device's bundle, lane re-execution, and
 // ORAM round spans, every parent link resolving.
 func TestTracePropagationAcrossFleet(t *testing.T) {
-	mfr, err := attest.NewManufacturer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := workload.DefaultConfig()
-	wcfg.EOAs = 16
-	wcfg.Tokens = 2
-	wcfg.DEXes = 1
-	w, err := workload.BuildWorld(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := node.New(w.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// Two device "processes" behind real TCP listeners. Full feature
 	// set, parallel lanes, sharded ORAM — the whole span surface.
-	mkDevice := func(proc string) *remoteService {
-		reg := telemetry.NewRegistry()
-		reg.EnableTracing(proc, 0)
-		t.Cleanup(reg.FlightRecorder().Close)
-		cfg := core.DefaultConfig()
-		cfg.Features = core.ConfigFull
-		cfg.HEVMs = 1
+	device := func(proc string) core.Config {
+		cfg := config(core.ConfigFull, 1)
 		cfg.Lanes = 4
 		cfg.ORAMShards = 2
-		cfg.Telemetry = reg
-		dev, err := core.NewDevice(cfg, mfr, chain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := dev.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		return serveRemote(t, core.NewService(dev))
+		cfg.Telemetry = tracedRegistry(t, proc)
+		return cfg
 	}
-	rs0 := mkDevice("device-0")
-	rs1 := mkDevice("device-1")
+	r := newRig(t, 16, device("device-0"), device("device-1"))
+	rs0 := serveRemote(t, core.NewService(r.devices[0]))
+	rs1 := serveRemote(t, core.NewService(r.devices[1]))
 
 	// The gateway "process": remote backends only, its own recorder.
-	gwReg := telemetry.NewRegistry()
-	gwReg.EnableTracing("gateway", 0)
-	t.Cleanup(gwReg.FlightRecorder().Close)
-	verifier := attest.NewVerifier(mfr.PublicKey(), core.ImageMeasurement())
+	gwReg := tracedRegistry(t, "gateway")
+	verifier := r.verifier()
 	fcfg := DefaultConfig()
 	fcfg.Telemetry = gwReg
 	gw := NewGateway(fcfg,
@@ -75,14 +42,9 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 	defer gw.Close()
 
 	// The gateway fronts the fleet over the same attested protocol a
-	// single device speaks (cmd/hardtape's fleet mode, NewFleetService).
-	idCfg := core.DefaultConfig()
-	idCfg.Features = core.ConfigFull
-	idDev, err := core.NewDevice(idCfg, mfr, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsvc := core.NewServiceFor(gw, idDev.Booted(), true)
+	// single device speaks, borrowing device 0's identity
+	// (cmd/hardtape's fleet mode, NewFleetService).
+	fsvc := core.NewServiceFor(gw, r.devices[0].Booted(), true)
 	fsvc.SetTelemetry(gwReg)
 	clientConn, serverConn := net.Pipe()
 	defer clientConn.Close()
@@ -93,9 +55,8 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 	}()
 
 	// The end-client "process".
-	clientReg := telemetry.NewRegistry()
-	ctr := clientReg.EnableTracing("client", 0)
-	t.Cleanup(clientReg.FlightRecorder().Close)
+	clientReg := tracedRegistry(t, "client")
+	ctr := clientReg.Tracer()
 	c, err := core.Dial(clientConn, verifier, true)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +66,7 @@ func TestTracePropagationAcrossFleet(t *testing.T) {
 	// A high-conflict MEV bundle on cold devices: every tx hammers one
 	// pool (lane re-execution), and every world-state query and code
 	// prefetch is an ORAM round of the trace.
-	bundle, err := w.MEVBundle(8, 1.0)
+	bundle, err := r.world.MEVBundle(8, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
