@@ -166,11 +166,7 @@ func printTraceTree(trace *hardtape.Trace) {
 	walk = func(s telemetry.SpanRecord, depth int) {
 		attrs := ""
 		for _, a := range s.Attrs {
-			if a.IsInt {
-				attrs += fmt.Sprintf(" %s=%d", a.Key, a.Int) //hardtape:secret-ok recorder attrs were vetted at the AddAttr/AddInt sink; rendering them back is the recorder's purpose
-			} else {
-				attrs += fmt.Sprintf(" %s=%s", a.Key, a.Str) //hardtape:secret-ok recorder attrs were vetted at the AddAttr/AddInt sink; rendering them back is the recorder's purpose
-			}
+			attrs += fmt.Sprintf(" %s=%d", a.Key, a.Int) //hardtape:secret-ok a.Key is a constant attribute name, not key material, and values are integers the SP already observes
 		}
 		fmt.Printf("   %*s%-16s %-8s %8v%s\n", //hardtape:secret-ok span names are compile-time constants (telemetrysafe) and procs are deployment labels
 			2*depth, "", s.Name, s.Proc, s.Duration.Round(time.Microsecond), attrs)

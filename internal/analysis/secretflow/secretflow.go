@@ -22,11 +22,11 @@
 //     Fprintf & friends, errors.New, log.*, panic;
 //   - telemetry registration names and label values
 //     (telemetry.Registry.Counter/Gauge/Histogram);
-//   - distributed-tracing span names and attribute values
-//     (telemetry.Registry.StartSpan, telemetry.Span.AddAttr):
+//   - distributed-tracing span names (telemetry.Registry.StartSpan):
 //     span records leave the device on the trace reply and surface on
 //     the admin endpoints, so they are exactly as public as metric
-//     labels;
+//     labels (a span record has no other caller-chosen text: its
+//     attributes are integers and its failure is one bit);
 //   - wire writes that bypass channel.Seal: Write/WriteString method
 //     calls with a tainted payload;
 //   - flag defaults in cmd/ packages (flag.String & friends).
@@ -147,8 +147,8 @@ func checkSink(pass *analysis.Pass, flow *analysis.Flow, ann *analysis.Annotatio
 		reportTainted(pass, flow, ann, fn, call, call.Args, "flag registration (flag."+name+")")
 	case isTelemetryRegistration(path, name):
 		reportTainted(pass, flow, ann, fn, call, call.Args, "telemetry name/label ("+name+")")
-	case isTraceAnnotation(path, name):
-		reportTainted(pass, flow, ann, fn, call, call.Args, "trace span name/attribute ("+name+")")
+	case isSpanStart(path, name):
+		reportTainted(pass, flow, ann, fn, call, call.Args, "trace span name ("+name+")")
 	case isWireWrite(path, name):
 		if len(call.Args) >= 1 {
 			reportTainted(pass, flow, ann, fn, call, call.Args[:1], "unsealed wire write")
@@ -177,20 +177,12 @@ func isWireWrite(path, name string) bool {
 	return false
 }
 
-// isTraceAnnotation matches span creation and attribute attachment in
-// the telemetry package: span names and attribute string values export
-// like metric labels, so key material must never reach them. AddInt is
-// deliberately absent — its int64 argument cannot carry byte-like
-// taint.
-func isTraceAnnotation(path, name string) bool {
-	if path != "telemetry" && !strings.HasSuffix(path, "/telemetry") {
-		return false
-	}
-	switch name {
-	case "Registry.StartSpan", "Span.AddAttr":
-		return true
-	}
-	return false
+// isSpanStart matches Registry.StartSpan in the telemetry package: span
+// names export like metric labels, so key material must never reach
+// them. Span.AddInt is deliberately absent — its int64 argument cannot
+// carry byte-like taint.
+func isSpanStart(path, name string) bool {
+	return name == "Registry.StartSpan" && (path == "telemetry" || strings.HasSuffix(path, "/telemetry"))
 }
 
 // isTelemetryRegistration matches Registry.Counter/Gauge/Histogram in

@@ -82,23 +82,17 @@ func flags(seedHex string) {
 	flag.String("seed", seedHex, "initial seed") // want `flag registration \(flag\.String\)`
 }
 
-// Positive 10a: secret material as a span attribute value — span
-// records ship to the untrusted side with the trace reply.
-func spanAttr(reg *telemetry.Registry, stashKey []byte) {
-	sp, _ := reg.StartSpan(nil, "oram.batch")
-	sp.AddAttr("key", string(stashKey)) // want `trace span name/attribute \(Span\.AddAttr\)`
-}
-
-// Positive 10b: a derived key smuggled into a span NAME (dynamic names
-// are also telemetrysafe violations, but the taint must be caught even
+// Positive 10a: a derived key smuggled into a span NAME — span records
+// ship to the untrusted side with the trace reply (dynamic names are
+// also telemetrysafe violations, but the taint must be caught even
 // where the name is built from a secret).
 func spanName(reg *telemetry.Registry, id uint64) {
 	var material [32]byte
 	k := session.TrafficKey(material, id)
-	reg.StartSpan(nil, string(k[:])) // want `trace span name/attribute \(Registry\.StartSpan\)`
+	reg.StartSpan(nil, string(k[:])) // want `trace span name \(Registry\.StartSpan\)`
 }
 
-// Positive 10: copy moves the secret bytes themselves.
+// Positive 10b: copy moves the secret bytes themselves.
 func copied(psk []byte) {
 	out := make([]byte, len(psk))
 	copy(out, psk)
@@ -142,16 +136,9 @@ func zeroNeg(sessionKey []byte) {
 	session.Zero(sessionKey)
 }
 
-// Negative 7: span attributes carrying counts and public structure are
-// the sanctioned use; AddInt cannot carry byte taint at all.
+// Negative 7: span attributes carry counts and public structure;
+// AddInt cannot carry byte taint at all.
 func spanNeg(reg *telemetry.Registry, sessionKey []byte) {
 	sp, _ := reg.StartSpan(nil, "device.bundle")
-	sp.AddAttr("backend", "device-1")
 	sp.AddInt("key_bytes", int64(len(sessionKey)))
-}
-
-// Negative 8: a waived span attribute stays reviewable.
-func spanWaived(reg *telemetry.Registry, psk []byte) {
-	sp, _ := reg.StartSpan(nil, "session.resume")
-	sp.AddAttr("psk", string(psk)) //hardtape:secret-ok fixture: documented debug-only build
 }

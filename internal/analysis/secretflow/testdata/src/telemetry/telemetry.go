@@ -16,11 +16,8 @@ func (r *Registry) Gauge(name, help string, labels ...string) int { return 0 }
 // sink. ctx stands in for context.Context.
 func (r *Registry) StartSpan(ctx any, name string) (*Span, any) { return &Span{}, ctx }
 
-// Span mimics a live span; AddAttr values are secretflow sinks.
+// Span mimics a live span.
 type Span struct{}
-
-// AddAttr attaches a string attribute.
-func (s *Span) AddAttr(key, val string) {}
 
 // AddInt attaches an integer attribute (not a byte-like sink).
 func (s *Span) AddInt(key string, val int64) {}

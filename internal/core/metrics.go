@@ -2,6 +2,7 @@ package core
 
 import (
 	"hardtape/internal/evm"
+	"hardtape/internal/session"
 	"hardtape/internal/telemetry"
 )
 
@@ -145,13 +146,12 @@ type svcMetrics struct {
 	dhke   *telemetry.Histogram
 	resume *telemetry.Histogram
 
-	// Ticket lifecycle counters, one per event outcome.
-	ticketsIssued     *telemetry.Counter
-	ticketsRedeemed   *telemetry.Counter
-	ticketsExpired    *telemetry.Counter
-	ticketsReplayed   *telemetry.Counter
-	ticketsTampered   *telemetry.Counter
-	ticketsMismatched *telemetry.Counter
+	// Ticket lifecycle counters, one per event outcome; a failed
+	// redeem counts under its wire reject code (RejectGeneric counts
+	// nothing).
+	ticketsIssued   *telemetry.Counter
+	ticketsRedeemed *telemetry.Counter
+	ticketsRejected [session.RejectMeasurement + 1]*telemetry.Counter
 
 	// admissionWait is how long a cold handshake queued at the gate
 	// (resumes bypass it by design, so they never appear here).
@@ -179,10 +179,10 @@ func newSvcMetrics(reg *telemetry.Registry) *svcMetrics {
 	m.resume = reg.Histogram("hardtape_service_handshake_seconds", "handshake stage latency", nil, "stage", "resume")
 	m.ticketsIssued = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "issued")
 	m.ticketsRedeemed = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "redeemed")
-	m.ticketsExpired = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "expired")
-	m.ticketsReplayed = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "replayed")
-	m.ticketsTampered = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "tampered")
-	m.ticketsMismatched = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "mismatched")
+	m.ticketsRejected[session.RejectExpired] = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "expired")
+	m.ticketsRejected[session.RejectReplayed] = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "replayed")
+	m.ticketsRejected[session.RejectTampered] = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "tampered")
+	m.ticketsRejected[session.RejectMeasurement] = reg.Counter("hardtape_service_tickets_total", "resumption tickets by lifecycle event", "event", "mismatched")
 	m.admissionWait = reg.Histogram("hardtape_service_admission_wait_seconds", "cold-handshake admission queue wait", nil)
 	m.execute = reg.Histogram("hardtape_service_bundle_stage_seconds", "bundle pipeline stage latency", nil, "stage", "execute")
 	m.bytesIn = reg.Histogram("hardtape_service_request_bytes", "sealed bundle request size", telemetry.SizeBuckets)

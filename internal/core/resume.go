@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"crypto/subtle"
-	"errors"
 	"fmt"
 	"io"
 
@@ -79,9 +78,10 @@ func (s *Service) warmHandshake(conn io.ReadWriter, raw []byte) (*channel.Secure
 
 	st, err := s.redeemTicket(req.Ticket)
 	if err != nil {
-		s.recordTicketFailure(err)
+		code := session.RejectCode(err)
+		s.tm.ticketsRejected[code].Inc()
 		//hardtape:faulterr-ok the reject write is best-effort; the redeem failure is the error that matters
-		_ = writePlain(conn, channel.MsgResumeReject, 0, []byte{session.RejectCode(err)})
+		_ = writePlain(conn, channel.MsgResumeReject, 0, []byte{code})
 		return nil, err
 	}
 	defer session.ZeroKey(&st.PSK)
@@ -148,20 +148,6 @@ func (s *Service) redeemTicket(wire []byte) (*session.State, error) {
 		return nil, session.ErrMeasurementChanged
 	}
 	return st, nil
-}
-
-// recordTicketFailure counts a redeem failure under its event label.
-func (s *Service) recordTicketFailure(err error) {
-	switch {
-	case errors.Is(err, session.ErrTicketExpired):
-		s.tm.ticketsExpired.Inc()
-	case errors.Is(err, session.ErrTicketReplayed):
-		s.tm.ticketsReplayed.Inc()
-	case errors.Is(err, session.ErrTicketTampered):
-		s.tm.ticketsTampered.Inc()
-	case errors.Is(err, session.ErrMeasurementChanged):
-		s.tm.ticketsMismatched.Inc()
-	}
 }
 
 // Resume re-establishes a session from a ticket with zero asymmetric

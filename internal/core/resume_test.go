@@ -6,12 +6,15 @@ import (
 	"crypto/rand"
 	"errors"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"hardtape/internal/attest"
 	"hardtape/internal/session"
+	"hardtape/internal/telemetry"
 )
 
 // serveOnce runs the service side of one connection in the background.
@@ -43,6 +46,32 @@ func copyTicket(ct *session.ClientTicket) *session.ClientTicket {
 	cp := *ct
 	cp.Opaque = append([]byte(nil), ct.Opaque...)
 	return &cp
+}
+
+// ticketEvents is the service's nonzero hardtape_service_tickets_total
+// series as /metrics renders them, count by event label.
+func ticketEvents(t *testing.T, reg *telemetry.Registry) map[string]string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	events := map[string]string{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, `hardtape_service_tickets_total{event="`)
+		if ev, n, _ := strings.Cut(rest, `"} `); ok && n != "0" {
+			events[ev] = n
+		}
+	}
+	return events
+}
+
+// wantTicketEvents fails unless the service counted exactly want.
+func wantTicketEvents(t *testing.T, reg *telemetry.Registry, want map[string]string) {
+	t.Helper()
+	if got := ticketEvents(t, reg); !reflect.DeepEqual(got, want) {
+		t.Errorf("ticket events %v, want %v", got, want)
+	}
 }
 
 // TestSigningServiceMintsNoTicket: a resumed channel never signs, so a
@@ -129,6 +158,8 @@ func TestResumeWarmSessionZeroAsymOps(t *testing.T) {
 
 func TestResumeReplayedTicketFailsClosed(t *testing.T) {
 	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
+	reg := telemetry.NewRegistry()
+	sr.svc.SetTelemetry(reg)
 	cold := sr.dialCold(t)
 	ticket := cold.Ticket()
 	cold.Close()
@@ -143,10 +174,13 @@ func TestResumeReplayedTicketFailsClosed(t *testing.T) {
 	if _, err := Resume(sr.serveOnce(t), replay); !errors.Is(err, session.ErrTicketReplayed) {
 		t.Fatalf("replayed ticket: got %v, want ErrTicketReplayed", err)
 	}
+	wantTicketEvents(t, reg, map[string]string{"issued": "2", "redeemed": "1", "replayed": "1"})
 }
 
 func TestResumeTamperedTicketFailsClosed(t *testing.T) {
 	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
+	reg := telemetry.NewRegistry()
+	sr.svc.SetTelemetry(reg)
 	cold := sr.dialCold(t)
 	ticket := cold.Ticket()
 	cold.Close()
@@ -155,6 +189,7 @@ func TestResumeTamperedTicketFailsClosed(t *testing.T) {
 	if _, err := Resume(sr.serveOnce(t), ticket); !errors.Is(err, session.ErrTicketTampered) {
 		t.Fatalf("tampered ticket: got %v, want ErrTicketTampered", err)
 	}
+	wantTicketEvents(t, reg, map[string]string{"issued": "1", "tampered": "1"})
 }
 
 func TestResumeExpiredTicketFailsClosed(t *testing.T) {
@@ -163,6 +198,8 @@ func TestResumeExpiredTicketFailsClosed(t *testing.T) {
 	if err := sr.svc.SetSessionPolicy(clk, 2, nil); err != nil {
 		t.Fatal(err)
 	}
+	reg := telemetry.NewRegistry()
+	sr.svc.SetTelemetry(reg)
 	cold := sr.dialCold(t)
 	ticket := cold.Ticket()
 	cold.Close()
@@ -171,10 +208,13 @@ func TestResumeExpiredTicketFailsClosed(t *testing.T) {
 	if _, err := Resume(sr.serveOnce(t), ticket); !errors.Is(err, session.ErrTicketExpired) {
 		t.Fatalf("expired ticket: got %v, want ErrTicketExpired", err)
 	}
+	wantTicketEvents(t, reg, map[string]string{"issued": "1", "expired": "1"})
 }
 
 func TestResumeMeasurementChangeFailsClosed(t *testing.T) {
 	sr := newRig(t, serviceWorld, config(ConfigRaw, 2, 0))
+	reg := telemetry.NewRegistry()
+	sr.svc.SetTelemetry(reg)
 	issuer := sr.svc.issuer
 	serial := sr.device.Booted().Serial()
 
@@ -205,6 +245,7 @@ func TestResumeMeasurementChangeFailsClosed(t *testing.T) {
 	if _, err := Resume(sr.serveOnce(t), mint("HT-IMPOSTOR", ImageMeasurement())); !errors.Is(err, session.ErrMeasurementChanged) {
 		t.Fatalf("wrong serial: got %v, want ErrMeasurementChanged", err)
 	}
+	wantTicketEvents(t, reg, map[string]string{"mismatched": "2"})
 }
 
 func TestResumeNilAndEmptyTickets(t *testing.T) {

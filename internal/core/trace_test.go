@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -10,8 +11,11 @@ import (
 	"testing"
 	"time"
 
+	"hardtape/internal/hevm"
 	"hardtape/internal/telemetry"
 	"hardtape/internal/types"
+	"hardtape/internal/uint256"
+	"hardtape/internal/workload"
 )
 
 // tracedConfig is a 2-core -full device with 2 lanes and 2 ORAM shards,
@@ -106,7 +110,7 @@ func TestConcurrentTracedMuxTraffic(t *testing.T) {
 
 // errSpans runs fn under a fresh root span on reg and returns, for the
 // trace it produced, how many spans of each name ended and which names
-// carry an Err.
+// are marked failed.
 func errSpans(t *testing.T, reg *telemetry.Registry, fn func(ctx context.Context)) (count map[string]int, failed map[string]bool) {
 	t.Helper()
 	root, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), telemetry.SpanContext{}), "test.root")
@@ -119,91 +123,175 @@ func errSpans(t *testing.T, reg *telemetry.Registry, fn func(ctx context.Context
 	count, failed = map[string]int{}, map[string]bool{}
 	for _, s := range trace.Spans {
 		count[s.Name]++
-		if s.Err != "" {
+		if s.Err {
 			failed[s.Name] = true
 		}
 	}
 	return count, failed
 }
 
-// TestSpanErrLandsOnFailingLayer injects a fault into one layer at a
-// time and checks the merged span's deferred End put the error on that
-// layer's span (and on the callers the error propagated through), never
-// on a sibling or a callee: a bad nonce fails device.exec/device.bundle,
-// an expired wait for a core fails device.slot_wait and never opens
-// device.exec, the service span fails while the client's stays clean
-// (the failure travels as an abort reason), and a dead connection fails
+// renderedTraces is every trace reg's flight recorder keeps, rendered
+// as /traces serves them: the span-tree JSON and the Chrome export.
+func renderedTraces(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	var b strings.Builder
+	for _, trace := range reg.FlightRecorder().Traces() {
+		if err := telemetry.WriteTraceJSON(&b, trace); err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.WriteChromeTrace(&b, trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
+}
+
+// assertNotRendered fails when text appears in out, raw or as a JSON
+// string escapes it.
+func assertNotRendered(t *testing.T, what, out, text string) {
+	t.Helper()
+	quoted, _ := json.Marshal(text)
+	if strings.Contains(out, text) || strings.Contains(out, strings.Trim(string(quoted), `"`)) {
+		t.Errorf("%s: rendered traces carry %q", what, text)
+	}
+}
+
+// TestSpanErrLandsOnFailingLayer injects one failure family at a time
+// and checks the merged span's deferred End marked that layer's span
+// failed (and the callers the error propagated through), never a
+// sibling or a callee: a transaction the EVM refuses fails
+// device.exec/device.bundle, an expired wait for a core fails
+// device.slot_wait and never opens device.exec, and a Memory Overflow
+// abort fails no span (the bundle ran; its result says why). In every
+// family the error's text reaches neither export of any kept trace: a
+// span records that it failed, never why. Through the wire the service
+// span fails while the client's stays clean (the failure travels as an
+// abort reason, in the sealed reply only), and a dead connection fails
 // client.preexecute alone.
 func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 	sr := newRig(t, serviceWorld, tracedConfig(t))
 	dev, devReg := sr.device, sr.device.cfg.Telemetry
-	to := types.BytesToAddress([]byte{0xcd})
-	badNonce, err := sr.world.SignedTxAt(sr.world.EOAs[1], 7, &to, 1, nil, 40_000)
-	if err != nil {
-		t.Fatal(err)
+	to, hog := types.BytesToAddress([]byte{0xcd}), sr.world.MemoryHog
+	signed := func(nonce, value uint64, to *types.Address, data []byte, gas uint64) *types.Transaction {
+		t.Helper()
+		tx, err := sr.world.SignedTxAt(sr.world.EOAs[1], nonce, to, value, data, gas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tx
 	}
-	bad := &types.Bundle{Txs: []*types.Transaction{sr.transferBundleFrom(t, 2, 5).Txs[0], badNonce}}
+	badNonce := signed(7, 1, &to, nil, 40_000)
+	good := signed(0, 1, &to, nil, 40_000)
+	// A zero R recovers no sender. A fresh struct drops the sender
+	// Sign cached.
+	badSig := &types.Transaction{Nonce: good.Nonce, GasPrice: good.GasPrice, GasLimit: good.GasLimit,
+		To: good.To, Value: good.Value, R: new(uint256.Int), S: good.S, V: good.V}
+	bundleWith := func(tx *types.Transaction) *types.Bundle {
+		return &types.Bundle{Txs: []*types.Transaction{sr.transferBundleFrom(t, 2, 5).Txs[0], tx}}
+	}
 	want := func(what string, failed map[string]bool, names ...string) {
 		t.Helper()
 		if len(failed) != len(names) {
-			t.Errorf("%s: spans with Err %v, want exactly %v", what, failed, names)
+			t.Errorf("%s: failed spans %v, want exactly %v", what, failed, names)
 		}
 		for _, n := range names {
 			if !failed[n] {
-				t.Errorf("%s: span %s carries no Err (failed: %v)", what, n, failed)
+				t.Errorf("%s: span %s not marked failed (failed: %v)", what, n, failed)
 			}
 		}
 	}
 
-	count, failed := errSpans(t, devReg, func(ctx context.Context) {
-		if _, err := dev.ExecuteContext(ctx, bad); err == nil {
-			t.Error("bad-nonce bundle executed")
+	for _, row := range []struct {
+		name   string
+		bundle *types.Bundle
+		// holdCores runs the bundle with every core held until a
+		// short deadline ends its wait.
+		holdCores bool
+		failed    []string
+	}{
+		{name: "bad nonce", bundle: bundleWith(badNonce), failed: []string{"device.exec", "device.bundle"}},
+		{name: "insufficient funds", bundle: bundleWith(signed(0, 1<<62, &to, nil, 40_000)), failed: []string{"device.exec", "device.bundle"}},
+		{name: "intrinsic gas", bundle: bundleWith(signed(0, 1, &to, nil, 20_000)), failed: []string{"device.exec", "device.bundle"}},
+		{name: "bad signature", bundle: bundleWith(badSig), failed: []string{"device.exec", "device.bundle"}},
+		{name: "slot wait", bundle: bundleWith(badNonce), holdCores: true, failed: []string{"device.slot_wait", "device.bundle"}},
+		// TestMemoryOverflowAbortsBundle's one-transaction hog call.
+		{name: "memory overflow", bundle: &types.Bundle{Txs: []*types.Transaction{signed(0, 0, &hog, workload.CalldataUint(600_000), 25_000_000)}}},
+	} {
+		var text string
+		count, failed := errSpans(t, devReg, func(ctx context.Context) {
+			if row.holdCores {
+				held := make([]*slot, cap(dev.slots))
+				for i := range held {
+					held[i] = <-dev.slots
+				}
+				defer func() {
+					for _, s := range held {
+						dev.slots <- s
+					}
+				}()
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, 10*time.Millisecond)
+				defer cancel()
+			}
+			res, err := dev.ExecuteContext(ctx, row.bundle)
+			switch {
+			case row.holdCores && !errors.Is(err, context.DeadlineExceeded):
+				t.Errorf("%s: %v, want deadline exceeded", row.name, err)
+			case row.failed == nil && err != nil:
+				t.Errorf("%s: %v", row.name, err)
+			case row.failed == nil:
+				var moe *hevm.MemoryOverflowError
+				if !errors.As(res.Aborted, &moe) {
+					t.Fatalf("%s: aborted %v, want a Memory Overflow Error", row.name, res.Aborted)
+				}
+				text = res.Aborted.Error()
+			case err == nil:
+				t.Fatalf("%s: bundle executed", row.name)
+			default:
+				text = err.Error()
+			}
+		})
+		want(row.name, failed, row.failed...)
+		if row.holdCores && count["device.exec"] != 0 {
+			t.Errorf("%s: a bundle that never got a core opened device.exec: %v", row.name, count)
 		}
-	})
-	want("device fault", failed, "device.exec", "device.bundle")
-	if count["device.slot_wait"] != 0 {
-		t.Errorf("idle device recorded a slot wait: %v", count)
+		if !row.holdCores && count["device.slot_wait"] != 0 {
+			t.Errorf("%s: idle device recorded a slot wait: %v", row.name, count)
+		}
+		assertNotRendered(t, row.name, renderedTraces(t, devReg), text)
 	}
 
-	// Hold every core so the bundle can only wait, then let ctx expire.
-	held := make([]*slot, cap(dev.slots))
-	for i := range held {
-		held[i] = <-dev.slots
-	}
-	count, failed = errSpans(t, devReg, func(ctx context.Context) {
-		ctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
-		defer cancel()
-		if _, err := dev.ExecuteContext(ctx, bad); !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("wait for a held core: %v, want deadline exceeded", err)
+	// Through the wire, first untraced: the service roots the trace on
+	// the device's own recorder.
+	bad := bundleWith(badNonce)
+	reason := func(c *Client, ctx context.Context) string {
+		t.Helper()
+		res, err := c.PreExecuteContext(ctx, bad)
+		if err != nil || !strings.Contains(res.AbortReason, "core: tx 1:") {
+			t.Fatalf("bad bundle over the wire: %v, %+v", err, res)
 		}
-	})
-	for _, s := range held {
-		dev.slots <- s
+		return res.AbortReason
 	}
-	want("slot wait", failed, "device.slot_wait", "device.bundle")
-	if count["device.exec"] != 0 {
-		t.Errorf("a bundle that never got a core opened device.exec: %v", count)
-	}
-
-	// Through the wire: the service span fails, the client's does not.
-	clientReg := tracedRegistry(t, "client")
-	ctr := clientReg.Tracer()
-	conn := sr.serveOnce(t)
-	c, err := Dial(conn, sr.verifier(), true)
+	c, err := Dial(sr.serveOnce(t), sr.verifier(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.UseTracer(ctr)
-	_, failed = errSpans(t, clientReg, func(ctx context.Context) {
-		res, err := c.PreExecuteContext(ctx, bad)
-		if err != nil || !strings.Contains(res.AbortReason, "core: tx 1:") {
-			t.Errorf("bad bundle over the wire: %v, %+v", err, res)
-		}
-	})
+	assertNotRendered(t, "untraced client", renderedTraces(t, devReg), reason(c, context.Background()))
+
+	// Traced: the service span fails, the client's does not.
+	clientReg := tracedRegistry(t, "client")
+	conn := sr.serveOnce(t)
+	if c, err = Dial(conn, sr.verifier(), true); err != nil {
+		t.Fatal(err)
+	}
+	c.UseTracer(clientReg.Tracer())
+	var text string
+	_, failed := errSpans(t, clientReg, func(ctx context.Context) { text = reason(c, ctx) })
 	want("service fault", failed, "service.bundle", "device.bundle", "device.exec")
+	assertNotRendered(t, "traced client", renderedTraces(t, clientReg), text)
 
 	conn.Close()
-	count, failed = errSpans(t, clientReg, func(ctx context.Context) {
+	count, failed := errSpans(t, clientReg, func(ctx context.Context) {
 		if _, err := c.PreExecuteContext(ctx, bad); err == nil {
 			t.Error("pre-execute on a closed connection succeeded")
 		}

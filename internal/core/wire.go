@@ -53,8 +53,8 @@ import (
 //	  access         address [20], slot [32], value [32], write bool
 //	  log            address [20], n × topic [32], data bytes
 //	  span           trace [16], span [8], parent [8], name str, proc str, start time,
-//	                 duration int, n × attr, err str
-//	  attr           key str, str str, int int, isInt bool
+//	                 duration int, n × attr, failed bool
+//	  attr           key str, int int
 //
 // Every decoder reads bytes a peer chose, and six of them (attest
 // request and report, key exchange, resume request, accept and reject)
@@ -81,8 +81,8 @@ const (
 	accessSize  = 20 + 32 + 32 + 1
 	minLogSize  = 20 + 4 + 4
 	topicSize   = 32
-	minSpanSize = 16 + 8 + 8 + 4 + 4 + 12 + 8 + 4 + 4
-	minAttrSize = 4 + 4 + 8 + 1
+	minSpanSize = 16 + 8 + 8 + 4 + 4 + 12 + 8 + 4 + 1
+	minAttrSize = 4 + 8
 )
 
 // --- encoders: each appends one message's layout to b ---
@@ -227,11 +227,9 @@ func appendSpan(b []byte, s *telemetry.SpanRecord) []byte {
 	b = appendCount(b, len(s.Attrs))
 	for _, a := range s.Attrs {
 		b = appendStr(b, a.Key)
-		b = appendStr(b, a.Str)
 		b = appendInt(b, a.Int)
-		b = appendBool(b, a.IsInt)
 	}
-	return appendStr(b, s.Err)
+	return appendBool(b, s.Err)
 }
 
 func appendCount(b []byte, n int) []byte { return binary.BigEndian.AppendUint32(b, uint32(n)) }
@@ -470,12 +468,10 @@ func (r *wireReader) span(s *telemetry.SpanRecord) {
 		for i := range s.Attrs {
 			a := &s.Attrs[i]
 			a.Key = r.str()
-			a.Str = r.str()
 			a.Int = r.i64()
-			a.IsInt = r.bool()
 		}
 	}
-	s.Err = r.str()
+	s.Err = r.bool()
 }
 
 // wireReader decodes one payload front to back. The first fault sticks:

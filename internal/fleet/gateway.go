@@ -58,7 +58,10 @@ const dispatchRetries = 3
 
 // backendState is the gateway's scheduling view of one backend.
 type backendState struct {
-	b       Backend
+	b Backend
+	// idx is the backend's position in the gateway's list, the order
+	// of Stats().Backends; dispatch spans name their backend by it.
+	idx     int
 	healthy bool
 	// lastFree is the most recent occupancy probe, decremented on
 	// dispatch and restored on completion between probes.
@@ -146,7 +149,7 @@ func NewGateway(cfg Config, backends ...Backend) *Gateway {
 		if rb, ok := b.(*RemoteBackend); ok && rb.tracer == nil {
 			rb.tracer = cfg.Telemetry.Tracer()
 		}
-		bs := &backendState{b: b, m: newBackendMetrics(reg, b.Name())}
+		bs := &backendState{b: b, idx: len(g.backends), m: newBackendMetrics(reg, b.Name())}
 		free, err := b.FreeSlots()
 		if err == nil {
 			bs.healthy = true
@@ -296,11 +299,11 @@ func (g *Gateway) acquire(ctx context.Context) (*backendState, error) {
 // dispatch runs the bundle on its reserved backend. The
 // "gateway.dispatch" span rides ctx into the backend: an in-process
 // device (or the remote client's wire context) parents its
-// "device.bundle" span on it. Backend names are deployment labels the
-// operator chose — public, never tainted.
+// "device.bundle" span on it. The span names its backend by index, in
+// the order of Stats().Backends.
 func (g *Gateway) dispatch(ctx context.Context, bs *backendState, bundle *types.Bundle) (*core.BundleResult, error) {
 	sp, ctx := g.reg.StartSpan(ctx, "gateway.dispatch")
-	sp.AddAttr("backend", bs.b.Name())
+	sp.AddInt("backend", int64(bs.idx))
 	res, err := bs.b.Execute(ctx, bundle)
 	sp.End(nil, &err)
 	g.release(bs, res, err)

@@ -174,7 +174,7 @@ func (r *Recorder) spanEnded(rec SpanRecord, root bool) {
 	}
 	p.open--
 	p.spans = append(p.spans, rec)
-	if rec.Err != "" {
+	if rec.Err {
 		p.errs++
 	}
 	if root {
@@ -300,7 +300,7 @@ func (r *Recorder) Adopt(spans []SpanRecord) {
 			r.pending[rec.Trace] = p
 		}
 		p.spans = append(p.spans, rec)
-		if rec.Err != "" {
+		if rec.Err {
 			p.errs++
 		}
 	}
@@ -373,14 +373,14 @@ type traceJSON struct {
 }
 
 type spanJSON struct {
-	Span     string         `json:"span"`
-	Parent   string         `json:"parent,omitempty"`
-	Name     string         `json:"name"`
-	Proc     string         `json:"proc"`
-	Start    time.Time      `json:"start"`
-	Duration float64        `json:"duration_seconds"`
-	Attrs    map[string]any `json:"attrs,omitempty"`
-	Err      string         `json:"err,omitempty"`
+	Span     string           `json:"span"`
+	Parent   string           `json:"parent,omitempty"`
+	Name     string           `json:"name"`
+	Proc     string           `json:"proc"`
+	Start    time.Time        `json:"start"`
+	Duration float64          `json:"duration_seconds"`
+	Attrs    map[string]int64 `json:"attrs,omitempty"`
+	Err      bool             `json:"err,omitempty"`
 }
 
 func toTraceJSON(t *Trace) traceJSON {
@@ -404,13 +404,9 @@ func toTraceJSON(t *Trace) traceJSON {
 			sj.Parent = s.Parent.String()
 		}
 		if len(s.Attrs) > 0 {
-			sj.Attrs = make(map[string]any, len(s.Attrs))
+			sj.Attrs = make(map[string]int64, len(s.Attrs))
 			for _, a := range s.Attrs {
-				if a.IsInt {
-					sj.Attrs[a.Key] = a.Int
-				} else {
-					sj.Attrs[a.Key] = a.Str
-				}
+				sj.Attrs[a.Key] = a.Int
 			}
 		}
 		out.Spans = append(out.Spans, sj)
@@ -493,14 +489,10 @@ func WriteChromeTrace(w io.Writer, t *Trace) error {
 		pid := pidOf(s.Proc)
 		args := map[string]any{"span": s.Span.String()}
 		for _, a := range s.Attrs {
-			if a.IsInt {
-				args[a.Key] = a.Int
-			} else {
-				args[a.Key] = a.Str
-			}
+			args[a.Key] = a.Int
 		}
-		if s.Err != "" {
-			args["err"] = s.Err
+		if s.Err {
+			args["err"] = true
 		}
 		ts := float64(s.Start.Sub(epoch)) / float64(time.Microsecond)
 		dur := float64(s.Duration) / float64(time.Microsecond)

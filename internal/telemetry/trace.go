@@ -9,11 +9,13 @@
 //     a nil registry starts is the zero Span and an untraced request's
 //     span carries no node, so call sites record unconditionally.
 //
-//   - Span names are compile-time constants (telemetrysafe) and
-//     attribute values carry only what the untrusted SP already
-//     observes — counts, stage names, shard indices — never keys,
-//     calldata, addresses, or ORAM leaf positions (secretflow treats
-//     StartSpan/AddAttr as sinks).
+//   - A span record holds no free text. Span names are compile-time
+//     constants (telemetrysafe), the process label is set once at
+//     EnableTracing, attributes are integers the untrusted SP already
+//     observes (counts, shard and backend indices), and a failure is
+//     one bit: the span's name and its place in the tree say which
+//     layer failed, never why, so no error message — which may quote
+//     a value read through the ORAM — reaches /traces.
 //
 // Trace and span IDs are correlation handles, not secrets: they are
 // minted from a splitmix64 stream seeded once per tracer from
@@ -72,13 +74,10 @@ type SpanContext struct {
 // Valid reports whether the context names a real span.
 func (c SpanContext) Valid() bool { return !c.Trace.IsZero() && !c.Span.IsZero() }
 
-// Attr is one typed span attribute. Either Str or Int is set,
-// discriminated by IsInt.
+// Attr is one integer span attribute.
 type Attr struct {
-	Key   string
-	Str   string
-	Int   int64
-	IsInt bool
+	Key string
+	Int int64
 }
 
 // SpanRecord is one finished span. Remote processes ship their segment
@@ -93,7 +92,7 @@ type SpanRecord struct {
 	Start    time.Time
 	Duration time.Duration
 	Attrs    []Attr
-	Err      string // non-empty when the span failed
+	Err      bool // the span failed; the error's text is never kept
 }
 
 // Tracer is one process's tracing identity: the process label, the id
@@ -189,8 +188,7 @@ func (r *Registry) ContinueTrace(ctx context.Context, remote SpanContext) contex
 // is traced when tracing is enabled and ctx carries a trace (a parent
 // span, or a ContinueTrace entry point), timed when the registry is
 // live, and off otherwise (see Span). The name MUST be a compile-time
-// constant (telemetrysafe enforces this) and attributes added later
-// must not carry secret material (secretflow enforces that).
+// constant (telemetrysafe enforces this).
 func (r *Registry) StartSpan(ctx context.Context, name string) (Span, context.Context) {
 	if r == nil {
 		return Span{}, ctx
@@ -229,18 +227,10 @@ func (s *Span) Context() SpanContext {
 	return s.node.sc
 }
 
-// AddAttr attaches a string attribute to a traced span. Values are a
-// secretflow sink: secret material must never reach them.
-func (s *Span) AddAttr(key, val string) {
-	if s.node != nil {
-		s.node.attrs = append(s.node.attrs, Attr{Key: key, Str: val})
-	}
-}
-
 // AddInt attaches an integer attribute to a traced span.
 func (s *Span) AddInt(key string, val int64) {
 	if s.node != nil {
-		s.node.attrs = append(s.node.attrs, Attr{Key: key, Int: val, IsInt: true})
+		s.node.attrs = append(s.node.attrs, Attr{Key: key, Int: val})
 	}
 }
 
@@ -283,9 +273,7 @@ func (s *Span) End(h *Histogram, errp *error) {
 		Start:    start,
 		Duration: d,
 		Attrs:    n.attrs,
-	}
-	if errp != nil && *errp != nil {
-		rec.Err = (*errp).Error()
+		Err:      errp != nil && *errp != nil,
 	}
 	n.t.rec.spanEnded(rec, n.root)
 }

@@ -45,7 +45,7 @@ func TestTraceSpanTree(t *testing.T) {
 	if child.Context().Trace != rootCtx.Trace {
 		t.Fatalf("child trace %s != root trace %s", child.Context().Trace, rootCtx.Trace)
 	}
-	child.AddAttr("backend", "local-0")
+	child.AddInt("backend", 0)
 	child.AddInt("txs", 16)
 	boom := errors.New("boom")
 	child.End(nil, &boom)
@@ -77,8 +77,8 @@ func TestTraceSpanTree(t *testing.T) {
 	if c.Parent != rootCtx.Span {
 		t.Errorf("child parent %s, want %s", c.Parent, rootCtx.Span)
 	}
-	if c.Err != "boom" {
-		t.Errorf("child err %q, want boom", c.Err)
+	if !c.Err {
+		t.Error("child span not marked failed")
 	}
 	if len(c.Attrs) != 2 {
 		t.Errorf("child attrs %v, want backend + txs", c.Attrs)
@@ -92,7 +92,6 @@ func spanSites(reg *Registry, ctx context.Context, h *Histogram, n int64) {
 	var err error
 	sp, ctx := reg.StartSpan(reg.ContinueTrace(ctx, SpanContext{}), "test.sites")
 	defer sp.End(h, &err)
-	sp.AddAttr("k", "v")
 	sp.AddInt("n", n)
 	sp.Mark(h)
 	_ = sp.Context()
@@ -169,33 +168,33 @@ func TestTailSampling(t *testing.T) {
 	defer r.Close()
 
 	seq := uint64(0)
-	push := func(d time.Duration, errStr string) TraceID {
+	push := func(d time.Duration, failed bool) TraceID {
 		seq++
 		id := mkTraceID(seq)
 		r.spanStarted(id, true)
 		r.spanEnded(SpanRecord{
 			Trace: id, Span: SpanID{1}, Name: "t.root",
-			Start: time.Now(), Duration: d, Err: errStr,
+			Start: time.Now(), Duration: d, Err: failed,
 		}, true)
 		return id
 	}
 
 	// Fill the warmup with uniform 10ms roots: all kept.
 	for i := 0; i < recorderWarmup; i++ {
-		if id := push(10*time.Millisecond, ""); r.Lookup(id) == nil {
+		if id := push(10*time.Millisecond, false); r.Lookup(id) == nil {
 			t.Fatalf("warmup trace %d not kept", i)
 		}
 	}
 	// Post-warmup: a fast clean root is below the 10ms threshold.
-	if id := push(time.Millisecond, ""); r.Lookup(id) != nil {
+	if id := push(time.Millisecond, false); r.Lookup(id) != nil {
 		t.Error("fast clean trace kept; want dropped by tail sampling")
 	}
 	// A slow root is at/above the threshold.
-	if id := push(20*time.Millisecond, ""); r.Lookup(id) == nil {
+	if id := push(20*time.Millisecond, false); r.Lookup(id) == nil {
 		t.Error("slow trace dropped; want kept (tail)")
 	}
 	// A fast root with an error is always kept.
-	if id := push(time.Millisecond, "deadline exceeded"); r.Lookup(id) == nil {
+	if id := push(time.Millisecond, true); r.Lookup(id) == nil {
 		t.Error("error trace dropped; want kept unconditionally")
 	}
 	st := r.Stats()
@@ -217,7 +216,7 @@ func TestRecorderExpiry(t *testing.T) {
 	clean := mkTraceID(1001)
 	r.Adopt([]SpanRecord{{Trace: clean, Span: SpanID{1}, Name: "t.partial", Start: time.Now()}})
 	failed := mkTraceID(1002)
-	r.Adopt([]SpanRecord{{Trace: failed, Span: SpanID{2}, Name: "t.partial", Start: time.Now(), Err: "conn reset"}})
+	r.Adopt([]SpanRecord{{Trace: failed, Span: SpanID{2}, Name: "t.partial", Start: time.Now(), Err: true}})
 
 	r.expireStale(time.Now().Add(time.Hour))
 
