@@ -364,7 +364,7 @@ func BenchmarkGatewayThroughput(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := ftb.Gateway.Submit(context.Background(), bundles[i%len(bundles)]); err != nil {
+			if _, err := ftb.Gateway.ExecuteContext(context.Background(), bundles[i%len(bundles)]); err != nil {
 				b.Error(err)
 				return
 			}

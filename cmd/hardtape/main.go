@@ -64,7 +64,6 @@ func run() error {
 		remotes     = flag.String("backend", "", "comma-separated remote hardtape service addresses to pool")
 		remoteCred  = flag.String("backend-credentials", "", "manufacturer credential file for remote backends")
 		remoteSlots = flag.Int("backend-slots", 3, "bundles in flight per remote backend, all on its one session")
-		statsEvery  = flag.Duration("stats", 10*time.Second, "fleet stats print interval (0 = off)")
 	)
 	flag.Parse()
 
@@ -85,7 +84,9 @@ func run() error {
 
 	// Telemetry is opt-in: without -admin the pipeline runs with nil
 	// instruments (one branch per record site, zero allocations; a
-	// gateway keeps a private registry for Stats).
+	// gateway keeps a private registry, whose series are its state).
+	// With -admin, /metrics carries the gateway's hardtape_fleet_*
+	// series: queue, outcomes, and each backend's health and load.
 	var reg *hardtape.Telemetry
 	if *admin != "" {
 		reg = hardtape.NewTelemetry()
@@ -127,13 +128,6 @@ func run() error {
 		}
 		gw := ftb.Gateway
 		defer gw.Close()
-		if *statsEvery > 0 {
-			go func() {
-				for range time.Tick(*statsEvery) {
-					printStats(gw.Stats())
-				}
-			}()
-		}
 		svc = hardtape.NewFleetService(gw, ftb.Devices[0], features.Sign)
 		mfr = ftb.Manufacturer
 		what = fmt.Sprintf("fleet gateway (%s, %d slots)", features.Name(), gw.SlotCount())
@@ -205,21 +199,6 @@ func remoteBackends(addrs, credFile string, sign bool, slots int) ([]hardtape.Ba
 		}
 	}
 	return backends, nil
-}
-
-func printStats(st hardtape.FleetStats) {
-	fmt.Printf("[fleet] slots %d/%d free, waiting %d, in-flight %d | admitted %d rejected %d completed %d failed %d retries %d | queue wait p50 %v p99 %v\n",
-		st.FreeSlots, st.Capacity, st.Waiting, st.InFlight,
-		st.Admitted, st.Rejected, st.Completed, st.Failed, st.Retries,
-		st.QueueWaitP50, st.QueueWaitP99)
-	for _, b := range st.Backends {
-		state := "up"
-		if !b.Healthy {
-			state = "DOWN"
-		}
-		fmt.Printf("[fleet]   %-10s %-4s free %d/%d, dispatched %d, failures %d %s\n",
-			b.Name, state, b.FreeSlots, b.Capacity, b.Dispatched, b.Failures, b.LastError)
-	}
 }
 
 func parseFeatures(name string) (hardtape.Features, error) {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,7 +46,6 @@ func run() error {
 	fcfg := hardtape.DefaultFleetConfig()
 	fcfg.QueueDepth = 8
 	fcfg.HealthInterval = 20 * time.Millisecond
-	fcfg.HealthBackoff = 20 * time.Millisecond
 	fcfg.Telemetry = reg
 	ftb, err := hardtape.NewFleetTestbed(opts, 3, fcfg)
 	if err != nil {
@@ -74,7 +74,7 @@ func run() error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := g.Submit(context.Background(), bundle)
+			res, err := g.ExecuteContext(context.Background(), bundle)
 			switch {
 			case errors.Is(err, hardtape.ErrOverloaded):
 				overloaded.Add(1)
@@ -95,16 +95,17 @@ func run() error {
 	fmt.Printf("   completed %d, backpressured %d, failed %d\n",
 		completed.Load(), overloaded.Load(), failed.Load())
 
-	// 3. The fleet snapshot shows the failover.
+	// 3. The gateway's registry series show the failover.
 	st := g.Stats()
-	fmt.Println("③ Fleet stats after the burst:")
-	for _, b := range st.Backends {
+	fmt.Println("③ Fleet series after the burst:")
+	for _, lb := range ftb.Backends {
+		b := backendSeries(reg, lb.Name())
 		state := "up"
-		if !b.Healthy {
+		if b["healthy"] == 0 {
 			state = "DOWN"
 		}
-		fmt.Printf("   %-6s %-4s dispatched %2d, failures %d, hevm steps %d\n",
-			b.Name, state, b.Dispatched, b.Failures, b.HEVM.Steps)
+		fmt.Printf("   %-6s %-4s dispatched %2.0f, failures %.0f\n",
+			lb.Name(), state, b["dispatched_total"], b["failures_total"])
 	}
 	fmt.Printf("   queue wait p50 %v, p99 %v; retries %d\n",
 		st.QueueWaitP50, st.QueueWaitP99, st.Retries)
@@ -113,7 +114,7 @@ func run() error {
 	fmt.Println("④ Reviving dev-1...")
 	ftb.Backends[1].Revive()
 	deadline := time.Now().Add(2 * time.Second)
-	for !g.Stats().Backends[1].Healthy {
+	for backendSeries(reg, "dev-1")["healthy"] == 0 {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("dev-1 was not re-admitted")
 		}
@@ -131,7 +132,7 @@ func run() error {
 		return err
 	}
 	sp, ctx := reg.StartSpan(reg.ContinueTrace(context.Background(), telemetry.SpanContext{}), "demo.mev_bundle")
-	res, err := g.Submit(ctx, mev)
+	res, err := g.ExecuteContext(ctx, mev)
 	sp.End(nil, &err)
 	if err != nil {
 		return err
@@ -150,6 +151,20 @@ func run() error {
 	return nil
 }
 
+// backendSeries reads one backend's hardtape_fleet_backend_* series
+// from the registry, keyed by the name after that prefix (healthy,
+// in_flight, dispatched_total, failures_total).
+func backendSeries(reg *hardtape.Telemetry, backend string) map[string]float64 {
+	out := make(map[string]float64)
+	for _, m := range reg.Snapshot().Metrics {
+		name, ok := strings.CutPrefix(m.Name, "hardtape_fleet_backend_")
+		if ok && m.Labels["backend"] == backend && m.Value != nil {
+			out[name] = *m.Value
+		}
+	}
+	return out
+}
+
 // printTraceTree renders the captured span tree, children indented
 // under parents and ordered by start time.
 func printTraceTree(trace *hardtape.Trace) {
@@ -166,7 +181,7 @@ func printTraceTree(trace *hardtape.Trace) {
 	walk = func(s telemetry.SpanRecord, depth int) {
 		attrs := ""
 		for _, a := range s.Attrs {
-			attrs += fmt.Sprintf(" %s=%d", a.Key, a.Int) //hardtape:secret-ok a.Key is a constant attribute name, not key material, and values are integers the SP already observes
+			attrs += fmt.Sprintf(" %s=%d", a.Name, a.Int)
 		}
 		fmt.Printf("   %*s%-16s %-8s %8v%s\n", //hardtape:secret-ok span names are compile-time constants (telemetrysafe) and procs are deployment labels
 			2*depth, "", s.Name, s.Proc, s.Duration.Round(time.Microsecond), attrs)

@@ -73,9 +73,8 @@ type (
 	// Gateway fronts a fleet of devices: bounded admission, least-busy
 	// dispatch, health-checked failover.
 	Gateway = fleet.Gateway
-	// FleetConfig tunes the gateway; FleetStats is its live snapshot.
+	// FleetConfig tunes the gateway.
 	FleetConfig = fleet.Config
-	FleetStats  = fleet.Stats
 	// Backend is one execution target behind a gateway.
 	Backend = fleet.Backend
 	// LocalBackend adapts an in-process Device; RemoteBackend fronts a

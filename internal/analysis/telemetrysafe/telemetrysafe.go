@@ -9,13 +9,14 @@
 //
 // The analyzer flags any call to Registry.Counter / Registry.Gauge /
 // Registry.Histogram whose metric name or label arguments are not
-// compile-time constants, and any Registry.StartSpan whose span name is
-// not — span names export on the admin trace endpoints exactly like
+// compile-time constants, any Registry.StartSpan whose span name is
+// not, and any Span.AddInt whose attribute name is not — span and
+// attribute names export on the admin trace endpoints exactly like
 // metric names, so they obey the same rule. Operator-controlled
 // dynamic labels (backend deployment names, enum-driven class labels)
 // are legitimate; they must carry a visible waiver so the trust
-// decision is reviewable. (Span ATTRIBUTE values may be dynamic — the
-// secretflow taint analyzer polices what reaches them.)
+// decision is reviewable. (A span attribute's value is an integer, so
+// it carries no text to check.)
 //
 // Escape hatch (reason required): //hardtape:telemetry-ok reason —
 // on the call line, the line above, or the enclosing function's doc.
@@ -28,7 +29,8 @@ import (
 	"hardtape/internal/analysis"
 )
 
-// Analyzer flags non-constant metric names and label arguments.
+// Analyzer flags non-constant metric names, label arguments, and span
+// and span attribute names.
 var Analyzer = &analysis.Analyzer{
 	Name: "telemetrysafe",
 	Doc: "require compile-time-constant metric names and labels in telemetry " +
@@ -64,16 +66,16 @@ func run(pass *analysis.Pass) (any, error) {
 				if !ok {
 					return true
 				}
-				start, isReg := labelStart[sel.Sel.Name]
-				isSpan := sel.Sel.Name == "StartSpan"
-				if !isReg && !isSpan {
+				method := sel.Sel.Name
+				start, isReg := labelStart[method]
+				recv := "Registry"
+				if method == "AddInt" {
+					recv = "Span"
+				} else if !isReg && method != "StartSpan" {
 					return true
 				}
 				pkgPath, typeName, ok := analysis.NamedType(pass.TypesInfo, sel.X)
-				if !ok || !isTelemetryPackage(pkgPath) {
-					return true
-				}
-				if typeName != "Registry" {
+				if !ok || !isTelemetryPackage(pkgPath) || typeName != recv {
 					return true
 				}
 				if ann.Allowed(pass.Fset, call.Pos(), "telemetry-ok") ||
@@ -86,20 +88,26 @@ func run(pass *analysis.Pass) (any, error) {
 					}
 					pass.Reportf(arg.Pos(),
 						"dynamic %s in telemetry registration (%s.%s): exported series may only carry compile-time constants; annotate with //hardtape:telemetry-ok <reason> if the value is operator-controlled",
-						what, typeName, sel.Sel.Name)
+						what, typeName, method)
 				}
-				if isSpan {
+				switch {
+				case method == "AddInt":
+					// AddInt(name, value): only the name is text.
+					if len(call.Args) > 0 {
+						check(call.Args[0], "span attribute name")
+					}
+				case method == "StartSpan":
 					// StartSpan(ctx, name): the name follows the context.
 					if len(call.Args) > 1 {
 						check(call.Args[1], "span name")
 					}
-					return true
-				}
-				if len(call.Args) > 0 {
-					check(call.Args[0], "metric name")
-				}
-				for i := start; i < len(call.Args); i++ {
-					check(call.Args[i], "label argument")
+				default:
+					if len(call.Args) > 0 {
+						check(call.Args[0], "metric name")
+					}
+					for i := start; i < len(call.Args); i++ {
+						check(call.Args[i], "label argument")
+					}
 				}
 				return true
 			})

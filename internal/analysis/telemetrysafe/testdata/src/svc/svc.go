@@ -43,15 +43,16 @@ func silent(reg *telemetry.Registry, name string) {
 
 const stageSpan = "svc." + stage
 
-// spans applies the same constant-name rule to trace spans: the name
-// indexes the exported trace records, so a dynamic one leaks whatever
-// it interpolates (attribute VALUES may be dynamic — secretflow
-// checks their provenance).
-func spans(reg *telemetry.Registry, user string, txHash string) {
+// spans applies the same constant-name rule to trace spans and their
+// attributes: the names index the exported trace records, so a dynamic
+// one leaks whatever it interpolates (attribute values are integers).
+func spans(reg *telemetry.Registry, user string, txHash string, n int64) {
 	// Constants, including named-constant concatenations, pass.
 	sp, ctx := reg.StartSpan(nil, "svc.handle")
-	sp.AddAttr("backend", user)
+	sp.AddInt("backend", n)
 	reg.StartSpan(ctx, stageSpan)
+
+	sp.AddInt(user, n) // want `dynamic span attribute name in telemetry registration \(Span.AddInt\)`
 
 	reg.StartSpan(ctx, "svc."+user) // want `dynamic span name in telemetry registration \(Registry.StartSpan\)`
 	reg.StartSpan(ctx, txHash)      // want `dynamic span name in telemetry registration \(Registry.StartSpan\)`

@@ -25,9 +25,9 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 // Span is a live span.
 type Span struct{}
 
-// AddAttr attaches a string attribute (dynamic values allowed;
-// secretflow polices their content).
-func (s *Span) AddAttr(key, val string) {}
+// AddInt attaches an integer attribute; the name must be a
+// compile-time constant, same rule as span names.
+func (s *Span) AddInt(name string, val int64) {}
 
 // StartSpan opens a span; the name must be a compile-time constant,
 // same rule as metric names. ctx stands in for context.Context.

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"hardtape/internal/channel"
 	"hardtape/internal/hevm"
+	"hardtape/internal/session"
 	"hardtape/internal/telemetry"
 	"hardtape/internal/types"
 	"hardtape/internal/uint256"
@@ -166,7 +168,8 @@ func assertNotRendered(t *testing.T, what, out, text string) {
 // family the error's text reaches neither export of any kept trace: a
 // span records that it failed, never why. Through the wire the service
 // span fails while the client's stays clean (the failure travels as an
-// abort reason, in the sealed reply only), and a dead connection fails
+// abort reason, in the sealed reply only), a bundle frame the service
+// cannot decode fails no span, and a dead connection fails
 // client.preexecute alone.
 func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 	sr := newRig(t, serviceWorld, tracedConfig(t))
@@ -290,8 +293,40 @@ func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 	want("service fault", failed, "service.bundle", "device.bundle", "device.exec")
 	assertNotRendered(t, "traced client", renderedTraces(t, clientReg), text)
 
-	conn.Close()
+	// A bundle frame whose body fails decodeBundle: the service answers
+	// with the decode error before any of its spans starts, so an
+	// untraced frame leaves the device's recorder as it was and a
+	// traced one adds nothing to the client's trace.
+	malformed := appendBundle(nil, bad)[:12]
+	_, decodeErr := decodeBundle(malformed)
+	if decodeErr == nil {
+		t.Fatal("truncated bundle decoded")
+	}
+	sendMalformed := func(ctx context.Context, tc channel.TraceContext) {
+		t.Helper()
+		_, err := c.mux.RoundTrip(ctx, session.MuxBundle, tc, malformed)
+		if err == nil || !strings.Contains(err.Error(), decodeErr.Error()) {
+			t.Errorf("malformed frame: client got %v, want the decode error %q", err, decodeErr)
+		}
+	}
+	before := devReg.FlightRecorder().Stats()
+	sendMalformed(context.Background(), channel.TraceContext{})
+	if after := devReg.FlightRecorder().Stats(); after.Kept != before.Kept || after.Dropped != before.Dropped {
+		t.Errorf("untraced malformed frame recorded a trace: recorder %+v, was %+v", after, before)
+	}
 	count, failed := errSpans(t, clientReg, func(ctx context.Context) {
+		sp, _ := clientReg.StartSpan(ctx, "test.frame")
+		sendMalformed(ctx, wireTraceContext(sp.Context()))
+		sp.End(nil, nil)
+	})
+	want("malformed frame", failed)
+	if len(count) != 2 {
+		t.Errorf("malformed frame produced spans beyond root and frame: %v", count)
+	}
+	assertNotRendered(t, "malformed frame", renderedTraces(t, clientReg)+renderedTraces(t, devReg), decodeErr.Error())
+
+	conn.Close()
+	count, failed = errSpans(t, clientReg, func(ctx context.Context) {
 		if _, err := c.PreExecuteContext(ctx, bad); err == nil {
 			t.Error("pre-execute on a closed connection succeeded")
 		}

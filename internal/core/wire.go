@@ -54,7 +54,7 @@ import (
 //	  log            address [20], n × topic [32], data bytes
 //	  span           trace [16], span [8], parent [8], name str, proc str, start time,
 //	                 duration int, n × attr, failed bool
-//	  attr           key str, int int
+//	  attr           name str, int int
 //
 // Every decoder reads bytes a peer chose, and six of them (attest
 // request and report, key exchange, resume request, accept and reject)
@@ -226,7 +226,7 @@ func appendSpan(b []byte, s *telemetry.SpanRecord) []byte {
 	b = appendInt(b, int64(s.Duration))
 	b = appendCount(b, len(s.Attrs))
 	for _, a := range s.Attrs {
-		b = appendStr(b, a.Key)
+		b = appendStr(b, a.Name)
 		b = appendInt(b, a.Int)
 	}
 	return appendBool(b, s.Err)
@@ -467,7 +467,7 @@ func (r *wireReader) span(s *telemetry.SpanRecord) {
 		s.Attrs = make([]telemetry.Attr, n)
 		for i := range s.Attrs {
 			a := &s.Attrs[i]
-			a.Key = r.str()
+			a.Name = r.str()
 			a.Int = r.i64()
 		}
 	}

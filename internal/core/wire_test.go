@@ -69,7 +69,7 @@ func sampleWireMessages() [len(wireRoundTrips)][]byte {
 		TraceSpans: []telemetry.SpanRecord{{
 			Trace: telemetry.TraceID{1}, Span: telemetry.SpanID{2}, Parent: telemetry.SpanID{3},
 			Name: "device.exec", Proc: "device", Start: time.Unix(1_700_000_000, 123), Duration: time.Microsecond,
-			Attrs: []telemetry.Attr{{Key: "txs", Int: 1}, {Key: "backend", Int: 2}}, Err: true,
+			Attrs: []telemetry.Attr{{Name: "txs", Int: 1}, {Name: "backend", Int: 2}}, Err: true,
 		}},
 	}
 	return [...][]byte{

@@ -19,7 +19,8 @@ import (
 // Device or a remote Service endpoint. Implementations must be safe
 // for concurrent use.
 type Backend interface {
-	// Name identifies the backend in stats and errors.
+	// Name labels the backend's series, so it is distinct within a
+	// gateway, and names the backend in errors.
 	Name() string
 	// Capacity is the backend's total HEVM slot count (dispatch weight).
 	Capacity() int

@@ -346,13 +346,13 @@ func TestRemoteBackendSilentPeerBounded(t *testing.T) {
 	within(t, time.Second, "NewGateway", func() {
 		g = NewGateway(Config{HealthInterval: 10 * time.Millisecond}, rb)
 	})
-	if b := g.Stats().Backends[0]; b.Healthy || b.LastError == "" {
-		t.Errorf("silent backend: healthy=%v lastError=%q, want unhealthy with an error", b.Healthy, b.LastError)
+	if up, f := backendMetric(t, g, "silent", "healthy"), backendMetric(t, g, "silent", "failures_total"); up != 0 || f < 1 {
+		t.Errorf("silent backend: healthy %d, failures %d, want drained with a failure", up, f)
 	}
-	within(t, time.Second, "Submit", func() {
+	within(t, time.Second, "ExecuteContext", func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 		defer cancel()
-		_, err = g.Submit(ctx, &types.Bundle{Txs: []*types.Transaction{new(types.Transaction)}})
+		_, err = g.ExecuteContext(ctx, &types.Bundle{Txs: []*types.Transaction{new(types.Transaction)}})
 	})
 	if !errors.Is(err, ErrNoBackends) {
 		t.Errorf("submit: %v, want ErrNoBackends", err)
@@ -374,19 +374,18 @@ func TestGatewayWithRemoteBackendFailover(t *testing.T) {
 		if i == 3 {
 			rs.kill()
 		}
-		if _, err := g.Submit(context.Background(), r.transferBundle(t, i, uint64(i+1))); err != nil {
+		if _, err := g.ExecuteContext(context.Background(), r.transferBundle(t, i, uint64(i+1))); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	st := g.Stats()
-	if st.Backends[0].Dispatched == 0 {
+	if backendMetric(t, g, "dev-0", "dispatched_total") == 0 {
 		t.Fatal("local backend never dispatched")
 	}
 }
 
 // TestBundleFaultSameThroughLocalAndRemote pins that a backend's kind
 // does not change a bundle's outcome: an invalid-nonce bundle is the
-// same plain Submit error, counted failed with no failover, whether the
+// same plain error, counted failed with no failover, whether the
 // device sits in-process or behind a core.Service, and a Memory
 // Overflow bundle completes as Aborted on both.
 func TestBundleFaultSameThroughLocalAndRemote(t *testing.T) {
@@ -405,29 +404,29 @@ func TestBundleFaultSameThroughLocalAndRemote(t *testing.T) {
 	overflow := &types.Bundle{Txs: []*types.Transaction{tx}}
 
 	type outcome struct {
-		fault                                            string
-		completed, failed, retries, dispatched, failures uint64
-		healthy                                          bool
+		fault                                                     string
+		completed, failed, retries, dispatched, failures, healthy int64
 	}
 	got := map[string]outcome{}
 	for _, b := range []Backend{r.backends[0], remote} {
 		g := NewGateway(Config{QueueDepth: 4, BundleDeadline: 10 * time.Second}, b)
-		_, err := g.Submit(context.Background(), stale)
+		_, err := g.ExecuteContext(context.Background(), stale)
 		var be *BackendError
 		if err == nil || errors.As(err, &be) {
 			t.Fatalf("%s: invalid-nonce bundle: err = %v, want a plain bundle-fault error", b.Name(), err)
 		}
 		fault := err.Error()
-		res, err := g.Submit(context.Background(), overflow)
+		res, err := g.ExecuteContext(context.Background(), overflow)
 		if err != nil || res.Aborted == nil || !strings.Contains(res.Aborted.Error(), "memory overflow") {
 			t.Fatalf("%s: overflow bundle: res = %+v, err = %v, want Aborted", b.Name(), res, err)
 		}
-		st := g.Stats()
-		got[b.Name()] = outcome{fault, st.Completed, st.Failed, st.Retries,
-			st.Backends[0].Dispatched, st.Backends[0].Failures, st.Backends[0].Healthy}
+		_, completed, failed := outcomes(t, g)
+		got[b.Name()] = outcome{fault, completed, failed, metric(t, g, "hardtape_fleet_retries_total"),
+			backendMetric(t, g, b.Name(), "dispatched_total"), backendMetric(t, g, b.Name(), "failures_total"),
+			backendMetric(t, g, b.Name(), "healthy")}
 		g.Close()
 	}
-	want := outcome{got["dev-0"].fault, 1, 1, 0, 2, 0, true}
+	want := outcome{got["dev-0"].fault, 1, 1, 0, 2, 0, 1}
 	if !strings.Contains(want.fault, "nonce mismatch") {
 		t.Errorf("local fault = %q, want a nonce mismatch", want.fault)
 	}

@@ -11,9 +11,13 @@
 //   - health-checked failover: failed backends are drained, probed
 //     with exponential backoff, and re-admitted when they recover,
 //     while accepted bundles retry on surviving backends;
-//   - a Stats snapshot aggregating queue behaviour (depth, p50/p99
-//     wait) with per-backend dispatch/failure counters and the
-//     underlying hevm/oram statistics.
+//   - one report, its registry series: hardtape_fleet_submissions_total
+//     and hardtape_fleet_bundles_total by outcome,
+//     hardtape_fleet_retries_total, hardtape_fleet_waiting and the
+//     hardtape_fleet_queue_wait_seconds histogram, and per backend
+//     hardtape_fleet_backend_{healthy,in_flight,dispatched_total,
+//     failures_total}. The gauges are the scheduler's own state, not
+//     copies of it.
 //
 // The gateway runs inside the trusted boundary (a scaled-up
 // Hypervisor): it terminates user secure channels, hands bundles to

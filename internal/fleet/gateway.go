@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hardtape/internal/core"
-	"hardtape/internal/hevm"
 	"hardtape/internal/session"
 	"hardtape/internal/telemetry"
 	"hardtape/internal/types"
@@ -23,13 +22,10 @@ type Config struct {
 	// BundleDeadline caps a bundle's admission-to-completion time;
 	// 0 disables the per-bundle timeout.
 	BundleDeadline time.Duration
-	// HealthInterval is the probe cadence for healthy backends.
+	// HealthInterval is the probe cadence for healthy backends. A
+	// failed backend is probed again after half an interval, the delay
+	// doubling per consecutive failure up to 50 intervals.
 	HealthInterval time.Duration
-	// HealthBackoff is the initial re-probe delay after a failure; it
-	// doubles per consecutive failure up to HealthBackoffMax.
-	HealthBackoff time.Duration
-	// HealthBackoffMax caps the exponential backoff.
-	HealthBackoffMax time.Duration
 	// ColdHandshakeLimit bounds concurrent cold (attest+DHKE)
 	// handshakes on services fronting this gateway; warm ticket resumes
 	// bypass the gate, so a reconnect burst never queues behind cold
@@ -37,18 +33,17 @@ type Config struct {
 	ColdHandshakeLimit int
 	// Telemetry, when non-nil, registers the gateway's series there so
 	// they export alongside the rest of the pipeline. When nil the
-	// gateway keeps a private registry: the same instruments back the
-	// Stats() snapshot either way.
+	// gateway keeps a private registry: its series are its scheduling
+	// state, so one registry holds one gateway, whose backend names
+	// are distinct.
 	Telemetry *telemetry.Registry
 }
 
 // DefaultConfig returns production-ish gateway settings.
 func DefaultConfig() Config {
 	return Config{
-		BundleDeadline:   10 * time.Second,
-		HealthInterval:   100 * time.Millisecond,
-		HealthBackoff:    50 * time.Millisecond,
-		HealthBackoffMax: 5 * time.Second,
+		BundleDeadline: 10 * time.Second,
+		HealthInterval: 100 * time.Millisecond,
 	}
 }
 
@@ -59,27 +54,25 @@ const dispatchRetries = 3
 // backendState is the gateway's scheduling view of one backend.
 type backendState struct {
 	b Backend
-	// idx is the backend's position in the gateway's list, the order
-	// of Stats().Backends; dispatch spans name their backend by it.
-	idx     int
-	healthy bool
+	// idx is the backend's position in the list given to NewGateway;
+	// dispatch spans name their backend by it.
+	idx int
 	// lastFree is the most recent occupancy probe, decremented on
 	// dispatch and restored on completion between probes.
 	lastFree  int
-	inflight  int
-	lastErr   error
 	backoff   time.Duration
 	nextProbe time.Time
-	// m holds the backend's telemetry series — also the source of
-	// truth for dispatch/failure counts.
+	// m holds the backend's series: its health, in-flight count and
+	// dispatch/failure counts live there and nowhere else.
 	m *backendMetrics
-	// hevm aggregates per-bundle machine stats over completed bundles.
-	hevm hevm.Stats
 }
+
+// healthy reports whether the gateway may dispatch to the backend.
+func (bs *backendState) healthy() bool { return bs.m.healthy.Value() == 1 }
 
 // effectiveFree is the slots the gateway may still dispatch to.
 func (bs *backendState) effectiveFree() int {
-	free := bs.b.Capacity() - bs.inflight
+	free := bs.b.Capacity() - int(bs.m.inflight.Value())
 	if bs.lastFree < free {
 		free = bs.lastFree
 	}
@@ -98,12 +91,11 @@ type Gateway struct {
 	mu       sync.Mutex
 	backends []*backendState
 	admitted int // waiting + in flight
-	waiting  int
 	wake     chan struct{}
 	closed   bool
 
 	// reg is Config.Telemetry, or a private registry when that is nil:
-	// the same instruments back the Stats() snapshot either way.
+	// the gateway's series hold its state either way.
 	reg    *telemetry.Registry
 	tm     *gwMetrics
 	adm    *session.Admission
@@ -119,19 +111,11 @@ func (g *Gateway) SessionAdmission() *session.Admission { return g.adm }
 // backend is probed once synchronously so the initial healthy set is
 // accurate (an unreachable remote starts drained, not trusted).
 func NewGateway(cfg Config, backends ...Backend) *Gateway {
-	def := DefaultConfig()
 	if cfg.HealthInterval <= 0 {
-		cfg.HealthInterval = def.HealthInterval
-	}
-	if cfg.HealthBackoff <= 0 {
-		cfg.HealthBackoff = def.HealthBackoff
-	}
-	if cfg.HealthBackoffMax <= 0 {
-		cfg.HealthBackoffMax = def.HealthBackoffMax
+		cfg.HealthInterval = DefaultConfig().HealthInterval
 	}
 	reg := cfg.Telemetry
 	if reg == nil {
-		// Private registry: Stats() is backed by instruments either way.
 		reg = telemetry.NewRegistry()
 	}
 	g := &Gateway{
@@ -152,12 +136,13 @@ func NewGateway(cfg Config, backends ...Backend) *Gateway {
 		bs := &backendState{b: b, idx: len(g.backends), m: newBackendMetrics(reg, b.Name())}
 		free, err := b.FreeSlots()
 		if err == nil {
-			bs.healthy = true
+			bs.m.healthy.Set(1)
 			bs.lastFree = free
 			bs.nextProbe = time.Now().Add(cfg.HealthInterval)
 		} else {
-			bs.lastErr = err
-			bs.backoff = cfg.HealthBackoff
+			bs.m.healthy.Set(0)
+			bs.m.failures.Inc()
+			bs.backoff = g.backoff(0)
 			bs.nextProbe = time.Now().Add(bs.backoff)
 		}
 		g.backends = append(g.backends, bs)
@@ -174,11 +159,13 @@ func NewGateway(cfg Config, backends ...Backend) *Gateway {
 	return g
 }
 
-// Submit pre-executes one bundle on the least-busy healthy backend.
-// It returns ErrOverloaded without queuing when the admission bound is
-// hit, fails over on backend faults, and respects ctx plus the
-// configured per-bundle deadline while waiting for capacity.
-func (g *Gateway) Submit(ctx context.Context, bundle *types.Bundle) (res *core.BundleResult, err error) {
+// ExecuteContext implements core.BundleExecutor, so a core.Service can
+// front the whole fleet: it pre-executes one bundle on the least-busy
+// healthy backend. It returns ErrOverloaded without queuing when the
+// admission bound is hit, fails over on backend faults, and respects
+// ctx plus the configured per-bundle deadline while waiting for
+// capacity.
+func (g *Gateway) ExecuteContext(ctx context.Context, bundle *types.Bundle) (res *core.BundleResult, err error) {
 	if bundle == nil || len(bundle.Txs) == 0 {
 		return nil, core.ErrBundleEmpty
 	}
@@ -217,9 +204,7 @@ func (g *Gateway) Submit(ctx context.Context, bundle *types.Bundle) (res *core.B
 		if ctx.Err() != nil || retries > dispatchRetries {
 			break
 		}
-		g.mu.Lock()
-		g.waiting++
-		g.mu.Unlock()
+		g.tm.waiting.Add(1)
 		g.tm.retries.Inc()
 		bs, err = g.acquire(ctx)
 	}
@@ -240,13 +225,13 @@ func (g *Gateway) admit() error {
 		return ErrOverloaded
 	}
 	g.admitted++
-	g.waiting++
+	g.tm.waiting.Add(1)
 	g.tm.admitted.Inc()
 	return nil
 }
 
 // settle gives an admitted bundle's place back and counts its final
-// outcome. Submit defers it right after admit, so every way out —
+// outcome. ExecuteContext defers it right after admit, so every way out —
 // completion, bundle fault, exhausted retries, deadline, shutdown —
 // settles exactly once and admitted = completed + failed holds.
 func (g *Gateway) settle(errp *error) {
@@ -289,9 +274,7 @@ func (g *Gateway) acquire(ctx context.Context) (*backendState, error) {
 		case <-g.stopCh:
 			err = ErrClosed
 		}
-		g.mu.Lock()
-		g.waiting--
-		g.mu.Unlock()
+		g.tm.waiting.Add(-1)
 		return nil, err
 	}
 }
@@ -300,13 +283,13 @@ func (g *Gateway) acquire(ctx context.Context) (*backendState, error) {
 // "gateway.dispatch" span rides ctx into the backend: an in-process
 // device (or the remote client's wire context) parents its
 // "device.bundle" span on it. The span names its backend by index, in
-// the order of Stats().Backends.
+// the order the backends were given to NewGateway.
 func (g *Gateway) dispatch(ctx context.Context, bs *backendState, bundle *types.Bundle) (*core.BundleResult, error) {
 	sp, ctx := g.reg.StartSpan(ctx, "gateway.dispatch")
 	sp.AddInt("backend", int64(bs.idx))
 	res, err := bs.b.Execute(ctx, bundle)
 	sp.End(nil, &err)
-	g.release(bs, res, err)
+	g.release(bs, err)
 	return res, err
 }
 
@@ -318,7 +301,7 @@ func (g *Gateway) reserve() (*backendState, chan struct{}) {
 	defer g.mu.Unlock()
 	var best *backendState
 	for _, bs := range g.backends {
-		if !bs.healthy {
+		if !bs.healthy() {
 			continue
 		}
 		// In-process probes are a channel-length read; refresh on the
@@ -344,41 +327,45 @@ func (g *Gateway) reserve() (*backendState, chan struct{}) {
 	if best == nil {
 		return nil, g.wake
 	}
-	best.inflight++
+	best.m.inflight.Add(1)
 	best.lastFree--
-	g.waiting--
+	g.tm.waiting.Add(-1)
 	return best, nil
 }
 
 // release returns a reservation, records the outcome, and wakes
 // waiters (a slot just opened — or a failure changed the fleet shape).
-func (g *Gateway) release(bs *backendState, res *core.BundleResult, err error) {
+func (g *Gateway) release(bs *backendState, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	bs.inflight--
+	bs.m.inflight.Add(-1)
 	if bs.lastFree < bs.b.Capacity() {
 		bs.lastFree++
 	}
 	var be *BackendError
-	if err == nil {
-		bs.m.dispatched.Inc()
-		if res != nil {
-			bs.hevm.Add(res.HEVMStats)
-		}
-	} else if errors.As(err, &be) {
+	if errors.As(err, &be) {
 		bs.m.failures.Inc()
-		bs.healthy = false
-		bs.lastErr = err
-		bs.backoff = g.cfg.HealthBackoff
+		bs.m.healthy.Set(0)
+		bs.backoff = g.backoff(0)
 		bs.nextProbe = time.Now().Add(bs.backoff)
 	} else {
-		// Bundle-fault errors still consumed a dispatch.
+		// A completed bundle and a bundle fault each consumed a dispatch.
 		bs.m.dispatched.Inc()
 	}
 	g.broadcastLocked()
 }
 
-// broadcastLocked wakes every Submit waiting for capacity.
+// backoff is the re-probe delay after a failure, given the previous
+// delay (0 after a success): half the health interval at first,
+// doubling up to 50 intervals — 50 ms and 5 s at the default 100 ms.
+func (g *Gateway) backoff(prev time.Duration) time.Duration {
+	if prev <= 0 {
+		return g.cfg.HealthInterval / 2
+	}
+	return min(2*prev, 50*g.cfg.HealthInterval)
+}
+
+// broadcastLocked wakes every submission waiting for capacity.
 func (g *Gateway) broadcastLocked() {
 	close(g.wake)
 	g.wake = make(chan struct{})
@@ -414,24 +401,15 @@ func (g *Gateway) healthLoop() {
 			free, err := bs.b.FreeSlots()
 			g.mu.Lock()
 			if err != nil {
-				if bs.healthy {
+				if bs.healthy() {
 					bs.m.failures.Inc()
 				}
-				bs.healthy = false
-				bs.lastErr = err
-				if bs.backoff <= 0 {
-					bs.backoff = g.cfg.HealthBackoff
-				} else if bs.backoff < g.cfg.HealthBackoffMax {
-					bs.backoff *= 2
-					if bs.backoff > g.cfg.HealthBackoffMax {
-						bs.backoff = g.cfg.HealthBackoffMax
-					}
-				}
+				bs.m.healthy.Set(0)
+				bs.backoff = g.backoff(bs.backoff)
 				bs.nextProbe = time.Now().Add(bs.backoff)
 			} else {
-				readmitted := !bs.healthy
-				bs.healthy = true
-				bs.lastErr = nil
+				readmitted := !bs.healthy()
+				bs.m.healthy.Set(1)
 				bs.backoff = 0
 				bs.lastFree = free
 				bs.nextProbe = time.Now().Add(g.cfg.HealthInterval)
@@ -465,14 +443,6 @@ func (g *Gateway) Close() error {
 	return first
 }
 
-// --- core.BundleExecutor ---
-
-// ExecuteContext implements core.BundleExecutor, so a core.Service can
-// front the whole fleet.
-func (g *Gateway) ExecuteContext(ctx context.Context, bundle *types.Bundle) (*core.BundleResult, error) {
-	return g.Submit(ctx, bundle)
-}
-
 // FreeSlots implements core.BundleExecutor: dispatchable slots across
 // healthy backends.
 func (g *Gateway) FreeSlots() int {
@@ -480,7 +450,7 @@ func (g *Gateway) FreeSlots() int {
 	defer g.mu.Unlock()
 	free := 0
 	for _, bs := range g.backends {
-		if bs.healthy {
+		if bs.healthy() {
 			free += bs.effectiveFree()
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,17 +104,16 @@ func TestSubmitRejectsWhenOverloaded(t *testing.T) {
 	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := g.Submit(context.Background(), testBundle())
+			_, err := g.ExecuteContext(context.Background(), testBundle())
 			results <- err
 		}()
 	}
 	// Wait until both are admitted (one in flight, one waiting).
 	waitFor(t, func() bool {
-		st := g.Stats()
-		return st.InFlight == 1 && st.Waiting == 1
+		return backendMetric(t, g, "a", "in_flight") == 1 && metric(t, g, "hardtape_fleet_waiting") == 1
 	})
 
-	if _, err := g.Submit(context.Background(), testBundle()); !errors.Is(err, ErrOverloaded) {
+	if _, err := g.ExecuteContext(context.Background(), testBundle()); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("over-capacity submit: err = %v, want ErrOverloaded", err)
 	}
 
@@ -122,9 +123,10 @@ func TestSubmitRejectsWhenOverloaded(t *testing.T) {
 			t.Fatalf("admitted bundle failed: %v", err)
 		}
 	}
-	st := g.Stats()
-	if st.Rejected != 1 || st.Completed != 2 {
-		t.Fatalf("stats: rejected=%d completed=%d, want 1/2", st.Rejected, st.Completed)
+	rejected := metric(t, g, `hardtape_fleet_submissions_total{outcome="rejected"}`)
+	_, completed, _ := outcomes(t, g)
+	if rejected != 1 || completed != 2 {
+		t.Fatalf("series: rejected=%d completed=%d, want 1/2", rejected, completed)
 	}
 }
 
@@ -135,12 +137,12 @@ func TestSubmitDeadlineWhileQueued(t *testing.T) {
 	g := NewGateway(Config{QueueDepth: 8, BundleDeadline: time.Hour}, fb)
 	defer g.Close()
 
-	go g.Submit(context.Background(), testBundle()) // occupies the only slot
-	waitFor(t, func() bool { return g.Stats().InFlight == 1 })
+	go g.ExecuteContext(context.Background(), testBundle()) // occupies the only slot
+	waitFor(t, func() bool { return backendMetric(t, g, "a", "in_flight") == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
-	_, err := g.Submit(ctx, testBundle())
+	_, err := g.ExecuteContext(ctx, testBundle())
 	if !errors.Is(err, ErrNoBackends) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("queued past deadline: err = %v, want ErrNoBackends wrapping DeadlineExceeded", err)
 	}
@@ -159,13 +161,15 @@ func TestLeastBusyDispatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := g.Submit(context.Background(), testBundle()); err != nil {
+			if _, err := g.ExecuteContext(context.Background(), testBundle()); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		}()
 		// Serialize reservations so the free-slot ordering is
 		// deterministic: a(3) a(2) a(1)≻tie b(1) → a, then b.
-		waitFor(t, func() bool { return g.Stats().InFlight == i+1 })
+		waitFor(t, func() bool {
+			return backendMetric(t, g, "a", "in_flight")+backendMetric(t, g, "b", "in_flight") == int64(i+1)
+		})
 	}
 	close(a.block)
 	close(b.block)
@@ -185,19 +189,18 @@ func TestFailoverOnBackendError(t *testing.T) {
 	// fails, and must fail over to b.
 	a.setDown(fmt.Errorf("yanked"))
 
-	res, err := g.Submit(context.Background(), testBundle())
+	res, err := g.ExecuteContext(context.Background(), testBundle())
 	if err != nil || res == nil {
 		t.Fatalf("failover submit: res=%v err=%v", res, err)
 	}
-	st := g.Stats()
-	if st.Backends[0].Failures == 0 || st.Backends[0].Healthy {
-		t.Fatalf("backend a not drained: %+v", st.Backends[0])
+	if f, up := backendMetric(t, g, "a", "failures_total"), backendMetric(t, g, "a", "healthy"); f == 0 || up != 0 {
+		t.Fatalf("backend a not drained: failures %d, healthy %d", f, up)
 	}
-	if st.Backends[1].Dispatched != 1 {
-		t.Fatalf("backend b dispatched = %d, want 1", st.Backends[1].Dispatched)
+	if n := backendMetric(t, g, "b", "dispatched_total"); n != 1 {
+		t.Fatalf("backend b dispatched = %d, want 1", n)
 	}
-	if st.Retries != 1 {
-		t.Fatalf("retries = %d, want 1", st.Retries)
+	if n := metric(t, g, "hardtape_fleet_retries_total"); n != 1 {
+		t.Fatalf("retries = %d, want 1", n)
 	}
 }
 
@@ -207,11 +210,11 @@ func TestBundleFaultDoesNotFailOver(t *testing.T) {
 	defer g.Close()
 	// An empty bundle is the submitter's fault: rejected up front, no
 	// backend involved, no drain.
-	if _, err := g.Submit(context.Background(), &types.Bundle{}); !errors.Is(err, core.ErrBundleEmpty) {
+	if _, err := g.ExecuteContext(context.Background(), &types.Bundle{}); !errors.Is(err, core.ErrBundleEmpty) {
 		t.Fatalf("empty bundle: %v", err)
 	}
-	if st := g.Stats(); !st.Backends[0].Healthy || st.Backends[0].Failures != 0 {
-		t.Fatalf("healthy backend was drained: %+v", st.Backends[0])
+	if up, f := backendMetric(t, g, "a", "healthy"), backendMetric(t, g, "a", "failures_total"); up != 1 || f != 0 {
+		t.Fatalf("healthy backend was drained: healthy %d, failures %d", up, f)
 	}
 }
 
@@ -219,23 +222,36 @@ func TestHealthBackoffAndReadmit(t *testing.T) {
 	a := newFakeBackend("a", 1)
 	a.setDown(fmt.Errorf("powered off"))
 	g := NewGateway(Config{
-		QueueDepth:       4,
-		BundleDeadline:   50 * time.Millisecond,
-		HealthInterval:   10 * time.Millisecond,
-		HealthBackoff:    10 * time.Millisecond,
-		HealthBackoffMax: 40 * time.Millisecond,
+		QueueDepth:     4,
+		BundleDeadline: 50 * time.Millisecond,
+		HealthInterval: 10 * time.Millisecond,
 	}, a)
 	defer g.Close()
 
-	if _, err := g.Submit(context.Background(), testBundle()); !errors.Is(err, ErrNoBackends) {
+	// The backoff derives from HealthInterval: half of it, doubling per
+	// failure up to 50 intervals.
+	var got []time.Duration
+	for d := time.Duration(0); len(got) < 9; {
+		d = g.backoff(d)
+		got = append(got, d)
+	}
+	want := []time.Duration{5, 10, 20, 40, 80, 160, 320, 500, 500}
+	for i := range want {
+		want[i] *= time.Millisecond
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("backoff schedule %v, want %v", got, want)
+	}
+
+	if _, err := g.ExecuteContext(context.Background(), testBundle()); !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("all-down fleet: err = %v, want ErrNoBackends", err)
 	}
 	// Let a few backoff probes fail, then revive.
 	time.Sleep(60 * time.Millisecond)
 	a.setDown(nil)
-	waitFor(t, func() bool { return g.Stats().Backends[0].Healthy })
+	waitFor(t, func() bool { return backendMetric(t, g, "a", "healthy") == 1 })
 
-	if _, err := g.Submit(context.Background(), testBundle()); err != nil {
+	if _, err := g.ExecuteContext(context.Background(), testBundle()); err != nil {
 		t.Fatalf("re-admitted backend: %v", err)
 	}
 }
@@ -252,18 +268,18 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 	const waiters = 3
 	inflight := make(chan error, 1)
 	go func() {
-		_, err := g.Submit(context.Background(), testBundle())
+		_, err := g.ExecuteContext(context.Background(), testBundle())
 		inflight <- err
 	}()
-	waitFor(t, func() bool { return g.Stats().InFlight == 1 })
+	waitFor(t, func() bool { return backendMetric(t, g, "a", "in_flight") == 1 })
 	errCh := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			_, err := g.Submit(context.Background(), testBundle())
+			_, err := g.ExecuteContext(context.Background(), testBundle())
 			errCh <- err
 		}()
 	}
-	waitFor(t, func() bool { return g.Stats().Waiting == waiters })
+	waitFor(t, func() bool { return metric(t, g, "hardtape_fleet_waiting") == waiters })
 
 	go g.Close()
 	for i := 0; i < waiters; i++ {
@@ -280,10 +296,13 @@ func TestCloseUnblocksWaiters(t *testing.T) {
 	if err := <-inflight; err != nil {
 		t.Fatalf("in-flight bundle at shutdown: %v", err)
 	}
-	st := g.Stats()
-	if st.Admitted != waiters+1 || st.Completed != 1 || st.Failed != waiters {
+	admitted, completed, failed := outcomes(t, g)
+	if admitted != waiters+1 || completed != 1 || failed != waiters {
 		t.Fatalf("admitted %d = completed %d + failed %d does not hold (want %d = 1 + %d)",
-			st.Admitted, st.Completed, st.Failed, waiters+1, waiters)
+			admitted, completed, failed, waiters+1, waiters)
+	}
+	if w, n := metric(t, g, "hardtape_fleet_waiting"), backendMetric(t, g, "a", "in_flight"); w != 0 || n != 0 {
+		t.Fatalf("after shutdown: waiting %d, in flight %d, want 0/0", w, n)
 	}
 }
 
@@ -301,10 +320,10 @@ func TestGatewaySpanErrLandsOnFailingLayer(t *testing.T) {
 	g := NewGateway(Config{QueueDepth: 8, BundleDeadline: 5 * time.Second, Telemetry: reg}, a, b)
 	defer g.Close()
 
-	// traced runs one Submit under a fresh root and returns the trace.
+	// traced runs one ExecuteContext under a fresh root and returns the trace.
 	traced := func(ctx context.Context) (*telemetry.Trace, error) {
 		root, ctx := reg.StartSpan(reg.ContinueTrace(ctx, telemetry.SpanContext{}), "test.root")
-		_, err := g.Submit(ctx, testBundle())
+		_, err := g.ExecuteContext(ctx, testBundle())
 		root.End(nil, nil)
 		trace := reg.FlightRecorder().Lookup(root.Context().Trace)
 		if trace == nil {
@@ -319,7 +338,7 @@ func TestGatewaySpanErrLandsOnFailingLayer(t *testing.T) {
 			}
 			name := s.Name
 			for _, at := range s.Attrs {
-				if at.Key == "backend" {
+				if at.Name == "backend" {
 					name += fmt.Sprintf(":%d", at.Int)
 				}
 			}
@@ -346,10 +365,10 @@ func TestGatewaySpanErrLandsOnFailingLayer(t *testing.T) {
 	b.block = make(chan struct{})
 	hold := make(chan error, 1)
 	go func() {
-		_, err := g.Submit(context.Background(), testBundle())
+		_, err := g.ExecuteContext(context.Background(), testBundle())
 		hold <- err
 	}()
-	waitFor(t, func() bool { return g.Stats().InFlight == 1 })
+	waitFor(t, func() bool { return backendMetric(t, g, "b", "in_flight") == 1 })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	trace, err = traced(ctx)
@@ -381,8 +400,8 @@ func TestGatewaySpanErrLandsOnFailingLayer(t *testing.T) {
 	if exemplars == 0 {
 		t.Error("traced queue waits left no exemplar")
 	}
-	if st := g.Stats(); st.Admitted != st.Completed+st.Failed {
-		t.Errorf("admitted %d != completed %d + failed %d", st.Admitted, st.Completed, st.Failed)
+	if admitted, completed, failed := outcomes(t, g); admitted != completed+failed {
+		t.Errorf("admitted %d != completed %d + failed %d", admitted, completed, failed)
 	}
 }
 
@@ -416,7 +435,6 @@ func TestFleetFailoverIntegration(t *testing.T) {
 		QueueDepth:     6,
 		BundleDeadline: 10 * time.Second,
 		HealthInterval: 10 * time.Millisecond,
-		HealthBackoff:  10 * time.Millisecond,
 	}, r.backends[0], r.backends[1], r.backends[2])
 	defer g.Close()
 
@@ -435,7 +453,7 @@ func TestFleetFailoverIntegration(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			res, err := g.Submit(context.Background(), r.transferBundle(t, i, uint64(i+1)))
+			res, err := g.ExecuteContext(context.Background(), r.transferBundle(t, i, uint64(i+1)))
 			switch {
 			case errors.Is(err, ErrOverloaded):
 				rejected.Add(1) // backpressured, never accepted: fine
@@ -457,18 +475,15 @@ func TestFleetFailoverIntegration(t *testing.T) {
 	if got := completed.Load() + rejected.Load(); got != submitters {
 		t.Fatalf("accounting: %d completed + %d rejected != %d", completed.Load(), rejected.Load(), submitters)
 	}
-	st := g.Stats()
-	if st.Completed != completed.Load() || st.Rejected != rejected.Load() {
-		t.Fatalf("stats disagree with callers: %+v", st)
+	_, done, _ := outcomes(t, g)
+	if st := g.Stats(); uint64(done) != completed.Load() || st.Rejected != rejected.Load() {
+		t.Fatalf("series disagree with callers: completed %d, rejected %d", done, st.Rejected)
 	}
-	if st.Backends[0].Healthy {
+	if backendMetric(t, g, "dev-0", "healthy") != 0 {
 		t.Fatal("killed backend still marked healthy")
 	}
-	if st.Backends[1].Dispatched+st.Backends[2].Dispatched == 0 {
+	if backendMetric(t, g, "dev-1", "dispatched_total")+backendMetric(t, g, "dev-2", "dispatched_total") == 0 {
 		t.Fatal("survivors dispatched nothing")
-	}
-	if st.Backends[1].HEVM.Steps+st.Backends[2].HEVM.Steps == 0 {
-		t.Fatal("no aggregated HEVM stats on survivors")
 	}
 
 	// --- Phase 2: drain the whole fleet, then overload the admission
@@ -477,8 +492,7 @@ func TestFleetFailoverIntegration(t *testing.T) {
 	r.backends[1].Kill()
 	r.backends[2].Kill()
 	waitFor(t, func() bool {
-		s := g.Stats()
-		return !s.Backends[1].Healthy && !s.Backends[2].Healthy
+		return backendMetric(t, g, "dev-1", "healthy")+backendMetric(t, g, "dev-2", "healthy") == 0
 	})
 	var (
 		overloaded atomic.Uint64
@@ -489,7 +503,7 @@ func TestFleetFailoverIntegration(t *testing.T) {
 		wg2.Add(1)
 		go func(i int) {
 			defer wg2.Done()
-			_, err := g.Submit(context.Background(), r.transferBundle(t, i, 9))
+			_, err := g.ExecuteContext(context.Background(), r.transferBundle(t, i, 9))
 			switch {
 			case errors.Is(err, ErrOverloaded):
 				overloaded.Add(1)
@@ -502,7 +516,7 @@ func TestFleetFailoverIntegration(t *testing.T) {
 	}
 	// Nothing can complete while all devices are down, so exactly
 	// QueueDepth submissions sit waiting and the rest bounce.
-	waitFor(t, func() bool { return overloaded.Load() == 10-6 && g.Stats().Waiting == 6 })
+	waitFor(t, func() bool { return overloaded.Load() == 10-6 && metric(t, g, "hardtape_fleet_waiting") == 6 })
 
 	// Revive one device: the health monitor re-admits it and every
 	// queued bundle completes there.
@@ -511,13 +525,48 @@ func TestFleetFailoverIntegration(t *testing.T) {
 	if waitersOK.Load() != 6 {
 		t.Fatalf("queued bundles completed = %d, want 6", waitersOK.Load())
 	}
-	final := g.Stats()
-	if !final.Backends[1].Healthy {
+	if backendMetric(t, g, "dev-1", "healthy") != 1 {
 		t.Fatal("revived backend not re-admitted")
 	}
-	if final.QueueWaitP99 <= 0 {
+	if g.Stats().QueueWaitP99 <= 0 {
 		t.Fatal("queue-wait quantiles never recorded")
 	}
+}
+
+// metric reads one series of the gateway's registry as /metrics
+// renders it, e.g. `hardtape_fleet_waiting`; a series the gateway
+// never registered fails the test.
+func metric(t testing.TB, g *Gateway, series string) int64 {
+	t.Helper()
+	var b strings.Builder
+	if err := g.reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no series %s", series)
+	return 0
+}
+
+// backendMetric reads hardtape_fleet_backend_<name>{backend="<backend>"}.
+func backendMetric(t testing.TB, g *Gateway, backend, name string) int64 {
+	t.Helper()
+	return metric(t, g, fmt.Sprintf("hardtape_fleet_backend_%s{backend=%q}", name, backend))
+}
+
+// outcomes reads the admitted, completed and failed counters.
+func outcomes(t testing.TB, g *Gateway) (admitted, completed, failed int64) {
+	t.Helper()
+	return metric(t, g, `hardtape_fleet_submissions_total{outcome="admitted"}`),
+		metric(t, g, `hardtape_fleet_bundles_total{outcome="completed"}`),
+		metric(t, g, `hardtape_fleet_bundles_total{outcome="failed"}`)
 }
 
 // waitFor polls cond for up to 2s.

@@ -406,7 +406,7 @@ func toTraceJSON(t *Trace) traceJSON {
 		if len(s.Attrs) > 0 {
 			sj.Attrs = make(map[string]int64, len(s.Attrs))
 			for _, a := range s.Attrs {
-				sj.Attrs[a.Key] = a.Int
+				sj.Attrs[a.Name] = a.Int
 			}
 		}
 		out.Spans = append(out.Spans, sj)
@@ -489,7 +489,7 @@ func WriteChromeTrace(w io.Writer, t *Trace) error {
 		pid := pidOf(s.Proc)
 		args := map[string]any{"span": s.Span.String()}
 		for _, a := range s.Attrs {
-			args[a.Key] = a.Int
+			args[a.Name] = a.Int
 		}
 		if s.Err {
 			args["err"] = true

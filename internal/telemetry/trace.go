@@ -9,10 +9,11 @@
 //     a nil registry starts is the zero Span and an untraced request's
 //     span carries no node, so call sites record unconditionally.
 //
-//   - A span record holds no free text. Span names are compile-time
-//     constants (telemetrysafe), the process label is set once at
-//     EnableTracing, attributes are integers the untrusted SP already
-//     observes (counts, shard and backend indices), and a failure is
+//   - A span record holds no free text. Span and attribute names are
+//     compile-time constants (telemetrysafe), the process label is set
+//     once at EnableTracing, attribute values are integers the
+//     untrusted SP already observes (counts, shard and backend
+//     indices), and a failure is
 //     one bit: the span's name and its place in the tree say which
 //     layer failed, never why, so no error message — which may quote
 //     a value read through the ORAM — reaches /traces.
@@ -76,8 +77,8 @@ func (c SpanContext) Valid() bool { return !c.Trace.IsZero() && !c.Span.IsZero()
 
 // Attr is one integer span attribute.
 type Attr struct {
-	Key string
-	Int int64
+	Name string
+	Int  int64
 }
 
 // SpanRecord is one finished span. Remote processes ship their segment
@@ -228,9 +229,9 @@ func (s *Span) Context() SpanContext {
 }
 
 // AddInt attaches an integer attribute to a traced span.
-func (s *Span) AddInt(key string, val int64) {
+func (s *Span) AddInt(name string, val int64) {
 	if s.node != nil {
-		s.node.attrs = append(s.node.attrs, Attr{Key: key, Int: val})
+		s.node.attrs = append(s.node.attrs, Attr{Name: name, Int: val})
 	}
 }
 

@@ -92,21 +92,32 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		"hardtape_oram_access_seconds",          // oram latency histogram
 		"hardtape_fleet_submissions_total",      // gateway admission
 		"hardtape_fleet_queue_wait_seconds",     // gateway wait histogram
+		"hardtape_fleet_waiting",                // gateway queue
 		"hardtape_fleet_backend_dispatched_total",
+		"hardtape_fleet_backend_in_flight",
+		"hardtape_fleet_backend_healthy",
 	} {
 		if !strings.Contains(out, series) {
 			t.Errorf("/metrics missing series %s", series)
 		}
 	}
 
-	// The fleet Stats snapshot and the exported series must agree:
-	// they are the same instruments.
-	st := ftb.Gateway.Stats()
-	if st.Completed == 0 || st.Admitted != 3 {
-		t.Fatalf("gateway stats not backed by telemetry: %+v", st)
+	// The scrape is the gateway's report: every bundle admitted and
+	// completed, none left waiting, both devices up, and the devices'
+	// shared registry counted their HEVM steps.
+	for series, want := range map[string]string{
+		`hardtape_fleet_submissions_total{outcome="admitted"}`: "3",
+		`hardtape_fleet_bundles_total{outcome="completed"}`:    "3",
+		"hardtape_fleet_waiting":                               "0",
+		`hardtape_fleet_backend_healthy{backend="dev-0"}`:      "1",
+		`hardtape_fleet_backend_healthy{backend="dev-1"}`:      "1",
+	} {
+		if !strings.Contains(out, "\n"+series+" "+want+"\n") {
+			t.Errorf("/metrics: %s is not %s", series, want)
+		}
 	}
-	if st.Backends[0].HEVM.Steps+st.Backends[1].HEVM.Steps == 0 {
-		t.Fatal("per-backend HEVM aggregates empty")
+	if strings.Contains(out, "\nhardtape_hevm_steps_total 0\n") {
+		t.Error("hardtape_hevm_steps_total counted no HEVM steps")
 	}
 }
 
