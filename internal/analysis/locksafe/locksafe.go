@@ -71,7 +71,6 @@ var blockingCalls = map[string]bool{
 	"ServeListener":    true,
 	"Sleep":            true,
 	"Status":           true,
-	"Submit":           true,
 	"Sync":             true,
 	"VerifyAll":        true,
 	"Wait":             true,

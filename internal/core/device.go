@@ -324,10 +324,6 @@ func (d *Device) buildORAM(cfg Config, key []byte) (*oram.Client, error) {
 // newLane builds one lane's hardware set; stream indexes its generators.
 func newLane(cfg Config, id, stream int) (*laneState, error) {
 	clock := simclock.NewClock()
-	l3Key := make([]byte, 32)
-	if _, err := rand.Read(l3Key); err != nil {
-		return nil, fmt.Errorf("core: l3 key: %w", err)
-	}
 	noise, err := drbg.New(cfg.Seed, hevm.NoiseLabel, stream)
 	if err != nil {
 		return nil, err
@@ -336,7 +332,7 @@ func newLane(cfg Config, id, stream int) (*laneState, error) {
 	if err != nil {
 		return nil, err
 	}
-	machine, err := hevm.New(cfg.Hardware, clock, l3Key, noise)
+	machine, err := hevm.New(cfg.Hardware, clock, hevm.MemL3{}, noise)
 	if err != nil {
 		return nil, err
 	}

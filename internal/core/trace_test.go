@@ -164,7 +164,8 @@ func assertNotRendered(t *testing.T, what, out, text string) {
 // sibling or a callee: a transaction the EVM refuses fails
 // device.exec/device.bundle, an expired wait for a core fails
 // device.slot_wait and never opens device.exec, and a Memory Overflow
-// abort fails no span (the bundle ran; its result says why). In every
+// abort or an L3 page tampered with mid-bundle fails no span (the
+// bundle ran; its result says why). In every
 // family the error's text reaches neither export of any kept trace: a
 // span records that it failed, never why. Through the wire the service
 // span fails while the client's stays clean (the failure travels as an
@@ -174,7 +175,7 @@ func assertNotRendered(t *testing.T, what, out, text string) {
 func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 	sr := newRig(t, serviceWorld, tracedConfig(t))
 	dev, devReg := sr.device, sr.device.cfg.Telemetry
-	to, hog := types.BytesToAddress([]byte{0xcd}), sr.world.MemoryHog
+	to, hog, deep := types.BytesToAddress([]byte{0xcd}), sr.world.MemoryHog, sr.world.DeepCaller
 	signed := func(nonce, value uint64, to *types.Address, data []byte, gas uint64) *types.Transaction {
 		t.Helper()
 		tx, err := sr.world.SignedTxAt(sr.world.EOAs[1], nonce, to, value, data, gas)
@@ -210,7 +211,10 @@ func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 		// holdCores runs the bundle with every core held until a
 		// short deadline ends its wait.
 		holdCores bool
-		failed    []string
+		// tamper runs the bundle on small-L2 machines whose L3 flips
+		// a bit of the first page each returns.
+		tamper bool
+		failed []string
 	}{
 		{name: "bad nonce", bundle: bundleWith(badNonce), failed: []string{"device.exec", "device.bundle"}},
 		{name: "insufficient funds", bundle: bundleWith(signed(0, 1<<62, &to, nil, 40_000)), failed: []string{"device.exec", "device.bundle"}},
@@ -219,9 +223,15 @@ func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 		{name: "slot wait", bundle: bundleWith(badNonce), holdCores: true, failed: []string{"device.slot_wait", "device.bundle"}},
 		// TestMemoryOverflowAbortsBundle's one-transaction hog call.
 		{name: "memory overflow", bundle: &types.Bundle{Txs: []*types.Transaction{signed(0, 0, &hog, workload.CalldataUint(600_000), 25_000_000)}}},
+		{name: "l3 tamper", bundle: &types.Bundle{Txs: []*types.Transaction{signed(0, 0, &deep, workload.CalldataUint(40), 5_000_000)}}, tamper: true},
 	} {
 		var text string
 		count, failed := errSpans(t, devReg, func(ctx context.Context) {
+			if row.tamper {
+				defer withL3(t, dev, smallL2(dev.cfg).Hardware, func() hevm.L3 {
+					return newRogueL3(l3Attacks[0].attack)
+				})()
+			}
 			if row.holdCores {
 				held := make([]*slot, cap(dev.slots))
 				for i := range held {
@@ -242,9 +252,11 @@ func TestSpanErrLandsOnFailingLayer(t *testing.T) {
 				t.Errorf("%s: %v, want deadline exceeded", row.name, err)
 			case row.failed == nil && err != nil:
 				t.Errorf("%s: %v", row.name, err)
+			case row.tamper && res.Aborted != hevm.ErrL3Tampered:
+				t.Fatalf("%s: aborted %v, want ErrL3Tampered", row.name, res.Aborted)
 			case row.failed == nil:
 				var moe *hevm.MemoryOverflowError
-				if !errors.As(res.Aborted, &moe) {
+				if !row.tamper && !errors.As(res.Aborted, &moe) {
 					t.Fatalf("%s: aborted %v, want a Memory Overflow Error", row.name, res.Aborted)
 				}
 				text = res.Aborted.Error()

@@ -104,6 +104,42 @@ func (f *frame) useGas(amount uint64) bool {
 	return true
 }
 
+// Dump implements FrameImage.
+func (f *frame) Dump(off int, p []byte) {
+	clear(p)
+	f.image(off, p, false)
+}
+
+// Restore implements FrameImage.
+func (f *frame) Restore(off int, p []byte) { f.image(off, p, true) }
+
+// image copies between p and the image's bytes [off, off+len(p)): out
+// of every region, or with restore into the stack and memory only.
+func (f *frame) image(off int, p []byte, restore bool) {
+	end := off + len(p)
+	for i := off / 32; i < len(f.stack.data) && 32*i < end; i++ {
+		w := f.stack.data[i].Bytes32()
+		lo, hi := max(off, 32*i), min(end, 32*i+32)
+		if !restore {
+			copy(p[lo-off:hi-off], w[lo-32*i:])
+			continue
+		}
+		copy(w[lo-32*i:], p[lo-off:hi-off])
+		f.stack.data[i].SetBytes(w[:])
+	}
+	base := 32 * len(f.stack.data)
+	for k, b := range [...][]byte{f.mem.data, f.input, f.retData, f.code} {
+		if lo, hi := max(off, base), min(end, base+len(b)); lo < hi {
+			if !restore {
+				copy(p[lo-off:hi-off], b[lo-base:])
+			} else if k == 0 {
+				copy(b[lo-base:hi-base], p[lo-off:])
+			}
+		}
+		base += len(b)
+	}
+}
+
 // validJumpdest checks the destination is a JUMPDEST not inside a PUSH
 // immediate.
 func (f *frame) validJumpdest(dest *uint256.Int) bool {
@@ -186,16 +222,14 @@ func (e *EVM) callInternal(kind CallKind, caller, storageCtx, codeAddr types.Add
 		e.Hooks.worldState(WorldStateAccess{Kind: WSCode, Addr: codeAddr, Warm: true})
 	}
 
-	if e.hookCallEnter {
-		e.Hooks.callEnter(CallFrameInfo{
-			Kind: kind, Depth: e.depth, Caller: caller, Address: storageCtx,
-			CodeAddr: codeAddr, Gas: gas, Value: value.Clone(),
-			InputSize: len(input), CodeSize: len(code),
-		})
-	}
-
 	if len(code) == 0 {
 		// Plain transfer or call to an EOA.
+		if e.hookCallEnter {
+			e.Hooks.callEnter(CallFrameInfo{
+				Kind: kind, Depth: e.depth, Caller: caller, Address: storageCtx,
+				CodeAddr: codeAddr, Gas: gas, Value: value.Clone(), InputSize: len(input),
+			})
+		}
 		if e.hookCallExit {
 			e.Hooks.callExit(CallResultInfo{Depth: e.depth, GasUsed: 0})
 		}
@@ -204,6 +238,13 @@ func (e *EVM) callInternal(kind CallKind, caller, storageCtx, codeAddr types.Add
 
 	f := newFrame(caller, storageCtx, codeAddr, code, input, value, gas,
 		sharedAnalysis.analyze(codeHash, code))
+	if e.hookCallEnter {
+		e.Hooks.callEnter(CallFrameInfo{
+			Kind: kind, Depth: e.depth, Caller: caller, Address: storageCtx,
+			CodeAddr: codeAddr, Gas: gas, Value: value.Clone(),
+			InputSize: len(input), CodeSize: len(code), Frame: f,
+		})
+	}
 
 	prevRO := e.readOnly
 	if forceReadOnly {
@@ -287,19 +328,18 @@ func (e *EVM) createAt(kind CallKind, caller, addr types.Address, initCode []byt
 	e.State.SetNonce(addr, 1)
 	e.transfer(caller, addr, value)
 
-	if e.hookCallEnter {
-		e.Hooks.callEnter(CallFrameInfo{
-			Kind: kind, Depth: e.depth, Caller: caller, Address: addr,
-			CodeAddr: addr, Gas: gas, Value: value.Clone(),
-			InputSize: 0, CodeSize: len(initCode),
-		})
-	}
-
 	var analysis *CodeAnalysis
 	if initCodeHash != nil {
 		analysis = sharedAnalysis.analyze(*initCodeHash, initCode)
 	}
 	f := newFrame(caller, addr, addr, initCode, nil, value, gas, analysis)
+	if e.hookCallEnter {
+		e.Hooks.callEnter(CallFrameInfo{
+			Kind: kind, Depth: e.depth, Caller: caller, Address: addr,
+			CodeAddr: addr, Gas: gas, Value: value.Clone(),
+			InputSize: 0, CodeSize: len(initCode), Frame: f,
+		})
+	}
 	e.depth++
 	ret, err := e.run(f)
 	e.depth--

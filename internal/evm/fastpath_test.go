@@ -133,6 +133,7 @@ func (r *stepRec) hooks() *Hooks {
 				v := *i.Value // copy: the pointee may be pooled
 				i.Value = &v
 			}
+			i.Frame = nil // which pooled frame runs the call is the pool's choice
 			r.enters = append(r.enters, i)
 		},
 		OnCallExit:   func(i CallResultInfo) { r.exits = append(r.exits, i) },

@@ -75,6 +75,23 @@ type CallFrameInfo struct {
 	Value     *uint256.Int
 	InputSize int
 	CodeSize  int
+	// Frame is the callee's bytes; nil for a precompile or an account
+	// without code, which run no interpreter frame.
+	Frame FrameImage
+}
+
+// FrameImage is an interpreter frame's bytes in the order the HEVM's
+// call-stack pages hold them: stack words (32 bytes big-endian, bottom
+// first), then memory, input, return data and code. The stack and
+// memory are the frame's own; the rest may alias shared slices.
+type FrameImage interface {
+	// Dump fills p with the image's bytes from offset off; bytes past
+	// its end read as zero.
+	Dump(off int, p []byte)
+	// Restore writes p at offset off into the frame's stack and
+	// memory; bytes that land on input, return data or code are
+	// dropped.
+	Restore(off int, p []byte)
 }
 
 // CallResultInfo describes a frame exit.

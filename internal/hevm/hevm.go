@@ -7,20 +7,26 @@
 //	          cache, 32-slot frame state, 4 KB world-state cache.
 //	Layer 2 — the on-chip call stack: a 1 MB ring of 1 KB pages, one
 //	          contiguous run of pages per execution frame.
-//	Layer 3 — untrusted memory receiving AES-GCM-sealed page dumps
-//	          when L2 overflows, with randomized pre-evict/pre-load
-//	          noise so the adversary observes only noisy sizes (A5).
+//	Layer 3 — untrusted memory (the L3 seam) receiving AES-GCM-sealed
+//	          dumps of a suspended frame's real bytes when L2
+//	          overflows, with randomized pre-evict/pre-load noise so the
+//	          adversary observes only noisy sizes (A5).
 //
 // The interpreter executes against canonical data structures and
 // feeds this model through evm.Hooks; the model reproduces residency,
 // swap traffic, timing, and the Memory Overflow Error exactly as the
-// fixed-function hardware would, and performs real authenticated
-// encryption on every L3 page movement.
+// fixed-function hardware would. An evicted page is the frame's bytes
+// read through its evm.FrameImage, sealed under a key that never
+// leaves the machine with a fresh counter nonce that only the
+// machine's on-chip table remembers; eviction clears the frame's stack
+// and memory there and a reload writes them back, so a bit flip,
+// replay, splice or drop of an L3 page halts with ErrL3Tampered.
 package hevm
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -78,6 +84,23 @@ func (e *MemoryOverflowError) Error() string {
 // authentication (attack A4).
 var ErrL3Tampered = errors.New("hevm: layer-3 page authentication failed")
 
+// L3 is the untrusted DRAM the SP lends the device. It offers only
+// what the SP's DRAM does: it stores a sealed page blob and returns
+// whatever bytes it likes for a page.
+type L3 interface {
+	Put(page uint64, blob []byte)
+	Get(page uint64) []byte
+}
+
+// MemL3 is the in-process L3.
+type MemL3 map[uint64][]byte
+
+// Put stores blob as page's copy.
+func (m MemL3) Put(page uint64, blob []byte) { m[page] = blob }
+
+// Get returns page's stored copy.
+func (m MemL3) Get(page uint64) []byte { return m[page] }
+
 // SwapEvent is one adversary-visible L3 transfer. Pages includes the
 // random noise, which is all the adversary can observe.
 type SwapEvent struct {
@@ -95,11 +118,18 @@ type frameShadow struct {
 	codeLen  uint64
 	retLen   uint64
 	pages    []uint64 // page ids, bottom first
-	// l3 marks which of this frame's pages currently live in L3.
-	l3 map[uint64]bool
+	// image is the interpreter frame's bytes.
+	image evm.FrameImage
 	// codePagesTouched tracks code-cache residency misses.
 	codePagesTouched map[uint64]bool
 }
+
+// noFrame is the image of a frame with no interpreter bytes behind it
+// (a precompile, an account without code, a model driven by hooks).
+type noFrame struct{}
+
+func (noFrame) Dump(_ int, p []byte) { clear(p) }
+func (noFrame) Restore(int, []byte)  {}
 
 // frameBytes is the L2 footprint: stack contents + memory-likes +
 // 1 KB frame state.
@@ -119,8 +149,12 @@ type Machine struct {
 	aead   cipher.AEAD
 	noise  *drbg.Rand
 	frames []*frameShadow
-	// l3Store is the untrusted memory: encrypted page blobs.
-	l3Store map[uint64][]byte
+	dram   L3
+	// l3 is the on-chip table of L3-resident pages: page id → nonce of
+	// its current sealed copy. A page is in L3 iff it has an entry.
+	l3 map[uint64]uint64
+	// page is the plaintext buffer of one page movement.
+	page [PageSize]byte
 	// l2Used counts resident pages.
 	l2Used   uint64
 	nextPage uint64
@@ -135,13 +169,15 @@ type Machine struct {
 // NoiseLabel names the pre-evict/pre-load noise stream (drbg).
 const NoiseLabel = "hardtape-noise-v1"
 
-// New creates a machine. l3Key seals layer-3 pages (32 bytes); noise,
-// this machine's alone, draws the pre-evict/pre-load noise (A5).
-func New(cfg Config, clock *simclock.Clock, l3Key []byte, noise *drbg.Rand) (*Machine, error) {
-	if len(l3Key) != 32 {
-		return nil, errors.New("hevm: l3 key must be 32 bytes")
+// New creates a machine that swaps into dram under a key of its own
+// drawn from crypto/rand; noise, this machine's alone, draws the
+// pre-evict/pre-load noise (A5).
+func New(cfg Config, clock *simclock.Clock, dram L3, noise *drbg.Rand) (*Machine, error) {
+	var key [32]byte
+	if _, err := rand.Read(key[:]); err != nil {
+		return nil, fmt.Errorf("hevm: l3 key: %w", err)
 	}
-	blk, err := aes.NewCipher(l3Key)
+	blk, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("hevm: %w", err)
 	}
@@ -149,14 +185,8 @@ func New(cfg Config, clock *simclock.Clock, l3Key []byte, noise *drbg.Rand) (*Ma
 	if err != nil {
 		return nil, fmt.Errorf("hevm: %w", err)
 	}
-	return &Machine{
-		cfg:     cfg,
-		clock:   clock,
-		cal:     simclock.DefaultCalibration(),
-		aead:    aead,
-		noise:   noise,
-		l3Store: make(map[uint64][]byte),
-	}, nil
+	return &Machine{cfg: cfg, clock: clock, cal: simclock.DefaultCalibration(),
+		aead: aead, noise: noise, dram: dram, l3: make(map[uint64]uint64)}, nil
 }
 
 // Hooks returns the evm.Hooks that drive this machine.
@@ -169,12 +199,12 @@ func (m *Machine) Hooks() *evm.Hooks {
 	}
 }
 
-// Reset clears all on-chip state and the L3 mirror (bundle release,
-// step 10: "the HEVM is reset to the idle state and all its on-chip
-// memories are cleared").
+// Reset clears all on-chip state (bundle release, step 10: "the HEVM
+// is reset to the idle state and all its on-chip memories are
+// cleared"). What L3 holds is left there: no later nonce opens it.
 func (m *Machine) Reset() {
 	m.frames = nil
-	m.l3Store = make(map[uint64][]byte)
+	clear(m.l3)
 	m.l2Used = 0
 	m.nextPage = 0
 	m.swaps = nil
@@ -282,7 +312,10 @@ func (m *Machine) onCallEnter(info evm.CallFrameInfo) {
 		depth:    info.Depth,
 		inputLen: uint64(info.InputSize),
 		codeLen:  uint64(info.CodeSize),
-		l3:       make(map[uint64]bool),
+		image:    info.Frame,
+	}
+	if f.image == nil {
+		f.image = noFrame{}
 	}
 	m.frames = append(m.frames, f)
 	// Charge the L1→L2 eviction of the caller's working set.
@@ -305,8 +338,8 @@ func (m *Machine) onCallExit(info evm.CallResultInfo) {
 	m.frames = m.frames[:len(m.frames)-1]
 	// Free the callee's pages.
 	for _, p := range f.pages {
-		if f.l3[p] {
-			delete(m.l3Store, p)
+		if _, inL3 := m.l3[p]; inL3 {
+			delete(m.l3, p)
 		} else {
 			m.l2Used--
 		}
@@ -316,15 +349,7 @@ func (m *Machine) onCallExit(info evm.CallResultInfo) {
 	if cur == nil {
 		return
 	}
-	var toLoad []uint64
-	for _, p := range cur.pages {
-		if cur.l3[p] {
-			toLoad = append(toLoad, p)
-		}
-	}
-	if len(toLoad) > 0 {
-		m.loadPages(cur, toLoad, m.noise.Intn(m.cfg.NoiseMaxPages+1))
-	}
+	m.loadPages(cur)
 	// Charge the L2→L1 reload of the caller's working set.
 	pages := (cur.frameBytes() + PageSize - 1) / PageSize
 	m.clock.Advance(time.Duration(pages) * m.cal.L2SwapPerPage)
@@ -379,15 +404,14 @@ func (m *Machine) ensureL2Space(need uint64) {
 		if f == m.current() {
 			break // never evict the executing frame
 		}
-		for _, p := range f.pages {
+		for i, p := range f.pages {
 			if uint64(evicted) >= noisy {
 				break
 			}
-			if f.l3[p] {
+			if _, inL3 := m.l3[p]; inL3 {
 				continue
 			}
-			m.sealPageToL3(p)
-			f.l3[p] = true
+			m.seal(f, i)
 			m.l2Used--
 			evicted++
 		}
@@ -401,29 +425,28 @@ func (m *Machine) ensureL2Space(need uint64) {
 	}
 }
 
-// loadPages reloads pages from L3 into L2, adding pre-load noise by
-// also loading extra swapped pages of lower frames.
-func (m *Machine) loadPages(owner *frameShadow, pages []uint64, noise int) {
+// loadPages reloads owner's L3 pages into L2, adding pre-load noise
+// by also loading extra swapped pages of lower frames.
+func (m *Machine) loadPages(owner *frameShadow) {
 	loaded := 0
-	for _, p := range pages {
-		m.openPageFromL3(p)
-		owner.l3[p] = false
-		m.l2Used++
-		loaded++
+	for i, p := range owner.pages {
+		if _, inL3 := m.l3[p]; inL3 {
+			m.open(owner, i)
+			loaded++
+		}
+	}
+	if loaded == 0 {
+		return
 	}
 	// Noise: reload extra pages belonging to lower frames.
+	noise := m.noise.Intn(m.cfg.NoiseMaxPages + 1)
 	for _, f := range m.frames {
-		if noise <= 0 {
-			break
-		}
-		for _, p := range f.pages {
+		for i, p := range f.pages {
 			if noise <= 0 {
 				break
 			}
-			if f.l3[p] && m.l2Used < m.l2Capacity() {
-				m.openPageFromL3(p)
-				f.l3[p] = false
-				m.l2Used++
+			if _, inL3 := m.l3[p]; inL3 && m.l2Used < m.l2Capacity() {
+				m.open(f, i)
 				loaded++
 				noise--
 			}
@@ -433,49 +456,37 @@ func (m *Machine) loadPages(owner *frameShadow, pages []uint64, noise int) {
 	m.clock.Advance(time.Duration(loaded) * m.cal.L3SwapPerPage)
 }
 
-// sealPageToL3 performs the real A.E.DMA encryption of one page into
-// untrusted memory. The sealed buffer is a zeroed page carrying only
-// the page id (the canonical data lives in the interpreter; see
-// DESIGN.md §8) — the cryptographic path is the real one.
-func (m *Machine) sealPageToL3(pageID uint64) {
-	plain := make([]byte, PageSize)
-	binary.BigEndian.PutUint64(plain, pageID)
-	nonce := make([]byte, m.aead.NonceSize())
-	binary.BigEndian.PutUint64(nonce[len(nonce)-8:], m.nextNonce())
-	var ad [8]byte
-	binary.BigEndian.PutUint64(ad[:], pageID)
-	m.l3Store[pageID] = append(nonce, m.aead.Seal(nil, nonce, plain, ad[:])...)
-}
-
-func (m *Machine) nextNonce() uint64 {
+// seal performs the A.E.DMA dump of frame f's i-th page into L3: its
+// bytes under a fresh counter nonce, AD = page id. The frame's own
+// bytes in that page are then cleared.
+func (m *Machine) seal(f *frameShadow, i int) {
 	m.nonceCtr++
-	return m.nonceCtr
+	p := f.pages[i]
+	m.l3[p] = m.nonceCtr
+	f.image.Dump(i*PageSize, m.page[:])
+	m.dram.Put(p, m.aead.Seal(nil, m.word(m.nonceCtr), m.page[:], m.word(p)))
+	clear(m.page[:])
+	f.image.Restore(i*PageSize, m.page[:])
 }
 
-// openPageFromL3 decrypts and authenticates one page on reload,
-// halting the transaction with ErrL3Tampered on a missing or forged
-// page.
-func (m *Machine) openPageFromL3(pageID uint64) {
-	blob := m.l3Store[pageID]
-	ns := m.aead.NonceSize()
-	if len(blob) < ns {
+// open reloads frame f's i-th page from L3, halting the transaction
+// with ErrL3Tampered unless the blob L3 returns authenticates under
+// the nonce the table holds, then writes the frame's bytes back.
+func (m *Machine) open(f *frameShadow, i int) {
+	p := f.pages[i]
+	plain, err := m.aead.Open(m.page[:0], m.word(m.l3[p]), m.dram.Get(p), m.word(p))
+	if err != nil {
 		evm.Halt(ErrL3Tampered)
 	}
-	var ad [8]byte
-	binary.BigEndian.PutUint64(ad[:], pageID)
-	plain, err := m.aead.Open(nil, blob[:ns], blob[ns:], ad[:])
-	if err != nil || binary.BigEndian.Uint64(plain) != pageID {
-		evm.Halt(ErrL3Tampered)
-	}
-	delete(m.l3Store, pageID)
+	f.image.Restore(i*PageSize, plain)
+	delete(m.l3, p)
+	m.l2Used++
 }
 
-// TamperL3 corrupts one stored L3 page (test hook, attack A4).
-func (m *Machine) TamperL3() bool {
-	for id, blob := range m.l3Store {
-		blob[len(blob)-1] ^= 0x01
-		m.l3Store[id] = blob
-		return true
-	}
-	return false
+// word is n as a 12-byte big-endian string: the GCM nonce of counter
+// n, or the AD of page n.
+func (m *Machine) word(n uint64) []byte {
+	b := make([]byte, m.aead.NonceSize())
+	binary.BigEndian.PutUint64(b[len(b)-8:], n)
+	return b
 }

@@ -155,8 +155,9 @@ func (w *WorldState) SetCode(code []byte) types.Hash {
 	return h
 }
 
-// Root recomputes every dirty account's storage root and returns the
-// state root. Call after a batch of writes.
+// Root hashes every account's storage trie on every call (nothing
+// tracks which are dirty), writes back each storage root that changed
+// and returns the state root. Call after a batch of writes.
 func (w *WorldState) Root() (types.Hash, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
